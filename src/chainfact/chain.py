@@ -22,6 +22,14 @@ from math import gcd
 from .exactmath import IntMatrix, int_mat_mul, lcm, smith_normal_form
 
 
+class VerificationFailure(Exception):
+    """An exact identity failed; ``witness`` holds the offending data."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness or {}
+
+
 @dataclass(frozen=True)
 class ChainPolynomial:
     """Exponent data (a_1, ..., a_n) of a chain polynomial."""
@@ -104,7 +112,9 @@ def numerics(f: ChainPolynomial) -> ChainNumerics:
     nm = ChainNumerics(tuple(d), tuple(mu))
     # alternating-sum identity and the strict bounds both follow from a_i >= 2
     alt = sum((-1) ** (f.n - i) * d[i] for i in range(f.n + 1))
-    assert nm.milnor == alt and 1 <= nm.milnor < d[-1]
+    if not (nm.milnor == alt and 1 <= nm.milnor < d[-1]):
+        raise VerificationFailure("Milnor recursion breaks its alternating-sum bounds",
+                                  {"milnor": nm.milnor, "alternating_sum": alt})
     return nm
 
 
@@ -126,7 +136,8 @@ def transpose(f: ChainPolynomial) -> TransposeData:
     q = [Fraction(1, a[0])]
     for i in range(1, f.n):
         q.append((1 - q[-1]) / a[i])
-    assert all(0 < qi < 1 for qi in q)
+    if not all(0 < qi < 1 for qi in q):
+        raise VerificationFailure("transpose charges leave (0, 1)", {"charges": q})
     denom = 1
     for qi in q:
         denom = lcm(denom, qi.denominator)
@@ -235,16 +246,22 @@ class GradingGroup:
             g = gcd(g, w)
         ws = [w // g for w in ws]
         self.weights = tuple(ws)                     # (w_1, ..., w_n, total degree)
-        assert all(w >= 1 for w in self.weights)
+        if not all(w >= 1 for w in self.weights):
+            raise VerificationFailure("weight character is not positive",
+                                      {"weights": self.weights})
         for row in self.relation_matrix.entries:     # character must kill relations
-            assert sum(r * w for r, w in zip(row, self.weights)) == 0
+            if sum(r * w for r, w in zip(row, self.weights)) != 0:
+                raise VerificationFailure("weight character does not kill a relation",
+                                          {"relation": row, "weights": self.weights})
 
         # the character in canonical coordinates: solve V * y = weights
         y = _solve_unimodular(self._V, self.weights)
         self._canonical_weights = tuple(y)
         for m, w in zip(self._moduli, self._canonical_weights):
-            if m != 0:
-                assert w == 0                        # finite-order coords carry weight 0
+            if m != 0 and w != 0:                    # finite-order coords carry weight 0
+                raise VerificationFailure("a finite-order coordinate carries weight",
+                                          {"moduli": self._moduli,
+                                           "weights": self._canonical_weights})
 
         self.zero = self._reduce([0] * self.ngens)
         self._gen_degrees = tuple(
@@ -361,7 +378,8 @@ def _solve_unimodular(v_rows, rhs):
                 fval = aug[r][col]
                 aug[r] = [x - fval * y for x, y in zip(aug[r], aug[col])]
     ys = [aug[i][n] for i in range(n)]
-    assert all(y.denominator == 1 for y in ys)
+    if not all(y.denominator == 1 for y in ys):
+        raise VerificationFailure("unimodular solve left a fraction", {"solution": ys})
     return [int(y) for y in ys]
 
 

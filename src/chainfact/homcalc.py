@@ -6,8 +6,21 @@ Each graded piece is finite because the weight character is positive, so the
 computation is: enumerate monomial bases slot by slot, assemble the two
 neighboring differentials as sparse rational matrices, and take exact ranks.
 
+Every query is made canonical before it reaches the engine.  Let s and t be
+the first even twists of F and G, and A = F(s), B = G(t) the anchored
+objects.  Since T^2 is the shift by the total degree f,
+
+    Hom(F, T^p G(l)) = Hom(A, T^r B(l + s - t + floor(p/2) f)),  r = p mod 2,
+
+and the cell bases and differential matrices of the two sides are literally
+equal.  The cached bases and ranks are therefore shared by every object of a
+twist orbit (the whole collection) and by the primal and Serre-dual tables.
+The functors used here (``shift``, ``translate``, ``t_power``) are trusted
+constructors in ``mf``; factorizations are validated where they enter.
+
 Scan windows are certified on both sides: below by direct weight negativity
 of the cell spaces, above by applying the same bound to the Serre-dual query.
+They need only the weights of the twists.
 """
 
 from __future__ import annotations
@@ -18,17 +31,11 @@ from functools import lru_cache
 
 from .chain import ChainPolynomial, Degree, build_grading_group
 from .exactmath import MPoly, kernel_basis, sparse_rank
-from .mf import GradedMatrix, MatrixFactorization, MFMorphism, t_power
+from .mf import GradedMatrix, MatrixFactorization, MFMorphism, shift, t_power
 
-
-@dataclass(frozen=True)
-class HomQuery:
-    """One stable-morphism dimension request."""
-
-    source: MatrixFactorization
-    target: MatrixFactorization
-    degree: Degree
-    power: int = 0
+# Names the algorithm behind the stored tables; part of the cache key, so a
+# change of engine never serves a table computed by an older one.
+ENGINE_ID = "orbit-anchored-2"
 
 
 def _variable_degree_sum(group):
@@ -102,45 +109,51 @@ def hom_dim(source: MatrixFactorization, target: MatrixFactorization,
     """dim of stable Hom(source, T^power target(degree)).
 
     Kernel of the outgoing differential modulo the image of the incoming one,
-    all over exact rationals.
+    all over exact rationals, asked as the canonical query on the anchored
+    objects (see the module docstring).
     """
     if source.group is not target.group:
         raise ValueError("factorizations live over different gradings")
+    if not source.size or not target.size:
+        return 0
     group = source.group
+    s, t = source.F0.twists[0], target.F0.twists[0]
+    F, G = shift(source, s), shift(target, t)      # the anchored objects
+    k, r = divmod(power, 2)
     l = degree if degree is not None else group.zero
-    cells = len(_cell_basis(source, t_power(target, power), l)[0])
+    l = l + s - t + k * group.total_degree
+    cells = len(_cell_basis(F, t_power(G, r), l)[0])
     if cells == 0:
         return 0
-    out_rank = _rank_d(source, target, l, power)
-    in_rank = _rank_d(source, target, l, power - 1)
+    out_rank = _rank_d(F, G, l, r)
+    in_rank = _rank_d(F, G, l, 0) if r else _rank_d(F, G, l - group.total_degree, 1)
     return cells - out_rank - in_rank
 
 
-def hom_dim_query(q: HomQuery) -> int:
-    return hom_dim(q.source, q.target, q.degree, q.power)
+def _twist_weights(mf, parity):
+    """Weights of the (even, odd) twists of T^parity mf.
+
+    T G has modules (G.F1, G.F0 shifted by the total degree).
+    """
+    w0 = [t.weight for t in mf.F0.twists]
+    w1 = [t.weight for t in mf.F1.twists]
+    if not parity:
+        return w0, w1
+    fw = mf.group.total_degree.weight
+    return w1, [w - fw for w in w0]
 
 
-def _max_cell_weight(F, H, l):
-    """Largest slot weight of the component-map space, or None if no slots."""
-    best = None
-    for src, tgt in ((F.F0, H.F0), (F.F1, H.F1)):
-        for c in range(src.rank):
-            for r in range(tgt.rank):
-                w = (src.twists[c] - tgt.twists[r] + l).weight
-                if best is None or w > best:
-                    best = w
-    return best
-
-
-def _lowest_nonvanishing_power(F, G, l) -> int | None:
-    """Least p for which the cell space C^p can be nonzero (weight bound)."""
-    group = F.group
-    d = group.total_degree.weight
+def _lowest_nonvanishing_power(F, G, lw: int) -> int | None:
+    """Least p for which the cell space C^p at degree weight lw can be
+    nonzero (weight bound); None if F or G is zero."""
+    if not F.size or not G.size:
+        return None
+    d = F.group.total_degree.weight
+    src = _twist_weights(F, 0)
     best = None
     for parity in (0, 1):
-        base = _max_cell_weight(F, t_power(G, parity), l)
-        if base is None:
-            continue
+        tgt = _twist_weights(G, parity)
+        base = max(max(a) - min(b) for a, b in zip(src, tgt)) + lw
         k = -(base // d)                       # ceil(-base/d)
         p = 2 * k + parity
         if best is None or p < best:
@@ -156,12 +169,12 @@ def scan_window(source, target, degree: Degree | None = None) -> tuple[int, int]
     possibly empty as (0, -1).
     """
     group = source.group
-    l = degree if degree is not None else group.zero
-    pmin = _lowest_nonvanishing_power(source, target, l)
+    lw = degree.weight if degree is not None else 0
+    pmin = _lowest_nonvanishing_power(source, target, lw)
     if pmin is None:
         return (0, -1)
-    dual_l = -_variable_degree_sum(group) - l
-    qmin = _lowest_nonvanishing_power(target, source, dual_l)
+    dual_lw = -sum(group.weights[:group.chain.n]) - lw
+    qmin = _lowest_nonvanishing_power(target, source, dual_lw)
     if qmin is None:
         return (0, -1)
     pmax = group.chain.n - qmin
@@ -419,8 +432,3 @@ def morphism_space_basis(source, target, degree: Degree | None = None,
         phi1 = to_matrix(1, source.F1, H.F1)
         morphisms.append(MFMorphism(source, H, l, phi0, phi1))
     return morphisms
-
-
-def clear_caches():
-    _cell_basis.cache_clear()
-    _rank_d.cache_clear()

@@ -25,6 +25,7 @@ from math import gcd
 from .chain import (
     ChainPolynomial,
     TransposeData,
+    VerificationFailure,
     build_grading_group,
     numerics,
 )
@@ -41,14 +42,6 @@ from .exactmath import (
 # below this size the trace-based characteristic polynomial is additionally
 # cross-checked against the division-free (Berkowitz) one on the raw matrix
 DIRECT_CHARPOLY_LIMIT = 16
-
-
-class VerificationFailure(Exception):
-    """An exact identity failed; ``witness`` holds the offending data."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness or {}
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,19 @@
 """Graded matrix factorizations: construction, functors, cones, reduction.
 
 Objects are pairs of graded free modules with two polynomial matrices whose
-compositions are multiplication by the chain polynomial.  Every constructor
-validates both the factorization identity and entrywise homogeneity (each
-monomial of each entry must have exactly the degree prescribed by the source
-and target twists), so malformed data cannot circulate.
+compositions are multiplication by the chain polynomial.  Validation happens
+at the input boundaries: the class constructors, ``stabilize``,
+``mf_from_dict``, ``direct_sum``, ``cone`` and ``reduce`` check both the
+factorization identity and entrywise homogeneity (each monomial of each entry
+must have exactly the degree prescribed by the source and target twists), so
+malformed data cannot enter.
+
+``shift``, ``translate`` and everything built from them (``t_power``,
+``translate_inverse``, ``serre``) are trusted constructors.  A grading shift
+moves every twist by the same degree and keeps the entries; translation swaps
+and negates the two maps and moves one module by the total degree.  Both keep
+d1 o d0 = d0 o d1 = f and homogeneity by construction, so they skip the
+polynomial products and the monomial scan.
 
 All values are immutable and hashable; functors return fresh objects.
 """
@@ -122,11 +131,22 @@ class GradedMatrix:
                         raise GradingError(
                             f"entry ({r},{c}) monomial {exps} is not homogeneous "
                             f"of the required degree")
+        self._set(source, target, shift, entries)
+
+    def _set(self, source, target, shift, entries):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_hash", hash((source, target, shift, entries)))
+
+    @classmethod
+    def _trusted(cls, source, target, shift, entries) -> "GradedMatrix":
+        """Unchecked constructor for entries (tuple of tuples) that are
+        homogeneous by construction."""
+        self = object.__new__(cls)
+        self._set(source, target, shift, entries)
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("GradedMatrix is immutable")
@@ -162,11 +182,6 @@ class GradedMatrix:
         return GradedMatrix(self.source, self.target, self.shift,
                             [[p + q for p, q in zip(r, s)]
                              for r, s in zip(self.entries, other.entries)])
-
-    def twisted(self, l: Degree) -> "GradedMatrix":
-        """The same map viewed after the grading shift (l) on both modules."""
-        return GradedMatrix(self.source.shifted(l), self.target.shifted(l),
-                            self.shift, self.entries)
 
     def __repr__(self):
         return f"GradedMatrix({self.target.rank}x{self.source.rank})"
@@ -209,6 +224,9 @@ class MatrixFactorization:
         if not _is_f_times_identity(poly_mat_mul(d0.entries, d1.entries, n),
                                     fpoly, F1.rank):
             raise GradingError("d0 o d1 is not f times the identity")
+        self._set(group, fpoly, F0, F1, d0, d1)
+
+    def _set(self, group, fpoly, F0, F1, d0, d1):
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "f", fpoly)
         object.__setattr__(self, "F0", F0)
@@ -216,6 +234,18 @@ class MatrixFactorization:
         object.__setattr__(self, "d0", d0)
         object.__setattr__(self, "d1", d1)
         object.__setattr__(self, "_hash", hash((id(group), F0, F1, d0, d1)))
+
+    @classmethod
+    def _trusted(cls, like: "MatrixFactorization", F0, F1, e0, e1):
+        """Unchecked factorization over ``like``'s polynomial on modules F0, F1
+        with entry grids e0, e1 (tuples of tuples).  Only for functors whose
+        output satisfies the identity and homogeneity by construction."""
+        group = like.group
+        d0 = GradedMatrix._trusted(F0, F1, group.zero, e0)
+        d1 = GradedMatrix._trusted(F1, F0, group.total_degree, e1)
+        self = object.__new__(cls)
+        self._set(group, like.f, F0, F1, d0, d1)
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("MatrixFactorization is immutable")
@@ -366,25 +396,23 @@ def zero_object(f: ChainPolynomial) -> MatrixFactorization:
 # ---------------------------------------------------------------------------
 
 def shift(mf: MatrixFactorization, l: Degree) -> MatrixFactorization:
-    """Grading-shift functor (l): twists move, entries stay."""
+    """Grading-shift functor (l): twists move, entries stay (trusted)."""
     if l.is_zero():
         return mf
-    return MatrixFactorization(mf.group, mf.f,
-                               mf.F0.shifted(l), mf.F1.shifted(l),
-                               mf.d0.twisted(l), mf.d1.twisted(l))
+    return MatrixFactorization._trusted(mf, mf.F0.shifted(l), mf.F1.shifted(l),
+                                        mf.d0.entries, mf.d1.entries)
+
+
+def _negated(entries):
+    return tuple(tuple(-p for p in row) for row in entries)
 
 
 def translate(mf: MatrixFactorization) -> MatrixFactorization:
-    """Translation functor: swap the modules, negate, twist by total degree."""
-    group = mf.group
-    fvec = group.total_degree
-    F0n = mf.F1
-    F1n = mf.F0.shifted(fvec)
-    d0n = GradedMatrix(F0n, F1n, group.zero,
-                       [[-p for p in row] for row in mf.d1.entries])
-    d1n = GradedMatrix(F1n, F0n, fvec,
-                       [[-p for p in row] for row in mf.d0.entries])
-    return MatrixFactorization(group, mf.f, F0n, F1n, d0n, d1n)
+    """Translation functor: swap the modules, negate, twist by total degree
+    (trusted)."""
+    F1n = mf.F0.shifted(mf.group.total_degree)
+    return MatrixFactorization._trusted(mf, mf.F1, F1n, _negated(mf.d1.entries),
+                                        _negated(mf.d0.entries))
 
 
 def translate_inverse(mf: MatrixFactorization) -> MatrixFactorization:

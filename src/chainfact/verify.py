@@ -21,6 +21,7 @@ from . import __version__
 from .chain import ChainPolynomial, Degree, build_grading_group, numerics, transpose
 from .exactmath import IntMatrix, MPoly, Poly
 from .homcalc import (
+    ENGINE_ID,
     HomTable,
     check_exceptionality,
     compute_hom_table,
@@ -295,9 +296,10 @@ def parse_report(text: str) -> VerificationReport:
 class HomTableCache:
     """Content-addressed JSON store for computed Hom tables.
 
-    The key hashes the chain, offset, variant, margin, and schema version, so
-    convention changes invalidate automatically; unreadable or schema-stale
-    entries are recomputed and overwritten.
+    The key hashes the chain, offset, variant, margin, schema version, tool
+    version and engine id, so convention and engine changes invalidate
+    automatically; unreadable or schema-stale entries are recomputed and
+    overwritten.
     """
 
     def __init__(self, root: str | os.PathLike | None = None):
@@ -309,7 +311,8 @@ class HomTableCache:
 
     def _path(self, chain, offset, dual, margin) -> Path:
         key = json.dumps({"chain": list(chain), "offset": offset, "dual": dual,
-                          "margin": margin, "schema": 1}, sort_keys=True)
+                          "margin": margin, "schema": 1, "version": __version__,
+                          "engine": ENGINE_ID}, sort_keys=True)
         digest = hashlib.sha256(key.encode()).hexdigest()[:24]
         return self.root / f"homtable-{digest}.json"
 

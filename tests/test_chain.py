@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
+
+import chainfact
 
 from chainfact.chain import (
     ChainPolynomial,
@@ -210,3 +216,48 @@ def test_transpose_milnor_product_identity():
         for w in td.weights:
             prod = prod * Fraction(td.degree - w, w)
         assert prod == numerics(f).milnor
+
+
+# ------------------------------------------------- checks that survive -O
+
+O_PRELUDE = """
+import sys
+import chainfact.chain as chain
+from chainfact.chain import ChainPolynomial, GradingGroup, VerificationFailure
+
+def raw(exps):
+    f = object.__new__(ChainPolynomial)
+    object.__setattr__(f, "exponents", exps)
+    return f
+
+assert False, "asserts are live"
+"""
+
+# (check, statement that breaks it, start of the expected message)
+O_CASES = [
+    ("numerics", "chain.numerics(raw((1,)))", "Milnor recursion"),
+    ("transpose", "chain.transpose(raw((1, 2)))", "transpose charges"),
+    ("weights_positive", "GradingGroup(raw((2, 1)))", "weight character is not positive"),
+    ("weights_kill_relations",
+     "ChainPolynomial.monomial_exponents = lambda self: [(3, 1), (0, 2)]\n"
+     "GradingGroup(ChainPolynomial((2, 2)))",
+     "weight character does not kill"),
+    ("torsion_weight",
+     "chain._solve_unimodular = lambda v, rhs: [1] * len(rhs)\n"
+     "GradingGroup(ChainPolynomial((2, 2)))",
+     "a finite-order coordinate"),
+    ("solve_unimodular", "chain._solve_unimodular([[2]], [1])", "unimodular solve"),
+]
+
+
+@pytest.mark.parametrize("name,statement,message", O_CASES, ids=[c[0] for c in O_CASES])
+def test_check_survives_optimize(name, statement, message):
+    body = "\n    ".join(statement.split("\n"))
+    script = (O_PRELUDE + "try:\n    " + body + "\n"
+              "except VerificationFailure as exc:\n    print('raised:', exc)\n"
+              "else:\n    print('passed silently')\n")
+    src = str(Path(chainfact.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised: " + message), out.stdout

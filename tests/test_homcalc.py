@@ -3,7 +3,7 @@ import random
 import pytest
 
 from chainfact.chain import ChainPolynomial, build_grading_group
-from chainfact.exactmath import MPoly
+from chainfact.exactmath import MPoly, sparse_rank
 from chainfact.homcalc import (
     HomTable,
     check_exceptionality,
@@ -114,6 +114,72 @@ def test_hom_complex_squares_to_zero():
                     acc[tgt] = acc.get(tgt, 0) + Fraction(coeff) * c2
             assert all(v == 0 for v in acc.values())
         assert dim_c2 >= 0
+
+
+# ------------------------------------- canonical queries vs the naive route
+
+def naive_hom_dim(F, G, l, p):
+    """Hom dimension on the raw objects: no anchoring, no cached ranks."""
+    cells = len(_cell_basis(F, t_power(G, p), l)[0])
+    return (cells - sparse_rank(_differential_rows(F, G, l, p))
+            - sparse_rank(_differential_rows(F, G, l, p - 1)))
+
+
+def naive_window(F, G, l):
+    """scan_window recomputed from the Degree twists of T^parity G."""
+    group = F.group
+    n, d = group.chain.n, group.total_degree.weight
+    sigma = sum((group.variable_degree(i) for i in range(n)), group.zero)
+
+    def lowest(A, B, deg):
+        best = None
+        for parity in (0, 1):
+            H = t_power(B, parity)
+            ws = [(s - t + deg).weight
+                  for src, tgt in ((A.F0, H.F0), (A.F1, H.F1))
+                  for s in src.twists for t in tgt.twists]
+            if ws:
+                p = 2 * -(max(ws) // d) + parity
+                best = p if best is None else min(best, p)
+        return best
+
+    pmin, qmin = lowest(F, G, l), lowest(G, F, -sigma - l)
+    return (0, -1) if pmin is None or qmin is None else (pmin, n - qmin)
+
+
+@pytest.mark.parametrize("exps", [(2, 2), (2, 3), (3, 2, 2), (3, 3, 3)])
+def test_scan_window_matches_naive_route(exps):
+    f = ChainPolynomial(exps)
+    g = build_grading_group(f)
+    coll = build_collection(f, offset=2)
+    objs = [coll[0], coll[1], t_power(coll[1], 1), t_power(coll[0], -3),
+            cone(identity_morphism(coll[0])), serre(coll[1])]
+    degrees = [k * g.variable_degree(0) for k in range(-4, 5)]
+    degrees += [-g.total_degree, g.variable_degree(f.n - 1) - g.total_degree]
+    for x in objs:
+        for y in objs:
+            for l in degrees:
+                assert scan_window(x, y, l) == naive_window(x, y, l)
+
+
+# torsion gradings: (2, 3) Z/2, (2, 2, 3) Z/4, (3, 2, 2) Z/3
+@pytest.mark.parametrize("exps", [(3, 3), (2, 2, 2), (2, 3), (2, 2, 3), (3, 2, 2)])
+def test_canonical_tables_match_naive_route(exps):
+    f = ChainPolynomial(exps)
+    g = build_grading_group(f)
+    sigma = sum((g.variable_degree(i) for i in range(f.n)), g.zero)
+    coll = build_collection(f, offset=1)
+    for dual in (False, True):
+        table = compute_hom_table(f, offset=1, margin=1, dual=dual, collection=coll)
+        for (i, j), window in table.windows.items():
+            assert window == naive_window(coll[i], coll[j], g.zero)
+        naive = {}
+        for (i, j, p) in table.entries:
+            if dual:
+                naive[(i, j, p)] = naive_hom_dim(coll[j], coll[i], -sigma, f.n - p)
+            else:
+                naive[(i, j, p)] = naive_hom_dim(coll[i], coll[j], g.zero, p)
+        assert naive == table.entries, (exps, dual)
 
 
 # ----------------------------------------------------------- euler tables

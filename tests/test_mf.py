@@ -36,6 +36,31 @@ def mono(f, exps, c=1):
     return MPoly.monomial(exps, c)
 
 
+def rebuilt(mf):
+    """mf passed field by field through the validating constructors."""
+    d0 = GradedMatrix(mf.F0, mf.F1, mf.d0.shift, mf.d0.entries)
+    d1 = GradedMatrix(mf.F1, mf.F0, mf.d1.shift, mf.d1.entries)
+    return MatrixFactorization(mf.group, mf.f, mf.F0, mf.F1, d0, d1)
+
+
+# ------------------------------------------------------- trusted functors
+
+@pytest.mark.parametrize("exps", [(3, 3), (2, 3), (2, 2, 3), (3, 2, 2)])
+def test_trusted_functors_pass_validation(exps):
+    f = ChainPolynomial(exps)
+    g = build_grading_group(f)
+    gens, cofs, step = collection_splitting(f)
+    base = stabilize(f, gens, cofs)
+    padded = cone(identity_morphism(base))
+    outs = [shift(base, 3 * step), shift(base, g.variable_degree(1) - g.total_degree),
+            translate(base), translate_inverse(base), serre(base),
+            translate(padded), shift(padded, -step)]
+    outs += [t_power(base, p) for p in range(-3, 4)]
+    outs += [t_power(shift(base, step), p) for p in (-2, -1, 5)]
+    for out in outs:
+        assert rebuilt(out) == out
+
+
 # ------------------------------------------------------------- stabilize
 
 def test_stabilize_one_variable():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import chainfact.verify as verify_module
 from chainfact.chain import ChainPolynomial, build_grading_group
 from chainfact.cli import main as cli_main
 from chainfact.exactmath import MPoly
@@ -204,6 +205,21 @@ def test_cache_rejects_schema_drift(tmp_path):
     data = json.loads(path.read_text())
     data["schema_version"] = 999
     path.write_text(json.dumps(data))
+    _, hit = cached_hom_table(f, cache=cache)
+    assert not hit
+
+
+@pytest.mark.parametrize("field", ["ENGINE_ID", "__version__"])
+def test_cache_ignores_tables_of_another_engine(tmp_path, monkeypatch, field):
+    f = ChainPolynomial((2, 2))
+    cache = HomTableCache(tmp_path)
+    current = getattr(verify_module, field)
+    monkeypatch.setattr(verify_module, field, "older")
+    cached_hom_table(f, cache=cache)
+    stale = cache._path(f.exponents, 0, False, 0)
+    monkeypatch.setattr(verify_module, field, current)
+    assert cache._path(f.exponents, 0, False, 0) != stale
+    assert cache.load(f.exponents, 0, False, 0) is None
     _, hit = cached_hom_table(f, cache=cache)
     assert not hit
 
