@@ -12,15 +12,11 @@ The module provides:
                      and a sparse lower-Hessenberg determinant;
   * exact rational rank / kernel computations (dense and sparse).
 
-Integer matrix products go through :func:`int_mat_mul`, which uses a numpy
-int64 kernel only when a triangle-inequality bound proves the product cannot
-overflow; otherwise (or when ``CHAINFACT_PURE=1``) it falls back to pure
-Python big-int arithmetic.
+Integer matrix products go through :func:`int_mat_mul`, in Python big ints.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from math import gcd
 
@@ -31,6 +27,8 @@ class ExactDivisionError(ArithmeticError):
 
 def _norm_num(c):
     """Collapse Fractions with denominator 1 to ints; reject floats."""
+    if type(c) is int:          # the common case, without the ABC isinstance
+        return c
     if isinstance(c, Fraction):
         return int(c) if c.denominator == 1 else c
     if isinstance(c, int):
@@ -327,50 +325,12 @@ class MPoly:
 # integer matrices
 # ---------------------------------------------------------------------------
 
-_PURE = os.environ.get("CHAINFACT_PURE", "") not in ("", "0")
-_INT64_SAFE = 1 << 62
-
-_np = None
-
-
-def _numpy():
-    global _np
-    if _np is None:
-        import numpy
-        _np = numpy
-    return _np
-
-
-def _max_abs(rows):
-    m = 0
-    for row in rows:
-        for x in row:
-            if x > m:
-                m = x
-            elif -x > m:
-                m = -x
-    return m
-
-
 def int_mat_mul(a, b):
-    """Exact product of integer matrices given as row sequences.
-
-    Proves int64 safety via inner_dim * max|a| * max|b| < 2^62 before using
-    the numpy kernel; otherwise multiplies with Python big ints.
-    """
+    """Exact product of integer matrices given as row sequences."""
     n = len(a)
     inner = len(a[0]) if n else 0
     if inner != len(b):
         raise ValueError("shape mismatch in matrix product")
-    m = len(b[0]) if inner else 0
-    if n == 0 or m == 0 or inner == 0:
-        return [[0] * m for _ in range(n)]
-    if not _PURE:
-        amax, bmax = _max_abs(a), _max_abs(b)
-        if inner * amax * bmax < _INT64_SAFE:
-            np = _numpy()
-            prod = np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)
-            return prod.tolist()
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
@@ -385,12 +345,13 @@ class IntMatrix:
         if not rows or not rows[0]:
             raise ValueError("IntMatrix must have positive dimensions")
         ncols = len(rows[0])
+        types = set()
         for r in rows:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
-            for x in r:
-                if not isinstance(x, int):
-                    raise TypeError("integer entries required")
+            types.update(map(type, r))
+        if not all(issubclass(t, int) for t in types):
+            raise TypeError("integer entries required")
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", ncols)
         object.__setattr__(self, "entries", rows)
@@ -422,13 +383,6 @@ class IntMatrix:
         return IntMatrix([[x + y for x, y in zip(r, s)]
                           for r, s in zip(self.entries, other.entries)])
 
-    def __sub__(self, other):
-        return IntMatrix([[x - y for x, y in zip(r, s)]
-                          for r, s in zip(self.entries, other.entries)])
-
-    def __neg__(self):
-        return IntMatrix([[-x for x in r] for r in self.entries])
-
     def __mul__(self, other):
         if isinstance(other, int):
             return IntMatrix([[x * other for x in r] for r in self.entries])
@@ -437,7 +391,6 @@ class IntMatrix:
         return IntMatrix(int_mat_mul(self.entries, other.entries))
 
     __rmul__ = __mul__
-    __matmul__ = __mul__
 
     def transpose(self):
         return IntMatrix(list(zip(*self.entries)))

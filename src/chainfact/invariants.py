@@ -4,12 +4,15 @@ Everything revolves around the degree-mu polynomial
 
     z(t) = prod_i (1 - t^{d_i})^{+-1}        (alternating exponents)
 
-whose truncated series inverse fills the upper-triangular Toeplitz Euler
-matrix.  From that one matrix the module derives the companion root, the
-K-theory monodromy operator (computed along two independent routes and
-cross-checked), its characteristic polynomial and cyclotomic-style
-factorization, the lattice-correspondence congruence, and an independent
+and its series inverse c = 1/z mod t^mu.  The Euler matrix chi and W are the
+upper-triangular Toeplitz matrices of c and z; such matrices multiply as
+series truncated at t^mu, so the battery works on the series: W chi = I is
+z c == 1 mod t^mu, the lattice congruence follows from it, and the monodromy
+operator sign * W chi^T is built in O(mu^2) and compared with the mu-th power
+of the companion root.  The module also derives the characteristic
+polynomial, its cyclotomic-style factorization, and an independent
 weighted-homogeneous oracle for the transposed polynomial's monodromy.
+Dense mu x mu matrices are built only when a caller reads them.
 
 All computations are exact; any failed identity raises
 :class:`VerificationFailure` carrying the witnesses.
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 from .chain import (
@@ -90,14 +93,17 @@ def zeta_polynomial(f: ChainPolynomial) -> ZetaPolynomial:
 
 @dataclass(frozen=True)
 class EulerMatrix:
-    """Upper-triangular Toeplitz matrix of truncated inverse-series coefficients."""
+    """Toeplitz Euler matrix, stored as its series; ``matrix`` is built lazily."""
 
     chain: ChainPolynomial
-    matrix: IntMatrix
     series_coeffs: tuple[int, ...]
 
     def entry(self, i: int, j: int) -> int:
         return self.series_coeffs[j - i] if 0 <= j - i < len(self.series_coeffs) else 0
+
+    @cached_property
+    def matrix(self) -> IntMatrix:
+        return _toeplitz_upper(self.series_coeffs, len(self.series_coeffs))
 
 
 def _toeplitz_upper(coeffs, size) -> IntMatrix:
@@ -140,7 +146,7 @@ def euler_matrix(f: ChainPolynomial) -> EulerMatrix:
     if (neg * inv).truncate(mu - 1) != pos:
         raise VerificationFailure("product formula mismatch for the Euler matrix",
                                   {"series": coeffs})
-    return EulerMatrix(f, _toeplitz_upper(coeffs, mu), coeffs)
+    return EulerMatrix(f, coeffs)
 
 
 def companion_matrix(zp: ZetaPolynomial) -> IntMatrix:
@@ -179,33 +185,85 @@ def companion_matrix(zp: ZetaPolynomial) -> IntMatrix:
 class MonodromyData:
     """The K-theory monodromy operator and its characteristic data.
 
-    ``matrix`` is the signed triangular-Toeplitz product, verified equal to
-    the ``milnor``-th power of ``companion``; ``det_one_minus_t`` is
-    det(1 - t * matrix); ``gcd_exponents`` are gcd(d_i, milnor).
+    ``matrix`` (sign * W chi^T, verified equal to the ``milnor``-th power of
+    ``companion``) and ``companion`` are built on first use;
+    ``det_one_minus_t`` is det(1 - t * matrix); ``gcd_exponents`` are
+    gcd(d_i, milnor).
     """
 
     chain: ChainPolynomial
-    companion: IntMatrix
-    matrix: IntMatrix
     det_one_minus_t: Poly
     gcd_exponents: tuple[int, ...]
 
+    @cached_property
+    def companion(self) -> IntMatrix:
+        return companion_matrix(zeta_polynomial(self.chain))
 
-def _companion_power_full(cp_coeffs, mu) -> IntMatrix:
-    """The mu-th power of the companion matrix by iterated application.
+    @cached_property
+    def matrix(self) -> IntMatrix:
+        columns = list(_toeplitz_product_columns(
+            zeta_polynomial(self.chain).poly.coeffs,
+            euler_matrix(self.chain).series_coeffs, (-1) ** self.chain.n))
+        return IntMatrix(zip(*reversed(columns)))
 
-    Column j of the power is the image of the first basis vector under
-    mu - j applications (the remaining columns shift), so one vector orbit
-    of length mu determines the whole matrix.
+
+def _toeplitz_product_columns(w, c, sign):
+    """Columns mu-1, ..., 1, 0 of sign * W C^T, W and C upper Toeplitz of w, c.
+
+    mu = len(c) <= len(w).  (W C^T)[i][j] sums w[k-i] c[k-j] over
+    max(i, j) <= k < mu, so M[i][j] = M[i+1][j+1] + w[mu-1-i] c[mu-1-j] with
+    M zero at row and column mu: each column is the one to its right moved up
+    by one entry plus c[mu-1-j] times the reversed w.  O(mu) memory.
     """
-    first_col_orbit = [[1 if i == 0 else 0 for i in range(mu)]]
-    v = first_col_orbit[0]
+    mu = len(c)
+    w_rev = [sign * x for x in w[mu - 1::-1]]
+    col = [0] * mu
+    for j in range(mu - 1, -1, -1):
+        a = c[mu - 1 - j]
+        col = col[1:] + [0]
+        if a:
+            col = [x + a * y for x, y in zip(col, w_rev)]
+        yield col
+
+
+def _companion_power_columns(cp_coeffs, mu):
+    """Columns mu-1, ..., 1, 0 of the mu-th power of the companion matrix.
+
+    The companion sends e_{j+1} to e_j, so column j of its mu-th power is
+    M^(mu-j) e_0: the orbit of e_0 yields the columns in this order.
+    """
+    tail = cp_coeffs[1:mu + 1]              # the first column, negated
+    v = [1] + [0] * (mu - 1)
     for _ in range(mu):
-        v = [-cp_coeffs[i + 1] * v[0] + (v[i + 1] if i + 1 < mu else 0)
-             for i in range(mu)]
-        first_col_orbit.append(v)
-    return IntMatrix([[first_col_orbit[mu - j][i] for j in range(mu)]
-                      for i in range(mu)])
+        v0 = v[0]
+        v = v[1:] + [0]
+        if v0:
+            v = [x - v0 * y for x, y in zip(v, tail)]
+        yield v
+
+
+def check_monodromy_routes(em: EulerMatrix, zp: ZetaPolynomial) -> bool:
+    """The monodromy operator along two independent routes, compared exactly.
+
+    Route A is sign * W chi^T from the zeta and Euler series; route B is the
+    mu-th power of the companion root, from the zeta coefficients alone.
+    Both yield the columns right to left, so they are compared one column at
+    a time; the first differing entry is the witness.
+    """
+    mu = zp.milnor
+    c = em.series_coeffs
+    if len(c) != mu:
+        raise VerificationFailure("Euler series length differs from mu",
+                                  {"length": len(c), "milnor": mu})
+    route_a = _toeplitz_product_columns(zp.poly.coeffs, c, (-1) ** em.chain.n)
+    route_b = _companion_power_columns(zp.poly.coeffs, mu)
+    for k, (col_a, col_b) in enumerate(zip(route_a, route_b)):
+        if col_a != col_b:
+            i = next(i for i in range(mu) if col_a[i] != col_b[i])
+            raise VerificationFailure(
+                "signed inverse-transpose product disagrees with the companion power",
+                {"row": i, "col": mu - 1 - k, "route_a": col_a[i], "route_b": col_b[i]})
+    return True
 
 
 def _power_sums(cp_coeffs, mu, upto):
@@ -255,38 +313,25 @@ def _det_one_minus_t_via_traces(cp_coeffs, mu, period) -> Poly:
 def monodromy_data(f: ChainPolynomial) -> MonodromyData:
     """Monodromy operator computed along two routes and cross-checked.
 
-    Route one inverts the Euler matrix inside the triangular Toeplitz algebra
-    and multiplies by the transpose; route two powers the companion matrix.
-    Any disagreement aborts with both matrices as witnesses.
+    The routes are those of :func:`check_monodromy_routes`; for small mu the
+    trace-based det(1 - t*M) is also checked against Berkowitz.
     """
     zp = zeta_polynomial(f)
-    em = euler_matrix(f)
     nm = numerics(f)
     mu = nm.milnor
     n = f.n
-    m1 = companion_matrix(zp)
-
-    inv_toeplitz = _toeplitz_upper(zp.poly.coeffs[:mu], mu)
-    if inv_toeplitz * em.matrix != IntMatrix.identity(mu):
-        raise VerificationFailure("zeta Toeplitz matrix is not the Euler inverse")
-    route_a = inv_toeplitz * em.matrix.transpose()
-    if n % 2:
-        route_a = -route_a
-    route_b = _companion_power_full(zp.poly.coeffs, mu)
-    if route_a != route_b:
-        raise VerificationFailure(
-            "signed inverse-transpose product disagrees with the companion power",
-            {"route_a": route_a.entries, "route_b": route_b.entries})
+    check_monodromy_routes(euler_matrix(f), zp)
 
     period = nm.cum_products[-1]
     det1mt = _det_one_minus_t_via_traces(zp.poly.coeffs, mu, period)
+    exps = tuple(gcd(nm.cum_products[i], mu) for i in range(n + 1))
+    md = MonodromyData(f, det1mt, exps)
     if mu <= DIRECT_CHARPOLY_LIMIT:
-        direct = charpoly_division_free(route_a).reversal(mu)
+        direct = charpoly_division_free(md.matrix).reversal(mu)
         if direct != det1mt:
             raise VerificationFailure("trace-based charpoly disagrees with Berkowitz",
                                       {"traces": det1mt.coeffs, "direct": direct.coeffs})
-    exps = tuple(gcd(nm.cum_products[i], mu) for i in range(n + 1))
-    return MonodromyData(f, m1, route_a, det1mt, exps)
+    return md
 
 
 def check_zeta_factorization(md: MonodromyData, f: ChainPolynomial) -> bool:
@@ -359,27 +404,26 @@ def transpose_monodromy_charpoly(td: TransposeData) -> Poly:
 def check_lattice_correspondence(em: EulerMatrix, f: ChainPolynomial) -> bool:
     """Unimodularity plus the intersection-form change-of-basis congruence.
 
-    With W the verified triangular-Toeplitz inverse of the Euler matrix,
-    checks W (chi + chi^T) W^T == W + W^T by honest matrix products.
+    With W the upper Toeplitz matrix of the zeta coefficients, the congruence
+    W (chi + chi^T) W^T == W + W^T follows from W chi = I, since
+
+        W (chi + chi^T) W^T - (W + W^T) = (W chi - I) W^T + W (W chi - I)^T.
+
+    Upper Toeplitz matrices of size mu multiply as series truncated at t^mu,
+    so W chi = I is z * c == 1 mod t^mu, checked by one convolution.  As
+    z_0 = 1, its constant term is c_0 = 1: chi is unitriangular, so unimodular.
     """
-    chi = em.matrix
-    mu = chi.rows
-    for i in range(mu):
-        if chi[i, i] != 1:
-            raise VerificationFailure("Euler matrix diagonal is not 1")
-        for j in range(i):
-            if chi[i, j] != 0:
-                raise VerificationFailure("Euler matrix is not upper triangular")
+    c = em.series_coeffs
     zp = zeta_polynomial(f)
-    w = _toeplitz_upper(zp.poly.coeffs[:mu], mu)
-    if w * chi != IntMatrix.identity(mu):
-        raise VerificationFailure("candidate inverse fails against the Euler matrix")
-    sym = chi + chi.transpose()
-    lhs = (w * sym) * w.transpose()
-    rhs = w + w.transpose()
-    if lhs != rhs:
-        raise VerificationFailure("lattice congruence failed",
-                                  {"lhs": lhs.entries, "rhs": rhs.entries})
+    mu = zp.milnor
+    if len(c) != mu:
+        raise VerificationFailure("Euler series length differs from mu",
+                                  {"length": len(c), "milnor": mu})
+    product = (zp.poly * Poly(c)).truncate(mu - 1)
+    if product != Poly.one():
+        k = next(k for k in range(mu) if product.coeff(k) != (k == 0))
+        raise VerificationFailure("zeta Toeplitz matrix is not the Euler inverse",
+                                  {"index": k, "coefficient": product.coeff(k)})
     return True
 
 

@@ -603,16 +603,15 @@ def verify_triangles(f: ChainPolynomial, offset: int = 0,
     else:
         a1 = f.exponents[0]
 
-        def ladder_total(i, j, x):
-            terms = [(1, ladder_object(f, i + 1, j)),
-                     (-1, ladder_object(f, i, j + 1)),
-                     (-1, ladder_object(f, i + 1, j - 1)),
-                     (1, ladder_object(f, i, j))]
-            total = 0
-            for sgn, obj in terms:
-                if obj.size:
-                    total += sgn * _euler_entry(x, obj)
-            return total
+        def ladder_terms(i, j):
+            """The triangle's source, two middle objects and cone, signed."""
+            return [(1, ladder_object(f, i + 1, j)),
+                    (-1, ladder_object(f, i, j + 1)),
+                    (-1, ladder_object(f, i + 1, j - 1)),
+                    (1, ladder_object(f, i, j))]
+
+        def ladder_total(terms, x):
+            return sum(sgn * _euler_entry(x, obj) for sgn, obj in terms if obj.size)
 
         i_range = range(offset, offset + min(mu - 1, 3))
 
@@ -620,8 +619,9 @@ def verify_triangles(f: ChainPolynomial, offset: int = 0,
             bad = []
             for i in i_range:
                 for j in range(1, a1):
+                    terms = ladder_terms(i, j)
                     for x in probes:
-                        total = ladder_total(i, j, x)
+                        total = ladder_total(terms, x)
                         if total != 0:
                             bad.append({"i": i, "j": j, "total": total})
             if bad:
@@ -641,10 +641,11 @@ def verify_triangles(f: ChainPolynomial, offset: int = 0,
             mismatches = []
             boundary_holds = True
             for i in i_range:
+                terms = ladder_terms(i, a1)
+                classes = [shift(base, (i + k) * step) for k in range(a1 + 1)]
                 for x in probes:
-                    total = ladder_total(i, a1, x)
-                    predicted = sum(_euler_entry(x, shift(base, (i + k) * step))
-                                    for k in range(a1 + 1))
+                    total = ladder_total(terms, x)
+                    predicted = sum(_euler_entry(x, e) for e in classes)
                     if total != 0:
                         boundary_holds = False
                     if total != predicted:
@@ -681,9 +682,7 @@ def verify_triangles(f: ChainPolynomial, offset: int = 0,
                 i = offset
                 results = []
                 for j in range(1, a1):
-                    src = ladder_object(f, i + 1, j)
-                    mid1 = ladder_object(f, i, j + 1)
-                    mid2 = ladder_object(f, i + 1, j - 1)
+                    (_, src), (_, mid1), (_, mid2), (_, cone_obj) = ladder_terms(i, j)
                     if mid1.size and mid2.size:
                         target = direct_sum(mid1, mid2)
                     elif mid1.size:
@@ -692,8 +691,7 @@ def verify_triangles(f: ChainPolynomial, offset: int = 0,
                         target = mid2
                     else:
                         continue
-                    status = _search_cone_match(src, target,
-                                                ladder_object(f, i, j), probes)
+                    status = _search_cone_match(src, target, cone_obj, probes)
                     results.append({"j": j, "status": status})
                 overall = ("pass" if all(x["status"] == "pass" for x in results)
                            else "inconclusive")

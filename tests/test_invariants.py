@@ -1,12 +1,19 @@
+import random
 from itertools import product
+from math import prod
 
 import pytest
 
-from chainfact.chain import ChainPolynomial, numerics, transpose
+from chainfact.chain import ChainPolynomial, build_grading_group, numerics, transpose
 from chainfact.exactmath import IntMatrix, Poly, charpoly_division_free, det_bareiss
 from chainfact.invariants import (
+    EulerMatrix,
     VerificationFailure,
+    _companion_power_columns,
+    _toeplitz_product_columns,
+    _toeplitz_upper,
     check_lattice_correspondence,
+    check_monodromy_routes,
     check_zeta_factorization,
     companion_matrix,
     cyclotomic_polynomial,
@@ -233,6 +240,115 @@ def test_lattice_congruence_generic_unitriangular():
         lhs = int_mat_mul(int_mat_mul(inv, sym), invt)
         rhs = [[a + b for a, b in zip(r, s)] for r, s in zip(inv, invt)]
         assert lhs == rhs
+
+
+# ------------------------------------------- series routes vs dense oracle
+
+def _small_chains(max_mu):
+    """Every chain with all exponents >= 2 and Milnor number <= max_mu.
+
+    mu >= a_1 ... a_{n-1} (a_n - 1) >= a_1 ... a_n / 2 bounds the search.
+    """
+    out = []
+    for n in range(1, 6):
+        top = 2 * max_mu // 2 ** (n - 1)
+        for exps in product(range(2, top + 1), repeat=n):
+            if prod(exps) <= 2 * max_mu:
+                f = ChainPolynomial(exps)
+                if numerics(f).milnor <= max_mu:
+                    out.append(f)
+    return out
+
+
+SMALL_CHAINS = _small_chains(30)
+
+
+def _matrix_from_columns(columns):
+    """The matrix whose columns, from the last to the first, are given."""
+    return IntMatrix(zip(*reversed(list(columns))))
+
+
+def test_small_chain_family_covers_torsion_and_parities():
+    exps = {f.exponents for f in SMALL_CHAINS}
+    assert {(2, 3), (2, 2, 3), (3, 2, 2), (2, 3, 2, 3)} <= exps
+    assert {f.n % 2 for f in SMALL_CHAINS} == {0, 1}
+    assert any(not build_grading_group(f).is_torsion_free() for f in SMALL_CHAINS)
+
+
+@pytest.mark.parametrize("f", SMALL_CHAINS, ids=lambda f: ",".join(map(str, f.exponents)))
+def test_series_routes_match_dense_products(f):
+    zp = zeta_polynomial(f)
+    em = euler_matrix(f)
+    md = monodromy_data(f)
+    mu = numerics(f).milnor
+    sign = (-1) ** f.n
+    w = _toeplitz_upper(zp.poly.coeffs[:mu], mu)
+    chi = em.matrix
+    dense_a = w * chi.transpose() * sign
+    assert _matrix_from_columns(_toeplitz_product_columns(
+        zp.poly.coeffs, em.series_coeffs, sign)) == dense_a
+    assert md.matrix == dense_a
+    assert md.matrix == md.companion.power(mu)
+    assert _matrix_from_columns(_companion_power_columns(zp.poly.coeffs, mu)) == md.matrix
+    # the identities the series checks stand for
+    assert w * chi == IntMatrix.identity(mu)
+    assert w * (chi + chi.transpose()) * w.transpose() == w + w.transpose()
+
+
+def test_toeplitz_recurrence_on_random_pairs():
+    rng = random.Random(31)
+    for _ in range(60):
+        mu = rng.randint(1, 9)
+        w = [rng.randint(-4, 4) for _ in range(mu + rng.randint(0, 2))]
+        c = [rng.randint(-4, 4) for _ in range(mu)]
+        sign = rng.choice((1, -1))
+        dense = _toeplitz_upper(w[:mu], mu) * _toeplitz_upper(c, mu).transpose() * sign
+        assert _matrix_from_columns(_toeplitz_product_columns(w, c, sign)) == dense
+
+
+def _corrupted(f, k, delta=1):
+    coeffs = list(euler_matrix(f).series_coeffs)
+    coeffs[k] += delta
+    return EulerMatrix(f, tuple(coeffs))
+
+
+@pytest.mark.parametrize("exps", [(2, 2), (3, 3), (2, 2, 3), (3, 2, 2), (4, 4, 4, 4, 4)])
+def test_corrupted_series_is_rejected(exps):
+    f = ChainPolynomial(exps)
+    zp = zeta_polynomial(f)
+    mu = zp.milnor
+    for k in {1, mu // 2, mu - 1} - {0}:
+        bad = _corrupted(f, k)
+        with pytest.raises(VerificationFailure) as err:
+            check_lattice_correspondence(bad, f)
+        assert err.value.witness == {"index": k, "coefficient": 1}
+        with pytest.raises(VerificationFailure) as err:
+            check_monodromy_routes(bad, zp)
+        assert err.value.witness["col"] == mu - 1 - k
+        assert err.value.witness["route_a"] != err.value.witness["route_b"]
+
+
+def test_non_unitriangular_or_short_series_is_rejected():
+    f = ChainPolynomial((3, 3))
+    zp = zeta_polynomial(f)
+    with pytest.raises(VerificationFailure) as err:
+        check_lattice_correspondence(_corrupted(f, 0, 1), f)
+    assert err.value.witness == {"index": 0, "coefficient": 2}
+    short = EulerMatrix(f, euler_matrix(f).series_coeffs[:-1])
+    for check in (lambda: check_lattice_correspondence(short, f),
+                  lambda: check_monodromy_routes(short, zp)):
+        with pytest.raises(VerificationFailure) as err:
+            check()
+        assert err.value.witness == {"length": zp.milnor - 1, "milnor": zp.milnor}
+
+
+def test_dense_matrices_are_built_on_demand():
+    f = ChainPolynomial((4, 4, 4))
+    em = euler_matrix(f)
+    md = monodromy_data(f)
+    assert "matrix" not in vars(em)
+    assert "matrix" not in vars(md) and "companion" not in vars(md)
+    assert md.companion is md.companion
 
 
 def test_polarization_2_2():

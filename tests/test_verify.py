@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chainfact
 import chainfact.verify as verify_module
 from chainfact.chain import ChainPolynomial, build_grading_group
 from chainfact.cli import main as cli_main
@@ -273,3 +278,19 @@ def test_cli_triangles(tmp_path, capsys, monkeypatch):
 def test_cli_rejects_bad_chain(capsys):
     with pytest.raises(SystemExit):
         cli_main(["verify", "--chain", "1,0"])
+
+
+def test_pipelines_do_not_import_numpy():
+    script = (
+        "import sys\n"
+        "from chainfact.chain import ChainPolynomial\n"
+        "from chainfact.verify import verify_invariants, verify_main_theorem\n"
+        "f = ChainPolynomial.parse('3,3')\n"
+        "assert verify_invariants(f).passed\n"
+        "assert verify_main_theorem(f, use_cache=False).passed\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(chainfact.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
