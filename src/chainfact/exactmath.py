@@ -10,7 +10,8 @@ The module provides:
   * ``IntMatrix`` -- immutable integer matrices with a Smith normal form,
                      a division-free (Berkowitz) characteristic polynomial,
                      and a sparse lower-Hessenberg determinant;
-  * exact rational rank / kernel computations (dense and sparse).
+  * exact rational rank / kernel computations: dense over Fractions, and a
+    fraction-free sparse rank that eliminates in integers.
 
 Integer matrix products go through :func:`int_mat_mul`, in Python big ints.
 """
@@ -731,23 +732,49 @@ def kernel_basis(a):
     return basis
 
 
+def _integer_row(row):
+    """A sparse row as a primitive integer dict: denominators cleared, zeros
+    dropped, content divided out (same row space, same rank)."""
+    out = {}
+    denom = 1
+    for c, v in row.items():
+        if not v:
+            continue
+        if type(v) is not int:
+            v = Fraction(v)
+            if v.denominator == 1:
+                v = v.numerator
+            else:
+                denom = lcm(denom, v.denominator)
+        out[c] = v
+    if denom != 1:
+        out = {c: v.numerator * (denom // v.denominator) for c, v in out.items()}
+    content = gcd(*out.values()) if out else 1
+    if content != 1:
+        out = {c: v // content for c, v in out.items()}
+    return out
+
+
 def sparse_rank(rows, ncols=None) -> int:
     """Rank of a sparse rational matrix given as dicts {col: coeff}.
 
-    Pivots are chosen to limit fill (shortest rows first, then the column
-    with the fewest other occurrences).  Arithmetic is exact.
+    Fraction-free: each row is scaled to a primitive integer row, and a row
+    with entry b in a pivot column whose pivot entry is a is replaced by
+    (a/g)*row - (b/g)*pivot, g = gcd(a, b), then divided by its content.
+    Only ``*``, ``-``, ``gcd`` and exact ``//`` on ints are used.  Pivots
+    are chosen to limit fill (shortest rows first, then the column with the
+    fewest other occurrences).
     """
     col_count = {}
     work = []
     for row in rows:
-        r = {c: Fraction(v) for c, v in row.items() if v}
+        r = _integer_row(row)
         if r:
             work.append(r)
             for c in r:
                 col_count[c] = col_count.get(c, 0) + 1
     work.sort(key=len)
-    pivots = {}                     # col -> normalized row dict
-    rank = 0
+    pivots = {}                     # col -> primitive integer row dict
     for row in work:
         while True:
             hit = None
@@ -757,19 +784,27 @@ def sparse_rank(rows, ncols=None) -> int:
                     break
             if hit is None:
                 break
-            f = row[hit]
-            for c, v in pivots[hit].items():
-                nv = row.get(c, 0) - f * v
+            prow = pivots[hit]
+            a, b = prow[hit], row[hit]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a < 0:
+                a, b = -a, -b
+            if a != 1:
+                row = {c: a * v for c, v in row.items()}
+            for c, v in prow.items():
+                nv = row.get(c, 0) - b * v
                 if nv:
                     row[c] = nv
-                elif c in row:
-                    del row[c]
+                else:
+                    row.pop(c, None)
+            if row:
+                content = gcd(*row.values())
+                if content != 1:
+                    row = {c: v // content for c, v in row.items()}
         if row:
-            pc = min(row, key=lambda c: (col_count.get(c, 0), c))
-            inv = 1 / row[pc]
-            pivots[pc] = {c: v * inv for c, v in row.items()}
-            rank += 1
-    return rank
+            pivots[min(row, key=lambda c: (col_count.get(c, 0), c))] = row
+    return len(pivots)
 
 
 def lcm(a, b):

@@ -4,7 +4,10 @@ For factorizations F, G and a degree l, the degree-l maps F -> T^p G form a
 2-periodic complex whose cohomology at parity p is the stable Hom space.
 Each graded piece is finite because the weight character is positive, so the
 computation is: enumerate monomial bases slot by slot, assemble the two
-neighboring differentials as sparse rational matrices, and take exact ranks.
+neighboring differentials as sparse integer matrices, and take exact ranks.
+A row of a differential is assembled by adding the cell monomial's exponents
+to the terms of the structure maps; the ranks are fraction-free integer
+eliminations (``exactmath.sparse_rank``).
 
 Every query is made canonical before it reaches the engine.  Let s and t be
 the first even twists of F and G, and A = F(s), B = G(t) the anchored
@@ -15,6 +18,8 @@ objects.  Since T^2 is the shift by the total degree f,
 and the cell bases and differential matrices of the two sides are literally
 equal.  The cached bases and ranks are therefore shared by every object of a
 twist orbit (the whole collection) and by the primal and Serre-dual tables.
+A table goes one step further and asks each distinct key (A, B, s - t) once:
+for the twist orbit that is one query column per diagonal j - i.
 The functors used here (``shift``, ``translate``, ``t_power``) are trusted
 constructors in ``mf``; factorizations are validated where they enter.
 
@@ -28,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 from .chain import ChainPolynomial, Degree, build_grading_group
 from .exactmath import MPoly, kernel_basis, sparse_rank
@@ -35,7 +41,7 @@ from .mf import GradedMatrix, MatrixFactorization, MFMorphism, shift, t_power
 
 # Names the algorithm behind the stored tables; part of the cache key, so a
 # change of engine never serves a table computed by an older one.
-ENGINE_ID = "orbit-anchored-2"
+ENGINE_ID = "diagonal-fraction-free-3"
 
 
 def _variable_degree_sum(group):
@@ -69,32 +75,33 @@ def _differential_rows(F, G, l, p):
     presentation uses a constant minus sign on the phi-after-d side; the
     resulting differential is (-1)^p times the classical Hom-complex one,
     hence has the same kernels and images and squares to zero.
+
+    A cell is a monomial x^m in one component slot, so each term c x^e of a
+    structure-map entry contributes c (or -c) at the cell x^(m+e): the rows
+    are assembled by adding exponent vectors, with no polynomial products.
+    The structure maps of T^p G are read off G (swapped and negated for odd
+    p), since T^2 only shifts twists.
     """
-    H = t_power(G, p)
-    basis, _ = _cell_basis(F, H, l)
+    basis, _ = _cell_basis(F, t_power(G, p), l)
     _, tindex = _cell_basis(F, t_power(G, p + 1), l)
+    if p % 2:
+        h0, h1, hsign = G.d1.entries, G.d0.entries, -1
+    else:
+        h0, h1, hsign = G.d0.entries, G.d1.entries, 1
     rows = []
-    for comp, r, c, exps in basis:
-        mono = MPoly.monomial(exps)
-        row: dict[int, Fraction] = {}
-
-        def add(tcomp, tr, tc, poly):
-            if poly.is_zero():
-                return
+    for comp, r, c, m in basis:
+        row: dict[int, int] = {}
+        # comp 0: phi0 -> (d0 of T^p G) phi0 in slot 0, -phi0 F.d1 in slot 1;
+        # comp 1: phi1 -> -phi1 F.d0 in slot 0, (d1 of T^p G) phi1 in slot 1.
+        left, right = (h0, F.d1.entries) if comp == 0 else (h1, F.d0.entries)
+        for tr, hrow in enumerate(left):
+            for e, coeff in hrow[r].terms.items():
+                idx = tindex[(comp, tr, c, tuple(map(add, e, m)))]
+                row[idx] = row.get(idx, 0) + hsign * coeff
+        for tc, poly in enumerate(right[c]):
             for e, coeff in poly.terms.items():
-                idx = tindex[(tcomp, tr, tc, e)]
-                row[idx] = row.get(idx, 0) + coeff
-
-        if comp == 0:
-            for tr in range(H.F1.rank):
-                add(0, tr, c, H.d0.entries[tr][r] * mono)
-            for tc in range(F.F1.rank):
-                add(1, r, tc, -(mono * F.d1.entries[c][tc]))
-        else:
-            for tc in range(F.F0.rank):
-                add(0, r, tc, -(mono * F.d0.entries[c][tc]))
-            for tr in range(H.F0.rank):
-                add(1, tr, c, H.d1.entries[tr][r] * mono)
+                idx = tindex[(1 - comp, r, tc, tuple(map(add, e, m)))]
+                row[idx] = row.get(idx, 0) - coeff
         rows.append(row)
     return rows
 
@@ -104,21 +111,28 @@ def _rank_d(F, G, l, p) -> int:
     return sparse_rank(_differential_rows(F, G, l, p))
 
 
+def _anchor(mf: MatrixFactorization):
+    """(A, s) with mf = A(-s), where s is the first even twist (zero for an
+    empty object)."""
+    s = mf.F0.twists[0] if mf.size else mf.group.zero
+    return shift(mf, s), s
+
+
 def hom_dim(source: MatrixFactorization, target: MatrixFactorization,
             degree: Degree | None = None, power: int = 0) -> int:
     """dim of stable Hom(source, T^power target(degree)).
 
     Kernel of the outgoing differential modulo the image of the incoming one,
-    all over exact rationals, asked as the canonical query on the anchored
-    objects (see the module docstring).
+    ranks over the rationals computed in integers, asked as the canonical
+    query on the anchored objects (see the module docstring).
     """
     if source.group is not target.group:
         raise ValueError("factorizations live over different gradings")
     if not source.size or not target.size:
         return 0
     group = source.group
-    s, t = source.F0.twists[0], target.F0.twists[0]
-    F, G = shift(source, s), shift(target, t)      # the anchored objects
+    F, s = _anchor(source)
+    G, t = _anchor(target)
     k, r = divmod(power, 2)
     l = degree if degree is not None else group.zero
     l = l + s - t + k * group.total_degree
@@ -240,6 +254,13 @@ def compute_hom_table(f: ChainPolynomial, offset: int = 0, margin: int = 0,
 
     With ``dual`` set, each (i, j, p) cell instead holds the Serre-dual query
     dimension, so the two tables must agree entrywise.
+
+    Every object is anchored once, E_i = A_i(-s_i).  Both the window and the
+    queries of a pair (i, j) depend only on (A_i, A_j, s_i - s_j), so each
+    distinct key is scanned and queried once and its column of powers is
+    copied to every pair that shares it.  The key is read off the objects:
+    a twist orbit such as the distinguished collection has 2*mu - 1 keys,
+    one per diagonal j - i, and any other collection is still exact.
     """
     if collection is None:
         from .verify import build_collection
@@ -247,18 +268,27 @@ def compute_hom_table(f: ChainPolynomial, offset: int = 0, margin: int = 0,
     group = build_grading_group(f)
     n = f.n
     sigma = _variable_degree_sum(group)
-    mu = len(collection)
+    interned: dict = {}             # equal anchors become one object, so key
+    anchored = []                   # and cache lookups match on identity
+    for obj in collection:
+        A, s = _anchor(obj)
+        anchored.append((interned.setdefault(A, A), s))
+    columns: dict = {}              # (A, B, d) -> (window, {p: dim})
     entries, windows = {}, {}
-    for i in range(mu):
-        for j in range(mu):
-            pmin, pmax = scan_window(collection[i], collection[j])
-            windows[(i, j)] = (pmin, pmax)
-            for p in range(pmin - margin, pmax + margin + 1):
+    for i, (A, s) in enumerate(anchored):
+        for j, (B, t) in enumerate(anchored):
+            d = s - t
+            col = columns.get((A, B, d))
+            if col is None:
+                window = scan_window(A, B, d)
+                powers = range(window[0] - margin, window[1] + margin + 1)
                 if dual:
-                    d = hom_dim(collection[j], collection[i], -sigma, n - p)
+                    dims = {p: hom_dim(B, A, -sigma - d, n - p) for p in powers}
                 else:
-                    d = hom_dim(collection[i], collection[j], None, p)
-                entries[(i, j, p)] = d
+                    dims = {p: hom_dim(A, B, d, p) for p in powers}
+                col = columns[(A, B, d)] = (window, dims)
+            windows[(i, j)] = col[0]
+            entries.update(((i, j, p), dim) for p, dim in col[1].items())
     return HomTable(f.exponents, offset, entries, windows, dual, margin)
 
 

@@ -149,24 +149,16 @@ def euler_matrix(f: ChainPolynomial) -> EulerMatrix:
     return EulerMatrix(f, coeffs)
 
 
-def companion_matrix(zp: ZetaPolynomial) -> IntMatrix:
-    """Companion-shaped integer root of the zeta polynomial.
+def companion_certificate(zp: ZetaPolynomial) -> int:
+    """Certify that the companion-shaped matrix roots the zeta polynomial.
 
-    First column carries the negated coefficients, the superdiagonal is the
-    identity block; det(1 - t*M) is recomputed by a sparse Hessenberg
-    cofactor expansion and must reproduce the zeta polynomial.
+    det(1 - t*M) of the companion shape (first column the negated
+    coefficients, identity superdiagonal) is recomputed by a sparse
+    Hessenberg cofactor expansion and must reproduce the zeta polynomial.
+    Needs only the coefficients, not the dense matrix; returns its size mu.
     """
     cp = zp.poly.coeffs
     mu = zp.milnor
-    rows = []
-    for i in range(mu):
-        row = [0] * mu
-        row[0] = -cp[i + 1]
-        if i + 1 < mu:
-            row[i + 1] = 1
-        rows.append(row)
-    m1 = IntMatrix(rows)
-
     diag_rows = [{0: Poly((1, cp[1]))}]
     for i in range(1, mu):
         row = {i: Poly.one()}
@@ -178,7 +170,22 @@ def companion_matrix(zp: ZetaPolynomial) -> IntMatrix:
     if det != zp.poly:
         raise VerificationFailure("companion matrix does not root the zeta polynomial",
                                   {"det": det.coeffs, "zeta": cp})
-    return m1
+    return mu
+
+
+def companion_matrix(zp: ZetaPolynomial) -> IntMatrix:
+    """Companion-shaped integer root of the zeta polynomial, certified by
+    :func:`companion_certificate`."""
+    mu = companion_certificate(zp)
+    cp = zp.poly.coeffs
+    rows = []
+    for i in range(mu):
+        row = [0] * mu
+        row[0] = -cp[i + 1]
+        if i + 1 < mu:
+            row[i + 1] = 1
+        rows.append(row)
+    return IntMatrix(rows)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from .invariants import (
     VerificationFailure,
     check_lattice_correspondence,
     check_zeta_factorization,
-    companion_matrix,
+    companion_certificate,
     euler_matrix,
     monodromy_data,
     polarization_integer,
@@ -196,6 +196,7 @@ class VerificationReport:
     offset: int
     tool_version: str
     checks: list[CheckResult]
+    engine: str | None = ENGINE_ID          # Hom engine id, for provenance
 
     @property
     def passed(self) -> bool:
@@ -209,7 +210,7 @@ class VerificationReport:
 
     def extend(self, other: "VerificationReport") -> "VerificationReport":
         return VerificationReport(self.chain, self.offset, self.tool_version,
-                                  self.checks + other.checks)
+                                  self.checks + other.checks, self.engine)
 
     def to_json_dict(self) -> dict:
         return {
@@ -217,6 +218,7 @@ class VerificationReport:
             "chain": list(self.chain),
             "offset": self.offset,
             "tool_version": self.tool_version,
+            "provenance": {"tool_version": self.tool_version, "engine": self.engine},
             "checks": [{"name": c.name, "status": c.status,
                         "detail": c.detail, "elapsed_ns": c.elapsed_ns}
                        for c in self.checks],
@@ -228,7 +230,9 @@ class VerificationReport:
             raise ValueError("unsupported report schema")
         checks = [CheckResult(c["name"], c["status"], c["detail"], c["elapsed_ns"])
                   for c in data["checks"]]
-        return cls(tuple(data["chain"]), data["offset"], data["tool_version"], checks)
+        engine = data.get("provenance", {}).get("engine")
+        return cls(tuple(data["chain"]), data["offset"], data["tool_version"], checks,
+                   engine)
 
 
 class _Runner:
@@ -380,7 +384,7 @@ def verify_invariants(f: ChainPolynomial) -> VerificationReport:
     r.run("zeta_polynomial", lambda: {"coefficients": zeta_polynomial(f).poly,
                                       "degree": nm.milnor})
     r.run("euler_matrix", lambda: {"series": list(euler_matrix(f).series_coeffs)})
-    r.run("companion_root", lambda: {"size": companion_matrix(zeta_polynomial(f)).rows})
+    r.run("companion_root", lambda: {"size": companion_certificate(zeta_polynomial(f))})
 
     state = {}
 

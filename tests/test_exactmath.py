@@ -302,6 +302,47 @@ def test_sparse_rank_matches_dense():
         assert sparse_rank(sparse) == rank_rational(a)
 
 
+def _sparse(a):
+    return [{j: v for j, v in enumerate(row) if v} for row in a]
+
+
+def test_sparse_rank_fraction_entries():
+    rng = random.Random(19)
+    for _ in range(60):
+        n, m = rng.randint(1, 7), rng.randint(1, 7)
+        basis = [[Fraction(rng.randint(-5, 5), rng.randint(1, 9)) for _ in range(m)]
+                 for _ in range(rng.randint(1, n))]
+        # rows are rational combinations of a few rows, so ranks fall short
+        a = [[sum(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) * b[j]
+                  for b in basis) for j in range(m)] for _ in range(n)]
+        sparse = _sparse(a)
+        before = [dict(r) for r in sparse]
+        assert sparse_rank(sparse) == rank_rational(a)
+        assert sparse == before                     # the input is not modified
+
+
+def test_sparse_rank_entries_beyond_64_bits():
+    rng = random.Random(23)
+    big = 2 ** 64
+    for _ in range(40):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        basis = [[rng.randint(-big * big, big * big) for _ in range(m)]
+                 for _ in range(rng.randint(1, n))]
+        a = [[sum(rng.randint(-big, big) * b[j] for b in basis) for j in range(m)]
+             for _ in range(n)]
+        if rng.random() < 0.5:                      # mixed with huge denominators
+            a = [[Fraction(x, rng.randint(1, big)) for x in row] for row in a]
+        assert sparse_rank(_sparse(a)) == rank_rational(a)
+
+
+def test_sparse_rank_cancelling_rows():
+    # a row that cancels to zero, a zero coefficient, a Fraction equal to an int
+    rows = [{0: 2, 1: 4}, {0: Fraction(1, 3), 1: Fraction(2, 3)}, {2: 0},
+            {1: Fraction(6, 3), 2: -1}]
+    assert sparse_rank(rows) == 2
+    assert sparse_rank([]) == 0 and sparse_rank([{}]) == 0
+
+
 # ----------------------------------------------------------- int matmul
 
 def test_int_mat_mul_guarded_vs_pure():

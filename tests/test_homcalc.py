@@ -1,9 +1,13 @@
 import random
+from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from chainfact.chain import ChainPolynomial, build_grading_group
-from chainfact.exactmath import MPoly, sparse_rank
+import chainfact.homcalc as homcalc
+from chainfact.chain import ChainPolynomial, build_grading_group, numerics
+from chainfact.exactmath import MPoly, rank_rational, sparse_rank
 from chainfact.homcalc import (
     HomTable,
     check_exceptionality,
@@ -180,6 +184,143 @@ def test_canonical_tables_match_naive_route(exps):
             else:
                 naive[(i, j, p)] = naive_hom_dim(coll[i], coll[j], g.zero, p)
         assert naive == table.entries, (exps, dual)
+
+
+def naive_dims(F, G, l, powers):
+    """{p: naive_hom_dim(F, G, l, p)}, each rank computed once."""
+    ranks = {}
+    for p in range(powers.start - 1, powers.stop):
+        ranks[p] = sparse_rank(_differential_rows(F, G, l, p))
+    return {p: len(_cell_basis(F, t_power(G, p), l)[0]) - ranks[p] - ranks[p - 1]
+            for p in powers}
+
+
+def naive_table(f, coll, margin, dual):
+    """compute_hom_table's entries and windows by the naive route on all
+    mu^2 raw pairs."""
+    g = build_grading_group(f)
+    sigma = sum((g.variable_degree(i) for i in range(f.n)), g.zero)
+    entries, windows = {}, {}
+    for i, x in enumerate(coll):
+        for j, y in enumerate(coll):
+            lo, hi = windows[(i, j)] = naive_window(x, y, g.zero)
+            powers = range(lo - margin, hi + margin + 1)
+            if dual:
+                dims = naive_dims(y, x, -sigma, range(f.n - hi - margin,
+                                                      f.n - lo + margin + 1))
+                dims = {p: dims[f.n - p] for p in powers}
+            else:
+                dims = naive_dims(x, y, g.zero, powers)
+            entries.update(((i, j, p), d) for p, d in dims.items())
+    return entries, windows
+
+
+# every chain with at most four variables and mu <= 30 (189 chains, 48 of
+# them with torsion in the grading group; the examples pin three of those)
+SMALL_CHAINS = [exps for n, top in ((1, 32), (2, 30), (3, 15), (4, 7))
+                for exps in product(range(2, top), repeat=n)
+                if numerics(ChainPolynomial(exps)).milnor <= 30]
+
+
+# the naive route takes seconds per draw near mu = 30, hence few examples
+@settings(max_examples=5, deadline=None, database=None, derandomize=True)
+@given(exps=st.sampled_from(SMALL_CHAINS), offset=st.integers(0, 3),
+       margin=st.integers(0, 2))
+@example(exps=(2, 3), offset=3, margin=2)          # torsion Z/2
+@example(exps=(2, 2, 3), offset=0, margin=1)       # torsion Z/4
+@example(exps=(3, 2, 2), offset=2, margin=0)       # torsion Z/3
+def test_tables_match_naive_route_property(exps, offset, margin):
+    f = ChainPolynomial(exps)
+    coll = build_collection(f, offset)
+    for dual in (False, True):
+        table = compute_hom_table(f, offset, margin, dual, coll)
+        assert (table.entries, table.windows) == naive_table(f, coll, margin, dual)
+
+
+def test_table_asks_one_query_per_diagonal(monkeypatch):
+    f = ChainPolynomial((3, 3, 3))
+    mu, margin = numerics(f).milnor, 1
+    calls = []
+    real = homcalc.hom_dim
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(homcalc, "hom_dim", counted)
+    for dual in (False, True):
+        calls.clear()
+        table = compute_hom_table(f, margin=margin, dual=dual)
+        width = max(hi - lo + 1 for lo, hi in table.windows.values())
+        assert len(table.windows) == mu * mu
+        assert 0 < len(calls) <= (2 * mu - 1) * (width + 2 * margin)
+        assert len(calls) < len(table.entries) // 5
+
+
+def rows_by_products(F, G, l, p):
+    """_differential_rows assembled from MPoly products on T^p G."""
+    H = t_power(G, p)
+    basis, _ = _cell_basis(F, H, l)
+    _, tindex = _cell_basis(F, t_power(G, p + 1), l)
+    rows = []
+    for comp, r, c, exps in basis:
+        mono = MPoly.monomial(exps)
+        row = {}
+
+        def add(slot, poly):
+            for e, coeff in poly.terms.items():
+                idx = tindex[slot + (e,)]
+                row[idx] = row.get(idx, 0) + coeff
+
+        if comp == 0:
+            for tr in range(H.F1.rank):
+                add((0, tr, c), H.d0.entries[tr][r] * mono)
+            for tc in range(F.F1.rank):
+                add((1, r, tc), -(mono * F.d1.entries[c][tc]))
+        else:
+            for tc in range(F.F0.rank):
+                add((0, r, tc), -(mono * F.d0.entries[c][tc]))
+            for tr in range(H.F0.rank):
+                add((1, tr, c), H.d1.entries[tr][r] * mono)
+        rows.append(row)
+    return rows
+
+
+def _nonzero(rows):
+    return [{k: v for k, v in row.items() if v} for row in rows]
+
+
+@pytest.mark.parametrize("exps", [(2, 3), (3, 2, 2), (2, 2, 2, 2)])
+def test_differential_rows_match_polynomial_products(exps):
+    f = ChainPolynomial(exps)
+    g = build_grading_group(f)
+    coll = build_collection(f, offset=1)
+    objs = [coll[0], coll[2], t_power(coll[1], -3), cone(identity_morphism(coll[0]))]
+    degrees = [g.zero, g.variable_degree(0), g.total_degree - g.variable_degree(1)]
+    for x in objs:
+        for y in objs:
+            for l in degrees:
+                for p in range(-2, 3):
+                    assert (_nonzero(_differential_rows(x, y, l, p))
+                            == _nonzero(rows_by_products(x, y, l, p)))
+
+
+@pytest.mark.parametrize("exps", [(2, 2, 3), (3, 3, 3)])
+def test_sparse_rank_on_differential_rows(exps):
+    f = ChainPolynomial(exps)
+    g = build_grading_group(f)
+    coll = build_collection(f)
+    ranks = 0
+    for j in (0, 1, 3):
+        for l in (g.zero, g.variable_degree(0), g.total_degree):
+            for p in (0, 1):
+                rows = _differential_rows(coll[0], coll[j], l, p)
+                width = len(_cell_basis(coll[0], t_power(coll[j], p + 1), l)[0])
+                dense = [[row.get(k, 0) for k in range(width)] for row in rows]
+                rank = sparse_rank(rows)
+                assert rank == rank_rational(dense)
+                ranks += rank
+    assert ranks > 0
 
 
 # ----------------------------------------------------------- euler tables

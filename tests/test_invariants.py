@@ -15,6 +15,7 @@ from chainfact.invariants import (
     check_lattice_correspondence,
     check_monodromy_routes,
     check_zeta_factorization,
+    companion_certificate,
     companion_matrix,
     cyclotomic_polynomial,
     euler_matrix,
@@ -118,6 +119,43 @@ def test_companion_grid_roots_zeta():
         m1 = companion_matrix(zp)
         mu = numerics(f).milnor
         assert charpoly_division_free(m1).reversal(mu) == zp.poly
+
+
+def test_companion_certificate_is_the_matrix_size():
+    for f in chains(3, 4):
+        zp = zeta_polynomial(f)
+        assert companion_certificate(zp) == companion_matrix(zp).rows == zp.milnor
+
+
+def test_companion_root_builds_no_dense_matrix(monkeypatch):
+    import chainfact.invariants as inv
+    from chainfact.verify import verify_invariants
+
+    def refuse(*args):
+        raise AssertionError("dense companion built")
+
+    monkeypatch.setattr(inv, "companion_matrix", refuse)
+    monkeypatch.setattr(inv, "IntMatrix", refuse)
+    rep = verify_invariants(ChainPolynomial((3, 3, 3)))
+    assert rep.check("companion_root").status == "pass"
+    assert rep.check("companion_root").detail == {"size": 20}
+
+
+def test_companion_root_rejects_corrupted_zeta(monkeypatch):
+    import chainfact.verify as verify_module
+    f = ChainPolynomial((2, 2, 3))
+    zp = zeta_polynomial(f)
+    coeffs = list(zp.poly.coeffs)
+    coeffs[0] += 1                       # the unit the certificate must reproduce
+    bad = type(zp)(f, Poly(coeffs))
+    with pytest.raises(VerificationFailure):
+        companion_certificate(bad)
+    with pytest.raises(VerificationFailure):
+        companion_matrix(bad)
+    monkeypatch.setattr(verify_module, "zeta_polynomial", lambda _: bad)
+    check = verify_module.verify_invariants(f).check("companion_root")
+    assert check.status == "fail"
+    assert check.detail["witness"]["zeta"] == coeffs
 
 
 # ------------------------------------------------------------- monodromy

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import chainfact
+import chainfact.homcalc as homcalc
 import chainfact.verify as verify_module
 from chainfact.chain import ChainPolynomial, build_grading_group
 from chainfact.cli import main as cli_main
@@ -14,6 +15,7 @@ from chainfact.exactmath import MPoly
 from chainfact.homcalc import compute_hom_table, euler_pairing
 from chainfact.verify import (
     HomTableCache,
+    VerificationReport,
     build_collection,
     cached_hom_table,
     collection_splitting,
@@ -147,6 +149,25 @@ def test_section_inequalities():
 def test_report_json_roundtrip():
     rep = verify_main_theorem(ChainPolynomial((2, 2)), use_cache=False)
     assert parse_report(emit_report(rep, "json")) == rep
+
+
+@pytest.mark.parametrize("command", ["verify", "invariants", "triangles"])
+def test_report_provenance_names_the_engine(capsys, command):
+    rc = cli_main([command, "--chain", "2,2", "--format", "json"])
+    assert rc == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["provenance"] == {"tool_version": chainfact.__version__,
+                                  "engine": homcalc.ENGINE_ID}
+    rep = parse_report(emit_report(parse_report(json.dumps(data)), "json"))
+    assert rep.engine == homcalc.ENGINE_ID
+    assert rep.to_json_dict()["provenance"] == data["provenance"]
+
+
+def test_report_without_provenance_still_parses():
+    data = verify_invariants(ChainPolynomial((2,))).to_json_dict()
+    del data["provenance"]
+    rep = VerificationReport.from_json_dict(data)
+    assert rep.engine is None and rep.passed
 
 
 def test_report_csv_shape():
