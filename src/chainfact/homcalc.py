@@ -20,8 +20,16 @@ equal.  The cached bases and ranks are therefore shared by every object of a
 twist orbit (the whole collection) and by the primal and Serre-dual tables.
 A table goes one step further and asks each distinct key (A, B, s - t) once:
 for the twist orbit that is one query column per diagonal j - i.
-The functors used here (``shift``, ``translate``, ``t_power``) are trusted
-constructors in ``mf``; factorizations are validated where they enter.
+The cell bases and rows of T^p B are read off B itself (T swaps the modules
+and moves one by f), so a query builds no translated object.  The functors
+used here (``shift``, ``t_power``) are trusted constructors in ``mf``;
+factorizations are validated where they enter.
+
+The Euler entry chi(F, G(l)), the alternating sum of the Hom dimensions
+over the certified window, depends on the same key (A, B, l + s - t).
+``EulerForm`` memoizes it on that key for one run, anchoring each object
+once; the triangle checks make one per run, so the memo is dropped with the
+run instead of growing in a module-level cache.
 
 Scan windows are certified on both sides: below by direct weight negativity
 of the cell spaces, above by applying the same bound to the Serre-dual query.
@@ -41,7 +49,7 @@ from .mf import GradedMatrix, MatrixFactorization, MFMorphism, shift, t_power
 
 # Names the algorithm behind the stored tables; part of the cache key, so a
 # change of engine never serves a table computed by an older one.
-ENGINE_ID = "diagonal-fraction-free-3"
+ENGINE_ID = "direct-cell-bases-4"
 
 
 def _variable_degree_sum(group):
@@ -52,17 +60,27 @@ def _variable_degree_sum(group):
 
 
 @lru_cache(maxsize=None)
-def _cell_basis(F: MatrixFactorization, H: MatrixFactorization, l: Degree):
-    """Monomial basis of the degree-l component-map space F -> H.
+def _cell_basis(F: MatrixFactorization, G: MatrixFactorization, l: Degree, p: int):
+    """Monomial basis of the degree-l component-map space F -> T^p G.
 
     Returns (items, index) with items = [(component, row, col, exponents)].
+    The twists of T^p G are read off G: T G has modules (G.F1, G.F0 shifted
+    by the total degree f), and T^2 is the shift by f, which moves every
+    cell degree by +f.
     """
     group = F.group
+    fdeg = group.total_degree
+    k, odd = divmod(p, 2)
+    lk = l + k * fdeg
+    if odd:
+        slots = ((F.F0, G.F1, lk), (F.F1, G.F0, lk + fdeg))
+    else:
+        slots = ((F.F0, G.F0, lk), (F.F1, G.F1, lk))
     items = []
-    for comp, (src, tgt) in enumerate(((F.F0, H.F0), (F.F1, H.F1))):
+    for comp, (src, tgt, deg) in enumerate(slots):
         for r in range(tgt.rank):
             for c in range(src.rank):
-                want = src.twists[c] - tgt.twists[r] + l
+                want = src.twists[c] - tgt.twists[r] + deg
                 for exps in group.monomial_basis(want):
                     items.append((comp, r, c, exps))
     return tuple(items), {it: i for i, it in enumerate(items)}
@@ -82,8 +100,8 @@ def _differential_rows(F, G, l, p):
     The structure maps of T^p G are read off G (swapped and negated for odd
     p), since T^2 only shifts twists.
     """
-    basis, _ = _cell_basis(F, t_power(G, p), l)
-    _, tindex = _cell_basis(F, t_power(G, p + 1), l)
+    basis, _ = _cell_basis(F, G, l, p)
+    _, tindex = _cell_basis(F, G, l, p + 1)
     if p % 2:
         h0, h1, hsign = G.d1.entries, G.d0.entries, -1
     else:
@@ -118,6 +136,25 @@ def _anchor(mf: MatrixFactorization):
     return shift(mf, s), s
 
 
+class _Anchors:
+    """Per-run anchor table: object -> (A, s) as in :func:`_anchor`.
+
+    Each object is anchored once, and equal anchors are interned to one
+    object, so memo and ``lru_cache`` lookups on them match on identity.
+    """
+
+    def __init__(self):
+        self._of: dict = {}
+        self._interned: dict = {}
+
+    def __call__(self, mf: MatrixFactorization):
+        got = self._of.get(mf)
+        if got is None:
+            A, s = _anchor(mf)
+            got = self._of[mf] = (self._interned.setdefault(A, A), s)
+        return got
+
+
 def hom_dim(source: MatrixFactorization, target: MatrixFactorization,
             degree: Degree | None = None, power: int = 0) -> int:
     """dim of stable Hom(source, T^power target(degree)).
@@ -136,7 +173,7 @@ def hom_dim(source: MatrixFactorization, target: MatrixFactorization,
     k, r = divmod(power, 2)
     l = degree if degree is not None else group.zero
     l = l + s - t + k * group.total_degree
-    cells = len(_cell_basis(F, t_power(G, r), l)[0])
+    cells = len(_cell_basis(F, G, l, r)[0])
     if cells == 0:
         return 0
     out_rank = _rank_d(F, G, l, r)
@@ -193,6 +230,36 @@ def scan_window(source, target, degree: Degree | None = None) -> tuple[int, int]
         return (0, -1)
     pmax = group.chain.n - qmin
     return (pmin, pmax)
+
+
+class EulerForm:
+    """The Euler form chi(F, G(l)) = sum_p (-1)^p dim Hom(F, T^p G(l)) over
+    the certified window, memoized for one run.
+
+    An entry depends only on the canonical key (A, B, l + s - t) of the
+    anchored objects, the key that :func:`hom_dim` and
+    :func:`compute_hom_table` use, so each distinct key is scanned and
+    queried once.  Objects are anchored once per run.  The memo lives on the
+    instance: make one per run and drop it with the run.
+    """
+
+    def __init__(self):
+        self.anchor = _Anchors()
+        self.entries: dict = {}         # (A, B, l) -> Euler number
+
+    def __call__(self, source: MatrixFactorization, target: MatrixFactorization,
+                 degree: Degree | None = None) -> int:
+        A, s = self.anchor(source)
+        B, t = self.anchor(target)
+        l = (degree if degree is not None else source.group.zero) + s - t
+        key = (A, B, l)
+        value = self.entries.get(key)
+        if value is None:
+            pmin, pmax = scan_window(A, B, l)
+            value = self.entries[key] = sum(
+                (1 if p % 2 == 0 else -1) * hom_dim(A, B, l, p)
+                for p in range(pmin, pmax + 1))
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +335,8 @@ def compute_hom_table(f: ChainPolynomial, offset: int = 0, margin: int = 0,
     group = build_grading_group(f)
     n = f.n
     sigma = _variable_degree_sum(group)
-    interned: dict = {}             # equal anchors become one object, so key
-    anchored = []                   # and cache lookups match on identity
-    for obj in collection:
-        A, s = _anchor(obj)
-        anchored.append((interned.setdefault(A, A), s))
+    anchor = _Anchors()
+    anchored = [anchor(obj) for obj in collection]
     columns: dict = {}              # (A, B, d) -> (window, {p: dim})
     entries, windows = {}, {}
     for i, (A, s) in enumerate(anchored):
@@ -393,13 +457,13 @@ def morphism_space_basis(source, target, degree: Degree | None = None,
     """
     group = source.group
     l = degree if degree is not None else group.zero
-    H = t_power(target, power)
-    basis, _ = _cell_basis(source, H, l)
+    basis, _ = _cell_basis(source, target, l, power)
     dim = len(basis)
     if dim == 0:
         return []
+    H = t_power(target, power)
     out_rows = _differential_rows(source, target, l, power)
-    out_dim = len(_cell_basis(source, t_power(target, power + 1), l)[0])
+    out_dim = len(_cell_basis(source, target, l, power + 1)[0])
     dense_out = [[Fraction(0)] * dim for _ in range(out_dim)]
     for col, row in enumerate(out_rows):
         for tgt_idx, coeff in row.items():

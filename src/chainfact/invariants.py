@@ -154,8 +154,10 @@ def companion_certificate(zp: ZetaPolynomial) -> int:
 
     det(1 - t*M) of the companion shape (first column the negated
     coefficients, identity superdiagonal) is recomputed by a sparse
-    Hessenberg cofactor expansion and must reproduce the zeta polynomial.
-    Needs only the coefficients, not the dense matrix; returns its size mu.
+    Hessenberg cofactor expansion.  It must reproduce both the given
+    polynomial and the zeta polynomial recomputed from the chain, so a
+    corrupted coefficient fails even though M was built from it.  Needs only
+    the coefficients, not the dense matrix; returns its size mu.
     """
     cp = zp.poly.coeffs
     mu = zp.milnor
@@ -167,9 +169,11 @@ def companion_certificate(zp: ZetaPolynomial) -> int:
         diag_rows.append(row)
     superdiag = [Poly((0, -1))] * (mu - 1)
     det = det_lower_hessenberg(diag_rows, superdiag, mu)
-    if det != zp.poly:
+    chain_zeta = zeta_polynomial(zp.chain).poly
+    if det != zp.poly or det != chain_zeta:
         raise VerificationFailure("companion matrix does not root the zeta polynomial",
-                                  {"det": det.coeffs, "zeta": cp})
+                                  {"det": det.coeffs, "zeta": cp,
+                                   "chain_zeta": chain_zeta.coeffs})
     return mu
 
 

@@ -22,6 +22,7 @@ from .chain import ChainPolynomial, Degree, build_grading_group, numerics, trans
 from .exactmath import IntMatrix, MPoly, Poly
 from .homcalc import (
     ENGINE_ID,
+    EulerForm,
     HomTable,
     check_exceptionality,
     compute_hom_table,
@@ -94,10 +95,16 @@ def collection_splitting(f: ChainPolynomial):
     return gens, cofs, step
 
 
+def collection_base(f: ChainPolynomial):
+    """(base, step): the base stabilization and the one-object twist, so
+    that E_i = base(i * step)."""
+    gens, cofs, step = collection_splitting(f)
+    return stabilize(f, gens, cofs), step
+
+
 def build_collection(f: ChainPolynomial, offset: int = 0) -> list[MatrixFactorization]:
     """The length-mu twist orbit of the base stabilization."""
-    gens, cofs, step = collection_splitting(f)
-    base = stabilize(f, gens, cofs)
+    base, step = collection_base(f)
     mu = numerics(f).milnor
     return [shift(base, (offset + i) * step) for i in range(mu)]
 
@@ -156,6 +163,55 @@ def ladder_object(f: ChainPolynomial, i: int, j: int) -> MatrixFactorization:
     gens, cofs = ladder_splitting(f, j)
     g = build_grading_group(f)
     return stabilize(f, gens, cofs, -i * g.variable_degree(0))
+
+
+class TriangleFamilies:
+    """The object families of the triangle checks, each stabilized once.
+
+    Collection object i is base(i * step); for even n, auxiliary object i is
+    Aux(i * deg x1); for odd n, ladder object (i, j) is L_j(-i * deg x1),
+    zero for j = 0 and j = a1 + 1.  The bases (the collection base, Aux, and
+    L_j for each width j = 1..a1) go through the validating ``stabilize``
+    once, here; every object is then reached with the trusted ``shift``,
+    since stabilize(f, gens, cofs, twist) = shift(stabilize(f, gens, cofs),
+    twist).  Objects are memoized, so a run gets one object per index.
+    """
+
+    def __init__(self, f: ChainPolynomial):
+        self.f = f
+        self.x1 = build_grading_group(f).variable_degree(0)
+        self.base, self.step = collection_base(f)
+        if f.n % 2 == 0:
+            self.aux_base = stabilize(f, *auxiliary_splitting(f))
+        else:
+            self.ladder_bases = {j: stabilize(f, *ladder_splitting(f, j))
+                                 for j in range(1, f.exponents[0] + 1)}
+            self.zero = zero_object(f)
+        self.collection_objects: dict[int, MatrixFactorization] = {}
+        self.auxiliary_objects: dict[int, MatrixFactorization] = {}
+        self.ladder_objects: dict[tuple[int, int], MatrixFactorization] = {}
+
+    def collection(self, i: int) -> MatrixFactorization:
+        obj = self.collection_objects.get(i)
+        if obj is None:
+            obj = self.collection_objects[i] = shift(self.base, i * self.step)
+        return obj
+
+    def auxiliary(self, i: int) -> MatrixFactorization:
+        obj = self.auxiliary_objects.get(i)
+        if obj is None:
+            obj = self.auxiliary_objects[i] = shift(self.aux_base, i * self.x1)
+        return obj
+
+    def ladder(self, i: int, j: int) -> MatrixFactorization:
+        obj = self.ladder_objects.get((i, j))
+        if obj is None:
+            if j == 0 or j == self.f.exponents[0] + 1:
+                obj = self.zero
+            else:
+                obj = shift(self.ladder_bases[j], -i * self.x1)
+            self.ladder_objects[(i, j)] = obj
+        return obj
 
 
 # ---------------------------------------------------------------------------
@@ -425,12 +481,6 @@ def verify_invariants(f: ChainPolynomial) -> VerificationReport:
     return VerificationReport(f.exponents, 0, __version__, r.checks)
 
 
-def _euler_entry(source, target, degree=None) -> int:
-    pmin, pmax = scan_window(source, target, degree)
-    return sum((1 if p % 2 == 0 else -1) * hom_dim(source, target, degree, p)
-               for p in range(pmin, pmax + 1))
-
-
 def verify_main_theorem(f: ChainPolynomial, offset: int = 0,
                         use_cache: bool = True, margin: int = 3,
                         cache: HomTableCache | None = None) -> VerificationReport:
@@ -557,7 +607,18 @@ def _search_cone_match(source, target, reference, probes) -> str:
 
 def verify_triangles(f: ChainPolynomial, offset: int = 0,
                      structural: bool | None = None) -> VerificationReport:
-    """Triangle consequences: Euler additivity plus structural cone checks."""
+    """Triangle consequences: Euler additivity plus structural cone checks.
+
+    The probes are the collection objects E_i = E(i * step); the third
+    objects are the auxiliary objects Aux(i * deg x1) (even n) and the
+    ladder objects L_j(-i * deg x1) (odd n).  ``TriangleFamilies``
+    stabilizes each base once (the collection base, Aux, and L_j for each
+    width j) and reaches every object by a shift.  Every Euler entry goes
+    through one per-run ``EulerForm``, so each canonical key (anchored
+    probe, anchored object, twist difference) is scanned and queried once.
+    ``ladder_base_object`` still compares an independently stabilized
+    width-one ladder object with E_offset.
+    """
     r = _Runner()
     nm = numerics(f)
     mu = nm.milnor
@@ -567,19 +628,20 @@ def verify_triangles(f: ChainPolynomial, offset: int = 0,
         return VerificationReport(f.exponents, offset, __version__, r.checks)
     if structural is None:
         structural = mu <= 10 and f.n <= 3
-    coll = build_collection(f, offset)
+    fam = TriangleFamilies(f)
+    euler = EulerForm()
+    coll = [fam.collection(offset + i) for i in range(mu)]
     probes = coll
 
     if f.n % 2 == 0:
         def k_identity():
             bad = []
             for i in range(offset + 1, offset + mu):
-                aux = auxiliary_object(f, i)
+                aux = fam.auxiliary(i)
                 prev = coll[i - 1 - offset]
                 cur = coll[i - offset]
                 for x in probes:
-                    total = (_euler_entry(x, prev) - _euler_entry(x, cur)
-                             + _euler_entry(x, aux))
+                    total = euler(x, prev) - euler(x, cur) + euler(x, aux)
                     if total != 0:
                         bad.append({"i": i, "total": total})
             if bad:
@@ -599,8 +661,7 @@ def verify_triangles(f: ChainPolynomial, offset: int = 0,
         if structural:
             def structure():
                 i = offset + 1
-                status = _search_cone_match(coll[0], coll[1],
-                                            auxiliary_object(f, i), probes)
+                status = _search_cone_match(coll[0], coll[1], fam.auxiliary(i), probes)
                 return (status, {"i": i})
 
             r.run("triangle_structural", structure)
@@ -609,13 +670,13 @@ def verify_triangles(f: ChainPolynomial, offset: int = 0,
 
         def ladder_terms(i, j):
             """The triangle's source, two middle objects and cone, signed."""
-            return [(1, ladder_object(f, i + 1, j)),
-                    (-1, ladder_object(f, i, j + 1)),
-                    (-1, ladder_object(f, i + 1, j - 1)),
-                    (1, ladder_object(f, i, j))]
+            return [(1, fam.ladder(i + 1, j)),
+                    (-1, fam.ladder(i, j + 1)),
+                    (-1, fam.ladder(i + 1, j - 1)),
+                    (1, fam.ladder(i, j))]
 
         def ladder_total(terms, x):
-            return sum(sgn * _euler_entry(x, obj) for sgn, obj in terms if obj.size)
+            return sum(sgn * euler(x, obj) for sgn, obj in terms if obj.size)
 
         i_range = range(offset, offset + min(mu - 1, 3))
 
@@ -640,16 +701,14 @@ def verify_triangles(f: ChainPolynomial, offset: int = 0,
             # as zero; its Euler defect is then forced to be the class sum of
             # a1+1 consecutive collection objects, which is nonzero.  Pin the
             # defect exactly so any drift is caught.
-            gens_, cofs_, step = collection_splitting(f)
-            base = stabilize(f, gens_, cofs_)
             mismatches = []
             boundary_holds = True
             for i in i_range:
                 terms = ladder_terms(i, a1)
-                classes = [shift(base, (i + k) * step) for k in range(a1 + 1)]
+                classes = [fam.collection(i + k) for k in range(a1 + 1)]
                 for x in probes:
                     total = ladder_total(terms, x)
-                    predicted = sum(_euler_entry(x, e) for e in classes)
+                    predicted = sum(euler(x, e) for e in classes)
                     if total != 0:
                         boundary_holds = False
                     if total != predicted:

@@ -110,7 +110,7 @@ def test_hom_complex_squares_to_zero():
     for p in (-1, 0, 1):
         rows_a = _differential_rows(coll[0], coll[1], g.zero, p)
         rows_b = _differential_rows(coll[0], coll[1], g.zero, p + 1)
-        dim_c2 = len(_cell_basis(coll[0], t_power(coll[1], p + 2), g.zero)[0])
+        dim_c2 = len(_cell_basis(coll[0], coll[1], g.zero, p + 2)[0])
         for src_idx, row in enumerate(rows_a):
             acc = {}
             for mid, coeff in row.items():
@@ -122,9 +122,41 @@ def test_hom_complex_squares_to_zero():
 
 # ------------------------------------- canonical queries vs the naive route
 
+def cell_basis_by_t_power(F, G, l, p):
+    """The cell basis of degree-l maps F -> T^p G, enumerated on the twists
+    of the object t_power(G, p) itself."""
+    H = t_power(G, p)
+    items = []
+    for comp, (src, tgt) in enumerate(((F.F0, H.F0), (F.F1, H.F1))):
+        for r in range(tgt.rank):
+            for c in range(src.rank):
+                for exps in F.group.monomial_basis(src.twists[c] - tgt.twists[r] + l):
+                    items.append((comp, r, c, exps))
+    return tuple(items), {it: i for i, it in enumerate(items)}
+
+
+@pytest.mark.parametrize("exps", [(2, 2), (2, 3), (3, 2, 2), (2, 2, 2, 2)])
+def test_cell_basis_matches_t_power_route(exps):
+    f = ChainPolynomial(exps)
+    g = build_grading_group(f)
+    coll = build_collection(f, offset=1)
+    objs = [coll[0], coll[2], cone(identity_morphism(coll[0])), t_power(coll[1], -3)]
+    degrees = [g.zero, g.variable_degree(0), -g.total_degree,
+               g.total_degree - g.variable_degree(f.n - 1)]
+    cells = 0
+    for x in objs:
+        for y in objs:
+            for l in degrees:
+                for p in range(-3, 4):
+                    basis = _cell_basis(x, y, l, p)
+                    assert basis == cell_basis_by_t_power(x, y, l, p)
+                    cells += len(basis[0])
+    assert cells > 0
+
+
 def naive_hom_dim(F, G, l, p):
     """Hom dimension on the raw objects: no anchoring, no cached ranks."""
-    cells = len(_cell_basis(F, t_power(G, p), l)[0])
+    cells = len(cell_basis_by_t_power(F, G, l, p)[0])
     return (cells - sparse_rank(_differential_rows(F, G, l, p))
             - sparse_rank(_differential_rows(F, G, l, p - 1)))
 
@@ -191,7 +223,7 @@ def naive_dims(F, G, l, powers):
     ranks = {}
     for p in range(powers.start - 1, powers.stop):
         ranks[p] = sparse_rank(_differential_rows(F, G, l, p))
-    return {p: len(_cell_basis(F, t_power(G, p), l)[0]) - ranks[p] - ranks[p - 1]
+    return {p: len(cell_basis_by_t_power(F, G, l, p)[0]) - ranks[p] - ranks[p - 1]
             for p in powers}
 
 
@@ -260,8 +292,8 @@ def test_table_asks_one_query_per_diagonal(monkeypatch):
 def rows_by_products(F, G, l, p):
     """_differential_rows assembled from MPoly products on T^p G."""
     H = t_power(G, p)
-    basis, _ = _cell_basis(F, H, l)
-    _, tindex = _cell_basis(F, t_power(G, p + 1), l)
+    basis, _ = cell_basis_by_t_power(F, G, l, p)
+    _, tindex = cell_basis_by_t_power(F, G, l, p + 1)
     rows = []
     for comp, r, c, exps in basis:
         mono = MPoly.monomial(exps)
@@ -315,7 +347,7 @@ def test_sparse_rank_on_differential_rows(exps):
         for l in (g.zero, g.variable_degree(0), g.total_degree):
             for p in (0, 1):
                 rows = _differential_rows(coll[0], coll[j], l, p)
-                width = len(_cell_basis(coll[0], t_power(coll[j], p + 1), l)[0])
+                width = len(_cell_basis(coll[0], coll[j], l, p + 1)[0])
                 dense = [[row.get(k, 0) for k in range(width)] for row in rows]
                 rank = sparse_rank(rows)
                 assert rank == rank_rational(dense)

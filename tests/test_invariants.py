@@ -158,6 +158,28 @@ def test_companion_root_rejects_corrupted_zeta(monkeypatch):
     assert check.detail["witness"]["zeta"] == coeffs
 
 
+def test_companion_root_rejects_zeta_corrupted_inside(monkeypatch):
+    # The companion of a corrupted polynomial roots that polynomial exactly;
+    # only the chain's own zeta polynomial exposes the t^3 coefficient.
+    import chainfact.verify as verify_module
+    f = ChainPolynomial((2, 2, 3))
+    zp = zeta_polynomial(f)
+    coeffs = list(zp.poly.coeffs)
+    coeffs[3] += 5
+    bad = type(zp)(f, Poly(coeffs))
+    with pytest.raises(VerificationFailure) as exc:
+        companion_certificate(bad)
+    assert exc.value.witness["det"] == tuple(coeffs)
+    assert exc.value.witness["chain_zeta"] == zp.poly.coeffs
+    with pytest.raises(VerificationFailure):
+        companion_matrix(bad)
+    monkeypatch.setattr(verify_module, "zeta_polynomial", lambda _: bad)
+    check = verify_module.verify_invariants(f).check("companion_root")
+    assert check.status == "fail"
+    assert check.detail["witness"]["zeta"] == coeffs
+    assert check.detail["witness"]["chain_zeta"] == list(zp.poly.coeffs)
+
+
 # ------------------------------------------------------------- monodromy
 
 def test_monodromy_2_2():

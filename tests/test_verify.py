@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import chainfact
 import chainfact.homcalc as homcalc
@@ -12,11 +14,21 @@ import chainfact.verify as verify_module
 from chainfact.chain import ChainPolynomial, build_grading_group
 from chainfact.cli import main as cli_main
 from chainfact.exactmath import MPoly
-from chainfact.homcalc import compute_hom_table, euler_pairing
+from chainfact.homcalc import (
+    EulerForm,
+    compute_hom_table,
+    euler_pairing,
+    hom_dim,
+    scan_window,
+)
+from chainfact.mf import shift
 from chainfact.verify import (
     HomTableCache,
+    TriangleFamilies,
     VerificationReport,
+    auxiliary_object,
     build_collection,
+    collection_base,
     cached_hom_table,
     collection_splitting,
     emit_report,
@@ -134,6 +146,148 @@ def test_triangles_odd_chain_with_boundary_note():
 def test_triangles_vacuous_for_one_variable():
     rep = verify_triangles(ChainPolynomial((5,)))
     assert rep.passed
+
+
+# ------------------------------------- triangle checks on the twist orbits
+
+def naive_euler(x, y, l):
+    """Alternating hom_dim sum over scan_window on the raw objects."""
+    lo, hi = scan_window(x, y, l)
+    return sum((-1) ** (p % 2) * hom_dim(x, y, l, p) for p in range(lo, hi + 1))
+
+
+def _triangle_object(f, kind, i, j):
+    if kind == "collection":
+        base, step = collection_base(f)
+        return shift(base, i * step)
+    if f.n % 2 == 0:
+        return auxiliary_object(f, i)
+    return ladder_object(f, i, 1 + j % f.exponents[0])
+
+
+OBJECT_DRAW = st.tuples(st.sampled_from(["collection", "third"]),
+                        st.integers(-3, 6), st.integers(0, 5))
+
+
+# torsion gradings: (2, 3) Z/2, (2, 2, 3) Z/4, (3, 2, 2) Z/3
+@settings(max_examples=12, deadline=None, database=None, derandomize=True)
+@given(exps=st.sampled_from([(2, 2), (3, 3), (2, 2, 2), (2, 3), (2, 2, 3), (3, 2, 2)]),
+       draws=st.lists(OBJECT_DRAW, min_size=2, max_size=4),
+       k1=st.integers(-3, 3), kn=st.integers(-2, 2))
+@example(exps=(2, 3), draws=[("collection", 1, 0), ("third", 2, 0),
+                             ("third", -1, 0)], k1=1, kn=-1)
+@example(exps=(2, 2, 3), draws=[("collection", 0, 0), ("third", 1, 0),
+                                ("third", 2, 1)], k1=0, kn=1)
+@example(exps=(3, 2, 2), draws=[("collection", 4, 0), ("third", 0, 2),
+                                ("collection", -2, 0)], k1=-2, kn=0)
+def test_euler_form_matches_naive_sum_property(exps, draws, k1, kn):
+    f = ChainPolynomial(exps)
+    g = build_grading_group(f)
+    objs = [_triangle_object(f, *d) for d in draws]
+    degree = k1 * g.variable_degree(0) + kn * g.variable_degree(f.n - 1)
+    euler = EulerForm()
+    for _ in range(2):                      # the second pass reads the memo
+        for x in objs:
+            for y in objs:
+                for l in (None, degree):
+                    assert euler(x, y, l) == naive_euler(x, y, l), (exps, draws)
+
+
+def _recorded_families(monkeypatch):
+    made = []
+
+    class Recording(TriangleFamilies):
+        def __init__(self, f):
+            super().__init__(f)
+            made.append(self)
+
+    monkeypatch.setattr(verify_module, "TriangleFamilies", Recording)
+    return made
+
+
+@pytest.mark.parametrize("exps,offset", [((2, 2), 0), ((3, 3), 2), ((2, 3), 1),
+                                         ((2, 2, 2), 0), ((2, 2, 3), 1),
+                                         ((3, 2, 2), 2), ((3, 3, 3), 0)])
+def test_triangle_families_equal_validating_objects(monkeypatch, exps, offset):
+    f = ChainPolynomial(exps)
+    made = _recorded_families(monkeypatch)
+    assert verify_triangles(f, offset).passed
+    (fam,) = made
+    coll = build_collection(f, offset)
+    for i, obj in fam.collection_objects.items():
+        if 0 <= i - offset < len(coll):
+            assert obj == coll[i - offset]
+        else:
+            assert obj == build_collection(f, i)[0]
+    for i, obj in fam.auxiliary_objects.items():
+        assert obj == auxiliary_object(f, i)
+    for (i, j), obj in fam.ladder_objects.items():
+        assert obj == ladder_object(f, i, j)
+    used = fam.auxiliary_objects if f.n % 2 == 0 else fam.ladder_objects
+    assert used and not (fam.ladder_objects if f.n % 2 == 0 else fam.auxiliary_objects)
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("exps,max_hom,max_stab", [((3, 3, 3), 250, 3 + 2),
+                                                   ((3, 3), None, 2)])
+def test_triangles_query_each_key_once(monkeypatch, exps, max_hom, max_stab):
+    f = ChainPolynomial(exps)
+    homs, stabs = [], []
+    _count_calls(monkeypatch, homcalc, "hom_dim", homs)
+    _count_calls(monkeypatch, verify_module, "hom_dim", homs)
+    _count_calls(monkeypatch, verify_module, "stabilize", stabs)
+    assert verify_triangles(f, 0).passed
+    assert 0 < len(stabs) <= max_stab
+    assert homs and (max_hom is None or len(homs) <= max_hom)
+
+
+def _answer_one_key_wrongly(monkeypatch, wrong):
+    """hom_dim answers the query (A, A, 0, 0) on one anchored object one too
+    high; every other query is answered correctly."""
+    real = homcalc.hom_dim
+
+    def skewed(source, target, degree=None, power=0):
+        dim = real(source, target, degree, power)
+        if source is target and degree is not None and degree.is_zero() and power == 0:
+            wrong.append(source)
+            return dim + 1
+        return dim
+
+    monkeypatch.setattr(homcalc, "hom_dim", skewed)
+
+
+def test_euler_memo_cannot_hide_a_wrong_answer_even(monkeypatch):
+    f = ChainPolynomial((2, 2))
+    mu = 3
+    wrong = []
+    _answer_one_key_wrongly(monkeypatch, wrong)
+    check = verify_triangles(f).check("triangle_euler_additivity")
+    assert check.status == "fail" and len(wrong) == 1
+    # the entry (E_k, E_k) is +1 in the total of probe E_{i-1} and -1 in that
+    # of probe E_i, for every triangle i
+    cases = check.detail["witness"]["cases"]
+    assert sorted(c["total"] for c in cases) == [-1] * (mu - 1) + [1] * (mu - 1)
+
+
+def test_euler_memo_cannot_hide_a_wrong_answer_odd(monkeypatch):
+    f = ChainPolynomial((2, 2, 2))
+    wrong = []
+    _answer_one_key_wrongly(monkeypatch, wrong)
+    check = verify_triangles(f).check("ladder_euler_additivity")
+    assert check.status == "fail" and len(wrong) == 1
+    # at width one, L(i, 1) = E_i and L(i + 1, 1) = E_{i+1} enter with sign +1
+    cases = check.detail["witness"]["cases"]
+    assert sorted((c["i"], c["total"]) for c in cases) == [
+        (i, 1) for i in range(3) for _ in range(2)]
 
 
 def test_section_inequalities():
