@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
-from .exactmath import IntMatrix, int_mat_mul, lcm, smith_normal_form
+from .exactmath import Echelon, IntMatrix, int_mat_mul, smith_normal_form
 
 
 class VerificationFailure(Exception):
@@ -364,20 +364,17 @@ class GradingGroup:
 
 
 def _solve_unimodular(v_rows, rhs):
-    """Solve V y = rhs exactly for unimodular integer V; y is integral."""
+    """Solve V y = rhs exactly for unimodular integer V; y is integral.
+
+    y is the one kernel vector of [V | -rhs], divided by its last coordinate.
+    """
     n = len(rhs)
-    aug = [[Fraction(v_rows[i][j]) for j in range(n)] + [Fraction(rhs[i])]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                fval = aug[r][col]
-                aug[r] = [x - fval * y for x, y in zip(aug[r], aug[col])]
-    ys = [aug[i][n] for i in range(n)]
+    rows = [dict(enumerate([*v_rows[i], -rhs[i]])) for i in range(n)]
+    kernel = Echelon(rows).kernel(n + 1)
+    if len(kernel) != 1 or not kernel[0].get(n):
+        raise VerificationFailure("unimodular solve: V is singular", {"kernel": kernel})
+    last = kernel[0][n]
+    ys = [Fraction(kernel[0].get(j, 0)) / last for j in range(n)]
     if not all(y.denominator == 1 for y in ys):
         raise VerificationFailure("unimodular solve left a fraction", {"solution": ys})
     return [int(y) for y in ys]

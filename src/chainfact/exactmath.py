@@ -10,8 +10,9 @@ The module provides:
   * ``IntMatrix`` -- immutable integer matrices with a Smith normal form,
                      a division-free (Berkowitz) characteristic polynomial,
                      and a sparse lower-Hessenberg determinant;
-  * exact rational rank / kernel computations: dense over Fractions, and a
-    fraction-free sparse rank that eliminates in integers.
+  * ``Echelon``   -- the one exact elimination: a sparse, fraction-free row
+                     echelon form giving rank, kernel and the normal form of a
+                     vector modulo the row span.
 
 Integer matrix products go through :func:`int_mat_mul`, in Python big ints.
 """
@@ -19,7 +20,7 @@ Integer matrix products go through :func:`int_mat_mul`, in Python big ints.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class ExactDivisionError(ArithmeticError):
@@ -67,10 +68,6 @@ class Poly:
     @classmethod
     def one(cls):
         return cls((1,))
-
-    @classmethod
-    def monomial(cls, k, c=1):
-        return cls((0,) * k + (c,))
 
     @classmethod
     def one_minus_power(cls, k):
@@ -145,9 +142,6 @@ class Poly:
         for i, c in enumerate(self.coeffs):
             rev[n - i] = c
         return Poly(rev)
-
-    def derivative(self):
-        return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
 
     def __repr__(self):
         if not self.coeffs:
@@ -265,10 +259,6 @@ class MPoly:
         exps[i] = power
         return cls(nvars, {tuple(exps): 1})
 
-    @classmethod
-    def monomial(cls, exps, c=1):
-        return cls(len(exps), {tuple(exps): c})
-
     def is_zero(self):
         return not self.terms
 
@@ -364,10 +354,6 @@ class IntMatrix:
     def identity(cls, n):
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, n, m):
-        return cls([[0] * m for _ in range(n)])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
@@ -399,46 +385,8 @@ class IntMatrix:
     def is_square(self):
         return self.rows == self.cols
 
-    def power(self, k):
-        """Nonnegative power by binary exponentiation."""
-        if not self.is_square() or k < 0:
-            raise ValueError("power needs a square base and k >= 0")
-        result = IntMatrix.identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
-
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.entries]!r})"
-
-
-def det_bareiss(a: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if not a.is_square():
-        raise ValueError("determinant of a non-square matrix")
-    n = a.rows
-    m = [list(r) for r in a.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 class SNFResult:
@@ -453,10 +401,6 @@ class SNFResult:
 
     def __setattr__(self, *a):
         raise AttributeError("SNFResult is immutable")
-
-    def invariant_factors(self):
-        k = min(self.D.rows, self.D.cols)
-        return tuple(self.D[i, i] for i in range(k))
 
 
 def smith_normal_form(a: IntMatrix) -> SNFResult:
@@ -550,23 +494,6 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
     return SNFResult(IntMatrix(U), IntMatrix(M), IntMatrix(V))
 
 
-def in_row_span(vec, a: IntMatrix) -> bool:
-    """Whether an integer vector lies in the integer row span of ``a``."""
-    if len(vec) != a.cols:
-        raise ValueError("length mismatch")
-    snf = smith_normal_form(a)
-    w = int_mat_mul([list(vec)], snf.V.entries)[0]
-    k = min(a.rows, a.cols)
-    for j in range(a.cols):
-        d = snf.D[j, j] if j < k else 0
-        if d == 0:
-            if w[j] != 0:
-                return False
-        elif w[j] % d:
-            return False
-    return True
-
-
 def charpoly_division_free(a: IntMatrix) -> Poly:
     """det(t*1 - A) by the Berkowitz algorithm (no divisions).
 
@@ -640,97 +567,8 @@ def det_lower_hessenberg(diag_rows, superdiag, n) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# exact rational elimination
+# exact elimination
 # ---------------------------------------------------------------------------
-
-def _frac_rows(a):
-    return [[Fraction(x) for x in row] for row in a]
-
-
-def rank_rational(a) -> int:
-    """Rank over the rationals by exact Gaussian elimination.
-
-    Accepts any rectangular sequence of sequences of ints/Fractions.
-    """
-    rows = _frac_rows(a)
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        inv = 1 / prow[col]
-        rows[rank] = prow = [x * inv for x in prow]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], prow)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
-def rref(a):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    rows = _frac_rows(a)
-    pivots = []
-    if not rows:
-        return rows, pivots
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(rows):
-            break
-    return rows[:rank], pivots
-
-
-def kernel_basis(a):
-    """Basis of the right kernel {x : A x = 0} over the rationals.
-
-    ``a`` is a sequence of rows; returns a list of exact coordinate vectors.
-    """
-    rows = [list(r) for r in a]
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][free]
-        basis.append(vec)
-    return basis
-
 
 def _integer_row(row):
     """A sparse row as a primitive integer dict: denominators cleared, zeros
@@ -755,27 +593,56 @@ def _integer_row(row):
     return out
 
 
-def sparse_rank(rows, ncols=None) -> int:
-    """Rank of a sparse rational matrix given as dicts {col: coeff}.
+def _ratio(x, a):
+    """x / a exactly, collapsed to an int when a divides x."""
+    return _norm_num(Fraction(x, a))
 
-    Fraction-free: each row is scaled to a primitive integer row, and a row
-    with entry b in a pivot column whose pivot entry is a is replaced by
-    (a/g)*row - (b/g)*pivot, g = gcd(a, b), then divided by its content.
-    Only ``*``, ``-``, ``gcd`` and exact ``//`` on ints are used.  Pivots
-    are chosen to limit fill (shortest rows first, then the column with the
-    fewest other occurrences).
+
+class Echelon:
+    """Sparse row echelon form of a rational matrix, eliminated in integers.
+
+    Rows are dicts {col: coeff} with int or Fraction entries.  Each row is
+    scaled to a primitive integer row, and a row with entry b in a pivot
+    column whose pivot entry is a is replaced by (a/g)*row - (b/g)*pivot,
+    g = gcd(a, b), then divided by its content.  Only ``*``, ``-``, ``gcd``
+    and exact ``//`` on ints are used.  Pivots are chosen to limit fill:
+    shortest rows first, then the column with the fewest occurrences.
+
+    ``pivots`` maps each pivot column to its primitive integer row, in
+    insertion order.  A pivot row is zero in the pivot columns of all
+    earlier rows, so the rows are triangular in that order: ``reduce`` walks
+    it forwards and ``kernel`` backwards.
     """
-    col_count = {}
-    work = []
-    for row in rows:
-        r = _integer_row(row)
-        if r:
-            work.append(r)
-            for c in r:
-                col_count[c] = col_count.get(c, 0) + 1
-    work.sort(key=len)
-    pivots = {}                     # col -> primitive integer row dict
-    for row in work:
+
+    __slots__ = ("pivots", "_count")
+
+    def __init__(self, rows):
+        self.pivots: dict[int, dict[int, int]] = {}
+        self._count: dict[int, int] = {}     # col -> occurrences in rows given
+        work = [r for r in map(_integer_row, rows) if r]
+        for r in work:
+            self._tally(r)
+        work.sort(key=len)
+        for r in work:
+            self._insert(r)
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def add(self, vec) -> bool:
+        """Insert one more row; True when it raises the rank."""
+        row = _integer_row(vec)
+        self._tally(row)
+        return self._insert(row)
+
+    def _tally(self, row):
+        count = self._count
+        for c in row:
+            count[c] = count.get(c, 0) + 1
+
+    def _insert(self, row) -> bool:
+        pivots = self.pivots
         while True:
             hit = None
             for c in row:
@@ -802,10 +669,52 @@ def sparse_rank(rows, ncols=None) -> int:
                 content = gcd(*row.values())
                 if content != 1:
                     row = {c: v // content for c, v in row.items()}
-        if row:
-            pivots[min(row, key=lambda c: (col_count.get(c, 0), c))] = row
-    return len(pivots)
+        if not row:
+            return False
+        count = self._count
+        pivots[min(row, key=lambda c: (count.get(c, 0), c))] = row
+        return True
+
+    def kernel(self, ncols: int) -> list[dict]:
+        """Basis of {x : A x = 0} over the columns 0..ncols-1.
+
+        One sparse vector per free column, with 1 at that column and 0 at
+        the other free columns; the pivot coordinates follow by
+        back-substitution in reverse pivot order.
+        """
+        order = list(self.pivots.items())[::-1]
+        basis = []
+        for free in range(ncols):
+            if free in self.pivots:
+                continue
+            x = {free: 1}
+            for p, row in order:
+                s = sum(v * x[c] for c, v in row.items() if c in x)
+                if s:
+                    x[p] = _ratio(-s, row[p])
+            basis.append(x)
+        return basis
+
+    def reduce(self, vec) -> dict:
+        """The normal form of a sparse rational vector modulo the row span.
+
+        The result differs from ``vec`` by an element of the span and is zero
+        in every pivot column, which makes it unique.
+        """
+        out = {c: v for c, v in vec.items() if v}
+        for p, row in self.pivots.items():
+            b = out.get(p)
+            if b:
+                q = _ratio(b, row[p])
+                for c, v in row.items():
+                    nv = out.get(c, 0) - q * v
+                    if nv:
+                        out[c] = nv
+                    else:
+                        out.pop(c, None)
+        return {c: _norm_num(v) for c, v in out.items()}
 
 
-def lcm(a, b):
-    return a // gcd(a, b) * b
+def sparse_rank(rows) -> int:
+    """Rank of a sparse rational matrix given as dicts {col: coeff}."""
+    return Echelon(rows).rank

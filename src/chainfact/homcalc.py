@@ -6,8 +6,9 @@ Each graded piece is finite because the weight character is positive, so the
 computation is: enumerate monomial bases slot by slot, assemble the two
 neighboring differentials as sparse integer matrices, and take exact ranks.
 A row of a differential is assembled by adding the cell monomial's exponents
-to the terms of the structure maps; the ranks are fraction-free integer
-eliminations (``exactmath.sparse_rank``).
+to the terms of the structure maps; the ranks come from the sparse,
+fraction-free ``exactmath.Echelon`` (through ``sparse_rank``), which also
+gives the kernels and image reductions behind ``morphism_space_basis``.
 
 Every query is made canonical before it reaches the engine.  Let s and t be
 the first even twists of F and G, and A = F(s), B = G(t) the anchored
@@ -39,12 +40,11 @@ They need only the weights of the twists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
 from .chain import ChainPolynomial, Degree, build_grading_group
-from .exactmath import MPoly, kernel_basis, sparse_rank
+from .exactmath import Echelon, MPoly, sparse_rank
 from .mf import GradedMatrix, MatrixFactorization, MFMorphism, shift, t_power
 
 # Names the algorithm behind the stored tables; part of the cache key, so a
@@ -451,71 +451,38 @@ def morphism_space_basis(source, target, degree: Degree | None = None,
                          power: int = 0) -> list[MFMorphism]:
     """Explicit representatives of a basis of the stable Hom space.
 
-    Kernel vectors of the outgoing differential are reduced modulo the image
-    of the incoming one; each survivor is reassembled into a validated
-    morphism onto T^power(target)(degree).
+    The kernel of the outgoing differential comes from an ``Echelon`` of its
+    matrix (one row per cell of C^{power+1}).  Each kernel vector is reduced
+    modulo an ``Echelon`` of the incoming rows, which span the image; a
+    nonzero normal form is kept and added to that echelon, so the survivors
+    are independent modulo the image.  Each survivor is reassembled into a
+    validated morphism onto T^power(target)(degree).
     """
     group = source.group
     l = degree if degree is not None else group.zero
     basis, _ = _cell_basis(source, target, l, power)
-    dim = len(basis)
-    if dim == 0:
+    if not basis:
         return []
     H = t_power(target, power)
-    out_rows = _differential_rows(source, target, l, power)
-    out_dim = len(_cell_basis(source, target, l, power + 1)[0])
-    dense_out = [[Fraction(0)] * dim for _ in range(out_dim)]
-    for col, row in enumerate(out_rows):
-        for tgt_idx, coeff in row.items():
-            dense_out[tgt_idx][col] = Fraction(coeff)
-    kernel = kernel_basis(dense_out) if out_dim else \
-        [[Fraction(1) if i == j else Fraction(0) for i in range(dim)] for j in range(dim)]
-
-    in_rows = _differential_rows(source, target, l, power - 1)
-    image = []
-    for row in in_rows:
-        vec = [Fraction(0)] * dim
-        for tgt_idx, coeff in row.items():
-            vec[tgt_idx] = Fraction(coeff)
-        if any(vec):
-            image.append(vec)
-
-    # reduce kernel vectors modulo the image span, keep independent survivors
-    pivots: dict[int, list[Fraction]] = {}
-
-    def reduce_vec(vec):
-        vec = list(vec)
-        for col, prow in sorted(pivots.items()):
-            if vec[col]:
-                fac = vec[col]
-                vec = [x - fac * y for x, y in zip(vec, prow)]
-        return vec
-
-    for vec in image:
-        vec = reduce_vec(vec)
-        lead = next((c for c, x in enumerate(vec) if x), None)
-        if lead is not None:
-            inv = 1 / vec[lead]
-            pivots[lead] = [x * inv for x in vec]
-
+    d_out: dict[int, dict[int, int]] = {}
+    for col, row in enumerate(_differential_rows(source, target, l, power)):
+        for idx, coeff in row.items():
+            d_out.setdefault(idx, {})[col] = coeff
+    image = Echelon(_differential_rows(source, target, l, power - 1))
     reps = []
-    for vec in kernel:
-        red = reduce_vec(vec)
-        lead = next((c for c, x in enumerate(red) if x), None)
-        if lead is None:
-            continue
-        inv = 1 / red[lead]
-        pivots[lead] = [x * inv for x in red]
-        reps.append(red)
+    for vec in Echelon(d_out.values()).kernel(len(basis)):
+        red = image.reduce(vec)
+        if red:
+            image.add(red)
+            reps.append(red)
 
     nvars = group.chain.n
     morphisms = []
     for vec in reps:
         comps = {0: {}, 1: {}}
-        for coeff, (comp, r, c, exps) in zip(vec, basis):
-            if coeff:
-                slot = comps[comp].setdefault((r, c), {})
-                slot[exps] = slot.get(exps, 0) + coeff
+        for i, coeff in vec.items():
+            comp, r, c, exps = basis[i]
+            comps[comp].setdefault((r, c), {})[exps] = coeff
 
         def to_matrix(comp, src_mod, tgt_mod):
             rows = [[MPoly(nvars, comps[comp].get((r, c), {}))

@@ -1,0 +1,107 @@
+"""Dense exact reference routines that the tests compare the library against.
+
+They compute values only and contain no ``assert``: pytest rewrites asserts
+in test modules, not here, and the suite also runs under ``python -O``.
+"""
+
+from fractions import Fraction
+
+from chainfact.exactmath import IntMatrix
+
+
+def _frac_rows(a):
+    return [[Fraction(x) if x else 0 for x in row] for row in a]
+
+
+def rref(a):
+    """Reduced row echelon form by dense Gauss-Jordan elimination over the
+    rationals; returns (nonzero rows, pivot column list)."""
+    rows = _frac_rows(a)
+    pivots = []
+    if not rows:
+        return rows, pivots
+    rank = 0
+    for col in range(len(rows[0])):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [x * inv if x else 0 for x in rows[rank]]
+        support = [(j, y) for j, y in enumerate(rows[rank]) if y]
+        for r in range(len(rows)):
+            f = rows[r][col]
+            if r != rank and f:
+                row = rows[r]
+                for j, y in support:
+                    row[j] -= f * y
+        pivots.append(col)
+        rank += 1
+        if rank == len(rows):
+            break
+    return rows[:rank], pivots
+
+
+def rank_rational(a) -> int:
+    """Rank over the rationals of a sequence of rows of ints/Fractions."""
+    return len(rref(a)[1])
+
+
+def kernel_basis(a, ncols=None):
+    """Basis of the right kernel {x : A x = 0}, one dense vector per free
+    column of the RREF (1 there, 0 at the other free columns)."""
+    rows = [list(r) for r in a]
+    if ncols is None:
+        if not rows:
+            return []
+        ncols = len(rows[0])
+    red, pivots = rref(rows)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -red[r][free]
+        basis.append(vec)
+    return basis
+
+
+def det_bareiss(a: IntMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    if not a.is_square():
+        raise ValueError("determinant of a non-square matrix")
+    n = a.rows
+    m = [list(r) for r in a.entries]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def matrix_power(a: IntMatrix, k: int) -> IntMatrix:
+    """Nonnegative power of a square matrix by binary exponentiation."""
+    if not a.is_square() or k < 0:
+        raise ValueError("power needs a square base and k >= 0")
+    result = IntMatrix.identity(a.rows)
+    base = a
+    while k:
+        if k & 1:
+            result = result * base
+        base = base * base if k > 1 else base
+        k >>= 1
+    return result

@@ -247,6 +247,8 @@ O_CASES = [
      "GradingGroup(ChainPolynomial((2, 2)))",
      "a finite-order coordinate"),
     ("solve_unimodular", "chain._solve_unimodular([[2]], [1])", "unimodular solve"),
+    ("solve_singular", "chain._solve_unimodular([[1, 1], [1, 1]], [1, 1])",
+     "unimodular solve: V is singular"),
 ]
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import chainfact.homcalc as homcalc
 from chainfact.chain import ChainPolynomial, build_grading_group, numerics
-from chainfact.exactmath import MPoly, rank_rational, sparse_rank
+from chainfact.exactmath import MPoly, sparse_rank
 from chainfact.homcalc import (
     HomTable,
     check_exceptionality,
@@ -33,6 +33,7 @@ from chainfact.mf import (
     t_power,
 )
 from chainfact.verify import build_collection
+from oracles import kernel_basis, rank_rational
 
 
 def simple_stab(exps):
@@ -296,7 +297,7 @@ def rows_by_products(F, G, l, p):
     _, tindex = cell_basis_by_t_power(F, G, l, p + 1)
     rows = []
     for comp, r, c, exps in basis:
-        mono = MPoly.monomial(exps)
+        mono = MPoly(len(exps), {exps: 1})
         row = {}
 
         def add(slot, poly):
@@ -510,6 +511,83 @@ def test_morphism_basis_members_commute():
     coll = build_collection(f)
     basis = morphism_space_basis(coll[0], coll[1])
     assert basis                               # constructor validated each one
+
+
+def dense_morphism_vectors(source, target, l, power):
+    """(kernel, image, representatives) as dense Fraction vectors on the cell
+    basis, by the former dense body of morphism_space_basis: a dense RREF
+    kernel of the outgoing differential, and kernel vectors reduced modulo
+    the image by a dense echelon."""
+    from fractions import Fraction
+    dim = len(_cell_basis(source, target, l, power)[0])
+    out_rows = _differential_rows(source, target, l, power)
+    out_dim = len(_cell_basis(source, target, l, power + 1)[0])
+    dense_out = [[Fraction(0)] * dim for _ in range(out_dim)]
+    for col, row in enumerate(out_rows):
+        for tgt_idx, coeff in row.items():
+            dense_out[tgt_idx][col] = Fraction(coeff)
+    kernel = kernel_basis(dense_out, dim)
+    image = []
+    for row in _differential_rows(source, target, l, power - 1):
+        vec = [Fraction(0)] * dim
+        for tgt_idx, coeff in row.items():
+            vec[tgt_idx] = Fraction(coeff)
+        if any(vec):
+            image.append(vec)
+    pivots = {}
+
+    def reduce_vec(vec):
+        vec = list(vec)
+        for col, prow in sorted(pivots.items()):
+            if vec[col]:
+                fac = vec[col]
+                vec = [x - fac * y for x, y in zip(vec, prow)]
+        return vec
+
+    for vec in image:
+        vec = reduce_vec(vec)
+        lead = next((c for c, x in enumerate(vec) if x), None)
+        if lead is not None:
+            inv = 1 / vec[lead]
+            pivots[lead] = [x * inv for x in vec]
+    reps = []
+    for vec in kernel:
+        red = reduce_vec(vec)
+        lead = next((c for c, x in enumerate(red) if x), None)
+        if lead is None:
+            continue
+        inv = 1 / red[lead]
+        pivots[lead] = [x * inv for x in red]
+        reps.append(red)
+    return kernel, image, reps
+
+
+def morphism_vector(phi, basis):
+    """A morphism's coefficients on the cell basis."""
+    maps = (phi.phi0.entries, phi.phi1.entries)
+    return [maps[comp][r][c].terms.get(exps, 0) for comp, r, c, exps in basis]
+
+
+@pytest.mark.parametrize("exps", [(2, 2), (2, 3), (2, 2, 2), (2, 2, 3), (3, 2, 2)])
+def test_morphism_basis_spans_dense_kernel(exps):
+    f = ChainPolynomial(exps)
+    coll = build_collection(f)
+    l = build_grading_group(f).zero
+    found = 0
+    for x, y in product(coll[:4], repeat=2):
+        for p in range(-2, 4):
+            basis = _cell_basis(x, y, l, p)[0]
+            reps = [morphism_vector(phi, basis) for phi in morphism_space_basis(x, y, l, p)]
+            want = hom_dim(x, y, l, p)
+            assert len(reps) == want
+            kernel, image, dense_reps = dense_morphism_vectors(x, y, l, p)
+            assert len(dense_reps) == want
+            im = rank_rational(image)
+            assert rank_rational(image + reps) == im + want
+            assert rank_rational(image + reps + kernel) == rank_rational(image + reps) \
+                == len(kernel)
+            found += want
+    assert found > 0
 
 
 # ----------------------------------------------------------- table format

@@ -33,7 +33,7 @@ def var(f, i, power=1):
 
 
 def mono(f, exps, c=1):
-    return MPoly.monomial(exps, c)
+    return MPoly(len(exps), {tuple(exps): c})
 
 
 def rebuilt(mf):
@@ -116,7 +116,7 @@ def test_stabilize_random_splittings():
                         - g.monomial_degree(next(iter(gens2[j].terms))))
                 candidates = g.monomial_basis(want)
                 if candidates:
-                    w = MPoly.monomial(rng.choice(candidates), rng.choice([1, -1, 2]))
+                    w = mono(f, rng.choice(candidates), rng.choice([1, -1, 2]))
                     cofs2[i] = cofs2[i] + w * gens2[j]
                     cofs2[j] = cofs2[j] - w * gens2[i]
             scale = rng.choice([1, -1, 2])

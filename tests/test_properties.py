@@ -15,7 +15,6 @@ from chainfact.exactmath import (
     IntMatrix,
     Poly,
     charpoly_division_free,
-    det_bareiss,
     poly_div_exact,
     series_inverse,
     smith_normal_form,
@@ -31,6 +30,7 @@ from chainfact.homcalc import (
 from chainfact.invariants import euler_matrix, zeta_polynomial
 from chainfact.mf import cone, direct_sum, identity_morphism, reduce, shift, translate
 from chainfact.verify import build_collection
+from oracles import det_bareiss
 
 
 def chains(max_n, max_a):

@@ -53,7 +53,7 @@ def test_collection_2_2():
     entries = {base.d0.entries[0][0], base.d1.entries[0][0]}
     x2 = MPoly.variable(2, 1)
     assert x2 in entries
-    assert (MPoly.monomial((2, 0)) + x2) in entries
+    assert (MPoly(2, {(2, 0): 1}) + x2) in entries
 
 
 def test_collection_single_variable():
