@@ -5,11 +5,18 @@ integers are Python ints, and no routine ever touches floating point.
 The module provides:
 
   * ``Poly``      -- dense univariate polynomials with exact coefficients,
-                     plus truncated power-series inversion and exact division;
+                     plus truncated power-series inversion, exact division
+                     and alternating products of factors.  Products and
+                     divisions loop over nonzero terms only, in integer
+                     arithmetic while the coefficients stay integral, so a
+                     sparse factor such as 1 - t^a costs time linear in the
+                     degree;
   * ``MPoly``     -- sparse multivariate polynomials (exponent tuple -> coeff);
-  * ``IntMatrix`` -- immutable integer matrices with a Smith normal form,
-                     a division-free (Berkowitz) characteristic polynomial,
-                     and a sparse lower-Hessenberg determinant;
+  * ``IntMatrix`` -- immutable integer matrices with a Smith normal form and
+                     a division-free (Berkowitz) characteristic polynomial;
+  * ``det_lower_hessenberg`` -- the determinant of a sparse lower-Hessenberg
+                     matrix of polynomials, by the principal-minor recurrence
+                     on sparse {exponent: coeff} dicts;
   * ``Echelon``   -- the one exact elimination: a sparse, fraction-free row
                      echelon form giving rank, kernel and the normal form of a
                      vector modulo the row span.
@@ -25,6 +32,9 @@ from math import gcd, lcm
 
 class ExactDivisionError(ArithmeticError):
     """Raised when a division that must be exact leaves a remainder."""
+
+
+_INT = frozenset((int,))
 
 
 def _norm_num(c):
@@ -53,7 +63,9 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [_norm_num(c) for c in coeffs]
+        cs = list(coeffs)
+        if not _INT.issuperset(map(type, cs)):     # int-only input needs no pass
+            cs = [_norm_num(c) for c in cs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -115,11 +127,10 @@ class Poly:
         if not a or not b:
             return Poly()
         out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] += ai * bj
+        terms_b = _terms(b)
+        for i, x in _terms(a):
+            for j, y in terms_b:
+                out[i + j] += x * y
         return Poly(out)
 
     __rmul__ = __mul__
@@ -153,6 +164,11 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
 
+def _terms(coeffs):
+    """The nonzero (exponent, coefficient) pairs of a dense coefficient list."""
+    return [(i, c) for i, c in enumerate(coeffs) if c]
+
+
 def series_inverse(p: Poly, order: int) -> Poly:
     """Truncated inverse q with p*q == 1 mod t^(order+1).
 
@@ -182,16 +198,22 @@ def poly_divmod(num: Poly, den: Poly):
     rem = list(num.coeffs)
     dd = den.degree
     lead = den.coeffs[-1]
+    tail = _terms(den.coeffs[:-1])
+    int_lead = type(lead) is int
     q = [0] * max(len(rem) - dd, 0)
     for k in range(len(rem) - dd - 1, -1, -1):
         c = rem[k + dd]
         if c == 0:
             continue
-        f = _norm_num(Fraction(c) / lead if not isinstance(c, Fraction) else c / lead)
+        if int_lead and type(c) is int and not c % lead:
+            f = c // lead
+        else:
+            f = _norm_num(Fraction(c) / lead)
         q[k] = f
-        for i, dc in enumerate(den.coeffs):
+        rem[k + dd] = 0
+        for i, dc in tail:
             rem[k + i] -= f * dc
-    return Poly(q), Poly(rem)
+    return Poly(q), Poly(rem[:dd])      # rem[dd:] has been cleared
 
 
 def poly_div_exact(num: Poly, den: Poly) -> Poly:
@@ -203,14 +225,20 @@ def poly_div_exact(num: Poly, den: Poly) -> Poly:
 
 
 def alternating_product(plus: list[Poly], minus: list[Poly]) -> Poly:
-    """Exact evaluation of prod(plus) / prod(minus); aborts if not a polynomial."""
-    num = Poly.one()
+    """Exact evaluation of prod(plus) / prod(minus); aborts if not a polynomial.
+
+    The plus factors are multiplied out, then the product is divided by one
+    minus factor at a time.  Q[t] has no zero divisors, so every step is exact
+    if and only if the full quotient is a polynomial; otherwise the first
+    inexact step raises :class:`ExactDivisionError`.  With sparse factors
+    such as 1 - t^a each product and division step is linear in the degree.
+    """
+    out = Poly.one()
     for p in plus:
-        num = num * p
-    den = Poly.one()
+        out = out * p
     for p in minus:
-        den = den * p
-    return poly_div_exact(num, den)
+        out = poly_div_exact(out, p)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -529,13 +557,44 @@ def charpoly_division_free(a: IntMatrix) -> Poly:
     return Poly(list(reversed(c)))
 
 
+_SPARSE_ONE = {0: 1}
+
+
+def _sparse_mul(a: dict, b: dict) -> dict:
+    """Product of sparse polynomials {exponent: coeff}; a constant-1 factor
+    returns the other operand itself, uncopied."""
+    if len(a) > len(b):
+        a, b = b, a
+    if a == _SPARSE_ONE:
+        return b
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            k = i + j
+            v = out.get(k, 0) + x * y
+            if v:
+                out[k] = v
+            else:
+                out.pop(k, None)
+    return out
+
+
 def det_lower_hessenberg(diag_rows, superdiag, n) -> Poly:
     """Determinant of a sparse lower-Hessenberg matrix with Poly entries.
 
     ``diag_rows[i]`` maps column j <= i to the entry at (i, j); ``superdiag[i]``
     is the entry at (i, i+1).  Uses the leading-principal-minor cofactor
-    recurrence; cost scales with the number of stored entries, so companion
-    shapes are quadratic overall.
+    recurrence
+
+        D_k = sum_j (-1)^(k-1+j) a[k-1][j] s[j] ... s[k-2] D_j,
+
+    on sparse {exponent: coeff} polynomials (int or Fraction coefficients),
+    converted to a :class:`Poly` once at the end.  Products of monomial
+    superdiagonal entries stay monomials, a factor 1 costs nothing, and each
+    minor is dropped after the last row that reads it.  A minor whose only
+    remaining use is a unit term is extended in place, so a companion shape
+    (unit diagonal, monomial first column and superdiagonal) takes time
+    linear in the number of stored entries.
     """
     if n == 0:
         return Poly.one()
@@ -546,24 +605,38 @@ def det_lower_hessenberg(diag_rows, superdiag, n) -> Poly:
             if j > i:
                 raise ValueError("entry above the superdiagonal")
             last_use[j] = max(last_use.get(j, 0), i + 1)
-    minors = [Poly.one()]               # minors[k] = det of leading k x k block
+    sup = [dict(_terms(p.coeffs)) for p in superdiag]
+    minors = {0: {0: 1}}                # k -> det of leading k x k block, while needed
     tracked = {}                        # j -> product superdiag[j..k-2]
     for k in range(1, n + 1):
         for j in list(tracked):
             if last_use.get(j, 0) < k:
                 del tracked[j]
             else:
-                tracked[j] = tracked[j] * superdiag[k - 2]
+                tracked[j] = _sparse_mul(tracked[j], sup[k - 2])
         if last_use.get(k - 1, 0) >= k:
-            tracked[k - 1] = Poly.one()
-        acc = Poly.zero()
+            tracked[k - 1] = _SPARSE_ONE
+        acc = None
         for j, entry in diag_rows[k - 1].items():
-            term = entry * tracked[j] * minors[j]
-            if (k - 1 + j) % 2:
-                term = -term
-            acc = acc + term
-        minors.append(acc)
-    return minors[n]
+            dead = last_use[j] == k
+            minor = minors.pop(j) if dead else minors[j]
+            term = _sparse_mul(_sparse_mul(dict(_terms(entry.coeffs)), tracked[j]), minor)
+            negate = (k - 1 + j) % 2
+            if acc is None and dead and term is minor and not negate:
+                acc = term                 # the dead minor itself: extend in place
+                continue
+            if acc is None:
+                acc = {}
+            for e, c in term.items():
+                v = acc.get(e, 0) + (-c if negate else c)
+                if v:
+                    acc[e] = v
+                else:
+                    acc.pop(e, None)
+        if k == n or k in last_use:
+            minors[k] = acc if acc is not None else {}
+    det = minors[n]
+    return Poly([det.get(e, 0) for e in range(max(det, default=-1) + 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -78,9 +78,10 @@ def _cell_basis(F: MatrixFactorization, G: MatrixFactorization, l: Degree, p: in
         slots = ((F.F0, G.F0, lk), (F.F1, G.F1, lk))
     items = []
     for comp, (src, tgt, deg) in enumerate(slots):
+        shifted = [t + deg for t in src.twists]        # once per column, not per cell
         for r in range(tgt.rank):
             for c in range(src.rank):
-                want = src.twists[c] - tgt.twists[r] + deg
+                want = shifted[c] - tgt.twists[r]
                 for exps in group.monomial_basis(want):
                     items.append((comp, r, c, exps))
     return tuple(items), {it: i for i, it in enumerate(items)}

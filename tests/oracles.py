@@ -6,7 +6,7 @@ in test modules, not here, and the suite also runs under ``python -O``.
 
 from fractions import Fraction
 
-from chainfact.exactmath import IntMatrix
+from chainfact.exactmath import ExactDivisionError, IntMatrix, Poly
 
 
 def _frac_rows(a):
@@ -105,3 +105,68 @@ def matrix_power(a: IntMatrix, k: int) -> IntMatrix:
         base = base * base if k > 1 else base
         k >>= 1
     return result
+
+
+def det_lower_hessenberg_poly(diag_rows, superdiag, n) -> Poly:
+    """The leading-principal-minor cofactor recurrence of a lower-Hessenberg
+    matrix, on :class:`Poly` objects throughout: every product is a dense
+    Poly product and every minor is kept to the end."""
+    if n == 0:
+        return Poly.one()
+    last_use = {}
+    for i, row in enumerate(diag_rows):
+        for j in row:
+            if j > i:
+                raise ValueError("entry above the superdiagonal")
+            last_use[j] = max(last_use.get(j, 0), i + 1)
+    minors = [Poly.one()]               # minors[k] = det of leading k x k block
+    tracked = {}                        # j -> product superdiag[j..k-2]
+    for k in range(1, n + 1):
+        for j in list(tracked):
+            if last_use.get(j, 0) < k:
+                del tracked[j]
+            else:
+                tracked[j] = tracked[j] * superdiag[k - 2]
+        if last_use.get(k - 1, 0) >= k:
+            tracked[k - 1] = Poly.one()
+        acc = Poly.zero()
+        for j, entry in diag_rows[k - 1].items():
+            term = entry * tracked[j] * minors[j]
+            if (k - 1 + j) % 2:
+                term = -term
+            acc = acc + term
+        minors.append(acc)
+    return minors[n]
+
+
+def convolve(a, b):
+    """Coefficient list of the product of two coefficient lists, by the
+    schoolbook double loop over every pair of positions."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def alternating_product_dense(plus, minus) -> Poly:
+    """prod(plus) / prod(minus) as one dense long division of the two dense
+    products over the rationals; raises ExactDivisionError when the quotient
+    is not a polynomial."""
+    num, den = [1], [1]
+    for p in plus:
+        num = convolve(num, p.coeffs)
+    for p in minus:
+        den = convolve(den, p.coeffs)
+    rem = [Fraction(c) for c in num]
+    quot = [0] * max(len(num) - len(den) + 1, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        q = rem[k + len(den) - 1] / den[-1]
+        quot[k] = q
+        for i, d in enumerate(den):
+            rem[k + i] -= q * d
+    if any(rem):
+        raise ExactDivisionError("the alternating product is not a polynomial")
+    return Poly(quot)

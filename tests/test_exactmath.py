@@ -11,15 +11,25 @@ from chainfact.exactmath import (
     ExactDivisionError,
     IntMatrix,
     Poly,
+    alternating_product,
     charpoly_division_free,
     det_lower_hessenberg,
     int_mat_mul,
     poly_div_exact,
+    poly_divmod,
     series_inverse,
     smith_normal_form,
     sparse_rank,
 )
-from oracles import det_bareiss, kernel_basis, matrix_power, rank_rational
+from oracles import (
+    alternating_product_dense,
+    convolve,
+    det_bareiss,
+    det_lower_hessenberg_poly,
+    kernel_basis,
+    matrix_power,
+    rank_rational,
+)
 
 
 # ----------------------------------------------------------------- oracles
@@ -269,6 +279,113 @@ def test_hessenberg_det_matches_dense():
             if ok:
                 total = total + perm_sign(p) * term
         assert det_lower_hessenberg(diag_rows, superdiag, n) == total
+
+
+COEFFS = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+UNIT = Poly.one()                       # one shared object, as in companion shapes
+
+
+@st.composite
+def entry_polys(draw, max_len=3):
+    """A Poly entry: the shared unit, a monomial c t^k, or a dense Poly."""
+    kind = draw(st.sampled_from(["unit", "monomial", "dense"]))
+    if kind == "unit":
+        return UNIT
+    if kind == "monomial":
+        return Poly([0] * draw(st.integers(0, 2)) + [draw(COEFFS)])
+    return Poly(draw(st.lists(COEFFS, max_size=max_len)))
+
+
+@st.composite
+def hessenberg_cases(draw):
+    """(diag_rows, superdiag, n) with n <= 8; the columns of a row come in
+    random order and the superdiagonal is all monomials or arbitrary."""
+    n = draw(st.integers(0, 8))
+    diag_rows = []
+    for i in range(n):
+        cols = draw(st.lists(st.integers(0, i), unique=True, max_size=i + 1))
+        diag_rows.append({j: draw(entry_polys()) for j in cols})
+    if draw(st.booleans()):
+        shared = Poly((0, -1))
+        sup = st.one_of(st.just(shared),
+                        st.builds(lambda k, c: Poly([0] * k + [c]),
+                                  st.integers(0, 2), COEFFS))
+    else:
+        sup = entry_polys()
+    superdiag = [draw(sup) for _ in range(max(n - 1, 0))]
+    return diag_rows, superdiag, n
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(case=hessenberg_cases())
+def test_hessenberg_sparse_matches_poly_recurrence(case):
+    diag_rows, superdiag, n = case
+    assert det_lower_hessenberg(diag_rows, superdiag, n) == \
+        det_lower_hessenberg_poly(diag_rows, superdiag, n)
+
+
+def test_hessenberg_companion_shapes_of_zeta_polynomials():
+    from chainfact.chain import ChainPolynomial
+    from chainfact.invariants import zeta_polynomial
+    for exps in [(2,), (2, 2), (2, 2, 3), (3, 2, 2), (4, 4, 4), (2, 3, 2, 3), (5, 5, 5)]:
+        cp = zeta_polynomial(ChainPolynomial(exps)).poly.coeffs
+        mu = len(cp) - 1
+        # det(1 - tM) of the companion: first column -cp[1:], unit superdiagonal
+        diag_rows = [{0: Poly((1, cp[1]))}]
+        diag_rows += [{i: UNIT, 0: Poly((0, cp[i + 1]))} if cp[i + 1] else {i: UNIT}
+                      for i in range(1, mu)]
+        superdiag = [Poly((0, -1))] * (mu - 1)
+        det = det_lower_hessenberg(diag_rows, superdiag, mu)
+        assert det == det_lower_hessenberg_poly(diag_rows, superdiag, mu) == Poly(cp)
+        # the same shape with the first column listed before the diagonal
+        flipped = [dict(reversed(row.items())) for row in diag_rows]
+        assert det_lower_hessenberg(flipped, superdiag, mu) == det
+
+
+def test_hessenberg_rejects_entries_above_the_superdiagonal():
+    with pytest.raises(ValueError):
+        det_lower_hessenberg([{1: UNIT}, {1: UNIT}], [UNIT], 2)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(a=st.lists(COEFFS, max_size=8), b=st.lists(COEFFS, max_size=8))
+def test_poly_mul_and_divmod_match_the_schoolbook(a, b):
+    pa, pb = Poly(a), Poly(b)
+    assert pa * pb == Poly(convolve(a, b))
+    if pb.is_zero():
+        return
+    q, r = poly_divmod(pa, pb)
+    assert r.degree < pb.degree
+    assert Poly(convolve(q.coeffs, b)) + r == pa
+
+
+circle_factors = st.builds(lambda a, s: Poly.one_minus_power(a) * s,
+                           st.integers(1, 12), st.sampled_from([1, -1]))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(plus=st.lists(circle_factors, max_size=5), minus=st.lists(circle_factors, max_size=4))
+def test_alternating_product_matches_dense_division(plus, minus):
+    try:
+        expected = alternating_product_dense(plus, minus)
+    except ExactDivisionError:
+        with pytest.raises(ExactDivisionError):
+            alternating_product(plus, minus)
+    else:
+        assert alternating_product(plus, minus) == expected
+
+
+def test_alternating_product_rejects_non_polynomial_quotients():
+    t = Poly.one_minus_power
+    # (1 - t^6) / ((1 - t^2)(1 - t^3)) = (1 + t^2 + t^4) / (1 - t^3)
+    for plus, minus in [([t(6)], [t(2), t(3)]), ([t(6)], [t(3), t(2)]),
+                        ([t(2), t(3)], [t(6)]), ([], [t(1)])]:
+        with pytest.raises(ExactDivisionError):
+            alternating_product(plus, minus)
+        with pytest.raises(ExactDivisionError):
+            alternating_product_dense(plus, minus)
+    # (1 - t^6)(1 - t) / ((1 - t^2)(1 - t^3)) = (1 + t^3) / (1 + t)
+    assert alternating_product([t(6), t(1)], [t(2), t(3)]) == Poly((1, -1, 1))
 
 
 # -------------------------------------------------------- rational ranks

@@ -7,9 +7,11 @@ import pytest
 from chainfact.chain import ChainPolynomial, build_grading_group, numerics, transpose
 from chainfact.exactmath import IntMatrix, Poly, charpoly_division_free
 from chainfact.invariants import (
+    DIRECT_CHARPOLY_LIMIT,
     EulerMatrix,
     VerificationFailure,
     _companion_power_columns,
+    _det_one_minus_t_via_traces,
     _toeplitz_product_columns,
     _toeplitz_upper,
     check_lattice_correspondence,
@@ -208,6 +210,36 @@ def test_monodromy_unimodular():
     for exps in [(2, 2), (3, 2), (2, 2, 2), (3, 3)]:
         md = monodromy_data(ChainPolynomial(exps))
         assert det_bareiss(md.matrix) in (1, -1)
+
+
+@pytest.mark.parametrize("exps", [(3, 3, 3), (2, 2, 2, 2, 2), (2, 2, 2, 2, 2, 2), (4, 4, 4)])
+def test_newton_route_matches_berkowitz_beyond_the_pipeline_limit(exps):
+    # monodromy_data cross-checks the sparse Newton route against Berkowitz
+    # only up to DIRECT_CHARPOLY_LIMIT; these chains lie above it
+    f = ChainPolynomial(exps)
+    mu = numerics(f).milnor
+    assert mu > DIRECT_CHARPOLY_LIMIT
+    md = monodromy_data(f)
+    assert md.det_one_minus_t == charpoly_division_free(md.matrix).reversal(mu)
+
+
+def test_newton_route_rejects_a_wrong_period():
+    f = ChainPolynomial((2, 2, 3))
+    zp = zeta_polynomial(f)
+    period = numerics(f).cum_products[-1]
+    _det_one_minus_t_via_traces(zp.poly.coeffs, zp.milnor, period)
+    with pytest.raises(VerificationFailure, match="period-locked"):
+        _det_one_minus_t_via_traces(zp.poly.coeffs, zp.milnor, period + 1)
+
+
+def test_newton_route_rejects_non_integral_coefficients(monkeypatch):
+    # period-locked power sums s = (2, 1, 0, 2, 1, 0) with mu = 2, period 3
+    # give the traces (0, 1) of the square, and 2 b_2 = -1
+    import chainfact.invariants as inv
+    monkeypatch.setattr(inv, "_power_sums", lambda cp, mu, upto: [2, 1, 0, 2, 1, 0])
+    with pytest.raises(VerificationFailure, match="non-integral") as exc:
+        _det_one_minus_t_via_traces((1, 0, 0), 2, 3)
+    assert exc.value.witness == {"index": 2, "value": -1}
 
 
 def test_zeta_factorization_2_2():

@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -101,32 +103,45 @@ def test_stabilize_rejects_bad_sum():
 
 
 def test_stabilize_random_splittings():
+    # rescale every generator by a unit or by +-2 and its cofactor by the
+    # inverse: the pairing, the degrees and d^2 = f are kept
     rng = random.Random(31)
     count = 0
     for exps in [(2, 2), (3, 2), (2, 3), (2, 2, 2), (3, 2, 2)]:
         f = ChainPolynomial(exps)
-        g = build_grading_group(f)
         gens, cofs, _ = collection_splitting(f)
+        base = stabilize(f, gens, cofs)
         for _ in range(4):
             gens2, cofs2 = list(gens), list(cofs)
-            # exchange move keeping the pairing and homogeneity intact
-            if len(gens2) >= 2:
-                i, j = rng.sample(range(len(gens2)), 2)
-                want = (g.total_degree - g.monomial_degree(next(iter(gens2[i].terms)))
-                        - g.monomial_degree(next(iter(gens2[j].terms))))
-                candidates = g.monomial_basis(want)
-                if candidates:
-                    w = mono(f, rng.choice(candidates), rng.choice([1, -1, 2]))
-                    cofs2[i] = cofs2[i] + w * gens2[j]
-                    cofs2[j] = cofs2[j] - w * gens2[i]
-            scale = rng.choice([1, -1, 2])
-            gens2[0] = gens2[0] * scale
-            from fractions import Fraction
-            cofs2[0] = cofs2[0] * Fraction(1, scale)
+            for i in range(len(gens2)):
+                scale = rng.choice([1, -1, 2, -2])
+                gens2[i] = gens2[i] * scale
+                cofs2[i] = cofs2[i] * Fraction(1, scale)
             mf = stabilize(f, gens2, cofs2)      # constructor checks d^2 = f
             assert mf.size == 2 ** (len(gens2) - 1)
+            assert (mf.F0, mf.F1) == (base.F0, base.F1)
             count += 1
     assert count == 20
+
+
+def test_collection_splittings_admit_no_exchange_move():
+    # An exchange move c_i += w g_j, c_j -= w g_i keeps sum g_k c_k = f, but
+    # w must be a monomial of degree f - deg g_i - deg g_j.  On every chain
+    # with n = 3, 4 and exponents 2..5, or n = 5 and exponents 2, 3, no
+    # generator pair of the collection splitting has one, so random
+    # splittings are drawn by scaling moves only.
+    grid = [e for n in (3, 4) for e in product(range(2, 6), repeat=n)]
+    grid += list(product((2, 3), repeat=5))
+    pairs = 0
+    for exps in grid:
+        f = ChainPolynomial(exps)
+        g = build_grading_group(f)
+        gens, _, _ = collection_splitting(f)
+        degrees = [g.monomial_degree(next(iter(x.terms))) for x in gens]
+        for di, dj in combinations(degrees, 2):
+            assert g.monomial_basis(g.total_degree - di - dj) == ()
+            pairs += 1
+    assert pairs == 64 + 256 + 32 * 3
 
 
 # -------------------------------------------------------------- functors
@@ -302,7 +317,6 @@ def test_json_roundtrip_with_fraction_coeffs():
     f, mf = build_e0((2, 2))
     r = reduce(cone(identity_morphism(mf)))
     # pad with a block whose reduction introduces rational coefficients
-    from fractions import Fraction
     scaled = stabilize(f, [2 * var(f, 1)],
                        [Fraction(1, 2) * (mono(f, (2, 0)) + var(f, 1))])
     assert mf_from_dict(mf_to_dict(scaled)) == scaled
