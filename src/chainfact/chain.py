@@ -69,18 +69,6 @@ class ChainPolynomial:
             out.append(tuple(exps))
         return out
 
-    def transpose_monomial_exponents(self) -> list[tuple[int, ...]]:
-        """Exponent vectors of the transposed polynomial's monomials."""
-        n, a = self.n, self.exponents
-        out = []
-        for i in range(n):
-            exps = [0] * n
-            exps[i] = a[i]
-            if i > 0:
-                exps[i - 1] = 1
-            out.append(tuple(exps))
-        return out
-
     def __str__(self):
         return ",".join(str(a) for a in self.exponents)
 

@@ -1,8 +1,10 @@
 """Command-line interface for running the verification pipelines.
 
-Subcommands mirror the library entry points; every one exits 0 exactly when
-no check failed.  Hom tables are cached under CHAINFACT_CACHE_DIR (default
-~/.cache/chainfact); `--no-cache` forces recomputation and overwrites.
+Each subcommand runs exactly the checks it reports: ``CHECKS_RUN`` names them
+in report order for every subcommand but ``triangles``, which runs the
+triangle pipeline.  Every subcommand exits 0 exactly when no check failed.
+Hom tables are cached under CHAINFACT_CACHE_DIR (default ~/.cache/chainfact);
+`--no-cache` forces recomputation and overwrites.
 """
 
 from __future__ import annotations
@@ -12,23 +14,32 @@ import sys
 
 from .chain import ChainPolynomial
 from .verify import (
-    HomTableCache,
+    INVARIANT_CHECKS,
+    MAIN_THEOREM_CHECKS,
+    SECTION_CHECKS,
     emit_report,
-    verify_invariants,
-    verify_main_theorem,
-    verify_section_inequalities,
+    run_checks,
     verify_triangles,
 )
 
+CHECKS_RUN = {
+    "invariants": INVARIANT_CHECKS + SECTION_CHECKS,
+    "verify": MAIN_THEOREM_CHECKS + SECTION_CHECKS,
+    "euler": ("euler_matrix", "hom_table", "exceptionality", "euler_pairing_matches"),
+    "monodromy": ("zeta_polynomial", "companion_root", "monodromy_two_routes",
+                  "zeta_factorization", "monodromy_oracle"),
+}
 
-def _add_common(parser, cache_opts=False):
+
+def _add_common(parser, offset=False, no_cache=False):
     parser.add_argument("--chain", required=True,
                         help="comma-separated exponents, e.g. 2,2,3")
     parser.add_argument("--format", choices=("json", "csv", "md"), default="md",
                         dest="fmt", help="report format (default md)")
-    if cache_opts:
+    if offset:
         parser.add_argument("--offset", type=int, default=0,
                             help="index of the first collection object")
+    if no_cache:
         parser.add_argument("--no-cache", action="store_true",
                             help="recompute Hom tables even if cached")
 
@@ -44,15 +55,15 @@ def main(argv=None) -> int:
         "invariants", help="matrix-level identity battery (no Hom engine)"))
     _add_common(sub.add_parser(
         "verify", help="full pipeline: collection, exceptionality, Euler matrix"),
-        cache_opts=True)
+        offset=True, no_cache=True)
     _add_common(sub.add_parser(
         "euler", help="engine Euler matrix and comparison with the Toeplitz form"),
-        cache_opts=True)
+        offset=True, no_cache=True)
     _add_common(sub.add_parser(
         "monodromy", help="monodromy operator, factorization, transpose oracle"))
     _add_common(sub.add_parser(
         "triangles", help="triangle Euler identities and structural cone checks"),
-        cache_opts=True)
+        offset=True)
 
     args = parser.parse_args(argv)
     try:
@@ -60,26 +71,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
 
-    if args.command == "invariants":
-        report = verify_invariants(f).extend(verify_section_inequalities(f))
-    elif args.command == "verify":
-        cache = HomTableCache()
-        report = verify_main_theorem(f, args.offset, not args.no_cache, cache=cache)
-        report = report.extend(verify_section_inequalities(f))
-    elif args.command == "euler":
-        cache = HomTableCache()
-        full = verify_main_theorem(f, args.offset, not args.no_cache, cache=cache)
-        keep = {"euler_matrix", "hom_table", "exceptionality", "euler_pairing_matches"}
-        report = type(full)(full.chain, full.offset, full.tool_version,
-                            [c for c in full.checks if c.name in keep])
-    elif args.command == "monodromy":
-        full = verify_invariants(f)
-        keep = {"zeta_polynomial", "companion_root", "monodromy_two_routes",
-                "zeta_factorization", "monodromy_oracle"}
-        report = type(full)(full.chain, full.offset, full.tool_version,
-                            [c for c in full.checks if c.name in keep])
+    offset = getattr(args, "offset", 0)
+    if args.command == "triangles":
+        report = verify_triangles(f, offset)
     else:
-        report = verify_triangles(f, getattr(args, "offset", 0))
+        report = run_checks(f, CHECKS_RUN[args.command], offset,
+                            not getattr(args, "no_cache", False))
 
     sys.stdout.write(emit_report(report, args.fmt))
     return 0 if report.passed else 1

@@ -164,13 +164,6 @@ class GradedMatrix:
     def __hash__(self):
         return self._hash
 
-    def compose(self, other: "GradedMatrix") -> "GradedMatrix":
-        """self o other, with shifts adding."""
-        if other.target != self.source:
-            raise GradingError("composition modules do not match")
-        prod = poly_mat_mul(self.entries, other.entries, self.group.chain.n)
-        return GradedMatrix(other.source, self.target, self.shift + other.shift, prod)
-
     def __neg__(self):
         return GradedMatrix(self.source, self.target, self.shift,
                             [[-p for p in row] for row in self.entries])

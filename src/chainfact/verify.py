@@ -1,10 +1,12 @@
 """Orchestration: collection construction, identity pipelines, reports, cache.
 
 This module wires everything together: it builds the distinguished collection
-of stabilizations with the explicit generator/cofactor splittings, runs the
-whole battery of exact checks, and packages the outcome as a serializable
-report.  Nothing here does new mathematics; failures bubble up from the
-lower layers and land in report entries with witnesses attached.
+of stabilizations from monomial generators, runs exact checks, and packages
+the outcome as a serializable report.  Each paper check is declared once in
+``CHECKS``, and ``run_checks`` runs any tuple of them, so a pipeline computes
+only what its checks read; ``verify_triangles`` runs the triangle checks.
+Nothing here does new mathematics; failures bubble up from the lower layers
+and land in report entries with witnesses attached.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
 from pathlib import Path
 
 from . import __version__
@@ -46,6 +50,7 @@ from .invariants import (
 from .mf import (
     GradingError,
     MatrixFactorization,
+    chain_mpoly,
     cone,
     direct_sum,
     reduce,
@@ -61,38 +66,47 @@ REPORT_SCHEMA_VERSION = 1
 # collection construction
 # ---------------------------------------------------------------------------
 
+def _cofactors(f: ChainPolynomial, gens) -> list[MPoly]:
+    """The cofactors h_i with sum(g_i * h_i) = f, derived from the generators.
+
+    Each monomial of f goes to the first generator that divides it, and a
+    generator's cofactor is the sum of its monomials divided by it.  The
+    generators must be monomials with pairwise disjoint supports, which makes
+    them a regular sequence; anything else raises ValueError.
+    """
+    if any(len(g.terms) != 1 for g in gens):
+        raise ValueError("every generator must be a monomial")
+    leads = [next(iter(g.terms.items())) for g in gens]
+    for (e1, _), (e2, _) in combinations(leads, 2):
+        if any(a and b for a, b in zip(e1, e2)):
+            raise ValueError("two generators share a variable")
+    terms = [{} for _ in gens]
+    for m, coeff in chain_mpoly(f).terms.items():
+        for out, (e, c) in zip(terms, leads):
+            if all(a >= b for a, b in zip(m, e)):
+                out[tuple(a - b for a, b in zip(m, e))] = Fraction(coeff) / c
+                break
+        else:
+            raise ValueError(f"no generator divides the monomial {m} of f")
+    return [MPoly(f.n, t) for t in terms]
+
+
 def collection_splitting(f: ChainPolynomial):
     """Generator/cofactor splitting behind the distinguished collection.
 
     Odd variable counts quotient by the odd-indexed variables, even counts by
-    the even-indexed ones; each cofactor regroups the two monomials of f that
-    involve the matching generator.  Returns (gens, cofs, step) where step is
-    the one-object twist of the collection.
+    the even-indexed ones.  Returns (gens, cofs, step) where step is the
+    one-object twist of the collection.
     """
     n = f.n
-    a = f.exponents
     g = build_grading_group(f)
-
-    def x(i, power=1):
-        return MPoly.variable(n, i, power)
-
-    gens, cofs = [], []
     if n % 2:
-        for j in range(0, n, 2):                # 0-based: x1, x3, ...
-            gens.append(x(j))
-            if j == 0:
-                cofs.append(x(0, a[0] - 1) * x(1) if n > 1 else x(0, a[0] - 1))
-            else:
-                tail = x(j, a[j] - 1) * x(j + 1) if j + 1 < n else x(j, a[j] - 1)
-                cofs.append(x(j - 1, a[j - 1]) + tail)
+        gens = [MPoly.variable(n, j) for j in range(0, n, 2)]     # x1, x3, ...
         step = -g.variable_degree(0)
     else:
-        for j in range(1, n, 2):                # 0-based: x2, x4, ...
-            gens.append(x(j))
-            tail = x(j, a[j] - 1) * x(j + 1) if j + 1 < n else x(j, a[j] - 1)
-            cofs.append(x(j - 1, a[j - 1]) + tail)
+        gens = [MPoly.variable(n, j) for j in range(1, n, 2)]     # x2, x4, ...
         step = g.variable_degree(0)
-    return gens, cofs, step
+    return gens, _cofactors(f, gens), step
 
 
 def collection_base(f: ChainPolynomial):
@@ -112,43 +126,25 @@ def build_collection(f: ChainPolynomial, offset: int = 0) -> list[MatrixFactoriz
 def auxiliary_splitting(f: ChainPolynomial):
     """Splitting for the triangle third objects (even variable count).
 
-    Quotients by x1 together with the even-indexed variables; the first two
-    cofactors split the leading monomials between x1 and x2.
+    Quotients by x1 together with the even-indexed variables, so the first
+    two cofactors split the leading monomials between x1 and x2.
     """
-    n, a = f.n, f.exponents
+    n = f.n
     if n % 2:
         raise ValueError("auxiliary objects need an even variable count")
-
-    def x(i, power=1):
-        return MPoly.variable(n, i, power)
-
-    gens = [x(0), x(1)] + [x(j) for j in range(3, n, 2)]
-    cofs = [x(0, a[0] - 1) * x(1),
-            x(1, a[1] - 1) * x(2) if n > 2 else x(1, a[1] - 1)]
-    for j in range(3, n, 2):
-        tail = x(j, a[j] - 1) * x(j + 1) if j + 1 < n else x(j, a[j] - 1)
-        cofs.append(x(j - 1, a[j - 1]) + tail)
-    return gens, cofs
+    gens = [MPoly.variable(n, j) for j in (0, *range(1, n, 2))]
+    return gens, _cofactors(f, gens)
 
 
 def ladder_splitting(f: ChainPolynomial, j: int):
-    """Splitting for the ladder objects (odd count, first generator a power)."""
-    n, a = f.n, f.exponents
+    """Splitting for the ladder objects (odd count, first generator x1^j)."""
+    n = f.n
     if n % 2 == 0 or n < 3:
         raise ValueError("ladder objects need an odd count of at least three")
-    if not 1 <= j <= a[0]:
+    if not 1 <= j <= f.exponents[0]:
         raise ValueError("ladder index out of range")
-
-    def x(i, power=1):
-        return MPoly.variable(n, i, power)
-
-    gens = [x(0, j)] + [x(i) for i in range(2, n, 2)]
-    first = x(1) if j == a[0] else x(0, a[0] - j) * x(1)
-    cofs = [first]
-    for i in range(2, n, 2):
-        tail = x(i, a[i] - 1) * x(i + 1) if i + 1 < n else x(i, a[i] - 1)
-        cofs.append(x(i - 1, a[i - 1]) + tail)
-    return gens, cofs
+    gens = [MPoly.variable(n, 0, j)] + [MPoly.variable(n, i) for i in range(2, n, 2)]
+    return gens, _cofactors(f, gens)
 
 
 def auxiliary_object(f: ChainPolynomial, i: int) -> MatrixFactorization:
@@ -263,10 +259,6 @@ class VerificationReport:
             if c.name == name:
                 return c
         raise KeyError(name)
-
-    def extend(self, other: "VerificationReport") -> "VerificationReport":
-        return VerificationReport(self.chain, self.offset, self.tool_version,
-                                  self.checks + other.checks, self.engine)
 
     def to_json_dict(self) -> dict:
         return {
@@ -422,148 +414,204 @@ def cached_hom_table(f: ChainPolynomial, offset: int = 0, margin: int = 0,
 # pipelines
 # ---------------------------------------------------------------------------
 
-def verify_invariants(f: ChainPolynomial) -> VerificationReport:
-    """The matrix-level identity battery (no Hom engine involved)."""
-    r = _Runner()
-    nm = numerics(f)
+TABLE_MARGIN = 3        # powers stored beyond each certified Hom window
 
-    def grading():
-        g = build_grading_group(f)
+
+class _Run:
+    """One run of paper checks on one chain.
+
+    Each check is the method of its report name and returns its detail, or
+    (status, detail).  The values several checks share are cached properties,
+    computed on first use and kept for the run; one whose computation raises
+    is not stored, so every check that reads it fails as a report entry.
+    """
+
+    def __init__(self, f: ChainPolynomial, offset: int, use_cache: bool):
+        self.f, self.offset, self.use_cache = f, offset, use_cache
+        self.nm = numerics(f)
+
+    @cached_property
+    def md(self):
+        return monodromy_data(self.f)
+
+    @cached_property
+    def coll(self) -> list[MatrixFactorization]:
+        return build_collection(self.f, self.offset)
+
+    @cached_property
+    def table(self) -> tuple[HomTable, bool]:
+        """(the collection's Hom table, whether it came from the cache)"""
+        return cached_hom_table(self.f, self.offset, TABLE_MARGIN, False,
+                                self.use_cache, collection=self.coll)
+
+    @cached_property
+    def dual(self) -> tuple[HomTable, bool]:
+        """(the Serre-dual table, whether it came from the cache)"""
+        return cached_hom_table(self.f, self.offset, TABLE_MARGIN, True,
+                                self.use_cache, collection=self.coll)
+
+    @cached_property
+    def exc(self) -> dict:
+        return check_exceptionality(self.table[0])
+
+    def grading_group(self):
+        g = build_grading_group(self.f)
         order = g.quotient_by_total_degree_order()
-        if order != nm.cum_products[-1]:
+        if order != self.nm.cum_products[-1]:
             raise VerificationFailure("quotient order differs from the top degree",
                                       {"order": order})
         return {"weights": list(g.weights), "torsion": list(g.torsion_factors),
                 "torsion_free": g.is_torsion_free(), "quotient_order": order}
 
-    r.run("grading_group", grading)
-    r.run("zeta_polynomial", lambda: {"coefficients": zeta_polynomial(f).poly,
-                                      "degree": nm.milnor})
-    r.run("euler_matrix", lambda: {"series": list(euler_matrix(f).series_coeffs)})
-    r.run("companion_root", lambda: {"size": companion_certificate(zeta_polynomial(f))})
+    def zeta_polynomial(self):
+        return {"coefficients": zeta_polynomial(self.f).poly, "degree": self.nm.milnor}
 
-    state = {}
+    def euler_matrix(self):
+        return {"series": list(euler_matrix(self.f).series_coeffs)}
 
-    def monodromy():
-        md = monodromy_data(f)
-        state["md"] = md
-        return {"det_one_minus_t": md.det_one_minus_t,
-                "gcd_exponents": list(md.gcd_exponents)}
+    def companion_root(self):
+        return {"size": companion_certificate(zeta_polynomial(self.f))}
 
-    r.run("monodromy_two_routes", monodromy)
+    def monodromy_two_routes(self):
+        return {"det_one_minus_t": self.md.det_one_minus_t,
+                "gcd_exponents": list(self.md.gcd_exponents)}
 
-    def zeta_fact():
-        md = state.get("md") or monodromy_data(f)
+    def zeta_factorization(self):
+        f, md, d = self.f, self.md, self.nm.cum_products
         if not check_zeta_factorization(md, f):
             raise VerificationFailure("factorization product mismatch",
                                       {"charpoly": md.det_one_minus_t})
         factors = " * ".join(
-            f"(1-t^{nm.cum_products[i] // md.gcd_exponents[i]})^"
+            f"(1-t^{d[i] // md.gcd_exponents[i]})^"
             f"{'+' if (-1) ** (f.n - i) > 0 else '-'}{md.gcd_exponents[i]}"
             for i in range(f.n + 1))
         return {"factors": factors}
 
-    r.run("zeta_factorization", zeta_fact)
-
-    def oracle():
-        md = state.get("md") or monodromy_data(f)
-        reversed_poly = md.det_one_minus_t.reversal(nm.milnor)
-        got = transpose_monodromy_charpoly(transpose(f))
+    def monodromy_oracle(self):
+        reversed_poly = self.md.det_one_minus_t.reversal(self.nm.milnor)
+        got = transpose_monodromy_charpoly(transpose(self.f))
         if got != reversed_poly:
             raise VerificationFailure("weighted-homogeneous oracle disagrees",
                                       {"oracle": got, "reversed": reversed_poly})
         return {"charpoly": got}
 
-    r.run("monodromy_oracle", oracle)
-    r.run("lattice_correspondence",
-          lambda: {"ok": check_lattice_correspondence(euler_matrix(f), f)})
-    r.run("polarization_integer", lambda: {"k": polarization_integer(f)})
-    return VerificationReport(f.exponents, 0, __version__, r.checks)
+    def lattice_correspondence(self):
+        return {"ok": check_lattice_correspondence(euler_matrix(self.f), self.f)}
 
+    def polarization_integer(self):
+        return {"k": polarization_integer(self.f)}
 
-def verify_main_theorem(f: ChainPolynomial, offset: int = 0,
-                        use_cache: bool = True, margin: int = 3,
-                        cache: HomTableCache | None = None) -> VerificationReport:
-    """Full pipeline: collection, exceptionality, Euler pairing, identities."""
-    report = verify_invariants(f)
-    r = _Runner()
-    state: dict = {}
-
-    def collection():
-        coll = build_collection(f, offset)
-        state["coll"] = coll
-        gens, _, _ = collection_splitting(f)
+    def collection(self):
+        gens, _, _ = collection_splitting(self.f)
         want = 2 ** (len(gens) - 1)
-        if any(e.size != want for e in coll):
+        if any(e.size != want for e in self.coll):
             raise VerificationFailure("collection object of unexpected size",
-                                      {"sizes": [e.size for e in coll]})
-        return {"objects": len(coll), "size": want}
+                                      {"sizes": [e.size for e in self.coll]})
+        return {"objects": len(self.coll), "size": want}
 
-    r.run("collection", collection)
-
-    def table():
-        tbl, hit = cached_hom_table(f, offset, margin, False, use_cache, cache,
-                                    state.get("coll"))
-        state["table"] = tbl
-        return {"entries": len(tbl.entries), "window_hull": list(tbl.hull()),
+    def hom_table(self):
+        table, hit = self.table
+        return {"entries": len(table.entries), "window_hull": list(table.hull()),
                 "cache_hit": hit}
 
-    r.run("hom_table", table)
-
-    def exceptional():
-        result = check_exceptionality(state["table"])
-        state["exc"] = result
-        if not result["exceptional"]:
+    def exceptionality(self):
+        if not self.exc["exceptional"]:
             raise VerificationFailure("collection is not exceptional",
-                                      {"failures": result["failures"]})
-        return {"strong": result["strong"]}
+                                      {"failures": self.exc["failures"]})
+        return {"strong": self.exc["strong"]}
 
-    r.run("exceptionality", exceptional)
-
-    def euler():
-        engine = euler_pairing(state["table"])
-        want = [list(row) for row in euler_matrix(f).matrix.entries]
+    def euler_pairing_matches(self):
+        engine = euler_pairing(self.table[0])
+        want = [list(row) for row in euler_matrix(self.f).matrix.entries]
         if engine != want:
             raise VerificationFailure("Euler pairing differs from the Toeplitz matrix",
                                       {"engine": engine, "matrix": want})
         return {"matrix": engine}
 
-    r.run("euler_pairing_matches", euler)
-
-    def serre_sym():
-        dual, hit = cached_hom_table(f, offset, margin, True, use_cache, cache,
-                                     state.get("coll"))
-        if not serre_symmetry_check(state["table"], dual):
+    def serre_symmetry(self):
+        table, _ = self.table
+        dual, hit = self.dual
+        if not serre_symmetry_check(table, dual):
             raise VerificationFailure("Serre symmetry violated on the table")
         return {"cache_hit": hit}
 
-    r.run("serre_symmetry", serre_sym)
+    def nakayama_cartan(self):
+        a1, mu = self.f.exponents[0], self.nm.milnor
+        table, _ = self.table
+        if not self.exc["strong"]:
+            raise VerificationFailure("collection is not strong")
+        for i in range(mu):
+            for j in range(mu):
+                want = 1 if 0 <= j - i < a1 else 0
+                if table.dim(i, j, 0) != want:
+                    raise VerificationFailure(
+                        "path-algebra dimension table mismatch",
+                        {"i": i, "j": j, "got": table.dim(i, j, 0), "want": want})
+        return {"quiver_length": mu, "nilpotency": a1}
 
-    if f.n == 2:
-        def nakayama():
-            a1 = f.exponents[0]
-            tbl = state["table"]
-            mu = numerics(f).milnor
-            exc = state.get("exc") or check_exceptionality(tbl)
-            if not exc["strong"]:
-                raise VerificationFailure("collection is not strong")
-            for i in range(mu):
-                for j in range(mu):
-                    want = 1 if 0 <= j - i < a1 else 0
-                    if tbl.dim(i, j, 0) != want:
-                        raise VerificationFailure(
-                            "path-algebra dimension table mismatch",
-                            {"i": i, "j": j, "got": tbl.dim(i, j, 0), "want": want})
-            return {"quiver_length": mu, "nilpotency": a1}
+    def fullness(self):
+        return ("note", {"note": "generation of the whole category is not "
+                                 "machine-verified; only its computable "
+                                 "consequences are checked"})
 
-        r.run("nakayama_cartan", nakayama)
+    def reduction_inequalities(self):
+        f, nm = self.f, self.nm
+        n, mu, d = f.n, nm.milnor, nm.cum_products
+        if n == 1:
+            return {"note": "vacuous for one variable"}
+        if n % 2:
+            recursion = d[n - 2] * f.exponents[n - 2] * (f.exponents[n - 1] - 1) \
+                + nm.milnor_numbers[n - 2]
+            if mu != recursion:
+                raise VerificationFailure("two-step recursion mismatch",
+                                          {"mu": mu, "recursion": recursion})
+        bound = sum(d[k] for k in range(n % 2, n - 1, 2))
+        if not mu > bound:
+            raise VerificationFailure("strict inequality failed",
+                                      {"mu": mu, "bound": bound})
+        return {"milnor": mu, "bound": bound}
 
-    r.checks.append(CheckResult(
-        "fullness", "note",
-        {"note": "generation of the whole category is not machine-verified; "
-                 "only its computable consequences are checked"}, 0))
-    return VerificationReport(f.exponents, offset, __version__,
-                              report.checks + r.checks)
+
+# the report order of each pipeline
+INVARIANT_CHECKS = ("grading_group", "zeta_polynomial", "euler_matrix",
+                    "companion_root", "monodromy_two_routes", "zeta_factorization",
+                    "monodromy_oracle", "lattice_correspondence",
+                    "polarization_integer")
+MAIN_THEOREM_CHECKS = INVARIANT_CHECKS + (
+    "collection", "hom_table", "exceptionality", "euler_pairing_matches",
+    "serre_symmetry", "nakayama_cartan", "fullness")
+SECTION_CHECKS = ("reduction_inequalities",)
+
+# every paper check but the triangle ones, by report name, in report order
+CHECKS = {name: getattr(_Run, name) for name in MAIN_THEOREM_CHECKS + SECTION_CHECKS}
+# checks that apply to some chains only; the others apply to every chain
+_APPLIES = {"nakayama_cartan": lambda f: f.n == 2}
+
+
+def run_checks(f: ChainPolynomial, names, offset: int = 0,
+               use_cache: bool = True) -> VerificationReport:
+    """Run the named checks in order, over values computed once per run."""
+    run, r = _Run(f, offset, use_cache), _Runner()
+    for name in names:
+        if _APPLIES.get(name, lambda _: True)(f):
+            r.run(name, lambda: CHECKS[name](run))
+    return VerificationReport(f.exponents, offset, __version__, r.checks)
+
+
+def verify_invariants(f: ChainPolynomial) -> VerificationReport:
+    """The matrix-level identity battery (no Hom engine involved)."""
+    return run_checks(f, INVARIANT_CHECKS)
+
+
+def verify_main_theorem(f: ChainPolynomial, offset: int = 0,
+                        use_cache: bool = True) -> VerificationReport:
+    """Full pipeline: collection, exceptionality, Euler pairing, identities."""
+    return run_checks(f, MAIN_THEOREM_CHECKS, offset, use_cache)
+
+
+def verify_section_inequalities(f: ChainPolynomial) -> VerificationReport:
+    """The strict reduction inequalities behind the generation argument."""
+    return run_checks(f, SECTION_CHECKS)
 
 
 def _profiles_agree(probes, left, right, pad: int = 2) -> bool:
@@ -605,8 +653,7 @@ def _search_cone_match(source, target, reference, probes) -> str:
     return "inconclusive"
 
 
-def verify_triangles(f: ChainPolynomial, offset: int = 0,
-                     structural: bool | None = None) -> VerificationReport:
+def verify_triangles(f: ChainPolynomial, offset: int = 0) -> VerificationReport:
     """Triangle consequences: Euler additivity plus structural cone checks.
 
     The probes are the collection objects E_i = E(i * step); the third
@@ -626,8 +673,7 @@ def verify_triangles(f: ChainPolynomial, offset: int = 0,
         r.checks.append(CheckResult("triangles", "note",
                                     {"note": "one variable has no triangle lemma"}, 0))
         return VerificationReport(f.exponents, offset, __version__, r.checks)
-    if structural is None:
-        structural = mu <= 10 and f.n <= 3
+    structural = mu <= 10 and f.n <= 3
     fam = TriangleFamilies(f)
     euler = EulerForm()
     coll = [fam.collection(offset + i) for i in range(mu)]
@@ -763,34 +809,3 @@ def verify_triangles(f: ChainPolynomial, offset: int = 0,
             r.run("triangle_structural", structure)
 
     return VerificationReport(f.exponents, offset, __version__, r.checks)
-
-
-def verify_section_inequalities(f: ChainPolynomial) -> VerificationReport:
-    """The strict reduction inequalities behind the generation argument."""
-    r = _Runner()
-    nm = numerics(f)
-    n = f.n
-
-    def check():
-        mu = nm.milnor
-        d = nm.cum_products
-        if n == 1:
-            return {"note": "vacuous for one variable"}
-        if n % 2:
-            m = (n - 1) // 2
-            bound = sum(d[k] for k in range(1, 2 * m, 2))
-            recursion = d[n - 2] * f.exponents[n - 2] * (f.exponents[n - 1] - 1) \
-                + nm.milnor_numbers[n - 2]
-            if mu != recursion:
-                raise VerificationFailure("two-step recursion mismatch",
-                                          {"mu": mu, "recursion": recursion})
-        else:
-            m = n // 2
-            bound = sum(d[k] for k in range(0, 2 * m - 1, 2))
-        if not mu > bound:
-            raise VerificationFailure("strict inequality failed",
-                                      {"mu": mu, "bound": bound})
-        return {"milnor": mu, "bound": bound}
-
-    r.run("reduction_inequalities", check)
-    return VerificationReport(f.exponents, 0, __version__, r.checks)

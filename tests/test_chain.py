@@ -45,7 +45,6 @@ def test_parse():
 def test_monomials_of_f_and_transpose():
     f = ChainPolynomial((2, 3))
     assert f.monomial_exponents() == [(2, 1), (0, 3)]
-    assert f.transpose_monomial_exponents() == [(2, 0), (1, 3)]
 
 
 # ------------------------------------------------------------ grading group

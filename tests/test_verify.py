@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 import chainfact
 import chainfact.homcalc as homcalc
 import chainfact.verify as verify_module
-from chainfact.chain import ChainPolynomial, build_grading_group
+from chainfact.chain import ChainPolynomial, GradingGroup, build_grading_group
+from chainfact.cli import CHECKS_RUN
 from chainfact.cli import main as cli_main
 from chainfact.exactmath import MPoly
 from chainfact.homcalc import (
@@ -21,18 +22,21 @@ from chainfact.homcalc import (
     hom_dim,
     scan_window,
 )
-from chainfact.mf import shift
+from chainfact.invariants import VerificationFailure
+from chainfact.mf import GradingError, shift
 from chainfact.verify import (
     HomTableCache,
     TriangleFamilies,
     VerificationReport,
     auxiliary_object,
+    auxiliary_splitting,
     build_collection,
     collection_base,
     cached_hom_table,
     collection_splitting,
     emit_report,
     ladder_object,
+    ladder_splitting,
     parse_report,
     verify_invariants,
     verify_main_theorem,
@@ -84,6 +88,49 @@ def test_collection_splitting_rebuilds_f():
             total = total + g_ * h_
         from chainfact.mf import chain_mpoly
         assert total == chain_mpoly(f)
+
+
+def _mono(*exps):
+    return MPoly(len(exps), {exps: 1})
+
+
+def _sum(*monos):
+    return sum(monos[1:], monos[0])
+
+
+# each cofactor written out: f = x1^a1 x2 + x2^a2 x3 + ... + xn^an
+@pytest.mark.parametrize("exps,splitting,want", [
+    ((2, 3, 4), lambda f: collection_splitting(f)[:2],
+     [_mono(1, 1, 0), _sum(_mono(0, 3, 0), _mono(0, 0, 3))]),
+    ((2, 3, 4), lambda f: ladder_splitting(f, 1),
+     [_mono(1, 1, 0), _sum(_mono(0, 3, 0), _mono(0, 0, 3))]),
+    ((2, 3, 4), lambda f: ladder_splitting(f, 2),
+     [_mono(0, 1, 0), _sum(_mono(0, 3, 0), _mono(0, 0, 3))]),
+    ((2, 3, 4, 5), lambda f: collection_splitting(f)[:2],
+     [_sum(_mono(2, 0, 0, 0), _mono(0, 2, 1, 0)),
+      _sum(_mono(0, 0, 4, 0), _mono(0, 0, 0, 4))]),
+    ((2, 3, 4, 5), auxiliary_splitting,
+     [_mono(1, 1, 0, 0), _mono(0, 2, 1, 0),
+      _sum(_mono(0, 0, 4, 0), _mono(0, 0, 0, 4))]),
+    ((3, 2, 2), lambda f: ladder_splitting(f, 1),           # torsion Z/3
+     [_mono(2, 1, 0), _sum(_mono(0, 2, 0), _mono(0, 0, 1))]),
+    ((3, 2, 2), lambda f: ladder_splitting(f, 2),
+     [_mono(1, 1, 0), _sum(_mono(0, 2, 0), _mono(0, 0, 1))]),
+    ((3, 2, 2), lambda f: ladder_splitting(f, 3),
+     [_mono(0, 1, 0), _sum(_mono(0, 2, 0), _mono(0, 0, 1))]),
+])
+def test_cofactors_match_the_written_splittings(exps, splitting, want):
+    _, cofs = splitting(ChainPolynomial(exps))
+    assert cofs == want
+
+
+@pytest.mark.parametrize("gens", [
+    [_sum(_mono(1, 0, 0), _mono(0, 1, 0)), _mono(0, 0, 1)],    # not a monomial
+    [_mono(1, 1, 0), _mono(0, 1, 0)],                          # both hold x2
+])
+def test_cofactors_refuse_non_regular_generators(gens):
+    with pytest.raises(ValueError):
+        verify_module._cofactors(ChainPolynomial((2, 2, 2)), gens)
 
 
 def test_ladder_object_boundaries_are_zero():
@@ -296,6 +343,76 @@ def test_section_inequalities():
         for exps in product((2, 3, 4), repeat=n):
             rep = verify_section_inequalities(ChainPolynomial(exps))
             assert rep.passed, exps
+
+
+# ---------------------------------------------------------- check registry
+
+def _patch_raising(monkeypatch, owner, name, exc, when=lambda *a, **k: True):
+    real = getattr(owner, name)
+
+    def raising(*args, **kwargs):
+        if when(*args, **kwargs):
+            raise exc(f"{name} called")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, raising)
+
+
+def test_failed_hom_table_fails_its_dependants(monkeypatch):
+    _patch_raising(monkeypatch, verify_module, "compute_hom_table", GradingError)
+    rep = verify_main_theorem(ChainPolynomial((2, 2)))
+    failed = {"hom_table", "exceptionality", "euler_pairing_matches",
+              "serre_symmetry", "nakayama_cartan"}
+    assert {c.name for c in rep.checks if c.status == "fail"} == failed
+    assert rep.check("exceptionality").detail == {"error": "compute_hom_table called"}
+    assert rep.check("collection").status == "pass"
+    assert cli_main(["verify", "--chain", "2,2", "--format", "json"]) == 1
+
+
+def test_failed_monodromy_data_fails_its_dependants(monkeypatch):
+    _patch_raising(monkeypatch, verify_module, "monodromy_data", VerificationFailure)
+    rep = verify_main_theorem(ChainPolynomial((2, 2)), use_cache=False)
+    failed = {"monodromy_two_routes", "zeta_factorization", "monodromy_oracle"}
+    assert {c.name for c in rep.checks if c.status == "fail"} == failed
+    assert [c.name for c in rep.checks] == list(verify_module.MAIN_THEOREM_CHECKS)
+
+
+def test_monodromy_computes_only_what_it_reports(monkeypatch, capsys):
+    for name in ("check_lattice_correspondence", "polarization_integer"):
+        _patch_raising(monkeypatch, verify_module, name, RuntimeError)
+    _patch_raising(monkeypatch, GradingGroup, "quotient_by_total_degree_order",
+                   RuntimeError)
+    assert cli_main(["monodromy", "--chain", "2,2,3", "--format", "csv"]) == 0
+    assert "monodromy_oracle,pass" in capsys.readouterr().out
+
+
+def test_euler_computes_only_what_it_reports(monkeypatch, capsys):
+    _patch_raising(monkeypatch, verify_module, "compute_hom_table", RuntimeError,
+                   when=lambda f, offset=0, margin=0, dual=False, collection=None: dual)
+    _patch_raising(monkeypatch, verify_module, "monodromy_data", RuntimeError)
+    assert cli_main(["euler", "--no-cache", "--chain", "2,2,3", "--format", "csv"]) == 0
+    assert "euler_pairing_matches,pass" in capsys.readouterr().out
+
+
+def _without_elapsed(data):
+    for check in data["checks"]:
+        del check["elapsed_ns"]
+    return data
+
+
+@pytest.mark.parametrize("chain", ["2,2", "3,2", "2,3", "2,2,3", "3,2,2"])
+@pytest.mark.parametrize("argv,full", [
+    (["euler", "--no-cache"], lambda f: verify_main_theorem(f, use_cache=False)),
+    (["monodromy"], verify_invariants)])
+def test_subset_reports_equal_the_filtered_full_report(capsys, chain, argv, full):
+    """Each subset subcommand against the full pipeline cut to its names."""
+    command = argv[0]
+    assert cli_main(argv + ["--chain", chain, "--format", "json"]) == 0
+    got = _without_elapsed(json.loads(capsys.readouterr().out))
+    want = _without_elapsed(full(ChainPolynomial.parse(chain)).to_json_dict())
+    want["checks"] = [c for c in want["checks"] if c["name"] in CHECKS_RUN[command]]
+    assert [c["name"] for c in got["checks"]] == list(CHECKS_RUN[command])
+    assert got == want
 
 
 # ------------------------------------------------------------------ report
