@@ -1,8 +1,7 @@
 """Command-line interface for running the verification pipelines.
 
 Each subcommand runs exactly the checks it reports: ``CHECKS_RUN`` names them
-in report order for every subcommand but ``triangles``, which runs the
-triangle pipeline.  Every subcommand exits 0 exactly when no check failed.
+in report order.  Every subcommand exits 0 exactly when no check failed.
 Hom tables are cached under CHAINFACT_CACHE_DIR (default ~/.cache/chainfact);
 `--no-cache` forces recomputation and overwrites.
 """
@@ -17,9 +16,9 @@ from .verify import (
     INVARIANT_CHECKS,
     MAIN_THEOREM_CHECKS,
     SECTION_CHECKS,
+    TRIANGLE_CHECKS,
     emit_report,
     run_checks,
-    verify_triangles,
 )
 
 CHECKS_RUN = {
@@ -28,6 +27,7 @@ CHECKS_RUN = {
     "euler": ("euler_matrix", "hom_table", "exceptionality", "euler_pairing_matches"),
     "monodromy": ("zeta_polynomial", "companion_root", "monodromy_two_routes",
                   "zeta_factorization", "monodromy_oracle"),
+    "triangles": TRIANGLE_CHECKS,
 }
 
 
@@ -71,12 +71,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
 
-    offset = getattr(args, "offset", 0)
-    if args.command == "triangles":
-        report = verify_triangles(f, offset)
-    else:
-        report = run_checks(f, CHECKS_RUN[args.command], offset,
-                            not getattr(args, "no_cache", False))
+    report = run_checks(f, CHECKS_RUN[args.command], getattr(args, "offset", 0),
+                        not getattr(args, "no_cache", False))
 
     sys.stdout.write(emit_report(report, args.fmt))
     return 0 if report.passed else 1

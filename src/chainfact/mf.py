@@ -3,10 +3,10 @@
 Objects are pairs of graded free modules with two polynomial matrices whose
 compositions are multiplication by the chain polynomial.  Validation happens
 at the input boundaries: the class constructors, ``stabilize``,
-``mf_from_dict``, ``direct_sum``, ``cone`` and ``reduce`` check both the
-factorization identity and entrywise homogeneity (each monomial of each entry
-must have exactly the degree prescribed by the source and target twists), so
-malformed data cannot enter.
+``direct_sum``, ``cone`` and ``reduce`` check both the factorization identity
+and entrywise homogeneity (each monomial of each entry must have exactly the
+degree prescribed by the source and target twists), so malformed data cannot
+enter.
 
 ``shift``, ``translate`` and everything built from them (``t_power``,
 ``translate_inverse``, ``serre``) are trusted constructors.  A grading shift
@@ -587,64 +587,3 @@ def reduce(mf: MatrixFactorization) -> MatrixFactorization:
     g0 = GradedMatrix(F0, F1, group.zero, d0)
     g1 = GradedMatrix(F1, F0, group.total_degree, d1)
     return MatrixFactorization(group, mf.f, F0, F1, g0, g1)
-
-
-# ---------------------------------------------------------------------------
-# JSON form
-# ---------------------------------------------------------------------------
-
-def _coeff_str(c):
-    return str(c)
-
-
-def _coeff_parse(s):
-    if "/" in s:
-        return Fraction(s)
-    return int(s)
-
-
-def _entries_to_json(entries):
-    out = []
-    for row in entries:
-        jrow = []
-        for p in row:
-            jrow.append({",".join(map(str, e)): _coeff_str(c)
-                         for e, c in sorted(p.terms.items())})
-        out.append(jrow)
-    return out
-
-
-def _entries_from_json(data, nvars):
-    out = []
-    for row in data:
-        prow = []
-        for terms in row:
-            parsed = {}
-            for key, val in terms.items():
-                exps = tuple(int(x) for x in key.split(",")) if key else ()
-                parsed[exps] = _coeff_parse(val)
-            prow.append(MPoly(nvars, parsed))
-        out.append(prow)
-    return out
-
-
-def mf_to_dict(mf: MatrixFactorization) -> dict:
-    """JSON-ready form: canonical twist coordinates plus sparse entry maps."""
-    return {
-        "chain": list(mf.group.chain.exponents),
-        "twists0": [list(t.coords) for t in mf.F0.twists],
-        "twists1": [list(t.coords) for t in mf.F1.twists],
-        "d0": _entries_to_json(mf.d0.entries),
-        "d1": _entries_to_json(mf.d1.entries),
-    }
-
-
-def mf_from_dict(data: dict) -> MatrixFactorization:
-    f = ChainPolynomial(tuple(data["chain"]))
-    group = build_grading_group(f)
-    n = f.n
-    F0 = GradedFreeModule(group, [group._reduce(c) for c in data["twists0"]])
-    F1 = GradedFreeModule(group, [group._reduce(c) for c in data["twists1"]])
-    d0 = GradedMatrix(F0, F1, group.zero, _entries_from_json(data["d0"], n))
-    d1 = GradedMatrix(F1, F0, group.total_degree, _entries_from_json(data["d1"], n))
-    return MatrixFactorization(group, chain_mpoly(f), F0, F1, d0, d1)

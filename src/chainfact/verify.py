@@ -4,7 +4,7 @@ This module wires everything together: it builds the distinguished collection
 of stabilizations from monomial generators, runs exact checks, and packages
 the outcome as a serializable report.  Each paper check is declared once in
 ``CHECKS``, and ``run_checks`` runs any tuple of them, so a pipeline computes
-only what its checks read; ``verify_triangles`` runs the triangle checks.
+only what its checks read.
 Nothing here does new mathematics; failures bubble up from the lower layers
 and land in report entries with witnesses attached.
 """
@@ -50,6 +50,7 @@ from .invariants import (
 from .mf import (
     GradingError,
     MatrixFactorization,
+    MFMorphism,
     chain_mpoly,
     cone,
     direct_sum,
@@ -159,55 +160,6 @@ def ladder_object(f: ChainPolynomial, i: int, j: int) -> MatrixFactorization:
     gens, cofs = ladder_splitting(f, j)
     g = build_grading_group(f)
     return stabilize(f, gens, cofs, -i * g.variable_degree(0))
-
-
-class TriangleFamilies:
-    """The object families of the triangle checks, each stabilized once.
-
-    Collection object i is base(i * step); for even n, auxiliary object i is
-    Aux(i * deg x1); for odd n, ladder object (i, j) is L_j(-i * deg x1),
-    zero for j = 0 and j = a1 + 1.  The bases (the collection base, Aux, and
-    L_j for each width j = 1..a1) go through the validating ``stabilize``
-    once, here; every object is then reached with the trusted ``shift``,
-    since stabilize(f, gens, cofs, twist) = shift(stabilize(f, gens, cofs),
-    twist).  Objects are memoized, so a run gets one object per index.
-    """
-
-    def __init__(self, f: ChainPolynomial):
-        self.f = f
-        self.x1 = build_grading_group(f).variable_degree(0)
-        self.base, self.step = collection_base(f)
-        if f.n % 2 == 0:
-            self.aux_base = stabilize(f, *auxiliary_splitting(f))
-        else:
-            self.ladder_bases = {j: stabilize(f, *ladder_splitting(f, j))
-                                 for j in range(1, f.exponents[0] + 1)}
-            self.zero = zero_object(f)
-        self.collection_objects: dict[int, MatrixFactorization] = {}
-        self.auxiliary_objects: dict[int, MatrixFactorization] = {}
-        self.ladder_objects: dict[tuple[int, int], MatrixFactorization] = {}
-
-    def collection(self, i: int) -> MatrixFactorization:
-        obj = self.collection_objects.get(i)
-        if obj is None:
-            obj = self.collection_objects[i] = shift(self.base, i * self.step)
-        return obj
-
-    def auxiliary(self, i: int) -> MatrixFactorization:
-        obj = self.auxiliary_objects.get(i)
-        if obj is None:
-            obj = self.auxiliary_objects[i] = shift(self.aux_base, i * self.x1)
-        return obj
-
-    def ladder(self, i: int, j: int) -> MatrixFactorization:
-        obj = self.ladder_objects.get((i, j))
-        if obj is None:
-            if j == 0 or j == self.f.exponents[0] + 1:
-                obj = self.zero
-            else:
-                obj = shift(self.ladder_bases[j], -i * self.x1)
-            self.ladder_objects[(i, j)] = obj
-        return obj
 
 
 # ---------------------------------------------------------------------------
@@ -396,13 +348,16 @@ def cached_hom_table(f: ChainPolynomial, offset: int = 0, margin: int = 0,
 
     Returns (table, cache_hit).  With ``use_cache`` false the table is always
     recomputed, and the fresh result overwrites whatever was stored.
+    ``collection``, if given, is a zero-argument callable returning the
+    collection; it is called on a cache miss only.
     """
     cache = cache or HomTableCache()
     if use_cache:
         table = cache.load(f.exponents, offset, dual, margin)
         if table is not None:
             return table, True
-    table = compute_hom_table(f, offset, margin, dual, collection)
+    table = compute_hom_table(f, offset, margin, dual,
+                              collection() if collection else None)
     try:
         cache.store(table)
     except OSError:
@@ -424,6 +379,17 @@ class _Run:
     (status, detail).  The values several checks share are cached properties,
     computed on first use and kept for the run; one whose computation raises
     is not stored, so every check that reads it fails as a report entry.
+
+    The triangle checks read three object families: collection object i is
+    base(i * step); for even n, auxiliary object i is Aux(i * deg x1); for
+    odd n, ladder object (i, j) is L_j(-i * deg x1), zero for j = 0 and
+    j = a1 + 1.  Each base (the collection base, Aux, and L_j for each width
+    j = 1..a1) goes through the validating ``stabilize`` once per run; every
+    object is then reached with the trusted ``shift``, since
+    stabilize(f, gens, cofs, twist) = shift(stabilize(f, gens, cofs), twist).
+    Every Euler entry goes through the run's one ``EulerForm``, so each
+    canonical key (anchored probe, anchored object, twist difference) is
+    scanned and queried once.
     """
 
     def __init__(self, f: ChainPolynomial, offset: int, use_cache: bool):
@@ -435,20 +401,51 @@ class _Run:
         return monodromy_data(self.f)
 
     @cached_property
+    def base(self) -> tuple[MatrixFactorization, Degree]:
+        """(the collection base, the one-object twist step)"""
+        return collection_base(self.f)
+
+    @cached_property
+    def aux_base(self) -> MatrixFactorization:
+        return stabilize(self.f, *auxiliary_splitting(self.f))
+
+    @cached_property
+    def ladder_bases(self) -> dict[int, MatrixFactorization]:
+        return {j: stabilize(self.f, *ladder_splitting(self.f, j))
+                for j in range(1, self.f.exponents[0] + 1)}
+
+    @cached_property
+    def euler(self) -> EulerForm:
+        return EulerForm()
+
+    def collection_object(self, i: int) -> MatrixFactorization:
+        base, step = self.base
+        return shift(base, i * step)
+
+    def auxiliary(self, i: int) -> MatrixFactorization:
+        return shift(self.aux_base, i * build_grading_group(self.f).variable_degree(0))
+
+    def ladder(self, i: int, j: int) -> MatrixFactorization:
+        if j == 0 or j == self.f.exponents[0] + 1:
+            return zero_object(self.f)
+        return shift(self.ladder_bases[j],
+                     -i * build_grading_group(self.f).variable_degree(0))
+
+    @cached_property
     def coll(self) -> list[MatrixFactorization]:
-        return build_collection(self.f, self.offset)
+        return [self.collection_object(self.offset + i) for i in range(self.nm.milnor)]
 
     @cached_property
     def table(self) -> tuple[HomTable, bool]:
         """(the collection's Hom table, whether it came from the cache)"""
         return cached_hom_table(self.f, self.offset, TABLE_MARGIN, False,
-                                self.use_cache, collection=self.coll)
+                                self.use_cache, collection=lambda: self.coll)
 
     @cached_property
     def dual(self) -> tuple[HomTable, bool]:
         """(the Serre-dual table, whether it came from the cache)"""
         return cached_hom_table(self.f, self.offset, TABLE_MARGIN, True,
-                                self.use_cache, collection=self.coll)
+                                self.use_cache, collection=lambda: self.coll)
 
     @cached_property
     def exc(self) -> dict:
@@ -571,6 +568,109 @@ class _Run:
                                       {"mu": mu, "bound": bound})
         return {"milnor": mu, "bound": bound}
 
+    def triangles(self):
+        return ("note", {"note": "one variable has no triangle lemma"})
+
+    def triangle_euler_additivity(self):
+        mu, coll, bad = self.nm.milnor, self.coll, []
+        for k in range(1, mu):
+            i = self.offset + k
+            aux = self.auxiliary(i)
+            for x in coll:
+                total = self.euler(x, coll[k - 1]) - self.euler(x, coll[k]) \
+                    + self.euler(x, aux)
+                if total != 0:
+                    bad.append({"i": i, "total": total})
+        if bad:
+            raise VerificationFailure("Euler additivity failed", {"cases": bad})
+        return {"triangles": mu - 1, "probes": len(coll)}
+
+    def _ladder_terms(self, i, j):
+        """The triangle's source, two middle objects and cone, signed."""
+        return [(1, self.ladder(i + 1, j)), (-1, self.ladder(i, j + 1)),
+                (-1, self.ladder(i + 1, j - 1)), (1, self.ladder(i, j))]
+
+    def _ladder_total(self, terms, x):
+        return sum(sgn * self.euler(x, obj) for sgn, obj in terms if obj.size)
+
+    def _ladder_rows(self):
+        return range(self.offset, self.offset + min(self.nm.milnor - 1, 3))
+
+    def ladder_euler_additivity(self):
+        a1, bad = self.f.exponents[0], []
+        for i in self._ladder_rows():
+            for j in range(1, a1):
+                terms = self._ladder_terms(i, j)
+                for x in self.coll:
+                    total = self._ladder_total(terms, x)
+                    if total != 0:
+                        bad.append({"i": i, "j": j, "total": total})
+        if bad:
+            raise VerificationFailure("ladder Euler identity failed", {"cases": bad})
+        return {"ladder_width": a1, "widths_checked": list(range(1, a1))}
+
+    def ladder_boundary_width_a1(self):
+        # The printed width-a1 instance reads the out-of-category object as
+        # zero; its Euler defect is then forced to be the class sum of a1+1
+        # consecutive collection objects, which is nonzero.  Pin the defect
+        # exactly so any drift is caught.
+        a1, mismatches, boundary_holds = self.f.exponents[0], [], True
+        for i in self._ladder_rows():
+            terms = self._ladder_terms(i, a1)
+            classes = [self.collection_object(i + k) for k in range(a1 + 1)]
+            for x in self.coll:
+                total = self._ladder_total(terms, x)
+                predicted = sum(self.euler(x, e) for e in classes)
+                if total != 0:
+                    boundary_holds = False
+                if total != predicted:
+                    mismatches.append({"i": i, "total": total, "predicted": predicted})
+        if mismatches:
+            raise VerificationFailure(
+                "boundary defect does not match the class-sum prediction",
+                {"cases": mismatches})
+        return ("pass" if boundary_holds else "note",
+                {"literal_boundary_instance_holds": boundary_holds,
+                 "defect": "sum of a1+1 consecutive collection classes"})
+
+    def ladder_base_object(self):
+        # an independently stabilized width-one ladder object against E_offset
+        if ladder_object(self.f, self.offset, 1) != self.coll[0]:
+            raise VerificationFailure("width-one ladder object differs from E_i")
+        return {}
+
+    def reduced_collection_integrality(self):
+        mu, a1 = self.nm.milnor, self.f.exponents[0]
+        if self.f.n % 2 == 0:
+            if (mu - 1) % a1:
+                raise VerificationFailure("(mu - 1) not divisible by the first exponent",
+                                          {"mu": mu})
+            return {"reduced_length": (mu - 1) // a1}
+        d2 = self.nm.cum_products[2]
+        if (mu - a1 + 1) % d2:
+            raise VerificationFailure("ladder length quotient not integral",
+                                      {"mu": mu, "a1": a1, "d2": d2})
+        return {"reduced_length": (mu - a1 + 1) // d2}
+
+    def triangle_structural(self):
+        coll = self.coll
+        if self.f.n % 2 == 0:
+            i = self.offset + 1
+            return (_search_cone_match(coll[0], coll[1], self.auxiliary(i), coll),
+                    {"i": i})
+        results = []
+        for j in range(1, self.f.exponents[0]):
+            (_, src), (_, mid1), (_, mid2), (_, cone_obj) = \
+                self._ladder_terms(self.offset, j)
+            middle = [obj for obj in (mid1, mid2) if obj.size]
+            if not middle:
+                continue
+            target = direct_sum(*middle) if len(middle) == 2 else middle[0]
+            status = _search_cone_match(src, target, cone_obj, coll)
+            results.append({"j": j, "status": status})
+        overall = "pass" if all(x["status"] == "pass" for x in results) else "inconclusive"
+        return (overall, {"cases": results})
+
 
 # the report order of each pipeline
 INVARIANT_CHECKS = ("grading_group", "zeta_polynomial", "euler_matrix",
@@ -581,11 +681,24 @@ MAIN_THEOREM_CHECKS = INVARIANT_CHECKS + (
     "collection", "hom_table", "exceptionality", "euler_pairing_matches",
     "serre_symmetry", "nakayama_cartan", "fullness")
 SECTION_CHECKS = ("reduction_inequalities",)
+# one order for both parities: _APPLIES keeps each parity's checks
+TRIANGLE_CHECKS = ("triangles", "triangle_euler_additivity", "ladder_euler_additivity",
+                   "ladder_boundary_width_a1", "ladder_base_object",
+                   "reduced_collection_integrality", "triangle_structural")
 
-# every paper check but the triangle ones, by report name, in report order
-CHECKS = {name: getattr(_Run, name) for name in MAIN_THEOREM_CHECKS + SECTION_CHECKS}
+# every paper check, by report name
+CHECKS = {name: getattr(_Run, name)
+          for name in MAIN_THEOREM_CHECKS + SECTION_CHECKS + TRIANGLE_CHECKS}
 # checks that apply to some chains only; the others apply to every chain
-_APPLIES = {"nakayama_cartan": lambda f: f.n == 2}
+_APPLIES = {
+    "nakayama_cartan": lambda f: f.n == 2,
+    "triangles": lambda f: f.n == 1,
+    "triangle_euler_additivity": lambda f: f.n % 2 == 0,
+    **dict.fromkeys(("ladder_euler_additivity", "ladder_boundary_width_a1",
+                     "ladder_base_object"), lambda f: f.n >= 3 and f.n % 2 == 1),
+    "reduced_collection_integrality": lambda f: f.n >= 2,
+    "triangle_structural": lambda f: 2 <= f.n <= 3 and numerics(f).milnor <= 10,
+}
 
 
 def run_checks(f: ChainPolynomial, names, offset: int = 0,
@@ -638,7 +751,6 @@ def _search_cone_match(source, target, reference, probes) -> str:
         return "inconclusive"
     candidates = list(basis)
     if 2 <= len(basis) <= 3:
-        from .mf import MFMorphism
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
                 for s in (1, -1):
@@ -654,158 +766,5 @@ def _search_cone_match(source, target, reference, probes) -> str:
 
 
 def verify_triangles(f: ChainPolynomial, offset: int = 0) -> VerificationReport:
-    """Triangle consequences: Euler additivity plus structural cone checks.
-
-    The probes are the collection objects E_i = E(i * step); the third
-    objects are the auxiliary objects Aux(i * deg x1) (even n) and the
-    ladder objects L_j(-i * deg x1) (odd n).  ``TriangleFamilies``
-    stabilizes each base once (the collection base, Aux, and L_j for each
-    width j) and reaches every object by a shift.  Every Euler entry goes
-    through one per-run ``EulerForm``, so each canonical key (anchored
-    probe, anchored object, twist difference) is scanned and queried once.
-    ``ladder_base_object`` still compares an independently stabilized
-    width-one ladder object with E_offset.
-    """
-    r = _Runner()
-    nm = numerics(f)
-    mu = nm.milnor
-    if f.n < 2:
-        r.checks.append(CheckResult("triangles", "note",
-                                    {"note": "one variable has no triangle lemma"}, 0))
-        return VerificationReport(f.exponents, offset, __version__, r.checks)
-    structural = mu <= 10 and f.n <= 3
-    fam = TriangleFamilies(f)
-    euler = EulerForm()
-    coll = [fam.collection(offset + i) for i in range(mu)]
-    probes = coll
-
-    if f.n % 2 == 0:
-        def k_identity():
-            bad = []
-            for i in range(offset + 1, offset + mu):
-                aux = fam.auxiliary(i)
-                prev = coll[i - 1 - offset]
-                cur = coll[i - offset]
-                for x in probes:
-                    total = euler(x, prev) - euler(x, cur) + euler(x, aux)
-                    if total != 0:
-                        bad.append({"i": i, "total": total})
-            if bad:
-                raise VerificationFailure("Euler additivity failed", {"cases": bad})
-            return {"triangles": mu - 1, "probes": len(probes)}
-
-        r.run("triangle_euler_additivity", k_identity)
-
-        def integrality():
-            if (mu - 1) % f.exponents[0]:
-                raise VerificationFailure("(mu - 1) not divisible by the first exponent",
-                                          {"mu": mu})
-            return {"reduced_length": (mu - 1) // f.exponents[0]}
-
-        r.run("reduced_collection_integrality", integrality)
-
-        if structural:
-            def structure():
-                i = offset + 1
-                status = _search_cone_match(coll[0], coll[1], fam.auxiliary(i), probes)
-                return (status, {"i": i})
-
-            r.run("triangle_structural", structure)
-    else:
-        a1 = f.exponents[0]
-
-        def ladder_terms(i, j):
-            """The triangle's source, two middle objects and cone, signed."""
-            return [(1, fam.ladder(i + 1, j)),
-                    (-1, fam.ladder(i, j + 1)),
-                    (-1, fam.ladder(i + 1, j - 1)),
-                    (1, fam.ladder(i, j))]
-
-        def ladder_total(terms, x):
-            return sum(sgn * euler(x, obj) for sgn, obj in terms if obj.size)
-
-        i_range = range(offset, offset + min(mu - 1, 3))
-
-        def ladder_identity():
-            bad = []
-            for i in i_range:
-                for j in range(1, a1):
-                    terms = ladder_terms(i, j)
-                    for x in probes:
-                        total = ladder_total(terms, x)
-                        if total != 0:
-                            bad.append({"i": i, "j": j, "total": total})
-            if bad:
-                raise VerificationFailure("ladder Euler identity failed",
-                                          {"cases": bad})
-            return {"ladder_width": a1, "widths_checked": list(range(1, a1))}
-
-        r.run("ladder_euler_additivity", ladder_identity)
-
-        def boundary_erratum():
-            # The printed width-a1 instance reads the out-of-category object
-            # as zero; its Euler defect is then forced to be the class sum of
-            # a1+1 consecutive collection objects, which is nonzero.  Pin the
-            # defect exactly so any drift is caught.
-            mismatches = []
-            boundary_holds = True
-            for i in i_range:
-                terms = ladder_terms(i, a1)
-                classes = [fam.collection(i + k) for k in range(a1 + 1)]
-                for x in probes:
-                    total = ladder_total(terms, x)
-                    predicted = sum(euler(x, e) for e in classes)
-                    if total != 0:
-                        boundary_holds = False
-                    if total != predicted:
-                        mismatches.append({"i": i, "total": total,
-                                           "predicted": predicted})
-            if mismatches:
-                raise VerificationFailure(
-                    "boundary defect does not match the class-sum prediction",
-                    {"cases": mismatches})
-            status = "pass" if boundary_holds else "note"
-            return (status, {"literal_boundary_instance_holds": boundary_holds,
-                             "defect": "sum of a1+1 consecutive collection classes"})
-
-        r.run("ladder_boundary_width_a1", boundary_erratum)
-
-        def base_agrees():
-            if ladder_object(f, offset, 1) != coll[0]:
-                raise VerificationFailure("width-one ladder object differs from E_i")
-            return {}
-
-        r.run("ladder_base_object", base_agrees)
-
-        def integrality():
-            d2 = nm.cum_products[2]
-            if (mu - a1 + 1) % d2:
-                raise VerificationFailure("ladder length quotient not integral",
-                                          {"mu": mu, "a1": a1, "d2": d2})
-            return {"reduced_length": (mu - a1 + 1) // d2}
-
-        r.run("reduced_collection_integrality", integrality)
-
-        if structural:
-            def structure():
-                i = offset
-                results = []
-                for j in range(1, a1):
-                    (_, src), (_, mid1), (_, mid2), (_, cone_obj) = ladder_terms(i, j)
-                    if mid1.size and mid2.size:
-                        target = direct_sum(mid1, mid2)
-                    elif mid1.size:
-                        target = mid1
-                    elif mid2.size:
-                        target = mid2
-                    else:
-                        continue
-                    status = _search_cone_match(src, target, cone_obj, probes)
-                    results.append({"j": j, "status": status})
-                overall = ("pass" if all(x["status"] == "pass" for x in results)
-                           else "inconclusive")
-                return (overall, {"cases": results})
-
-            r.run("triangle_structural", structure)
-
-    return VerificationReport(f.exponents, offset, __version__, r.checks)
+    """Triangle consequences: Euler additivity plus structural cone checks."""
+    return run_checks(f, TRIANGLE_CHECKS, offset)

@@ -15,8 +15,6 @@ from chainfact.mf import (
     cone,
     direct_sum,
     identity_morphism,
-    mf_from_dict,
-    mf_to_dict,
     reduce,
     serre,
     shift,
@@ -304,19 +302,3 @@ def test_factorization_identity_enforced():
         MatrixFactorization(g, chain_mpoly(f), m0, m1, d0, bad_d1)
 
 
-def test_json_roundtrip():
-    for exps in [(2,), (2, 2), (2, 2, 2)]:
-        f, mf = build_e0(exps)
-        g = build_grading_group(f)
-        data = mf_to_dict(shift(mf, g.variable_degree(0)))
-        back = mf_from_dict(data)
-        assert back == shift(mf, g.variable_degree(0))
-
-
-def test_json_roundtrip_with_fraction_coeffs():
-    f, mf = build_e0((2, 2))
-    r = reduce(cone(identity_morphism(mf)))
-    # pad with a block whose reduction introduces rational coefficients
-    scaled = stabilize(f, [2 * var(f, 1)],
-                       [Fraction(1, 2) * (mono(f, (2, 0)) + var(f, 1))])
-    assert mf_from_dict(mf_to_dict(scaled)) == scaled

@@ -26,7 +26,6 @@ from chainfact.invariants import VerificationFailure
 from chainfact.mf import GradingError, shift
 from chainfact.verify import (
     HomTableCache,
-    TriangleFamilies,
     VerificationReport,
     auxiliary_object,
     auxiliary_splitting,
@@ -38,6 +37,7 @@ from chainfact.verify import (
     ladder_object,
     ladder_splitting,
     parse_report,
+    run_checks,
     verify_invariants,
     verify_main_theorem,
     verify_section_inequalities,
@@ -240,15 +240,18 @@ def test_euler_form_matches_naive_sum_property(exps, draws, k1, kn):
                     assert euler(x, y, l) == naive_euler(x, y, l), (exps, draws)
 
 
-def _recorded_families(monkeypatch):
-    made = []
+def _recorded_objects(monkeypatch):
+    """Wrap the run's object accessors; each records (index, object) pairs."""
+    made = {"collection_object": [], "auxiliary": [], "ladder": []}
+    for name, seen in made.items():
+        real = getattr(verify_module._Run, name)
 
-    class Recording(TriangleFamilies):
-        def __init__(self, f):
-            super().__init__(f)
-            made.append(self)
+        def recording(self, *index, real=real, seen=seen):
+            obj = real(self, *index)
+            seen.append((index, obj))
+            return obj
 
-    monkeypatch.setattr(verify_module, "TriangleFamilies", Recording)
+        monkeypatch.setattr(verify_module._Run, name, recording)
     return made
 
 
@@ -257,21 +260,22 @@ def _recorded_families(monkeypatch):
                                          ((3, 2, 2), 2), ((3, 3, 3), 0)])
 def test_triangle_families_equal_validating_objects(monkeypatch, exps, offset):
     f = ChainPolynomial(exps)
-    made = _recorded_families(monkeypatch)
+    made = _recorded_objects(monkeypatch)
     assert verify_triangles(f, offset).passed
-    (fam,) = made
     coll = build_collection(f, offset)
-    for i, obj in fam.collection_objects.items():
+    indices = {i for (i,), _ in made["collection_object"]}
+    assert indices >= set(range(offset, offset + len(coll)))
+    for (i,), obj in made["collection_object"]:
         if 0 <= i - offset < len(coll):
             assert obj == coll[i - offset]
         else:
             assert obj == build_collection(f, i)[0]
-    for i, obj in fam.auxiliary_objects.items():
+    for (i,), obj in made["auxiliary"]:
         assert obj == auxiliary_object(f, i)
-    for (i, j), obj in fam.ladder_objects.items():
+    for (i, j), obj in made["ladder"]:
         assert obj == ladder_object(f, i, j)
-    used = fam.auxiliary_objects if f.n % 2 == 0 else fam.ladder_objects
-    assert used and not (fam.ladder_objects if f.n % 2 == 0 else fam.auxiliary_objects)
+    used, unused = ("auxiliary", "ladder") if f.n % 2 == 0 else ("ladder", "auxiliary")
+    assert made[used] and not made[unused]
 
 
 def _count_calls(monkeypatch, module, name, calls):
@@ -375,6 +379,64 @@ def test_failed_monodromy_data_fails_its_dependants(monkeypatch):
     failed = {"monodromy_two_routes", "zeta_factorization", "monodromy_oracle"}
     assert {c.name for c in rep.checks if c.status == "fail"} == failed
     assert [c.name for c in rep.checks] == list(verify_module.MAIN_THEOREM_CHECKS)
+
+
+class _Marked(list):
+    """Generators of a triangle base, told apart from the collection's."""
+
+
+def _refuse_triangle_bases(monkeypatch):
+    """The auxiliary and ladder splittings hand out marked generators, and
+    ``stabilize`` raises GradingError on them; returns the splittings made."""
+    made = []
+    for name in ("auxiliary_splitting", "ladder_splitting"):
+        real = getattr(verify_module, name)
+
+        def marked(*args, real=real):
+            gens, cofs = real(*args)
+            made.append(args)
+            return _Marked(gens), cofs
+
+        monkeypatch.setattr(verify_module, name, marked)
+    _patch_raising(monkeypatch, verify_module, "stabilize", GradingError,
+                   when=lambda f, gens, cofs, twist=None: isinstance(gens, _Marked))
+    return made
+
+
+@pytest.mark.parametrize("exps,failed,passed", [
+    ((2, 2), {"triangle_euler_additivity", "triangle_structural"},
+     {"reduced_collection_integrality"}),
+    ((2, 2, 2), {"ladder_euler_additivity", "ladder_boundary_width_a1",
+                 "ladder_base_object", "triangle_structural"},
+     {"reduced_collection_integrality"})])
+def test_failed_triangle_base_fails_its_dependants(monkeypatch, exps, failed, passed):
+    made = _refuse_triangle_bases(monkeypatch)
+    rep = verify_triangles(ChainPolynomial(exps), 1)
+    assert made
+    assert {c.name for c in rep.checks} == failed | passed
+    assert {c.name for c in rep.checks if c.status == "fail"} == failed
+    assert {c.name for c in rep.checks if c.status == "pass"} == passed
+    for name in failed:
+        assert rep.check(name).detail == {"error": "stabilize called"}
+
+
+@pytest.mark.parametrize("exps", [(2, 2), (2, 2, 2)])
+def test_main_theorem_stabilizes_no_triangle_base(monkeypatch, exps):
+    made = _refuse_triangle_bases(monkeypatch)
+    assert verify_main_theorem(ChainPolynomial(exps), use_cache=False).passed
+    assert made == []
+
+
+def test_warm_euler_builds_no_collection(monkeypatch):
+    f = ChainPolynomial((2, 2, 3))
+    stabs = []
+    _count_calls(monkeypatch, verify_module, "stabilize", stabs)
+    assert verify_main_theorem(f).passed            # cold: fills the cache
+    assert len(stabs) == 1
+    stabs.clear()
+    rep = run_checks(f, CHECKS_RUN["euler"])
+    assert rep.passed and rep.check("hom_table").detail["cache_hit"]
+    assert stabs == []
 
 
 def test_monodromy_computes_only_what_it_reports(monkeypatch, capsys):
