@@ -12,8 +12,8 @@ The module provides:
                      sparse factor such as 1 - t^a costs time linear in the
                      degree;
   * ``MPoly``     -- sparse multivariate polynomials (exponent tuple -> coeff);
-  * ``IntMatrix`` -- immutable integer matrices with a Smith normal form and
-                     a division-free (Berkowitz) characteristic polynomial;
+  * ``IntMatrix`` -- immutable integer matrices with a division-free
+                     (Berkowitz) characteristic polynomial;
   * ``det_lower_hessenberg`` -- the determinant of a sparse lower-Hessenberg
                      matrix of polynomials, by the principal-minor recurrence
                      on sparse {exponent: coeff} dicts;
@@ -415,111 +415,6 @@ class IntMatrix:
 
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.entries]!r})"
-
-
-class SNFResult:
-    """Smith normal form data: U*A*V = D with U, V unimodular."""
-
-    __slots__ = ("U", "D", "V")
-
-    def __init__(self, U, D, V):
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "V", V)
-
-    def __setattr__(self, *a):
-        raise AttributeError("SNFResult is immutable")
-
-
-def smith_normal_form(a: IntMatrix) -> SNFResult:
-    """Smith normal form with deterministic pivoting.
-
-    The pivot at each step is the smallest-absolute-value nonzero entry of
-    the working submatrix, ties broken by lowest (row, col).  Returns
-    unimodular U, V and diagonal D with a divisibility chain d1 | d2 | ...
-    and nonnegative diagonal entries.
-    """
-    n, m = a.rows, a.cols
-    M = [list(r) for r in a.entries]
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    V = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-
-    def row_op(i, j, q):          # row_i -= q * row_j
-        Mi, Mj = M[i], M[j]
-        for c in range(m):
-            Mi[c] -= q * Mj[c]
-        Ui, Uj = U[i], U[j]
-        for c in range(n):
-            Ui[c] -= q * Uj[c]
-
-    def col_op(i, j, q):          # col_i -= q * col_j
-        for r in range(n):
-            M[r][i] -= q * M[r][j]
-        for r in range(m):
-            V[r][i] -= q * V[r][j]
-
-    def swap_rows(i, j):
-        if i != j:
-            M[i], M[j] = M[j], M[i]
-            U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for r in range(n):
-                M[r][i], M[r][j] = M[r][j], M[r][i]
-            for r in range(m):
-                V[r][i], V[r][j] = V[r][j], V[r][i]
-
-    def pick_pivot(k):
-        best = None
-        for i in range(k, n):
-            for j in range(k, m):
-                x = M[i][j]
-                if x:
-                    key = (abs(x), i, j)
-                    if best is None or key < best:
-                        best = key
-        return None if best is None else (best[1], best[2])
-
-    rank_bound = min(n, m)
-    for k in range(rank_bound):
-        while True:
-            pos = pick_pivot(k)
-            if pos is None:
-                break
-            swap_rows(k, pos[0])
-            swap_cols(k, pos[1])
-            p = M[k][k]
-            dirty = False
-            for i in range(k + 1, n):
-                if M[i][k]:
-                    row_op(i, k, M[i][k] // p)
-                    dirty = dirty or M[i][k] != 0
-            for j in range(k + 1, m):
-                if M[k][j]:
-                    col_op(j, k, M[k][j] // p)
-                    dirty = dirty or M[k][j] != 0
-            if dirty:
-                continue
-            # pivot must divide every remaining entry for the chain to hold
-            offender = None
-            for i in range(k + 1, n):
-                for j in range(k + 1, m):
-                    if M[i][j] % p:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_op(k, offender, -1)   # fold the offending row into row k
-        if M[k][k] < 0:
-            for c in range(m):
-                M[k][c] = -M[k][c]
-            for c in range(n):
-                U[k][c] = -U[k][c]
-
-    return SNFResult(IntMatrix(U), IntMatrix(M), IntMatrix(V))
 
 
 def charpoly_division_free(a: IntMatrix) -> Poly:

@@ -52,13 +52,6 @@ from .mf import GradedMatrix, MatrixFactorization, MFMorphism, shift, t_power
 ENGINE_ID = "direct-cell-bases-4"
 
 
-def _variable_degree_sum(group):
-    total = group.zero
-    for i in range(group.chain.n):
-        total = total + group.variable_degree(i)
-    return total
-
-
 @lru_cache(maxsize=None)
 def _cell_basis(F: MatrixFactorization, G: MatrixFactorization, l: Degree, p: int):
     """Monomial basis of the degree-l component-map space F -> T^p G.
@@ -335,7 +328,7 @@ def compute_hom_table(f: ChainPolynomial, offset: int = 0, margin: int = 0,
         collection = build_collection(f, offset)
     group = build_grading_group(f)
     n = f.n
-    sigma = _variable_degree_sum(group)
+    sigma = sum((group.variable_degree(i) for i in range(n)), group.zero)
     anchor = _Anchors()
     anchored = [anchor(obj) for obj in collection]
     columns: dict = {}              # (A, B, d) -> (window, {p: dim})

@@ -39,9 +39,10 @@ def chain_mpoly(f: ChainPolynomial) -> MPoly:
 class GradedFreeModule:
     """Finite direct sum of twisted rank-one free modules.
 
-    ``twists[j]`` records l_j for the summand S(-l_j); a degree-d element of
-    that summand is a polynomial of internal degree d - (-l_j)... i.e. the
-    entry conventions below only ever use differences of twists.
+    ``twists[j]`` is the degree l_j of the j-th basis vector, so the summand
+    is S(-l_j) and its degree-d part is spanned by the basis vector times the
+    monomials of degree d - l_j.  Entry degrees only use differences of
+    twists (see ``GradedMatrix``).
     """
 
     __slots__ = ("group", "twists", "_hash")
@@ -425,9 +426,7 @@ def serre(mf: MatrixFactorization) -> MatrixFactorization:
     """Serre functor: n translations then the negative sum-of-variables shift."""
     group = mf.group
     n = group.chain.n
-    total = group.zero
-    for i in range(n):
-        total = total + group.variable_degree(i)
+    total = sum((group.variable_degree(i) for i in range(n)), group.zero)
     return shift(t_power(mf, n), -total)
 
 

@@ -5,6 +5,7 @@ in test modules, not here, and the suite also runs under ``python -O``.
 """
 
 from fractions import Fraction
+from typing import NamedTuple
 
 from chainfact.exactmath import ExactDivisionError, IntMatrix, Poly
 
@@ -170,3 +171,102 @@ def alternating_product_dense(plus, minus) -> Poly:
     if any(rem):
         raise ExactDivisionError("the alternating product is not a polynomial")
     return Poly(quot)
+
+
+class SNFResult(NamedTuple):
+    """Smith normal form data: U*A*V = D with U, V unimodular."""
+
+    U: IntMatrix
+    D: IntMatrix
+    V: IntMatrix
+
+
+def smith_normal_form(a: IntMatrix) -> SNFResult:
+    """Smith normal form with deterministic pivoting.
+
+    The pivot at each step is the smallest-absolute-value nonzero entry of
+    the working submatrix, ties broken by lowest (row, col).  Returns
+    unimodular U, V and diagonal D with a divisibility chain d1 | d2 | ...
+    and nonnegative diagonal entries.
+    """
+    n, m = a.rows, a.cols
+    M = [list(r) for r in a.entries]
+    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    V = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+
+    def row_op(i, j, q):          # row_i -= q * row_j
+        Mi, Mj = M[i], M[j]
+        for c in range(m):
+            Mi[c] -= q * Mj[c]
+        Ui, Uj = U[i], U[j]
+        for c in range(n):
+            Ui[c] -= q * Uj[c]
+
+    def col_op(i, j, q):          # col_i -= q * col_j
+        for r in range(n):
+            M[r][i] -= q * M[r][j]
+        for r in range(m):
+            V[r][i] -= q * V[r][j]
+
+    def swap_rows(i, j):
+        if i != j:
+            M[i], M[j] = M[j], M[i]
+            U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        if i != j:
+            for r in range(n):
+                M[r][i], M[r][j] = M[r][j], M[r][i]
+            for r in range(m):
+                V[r][i], V[r][j] = V[r][j], V[r][i]
+
+    def pick_pivot(k):
+        best = None
+        for i in range(k, n):
+            for j in range(k, m):
+                x = M[i][j]
+                if x:
+                    key = (abs(x), i, j)
+                    if best is None or key < best:
+                        best = key
+        return None if best is None else (best[1], best[2])
+
+    rank_bound = min(n, m)
+    for k in range(rank_bound):
+        while True:
+            pos = pick_pivot(k)
+            if pos is None:
+                break
+            swap_rows(k, pos[0])
+            swap_cols(k, pos[1])
+            p = M[k][k]
+            dirty = False
+            for i in range(k + 1, n):
+                if M[i][k]:
+                    row_op(i, k, M[i][k] // p)
+                    dirty = dirty or M[i][k] != 0
+            for j in range(k + 1, m):
+                if M[k][j]:
+                    col_op(j, k, M[k][j] // p)
+                    dirty = dirty or M[k][j] != 0
+            if dirty:
+                continue
+            # pivot must divide every remaining entry for the chain to hold
+            offender = None
+            for i in range(k + 1, n):
+                for j in range(k + 1, m):
+                    if M[i][j] % p:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            row_op(k, offender, -1)   # fold the offending row into row k
+        if M[k][k] < 0:
+            for c in range(m):
+                M[k][c] = -M[k][c]
+            for c in range(n):
+                U[k][c] = -U[k][c]
+
+    return SNFResult(IntMatrix(U), IntMatrix(M), IntMatrix(V))

@@ -1,8 +1,10 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,8 @@ from chainfact.chain import (
     numerics,
     transpose,
 )
+from chainfact.exactmath import IntMatrix, int_mat_mul
+from oracles import smith_normal_form
 
 
 def chains(max_n, max_a):
@@ -104,9 +108,60 @@ def test_total_degree_times_dn_kills_x1():
 def test_weight_character_properties_grid():
     for f in chains(4, 5):
         g = build_grading_group(f)
-        for row in g.relation_matrix.entries:
-            assert sum(r * w for r, w in zip(row, g.weights)) == 0
+        for exps in f.monomial_exponents():
+            assert sum(map(mul, exps, g.weights)) == g.weights[-1]
         assert all(w >= 1 for w in g.weights)
+
+
+def smith_coordinates(f):
+    """Oracle: L_f presented by its relation matrix and read off its Smith
+    normal form.  Returns the map from an integer combination of the n+1
+    generators to its reduced SNF coordinates, and the torsion factors."""
+    rel = IntMatrix([[-e for e in exps] + [1] for exps in f.monomial_exponents()])
+    snf = smith_normal_form(rel)
+    moduli = [snf.D[i, i] if i < rel.rows else 0 for i in range(rel.cols)]
+
+    def coords(expr):
+        row = int_mat_mul([expr], snf.V.entries)[0]
+        return tuple(x % m if m else x for x, m in zip(row, moduli))
+
+    return coords, tuple(m for m in moduli if m > 1)
+
+
+def test_closed_form_matches_smith_normal_form():
+    """Two combinations of equal weight have equal closed-form degrees exactly
+    when their SNF coordinates agree; every other draw adds a weight-zero
+    element, such as weight(f) x_1 - weight(x_1) f, which has a nonzero
+    residue on a torsion chain."""
+    rng = random.Random(1903)
+    grid = list(chains(3, 6)) + [f for f in chains(5, 3) if f.n > 3]
+    for f in grid:
+        g = build_grading_group(f)
+        coords, torsion = smith_coordinates(f)
+        assert g.torsion_factors == torsion
+        relations = [[-e for e in exps] + [1] for exps in f.monomial_exponents()]
+        w = g.weights
+        outcomes = set()
+        for draw in range(40):
+            c = [rng.randint(-6, 6) for _ in w]
+            d = list(c)
+            for rel in relations:
+                k = rng.randint(-2, 2)
+                d = [x + k * r for x, r in zip(d, rel)]
+            if draw % 2:
+                i, j = rng.sample(range(len(w)), 2)
+                k = rng.randint(1, 5)
+                d[i] += k * w[j]
+                d[j] -= k * w[i]
+            lc, ld = g.canonicalize(c), g.canonicalize(d)
+            assert lc.weight == ld.weight == sum(map(mul, c, w))
+            assert (lc == ld) == (coords(c) == coords(d)), (f, c, d)
+            outcomes.add(lc == ld)
+        if torsion:
+            assert outcomes == {True, False}, f
+            zero_weight = [w[-1]] + [0] * (f.n - 1) + [-w[0]]
+            assert not g.canonicalize(zero_weight).is_zero()
+            assert coords(zero_weight) != coords([0] * len(w))
 
 
 # --------------------------------------------------------- monomial bases
@@ -241,13 +296,6 @@ O_CASES = [
      "ChainPolynomial.monomial_exponents = lambda self: [(3, 1), (0, 2)]\n"
      "GradingGroup(ChainPolynomial((2, 2)))",
      "weight character does not kill"),
-    ("torsion_weight",
-     "chain._solve_unimodular = lambda v, rhs: [1] * len(rhs)\n"
-     "GradingGroup(ChainPolynomial((2, 2)))",
-     "a finite-order coordinate"),
-    ("solve_unimodular", "chain._solve_unimodular([[2]], [1])", "unimodular solve"),
-    ("solve_singular", "chain._solve_unimodular([[1, 1], [1, 1]], [1, 1])",
-     "unimodular solve: V is singular"),
 ]
 
 

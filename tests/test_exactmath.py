@@ -18,7 +18,6 @@ from chainfact.exactmath import (
     poly_div_exact,
     poly_divmod,
     series_inverse,
-    smith_normal_form,
     sparse_rank,
 )
 from oracles import (
@@ -29,6 +28,7 @@ from oracles import (
     kernel_basis,
     matrix_power,
     rank_rational,
+    smith_normal_form,
 )
 
 

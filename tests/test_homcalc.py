@@ -32,7 +32,7 @@ from chainfact.mf import (
     stabilize,
     t_power,
 )
-from chainfact.verify import build_collection
+from chainfact.verify import build_collection, collection_splitting
 from oracles import kernel_basis, rank_rational
 
 
@@ -493,6 +493,45 @@ def test_serre_duality_single_queries():
         lhs = hom_dim(coll[0], coll[1], None, p)
         rhs = hom_dim(coll[1], coll[0], -sigma, f.n - p)
         assert lhs == rhs
+
+
+TORSION_CHAINS = [exps for exps in SMALL_CHAINS
+                  if not build_grading_group(ChainPolynomial(exps)).is_torsion_free()]
+
+
+# Half the chains are drawn from the torsion ones.  The on-support draws aim
+# the twist at a degree where closed_form_hom says Hom(E_0, T^p E_0(.)) is
+# nonzero, since uniform twists almost always give 0.  torsion_steps adds
+# multiples of weight(f) x_1 - weight(x_1) f, which has weight zero and a
+# nonzero residue on a torsion chain.
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(exps=st.sampled_from(SMALL_CHAINS) | st.sampled_from(TORSION_CHAINS),
+       i=st.integers(0, 29), j=st.integers(0, 29),
+       p=st.integers(-1, 5), on_support=st.booleans(), pick=st.integers(0, 10 ** 6),
+       weight_steps=st.integers(-12, 12), torsion_steps=st.integers(0, 3))
+@example(exps=(2, 3), i=0, j=1, p=0, on_support=True, pick=3, weight_steps=0,
+         torsion_steps=1)                                  # torsion Z/2
+@example(exps=(2, 2, 3), i=2, j=0, p=1, on_support=True, pick=7, weight_steps=0,
+         torsion_steps=2)                                  # torsion Z/4
+@example(exps=(3, 2, 2), i=1, j=4, p=2, on_support=False, pick=0, weight_steps=-3,
+         torsion_steps=1)                                  # torsion Z/3
+def test_serre_symmetry_random_twists(exps, i, j, p, on_support, pick, weight_steps,
+                                      torsion_steps):
+    f = ChainPolynomial(exps)
+    g = build_grading_group(f)
+    coll = build_collection(f)
+    i, j, n = i % len(coll), j % len(coll), f.n
+    sigma = sum((g.variable_degree(v) for v in range(n)), g.zero)
+    torsion = g.weights[-1] * g.variable_degree(0) - g.weights[0] * g.total_degree
+    support = sorted(closed_form_hom(f, p % 2), key=lambda d: d.coords)
+    if on_support and support:
+        step = collection_splitting(f)[2]              # E_i = E_0(i * step)
+        l = support[pick % len(support)] - (j - i) * step - (p // 2) * g.total_degree
+    else:
+        l = weight_steps * g.variable_degree(0)
+    l = l + torsion_steps * torsion
+    assert (hom_dim(coll[i], coll[j], l, p)
+            == hom_dim(coll[j], coll[i], -sigma - l, n - p))
 
 
 # ---------------------------------------------------- morphism extraction

@@ -17,7 +17,6 @@ from chainfact.exactmath import (
     charpoly_division_free,
     poly_div_exact,
     series_inverse,
-    smith_normal_form,
 )
 from chainfact.homcalc import (
     compute_hom_table,
@@ -30,7 +29,7 @@ from chainfact.homcalc import (
 from chainfact.invariants import euler_matrix, zeta_polynomial
 from chainfact.mf import cone, direct_sum, identity_morphism, reduce, shift, translate
 from chainfact.verify import build_collection
-from oracles import det_bareiss
+from oracles import det_bareiss, smith_normal_form
 
 
 def chains(max_n, max_a):
