@@ -22,7 +22,6 @@ residue is carried through every degree computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -37,19 +36,42 @@ class VerificationFailure(Exception):
         self.witness = witness or {}
 
 
-@dataclass(frozen=True)
+class GradingError(ValueError):
+    """Malformed graded data: an entry violates the homogeneity forced by its
+    matrix slot, or a construction's input breaks its contract (such as a
+    splitting that is not a regular sequence of monomials)."""
+
+
 class ChainPolynomial:
-    """Exponent data (a_1, ..., a_n) of a chain polynomial."""
+    """Exponent data (a_1, ..., a_n) of a chain polynomial.
 
-    exponents: tuple[int, ...]
+    Immutable and hashable by its exponents: it keys the grading-group and
+    invariant caches.
+    """
 
-    def __post_init__(self):
-        exps = tuple(int(a) for a in self.exponents)
-        object.__setattr__(self, "exponents", exps)
+    __slots__ = ("exponents",)
+
+    def __init__(self, exponents):
+        exps = tuple(int(a) for a in exponents)
         if len(exps) < 1:
             raise ValueError("need at least one variable")
         if any(a < 2 for a in exps):
             raise ValueError("every exponent must be >= 2")
+        object.__setattr__(self, "exponents", exps)
+
+    def __setattr__(self, *a):
+        raise AttributeError("ChainPolynomial is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, ChainPolynomial):
+            return NotImplemented
+        return self.exponents == other.exponents
+
+    def __hash__(self):
+        return hash(self.exponents)
+
+    def __repr__(self):
+        return f"ChainPolynomial(exponents={self.exponents!r})"
 
     @classmethod
     def parse(cls, text: str) -> "ChainPolynomial":
@@ -80,7 +102,6 @@ class ChainPolynomial:
         return ",".join(str(a) for a in self.exponents)
 
 
-@dataclass(frozen=True)
 class ChainNumerics:
     """Cumulative exponent products and the alternating Milnor recursion.
 
@@ -89,8 +110,9 @@ class ChainNumerics:
     the last entry is the length of the sought exceptional collection.
     """
 
-    cum_products: tuple[int, ...]
-    milnor_numbers: tuple[int, ...]
+    def __init__(self, cum_products: tuple[int, ...], milnor_numbers: tuple[int, ...]):
+        self.cum_products = cum_products
+        self.milnor_numbers = milnor_numbers
 
     @property
     def milnor(self) -> int:
@@ -113,7 +135,6 @@ def numerics(f: ChainPolynomial) -> ChainNumerics:
     return nm
 
 
-@dataclass(frozen=True)
 class TransposeData:
     """Weighted-homogeneity data of the transposed polynomial.
 
@@ -121,9 +142,11 @@ class TransposeData:
     ``weights``/``degree`` is the gcd-reduced integer form.
     """
 
-    charges: tuple[Fraction, ...]
-    weights: tuple[int, ...]
-    degree: int
+    def __init__(self, charges: tuple[Fraction, ...], weights: tuple[int, ...],
+                 degree: int):
+        self.charges = charges
+        self.weights = weights
+        self.degree = degree
 
 
 def transpose(f: ChainPolynomial) -> TransposeData:
@@ -250,14 +273,6 @@ class GradingGroup:
 
     # one canonical instance per chain (see build_grading_group), so identity
     # comparison inside Degree is sound
-
-    def canonicalize(self, expr) -> Degree:
-        """Canonical form of an integer combination of the n+1 generators
-        (the total-degree coefficient last, read by ``monomial_degree``)."""
-        expr = tuple(expr)
-        if len(expr) != len(self._gens):
-            raise ValueError(f"expected {len(self._gens)} generator coefficients")
-        return self.monomial_degree(expr)
 
     def variable_degree(self, i: int) -> Degree:
         """Degree of the variable x_{i+1} (0-based index)."""

@@ -4,6 +4,12 @@ Each subcommand runs exactly the checks it reports: ``CHECKS_RUN`` names them
 in report order.  Every subcommand exits 0 exactly when no check failed.
 Hom tables are cached under CHAINFACT_CACHE_DIR (default ~/.cache/chainfact);
 `--no-cache` forces recomputation and overwrites.
+
+Each process loads only the layers its subcommand runs.  Every subcommand
+loads ``chain``, ``exactmath``, ``invariants`` and ``verify``.  ``invariants``
+and ``monodromy`` load nothing more.  ``verify``, ``euler`` and ``triangles``
+also load the Hom engine (``mf`` and ``homcalc``) when their first Hom check
+runs, and ``verify`` and ``euler`` load ``hashlib`` for the table cache.
 """
 
 from __future__ import annotations

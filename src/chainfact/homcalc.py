@@ -35,21 +35,19 @@ run instead of growing in a module-level cache.
 Scan windows are certified on both sides: below by direct weight negativity
 of the cell spaces, above by applying the same bound to the Serre-dual query.
 They need only the weights of the twists.
+
+The engine's name is ``chainfact.ENGINE_ID``; a change here that can change
+a table must change it, since the table cache keys on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
 
 from .chain import ChainPolynomial, Degree, build_grading_group
 from .exactmath import Echelon, MPoly, sparse_rank
 from .mf import GradedMatrix, MatrixFactorization, MFMorphism, shift, t_power
-
-# Names the algorithm behind the stored tables; part of the cache key, so a
-# change of engine never serves a table computed by an older one.
-ENGINE_ID = "direct-cell-bases-4"
 
 
 @lru_cache(maxsize=None)
@@ -263,16 +261,24 @@ class EulerForm:
 SCHEMA_VERSION = 1
 
 
-@dataclass
 class HomTable:
     """Hom dimensions over a collection, per (source, target, power) cell."""
 
-    chain: tuple[int, ...]
-    offset: int
-    entries: dict[tuple[int, int, int], int]
-    windows: dict[tuple[int, int], tuple[int, int]]
-    dual: bool = False
-    margin: int = 0
+    def __init__(self, chain: tuple[int, ...], offset: int,
+                 entries: dict[tuple[int, int, int], int],
+                 windows: dict[tuple[int, int], tuple[int, int]],
+                 dual: bool = False, margin: int = 0):
+        self.chain = chain
+        self.offset = offset
+        self.entries = entries
+        self.windows = windows
+        self.dual = dual
+        self.margin = margin
+
+    def __eq__(self, other):
+        if not isinstance(other, HomTable):
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def dim(self, i, j, p) -> int:
         return self.entries.get((i, j, p), 0)

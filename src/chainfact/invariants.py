@@ -20,7 +20,6 @@ All computations are exact; any failed identity raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
@@ -47,12 +46,12 @@ from .exactmath import (
 DIRECT_CHARPOLY_LIMIT = 16
 
 
-@dataclass(frozen=True)
 class ZetaPolynomial:
     """The alternating product polynomial with its palindrome data."""
 
-    chain: ChainPolynomial
-    poly: Poly
+    def __init__(self, chain: ChainPolynomial, poly: Poly):
+        self.chain = chain
+        self.poly = poly
 
     @property
     def coefficients(self) -> tuple:
@@ -91,12 +90,12 @@ def zeta_polynomial(f: ChainPolynomial) -> ZetaPolynomial:
     return ZetaPolynomial(f, poly)
 
 
-@dataclass(frozen=True)
 class EulerMatrix:
     """Toeplitz Euler matrix, stored as its series; ``matrix`` is built lazily."""
 
-    chain: ChainPolynomial
-    series_coeffs: tuple[int, ...]
+    def __init__(self, chain: ChainPolynomial, series_coeffs: tuple[int, ...]):
+        self.chain = chain
+        self.series_coeffs = series_coeffs
 
     def entry(self, i: int, j: int) -> int:
         return self.series_coeffs[j - i] if 0 <= j - i < len(self.series_coeffs) else 0
@@ -193,23 +192,19 @@ def companion_matrix(zp: ZetaPolynomial) -> IntMatrix:
     return IntMatrix(rows)
 
 
-@dataclass(frozen=True)
 class MonodromyData:
     """The K-theory monodromy operator and its characteristic data.
 
     ``matrix`` (sign * W chi^T, verified equal to the ``milnor``-th power of
-    ``companion``) and ``companion`` are built on first use;
-    ``det_one_minus_t`` is det(1 - t * matrix); ``gcd_exponents`` are
-    gcd(d_i, milnor).
+    the companion root) is built on first use; ``det_one_minus_t`` is
+    det(1 - t * matrix); ``gcd_exponents`` are gcd(d_i, milnor).
     """
 
-    chain: ChainPolynomial
-    det_one_minus_t: Poly
-    gcd_exponents: tuple[int, ...]
-
-    @cached_property
-    def companion(self) -> IntMatrix:
-        return companion_matrix(zeta_polynomial(self.chain))
+    def __init__(self, chain: ChainPolynomial, det_one_minus_t: Poly,
+                 gcd_exponents: tuple[int, ...]):
+        self.chain = chain
+        self.det_one_minus_t = det_one_minus_t
+        self.gcd_exponents = gcd_exponents
 
     @cached_property
     def matrix(self) -> IntMatrix:

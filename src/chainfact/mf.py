@@ -23,12 +23,14 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .chain import ChainPolynomial, Degree, GradingGroup, build_grading_group
+from .chain import (  # GradingError is re-exported
+    ChainPolynomial,
+    Degree,
+    GradingError,
+    GradingGroup,
+    build_grading_group,
+)
 from .exactmath import MPoly
-
-
-class GradingError(ValueError):
-    """An entry violates the homogeneity forced by its matrix slot."""
 
 
 def chain_mpoly(f: ChainPolynomial) -> MPoly:
@@ -315,8 +317,9 @@ def stabilize(f: ChainPolynomial, gens, cofs, twist: Degree | None = None):
 
     ``gens`` and ``cofs`` are homogeneous polynomials with
     sum(gens[i]*cofs[i]) equal to the chain polynomial and complementary
-    degrees; the generators are assumed (not verified) to form a regular
-    sequence.  The result has size 2^(s-1), even exterior powers on the
+    degrees.  The generators must be monomials in pairwise disjoint sets of
+    variables, which makes them a regular sequence; anything else raises
+    GradingError.  The result has size 2^(s-1), even exterior powers on the
     source side, and is shifted by ``twist`` at the end.
     """
     group = build_grading_group(f)
@@ -325,6 +328,12 @@ def stabilize(f: ChainPolynomial, gens, cofs, twist: Degree | None = None):
     s = len(gens)
     if s != len(cofs) or s == 0:
         raise ValueError("need equally many generators and cofactors")
+    if any(len(g.terms) != 1 for g in gens):
+        raise GradingError("every generator must be a monomial")
+    supports = [{v for v, e in enumerate(next(iter(g.terms))) if e} for g in gens]
+    for a, b in combinations(supports, 2):
+        if a & b:
+            raise GradingError("two generators share a variable")
     total = MPoly.zero(n)
     for g, h in zip(gens, cofs):
         total = total + g * h
@@ -481,32 +490,6 @@ def cone(phi: MFMorphism) -> MatrixFactorization:
     c0 = GradedMatrix(C0, C1, group.zero, c0_rows)
     c1 = GradedMatrix(C1, C0, fvec, c1_rows)
     return MatrixFactorization(group, a.f, C0, C1, c0, c1)
-
-
-def identity_morphism(mf: MatrixFactorization) -> MFMorphism:
-    group = mf.group
-    n = group.chain.n
-
-    def eye(rank):
-        return [[MPoly.const(n, 1) if i == j else MPoly.zero(n)
-                 for j in range(rank)] for i in range(rank)]
-
-    phi0 = GradedMatrix(mf.F0, mf.F0, group.zero, eye(mf.F0.rank))
-    phi1 = GradedMatrix(mf.F1, mf.F1, group.zero, eye(mf.F1.rank))
-    return MFMorphism(mf, mf, group.zero, phi0, phi1)
-
-
-def zero_morphism(a: MatrixFactorization, b: MatrixFactorization,
-                  shift_deg: Degree | None = None) -> MFMorphism:
-    group = a.group
-    n = group.chain.n
-    sh = shift_deg if shift_deg is not None else group.zero
-    zero = MPoly.zero(n)
-    phi0 = GradedMatrix(a.F0, b.F0, sh,
-                        [[zero] * a.F0.rank for _ in range(b.F0.rank)])
-    phi1 = GradedMatrix(a.F1, b.F1, sh,
-                        [[zero] * a.F1.rank for _ in range(b.F1.rank)])
-    return MFMorphism(a, b, sh, phi0, phi1)
 
 
 # ---------------------------------------------------------------------------

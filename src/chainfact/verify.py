@@ -7,37 +7,35 @@ the outcome as a serializable report.  Each paper check is declared once in
 only what its checks read.
 Nothing here does new mathematics; failures bubble up from the lower layers
 and land in report entries with witnesses attached.
+
+The module imports only the light layers (``chain``, ``exactmath``,
+``invariants``).  The Hom side -- the collection, auxiliary and ladder
+builders, the Hom-table cache, and the Hom and triangle checks -- imports
+``mf`` and ``homcalc`` in the function that first needs them, so a run of the
+invariants battery never loads the engine.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from pathlib import Path
 
-from . import __version__
-from .chain import ChainPolynomial, Degree, build_grading_group, numerics, transpose
-from .exactmath import IntMatrix, MPoly, Poly
-from .homcalc import (
-    ENGINE_ID,
-    EulerForm,
-    HomTable,
-    check_exceptionality,
-    compute_hom_table,
-    euler_pairing,
-    hom_dim,
-    morphism_space_basis,
-    scan_window,
-    serre_symmetry_check,
-)
-from .invariants import (
+from . import ENGINE_ID, __version__
+from .chain import (
+    ChainPolynomial,
+    Degree,
+    GradingError,
     VerificationFailure,
+    build_grading_group,
+    numerics,
+    transpose,
+)
+from .exactmath import IntMatrix, MPoly, Poly
+from .invariants import (
     check_lattice_correspondence,
     check_zeta_factorization,
     companion_certificate,
@@ -47,18 +45,9 @@ from .invariants import (
     transpose_monodromy_charpoly,
     zeta_polynomial,
 )
-from .mf import (
-    GradingError,
-    MatrixFactorization,
-    MFMorphism,
-    chain_mpoly,
-    cone,
-    direct_sum,
-    reduce,
-    shift,
-    stabilize,
-    zero_object,
-)
+
+# Annotations may name Hom-side types (MatrixFactorization, HomTable,
+# EulerForm); they are never evaluated, so they import nothing.
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -70,22 +59,17 @@ REPORT_SCHEMA_VERSION = 1
 def _cofactors(f: ChainPolynomial, gens) -> list[MPoly]:
     """The cofactors h_i with sum(g_i * h_i) = f, derived from the generators.
 
-    Each monomial of f goes to the first generator that divides it, and a
-    generator's cofactor is the sum of its monomials divided by it.  The
-    generators must be monomials with pairwise disjoint supports, which makes
-    them a regular sequence; anything else raises ValueError.
+    Each monomial of f goes to the first generator (read by its leading term)
+    that divides it, and a generator's cofactor is the sum of its monomials
+    divided by it.  ``stabilize`` refuses generators that are not monomials
+    in pairwise disjoint variables.
     """
-    if any(len(g.terms) != 1 for g in gens):
-        raise ValueError("every generator must be a monomial")
     leads = [next(iter(g.terms.items())) for g in gens]
-    for (e1, _), (e2, _) in combinations(leads, 2):
-        if any(a and b for a, b in zip(e1, e2)):
-            raise ValueError("two generators share a variable")
     terms = [{} for _ in gens]
-    for m, coeff in chain_mpoly(f).terms.items():
+    for m in f.monomial_exponents():
         for out, (e, c) in zip(terms, leads):
             if all(a >= b for a, b in zip(m, e)):
-                out[tuple(a - b for a, b in zip(m, e))] = Fraction(coeff) / c
+                out[tuple(a - b for a, b in zip(m, e))] = Fraction(1) / c
                 break
         else:
             raise ValueError(f"no generator divides the monomial {m} of f")
@@ -113,12 +97,14 @@ def collection_splitting(f: ChainPolynomial):
 def collection_base(f: ChainPolynomial):
     """(base, step): the base stabilization and the one-object twist, so
     that E_i = base(i * step)."""
+    from .mf import stabilize
     gens, cofs, step = collection_splitting(f)
     return stabilize(f, gens, cofs), step
 
 
 def build_collection(f: ChainPolynomial, offset: int = 0) -> list[MatrixFactorization]:
     """The length-mu twist orbit of the base stabilization."""
+    from .mf import shift
     base, step = collection_base(f)
     mu = numerics(f).milnor
     return [shift(base, (offset + i) * step) for i in range(mu)]
@@ -149,12 +135,14 @@ def ladder_splitting(f: ChainPolynomial, j: int):
 
 
 def auxiliary_object(f: ChainPolynomial, i: int) -> MatrixFactorization:
+    from .mf import stabilize
     gens, cofs = auxiliary_splitting(f)
     g = build_grading_group(f)
     return stabilize(f, gens, cofs, i * g.variable_degree(0))
 
 
 def ladder_object(f: ChainPolynomial, i: int, j: int) -> MatrixFactorization:
+    from .mf import stabilize, zero_object
     if j == 0 or j == f.exponents[0] + 1:
         return zero_object(f)
     gens, cofs = ladder_splitting(f, j)
@@ -186,21 +174,32 @@ def _jsonify(value):
     return str(value)
 
 
-@dataclass
 class CheckResult:
-    name: str
-    status: str                  # pass | fail | note | inconclusive
-    detail: dict = field(default_factory=dict)
-    elapsed_ns: int = 0
+    def __init__(self, name: str, status: str, detail: dict, elapsed_ns: int):
+        self.name = name
+        self.status = status             # pass | fail | note | inconclusive
+        self.detail = detail
+        self.elapsed_ns = elapsed_ns
+
+    def __eq__(self, other):
+        if not isinstance(other, CheckResult):
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
-@dataclass
 class VerificationReport:
-    chain: tuple[int, ...]
-    offset: int
-    tool_version: str
-    checks: list[CheckResult]
-    engine: str | None = ENGINE_ID          # Hom engine id, for provenance
+    def __init__(self, chain: tuple[int, ...], offset: int, tool_version: str,
+                 checks: list[CheckResult], engine: str | None = ENGINE_ID):
+        self.chain = chain
+        self.offset = offset
+        self.tool_version = tool_version
+        self.checks = checks
+        self.engine = engine             # Hom engine id, for provenance
+
+    def __eq__(self, other):
+        if not isinstance(other, VerificationReport):
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @property
     def passed(self) -> bool:
@@ -289,10 +288,6 @@ def emit_report(report: VerificationReport, fmt: str = "json") -> str:
     raise ValueError(f"unknown report format {fmt!r}")
 
 
-def parse_report(text: str) -> VerificationReport:
-    return VerificationReport.from_json_dict(json.loads(text))
-
-
 # ---------------------------------------------------------------------------
 # hom-table cache
 # ---------------------------------------------------------------------------
@@ -314,6 +309,7 @@ class HomTableCache:
         self.root = Path(root)
 
     def _path(self, chain, offset, dual, margin) -> Path:
+        import hashlib
         key = json.dumps({"chain": list(chain), "offset": offset, "dual": dual,
                           "margin": margin, "schema": 1, "version": __version__,
                           "engine": ENGINE_ID}, sort_keys=True)
@@ -321,6 +317,7 @@ class HomTableCache:
         return self.root / f"homtable-{digest}.json"
 
     def load(self, chain, offset, dual, margin) -> HomTable | None:
+        from .homcalc import HomTable
         path = self._path(chain, offset, dual, margin)
         try:
             data = json.loads(path.read_text())
@@ -351,6 +348,7 @@ def cached_hom_table(f: ChainPolynomial, offset: int = 0, margin: int = 0,
     ``collection``, if given, is a zero-argument callable returning the
     collection; it is called on a cache miss only.
     """
+    from .homcalc import compute_hom_table
     cache = cache or HomTableCache()
     if use_cache:
         table = cache.load(f.exponents, offset, dual, margin)
@@ -407,25 +405,31 @@ class _Run:
 
     @cached_property
     def aux_base(self) -> MatrixFactorization:
+        from .mf import stabilize
         return stabilize(self.f, *auxiliary_splitting(self.f))
 
     @cached_property
     def ladder_bases(self) -> dict[int, MatrixFactorization]:
+        from .mf import stabilize
         return {j: stabilize(self.f, *ladder_splitting(self.f, j))
                 for j in range(1, self.f.exponents[0] + 1)}
 
     @cached_property
     def euler(self) -> EulerForm:
+        from .homcalc import EulerForm
         return EulerForm()
 
     def collection_object(self, i: int) -> MatrixFactorization:
+        from .mf import shift
         base, step = self.base
         return shift(base, i * step)
 
     def auxiliary(self, i: int) -> MatrixFactorization:
+        from .mf import shift
         return shift(self.aux_base, i * build_grading_group(self.f).variable_degree(0))
 
     def ladder(self, i: int, j: int) -> MatrixFactorization:
+        from .mf import shift, zero_object
         if j == 0 or j == self.f.exponents[0] + 1:
             return zero_object(self.f)
         return shift(self.ladder_bases[j],
@@ -449,6 +453,7 @@ class _Run:
 
     @cached_property
     def exc(self) -> dict:
+        from .homcalc import check_exceptionality
         return check_exceptionality(self.table[0])
 
     def grading_group(self):
@@ -518,6 +523,7 @@ class _Run:
         return {"strong": self.exc["strong"]}
 
     def euler_pairing_matches(self):
+        from .homcalc import euler_pairing
         engine = euler_pairing(self.table[0])
         want = [list(row) for row in euler_matrix(self.f).matrix.entries]
         if engine != want:
@@ -526,6 +532,7 @@ class _Run:
         return {"matrix": engine}
 
     def serre_symmetry(self):
+        from .homcalc import serre_symmetry_check
         table, _ = self.table
         dual, hit = self.dual
         if not serre_symmetry_check(table, dual):
@@ -653,6 +660,7 @@ class _Run:
         return {"reduced_length": (mu - a1 + 1) // d2}
 
     def triangle_structural(self):
+        from .mf import direct_sum
         coll = self.coll
         if self.f.n % 2 == 0:
             i = self.offset + 1
@@ -728,6 +736,7 @@ def verify_section_inequalities(f: ChainPolynomial) -> VerificationReport:
 
 
 def _profiles_agree(probes, left, right, pad: int = 2) -> bool:
+    from .homcalc import hom_dim, scan_window
     for x in probes:
         w1 = scan_window(x, left)
         w2 = scan_window(x, right)
@@ -746,6 +755,8 @@ def _search_cone_match(source, target, reference, probes) -> str:
     small spaces, signed sums of two basis elements; exhaustion is reported
     as inconclusive, never as a refutation.
     """
+    from .homcalc import morphism_space_basis
+    from .mf import MFMorphism, cone, reduce
     basis = morphism_space_basis(source, target)
     if not basis:
         return "inconclusive"

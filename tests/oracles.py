@@ -1,13 +1,18 @@
-"""Dense exact reference routines that the tests compare the library against.
+"""Dense exact reference routines that the tests compare the library against,
+and the small constructors that only the tests use.
 
 They compute values only and contain no ``assert``: pytest rewrites asserts
 in test modules, not here, and the suite also runs under ``python -O``.
 """
 
+import json
 from fractions import Fraction
 from typing import NamedTuple
 
-from chainfact.exactmath import ExactDivisionError, IntMatrix, Poly
+from chainfact.exactmath import ExactDivisionError, IntMatrix, MPoly, Poly
+from chainfact.invariants import companion_matrix, zeta_polynomial
+from chainfact.mf import GradedMatrix, MFMorphism
+from chainfact.verify import VerificationReport
 
 
 def _frac_rows(a):
@@ -270,3 +275,47 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
                 U[k][c] = -U[k][c]
 
     return SNFResult(IntMatrix(U), IntMatrix(M), IntMatrix(V))
+
+
+# ---------------------------------------------------------------------------
+# constructors only the tests use
+# ---------------------------------------------------------------------------
+
+def canonicalize(group, expr):
+    """Canonical degree of an integer combination of the n+1 generators of
+    ``group`` (the total-degree coefficient last)."""
+    expr = tuple(expr)
+    if len(expr) != group.chain.n + 1:
+        raise ValueError(f"expected {group.chain.n + 1} generator coefficients")
+    return group.monomial_degree(expr)
+
+
+def identity_morphism(mf):
+    group = mf.group
+    n = group.chain.n
+
+    def eye(rank):
+        return [[MPoly.const(n, 1) if i == j else MPoly.zero(n)
+                 for j in range(rank)] for i in range(rank)]
+
+    phi0 = GradedMatrix(mf.F0, mf.F0, group.zero, eye(mf.F0.rank))
+    phi1 = GradedMatrix(mf.F1, mf.F1, group.zero, eye(mf.F1.rank))
+    return MFMorphism(mf, mf, group.zero, phi0, phi1)
+
+
+def zero_morphism(a, b, shift_deg=None):
+    group = a.group
+    sh = shift_deg if shift_deg is not None else group.zero
+    zero = MPoly.zero(group.chain.n)
+    phi0 = GradedMatrix(a.F0, b.F0, sh, [[zero] * a.F0.rank for _ in range(b.F0.rank)])
+    phi1 = GradedMatrix(a.F1, b.F1, sh, [[zero] * a.F1.rank for _ in range(b.F1.rank)])
+    return MFMorphism(a, b, sh, phi0, phi1)
+
+
+def parse_report(text):
+    return VerificationReport.from_json_dict(json.loads(text))
+
+
+def companion(md):
+    """The companion-shaped root of the zeta polynomial of ``md``'s chain."""
+    return companion_matrix(zeta_polynomial(md.chain))

@@ -18,7 +18,7 @@ from chainfact.chain import (
     transpose,
 )
 from chainfact.exactmath import IntMatrix, int_mat_mul
-from oracles import smith_normal_form
+from oracles import canonicalize, smith_normal_form
 
 
 def chains(max_n, max_a):
@@ -80,8 +80,8 @@ def test_grading_group_2_2_2_weights():
 def test_canonicalize_relations():
     g = build_grading_group(ChainPolynomial((2, 2)))
     # x2 + 2 x1 - f is a relation
-    assert g.canonicalize([2, 1, -1]).is_zero()
-    assert g.canonicalize([0, 0, 0]).is_zero()
+    assert canonicalize(g, [2, 1, -1]).is_zero()
+    assert canonicalize(g, [0, 0, 0]).is_zero()
 
 
 def test_variable_reduction_mod_total_degree():
@@ -153,14 +153,14 @@ def test_closed_form_matches_smith_normal_form():
                 k = rng.randint(1, 5)
                 d[i] += k * w[j]
                 d[j] -= k * w[i]
-            lc, ld = g.canonicalize(c), g.canonicalize(d)
+            lc, ld = canonicalize(g, c), canonicalize(g, d)
             assert lc.weight == ld.weight == sum(map(mul, c, w))
             assert (lc == ld) == (coords(c) == coords(d)), (f, c, d)
             outcomes.add(lc == ld)
         if torsion:
             assert outcomes == {True, False}, f
             zero_weight = [w[-1]] + [0] * (f.n - 1) + [-w[0]]
-            assert not g.canonicalize(zero_weight).is_zero()
+            assert not canonicalize(g, zero_weight).is_zero()
             assert coords(zero_weight) != coords([0] * len(w))
 
 

@@ -25,7 +25,6 @@ from chainfact.invariants import euler_matrix
 from chainfact.mf import (
     cone,
     direct_sum,
-    identity_morphism,
     reduce,
     serre,
     shift,
@@ -33,7 +32,7 @@ from chainfact.mf import (
     t_power,
 )
 from chainfact.verify import build_collection, collection_splitting
-from oracles import kernel_basis, rank_rational
+from oracles import identity_morphism, kernel_basis, rank_rational
 
 
 def simple_stab(exps):

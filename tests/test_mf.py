@@ -14,7 +14,6 @@ from chainfact.mf import (
     chain_mpoly,
     cone,
     direct_sum,
-    identity_morphism,
     reduce,
     serre,
     shift,
@@ -22,10 +21,10 @@ from chainfact.mf import (
     t_power,
     translate,
     translate_inverse,
-    zero_morphism,
     zero_object,
 )
 from chainfact.verify import collection_splitting
+from oracles import identity_morphism, zero_morphism
 
 
 def var(f, i, power=1):
@@ -98,6 +97,29 @@ def test_stabilize_rejects_bad_sum():
     f = ChainPolynomial((2, 2))
     with pytest.raises(GradingError):
         stabilize(f, [var(f, 1)], [var(f, 1)])
+
+
+def _irregular_splitting(f, case):
+    """A splitting of f = x1^2 x2 + x2^2 into homogeneous, complementary
+    pieces whose generators are not monomials in disjoint variables."""
+    x1, x2 = var(f, 0), var(f, 1)
+    if case == "not_a_monomial":
+        return [mono(f, (2, 0)) + x2], [x2]
+    return [mono(f, (1, 1)), x2], [x1, x2]           # both generators hold x2
+
+
+@pytest.mark.parametrize("case,message", [("not_a_monomial", "monomial"),
+                                          ("shared_variable", "share a variable")],
+                         ids=["not_a_monomial", "shared_variable"])
+def test_stabilize_refuses_an_irregular_splitting(case, message):
+    f = ChainPolynomial((2, 2))
+    gens, cofs = _irregular_splitting(f, case)
+    total = MPoly.zero(f.n)
+    for g, h in zip(gens, cofs):
+        total = total + g * h
+    assert total == chain_mpoly(f)              # only the generators are at fault
+    with pytest.raises(GradingError, match=message):
+        stabilize(f, gens, cofs)
 
 
 def test_stabilize_random_splittings():

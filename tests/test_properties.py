@@ -27,9 +27,9 @@ from chainfact.homcalc import (
     serre_symmetry_check,
 )
 from chainfact.invariants import euler_matrix, zeta_polynomial
-from chainfact.mf import cone, direct_sum, identity_morphism, reduce, shift, translate
+from chainfact.mf import cone, direct_sum, reduce, shift, translate
 from chainfact.verify import build_collection
-from oracles import det_bareiss, smith_normal_form
+from oracles import det_bareiss, identity_morphism, smith_normal_form
 
 
 def chains(max_n, max_a):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import chainfact
 import chainfact.homcalc as homcalc
+import chainfact.mf as mf
 import chainfact.verify as verify_module
 from chainfact.chain import ChainPolynomial, GradingGroup, build_grading_group
 from chainfact.cli import CHECKS_RUN
@@ -36,13 +37,13 @@ from chainfact.verify import (
     emit_report,
     ladder_object,
     ladder_splitting,
-    parse_report,
     run_checks,
     verify_invariants,
     verify_main_theorem,
     verify_section_inequalities,
     verify_triangles,
 )
+from oracles import parse_report
 
 
 # ------------------------------------------------------------- collection
@@ -122,15 +123,6 @@ def _sum(*monos):
 def test_cofactors_match_the_written_splittings(exps, splitting, want):
     _, cofs = splitting(ChainPolynomial(exps))
     assert cofs == want
-
-
-@pytest.mark.parametrize("gens", [
-    [_sum(_mono(1, 0, 0), _mono(0, 1, 0)), _mono(0, 0, 1)],    # not a monomial
-    [_mono(1, 1, 0), _mono(0, 1, 0)],                          # both hold x2
-])
-def test_cofactors_refuse_non_regular_generators(gens):
-    with pytest.raises(ValueError):
-        verify_module._cofactors(ChainPolynomial((2, 2, 2)), gens)
 
 
 def test_ladder_object_boundaries_are_zero():
@@ -294,8 +286,7 @@ def test_triangles_query_each_key_once(monkeypatch, exps, max_hom, max_stab):
     f = ChainPolynomial(exps)
     homs, stabs = [], []
     _count_calls(monkeypatch, homcalc, "hom_dim", homs)
-    _count_calls(monkeypatch, verify_module, "hom_dim", homs)
-    _count_calls(monkeypatch, verify_module, "stabilize", stabs)
+    _count_calls(monkeypatch, mf, "stabilize", stabs)
     assert verify_triangles(f, 0).passed
     assert 0 < len(stabs) <= max_stab
     assert homs and (max_hom is None or len(homs) <= max_hom)
@@ -363,7 +354,7 @@ def _patch_raising(monkeypatch, owner, name, exc, when=lambda *a, **k: True):
 
 
 def test_failed_hom_table_fails_its_dependants(monkeypatch):
-    _patch_raising(monkeypatch, verify_module, "compute_hom_table", GradingError)
+    _patch_raising(monkeypatch, homcalc, "compute_hom_table", GradingError)
     rep = verify_main_theorem(ChainPolynomial((2, 2)))
     failed = {"hom_table", "exceptionality", "euler_pairing_matches",
               "serre_symmetry", "nakayama_cartan"}
@@ -398,7 +389,7 @@ def _refuse_triangle_bases(monkeypatch):
             return _Marked(gens), cofs
 
         monkeypatch.setattr(verify_module, name, marked)
-    _patch_raising(monkeypatch, verify_module, "stabilize", GradingError,
+    _patch_raising(monkeypatch, mf, "stabilize", GradingError,
                    when=lambda f, gens, cofs, twist=None: isinstance(gens, _Marked))
     return made
 
@@ -430,7 +421,7 @@ def test_main_theorem_stabilizes_no_triangle_base(monkeypatch, exps):
 def test_warm_euler_builds_no_collection(monkeypatch):
     f = ChainPolynomial((2, 2, 3))
     stabs = []
-    _count_calls(monkeypatch, verify_module, "stabilize", stabs)
+    _count_calls(monkeypatch, mf, "stabilize", stabs)
     assert verify_main_theorem(f).passed            # cold: fills the cache
     assert len(stabs) == 1
     stabs.clear()
@@ -449,7 +440,7 @@ def test_monodromy_computes_only_what_it_reports(monkeypatch, capsys):
 
 
 def test_euler_computes_only_what_it_reports(monkeypatch, capsys):
-    _patch_raising(monkeypatch, verify_module, "compute_hom_table", RuntimeError,
+    _patch_raising(monkeypatch, homcalc, "compute_hom_table", RuntimeError,
                    when=lambda f, offset=0, margin=0, dual=False, collection=None: dual)
     _patch_raising(monkeypatch, verify_module, "monodromy_data", RuntimeError)
     assert cli_main(["euler", "--no-cache", "--chain", "2,2,3", "--format", "csv"]) == 0
@@ -481,7 +472,10 @@ def test_subset_reports_equal_the_filtered_full_report(capsys, chain, argv, full
 
 def test_report_json_roundtrip():
     rep = verify_main_theorem(ChainPolynomial((2, 2)), use_cache=False)
-    assert parse_report(emit_report(rep, "json")) == rep
+    back = parse_report(emit_report(rep, "json"))
+    assert back == rep
+    back.checks[-1].status = "fail"
+    assert back != rep
 
 
 @pytest.mark.parametrize("command", ["verify", "invariants", "triangles"])
@@ -490,9 +484,9 @@ def test_report_provenance_names_the_engine(capsys, command):
     assert rc == 0
     data = json.loads(capsys.readouterr().out)
     assert data["provenance"] == {"tool_version": chainfact.__version__,
-                                  "engine": homcalc.ENGINE_ID}
+                                  "engine": chainfact.ENGINE_ID}
     rep = parse_report(emit_report(parse_report(json.dumps(data)), "json"))
-    assert rep.engine == homcalc.ENGINE_ID
+    assert rep.engine == chainfact.ENGINE_ID
     assert rep.to_json_dict()["provenance"] == data["provenance"]
 
 
@@ -648,3 +642,31 @@ def test_pipelines_do_not_import_numpy():
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+HOM_ENGINE = {"chainfact.homcalc", "chainfact.mf"}
+
+
+@pytest.mark.parametrize("argv,absent", [
+    (["invariants"], HOM_ENGINE | {"dataclasses", "hashlib"}),
+    (["monodromy"], HOM_ENGINE | {"dataclasses", "hashlib"}),
+    (["triangles"], {"dataclasses", "hashlib"}),
+    (["verify", "--no-cache"], {"dataclasses"}),
+], ids=["invariants", "monodromy", "triangles", "verify"])
+def test_subcommand_loads_only_its_layers(argv, absent):
+    """Each subcommand, run in a fresh interpreter (without site hooks),
+    leaves the modules it does not need unloaded."""
+    script = (
+        "import sys\n"
+        "from chainfact.cli import main\n"
+        f"code = main({argv + ['--chain', '2,2,3', '--format', 'csv']!r})\n"
+        "print('modules', *sorted(sys.modules))\n"
+        "raise SystemExit(code)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(chainfact.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.splitlines()[-1].split()[1:])
+    assert "chainfact.verify" in loaded
+    assert not absent & loaded
