@@ -6,4 +6,4 @@ __version__ = "0.1.0"
 # carries it as provenance and the table cache keys on it, so a change of
 # engine never serves a table computed by an older one.  It lives here, not
 # in ``homcalc``, so that a report needs no import of the engine.
-ENGINE_ID = "direct-cell-bases-4"
+ENGINE_ID = "koszul-restriction-5"

@@ -269,7 +269,7 @@ class GradingGroup:
                 raise VerificationFailure("weight character does not kill a relation",
                                           {"monomial": exps, "weights": self.weights})
         self.zero = Degree(self, 0, 0)
-        self._mono_cache: dict[Degree, tuple[tuple[int, ...], ...]] = {}
+        self._mono_cache: dict[tuple, tuple[tuple[int, ...], ...]] = {}
 
     # one canonical instance per chain (see build_grading_group), so identity
     # comparison inside Degree is sound
@@ -288,16 +288,19 @@ class GradingGroup:
         return Degree(self, sum(map(mul, exps, self.weights)),
                       sum(map(mul, exps, self._residues)))
 
-    def monomial_basis(self, l: Degree) -> tuple[tuple[int, ...], ...]:
+    def monomial_basis(self, l: Degree, skip: tuple[int, ...] = ()
+                       ) -> tuple[tuple[int, ...], ...]:
         """All monomials of degree l, as exponent vectors.
 
         Finiteness comes from positivity of the weight character: candidates
         are enumerated by weight and then filtered by exact degree equality
-        (torsion included).
+        (torsion included).  The variables in ``skip`` (0-based) get exponent
+        zero, which enumerates the graded piece of the quotient by them.
         """
         if l.group is not self:
             raise ValueError("degree from another group")
-        cached = self._mono_cache.get(l)
+        key = (l, skip)
+        cached = self._mono_cache.get(key)
         if cached is not None:
             return cached
         w = l.weight
@@ -307,18 +310,19 @@ class GradingGroup:
             var_w = self.weights[:n]
 
             def rec(i, remaining, stack):
-                if i == n - 1:
-                    if remaining % var_w[i] == 0:
-                        out.append(tuple(stack + [remaining // var_w[i]]))
-                    return
                 step = var_w[i]
-                for m in range(remaining // step + 1):
+                top = 0 if i in skip else remaining // step
+                if i == n - 1:
+                    if remaining == top * step:
+                        out.append(tuple(stack + [top]))
+                    return
+                for m in range(top + 1):
                     rec(i + 1, remaining - m * step, stack + [m])
 
             rec(0, w, [])
             out = [e for e in out if self.monomial_degree(e) == l]
         result = tuple(sorted(out))
-        self._mono_cache[l] = result
+        self._mono_cache[key] = result
         return result
 
     # -- torsion diagnostics -------------------------------------------------

@@ -3,12 +3,32 @@
 For factorizations F, G and a degree l, the degree-l maps F -> T^p G form a
 2-periodic complex whose cohomology at parity p is the stable Hom space.
 Each graded piece is finite because the weight character is positive, so the
-computation is: enumerate monomial bases slot by slot, assemble the two
+general engine is: enumerate monomial bases slot by slot, assemble the two
 neighboring differentials as sparse integer matrices, and take exact ranks.
 A row of a differential is assembled by adding the cell monomial's exponents
 to the terms of the structure maps; the ranks come from the sparse,
 fraction-free ``exactmath.Echelon`` (through ``sparse_rank``), which also
 gives the kernels and image reductions behind ``morphism_space_basis``.
+
+Homs out of a Koszul stabilization E = stab(R/I), I generated by s
+variables, take a shorter route: Hom(E, G) is the cohomology of the
+2-periodic complex G|V(I) over the polynomial ring in the other variables
+(Dyckerhoff, arXiv:0904.4713; Polishchuk-Vaintrob, arXiv:1002.2116).  With
+E the unshifted stabilization (first even twist zero, as anchoring leaves
+it), D = sum of deg(x_v) over the generators - s f and k, r = divmod(p + s, 2),
+
+    Hom(E, T^p G(l)) = H^r(G|V(I)) in degree D + k f + l,
+
+where H^0 in degree d is ker(d0: F0_d -> F1_d) mod im(d1: F1_{d-f} -> F0_d)
+and H^1 is ker(d1: F1_d -> F0_{d+f}) mod im(d0: F0_d -> F1_d).  Restriction
+drops every term and every monomial that contains a variable of I, so the
+complex has rank(G) slots in about half the variables instead of
+2 rank(E) rank(G) slots in all of them.  (D carries s f, not ceil(s/2) f:
+the latter disagrees with the general engine whenever s is even.)  The
+route applies when the source carries ``stabilize``'s ``koszul_vars``
+record, which covers the whole distinguished collection; cones, ladder
+objects with a power generator and ``morphism_space_basis`` use the general
+engine, which is also the route's differential-test oracle.
 
 Every query is made canonical before it reaches the engine.  Let s and t be
 the first even twists of F and G, and A = F(s), B = G(t) the anchored
@@ -147,13 +167,62 @@ class _Anchors:
         return got
 
 
+def _restricted_rank(G, skip, d, odd) -> int:
+    """Rank of d0: F0_d -> F1_d (odd = 0) or d1: F1_d -> F0_{d+f} (odd = 1)
+    of G restricted to V(x_v : v in skip).
+
+    One row per source cell (basis vector c, monomial m in the free
+    variables); each term of column c that avoids the skipped variables
+    lands at (target row, m + exponents).
+    """
+    src, entries = (G.F1, G.d1.entries) if odd else (G.F0, G.d0.entries)
+    group = G.group
+    index: dict = {}
+    rows = []
+    for c, t in enumerate(src.twists):
+        terms = [(r, e, coeff) for r, row in enumerate(entries)
+                 for e, coeff in row[c].terms.items()
+                 if not any(e[v] for v in skip)]
+        if not terms:
+            continue
+        for m in group.monomial_basis(d - t, skip):
+            rows.append({index.setdefault((r, tuple(map(add, e, m))), len(index)): coeff
+                         for r, e, coeff in terms})
+    return sparse_rank(rows)
+
+
+def _restricted_dim(skip, G, l, r) -> int:
+    """dim Hom(E, T^r G(l)) for the anchored stabilization E of
+    R/(x_v : v in skip), as H^r of G|V(I) (see the module docstring)."""
+    group = G.group
+    fdeg = group.total_degree
+    s = len(skip)
+    k, odd = divmod(r + s, 2)
+    d = l + (k - s) * fdeg
+    for v in skip:
+        d = d + group.variable_degree(v)
+    module = G.F1 if odd else G.F0
+    cells = sum(len(group.monomial_basis(d - t, skip)) for t in module.twists)
+    if cells == 0:
+        return 0
+    if odd:
+        return cells - _restricted_rank(G, skip, d, 1) - _restricted_rank(G, skip, d, 0)
+    return (cells - _restricted_rank(G, skip, d, 0)
+            - _restricted_rank(G, skip, d - fdeg, 1))
+
+
 def hom_dim(source: MatrixFactorization, target: MatrixFactorization,
             degree: Degree | None = None, power: int = 0) -> int:
     """dim of stable Hom(source, T^power target(degree)).
 
     Kernel of the outgoing differential modulo the image of the incoming one,
     ranks over the rationals computed in integers, asked as the canonical
-    query on the anchored objects (see the module docstring).
+    query on the anchored objects (see the module docstring).  When the
+    anchored source records ``koszul_vars`` (a stabilization by variables),
+    the complex is the target restricted to V(I), in degree D + k f + l with
+    D = sum deg(x_v) - s f and k, r = divmod(power + s, 2) (Dyckerhoff,
+    arXiv:0904.4713; Polishchuk-Vaintrob, arXiv:1002.2116); every other
+    source goes through the general cell-basis engine.
     """
     if source.group is not target.group:
         raise ValueError("factorizations live over different gradings")
@@ -165,6 +234,8 @@ def hom_dim(source: MatrixFactorization, target: MatrixFactorization,
     k, r = divmod(power, 2)
     l = degree if degree is not None else group.zero
     l = l + s - t + k * group.total_degree
+    if F.koszul_vars is not None:
+        return _restricted_dim(F.koszul_vars, G, l, r)
     cells = len(_cell_basis(F, G, l, r)[0])
     if cells == 0:
         return 0

@@ -202,9 +202,13 @@ class MatrixFactorization:
     ``d0`` maps F0 -> F1 with shift zero and ``d1`` maps F1 -> F0 with shift
     the total degree; both compositions are verified to equal f times the
     identity at construction.
+
+    ``koszul_vars`` is the record that ``stabilize`` leaves: the 0-based
+    variables generating I when the object is a shift of the stabilization
+    of R/I, else None.  It takes no part in equality or hashing.
     """
 
-    __slots__ = ("group", "f", "F0", "F1", "d0", "d1", "_hash")
+    __slots__ = ("group", "f", "F0", "F1", "d0", "d1", "koszul_vars", "_hash")
 
     def __init__(self, group, fpoly, F0, F1, d0, d1):
         if F0.rank != F1.rank:
@@ -222,17 +226,19 @@ class MatrixFactorization:
             raise GradingError("d0 o d1 is not f times the identity")
         self._set(group, fpoly, F0, F1, d0, d1)
 
-    def _set(self, group, fpoly, F0, F1, d0, d1):
+    def _set(self, group, fpoly, F0, F1, d0, d1, koszul_vars=None):
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "f", fpoly)
         object.__setattr__(self, "F0", F0)
         object.__setattr__(self, "F1", F1)
         object.__setattr__(self, "d0", d0)
         object.__setattr__(self, "d1", d1)
+        object.__setattr__(self, "koszul_vars", koszul_vars)
         object.__setattr__(self, "_hash", hash((id(group), F0, F1, d0, d1)))
 
     @classmethod
-    def _trusted(cls, like: "MatrixFactorization", F0, F1, e0, e1):
+    def _trusted(cls, like: "MatrixFactorization", F0, F1, e0, e1,
+                 koszul_vars=None):
         """Unchecked factorization over ``like``'s polynomial on modules F0, F1
         with entry grids e0, e1 (tuples of tuples).  Only for functors whose
         output satisfies the identity and homogeneity by construction."""
@@ -240,7 +246,7 @@ class MatrixFactorization:
         d0 = GradedMatrix._trusted(F0, F1, group.zero, e0)
         d1 = GradedMatrix._trusted(F1, F0, group.total_degree, e1)
         self = object.__new__(cls)
-        self._set(group, like.f, F0, F1, d0, d1)
+        self._set(group, like.f, F0, F1, d0, d1, koszul_vars)
         return self
 
     def __setattr__(self, *a):
@@ -321,6 +327,12 @@ def stabilize(f: ChainPolynomial, gens, cofs, twist: Degree | None = None):
     variables, which makes them a regular sequence; anything else raises
     GradingError.  The result has size 2^(s-1), even exterior powers on the
     source side, and is shifted by ``twist`` at the end.
+
+    When every generator is a single variable (times a nonzero constant),
+    the result records them as ``koszul_vars``, the sorted 0-based variable
+    indices, and ``homcalc.hom_dim`` computes Homs out of it by restriction
+    to V(I).  A power or a product among the generators leaves the record
+    None.  ``shift`` keeps the record; every other functor drops it.
     """
     group = build_grading_group(f)
     n = f.n
@@ -381,6 +393,8 @@ def stabilize(f: ChainPolynomial, gens, cofs, twist: Degree | None = None):
     d0 = GradedMatrix(F0, F1, group.zero, differential(even, even_index, odd_index))
     d1 = GradedMatrix(F1, F0, fvec, differential(odd, odd_index, even_index))
     mf = MatrixFactorization(group, fpoly, F0, F1, d0, d1)
+    if all(sum(next(iter(g.terms))) == 1 for g in gens):     # single variables
+        object.__setattr__(mf, "koszul_vars", tuple(sorted(set().union(*supports))))
     if twist is not None and not twist.is_zero():
         mf = shift(mf, twist)
     return mf
@@ -399,11 +413,12 @@ def zero_object(f: ChainPolynomial) -> MatrixFactorization:
 # ---------------------------------------------------------------------------
 
 def shift(mf: MatrixFactorization, l: Degree) -> MatrixFactorization:
-    """Grading-shift functor (l): twists move, entries stay (trusted)."""
+    """Grading-shift functor (l): twists move, entries stay (trusted).  The
+    ``koszul_vars`` record is kept, since it is invariant under shifts."""
     if l.is_zero():
         return mf
     return MatrixFactorization._trusted(mf, mf.F0.shifted(l), mf.F1.shifted(l),
-                                        mf.d0.entries, mf.d1.entries)
+                                        mf.d0.entries, mf.d1.entries, mf.koszul_vars)
 
 
 def _negated(entries):

@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 from chainfact.exactmath import ExactDivisionError, IntMatrix, MPoly, Poly
 from chainfact.invariants import companion_matrix, zeta_polynomial
-from chainfact.mf import GradedMatrix, MFMorphism
+from chainfact.mf import GradedMatrix, MatrixFactorization, MFMorphism
 from chainfact.verify import VerificationReport
 
 
@@ -301,6 +301,13 @@ def identity_morphism(mf):
     phi0 = GradedMatrix(mf.F0, mf.F0, group.zero, eye(mf.F0.rank))
     phi1 = GradedMatrix(mf.F1, mf.F1, group.zero, eye(mf.F1.rank))
     return MFMorphism(mf, mf, group.zero, phi0, phi1)
+
+
+def without_koszul_record(mf):
+    """An object equal to ``mf`` without ``stabilize``'s record, so that
+    ``hom_dim`` takes the general cell-basis engine for it as a source."""
+    return MatrixFactorization._trusted(mf, mf.F0, mf.F1, mf.d0.entries,
+                                        mf.d1.entries)
 
 
 def zero_morphism(a, b, shift_deg=None):
