@@ -2,14 +2,13 @@
 
 Each subcommand runs exactly the checks it reports: ``CHECKS_RUN`` names them
 in report order.  Every subcommand exits 0 exactly when no check failed.
-Hom tables are cached under CHAINFACT_CACHE_DIR (default ~/.cache/chainfact);
-`--no-cache` forces recomputation and overwrites.
+Hom tables are computed in memory on every run, and no run writes a file.
 
 Each process loads only the layers its subcommand runs.  Every subcommand
 loads ``chain``, ``exactmath``, ``invariants`` and ``verify``.  ``invariants``
 and ``monodromy`` load nothing more.  ``verify``, ``euler`` and ``triangles``
 also load the Hom engine (``mf`` and ``homcalc``) when their first Hom check
-runs, and ``verify`` and ``euler`` load ``hashlib`` for the table cache.
+runs.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ def _add_common(parser, offset=False, no_cache=False):
                             help="index of the first collection object")
     if no_cache:
         parser.add_argument("--no-cache", action="store_true",
-                            help="recompute Hom tables even if cached")
+                            help="no effect: Hom tables are always computed")
 
 
 def main(argv=None) -> int:
@@ -77,8 +76,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
 
-    report = run_checks(f, CHECKS_RUN[args.command], getattr(args, "offset", 0),
-                        not getattr(args, "no_cache", False))
+    report = run_checks(f, CHECKS_RUN[args.command], getattr(args, "offset", 0))
 
     sys.stdout.write(emit_report(report, args.fmt))
     return 0 if report.passed else 1

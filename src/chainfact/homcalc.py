@@ -56,8 +56,8 @@ Scan windows are certified on both sides: below by direct weight negativity
 of the cell spaces, above by applying the same bound to the Serre-dual query.
 They need only the weights of the twists.
 
-The engine's name is ``chainfact.ENGINE_ID``; a change here that can change
-a table must change it, since the table cache keys on it.
+The engine's name is ``chainfact.ENGINE_ID``, which every report carries as
+provenance; a change here that can change a table must change it.
 """
 
 from __future__ import annotations
@@ -329,27 +329,13 @@ class EulerForm:
 # tables and pairings
 # ---------------------------------------------------------------------------
 
-SCHEMA_VERSION = 1
-
-
 class HomTable:
     """Hom dimensions over a collection, per (source, target, power) cell."""
 
-    def __init__(self, chain: tuple[int, ...], offset: int,
-                 entries: dict[tuple[int, int, int], int],
-                 windows: dict[tuple[int, int], tuple[int, int]],
-                 dual: bool = False, margin: int = 0):
-        self.chain = chain
-        self.offset = offset
+    def __init__(self, entries: dict[tuple[int, int, int], int],
+                 windows: dict[tuple[int, int], tuple[int, int]]):
         self.entries = entries
         self.windows = windows
-        self.dual = dual
-        self.margin = margin
-
-    def __eq__(self, other):
-        if not isinstance(other, HomTable):
-            return NotImplemented
-        return vars(self) == vars(other)
 
     def dim(self, i, j, p) -> int:
         return self.entries.get((i, j, p), 0)
@@ -359,31 +345,6 @@ class HomTable:
             return (0, -1)
         ps = [p for (_, _, p) in self.entries]
         return (min(ps), max(ps))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "chain": list(self.chain),
-            "offset": self.offset,
-            "dual": self.dual,
-            "margin": self.margin,
-            "window": list(self.hull()),
-            "windows": {f"{i},{j}": list(w) for (i, j), w in sorted(self.windows.items())},
-            "entries": [{"i": i, "j": j, "p": p, "dim": d}
-                        for (i, j, p), d in sorted(self.entries.items())],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "HomTable":
-        if data.get("schema_version") != SCHEMA_VERSION:
-            raise ValueError("unsupported table schema")
-        entries = {(e["i"], e["j"], e["p"]): e["dim"] for e in data["entries"]}
-        windows = {}
-        for key, val in data["windows"].items():
-            i, j = key.split(",")
-            windows[(int(i), int(j))] = (val[0], val[1])
-        return cls(tuple(data["chain"]), data["offset"], entries, windows,
-                   data.get("dual", False), data.get("margin", 0))
 
 
 def compute_hom_table(f: ChainPolynomial, offset: int = 0, margin: int = 0,
@@ -424,7 +385,7 @@ def compute_hom_table(f: ChainPolynomial, offset: int = 0, margin: int = 0,
                 col = columns[(A, B, d)] = (window, dims)
             windows[(i, j)] = col[0]
             entries.update(((i, j, p), dim) for p, dim in col[1].items())
-    return HomTable(f.exponents, offset, entries, windows, dual, margin)
+    return HomTable(entries, windows)
 
 
 def euler_pairing(table: HomTable):

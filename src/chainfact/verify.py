@@ -1,4 +1,4 @@
-"""Orchestration: collection construction, identity pipelines, reports, cache.
+"""Orchestration: collection construction, identity pipelines, reports.
 
 This module wires everything together: it builds the distinguished collection
 of stabilizations from monomial generators, runs exact checks, and packages
@@ -10,19 +10,18 @@ and land in report entries with witnesses attached.
 
 The module imports only the light layers (``chain``, ``exactmath``,
 ``invariants``).  The Hom side -- the collection, auxiliary and ladder
-builders, the Hom-table cache, and the Hom and triangle checks -- imports
-``mf`` and ``homcalc`` in the function that first needs them, so a run of the
-invariants battery never loads the engine.
+builders and the Hom and triangle checks -- imports ``mf`` and ``homcalc``
+in the function that first needs them, so a run of the invariants battery
+never loads the engine.  Every run computes its Hom tables in memory; nothing
+is read from or written to disk.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 from fractions import Fraction
 from functools import cached_property
-from pathlib import Path
 
 from . import ENGINE_ID, __version__
 from .chain import (
@@ -289,81 +288,6 @@ def emit_report(report: VerificationReport, fmt: str = "json") -> str:
 
 
 # ---------------------------------------------------------------------------
-# hom-table cache
-# ---------------------------------------------------------------------------
-
-class HomTableCache:
-    """Content-addressed JSON store for computed Hom tables.
-
-    The key hashes the chain, offset, variant, margin, schema version, tool
-    version and engine id, so convention and engine changes invalidate
-    automatically; unreadable or schema-stale entries are recomputed and
-    overwritten.
-    """
-
-    def __init__(self, root: str | os.PathLike | None = None):
-        if root is None:
-            root = os.environ.get("CHAINFACT_CACHE_DIR")
-        if root is None:
-            root = Path.home() / ".cache" / "chainfact"
-        self.root = Path(root)
-
-    def _path(self, chain, offset, dual, margin) -> Path:
-        import hashlib
-        key = json.dumps({"chain": list(chain), "offset": offset, "dual": dual,
-                          "margin": margin, "schema": 1, "version": __version__,
-                          "engine": ENGINE_ID}, sort_keys=True)
-        digest = hashlib.sha256(key.encode()).hexdigest()[:24]
-        return self.root / f"homtable-{digest}.json"
-
-    def load(self, chain, offset, dual, margin) -> HomTable | None:
-        from .homcalc import HomTable
-        path = self._path(chain, offset, dual, margin)
-        try:
-            data = json.loads(path.read_text())
-            table = HomTable.from_json_dict(data)
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
-        if (table.chain != tuple(chain) or table.offset != offset
-                or table.dual != dual or table.margin != margin):
-            return None
-        return table
-
-    def store(self, table: HomTable) -> None:
-        path = self._path(table.chain, table.offset, table.dual, table.margin)
-        self.root.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(table.to_json_dict(), sort_keys=True))
-        tmp.replace(path)
-
-
-def cached_hom_table(f: ChainPolynomial, offset: int = 0, margin: int = 0,
-                     dual: bool = False, use_cache: bool = True,
-                     cache: HomTableCache | None = None,
-                     collection=None) -> tuple[HomTable, bool]:
-    """Load a table from the cache or compute and store it.
-
-    Returns (table, cache_hit).  With ``use_cache`` false the table is always
-    recomputed, and the fresh result overwrites whatever was stored.
-    ``collection``, if given, is a zero-argument callable returning the
-    collection; it is called on a cache miss only.
-    """
-    from .homcalc import compute_hom_table
-    cache = cache or HomTableCache()
-    if use_cache:
-        table = cache.load(f.exponents, offset, dual, margin)
-        if table is not None:
-            return table, True
-    table = compute_hom_table(f, offset, margin, dual,
-                              collection() if collection else None)
-    try:
-        cache.store(table)
-    except OSError:
-        pass
-    return table, False
-
-
-# ---------------------------------------------------------------------------
 # pipelines
 # ---------------------------------------------------------------------------
 
@@ -390,8 +314,8 @@ class _Run:
     scanned and queried once.
     """
 
-    def __init__(self, f: ChainPolynomial, offset: int, use_cache: bool):
-        self.f, self.offset, self.use_cache = f, offset, use_cache
+    def __init__(self, f: ChainPolynomial, offset: int):
+        self.f, self.offset = f, offset
         self.nm = numerics(f)
 
     @cached_property
@@ -440,21 +364,21 @@ class _Run:
         return [self.collection_object(self.offset + i) for i in range(self.nm.milnor)]
 
     @cached_property
-    def table(self) -> tuple[HomTable, bool]:
-        """(the collection's Hom table, whether it came from the cache)"""
-        return cached_hom_table(self.f, self.offset, TABLE_MARGIN, False,
-                                self.use_cache, collection=lambda: self.coll)
+    def table(self) -> HomTable:
+        """The collection's Hom table, TABLE_MARGIN powers past each window."""
+        from .homcalc import compute_hom_table
+        return compute_hom_table(self.f, self.offset, TABLE_MARGIN, False, self.coll)
 
     @cached_property
-    def dual(self) -> tuple[HomTable, bool]:
-        """(the Serre-dual table, whether it came from the cache)"""
-        return cached_hom_table(self.f, self.offset, TABLE_MARGIN, True,
-                                self.use_cache, collection=lambda: self.coll)
+    def dual(self) -> HomTable:
+        """The Serre-dual table: the same cells, each by its Serre-dual query."""
+        from .homcalc import compute_hom_table
+        return compute_hom_table(self.f, self.offset, TABLE_MARGIN, True, self.coll)
 
     @cached_property
     def exc(self) -> dict:
         from .homcalc import check_exceptionality
-        return check_exceptionality(self.table[0])
+        return check_exceptionality(self.table)
 
     def grading_group(self):
         g = build_grading_group(self.f)
@@ -512,9 +436,8 @@ class _Run:
         return {"objects": len(self.coll), "size": want}
 
     def hom_table(self):
-        table, hit = self.table
-        return {"entries": len(table.entries), "window_hull": list(table.hull()),
-                "cache_hit": hit}
+        return {"entries": len(self.table.entries),
+                "window_hull": list(self.table.hull())}
 
     def exceptionality(self):
         if not self.exc["exceptional"]:
@@ -524,7 +447,7 @@ class _Run:
 
     def euler_pairing_matches(self):
         from .homcalc import euler_pairing
-        engine = euler_pairing(self.table[0])
+        engine = euler_pairing(self.table)
         want = [list(row) for row in euler_matrix(self.f).matrix.entries]
         if engine != want:
             raise VerificationFailure("Euler pairing differs from the Toeplitz matrix",
@@ -533,15 +456,12 @@ class _Run:
 
     def serre_symmetry(self):
         from .homcalc import serre_symmetry_check
-        table, _ = self.table
-        dual, hit = self.dual
-        if not serre_symmetry_check(table, dual):
+        if not serre_symmetry_check(self.table, self.dual):
             raise VerificationFailure("Serre symmetry violated on the table")
-        return {"cache_hit": hit}
+        return {}
 
     def nakayama_cartan(self):
-        a1, mu = self.f.exponents[0], self.nm.milnor
-        table, _ = self.table
+        a1, mu, table = self.f.exponents[0], self.nm.milnor, self.table
         if not self.exc["strong"]:
             raise VerificationFailure("collection is not strong")
         for i in range(mu):
@@ -709,10 +629,9 @@ _APPLIES = {
 }
 
 
-def run_checks(f: ChainPolynomial, names, offset: int = 0,
-               use_cache: bool = True) -> VerificationReport:
+def run_checks(f: ChainPolynomial, names, offset: int = 0) -> VerificationReport:
     """Run the named checks in order, over values computed once per run."""
-    run, r = _Run(f, offset, use_cache), _Runner()
+    run, r = _Run(f, offset), _Runner()
     for name in names:
         if _APPLIES.get(name, lambda _: True)(f):
             r.run(name, lambda: CHECKS[name](run))
@@ -724,10 +643,9 @@ def verify_invariants(f: ChainPolynomial) -> VerificationReport:
     return run_checks(f, INVARIANT_CHECKS)
 
 
-def verify_main_theorem(f: ChainPolynomial, offset: int = 0,
-                        use_cache: bool = True) -> VerificationReport:
+def verify_main_theorem(f: ChainPolynomial, offset: int = 0) -> VerificationReport:
     """Full pipeline: collection, exceptionality, Euler pairing, identities."""
-    return run_checks(f, MAIN_THEOREM_CHECKS, offset, use_cache)
+    return run_checks(f, MAIN_THEOREM_CHECKS, offset)
 
 
 def verify_section_inequalities(f: ChainPolynomial) -> VerificationReport:

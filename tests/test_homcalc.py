@@ -9,7 +9,6 @@ import chainfact.homcalc as homcalc
 from chainfact.chain import ChainPolynomial, build_grading_group, numerics
 from chainfact.exactmath import MPoly, sparse_rank
 from chainfact.homcalc import (
-    HomTable,
     check_exceptionality,
     closed_form_hom,
     compute_hom_table,
@@ -626,19 +625,3 @@ def test_morphism_basis_spans_dense_kernel(exps):
                 == len(kernel)
             found += want
     assert found > 0
-
-
-# ----------------------------------------------------------- table format
-
-def test_table_json_roundtrip():
-    f = ChainPolynomial((2, 2))
-    table = compute_hom_table(f, margin=1)
-    back = HomTable.from_json_dict(table.to_json_dict())
-    assert back == table
-
-
-def test_table_schema_fields():
-    f = ChainPolynomial((2,))
-    data = compute_hom_table(f).to_json_dict()
-    assert set(data) >= {"chain", "entries", "window"}
-    assert all(set(e) == {"i", "j", "p", "dim"} for e in data["entries"])

@@ -26,13 +26,11 @@ from chainfact.homcalc import (
 from chainfact.invariants import VerificationFailure
 from chainfact.mf import GradingError, shift
 from chainfact.verify import (
-    HomTableCache,
     VerificationReport,
     auxiliary_object,
     auxiliary_splitting,
     build_collection,
     collection_base,
-    cached_hom_table,
     collection_splitting,
     emit_report,
     ladder_object,
@@ -135,14 +133,14 @@ def test_ladder_object_boundaries_are_zero():
 
 @pytest.mark.parametrize("exps", [(2,), (4,), (2, 2), (3, 3)])
 def test_main_theorem_passes(exps):
-    rep = verify_main_theorem(ChainPolynomial(exps), use_cache=False)
+    rep = verify_main_theorem(ChainPolynomial(exps))
     assert rep.passed, [(c.name, c.detail) for c in rep.checks if c.status == "fail"]
 
 
 def test_main_theorem_offset_invariance():
     f = ChainPolynomial((2, 2))
-    r0 = verify_main_theorem(f, offset=0, use_cache=False)
-    r1 = verify_main_theorem(f, offset=1, use_cache=False)
+    r0 = verify_main_theorem(f, offset=0)
+    r1 = verify_main_theorem(f, offset=1)
     assert r0.passed and r1.passed
     m0 = r0.check("euler_pairing_matches").detail["matrix"]
     m1 = r1.check("euler_pairing_matches").detail["matrix"]
@@ -153,14 +151,14 @@ def test_main_theorem_offset_invariance():
 
 
 def test_fullness_reported_not_claimed():
-    rep = verify_main_theorem(ChainPolynomial((2,)), use_cache=False)
+    rep = verify_main_theorem(ChainPolynomial((2,)))
     assert rep.check("fullness").status == "note"
 
 
 def test_nakayama_check_present_only_for_two_variables():
-    r2 = verify_main_theorem(ChainPolynomial((2, 2)), use_cache=False)
+    r2 = verify_main_theorem(ChainPolynomial((2, 2)))
     assert r2.check("nakayama_cartan").status == "pass"
-    r1 = verify_main_theorem(ChainPolynomial((3,)), use_cache=False)
+    r1 = verify_main_theorem(ChainPolynomial((3,)))
     with pytest.raises(KeyError):
         r1.check("nakayama_cartan")
 
@@ -366,7 +364,7 @@ def test_failed_hom_table_fails_its_dependants(monkeypatch):
 
 def test_failed_monodromy_data_fails_its_dependants(monkeypatch):
     _patch_raising(monkeypatch, verify_module, "monodromy_data", VerificationFailure)
-    rep = verify_main_theorem(ChainPolynomial((2, 2)), use_cache=False)
+    rep = verify_main_theorem(ChainPolynomial((2, 2)))
     failed = {"monodromy_two_routes", "zeta_factorization", "monodromy_oracle"}
     assert {c.name for c in rep.checks if c.status == "fail"} == failed
     assert [c.name for c in rep.checks] == list(verify_module.MAIN_THEOREM_CHECKS)
@@ -413,21 +411,21 @@ def test_failed_triangle_base_fails_its_dependants(monkeypatch, exps, failed, pa
 
 @pytest.mark.parametrize("exps", [(2, 2), (2, 2, 2)])
 def test_main_theorem_stabilizes_no_triangle_base(monkeypatch, exps):
+    """verify and euler each stabilize one object, the collection base."""
+    f = ChainPolynomial(exps)
     made = _refuse_triangle_bases(monkeypatch)
-    assert verify_main_theorem(ChainPolynomial(exps), use_cache=False).passed
+    stabilized, real = [], mf.stabilize
+
+    def recorded(poly, gens, *rest):
+        stabilized.append(list(gens))
+        return real(poly, gens, *rest)
+
+    monkeypatch.setattr(mf, "stabilize", recorded)
+    for names in (verify_module.MAIN_THEOREM_CHECKS, CHECKS_RUN["euler"]):
+        stabilized.clear()
+        assert run_checks(f, names).passed
+        assert stabilized == [collection_splitting(f)[0]]
     assert made == []
-
-
-def test_warm_euler_builds_no_collection(monkeypatch):
-    f = ChainPolynomial((2, 2, 3))
-    stabs = []
-    _count_calls(monkeypatch, mf, "stabilize", stabs)
-    assert verify_main_theorem(f).passed            # cold: fills the cache
-    assert len(stabs) == 1
-    stabs.clear()
-    rep = run_checks(f, CHECKS_RUN["euler"])
-    assert rep.passed and rep.check("hom_table").detail["cache_hit"]
-    assert stabs == []
 
 
 def test_monodromy_computes_only_what_it_reports(monkeypatch, capsys):
@@ -455,7 +453,7 @@ def _without_elapsed(data):
 
 @pytest.mark.parametrize("chain", ["2,2", "3,2", "2,3", "2,2,3", "3,2,2"])
 @pytest.mark.parametrize("argv,full", [
-    (["euler", "--no-cache"], lambda f: verify_main_theorem(f, use_cache=False)),
+    (["euler", "--no-cache"], lambda f: verify_main_theorem(f)),
     (["monodromy"], verify_invariants)])
 def test_subset_reports_equal_the_filtered_full_report(capsys, chain, argv, full):
     """Each subset subcommand against the full pipeline cut to its names."""
@@ -471,7 +469,7 @@ def test_subset_reports_equal_the_filtered_full_report(capsys, chain, argv, full
 # ------------------------------------------------------------------ report
 
 def test_report_json_roundtrip():
-    rep = verify_main_theorem(ChainPolynomial((2, 2)), use_cache=False)
+    rep = verify_main_theorem(ChainPolynomial((2, 2)))
     back = parse_report(emit_report(rep, "json"))
     assert back == rep
     back.checks[-1].status = "fail"
@@ -506,7 +504,7 @@ def test_report_csv_shape():
 
 
 def test_report_markdown_euler_rows():
-    rep = verify_main_theorem(ChainPolynomial((2, 2)), use_cache=False)
+    rep = verify_main_theorem(ChainPolynomial((2, 2)))
     md = emit_report(rep, "md")
     assert "1 1 0" in md and "0 1 1" in md and "0 0 1" in md
 
@@ -515,72 +513,6 @@ def test_report_unknown_format():
     rep = verify_invariants(ChainPolynomial((2,)))
     with pytest.raises(ValueError):
         emit_report(rep, "xml")
-
-
-# ------------------------------------------------------------------- cache
-
-def test_cache_round_trip(tmp_path):
-    f = ChainPolynomial((2, 2))
-    cache = HomTableCache(tmp_path)
-    t1, hit1 = cached_hom_table(f, cache=cache)
-    t2, hit2 = cached_hom_table(f, cache=cache)
-    assert not hit1 and hit2
-    assert t1.entries == t2.entries and t1.windows == t2.windows
-
-
-def test_cache_no_cache_flag(tmp_path):
-    f = ChainPolynomial((2, 2))
-    cache = HomTableCache(tmp_path)
-    cached_hom_table(f, cache=cache)
-    _, hit = cached_hom_table(f, use_cache=False, cache=cache)
-    assert not hit
-
-
-def test_cache_detects_corruption(tmp_path):
-    f = ChainPolynomial((2, 2))
-    cache = HomTableCache(tmp_path)
-    t1, _ = cached_hom_table(f, cache=cache)
-    path = cache._path(f.exponents, 0, False, 0)
-    path.write_text("{ not json")
-    t2, hit = cached_hom_table(f, cache=cache)
-    assert not hit
-    assert t2.entries == t1.entries
-    # the overwritten entry is usable again
-    _, hit3 = cached_hom_table(f, cache=cache)
-    assert hit3
-
-
-def test_cache_rejects_schema_drift(tmp_path):
-    f = ChainPolynomial((2,))
-    cache = HomTableCache(tmp_path)
-    t1, _ = cached_hom_table(f, cache=cache)
-    path = cache._path(f.exponents, 0, False, 0)
-    data = json.loads(path.read_text())
-    data["schema_version"] = 999
-    path.write_text(json.dumps(data))
-    _, hit = cached_hom_table(f, cache=cache)
-    assert not hit
-
-
-@pytest.mark.parametrize("field", ["ENGINE_ID", "__version__"])
-def test_cache_ignores_tables_of_another_engine(tmp_path, monkeypatch, field):
-    f = ChainPolynomial((2, 2))
-    cache = HomTableCache(tmp_path)
-    current = getattr(verify_module, field)
-    monkeypatch.setattr(verify_module, field, "older")
-    cached_hom_table(f, cache=cache)
-    stale = cache._path(f.exponents, 0, False, 0)
-    monkeypatch.setattr(verify_module, field, current)
-    assert cache._path(f.exponents, 0, False, 0) != stale
-    assert cache.load(f.exponents, 0, False, 0) is None
-    _, hit = cached_hom_table(f, cache=cache)
-    assert not hit
-
-
-def test_cache_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("CHAINFACT_CACHE_DIR", str(tmp_path / "alt"))
-    cache = HomTableCache()
-    assert str(cache.root).endswith("alt")
 
 
 # --------------------------------------------------------------------- CLI
@@ -592,8 +524,7 @@ def test_cli_invariants_pass(capsys):
     assert "zeta_polynomial,pass" in out
 
 
-def test_cli_verify_json(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CHAINFACT_CACHE_DIR", str(tmp_path))
+def test_cli_verify_json(capsys):
     rc = cli_main(["verify", "--chain", "2,2", "--format", "json"])
     out = capsys.readouterr().out
     assert rc == 0
@@ -601,8 +532,7 @@ def test_cli_verify_json(tmp_path, capsys, monkeypatch):
     assert rep.passed and rep.chain == (2, 2)
 
 
-def test_cli_euler_matrix(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CHAINFACT_CACHE_DIR", str(tmp_path))
+def test_cli_euler_matrix(capsys):
     rc = cli_main(["euler", "--chain", "3,2", "--format", "md"])
     out = capsys.readouterr().out
     assert rc == 0
@@ -616,8 +546,7 @@ def test_cli_monodromy(capsys):
     assert "monodromy_oracle" in out
 
 
-def test_cli_triangles(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CHAINFACT_CACHE_DIR", str(tmp_path))
+def test_cli_triangles(capsys):
     rc = cli_main(["triangles", "--chain", "2,2", "--format", "csv"])
     assert rc == 0
     assert "triangle_euler_additivity,pass" in capsys.readouterr().out
@@ -635,7 +564,7 @@ def test_pipelines_do_not_import_numpy():
         "from chainfact.verify import verify_invariants, verify_main_theorem\n"
         "f = ChainPolynomial.parse('3,3')\n"
         "assert verify_invariants(f).passed\n"
-        "assert verify_main_theorem(f, use_cache=False).passed\n"
+        "assert verify_main_theorem(f).passed\n"
         "assert 'numpy' not in sys.modules\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(chainfact.__file__).parents[1]))
@@ -645,14 +574,16 @@ def test_pipelines_do_not_import_numpy():
 
 
 HOM_ENGINE = {"chainfact.homcalc", "chainfact.mf"}
+UNUSED = {"dataclasses", "hashlib", "pathlib"}
 
 
 @pytest.mark.parametrize("argv,absent", [
-    (["invariants"], HOM_ENGINE | {"dataclasses", "hashlib"}),
-    (["monodromy"], HOM_ENGINE | {"dataclasses", "hashlib"}),
-    (["triangles"], {"dataclasses", "hashlib"}),
-    (["verify", "--no-cache"], {"dataclasses"}),
-], ids=["invariants", "monodromy", "triangles", "verify"])
+    (["invariants"], HOM_ENGINE | UNUSED),
+    (["monodromy"], HOM_ENGINE | UNUSED),
+    (["triangles"], UNUSED),
+    (["verify", "--no-cache"], UNUSED),
+    (["euler"], UNUSED),
+], ids=["invariants", "monodromy", "triangles", "verify", "euler"])
 def test_subcommand_loads_only_its_layers(argv, absent):
     """Each subcommand, run in a fresh interpreter (without site hooks),
     leaves the modules it does not need unloaded."""
@@ -670,3 +601,25 @@ def test_subcommand_loads_only_its_layers(argv, absent):
     loaded = set(done.stdout.splitlines()[-1].split()[1:])
     assert "chainfact.verify" in loaded
     assert not absent & loaded
+
+
+@pytest.mark.parametrize("command", ["verify", "euler"])
+def test_no_run_writes_a_file(tmp_path, command):
+    """verify and euler, with and without --no-cache, leave HOME and the
+    working directory empty, and print the same report either way."""
+    reports = []
+    for flags in ([], ["--no-cache"]):
+        home, cwd = tmp_path / f"home{len(flags)}", tmp_path / f"cwd{len(flags)}"
+        home.mkdir()
+        cwd.mkdir()
+        # built from scratch, so no inherited variable can redirect a write
+        env = {"HOME": str(home), "PATH": os.environ.get("PATH", ""),
+               "PYTHONPATH": str(Path(chainfact.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "chainfact.cli", command, *flags,
+             "--chain", "2,2,3", "--format", "json"],
+            cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert list(home.iterdir()) == [] and list(cwd.iterdir()) == []
+        reports.append(_without_elapsed(json.loads(done.stdout)))
+    assert reports[0] == reports[1]
