@@ -173,21 +173,31 @@ def series_inverse(p: Poly, order: int) -> Poly:
     """Truncated inverse q with p*q == 1 mod t^(order+1).
 
     Requires p(0) != 0; coefficients are exact rationals (ints whenever the
-    constant term is a unit).
+    constant term is a unit).  An integer p with constant term +-1, as every
+    zeta polynomial, is inverted in plain ints: 1/c0 == c0.
     """
     if p.is_zero() or p.coeff(0) == 0:
         raise ExactDivisionError("series inverse needs a nonzero constant term")
     c0 = p.coeff(0)
-    inv0 = Fraction(1, 1) / c0
+    unit = c0 in (1, -1) and _INT.issuperset(map(type, p.coeffs))
+    inv0 = c0 if unit else Fraction(1, 1) / c0
     support = [(i, c) for i, c in enumerate(p.coeffs) if i and c]
-    out = [_norm_num(inv0)]
-    for k in range(1, order + 1):
-        acc = 0
-        for i, c in support:
-            if i > k:
-                break
-            acc += c * out[k - i]
-        out.append(_norm_num(-acc * inv0))
+    # c0 out_k = [k == 0] - acc_k with acc_k = sum_{i >= 1} p_i out_{k-i}; each
+    # nonzero out_k is pushed into the acc_k ahead, so the cost is
+    # O(order + nnz(out) nnz(p)), and zeta inverses are sparse
+    out = [0] * (order + 1)
+    acc = [0] * (order + 1)
+    acc[0] = -1
+    for k in range(order + 1):
+        q = -acc[k] * inv0
+        if not unit:
+            q = _norm_num(q)
+        if q:
+            out[k] = q
+            for i, c in support:
+                if k + i > order:
+                    break
+                acc[k + i] += c * q
     return Poly(out)
 
 

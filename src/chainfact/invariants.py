@@ -8,8 +8,9 @@ and its series inverse c = 1/z mod t^mu.  The Euler matrix chi and W are the
 upper-triangular Toeplitz matrices of c and z; such matrices multiply as
 series truncated at t^mu, so the battery works on the series: W chi = I is
 z c == 1 mod t^mu, the lattice congruence follows from it, and the monodromy
-operator sign * W chi^T is built in O(mu^2) and compared with the mu-th power
-of the companion root.  The module also derives the characteristic
+operator sign * W chi^T is certified equal to the mu-th power of the companion
+root by a commutation certificate, sparse convolutions of z and c, without
+building either operator.  The module also derives the characteristic
 polynomial, its cyclotomic-style factorization, and an independent
 weighted-homogeneous oracle for the transposed polynomial's monodromy.
 Dense mu x mu matrices are built only when a caller reads them.
@@ -233,43 +234,94 @@ def _toeplitz_product_columns(w, c, sign):
         yield col
 
 
-def _companion_power_columns(cp_coeffs, mu):
-    """Columns mu-1, ..., 1, 0 of the mu-th power of the companion matrix.
-
-    The companion sends e_{j+1} to e_j, so column j of its mu-th power is
-    M^(mu-j) e_0: the orbit of e_0 yields the columns in this order.
-    """
-    tail = cp_coeffs[1:mu + 1]              # the first column, negated
-    v = [1] + [0] * (mu - 1)
-    for _ in range(mu):
-        v0 = v[0]
-        v = v[1:] + [0]
-        if v0:
-            v = [x - v0 * y for x, y in zip(v, tail)]
-        yield v
-
-
 def check_monodromy_routes(em: EulerMatrix, zp: ZetaPolynomial) -> bool:
-    """The monodromy operator along two independent routes, compared exactly.
+    """Certify sign * W chi^T == C^mu, C the companion root, without either matrix.
 
-    Route A is sign * W chi^T from the zeta and Euler series; route B is the
-    mu-th power of the companion root, from the zeta coefficients alone.
-    Both yield the columns right to left, so they are compared one column at
-    a time; the first differing entry is the witness.
+    Notation: S is the shift with S e_{j+1} = e_j, z = (z_0, ..., z_mu) the
+    zeta coefficients, c = (c_0, ..., c_{mu-1}) the Euler series, and
+    t = (z_1, ..., z_mu).  Then C = S - t e_0^T, W = z(S), chi^T = c(S^T)
+    and A = sign * W chi^T with sign = (-1)^n.
+
+    The check is a certificate resting on the commutant theorem, not a
+    second computation of the matrix: C e_{j+1} = e_j, so e_{mu-1} is a
+    cyclic vector of C and e_j = C^(mu-1-j) e_{mu-1}.  Hence any A with
+    A C = C A and A e_{mu-1} = C^mu e_{mu-1} = C e_0 = -t satisfies
+
+        A e_j = C^(mu-1-j) A e_{mu-1} = C^(mu-1-j) C^mu e_{mu-1} = C^mu e_j.
+
+    W commutes with S, and S^T S = I - e_0 e_0^T, S S^T = I - e_{mu-1}
+    e_{mu-1}^T give c(S^T) S - S c(S^T) = -c+ e_0^T + e_{mu-1} r^T, so
+
+        A C - C A = u e_0^T + v r^T + t q^T,
+
+    with c+ = (c_1, ..., c_{mu-1}, 0), r = (0, c_{mu-1}, ..., c_1),
+    u = -sign * W (c+ + chi^T t), v = sign * W e_{mu-1} (v_i = sign *
+    z_{mu-1-i}) and q = A^T e_0 = sign * chi (z_0, ..., z_{mu-1}).  As
+    A e_{mu-1} = c_0 v, the certificate is, in this order:
+
+    1. ``c_0 = 1`` and ``v = -t``: the last column of A is -t;
+    2. ``u + q_0 t = 0``: column 0 of the displacement vanishes;
+    3. ``r = q`` at every j >= 1: with v = -t, column j is t (q_j - r_j).
+
+    The conditions imply A = C^mu.  Conversely A = C^mu forces them once
+    z_0 = 1 and z_mu = -sign (so c_0 = 1 and t != 0), which the palindrome
+    check of :func:`zeta_polynomial` guarantees.  Condition 3 even follows
+    from 1 and 2: the displacement is then t w^T, and tr((A C - C A) p(C)) = 0
+    gives w^T p(C) t = 0 for every polynomial p, where t = -C e_0 is cyclic
+    as C is invertible (z_mu != 0).  So it never fails first; it stays as
+    the direct statement of columns 1..mu-1.  z and c are sparse, so each
+    product is a sparse convolution: O(nnz(z) nnz(c) + mu) in all.  The
+    witness names the failed condition, its first failing index, and the two
+    sides there.
     """
     mu = zp.milnor
     c = em.series_coeffs
     if len(c) != mu:
         raise VerificationFailure("Euler series length differs from mu",
                                   {"length": len(c), "milnor": mu})
-    route_a = _toeplitz_product_columns(zp.poly.coeffs, c, (-1) ** em.chain.n)
-    route_b = _companion_power_columns(zp.poly.coeffs, mu)
-    for k, (col_a, col_b) in enumerate(zip(route_a, route_b)):
-        if col_a != col_b:
-            i = next(i for i in range(mu) if col_a[i] != col_b[i])
-            raise VerificationFailure(
-                "signed inverse-transpose product disagrees with the companion power",
-                {"row": i, "col": mu - 1 - k, "route_a": col_a[i], "route_b": col_b[i]})
+    z = zp.poly.coeffs
+    sign = (-1) ** em.chain.n
+
+    def fail(condition, index, got, want):
+        raise VerificationFailure(
+            "signed inverse-transpose product is not the companion power",
+            {"condition": condition, "index": index, "got": got, "want": want})
+
+    if c[0] != 1:
+        fail("c_0 = 1", 0, c[0], 1)
+    for i in range(mu):
+        if sign * z[mu - 1 - i] != -z[i + 1]:
+            fail("v = -t", i, sign * z[mu - 1 - i], -z[i + 1])
+
+    zs = [(k, x) for k, x in enumerate(z) if x]
+    cs = [(k, x) for k, x in enumerate(c) if x]
+    q: dict[int, int] = {}          # q_j / sign = sum_{k >= j} c_{k-j} z_k, k < mu
+    y: dict[int, int] = {}          # y = c+ + chi^T t, y_i = c_{i+1} + sum c_a z_{i+1-a}
+    for a, ca in cs:
+        if a:
+            y[a - 1] = y.get(a - 1, 0) + ca
+        for k, zk in zs:
+            if a <= k < mu:
+                q[k - a] = q.get(k - a, 0) + ca * zk
+            if k and a + k <= mu:
+                y[a + k - 1] = y.get(a + k - 1, 0) + ca * zk
+    u: dict[int, int] = {}          # u / -sign = W y, (W y)_i = sum_{k >= i} z_{k-i} y_k
+    for k, yk in y.items():
+        if yk:
+            for d, zd in zs:
+                if d > k:
+                    break
+                u[k - d] = u.get(k - d, 0) + zd * yk
+
+    q0 = sign * q.get(0, 0)
+    for i in range(mu):
+        ui = -sign * u.get(i, 0)
+        if ui != -q0 * z[i + 1]:
+            fail("u + q_0 t = 0", i, ui, -q0 * z[i + 1])
+    for j in range(1, mu):
+        qj = sign * q.get(j, 0)
+        if c[mu - j] != qj:
+            fail("r = q", j, c[mu - j], qj)
     return True
 
 
@@ -325,10 +377,11 @@ def _det_one_minus_t_via_traces(cp_coeffs, mu, period) -> Poly:
 
 
 def monodromy_data(f: ChainPolynomial) -> MonodromyData:
-    """Monodromy operator computed along two routes and cross-checked.
+    """Monodromy operator certified and its characteristic data.
 
-    The routes are those of :func:`check_monodromy_routes`; for small mu the
-    trace-based det(1 - t*M) is also checked against Berkowitz.
+    :func:`check_monodromy_routes` certifies sign * W chi^T == C^mu; for small
+    mu the trace-based det(1 - t*M) is also checked against Berkowitz on the
+    dense matrix, which is built for no larger mu.
     """
     zp = zeta_polynomial(f)
     nm = numerics(f)

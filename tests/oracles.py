@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from chainfact.exactmath import ExactDivisionError, IntMatrix, MPoly, Poly
-from chainfact.invariants import companion_matrix, zeta_polynomial
+from chainfact.invariants import _toeplitz_product_columns, companion_matrix, zeta_polynomial
 from chainfact.mf import GradedMatrix, MatrixFactorization, MFMorphism
 from chainfact.verify import VerificationReport
 
@@ -154,6 +154,17 @@ def convolve(a, b):
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
+    return out
+
+
+def series_inverse_rational(coeffs, order):
+    """Coefficients 0..order of 1/p for p given by ``coeffs`` (nonzero constant
+    term), by the gather recurrence in Fractions throughout."""
+    inv0 = Fraction(1) / coeffs[0]
+    out = [inv0]
+    for k in range(1, order + 1):
+        acc = sum(coeffs[i] * out[k - i] for i in range(1, min(k, len(coeffs) - 1) + 1))
+        out.append(-acc * inv0)
     return out
 
 
@@ -326,3 +337,73 @@ def parse_report(text):
 def companion(md):
     """The companion-shaped root of the zeta polynomial of ``md``'s chain."""
     return companion_matrix(zeta_polynomial(md.chain))
+
+
+def companion_power_columns(cp_coeffs, mu):
+    """Columns mu-1, ..., 1, 0 of the mu-th power of the companion matrix.
+
+    The companion sends e_{j+1} to e_j, so column j of its mu-th power is
+    C^(mu-j) e_0: the orbit of e_0 yields the columns in this order.
+    """
+    tail = cp_coeffs[1:mu + 1]              # the first column, negated
+    v = [1] + [0] * (mu - 1)
+    for _ in range(mu):
+        v0 = v[0]
+        v = v[1:] + [0]
+        if v0:
+            v = [x - v0 * y for x, y in zip(v, tail)]
+        yield v
+
+
+def monodromy_column_difference(em, zp):
+    """The first entry where sign * W chi^T and C^mu differ, or None.
+
+    Both operators are generated a column at a time, right to left, and
+    compared exactly: O(mu^2) work and O(mu) memory.
+    """
+    mu = zp.milnor
+    route_a = _toeplitz_product_columns(zp.poly.coeffs, em.series_coeffs, (-1) ** em.chain.n)
+    route_b = companion_power_columns(zp.poly.coeffs, mu)
+    for k, (col_a, col_b) in enumerate(zip(route_a, route_b)):
+        if col_a != col_b:
+            i = next(i for i in range(mu) if col_a[i] != col_b[i])
+            return {"row": i, "col": mu - 1 - k, "route_a": col_a[i], "route_b": col_b[i]}
+    return None
+
+
+def certificate_witness(em, zp):
+    """The first failure of the monodromy commutation certificate, recomputed
+    from the columns of A = sign * W chi^T, or None when all conditions hold.
+
+    With C = S - t e_0^T, t = (z_1, ..., z_mu): the last column of A is c_0 v;
+    column 0 of A C - C A is u + q_0 t with u = -S A e_0 - A t and
+    q_0 = A[0][0]; and q_j = A[0][j] is compared with r_j = c_{mu-j}.
+    """
+    mu = zp.milnor
+    z, c = zp.poly.coeffs, em.series_coeffs
+    t = z[1:mu + 1]
+    a_t = [0] * mu
+    row0 = [0] * mu
+    columns = _toeplitz_product_columns(z, c, (-1) ** em.chain.n)
+    for j, col in zip(range(mu - 1, -1, -1), columns):
+        if j == mu - 1:
+            last = col
+        if t[j]:
+            a_t = [x + t[j] * y for x, y in zip(a_t, col)]
+        row0[j] = col[0]
+    first = col                                     # A e_0, yielded last
+    if c[0] != 1:
+        return {"condition": "c_0 = 1", "index": 0, "got": c[0], "want": 1}
+    for i in range(mu):
+        if last[i] != -t[i]:
+            return {"condition": "v = -t", "index": i, "got": last[i], "want": -t[i]}
+    shifted = first[1:] + [0]                       # S A e_0
+    for i in range(mu):
+        u = -shifted[i] - a_t[i]
+        if u != -row0[0] * t[i]:
+            return {"condition": "u + q_0 t = 0", "index": i, "got": u,
+                    "want": -row0[0] * t[i]}
+    for j in range(1, mu):
+        if c[mu - j] != row0[j]:
+            return {"condition": "r = q", "index": j, "got": c[mu - j], "want": row0[j]}
+    return None

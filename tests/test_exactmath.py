@@ -28,6 +28,7 @@ from oracles import (
     kernel_basis,
     matrix_power,
     rank_rational,
+    series_inverse_rational,
     smith_normal_form,
 )
 
@@ -130,6 +131,20 @@ def test_series_inverse_roundtrip_random():
         k = rng.randint(0, 12)
         q = series_inverse(p, k)
         assert (p * q).truncate(k) == Poly.one()
+
+
+def test_series_inverse_unit_path_is_int_and_matches_the_rational_path():
+    rng = random.Random(11)
+    for _ in range(200):
+        c0 = rng.choice([1, -1, 2, 3])
+        coeffs = [c0] + [rng.choice([0, 0, 0, rng.randint(-4, 4)])
+                         for _ in range(rng.randint(0, 40))]
+        k = rng.randint(0, 80)
+        q = series_inverse(Poly(coeffs), k)
+        want = series_inverse_rational(coeffs, k)
+        assert [q.coeff(i) for i in range(k + 1)] == want
+        if c0 in (1, -1):
+            assert all(type(x) is int for x in q.coeffs)
 
 
 def test_poly_div_exact_examples():

@@ -3,6 +3,8 @@ from itertools import product
 from math import prod
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chainfact.chain import ChainPolynomial, build_grading_group, numerics, transpose
 from chainfact.exactmath import IntMatrix, Poly, charpoly_division_free
@@ -10,7 +12,7 @@ from chainfact.invariants import (
     DIRECT_CHARPOLY_LIMIT,
     EulerMatrix,
     VerificationFailure,
-    _companion_power_columns,
+    ZetaPolynomial,
     _det_one_minus_t_via_traces,
     _toeplitz_product_columns,
     _toeplitz_upper,
@@ -26,7 +28,14 @@ from chainfact.invariants import (
     transpose_monodromy_charpoly,
     zeta_polynomial,
 )
-from oracles import companion, det_bareiss, matrix_power
+from oracles import (
+    certificate_witness,
+    companion,
+    companion_power_columns,
+    det_bareiss,
+    matrix_power,
+    monodromy_column_difference,
+)
 
 
 def chains(max_n, max_a):
@@ -382,7 +391,7 @@ def test_series_routes_match_dense_products(f):
         zp.poly.coeffs, em.series_coeffs, sign)) == dense_a
     assert md.matrix == dense_a
     assert md.matrix == matrix_power(companion(md), mu)
-    assert _matrix_from_columns(_companion_power_columns(zp.poly.coeffs, mu)) == md.matrix
+    assert _matrix_from_columns(companion_power_columns(zp.poly.coeffs, mu)) == md.matrix
     # the identities the series checks stand for
     assert w * chi == IntMatrix.identity(mu)
     assert w * (chi + chi.transpose()) * w.transpose() == w + w.transpose()
@@ -417,8 +426,19 @@ def test_corrupted_series_is_rejected(exps):
         assert err.value.witness == {"index": k, "coefficient": 1}
         with pytest.raises(VerificationFailure) as err:
             check_monodromy_routes(bad, zp)
-        assert err.value.witness["col"] == mu - 1 - k
-        assert err.value.witness["route_a"] != err.value.witness["route_b"]
+        assert err.value.witness == certificate_witness(bad, zp)
+        assert monodromy_column_difference(bad, zp) is not None
+
+
+def test_certificate_witness_on_2_2():
+    # z = (1, -1, 1, -1), t = (-1, 1, -1), c = (1, 1, 0) corrupted to (1, 2, 0):
+    # y = c+ + chi^T t = (1, -1, 1), u_0 = -(W y)_0 = -3, q_0 = (chi z)_0 = -1
+    f = ChainPolynomial((2, 2))
+    zp = zeta_polynomial(f)
+    with pytest.raises(VerificationFailure) as err:
+        check_monodromy_routes(_corrupted(f, 1), zp)
+    assert err.value.witness == {"condition": "u + q_0 t = 0", "index": 0,
+                                 "got": -3, "want": -1}
 
 
 def test_non_unitriangular_or_short_series_is_rejected():
@@ -427,12 +447,95 @@ def test_non_unitriangular_or_short_series_is_rejected():
     with pytest.raises(VerificationFailure) as err:
         check_lattice_correspondence(_corrupted(f, 0, 1), f)
     assert err.value.witness == {"index": 0, "coefficient": 2}
+    with pytest.raises(VerificationFailure) as err:
+        check_monodromy_routes(_corrupted(f, 0, 1), zp)
+    assert err.value.witness == {"condition": "c_0 = 1", "index": 0, "got": 2, "want": 1}
     short = EulerMatrix(f, euler_matrix(f).series_coeffs[:-1])
     for check in (lambda: check_lattice_correspondence(short, f),
                   lambda: check_monodromy_routes(short, zp)):
         with pytest.raises(VerificationFailure) as err:
             check()
         assert err.value.witness == {"length": zp.milnor - 1, "milnor": zp.milnor}
+
+
+def _mutants(f):
+    """+1 on c at 1, mu // 3 and mu - 1, and +1 on z at mu // 2."""
+    zp = zeta_polynomial(f)
+    mu = zp.milnor
+    for k in sorted({1, mu // 3, mu - 1}):
+        yield f"c{k}", _corrupted(f, k), zp
+    z = list(zp.poly.coeffs)
+    z[mu // 2] += 1
+    yield f"z{mu // 2}", euler_matrix(f), ZetaPolynomial(f, Poly(z))
+
+
+# the prototype's chains; (2, 3), (2, 2, 3), (3, 2, 2), (2, 3, 2, 3) are torsion
+@pytest.mark.parametrize("exps", [
+    (2, 2), (2, 3), (3, 3, 3), (2, 2, 3), (3, 2, 2), (2, 2, 2, 2), (4, 4, 4),
+    (2, 3, 2, 3), (5, 4, 3), (5, 5, 5, 5), (3, 3, 3, 3, 3, 3), (4, 4, 4, 4, 4),
+    (7, 7, 7, 7), (9, 9, 9, 9)], ids=lambda e: ",".join(map(str, e)))
+def test_certificate_matches_the_column_comparison(exps):
+    f = ChainPolynomial(exps)
+    zp, em = zeta_polynomial(f), euler_matrix(f)
+    assert check_monodromy_routes(em, zp)
+    assert monodromy_column_difference(em, zp) is None
+    for name, em_bad, zp_bad in _mutants(f):
+        assert monodromy_column_difference(em_bad, zp_bad) is not None, name
+        with pytest.raises(VerificationFailure) as err:
+            check_monodromy_routes(em_bad, zp_bad)
+        assert set(err.value.witness) == {"condition", "index", "got", "want"}
+        assert err.value.witness == certificate_witness(em_bad, zp_bad), name
+
+
+CERTIFICATE_CHAINS = _small_chains(60)
+CERTIFICATE_TORSION = [f for f in CERTIFICATE_CHAINS
+                       if not build_grading_group(f).is_torsion_free()]
+
+
+# Half the chains are drawn from the torsion ones.  The z corruptions stay
+# below z_mu, whose loss would change the degree and so mu itself.
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(f=st.sampled_from(CERTIFICATE_CHAINS) | st.sampled_from(CERTIFICATE_TORSION),
+       in_z=st.booleans(), pick=st.integers(0, 10 ** 6), delta=st.integers(-3, 3))
+@example(f=ChainPolynomial((2, 3)), in_z=False, pick=2, delta=-1)          # torsion Z/2
+@example(f=ChainPolynomial((2, 2, 3)), in_z=True, pick=4, delta=2)         # torsion Z/4
+@example(f=ChainPolynomial((3, 2, 2)), in_z=False, pick=0, delta=1)        # c_0
+def test_certificate_passes_exactly_when_the_columns_agree(f, in_z, pick, delta):
+    zp, em = zeta_polynomial(f), euler_matrix(f)
+    mu = zp.milnor
+    k = pick % mu
+    if in_z:
+        z = list(zp.poly.coeffs)
+        z[k] += delta
+        zp = ZetaPolynomial(f, Poly(z))
+    else:
+        em = _corrupted(f, k, delta)
+    expected = certificate_witness(em, zp)
+    assert (expected is None) == (monodromy_column_difference(em, zp) is None)
+    if expected is None:
+        assert check_monodromy_routes(em, zp)
+    else:
+        with pytest.raises(VerificationFailure) as err:
+            check_monodromy_routes(em, zp)
+        assert err.value.witness == expected
+
+
+def test_large_mu_builds_no_dense_monodromy(monkeypatch):
+    import chainfact.invariants as inv
+    from chainfact.verify import verify_invariants
+
+    def refuse(*args):
+        raise AssertionError("monodromy operator built column by column")
+
+    monkeypatch.setattr(inv, "_toeplitz_product_columns", refuse)
+    with pytest.raises(AssertionError):
+        monodromy_data(ChainPolynomial((2, 2, 2, 2)))   # mu = 11: Berkowitz builds it
+    for exps in [(3, 3, 3), (2, 3, 2, 3), (4, 4, 4, 4, 4)]:
+        f = ChainPolynomial(exps)
+        assert numerics(f).milnor > DIRECT_CHARPOLY_LIMIT
+        monodromy_data(f)
+        rep = verify_invariants(f)
+        assert all(c.status == "pass" for c in rep.checks)
 
 
 def test_dense_matrices_are_built_on_demand():
