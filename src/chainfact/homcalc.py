@@ -39,8 +39,15 @@ objects.  Since T^2 is the shift by the total degree f,
 and the cell bases and differential matrices of the two sides are literally
 equal.  The cached bases and ranks are therefore shared by every object of a
 twist orbit (the whole collection) and by the primal and Serre-dual tables.
-A table goes one step further and asks each distinct key (A, B, s - t) once:
-for the twist orbit that is one query column per diagonal j - i.
+A table is stored per column: the pair (i, j) of a collection reads the
+column of its key (A_i, A_j, s_i - s_j), which holds the certified window and
+the dimensions over the stored powers.  On a twist orbit that is 2 mu - 1
+columns, one per diagonal j - i, for mu^2 pairs, and the checks read the
+columns.  ``HomTables`` builds both tables of a run: it scans each key's
+window once and memoizes the queries on the folded key
+(A, B, (l + floor(p/2) f).coords, p mod 2).  Every entry of the primal and
+of the Serre-dual table is such a value, so each distinct Hom is asked of
+``hom_dim`` once per run.
 The cell bases and rows of T^p B are read off B itself (T swaps the modules
 and moves one by f), so a query builds no translated object.  The functors
 used here (``shift``, ``t_power``) are trusted constructors in ``mf``;
@@ -330,21 +337,121 @@ class EulerForm:
 # ---------------------------------------------------------------------------
 
 class HomTable:
-    """Hom dimensions over a collection, per (source, target, power) cell."""
+    """Hom dimensions over a collection, stored once per column.
 
-    def __init__(self, entries: dict[tuple[int, int, int], int],
-                 windows: dict[tuple[int, int], tuple[int, int]]):
-        self.entries = entries
-        self.windows = windows
+    ``columns`` maps each key (A, B, d) -- anchored source, anchored target,
+    twist difference -- to (window, {p: dim}): the certified window and the
+    dimensions over the stored powers.  ``keys`` maps each pair (i, j) to the
+    key of its column.  A twist orbit such as the distinguished collection
+    has 2 mu - 1 columns for its mu^2 pairs.  ``entries``, ``windows`` and
+    :meth:`dim` are per-pair views derived from the two maps.
+    """
+
+    def __init__(self, columns: dict, keys: dict[tuple[int, int], tuple]):
+        self.columns = columns
+        self.keys = keys
+
+    @property
+    def objects(self) -> int:
+        return max(i for i, _ in self.keys) + 1 if self.keys else 0
+
+    @property
+    def entries(self) -> dict[tuple[int, int, int], int]:
+        """{(i, j, p): dim}, expanded pair by pair."""
+        return {(i, j, p): dim for (i, j), key in self.keys.items()
+                for p, dim in self.columns[key][1].items()}
+
+    @property
+    def windows(self) -> dict[tuple[int, int], tuple[int, int]]:
+        return {pair: self.columns[key][0] for pair, key in self.keys.items()}
 
     def dim(self, i, j, p) -> int:
-        return self.entries.get((i, j, p), 0)
+        key = self.keys.get((i, j))
+        return 0 if key is None else self.columns[key][1].get(p, 0)
+
+    def entry_count(self) -> int:
+        """len(entries), counted without expanding them."""
+        return sum(len(self.columns[key][1]) for key in self.keys.values())
 
     def hull(self) -> tuple[int, int]:
-        if not self.entries:
-            return (0, -1)
-        ps = [p for (_, _, p) in self.entries]
-        return (min(ps), max(ps))
+        ps = [p for _, dims in self.columns.values() for p in dims]
+        return (min(ps), max(ps)) if ps else (0, -1)
+
+
+class HomTables:
+    """The Hom table of a collection and its Serre dual, from one memo.
+
+    Every object is anchored once, E_i = A_i(-s_i), and the pair (i, j)
+    reads the column of the key (A_i, A_j, s_i - s_j); each distinct key's
+    window is scanned once, for both tables.  Every entry of either table is
+    a value dim Hom(A, T^r B(l + floor(p/2) f)) with r = p mod 2, so the
+    queries are memoized on the folded key (A, B, (l + floor(p/2) f).coords,
+    r) and each distinct Hom is asked of :func:`hom_dim` once.  The memo
+    lives on the instance: a run makes one and drops it with the run.
+    """
+
+    def __init__(self, f: ChainPolynomial, collection, margin: int = 0):
+        group = build_grading_group(f)
+        self.n, self.margin, self.fdeg = f.n, margin, group.total_degree
+        self.sigma = sum((group.variable_degree(i) for i in range(f.n)), group.zero)
+        anchor = _Anchors()
+        anchored = [anchor(obj) for obj in collection]
+        # (anchor number, twist coordinates): a pair's key is a function of
+        # the two tags, so each distinct tag difference builds its key once
+        ids: dict = {}
+        tags = [(ids.setdefault(A, len(ids)), *s.coords) for A, s in anchored]
+        self.keys: dict = {}            # (i, j) -> (A, B, d)
+        self.key_windows: dict = {}     # (A, B, d) -> certified window
+        by_tags: dict = {}
+        for i, (a, sw, sr) in enumerate(tags):
+            for j, (b, tw, tr) in enumerate(tags):
+                raw = (a, b, sw - tw, sr - tr)
+                key = by_tags.get(raw)
+                if key is None:
+                    (A, s), (B, t) = anchored[i], anchored[j]
+                    key = by_tags[raw] = (A, B, s - t)
+                    if key not in self.key_windows:
+                        self.key_windows[key] = scan_window(*key)
+                self.keys[(i, j)] = key
+        self.dims: dict = {}            # folded query -> dim
+
+    def _powers(self, A, B, l: Degree, lo: int, hi: int) -> dict[int, int]:
+        """{p: dim Hom(A, T^p B(l)) for lo <= p <= hi}, for anchored A and B,
+        through the memo.
+
+        The folded degree l + floor(p/2) f is formed on the (weight, residue)
+        coordinates, and a Degree is built only for a query the memo lacks.
+        """
+        group, memo = self.fdeg.group, self.dims
+        (fw, fr), (w, r0) = self.fdeg.coords, l.coords
+        out = {}
+        for p in range(lo, hi + 1):
+            k, r = divmod(p, 2)
+            coords = (w + k * fw, (r0 + k * fr) % group.modulus)
+            key = (A, B, coords, r)
+            dim = memo.get(key)
+            if dim is None:
+                dim = memo[key] = hom_dim(A, B, Degree(group, *coords), r)
+            out[p] = dim
+        return out
+
+    def table(self, dual: bool = False) -> HomTable:
+        """The table over each certified window plus ``margin`` powers on both
+        sides.  With ``dual`` set, the column of (A, B, d) holds the Serre-dual
+        queries dim Hom(B, T^(n-p) A(-sigma - d)), so the two tables must
+        agree entrywise."""
+        n, margin = self.n, self.margin
+        columns = {}
+        for key, window in self.key_windows.items():
+            A, B, d = key
+            lo, hi = window[0] - margin, window[1] + margin
+            if dual:
+                dims = self._powers(B, A, -self.sigma - d, n - hi, n - lo)
+                dims = {p: dims[n - p] for p in range(lo, hi + 1)}
+            else:
+                dims = self._powers(A, B, d, lo, hi)
+            columns[key] = (window, dims)
+        return HomTable(columns, self.keys)
 
 
 def compute_hom_table(f: ChainPolynomial, offset: int = 0, margin: int = 0,
@@ -354,52 +461,28 @@ def compute_hom_table(f: ChainPolynomial, offset: int = 0, margin: int = 0,
     With ``dual`` set, each (i, j, p) cell instead holds the Serre-dual query
     dimension, so the two tables must agree entrywise.
 
-    Every object is anchored once, E_i = A_i(-s_i).  Both the window and the
-    queries of a pair (i, j) depend only on (A_i, A_j, s_i - s_j), so each
-    distinct key is scanned and queried once and its column of powers is
-    copied to every pair that shares it.  The key is read off the objects:
-    a twist orbit such as the distinguished collection has 2*mu - 1 keys,
-    one per diagonal j - i, and any other collection is still exact.
+    The table is stored per column: one column of powers per distinct key
+    (A_i, A_j, s_i - s_j) of anchored objects, read by every pair that
+    shares it.  The key is read off the objects: a twist orbit such as the
+    distinguished collection has 2*mu - 1 columns, one per diagonal j - i,
+    and any other collection is still exact.  This builds the table alone,
+    with a fresh memo; :class:`HomTables` shares one between both tables.
     """
     if collection is None:
         from .verify import build_collection
         collection = build_collection(f, offset)
-    group = build_grading_group(f)
-    n = f.n
-    sigma = sum((group.variable_degree(i) for i in range(n)), group.zero)
-    anchor = _Anchors()
-    anchored = [anchor(obj) for obj in collection]
-    columns: dict = {}              # (A, B, d) -> (window, {p: dim})
-    entries, windows = {}, {}
-    for i, (A, s) in enumerate(anchored):
-        for j, (B, t) in enumerate(anchored):
-            d = s - t
-            col = columns.get((A, B, d))
-            if col is None:
-                window = scan_window(A, B, d)
-                powers = range(window[0] - margin, window[1] + margin + 1)
-                if dual:
-                    dims = {p: hom_dim(B, A, -sigma - d, n - p) for p in powers}
-                else:
-                    dims = {p: hom_dim(A, B, d, p) for p in powers}
-                col = columns[(A, B, d)] = (window, dims)
-            windows[(i, j)] = col[0]
-            entries.update(((i, j, p), dim) for p, dim in col[1].items())
-    return HomTable(entries, windows)
+    return HomTables(f, collection, margin).table(dual)
 
 
 def euler_pairing(table: HomTable):
-    """Alternating sums over the certified windows, as a nested list."""
-    mu = max(i for (i, _, _) in table.entries) + 1 if table.entries else 0
-    out = []
-    for i in range(mu):
-        row = []
-        for j in range(mu):
-            pmin, pmax = table.windows[(i, j)]
-            row.append(sum((1 if p % 2 == 0 else -1) * table.dim(i, j, p)
-                           for p in range(pmin, pmax + 1)))
-        out.append(row)
-    return out
+    """Alternating sums over the certified windows, as a nested list.
+
+    Each column is summed once and read by every pair of that column."""
+    chi = {key: sum((1 if p % 2 == 0 else -1) * dims.get(p, 0)
+                    for p in range(window[0], window[1] + 1))
+           for key, (window, dims) in table.columns.items()}
+    mu = table.objects
+    return [[chi[table.keys[(i, j)]] for j in range(mu)] for i in range(mu)]
 
 
 def check_exceptionality(table: HomTable) -> dict:
@@ -407,32 +490,37 @@ def check_exceptionality(table: HomTable) -> dict:
 
     Checks scalar endomorphisms concentrated at power 0 and lower-triangular
     vanishing across the full stored power range (window plus margin); also
-    reports whether the collection is strongly exceptional.
+    reports whether the collection is strongly exceptional.  Each column is
+    read once per relation (i = j, i > j or i < j) that a pair of it has;
+    failures are expanded to (i, j, p), in pair order, only when one fails.
     """
-    mu = max(i for (i, _, _) in table.entries) + 1 if table.entries else 0
+    wrong, strong = {}, True
+    for key, rel in {(key, (i > j) - (i < j)) for (i, j), key in table.keys.items()}:
+        dims = table.columns[key][1]
+        if rel == 0:
+            bad = [(p, d) for p, d in dims.items() if d != (1 if p == 0 else 0)]
+        elif rel > 0:
+            bad = [(p, d) for p, d in dims.items() if d != 0]
+        else:
+            bad = []
+            strong = strong and all(d == 0 for p, d in dims.items() if p != 0)
+        if bad:
+            wrong[key, rel] = bad
     failures = []
-    strong = True
-    for (i, j, p), d in table.entries.items():
-        if i == j:
-            want = 1 if p == 0 else 0
-            if d != want:
-                failures.append({"i": i, "j": j, "p": p, "dim": d,
-                                 "reason": "endomorphisms not scalar"})
-        elif i > j:
-            if d != 0:
-                failures.append({"i": i, "j": j, "p": p, "dim": d,
-                                 "reason": "backwards morphism"})
-        elif p != 0 and d != 0:
-            strong = False
-    return {"objects": mu, "exceptional": not failures,
+    if wrong:
+        for (i, j), key in table.keys.items():
+            reason = "endomorphisms not scalar" if i == j else "backwards morphism"
+            for p, d in wrong.get((key, (i > j) - (i < j)), ()):
+                failures.append({"i": i, "j": j, "p": p, "dim": d, "reason": reason})
+    return {"objects": table.objects, "exceptional": not failures,
             "strong": strong and not failures, "failures": failures}
 
 
 def serre_symmetry_check(table: HomTable, dual_table: HomTable) -> bool:
-    """Entrywise agreement of a table with its Serre-dual recomputation."""
-    keys = set(table.entries) | set(dual_table.entries)
-    return all(table.entries.get(k, 0) == dual_table.entries.get(k, 0)
-               for k in keys)
+    """Agreement of a table with its Serre-dual recomputation, column by
+    column; tables with different pair maps do not agree."""
+    return table.keys == dual_table.keys and all(
+        dims == dual_table.columns[key][1] for key, (_, dims) in table.columns.items())
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ from .invariants import (
 )
 
 # Annotations may name Hom-side types (MatrixFactorization, HomTable,
-# EulerForm); they are never evaluated, so they import nothing.
+# HomTables, EulerForm); they are never evaluated, so they import nothing.
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -311,7 +311,8 @@ class _Run:
     stabilize(f, gens, cofs, twist) = shift(stabilize(f, gens, cofs), twist).
     Every Euler entry goes through the run's one ``EulerForm``, so each
     canonical key (anchored probe, anchored object, twist difference) is
-    scanned and queried once.
+    scanned and queried once.  Both Hom tables come from the run's one
+    ``HomTables``, so each distinct folded Hom query is asked once.
     """
 
     def __init__(self, f: ChainPolynomial, offset: int):
@@ -364,16 +365,20 @@ class _Run:
         return [self.collection_object(self.offset + i) for i in range(self.nm.milnor)]
 
     @cached_property
+    def homs(self) -> HomTables:
+        """The collection's windows and Hom-query memo, shared by both tables."""
+        from .homcalc import HomTables
+        return HomTables(self.f, self.coll, TABLE_MARGIN)
+
+    @cached_property
     def table(self) -> HomTable:
         """The collection's Hom table, TABLE_MARGIN powers past each window."""
-        from .homcalc import compute_hom_table
-        return compute_hom_table(self.f, self.offset, TABLE_MARGIN, False, self.coll)
+        return self.homs.table()
 
     @cached_property
     def dual(self) -> HomTable:
         """The Serre-dual table: the same cells, each by its Serre-dual query."""
-        from .homcalc import compute_hom_table
-        return compute_hom_table(self.f, self.offset, TABLE_MARGIN, True, self.coll)
+        return self.homs.table(dual=True)
 
     @cached_property
     def exc(self) -> dict:
@@ -436,7 +441,7 @@ class _Run:
         return {"objects": len(self.coll), "size": want}
 
     def hom_table(self):
-        return {"entries": len(self.table.entries),
+        return {"entries": self.table.entry_count(),
                 "window_hull": list(self.table.hull())}
 
     def exceptionality(self):

@@ -407,3 +407,17 @@ def certificate_witness(em, zp):
         if c[mu - j] != row0[j]:
             return {"condition": "r = q", "index": j, "got": c[mu - j], "want": row0[j]}
     return None
+
+
+def exceptionality_failures(entries):
+    """The failure list of ``check_exceptionality``, recomputed entry by entry
+    over an expanded {(i, j, p): dim} table, in the table's (i, j, p) order."""
+    failures = []
+    for (i, j, p), d in entries.items():
+        if i == j and d != (1 if p == 0 else 0):
+            failures.append({"i": i, "j": j, "p": p, "dim": d,
+                             "reason": "endomorphisms not scalar"})
+        elif i > j and d != 0:
+            failures.append({"i": i, "j": j, "p": p, "dim": d,
+                             "reason": "backwards morphism"})
+    return failures

@@ -6,9 +6,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chainfact.homcalc as homcalc
-from chainfact.chain import ChainPolynomial, build_grading_group, numerics
+from chainfact.chain import (
+    ChainPolynomial,
+    VerificationFailure,
+    build_grading_group,
+    numerics,
+)
 from chainfact.exactmath import MPoly, sparse_rank
 from chainfact.homcalc import (
+    HomTables,
     check_exceptionality,
     closed_form_hom,
     compute_hom_table,
@@ -30,8 +36,13 @@ from chainfact.mf import (
     stabilize,
     t_power,
 )
-from chainfact.verify import build_collection, collection_splitting
-from oracles import identity_morphism, kernel_basis, rank_rational
+from chainfact.verify import TABLE_MARGIN, _Run, build_collection, collection_splitting
+from oracles import (
+    exceptionality_failures,
+    identity_morphism,
+    kernel_basis,
+    rank_rational,
+)
 
 
 def simple_stab(exps):
@@ -284,8 +295,127 @@ def test_table_asks_one_query_per_diagonal(monkeypatch):
         table = compute_hom_table(f, margin=margin, dual=dual)
         width = max(hi - lo + 1 for lo, hi in table.windows.values())
         assert len(table.windows) == mu * mu
+        assert len(table.columns) == 2 * mu - 1
         assert 0 < len(calls) <= (2 * mu - 1) * (width + 2 * margin)
+        assert len(calls) <= sum(len(dims) for _, dims in table.columns.values())
         assert len(calls) < len(table.entries) // 5
+        assert len({folded_query(*args) for args in calls}) == len(calls)
+
+
+def folded_query(source, target, degree, power):
+    """The canonical query of hom_dim(source, target, degree, power):
+    anchored objects, the degree with floor(power / 2) f folded in, and the
+    parity."""
+    A, s = homcalc._anchor(source)
+    B, t = homcalc._anchor(target)
+    k, r = divmod(power, 2)
+    return A, B, (degree + s - t + k * source.group.total_degree).coords, r
+
+
+# torsion gradings: (2, 3) Z/2, (2, 2, 3) Z/4, (3, 2, 2) Z/3
+@pytest.mark.parametrize("offset", range(4))
+@pytest.mark.parametrize("exps", [(2, 3), (2, 2, 3), (3, 2, 2)])
+def test_shared_memo_tables_match_fresh_memos_and_naive_route(exps, offset):
+    f = ChainPolynomial(exps)
+    coll = build_collection(f, offset)
+    naive = {dual: naive_table(f, coll, TABLE_MARGIN, dual) for dual in (False, True)}
+    for dual in (False, True):
+        fresh = compute_hom_table(f, offset, TABLE_MARGIN, dual, coll)
+        assert (fresh.entries, fresh.windows) == naive[dual], (exps, offset, dual)
+    for order in ((False, True), (True, False)):
+        homs = HomTables(f, coll, TABLE_MARGIN)
+        for dual in order:
+            table = homs.table(dual)
+            assert (table.entries, table.windows) == naive[dual], (exps, offset, dual)
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(exps=st.sampled_from(SMALL_CHAINS), offset=st.integers(0, 3))
+@example(exps=(2, 3), offset=1)                    # torsion Z/2
+@example(exps=(2, 2, 3), offset=0)                 # torsion Z/4
+@example(exps=(3, 2, 2), offset=3)                 # torsion Z/3
+def test_columns_match_closed_form_lookup_property(exps, offset):
+    """Every column of both tables is the closed-form lookup
+    Hom(E_i, T^p E_j) = closed_form_hom(f, p mod 2)[d + floor(p/2) f] with
+    d = (j - i) step, and every pair reads the column of its diagonal."""
+    f = ChainPolynomial(exps)
+    g = build_grading_group(f)
+    step = collection_splitting(f)[2]
+    forms = [closed_form_hom(f, 0), closed_form_hom(f, 1)]
+    coll = build_collection(f, offset)
+    homs = HomTables(f, coll, TABLE_MARGIN)
+    for table in (homs.table(), homs.table(dual=True)):
+        assert len(table.columns) == 2 * len(coll) - 1
+        for (i, j), (_, _, d) in table.keys.items():
+            assert d == (j - i) * step, (exps, offset, i, j)
+        for (_, _, d), (_, dims) in table.columns.items():
+            for p, dim in dims.items():
+                want = forms[p % 2].get(d + (p // 2) * g.total_degree, 0)
+                assert dim == want, (exps, offset, d, p)
+
+
+# ------------------------------------------------ negative controls on columns
+
+def _diagonal_key(table, d):
+    """The key of the column that the pairs (i, i + d) read."""
+    return table.keys[(0, d) if d >= 0 else (-d, 0)]
+
+
+@pytest.mark.parametrize("exps", [(3, 3), (2, 2, 3)])
+def test_serre_check_fails_on_any_wrong_dual_value(exps):
+    f = ChainPolynomial(exps)
+    run = _Run(f, 0)
+    table, dual = run.table, run.dual
+    assert serre_symmetry_check(table, dual)
+    for _, dims in dual.columns.values():
+        for p in dims:
+            dims[p] += 1
+            assert not serre_symmetry_check(table, dual), (exps, p)
+            with pytest.raises(VerificationFailure):
+                run.serre_symmetry()
+            dims[p] -= 1
+    assert serre_symmetry_check(table, dual)
+
+
+@pytest.mark.parametrize("exps", [(3, 3), (2, 2, 3), (3, 2, 2)])
+def test_exceptionality_failures_expand_in_pair_order(exps):
+    f = ChainPolynomial(exps)
+    table = HomTables(f, build_collection(f, 1), TABLE_MARGIN).table()
+    mu = table.objects
+    assert check_exceptionality(table)["failures"] == []
+    for d in (-1, -(mu - 1), 0):
+        dims = table.columns[_diagonal_key(table, d)][1]
+        for p in [p for p in (min(dims), 0, max(dims)) if p in dims]:
+            dims[p] += 1
+            report = check_exceptionality(table)
+            want = exceptionality_failures(table.entries)
+            assert report["failures"] == want and not report["exceptional"]
+            reason = "endomorphisms not scalar" if d == 0 else "backwards morphism"
+            assert want == [{"i": i, "j": i + d, "p": p, "dim": dims[p],
+                             "reason": reason}
+                            for i in range(max(0, -d), mu - max(0, d))]
+            dims[p] -= 1
+    assert check_exceptionality(table)["exceptional"]
+
+
+@pytest.mark.parametrize("exps", [(3, 3), (2, 3), (4, 3)])
+def test_nakayama_witness_from_a_corrupted_column(exps):
+    f = ChainPolynomial(exps)
+    a1, table = exps[0], _Run(f, 0).table
+    mu = table.objects
+    for d in range(1, mu):
+        dims = table.columns[_diagonal_key(table, d)][1]
+        dims[0] += 1
+        run = _Run(f, 0)
+        run.table = table
+        with pytest.raises(VerificationFailure) as failure:
+            run.nakayama_cartan()
+        assert failure.value.witness == {"i": 0, "j": d, "got": dims[0],
+                                         "want": 1 if d < a1 else 0}
+        dims[0] -= 1
+    run = _Run(f, 0)
+    run.table = table
+    assert run.nakayama_cartan() == {"quiver_length": mu, "nilpotency": a1}
 
 
 def rows_by_products(F, G, l, p):

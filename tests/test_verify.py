@@ -42,6 +42,7 @@ from chainfact.verify import (
     verify_triangles,
 )
 from oracles import parse_report
+from test_homcalc import folded_query
 
 
 # ------------------------------------------------------------- collection
@@ -290,6 +291,40 @@ def test_triangles_query_each_key_once(monkeypatch, exps, max_hom, max_stab):
     assert homs and (max_hom is None or len(homs) <= max_hom)
 
 
+def test_verify_asks_each_folded_query_once(monkeypatch):
+    """The primal and Serre-dual tables of a run share one memo on the folded
+    query: on 3,3,3 at offset 1, 236 hom_dim calls instead of the 684 that
+    the two tables ask for.  A second run shares no memo with the first."""
+    f = ChainPolynomial((3, 3, 3))
+    queries = []
+    real = homcalc.hom_dim
+    monkeypatch.setattr(homcalc, "hom_dim",
+                        lambda *args: queries.append(folded_query(*args)) or real(*args))
+    for _ in range(2):
+        queries.clear()
+        assert verify_main_theorem(f, 1).passed
+        assert len(queries) == len(set(queries)) == 236
+
+
+def test_euler_builds_no_dual_table(monkeypatch):
+    f = ChainPolynomial((3, 3, 3))
+    tables, calls = [], []
+    real_table = homcalc.HomTables.table
+
+    def recording(self, dual=False):
+        tables.append(dual)
+        return real_table(self, dual)
+
+    monkeypatch.setattr(homcalc.HomTables, "table", recording)
+    _count_calls(monkeypatch, homcalc, "hom_dim", calls)
+    assert run_checks(f, CHECKS_RUN["euler"], 1).passed
+    assert tables == [False]
+    asked = len(calls)
+    primal = homcalc.HomTables(f, build_collection(f, 1), verify_module.TABLE_MARGIN)
+    primal.table()
+    assert asked == len(primal.dims)
+
+
 def _answer_one_key_wrongly(monkeypatch, wrong):
     """hom_dim answers the query (A, A, 0, 0) on one anchored object one too
     high; every other query is answered correctly."""
@@ -352,12 +387,12 @@ def _patch_raising(monkeypatch, owner, name, exc, when=lambda *a, **k: True):
 
 
 def test_failed_hom_table_fails_its_dependants(monkeypatch):
-    _patch_raising(monkeypatch, homcalc, "compute_hom_table", GradingError)
+    _patch_raising(monkeypatch, homcalc, "HomTables", GradingError)
     rep = verify_main_theorem(ChainPolynomial((2, 2)))
     failed = {"hom_table", "exceptionality", "euler_pairing_matches",
               "serre_symmetry", "nakayama_cartan"}
     assert {c.name for c in rep.checks if c.status == "fail"} == failed
-    assert rep.check("exceptionality").detail == {"error": "compute_hom_table called"}
+    assert rep.check("exceptionality").detail == {"error": "HomTables called"}
     assert rep.check("collection").status == "pass"
     assert cli_main(["verify", "--chain", "2,2", "--format", "json"]) == 1
 
