@@ -7,8 +7,10 @@ Hom tables are computed in memory on every run, and no run writes a file.
 Each process loads only the layers its subcommand runs.  Every subcommand
 loads ``chain``, ``exactmath``, ``invariants`` and ``verify``.  ``invariants``
 and ``monodromy`` load nothing more.  ``verify``, ``euler`` and ``triangles``
-also load the Hom engine (``mf`` and ``homcalc``) when their first Hom check
-runs.
+also load ``homrun`` and, through it, the Hom engine (``mf`` and
+``homcalc``): ``run_checks`` imports it before the run, when some check it
+applies to the chain reads Hom spaces.  ``triangles`` on one variable runs
+only a note and loads no engine.
 """
 
 from __future__ import annotations

@@ -307,10 +307,10 @@ class EulerForm:
     the certified window, memoized for one run.
 
     An entry depends only on the canonical key (A, B, l + s - t) of the
-    anchored objects, the key that :func:`hom_dim` and
-    :func:`compute_hom_table` use, so each distinct key is scanned and
-    queried once.  Objects are anchored once per run.  The memo lives on the
-    instance: make one per run and drop it with the run.
+    anchored objects, the key that :func:`hom_dim` and :class:`HomTables`
+    use, so each distinct key is scanned and queried once.  Objects are
+    anchored once per run.  The memo lives on the instance: make one per run
+    and drop it with the run.
     """
 
     def __init__(self):
@@ -452,26 +452,6 @@ class HomTables:
                 dims = self._powers(A, B, d, lo, hi)
             columns[key] = (window, dims)
         return HomTable(columns, self.keys)
-
-
-def compute_hom_table(f: ChainPolynomial, offset: int = 0, margin: int = 0,
-                      dual: bool = False, collection=None) -> HomTable:
-    """All pairwise Hom dimensions of the collection over certified windows.
-
-    With ``dual`` set, each (i, j, p) cell instead holds the Serre-dual query
-    dimension, so the two tables must agree entrywise.
-
-    The table is stored per column: one column of powers per distinct key
-    (A_i, A_j, s_i - s_j) of anchored objects, read by every pair that
-    shares it.  The key is read off the objects: a twist orbit such as the
-    distinguished collection has 2*mu - 1 columns, one per diagonal j - i,
-    and any other collection is still exact.  This builds the table alone,
-    with a fresh memo; :class:`HomTables` shares one between both tables.
-    """
-    if collection is None:
-        from .verify import build_collection
-        collection = build_collection(f, offset)
-    return HomTables(f, collection, margin).table(dual)
 
 
 def euler_pairing(table: HomTable):

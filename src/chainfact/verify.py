@@ -1,19 +1,17 @@
-"""Orchestration: collection construction, identity pipelines, reports.
+"""Orchestration: identity pipelines and reports.
 
-This module wires everything together: it builds the distinguished collection
-of stabilizations from monomial generators, runs exact checks, and packages
-the outcome as a serializable report.  Each paper check is declared once in
-``CHECKS``, and ``run_checks`` runs any tuple of them, so a pipeline computes
-only what its checks read.
-Nothing here does new mathematics; failures bubble up from the lower layers
-and land in report entries with witnesses attached.
+Each paper check is the method of its report name on a run, and
+``run_checks`` runs any tuple of them, so a pipeline computes only what its
+checks read.  Nothing here does new mathematics; failures bubble up from the
+lower layers and land in report entries with witnesses attached.
 
-The module imports only the light layers (``chain``, ``exactmath``,
-``invariants``).  The Hom side -- the collection, auxiliary and ladder
-builders and the Hom and triangle checks -- imports ``mf`` and ``homcalc``
-in the function that first needs them, so a run of the invariants battery
-never loads the engine.  Every run computes its Hom tables in memory; nothing
-is read from or written to disk.
+This module imports only the light layers (``chain``, ``exactmath``,
+``invariants``) and holds the matrix-level battery (zeta function, Euler
+series, monodromy) and the section checks.  The checks that read Hom spaces,
+and the builders of their objects, live in ``homrun``, the one importer of
+the Hom engine; ``run_checks`` imports it only when an applicable check needs
+it.  Every run computes its Hom tables in memory; nothing is read from or
+written to disk.
 """
 
 from __future__ import annotations
@@ -45,108 +43,7 @@ from .invariants import (
     zeta_polynomial,
 )
 
-# Annotations may name Hom-side types (MatrixFactorization, HomTable,
-# HomTables, EulerForm); they are never evaluated, so they import nothing.
-
 REPORT_SCHEMA_VERSION = 1
-
-
-# ---------------------------------------------------------------------------
-# collection construction
-# ---------------------------------------------------------------------------
-
-def _cofactors(f: ChainPolynomial, gens) -> list[MPoly]:
-    """The cofactors h_i with sum(g_i * h_i) = f, derived from the generators.
-
-    Each monomial of f goes to the first generator (read by its leading term)
-    that divides it, and a generator's cofactor is the sum of its monomials
-    divided by it.  ``stabilize`` refuses generators that are not monomials
-    in pairwise disjoint variables.
-    """
-    leads = [next(iter(g.terms.items())) for g in gens]
-    terms = [{} for _ in gens]
-    for m in f.monomial_exponents():
-        for out, (e, c) in zip(terms, leads):
-            if all(a >= b for a, b in zip(m, e)):
-                out[tuple(a - b for a, b in zip(m, e))] = Fraction(1) / c
-                break
-        else:
-            raise ValueError(f"no generator divides the monomial {m} of f")
-    return [MPoly(f.n, t) for t in terms]
-
-
-def collection_splitting(f: ChainPolynomial):
-    """Generator/cofactor splitting behind the distinguished collection.
-
-    Odd variable counts quotient by the odd-indexed variables, even counts by
-    the even-indexed ones.  Returns (gens, cofs, step) where step is the
-    one-object twist of the collection.
-    """
-    n = f.n
-    g = build_grading_group(f)
-    if n % 2:
-        gens = [MPoly.variable(n, j) for j in range(0, n, 2)]     # x1, x3, ...
-        step = -g.variable_degree(0)
-    else:
-        gens = [MPoly.variable(n, j) for j in range(1, n, 2)]     # x2, x4, ...
-        step = g.variable_degree(0)
-    return gens, _cofactors(f, gens), step
-
-
-def collection_base(f: ChainPolynomial):
-    """(base, step): the base stabilization and the one-object twist, so
-    that E_i = base(i * step)."""
-    from .mf import stabilize
-    gens, cofs, step = collection_splitting(f)
-    return stabilize(f, gens, cofs), step
-
-
-def build_collection(f: ChainPolynomial, offset: int = 0) -> list[MatrixFactorization]:
-    """The length-mu twist orbit of the base stabilization."""
-    from .mf import shift
-    base, step = collection_base(f)
-    mu = numerics(f).milnor
-    return [shift(base, (offset + i) * step) for i in range(mu)]
-
-
-def auxiliary_splitting(f: ChainPolynomial):
-    """Splitting for the triangle third objects (even variable count).
-
-    Quotients by x1 together with the even-indexed variables, so the first
-    two cofactors split the leading monomials between x1 and x2.
-    """
-    n = f.n
-    if n % 2:
-        raise ValueError("auxiliary objects need an even variable count")
-    gens = [MPoly.variable(n, j) for j in (0, *range(1, n, 2))]
-    return gens, _cofactors(f, gens)
-
-
-def ladder_splitting(f: ChainPolynomial, j: int):
-    """Splitting for the ladder objects (odd count, first generator x1^j)."""
-    n = f.n
-    if n % 2 == 0 or n < 3:
-        raise ValueError("ladder objects need an odd count of at least three")
-    if not 1 <= j <= f.exponents[0]:
-        raise ValueError("ladder index out of range")
-    gens = [MPoly.variable(n, 0, j)] + [MPoly.variable(n, i) for i in range(2, n, 2)]
-    return gens, _cofactors(f, gens)
-
-
-def auxiliary_object(f: ChainPolynomial, i: int) -> MatrixFactorization:
-    from .mf import stabilize
-    gens, cofs = auxiliary_splitting(f)
-    g = build_grading_group(f)
-    return stabilize(f, gens, cofs, i * g.variable_degree(0))
-
-
-def ladder_object(f: ChainPolynomial, i: int, j: int) -> MatrixFactorization:
-    from .mf import stabilize, zero_object
-    if j == 0 or j == f.exponents[0] + 1:
-        return zero_object(f)
-    gens, cofs = ladder_splitting(f, j)
-    g = build_grading_group(f)
-    return stabilize(f, gens, cofs, -i * g.variable_degree(0))
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +188,6 @@ def emit_report(report: VerificationReport, fmt: str = "json") -> str:
 # pipelines
 # ---------------------------------------------------------------------------
 
-TABLE_MARGIN = 3        # powers stored beyond each certified Hom window
-
-
 class _Run:
     """One run of paper checks on one chain.
 
@@ -301,18 +195,8 @@ class _Run:
     (status, detail).  The values several checks share are cached properties,
     computed on first use and kept for the run; one whose computation raises
     is not stored, so every check that reads it fails as a report entry.
-
-    The triangle checks read three object families: collection object i is
-    base(i * step); for even n, auxiliary object i is Aux(i * deg x1); for
-    odd n, ladder object (i, j) is L_j(-i * deg x1), zero for j = 0 and
-    j = a1 + 1.  Each base (the collection base, Aux, and L_j for each width
-    j = 1..a1) goes through the validating ``stabilize`` once per run; every
-    object is then reached with the trusted ``shift``, since
-    stabilize(f, gens, cofs, twist) = shift(stabilize(f, gens, cofs), twist).
-    Every Euler entry goes through the run's one ``EulerForm``, so each
-    canonical key (anchored probe, anchored object, twist difference) is
-    scanned and queried once.  Both Hom tables come from the run's one
-    ``HomTables``, so each distinct folded Hom query is asked once.
+    The checks that read Hom spaces are methods of ``homrun.HomRun``, a
+    subclass; those here read no Hom-side value.
     """
 
     def __init__(self, f: ChainPolynomial, offset: int):
@@ -322,68 +206,6 @@ class _Run:
     @cached_property
     def md(self):
         return monodromy_data(self.f)
-
-    @cached_property
-    def base(self) -> tuple[MatrixFactorization, Degree]:
-        """(the collection base, the one-object twist step)"""
-        return collection_base(self.f)
-
-    @cached_property
-    def aux_base(self) -> MatrixFactorization:
-        from .mf import stabilize
-        return stabilize(self.f, *auxiliary_splitting(self.f))
-
-    @cached_property
-    def ladder_bases(self) -> dict[int, MatrixFactorization]:
-        from .mf import stabilize
-        return {j: stabilize(self.f, *ladder_splitting(self.f, j))
-                for j in range(1, self.f.exponents[0] + 1)}
-
-    @cached_property
-    def euler(self) -> EulerForm:
-        from .homcalc import EulerForm
-        return EulerForm()
-
-    def collection_object(self, i: int) -> MatrixFactorization:
-        from .mf import shift
-        base, step = self.base
-        return shift(base, i * step)
-
-    def auxiliary(self, i: int) -> MatrixFactorization:
-        from .mf import shift
-        return shift(self.aux_base, i * build_grading_group(self.f).variable_degree(0))
-
-    def ladder(self, i: int, j: int) -> MatrixFactorization:
-        from .mf import shift, zero_object
-        if j == 0 or j == self.f.exponents[0] + 1:
-            return zero_object(self.f)
-        return shift(self.ladder_bases[j],
-                     -i * build_grading_group(self.f).variable_degree(0))
-
-    @cached_property
-    def coll(self) -> list[MatrixFactorization]:
-        return [self.collection_object(self.offset + i) for i in range(self.nm.milnor)]
-
-    @cached_property
-    def homs(self) -> HomTables:
-        """The collection's windows and Hom-query memo, shared by both tables."""
-        from .homcalc import HomTables
-        return HomTables(self.f, self.coll, TABLE_MARGIN)
-
-    @cached_property
-    def table(self) -> HomTable:
-        """The collection's Hom table, TABLE_MARGIN powers past each window."""
-        return self.homs.table()
-
-    @cached_property
-    def dual(self) -> HomTable:
-        """The Serre-dual table: the same cells, each by its Serre-dual query."""
-        return self.homs.table(dual=True)
-
-    @cached_property
-    def exc(self) -> dict:
-        from .homcalc import check_exceptionality
-        return check_exceptionality(self.table)
 
     def grading_group(self):
         g = build_grading_group(self.f)
@@ -432,52 +254,6 @@ class _Run:
     def polarization_integer(self):
         return {"k": polarization_integer(self.f)}
 
-    def collection(self):
-        gens, _, _ = collection_splitting(self.f)
-        want = 2 ** (len(gens) - 1)
-        if any(e.size != want for e in self.coll):
-            raise VerificationFailure("collection object of unexpected size",
-                                      {"sizes": [e.size for e in self.coll]})
-        return {"objects": len(self.coll), "size": want}
-
-    def hom_table(self):
-        return {"entries": self.table.entry_count(),
-                "window_hull": list(self.table.hull())}
-
-    def exceptionality(self):
-        if not self.exc["exceptional"]:
-            raise VerificationFailure("collection is not exceptional",
-                                      {"failures": self.exc["failures"]})
-        return {"strong": self.exc["strong"]}
-
-    def euler_pairing_matches(self):
-        from .homcalc import euler_pairing
-        engine = euler_pairing(self.table)
-        want = [list(row) for row in euler_matrix(self.f).matrix.entries]
-        if engine != want:
-            raise VerificationFailure("Euler pairing differs from the Toeplitz matrix",
-                                      {"engine": engine, "matrix": want})
-        return {"matrix": engine}
-
-    def serre_symmetry(self):
-        from .homcalc import serre_symmetry_check
-        if not serre_symmetry_check(self.table, self.dual):
-            raise VerificationFailure("Serre symmetry violated on the table")
-        return {}
-
-    def nakayama_cartan(self):
-        a1, mu, table = self.f.exponents[0], self.nm.milnor, self.table
-        if not self.exc["strong"]:
-            raise VerificationFailure("collection is not strong")
-        for i in range(mu):
-            for j in range(mu):
-                want = 1 if 0 <= j - i < a1 else 0
-                if table.dim(i, j, 0) != want:
-                    raise VerificationFailure(
-                        "path-algebra dimension table mismatch",
-                        {"i": i, "j": j, "got": table.dim(i, j, 0), "want": want})
-        return {"quiver_length": mu, "nilpotency": a1}
-
     def fullness(self):
         return ("note", {"note": "generation of the whole category is not "
                                  "machine-verified; only its computable "
@@ -503,74 +279,6 @@ class _Run:
     def triangles(self):
         return ("note", {"note": "one variable has no triangle lemma"})
 
-    def triangle_euler_additivity(self):
-        mu, coll, bad = self.nm.milnor, self.coll, []
-        for k in range(1, mu):
-            i = self.offset + k
-            aux = self.auxiliary(i)
-            for x in coll:
-                total = self.euler(x, coll[k - 1]) - self.euler(x, coll[k]) \
-                    + self.euler(x, aux)
-                if total != 0:
-                    bad.append({"i": i, "total": total})
-        if bad:
-            raise VerificationFailure("Euler additivity failed", {"cases": bad})
-        return {"triangles": mu - 1, "probes": len(coll)}
-
-    def _ladder_terms(self, i, j):
-        """The triangle's source, two middle objects and cone, signed."""
-        return [(1, self.ladder(i + 1, j)), (-1, self.ladder(i, j + 1)),
-                (-1, self.ladder(i + 1, j - 1)), (1, self.ladder(i, j))]
-
-    def _ladder_total(self, terms, x):
-        return sum(sgn * self.euler(x, obj) for sgn, obj in terms if obj.size)
-
-    def _ladder_rows(self):
-        return range(self.offset, self.offset + min(self.nm.milnor - 1, 3))
-
-    def ladder_euler_additivity(self):
-        a1, bad = self.f.exponents[0], []
-        for i in self._ladder_rows():
-            for j in range(1, a1):
-                terms = self._ladder_terms(i, j)
-                for x in self.coll:
-                    total = self._ladder_total(terms, x)
-                    if total != 0:
-                        bad.append({"i": i, "j": j, "total": total})
-        if bad:
-            raise VerificationFailure("ladder Euler identity failed", {"cases": bad})
-        return {"ladder_width": a1, "widths_checked": list(range(1, a1))}
-
-    def ladder_boundary_width_a1(self):
-        # The printed width-a1 instance reads the out-of-category object as
-        # zero; its Euler defect is then forced to be the class sum of a1+1
-        # consecutive collection objects, which is nonzero.  Pin the defect
-        # exactly so any drift is caught.
-        a1, mismatches, boundary_holds = self.f.exponents[0], [], True
-        for i in self._ladder_rows():
-            terms = self._ladder_terms(i, a1)
-            classes = [self.collection_object(i + k) for k in range(a1 + 1)]
-            for x in self.coll:
-                total = self._ladder_total(terms, x)
-                predicted = sum(self.euler(x, e) for e in classes)
-                if total != 0:
-                    boundary_holds = False
-                if total != predicted:
-                    mismatches.append({"i": i, "total": total, "predicted": predicted})
-        if mismatches:
-            raise VerificationFailure(
-                "boundary defect does not match the class-sum prediction",
-                {"cases": mismatches})
-        return ("pass" if boundary_holds else "note",
-                {"literal_boundary_instance_holds": boundary_holds,
-                 "defect": "sum of a1+1 consecutive collection classes"})
-
-    def ladder_base_object(self):
-        # an independently stabilized width-one ladder object against E_offset
-        if ladder_object(self.f, self.offset, 1) != self.coll[0]:
-            raise VerificationFailure("width-one ladder object differs from E_i")
-        return {}
-
     def reduced_collection_integrality(self):
         mu, a1 = self.nm.milnor, self.f.exponents[0]
         if self.f.n % 2 == 0:
@@ -583,26 +291,6 @@ class _Run:
             raise VerificationFailure("ladder length quotient not integral",
                                       {"mu": mu, "a1": a1, "d2": d2})
         return {"reduced_length": (mu - a1 + 1) // d2}
-
-    def triangle_structural(self):
-        from .mf import direct_sum
-        coll = self.coll
-        if self.f.n % 2 == 0:
-            i = self.offset + 1
-            return (_search_cone_match(coll[0], coll[1], self.auxiliary(i), coll),
-                    {"i": i})
-        results = []
-        for j in range(1, self.f.exponents[0]):
-            (_, src), (_, mid1), (_, mid2), (_, cone_obj) = \
-                self._ladder_terms(self.offset, j)
-            middle = [obj for obj in (mid1, mid2) if obj.size]
-            if not middle:
-                continue
-            target = direct_sum(*middle) if len(middle) == 2 else middle[0]
-            status = _search_cone_match(src, target, cone_obj, coll)
-            results.append({"j": j, "status": status})
-        overall = "pass" if all(x["status"] == "pass" for x in results) else "inconclusive"
-        return (overall, {"cases": results})
 
 
 # the report order of each pipeline
@@ -619,9 +307,6 @@ TRIANGLE_CHECKS = ("triangles", "triangle_euler_additivity", "ladder_euler_addit
                    "ladder_boundary_width_a1", "ladder_base_object",
                    "reduced_collection_integrality", "triangle_structural")
 
-# every paper check, by report name
-CHECKS = {name: getattr(_Run, name)
-          for name in MAIN_THEOREM_CHECKS + SECTION_CHECKS + TRIANGLE_CHECKS}
 # checks that apply to some chains only; the others apply to every chain
 _APPLIES = {
     "nakayama_cartan": lambda f: f.n == 2,
@@ -635,11 +320,17 @@ _APPLIES = {
 
 
 def run_checks(f: ChainPolynomial, names, offset: int = 0) -> VerificationReport:
-    """Run the named checks in order, over values computed once per run."""
-    run, r = _Run(f, offset), _Runner()
+    """Run the named checks in order, over values computed once per run.
+
+    The run is a ``homrun.HomRun`` when some applicable check is not a method
+    of ``_Run``: the one place where the Hom side is imported."""
+    names = [name for name in names if _APPLIES.get(name, lambda _: True)(f)]
+    run_class = _Run
+    if not all(hasattr(_Run, name) for name in names):
+        from .homrun import HomRun as run_class
+    run, r = run_class(f, offset), _Runner()
     for name in names:
-        if _APPLIES.get(name, lambda _: True)(f):
-            r.run(name, lambda: CHECKS[name](run))
+        r.run(name, getattr(run, name))
     return VerificationReport(f.exponents, offset, __version__, r.checks)
 
 
@@ -656,47 +347,6 @@ def verify_main_theorem(f: ChainPolynomial, offset: int = 0) -> VerificationRepo
 def verify_section_inequalities(f: ChainPolynomial) -> VerificationReport:
     """The strict reduction inequalities behind the generation argument."""
     return run_checks(f, SECTION_CHECKS)
-
-
-def _profiles_agree(probes, left, right, pad: int = 2) -> bool:
-    from .homcalc import hom_dim, scan_window
-    for x in probes:
-        w1 = scan_window(x, left)
-        w2 = scan_window(x, right)
-        lo = min(w1[0], w2[0]) - pad
-        hi = max(w1[1], w2[1]) + pad
-        for p in range(lo, hi + 1):
-            if hom_dim(x, left, None, p) != hom_dim(x, right, None, p):
-                return False
-    return True
-
-
-def _search_cone_match(source, target, reference, probes) -> str:
-    """Search a morphism whose reduced cone matches the reference profile.
-
-    Tries every basis element of the degree-zero stable Hom space and, for
-    small spaces, signed sums of two basis elements; exhaustion is reported
-    as inconclusive, never as a refutation.
-    """
-    from .homcalc import morphism_space_basis
-    from .mf import MFMorphism, cone, reduce
-    basis = morphism_space_basis(source, target)
-    if not basis:
-        return "inconclusive"
-    candidates = list(basis)
-    if 2 <= len(basis) <= 3:
-        for i in range(len(basis)):
-            for j in range(i + 1, len(basis)):
-                for s in (1, -1):
-                    phi0 = basis[i].phi0 + (-basis[j].phi0 if s < 0 else basis[j].phi0)
-                    phi1 = basis[i].phi1 + (-basis[j].phi1 if s < 0 else basis[j].phi1)
-                    candidates.append(MFMorphism(basis[i].source, basis[i].target,
-                                                 basis[i].shift, phi0, phi1))
-    for phi in candidates:
-        c = reduce(cone(phi))
-        if _profiles_agree(probes, c, reference):
-            return "pass"
-    return "inconclusive"
 
 
 def verify_triangles(f: ChainPolynomial, offset: int = 0) -> VerificationReport:

@@ -17,7 +17,6 @@ from chainfact.homcalc import (
     HomTables,
     check_exceptionality,
     closed_form_hom,
-    compute_hom_table,
     euler_pairing,
     hom_dim,
     morphism_space_basis,
@@ -26,6 +25,7 @@ from chainfact.homcalc import (
     _cell_basis,
     _differential_rows,
 )
+from chainfact.homrun import TABLE_MARGIN, HomRun, build_collection, collection_splitting
 from chainfact.invariants import euler_matrix
 from chainfact.mf import (
     cone,
@@ -36,7 +36,6 @@ from chainfact.mf import (
     stabilize,
     t_power,
 )
-from chainfact.verify import TABLE_MARGIN, _Run, build_collection, collection_splitting
 from oracles import (
     exceptionality_failures,
     identity_morphism,
@@ -216,7 +215,7 @@ def test_canonical_tables_match_naive_route(exps):
     sigma = sum((g.variable_degree(i) for i in range(f.n)), g.zero)
     coll = build_collection(f, offset=1)
     for dual in (False, True):
-        table = compute_hom_table(f, offset=1, margin=1, dual=dual, collection=coll)
+        table = HomTables(f, coll, 1).table(dual)
         for (i, j), window in table.windows.items():
             assert window == naive_window(coll[i], coll[j], g.zero)
         naive = {}
@@ -238,8 +237,8 @@ def naive_dims(F, G, l, powers):
 
 
 def naive_table(f, coll, margin, dual):
-    """compute_hom_table's entries and windows by the naive route on all
-    mu^2 raw pairs."""
+    """A table's entries and windows by the naive route on all mu^2 raw
+    pairs."""
     g = build_grading_group(f)
     sigma = sum((g.variable_degree(i) for i in range(f.n)), g.zero)
     entries, windows = {}, {}
@@ -275,7 +274,7 @@ def test_tables_match_naive_route_property(exps, offset, margin):
     f = ChainPolynomial(exps)
     coll = build_collection(f, offset)
     for dual in (False, True):
-        table = compute_hom_table(f, offset, margin, dual, coll)
+        table = HomTables(f, coll, margin).table(dual)
         assert (table.entries, table.windows) == naive_table(f, coll, margin, dual)
 
 
@@ -292,7 +291,7 @@ def test_table_asks_one_query_per_diagonal(monkeypatch):
     monkeypatch.setattr(homcalc, "hom_dim", counted)
     for dual in (False, True):
         calls.clear()
-        table = compute_hom_table(f, margin=margin, dual=dual)
+        table = HomTables(f, build_collection(f), margin).table(dual)
         width = max(hi - lo + 1 for lo, hi in table.windows.values())
         assert len(table.windows) == mu * mu
         assert len(table.columns) == 2 * mu - 1
@@ -320,7 +319,7 @@ def test_shared_memo_tables_match_fresh_memos_and_naive_route(exps, offset):
     coll = build_collection(f, offset)
     naive = {dual: naive_table(f, coll, TABLE_MARGIN, dual) for dual in (False, True)}
     for dual in (False, True):
-        fresh = compute_hom_table(f, offset, TABLE_MARGIN, dual, coll)
+        fresh = HomTables(f, coll, TABLE_MARGIN).table(dual)
         assert (fresh.entries, fresh.windows) == naive[dual], (exps, offset, dual)
     for order in ((False, True), (True, False)):
         homs = HomTables(f, coll, TABLE_MARGIN)
@@ -364,7 +363,7 @@ def _diagonal_key(table, d):
 @pytest.mark.parametrize("exps", [(3, 3), (2, 2, 3)])
 def test_serre_check_fails_on_any_wrong_dual_value(exps):
     f = ChainPolynomial(exps)
-    run = _Run(f, 0)
+    run = HomRun(f, 0)
     table, dual = run.table, run.dual
     assert serre_symmetry_check(table, dual)
     for _, dims in dual.columns.values():
@@ -401,19 +400,19 @@ def test_exceptionality_failures_expand_in_pair_order(exps):
 @pytest.mark.parametrize("exps", [(3, 3), (2, 3), (4, 3)])
 def test_nakayama_witness_from_a_corrupted_column(exps):
     f = ChainPolynomial(exps)
-    a1, table = exps[0], _Run(f, 0).table
+    a1, table = exps[0], HomRun(f, 0).table
     mu = table.objects
     for d in range(1, mu):
         dims = table.columns[_diagonal_key(table, d)][1]
         dims[0] += 1
-        run = _Run(f, 0)
+        run = HomRun(f, 0)
         run.table = table
         with pytest.raises(VerificationFailure) as failure:
             run.nakayama_cartan()
         assert failure.value.witness == {"i": 0, "j": d, "got": dims[0],
                                          "want": 1 if d < a1 else 0}
         dims[0] -= 1
-    run = _Run(f, 0)
+    run = HomRun(f, 0)
     run.table = table
     assert run.nakayama_cartan() == {"quiver_length": mu, "nilpotency": a1}
 
@@ -489,33 +488,33 @@ def test_sparse_rank_on_differential_rows(exps):
 @pytest.mark.parametrize("exps", [(2,), (3,), (2, 2), (3, 2), (2, 3)])
 def test_euler_pairing_matches_toeplitz(exps):
     f = ChainPolynomial(exps)
-    table = compute_hom_table(f)
+    table = HomTables(f, build_collection(f)).table()
     assert euler_pairing(table) == [list(r) for r in euler_matrix(f).matrix.entries]
 
 
 def test_euler_diagonal_ones():
     f = ChainPolynomial((3, 3))
-    table = compute_hom_table(f)
+    table = HomTables(f, build_collection(f)).table()
     pairing = euler_pairing(table)
     assert all(pairing[i][i] == 1 for i in range(len(pairing)))
 
 
 def test_exceptionality_report_strong_n2():
     f = ChainPolynomial((2, 2))
-    rep = check_exceptionality(compute_hom_table(f, margin=3))
+    rep = check_exceptionality(HomTables(f, build_collection(f), 3).table())
     assert rep["exceptional"] and rep["strong"]
 
 
 def test_exceptionality_single_object():
     f = ChainPolynomial((3,))
-    rep = check_exceptionality(compute_hom_table(f, margin=3))
+    rep = check_exceptionality(HomTables(f, build_collection(f), 3).table())
     assert rep["exceptional"]
 
 
 def test_window_extension_stable_pairing():
     f = ChainPolynomial((2, 2))
-    t0 = compute_hom_table(f)
-    t3 = compute_hom_table(f, margin=3)
+    t0 = HomTables(f, build_collection(f)).table()
+    t3 = HomTables(f, build_collection(f), 3).table()
     wide = {}
     for (i, j), (lo, hi) in t3.windows.items():
         wide[(i, j)] = sum((1 if p % 2 == 0 else -1) * t3.dim(i, j, p)
@@ -607,8 +606,8 @@ def test_translation_shifts_hom_parity():
 def test_serre_symmetry_tables():
     for exps in [(2,), (2, 2), (3, 2)]:
         f = ChainPolynomial(exps)
-        main = compute_hom_table(f)
-        dual = compute_hom_table(f, dual=True)
+        main = HomTables(f, build_collection(f)).table()
+        dual = HomTables(f, build_collection(f)).table(dual=True)
         assert serre_symmetry_check(main, dual)
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from chainfact.chain import ChainPolynomial, build_grading_group
 from chainfact.exactmath import MPoly
+from chainfact.homrun import collection_splitting
 from chainfact.mf import (
     GradedFreeModule,
     GradedMatrix,
@@ -23,7 +24,6 @@ from chainfact.mf import (
     translate_inverse,
     zero_object,
 )
-from chainfact.verify import collection_splitting
 from oracles import identity_morphism, zero_morphism
 
 

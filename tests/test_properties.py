@@ -19,16 +19,16 @@ from chainfact.exactmath import (
     series_inverse,
 )
 from chainfact.homcalc import (
-    compute_hom_table,
+    HomTables,
     euler_pairing,
     hom_dim,
     morphism_space_basis,
     scan_window,
     serre_symmetry_check,
 )
+from chainfact.homrun import build_collection
 from chainfact.invariants import euler_matrix, zeta_polynomial
 from chainfact.mf import cone, direct_sum, reduce, shift, translate
-from chainfact.verify import build_collection
 from oracles import det_bareiss, identity_morphism, smith_normal_form
 
 
@@ -147,8 +147,8 @@ def test_reduce_idempotent_on_cones():
 @pytest.mark.parametrize("exps", [(2,), (3,), (2, 2), (2, 3), (2, 2, 2)])
 def test_serre_symmetry_every_table(exps):
     f = ChainPolynomial(exps)
-    main = compute_hom_table(f)
-    dual = compute_hom_table(f, dual=True)
+    main = HomTables(f, build_collection(f)).table()
+    dual = HomTables(f, build_collection(f)).table(dual=True)
     assert serre_symmetry_check(main, dual)
 
 
@@ -196,5 +196,5 @@ def test_simultaneous_shift_invariance_random():
 def test_euler_pairing_equals_matrix_grid():
     for exps in [(2,), (3,), (2, 2), (3, 2)]:
         f = ChainPolynomial(exps)
-        assert euler_pairing(compute_hom_table(f)) == \
+        assert euler_pairing(HomTables(f, build_collection(f)).table()) == \
             [list(r) for r in euler_matrix(f).matrix.entries]

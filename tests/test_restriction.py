@@ -20,11 +20,19 @@ import chainfact
 from chainfact.chain import ChainPolynomial, build_grading_group, numerics
 from chainfact.exactmath import MPoly
 from chainfact.homcalc import (
+    HomTables,
     closed_form_hom,
-    compute_hom_table,
     hom_dim,
     morphism_space_basis,
     scan_window,
+)
+from chainfact.homrun import (
+    _cofactors,
+    auxiliary_object,
+    build_collection,
+    collection_splitting,
+    ladder_object,
+    ladder_splitting,
 )
 from chainfact.mf import (
     cone,
@@ -35,14 +43,6 @@ from chainfact.mf import (
     stabilize,
     t_power,
     translate,
-)
-from chainfact.verify import (
-    _cofactors,
-    auxiliary_object,
-    build_collection,
-    collection_splitting,
-    ladder_object,
-    ladder_splitting,
 )
 from oracles import identity_morphism, without_koszul_record
 from test_homcalc import SMALL_CHAINS, TORSION_CHAINS
@@ -73,8 +73,8 @@ def test_tables_match_general_engine(exps):
         assert all(e.koszul_vars is not None for e in coll)
         bare = [without_koszul_record(e) for e in coll]
         for dual in (False, True):
-            got = compute_hom_table(f, offset, 3, dual, coll)
-            want = compute_hom_table(f, offset, 3, dual, bare)
+            got = HomTables(f, coll, 3).table(dual)
+            want = HomTables(f, bare, 3).table(dual)
             assert got.entries == want.entries, (exps, offset, dual)
             assert got.windows == want.windows
 
@@ -107,7 +107,7 @@ def test_tables_match_closed_form_lookup(exps):
     forms = [closed_form_hom(f, 0), closed_form_hom(f, 1)]
     for offset in (0, 2):
         for dual in (False, True):
-            table = compute_hom_table(f, offset, 3, dual)
+            table = HomTables(f, build_collection(f, offset), 3).table(dual)
             assert len(table.windows) == numerics(f).milnor ** 2
             for (i, j, p), dim in table.entries.items():
                 key = (j - i) * step + (p // 2) * g.total_degree
@@ -170,7 +170,9 @@ def test_restriction_dispatch_under_optimize_flag():
         "import json\n"
         "import chainfact.homcalc as h\n"
         "from chainfact.chain import ChainPolynomial\n"
-        "t = h.compute_hom_table(ChainPolynomial((2, 2, 3)), 0, 1)\n"
+        "from chainfact.homrun import build_collection\n"
+        "f = ChainPolynomial((2, 2, 3))\n"
+        "t = h.HomTables(f, build_collection(f), 1).table()\n"
         "print(json.dumps([sorted(map(list, t.entries.items())), __debug__,\n"
         "                  h._cell_basis.cache_info().misses,\n"
         "                  h._rank_d.cache_info().misses]))\n"
@@ -184,7 +186,7 @@ def test_restriction_dispatch_under_optimize_flag():
     assert cells == 0 and ranks == 0
     f = ChainPolynomial((2, 2, 3))
     bare = [without_koszul_record(e) for e in build_collection(f)]
-    want = compute_hom_table(f, 0, 1, collection=bare).entries
+    want = HomTables(f, bare, 1).table().entries
     assert {(i, j, p): d for (i, j, p), d in entries} == want
 
 

@@ -10,31 +10,28 @@ from hypothesis import strategies as st
 
 import chainfact
 import chainfact.homcalc as homcalc
+import chainfact.homrun as homrun
 import chainfact.mf as mf
 import chainfact.verify as verify_module
 from chainfact.chain import ChainPolynomial, GradingGroup, build_grading_group
 from chainfact.cli import CHECKS_RUN
 from chainfact.cli import main as cli_main
 from chainfact.exactmath import MPoly
-from chainfact.homcalc import (
-    EulerForm,
-    compute_hom_table,
-    euler_pairing,
-    hom_dim,
-    scan_window,
-)
-from chainfact.invariants import VerificationFailure
-from chainfact.mf import GradingError, shift
-from chainfact.verify import (
-    VerificationReport,
+from chainfact.homcalc import EulerForm, HomTables, hom_dim, scan_window
+from chainfact.homrun import (
     auxiliary_object,
     auxiliary_splitting,
     build_collection,
     collection_base,
     collection_splitting,
-    emit_report,
     ladder_object,
     ladder_splitting,
+)
+from chainfact.invariants import VerificationFailure
+from chainfact.mf import GradingError, shift
+from chainfact.verify import (
+    VerificationReport,
+    emit_report,
     run_checks,
     verify_invariants,
     verify_main_theorem,
@@ -146,8 +143,8 @@ def test_main_theorem_offset_invariance():
     m0 = r0.check("euler_pairing_matches").detail["matrix"]
     m1 = r1.check("euler_pairing_matches").detail["matrix"]
     assert m0 == m1
-    t0 = compute_hom_table(f, offset=0)
-    t1 = compute_hom_table(f, offset=5)
+    t0 = HomTables(f, build_collection(f, 0)).table()
+    t1 = HomTables(f, build_collection(f, 5)).table()
     assert t0.entries == t1.entries
 
 
@@ -235,14 +232,14 @@ def _recorded_objects(monkeypatch):
     """Wrap the run's object accessors; each records (index, object) pairs."""
     made = {"collection_object": [], "auxiliary": [], "ladder": []}
     for name, seen in made.items():
-        real = getattr(verify_module._Run, name)
+        real = getattr(homrun.HomRun, name)
 
         def recording(self, *index, real=real, seen=seen):
             obj = real(self, *index)
             seen.append((index, obj))
             return obj
 
-        monkeypatch.setattr(verify_module._Run, name, recording)
+        monkeypatch.setattr(homrun.HomRun, name, recording)
     return made
 
 
@@ -320,7 +317,7 @@ def test_euler_builds_no_dual_table(monkeypatch):
     assert run_checks(f, CHECKS_RUN["euler"], 1).passed
     assert tables == [False]
     asked = len(calls)
-    primal = homcalc.HomTables(f, build_collection(f, 1), verify_module.TABLE_MARGIN)
+    primal = homcalc.HomTables(f, build_collection(f, 1), homrun.TABLE_MARGIN)
     primal.table()
     assert asked == len(primal.dims)
 
@@ -414,14 +411,14 @@ def _refuse_triangle_bases(monkeypatch):
     ``stabilize`` raises GradingError on them; returns the splittings made."""
     made = []
     for name in ("auxiliary_splitting", "ladder_splitting"):
-        real = getattr(verify_module, name)
+        real = getattr(homrun, name)
 
         def marked(*args, real=real):
             gens, cofs = real(*args)
             made.append(args)
             return _Marked(gens), cofs
 
-        monkeypatch.setattr(verify_module, name, marked)
+        monkeypatch.setattr(homrun, name, marked)
     _patch_raising(monkeypatch, mf, "stabilize", GradingError,
                    when=lambda f, gens, cofs, twist=None: isinstance(gens, _Marked))
     return made
@@ -473,8 +470,8 @@ def test_monodromy_computes_only_what_it_reports(monkeypatch, capsys):
 
 
 def test_euler_computes_only_what_it_reports(monkeypatch, capsys):
-    _patch_raising(monkeypatch, homcalc, "compute_hom_table", RuntimeError,
-                   when=lambda f, offset=0, margin=0, dual=False, collection=None: dual)
+    _patch_raising(monkeypatch, homcalc.HomTables, "table", RuntimeError,
+                   when=lambda self, dual=False: dual)
     _patch_raising(monkeypatch, verify_module, "monodromy_data", RuntimeError)
     assert cli_main(["euler", "--no-cache", "--chain", "2,2,3", "--format", "csv"]) == 0
     assert "euler_pairing_matches,pass" in capsys.readouterr().out
@@ -608,24 +605,27 @@ def test_pipelines_do_not_import_numpy():
     assert done.returncode == 0, done.stderr
 
 
-HOM_ENGINE = {"chainfact.homcalc", "chainfact.mf"}
+HOM_LAYER = {"chainfact.homrun", "chainfact.homcalc", "chainfact.mf"}
 UNUSED = {"dataclasses", "hashlib", "pathlib"}
 
 
-@pytest.mark.parametrize("argv,absent", [
-    (["invariants"], HOM_ENGINE | UNUSED),
-    (["monodromy"], HOM_ENGINE | UNUSED),
-    (["triangles"], UNUSED),
-    (["verify", "--no-cache"], UNUSED),
-    (["euler"], UNUSED),
-], ids=["invariants", "monodromy", "triangles", "verify", "euler"])
-def test_subcommand_loads_only_its_layers(argv, absent):
+@pytest.mark.parametrize("argv,chain,hom", [
+    (["invariants"], "2,2,3", False),
+    (["monodromy"], "2,2,3", False),
+    (["triangles"], "2,2,3", True),
+    (["triangles"], "5", False),
+    (["verify", "--no-cache"], "2,2,3", True),
+    (["euler"], "2,2,3", True),
+], ids=["invariants", "monodromy", "triangles", "triangles-one-variable", "verify",
+        "euler"])
+def test_subcommand_loads_only_its_layers(argv, chain, hom):
     """Each subcommand, run in a fresh interpreter (without site hooks),
-    leaves the modules it does not need unloaded."""
+    leaves the modules it does not need unloaded; the Hom side (``homrun``
+    and the engine) loads exactly when a check reads Hom spaces."""
     script = (
         "import sys\n"
         "from chainfact.cli import main\n"
-        f"code = main({argv + ['--chain', '2,2,3', '--format', 'csv']!r})\n"
+        f"code = main({argv + ['--chain', chain, '--format', 'csv']!r})\n"
         "print('modules', *sorted(sys.modules))\n"
         "raise SystemExit(code)\n"
     )
@@ -635,21 +635,26 @@ def test_subcommand_loads_only_its_layers(argv, absent):
     assert done.returncode == 0, done.stderr
     loaded = set(done.stdout.splitlines()[-1].split()[1:])
     assert "chainfact.verify" in loaded
-    assert not absent & loaded
+    assert not UNUSED & loaded
+    assert HOM_LAYER & loaded == (HOM_LAYER if hom else set())
 
 
 @pytest.mark.parametrize("command", ["verify", "euler"])
 def test_no_run_writes_a_file(tmp_path, command):
-    """verify and euler, with and without --no-cache, leave HOME and the
-    working directory empty, and print the same report either way."""
+    """verify and euler, with and without --no-cache, leave HOME, the working
+    directory and the package directory as they were, and print the same
+    report either way."""
+    package = Path(chainfact.__file__).parent
+    before = sorted(package.rglob("*"))
     reports = []
     for flags in ([], ["--no-cache"]):
         home, cwd = tmp_path / f"home{len(flags)}", tmp_path / f"cwd{len(flags)}"
         home.mkdir()
         cwd.mkdir()
-        # built from scratch, so no inherited variable can redirect a write
+        # built from scratch, so no inherited variable can redirect a write;
+        # no bytecode is written, so the package directory stays as it was
         env = {"HOME": str(home), "PATH": os.environ.get("PATH", ""),
-               "PYTHONPATH": str(Path(chainfact.__file__).parents[1])}
+               "PYTHONPATH": str(package.parent), "PYTHONDONTWRITEBYTECODE": "1"}
         done = subprocess.run(
             [sys.executable, "-m", "chainfact.cli", command, *flags,
              "--chain", "2,2,3", "--format", "json"],
@@ -658,3 +663,33 @@ def test_no_run_writes_a_file(tmp_path, command):
         assert list(home.iterdir()) == [] and list(cwd.iterdir()) == []
         reports.append(_without_elapsed(json.loads(done.stdout)))
     assert reports[0] == reports[1]
+    assert sorted(package.rglob("*")) == before
+
+
+# ---------------------------------------------------------- golden reports
+
+GOLDEN = Path(__file__).parents[1] / "bench" / "golden"
+GOLDEN_COMMANDS = {"verify_cold": "verify", "triangles": "triangles",
+                   "invariants_big": "invariants"}
+# keys the golden reports leave out wherever they occur
+UNGOLDEN = {"elapsed_ns", "cache_hit", "offset", "stats", "provenance"}
+
+
+def _golden_normalized(value):
+    if isinstance(value, dict):
+        return {k: _golden_normalized(v) for k, v in value.items() if k not in UNGOLDEN}
+    if isinstance(value, list):
+        return [_golden_normalized(v) for v in value]
+    return value
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*/*.json")),
+                         ids=lambda p: f"{p.parent.name}-{p.stem}")
+def test_reports_equal_the_golden_reports(path):
+    """Each golden report (written at offset 0) against an in-process run of
+    its workload's subcommand, with the normalization the golden files use."""
+    command = GOLDEN_COMMANDS[path.parent.name]
+    chain = path.stem.replace("_", ",")
+    report = run_checks(ChainPolynomial.parse(chain), CHECKS_RUN[command], 0)
+    got = _golden_normalized(json.loads(emit_report(report, "json")))
+    assert got == json.loads(path.read_text())
