@@ -26,9 +26,11 @@ complex has rank(G) slots in about half the variables instead of
 2 rank(E) rank(G) slots in all of them.  (D carries s f, not ceil(s/2) f:
 the latter disagrees with the general engine whenever s is even.)  The
 route applies when the source carries ``stabilize``'s ``koszul_vars``
-record, which covers the whole distinguished collection; cones, ladder
-objects with a power generator and ``morphism_space_basis`` use the general
-engine, which is also the route's differential-test oracle.
+record.  Every query that ``verify``, ``euler`` and ``triangles`` make has
+a collection object as its source, so it takes this route; the pipeline
+reaches the general engine only through ``morphism_space_basis`` (the cone
+search of ``triangle_structural``).  The general branch of ``hom_dim`` and
+its caches stay as the route's differential-test oracle.
 
 Every query is made canonical before it reaches the engine.  Let s and t be
 the first even twists of F and G, and A = F(s), B = G(t) the anchored
@@ -37,27 +39,23 @@ objects.  Since T^2 is the shift by the total degree f,
     Hom(F, T^p G(l)) = Hom(A, T^r B(l + s - t + floor(p/2) f)),  r = p mod 2,
 
 and the cell bases and differential matrices of the two sides are literally
-equal.  The cached bases and ranks are therefore shared by every object of a
-twist orbit (the whole collection) and by the primal and Serre-dual tables.
-A table is stored per column: the pair (i, j) of a collection reads the
-column of its key (A_i, A_j, s_i - s_j), which holds the certified window and
-the dimensions over the stored powers.  On a twist orbit that is 2 mu - 1
-columns, one per diagonal j - i, for mu^2 pairs, and the checks read the
-columns.  ``HomTables`` builds both tables of a run: it scans each key's
-window once and memoizes the queries on the folded key
-(A, B, (l + floor(p/2) f).coords, p mod 2).  Every entry of the primal and
-of the Serre-dual table is such a value, so each distinct Hom is asked of
-``hom_dim`` once per run.
+equal, so one answer serves every object of a twist orbit.
+
+``HomEngine`` owns this key for one run.  It anchors each object once,
+scans each key (A, B, l + s - t) once for its certified window, memoizes
+the Euler number chi(F, G(l)) on that key, and asks ``hom_dim`` each folded
+query (A, B, (l + floor(p/2) f).coords, p mod 2) once; every entry of the
+primal table, of the Serre-dual table, of the Euler checks and of the cone
+search is such a value.  A table is stored per column: the pair (i, j) of a
+collection reads the column of its key (A_i, A_j, s_i - s_j), which holds
+the certified window and the dimensions over the stored powers.  On a twist
+orbit that is 2 mu - 1 columns, one per diagonal j - i, for mu^2 pairs, and
+the checks read the columns; the dual table reuses the primal's pair map
+and powers.  A run makes one engine and drops its memos with the run.
 The cell bases and rows of T^p B are read off B itself (T swaps the modules
 and moves one by f), so a query builds no translated object.  The functors
 used here (``shift``, ``t_power``) are trusted constructors in ``mf``;
 factorizations are validated where they enter.
-
-The Euler entry chi(F, G(l)), the alternating sum of the Hom dimensions
-over the certified window, depends on the same key (A, B, l + s - t).
-``EulerForm`` memoizes it on that key for one run, anchoring each object
-once; the triangle checks make one per run, so the memo is dropped with the
-run instead of growing in a module-level cache.
 
 Scan windows are certified on both sides: below by direct weight negativity
 of the cell spaces, above by applying the same bound to the Serre-dual query.
@@ -153,25 +151,6 @@ def _anchor(mf: MatrixFactorization):
     empty object)."""
     s = mf.F0.twists[0] if mf.size else mf.group.zero
     return shift(mf, s), s
-
-
-class _Anchors:
-    """Per-run anchor table: object -> (A, s) as in :func:`_anchor`.
-
-    Each object is anchored once, and equal anchors are interned to one
-    object, so memo and ``lru_cache`` lookups on them match on identity.
-    """
-
-    def __init__(self):
-        self._of: dict = {}
-        self._interned: dict = {}
-
-    def __call__(self, mf: MatrixFactorization):
-        got = self._of.get(mf)
-        if got is None:
-            A, s = _anchor(mf)
-            got = self._of[mf] = (self._interned.setdefault(A, A), s)
-        return got
 
 
 def _restricted_rank(G, skip, d, odd) -> int:
@@ -302,36 +281,6 @@ def scan_window(source, target, degree: Degree | None = None) -> tuple[int, int]
     return (pmin, pmax)
 
 
-class EulerForm:
-    """The Euler form chi(F, G(l)) = sum_p (-1)^p dim Hom(F, T^p G(l)) over
-    the certified window, memoized for one run.
-
-    An entry depends only on the canonical key (A, B, l + s - t) of the
-    anchored objects, the key that :func:`hom_dim` and :class:`HomTables`
-    use, so each distinct key is scanned and queried once.  Objects are
-    anchored once per run.  The memo lives on the instance: make one per run
-    and drop it with the run.
-    """
-
-    def __init__(self):
-        self.anchor = _Anchors()
-        self.entries: dict = {}         # (A, B, l) -> Euler number
-
-    def __call__(self, source: MatrixFactorization, target: MatrixFactorization,
-                 degree: Degree | None = None) -> int:
-        A, s = self.anchor(source)
-        B, t = self.anchor(target)
-        l = (degree if degree is not None else source.group.zero) + s - t
-        key = (A, B, l)
-        value = self.entries.get(key)
-        if value is None:
-            pmin, pmax = scan_window(A, B, l)
-            value = self.entries[key] = sum(
-                (1 if p % 2 == 0 else -1) * hom_dim(A, B, l, p)
-                for p in range(pmin, pmax + 1))
-        return value
-
-
 # ---------------------------------------------------------------------------
 # tables and pairings
 # ---------------------------------------------------------------------------
@@ -378,30 +327,92 @@ class HomTable:
         return (min(ps), max(ps)) if ps else (0, -1)
 
 
-class HomTables:
-    """The Hom table of a collection and its Serre dual, from one memo.
+def _alternating(window, dims) -> int:
+    """sum_p (-1)^p dims[p] over the window, absent powers read as zero."""
+    return sum((1 if p % 2 == 0 else -1) * dims.get(p, 0)
+               for p in range(window[0], window[1] + 1))
 
-    Every object is anchored once, E_i = A_i(-s_i), and the pair (i, j)
-    reads the column of the key (A_i, A_j, s_i - s_j); each distinct key's
-    window is scanned once, for both tables.  Every entry of either table is
-    a value dim Hom(A, T^r B(l + floor(p/2) f)) with r = p mod 2, so the
-    queries are memoized on the folded key (A, B, (l + floor(p/2) f).coords,
-    r) and each distinct Hom is asked of :func:`hom_dim` once.  The memo
-    lives on the instance: a run makes one and drops it with the run.
+
+class HomEngine:
+    """The Hom queries of one run, each asked once, on the canonical key.
+
+    Every object is anchored once, F = A(-s), and equal anchors are interned
+    to one object, so memo lookups on them match on identity.  A query
+    Hom(F, T^p G(l)) becomes the key (A, B, l + s - t) and the power p, and
+    the engine keeps three memos on it: the certified window per key, the
+    Euler number per key, and the dimension per folded query
+    (A, B, (l + floor(p/2) f).coords, p mod 2), the value that
+    :func:`hom_dim` is asked for.  The memos live on the instance: a run
+    makes one engine and drops it with the run.
     """
 
-    def __init__(self, f: ChainPolynomial, collection, margin: int = 0):
-        group = build_grading_group(f)
-        self.n, self.margin, self.fdeg = f.n, margin, group.total_degree
-        self.sigma = sum((group.variable_degree(i) for i in range(f.n)), group.zero)
-        anchor = _Anchors()
-        anchored = [anchor(obj) for obj in collection]
+    def __init__(self):
+        self._anchors: dict = {}        # object -> (interned A, s)
+        self._interned: dict = {}
+        self.windows: dict = {}         # (A, B, l) -> certified window
+        self.eulers: dict = {}          # (A, B, l) -> Euler number
+        self.dims: dict = {}            # folded query -> dim
+
+    def anchor(self, mf: MatrixFactorization):
+        """(A, s) with mf = A(-s) as in :func:`_anchor`, A interned."""
+        got = self._anchors.get(mf)
+        if got is None:
+            A, s = _anchor(mf)
+            got = self._anchors[mf] = (self._interned.setdefault(A, A), s)
+        return got
+
+    def key(self, source, target, degree: Degree | None = None) -> tuple:
+        """The canonical key (A, B, l + s - t) of Hom(source, T^p target(l))."""
+        A, s = self.anchor(source)
+        B, t = self.anchor(target)
+        l = degree if degree is not None else source.group.zero
+        return A, B, l + s - t
+
+    def window(self, key) -> tuple[int, int]:
+        """The certified window of a key, scanned once."""
+        window = self.windows.get(key)
+        if window is None:
+            window = self.windows[key] = scan_window(*key)
+        return window
+
+    def dim(self, key, p: int) -> int:
+        """dim Hom(A, T^p B(l)) for the key (A, B, l), through the memo on
+        the folded query.  The folded degree is formed on the (weight,
+        residue) coordinates, and a Degree is built only for a query the
+        memo lacks."""
+        A, B, l = key
+        group = l.group
+        k, r = divmod(p, 2)
+        (w, r0), (fw, fr) = l.coords, group.total_degree.coords
+        coords = (w + k * fw, (r0 + k * fr) % group.modulus)
+        query = (A, B, coords, r)
+        dim = self.dims.get(query)
+        if dim is None:
+            dim = self.dims[query] = hom_dim(A, B, Degree(group, *coords), r)
+        return dim
+
+    def euler(self, source, target, degree: Degree | None = None) -> int:
+        """chi(source, target(degree)), the alternating sum of the Hom
+        dimensions over the certified window."""
+        key = self.key(source, target, degree)
+        chi = self.eulers.get(key)
+        if chi is None:
+            lo, hi = window = self.window(key)
+            chi = self.eulers[key] = _alternating(
+                window, {p: self.dim(key, p) for p in range(lo, hi + 1)})
+        return chi
+
+    def table(self, collection, margin: int = 0) -> HomTable:
+        """The Hom table of a collection over each certified window plus
+        ``margin`` powers on both sides.  The pair (i, j) reads the column of
+        the key (A_i, A_j, s_i - s_j)."""
+        anchored = [self.anchor(obj) for obj in collection]
         # (anchor number, twist coordinates): a pair's key is a function of
         # the two tags, so each distinct tag difference builds its key once
         ids: dict = {}
         tags = [(ids.setdefault(A, len(ids)), *s.coords) for A, s in anchored]
-        self.keys: dict = {}            # (i, j) -> (A, B, d)
-        self.key_windows: dict = {}     # (A, B, d) -> certified window
+        keys: dict = {}                 # (i, j) -> (A, B, d)
+        columns: dict = {}
         by_tags: dict = {}
         for i, (a, sw, sr) in enumerate(tags):
             for j, (b, tw, tr) in enumerate(tags):
@@ -410,56 +421,31 @@ class HomTables:
                 if key is None:
                     (A, s), (B, t) = anchored[i], anchored[j]
                     key = by_tags[raw] = (A, B, s - t)
-                    if key not in self.key_windows:
-                        self.key_windows[key] = scan_window(*key)
-                self.keys[(i, j)] = key
-        self.dims: dict = {}            # folded query -> dim
+                    if key not in columns:
+                        lo, hi = window = self.window(key)
+                        columns[key] = (window, {p: self.dim(key, p) for p in
+                                                 range(lo - margin, hi + margin + 1)})
+                keys[(i, j)] = key
+        return HomTable(columns, keys)
 
-    def _powers(self, A, B, l: Degree, lo: int, hi: int) -> dict[int, int]:
-        """{p: dim Hom(A, T^p B(l)) for lo <= p <= hi}, for anchored A and B,
-        through the memo.
-
-        The folded degree l + floor(p/2) f is formed on the (weight, residue)
-        coordinates, and a Degree is built only for a query the memo lacks.
-        """
-        group, memo = self.fdeg.group, self.dims
-        (fw, fr), (w, r0) = self.fdeg.coords, l.coords
-        out = {}
-        for p in range(lo, hi + 1):
-            k, r = divmod(p, 2)
-            coords = (w + k * fw, (r0 + k * fr) % group.modulus)
-            key = (A, B, coords, r)
-            dim = memo.get(key)
-            if dim is None:
-                dim = memo[key] = hom_dim(A, B, Degree(group, *coords), r)
-            out[p] = dim
-        return out
-
-    def table(self, dual: bool = False) -> HomTable:
-        """The table over each certified window plus ``margin`` powers on both
-        sides.  With ``dual`` set, the column of (A, B, d) holds the Serre-dual
-        queries dim Hom(B, T^(n-p) A(-sigma - d)), so the two tables must
-        agree entrywise."""
-        n, margin = self.n, self.margin
+    def dual(self, table: HomTable) -> HomTable:
+        """The Serre-dual recomputation of a table: the column of (A, B, d)
+        holds dim Hom(B, T^(n-p) A(-sigma - d)) over the same stored powers,
+        so the two tables must agree entrywise.  The pair map is the
+        table's own."""
         columns = {}
-        for key, window in self.key_windows.items():
-            A, B, d = key
-            lo, hi = window[0] - margin, window[1] + margin
-            if dual:
-                dims = self._powers(B, A, -self.sigma - d, n - hi, n - lo)
-                dims = {p: dims[n - p] for p in range(lo, hi + 1)}
-            else:
-                dims = self._powers(A, B, d, lo, hi)
-            columns[key] = (window, dims)
-        return HomTable(columns, self.keys)
-
+        for (A, B, d), (window, dims) in table.columns.items():
+            group = A.group
+            n = group.chain.n
+            back = (B, A, -sum((group.variable_degree(v) for v in range(n)), d))
+            columns[A, B, d] = (window, {p: self.dim(back, n - p) for p in dims})
+        return HomTable(columns, table.keys)
 
 def euler_pairing(table: HomTable):
     """Alternating sums over the certified windows, as a nested list.
 
     Each column is summed once and read by every pair of that column."""
-    chi = {key: sum((1 if p % 2 == 0 else -1) * dims.get(p, 0)
-                    for p in range(window[0], window[1] + 1))
+    chi = {key: _alternating(window, dims)
            for key, (window, dims) in table.columns.items()}
     mu = table.objects
     return [[chi[table.keys[(i, j)]] for j in range(mu)] for i in range(mu)]

@@ -5,7 +5,9 @@ objects from monomial splittings, and holds ``HomRun``: the collection,
 Hom-table, exceptionality, Euler, Serre and triangle checks, with the cone
 search behind ``triangle_structural``.  It is the orchestration layer's one
 importer of the Hom engine, and it calls ``mf`` and ``homcalc`` through
-their modules, so a patch on either reaches every check.
+their modules, so a patch on either reaches every check.  A run asks every
+Hom through its one ``homcalc.HomEngine``; nothing here calls ``hom_dim``
+or ``scan_window`` directly.
 """
 
 from __future__ import annotations
@@ -137,10 +139,10 @@ class HomRun(_Run):
     j = 1..a1) goes through the validating ``stabilize`` once per run; every
     object is then reached with the trusted ``shift``, since
     stabilize(f, gens, cofs, twist) = shift(stabilize(f, gens, cofs), twist).
-    Every Euler entry goes through the run's one ``EulerForm``, so each
-    canonical key (anchored probe, anchored object, twist difference) is
-    scanned and queried once.  Both Hom tables come from the run's one
-    ``HomTables``, so each distinct folded Hom query is asked once.
+    Every Hom that a check reads -- both tables, every Euler entry and the
+    cone search's profiles -- goes through the run's one ``HomEngine``, so
+    each canonical key is scanned once and each distinct folded query is
+    asked of ``hom_dim`` once per run.
     """
 
     @cached_property
@@ -156,10 +158,6 @@ class HomRun(_Run):
     def ladder_bases(self) -> dict[int, mf.MatrixFactorization]:
         return {j: mf.stabilize(self.f, *ladder_splitting(self.f, j))
                 for j in range(1, self.f.exponents[0] + 1)}
-
-    @cached_property
-    def euler(self) -> homcalc.EulerForm:
-        return homcalc.EulerForm()
 
     def collection_object(self, i: int) -> mf.MatrixFactorization:
         base, step = self.base
@@ -180,19 +178,19 @@ class HomRun(_Run):
         return [self.collection_object(self.offset + i) for i in range(self.nm.milnor)]
 
     @cached_property
-    def homs(self) -> homcalc.HomTables:
-        """The collection's windows and Hom-query memo, shared by both tables."""
-        return homcalc.HomTables(self.f, self.coll, TABLE_MARGIN)
+    def homs(self) -> homcalc.HomEngine:
+        """The run's Hom engine: every check's queries share its memos."""
+        return homcalc.HomEngine()
 
     @cached_property
     def table(self) -> homcalc.HomTable:
         """The collection's Hom table, TABLE_MARGIN powers past each window."""
-        return self.homs.table()
+        return self.homs.table(self.coll, TABLE_MARGIN)
 
     @cached_property
     def dual(self) -> homcalc.HomTable:
         """The Serre-dual table: the same cells, each by its Serre-dual query."""
-        return self.homs.table(dual=True)
+        return self.homs.dual(self.table)
 
     @cached_property
     def exc(self) -> dict:
@@ -243,13 +241,12 @@ class HomRun(_Run):
         return {"quiver_length": mu, "nilpotency": a1}
 
     def triangle_euler_additivity(self):
-        mu, coll, bad = self.nm.milnor, self.coll, []
+        mu, coll, euler, bad = self.nm.milnor, self.coll, self.homs.euler, []
         for k in range(1, mu):
             i = self.offset + k
             aux = self.auxiliary(i)
             for x in coll:
-                total = self.euler(x, coll[k - 1]) - self.euler(x, coll[k]) \
-                    + self.euler(x, aux)
+                total = euler(x, coll[k - 1]) - euler(x, coll[k]) + euler(x, aux)
                 if total != 0:
                     bad.append({"i": i, "total": total})
         if bad:
@@ -262,7 +259,7 @@ class HomRun(_Run):
                 (-1, self.ladder(i + 1, j - 1)), (1, self.ladder(i, j))]
 
     def _ladder_total(self, terms, x):
-        return sum(sgn * self.euler(x, obj) for sgn, obj in terms if obj.size)
+        return sum(sgn * self.homs.euler(x, obj) for sgn, obj in terms if obj.size)
 
     def _ladder_rows(self):
         return range(self.offset, self.offset + min(self.nm.milnor - 1, 3))
@@ -291,7 +288,7 @@ class HomRun(_Run):
             classes = [self.collection_object(i + k) for k in range(a1 + 1)]
             for x in self.coll:
                 total = self._ladder_total(terms, x)
-                predicted = sum(self.euler(x, e) for e in classes)
+                predicted = sum(self.homs.euler(x, e) for e in classes)
                 if total != 0:
                     boundary_holds = False
                 if total != predicted:
@@ -314,8 +311,8 @@ class HomRun(_Run):
         coll = self.coll
         if self.f.n % 2 == 0:
             i = self.offset + 1
-            return (_search_cone_match(coll[0], coll[1], self.auxiliary(i), coll),
-                    {"i": i})
+            return (_search_cone_match(self.homs, coll[0], coll[1], self.auxiliary(i),
+                                       coll), {"i": i})
         results = []
         for j in range(1, self.f.exponents[0]):
             (_, src), (_, mid1), (_, mid2), (_, cone_obj) = \
@@ -324,7 +321,7 @@ class HomRun(_Run):
             if not middle:
                 continue
             target = mf.direct_sum(*middle) if len(middle) == 2 else middle[0]
-            status = _search_cone_match(src, target, cone_obj, coll)
+            status = _search_cone_match(self.homs, src, target, cone_obj, coll)
             results.append({"j": j, "status": status})
         overall = "pass" if all(x["status"] == "pass" for x in results) else "inconclusive"
         return (overall, {"cases": results})
@@ -334,24 +331,23 @@ class HomRun(_Run):
 # cone search
 # ---------------------------------------------------------------------------
 
-def _profiles_agree(probes, left, right, pad: int = 2) -> bool:
+def _profiles_agree(homs, probes, left, right, pad: int = 2) -> bool:
     for x in probes:
-        w1 = homcalc.scan_window(x, left)
-        w2 = homcalc.scan_window(x, right)
-        lo = min(w1[0], w2[0]) - pad
-        hi = max(w1[1], w2[1]) + pad
-        for p in range(lo, hi + 1):
-            if homcalc.hom_dim(x, left, None, p) != homcalc.hom_dim(x, right, None, p):
+        k1, k2 = homs.key(x, left), homs.key(x, right)
+        (lo1, hi1), (lo2, hi2) = homs.window(k1), homs.window(k2)
+        for p in range(min(lo1, lo2) - pad, max(hi1, hi2) + pad + 1):
+            if homs.dim(k1, p) != homs.dim(k2, p):
                 return False
     return True
 
 
-def _search_cone_match(source, target, reference, probes) -> str:
+def _search_cone_match(homs, source, target, reference, probes) -> str:
     """Search a morphism whose reduced cone matches the reference profile.
 
     Tries every basis element of the degree-zero stable Hom space and, for
     small spaces, signed sums of two basis elements; exhaustion is reported
-    as inconclusive, never as a refutation.
+    as inconclusive, never as a refutation.  The profiles are read through
+    the run's engine ``homs``, so the reference's are asked once.
     """
     basis = homcalc.morphism_space_basis(source, target)
     if not basis:
@@ -367,6 +363,6 @@ def _search_cone_match(source, target, reference, probes) -> str:
                                                     basis[i].shift, phi0, phi1))
     for phi in candidates:
         c = mf.reduce(mf.cone(phi))
-        if _profiles_agree(probes, c, reference):
+        if _profiles_agree(homs, probes, c, reference):
             return "pass"
     return "inconclusive"

@@ -14,7 +14,7 @@ from chainfact.chain import (
 )
 from chainfact.exactmath import MPoly, sparse_rank
 from chainfact.homcalc import (
-    HomTables,
+    HomEngine,
     check_exceptionality,
     closed_form_hom,
     euler_pairing,
@@ -215,7 +215,7 @@ def test_canonical_tables_match_naive_route(exps):
     sigma = sum((g.variable_degree(i) for i in range(f.n)), g.zero)
     coll = build_collection(f, offset=1)
     for dual in (False, True):
-        table = HomTables(f, coll, 1).table(dual)
+        table = fresh_table(coll, 1, dual)
         for (i, j), window in table.windows.items():
             assert window == naive_window(coll[i], coll[j], g.zero)
         naive = {}
@@ -274,7 +274,7 @@ def test_tables_match_naive_route_property(exps, offset, margin):
     f = ChainPolynomial(exps)
     coll = build_collection(f, offset)
     for dual in (False, True):
-        table = HomTables(f, coll, margin).table(dual)
+        table = fresh_table(coll, margin, dual)
         assert (table.entries, table.windows) == naive_table(f, coll, margin, dual)
 
 
@@ -289,26 +289,37 @@ def test_table_asks_one_query_per_diagonal(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(homcalc, "hom_dim", counted)
-    for dual in (False, True):
-        calls.clear()
-        table = HomTables(f, build_collection(f), margin).table(dual)
+    primal = HomEngine().table(build_collection(f), margin)
+    asked = [list(calls)]
+    calls.clear()
+    dual = HomEngine().dual(primal)             # a fresh memo: the dual's own queries
+    asked.append(list(calls))
+    for table, queries in zip((primal, dual), asked):
         width = max(hi - lo + 1 for lo, hi in table.windows.values())
         assert len(table.windows) == mu * mu
         assert len(table.columns) == 2 * mu - 1
-        assert 0 < len(calls) <= (2 * mu - 1) * (width + 2 * margin)
-        assert len(calls) <= sum(len(dims) for _, dims in table.columns.values())
-        assert len(calls) < len(table.entries) // 5
-        assert len({folded_query(*args) for args in calls}) == len(calls)
+        assert 0 < len(queries) <= (2 * mu - 1) * (width + 2 * margin)
+        assert len(queries) <= sum(len(dims) for _, dims in table.columns.values())
+        assert len(queries) < len(table.entries) // 5
+        assert len({folded_query(*args) for args in queries}) == len(queries)
 
 
-def folded_query(source, target, degree, power):
+def folded_query(source, target, degree=None, power=0):
     """The canonical query of hom_dim(source, target, degree, power):
     anchored objects, the degree with floor(power / 2) f folded in, and the
     parity."""
     A, s = homcalc._anchor(source)
     B, t = homcalc._anchor(target)
     k, r = divmod(power, 2)
-    return A, B, (degree + s - t + k * source.group.total_degree).coords, r
+    l = degree if degree is not None else source.group.zero
+    return A, B, (l + s - t + k * source.group.total_degree).coords, r
+
+
+def fresh_table(collection, margin=0, dual=False):
+    """The Hom table of a collection, or its Serre dual, from a fresh engine."""
+    homs = HomEngine()
+    table = homs.table(collection, margin)
+    return homs.dual(table) if dual else table
 
 
 # torsion gradings: (2, 3) Z/2, (2, 2, 3) Z/4, (3, 2, 2) Z/3
@@ -318,13 +329,19 @@ def test_shared_memo_tables_match_fresh_memos_and_naive_route(exps, offset):
     f = ChainPolynomial(exps)
     coll = build_collection(f, offset)
     naive = {dual: naive_table(f, coll, TABLE_MARGIN, dual) for dual in (False, True)}
-    for dual in (False, True):
-        fresh = HomTables(f, coll, TABLE_MARGIN).table(dual)
-        assert (fresh.entries, fresh.windows) == naive[dual], (exps, offset, dual)
-    for order in ((False, True), (True, False)):
-        homs = HomTables(f, coll, TABLE_MARGIN)
-        for dual in order:
-            table = homs.table(dual)
+    primal = HomEngine().table(coll, TABLE_MARGIN)
+    fresh = {False: primal, True: HomEngine().dual(primal)}
+    for dual, table in fresh.items():
+        assert (table.entries, table.windows) == naive[dual], (exps, offset, dual)
+    for dual_first in (False, True):
+        homs = HomEngine()
+        if dual_first:                      # the primal reads the dual's memo
+            shared = {True: homs.dual(primal)}
+            shared[False] = homs.table(coll, TABLE_MARGIN)
+        else:
+            shared = {False: homs.table(coll, TABLE_MARGIN)}
+            shared[True] = homs.dual(shared[False])
+        for dual, table in shared.items():
             assert (table.entries, table.windows) == naive[dual], (exps, offset, dual)
 
 
@@ -342,8 +359,9 @@ def test_columns_match_closed_form_lookup_property(exps, offset):
     step = collection_splitting(f)[2]
     forms = [closed_form_hom(f, 0), closed_form_hom(f, 1)]
     coll = build_collection(f, offset)
-    homs = HomTables(f, coll, TABLE_MARGIN)
-    for table in (homs.table(), homs.table(dual=True)):
+    homs = HomEngine()
+    primal = homs.table(coll, TABLE_MARGIN)
+    for table in (primal, homs.dual(primal)):
         assert len(table.columns) == 2 * len(coll) - 1
         for (i, j), (_, _, d) in table.keys.items():
             assert d == (j - i) * step, (exps, offset, i, j)
@@ -379,7 +397,7 @@ def test_serre_check_fails_on_any_wrong_dual_value(exps):
 @pytest.mark.parametrize("exps", [(3, 3), (2, 2, 3), (3, 2, 2)])
 def test_exceptionality_failures_expand_in_pair_order(exps):
     f = ChainPolynomial(exps)
-    table = HomTables(f, build_collection(f, 1), TABLE_MARGIN).table()
+    table = HomEngine().table(build_collection(f, 1), TABLE_MARGIN)
     mu = table.objects
     assert check_exceptionality(table)["failures"] == []
     for d in (-1, -(mu - 1), 0):
@@ -488,33 +506,33 @@ def test_sparse_rank_on_differential_rows(exps):
 @pytest.mark.parametrize("exps", [(2,), (3,), (2, 2), (3, 2), (2, 3)])
 def test_euler_pairing_matches_toeplitz(exps):
     f = ChainPolynomial(exps)
-    table = HomTables(f, build_collection(f)).table()
+    table = HomEngine().table(build_collection(f))
     assert euler_pairing(table) == [list(r) for r in euler_matrix(f).matrix.entries]
 
 
 def test_euler_diagonal_ones():
     f = ChainPolynomial((3, 3))
-    table = HomTables(f, build_collection(f)).table()
+    table = HomEngine().table(build_collection(f))
     pairing = euler_pairing(table)
     assert all(pairing[i][i] == 1 for i in range(len(pairing)))
 
 
 def test_exceptionality_report_strong_n2():
     f = ChainPolynomial((2, 2))
-    rep = check_exceptionality(HomTables(f, build_collection(f), 3).table())
+    rep = check_exceptionality(HomEngine().table(build_collection(f), 3))
     assert rep["exceptional"] and rep["strong"]
 
 
 def test_exceptionality_single_object():
     f = ChainPolynomial((3,))
-    rep = check_exceptionality(HomTables(f, build_collection(f), 3).table())
+    rep = check_exceptionality(HomEngine().table(build_collection(f), 3))
     assert rep["exceptional"]
 
 
 def test_window_extension_stable_pairing():
     f = ChainPolynomial((2, 2))
-    t0 = HomTables(f, build_collection(f)).table()
-    t3 = HomTables(f, build_collection(f), 3).table()
+    t0 = HomEngine().table(build_collection(f))
+    t3 = HomEngine().table(build_collection(f), 3)
     wide = {}
     for (i, j), (lo, hi) in t3.windows.items():
         wide[(i, j)] = sum((1 if p % 2 == 0 else -1) * t3.dim(i, j, p)
@@ -606,8 +624,8 @@ def test_translation_shifts_hom_parity():
 def test_serre_symmetry_tables():
     for exps in [(2,), (2, 2), (3, 2)]:
         f = ChainPolynomial(exps)
-        main = HomTables(f, build_collection(f)).table()
-        dual = HomTables(f, build_collection(f)).table(dual=True)
+        main = HomEngine().table(build_collection(f))
+        dual = HomEngine().dual(main)
         assert serre_symmetry_check(main, dual)
 
 

@@ -19,7 +19,7 @@ from chainfact.exactmath import (
     series_inverse,
 )
 from chainfact.homcalc import (
-    HomTables,
+    HomEngine,
     euler_pairing,
     hom_dim,
     morphism_space_basis,
@@ -147,8 +147,8 @@ def test_reduce_idempotent_on_cones():
 @pytest.mark.parametrize("exps", [(2,), (3,), (2, 2), (2, 3), (2, 2, 2)])
 def test_serre_symmetry_every_table(exps):
     f = ChainPolynomial(exps)
-    main = HomTables(f, build_collection(f)).table()
-    dual = HomTables(f, build_collection(f)).table(dual=True)
+    main = HomEngine().table(build_collection(f))
+    dual = HomEngine().dual(main)
     assert serre_symmetry_check(main, dual)
 
 
@@ -196,5 +196,5 @@ def test_simultaneous_shift_invariance_random():
 def test_euler_pairing_equals_matrix_grid():
     for exps in [(2,), (3,), (2, 2), (3, 2)]:
         f = ChainPolynomial(exps)
-        assert euler_pairing(HomTables(f, build_collection(f)).table()) == \
+        assert euler_pairing(HomEngine().table(build_collection(f))) == \
             [list(r) for r in euler_matrix(f).matrix.entries]

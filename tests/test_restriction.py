@@ -20,7 +20,7 @@ import chainfact
 from chainfact.chain import ChainPolynomial, build_grading_group, numerics
 from chainfact.exactmath import MPoly
 from chainfact.homcalc import (
-    HomTables,
+    HomEngine,
     closed_form_hom,
     hom_dim,
     morphism_space_basis,
@@ -45,7 +45,7 @@ from chainfact.mf import (
     translate,
 )
 from oracles import identity_morphism, without_koszul_record
-from test_homcalc import SMALL_CHAINS, TORSION_CHAINS
+from test_homcalc import SMALL_CHAINS, TORSION_CHAINS, fresh_table
 
 # s = 1, 2 and 3 generators; torsion moduli 2 (2,3), 3 (3,2,2) and 4 (2,2,3)
 TABLE_CHAINS = [(2, 3), (3, 3), (4, 4), (2, 2, 2), (2, 2, 3), (3, 2, 2), (2, 3, 2),
@@ -73,8 +73,8 @@ def test_tables_match_general_engine(exps):
         assert all(e.koszul_vars is not None for e in coll)
         bare = [without_koszul_record(e) for e in coll]
         for dual in (False, True):
-            got = HomTables(f, coll, 3).table(dual)
-            want = HomTables(f, bare, 3).table(dual)
+            got = fresh_table(coll, 3, dual)
+            want = fresh_table(bare, 3, dual)       # its own engine: no shared memo
             assert got.entries == want.entries, (exps, offset, dual)
             assert got.windows == want.windows
 
@@ -107,7 +107,7 @@ def test_tables_match_closed_form_lookup(exps):
     forms = [closed_form_hom(f, 0), closed_form_hom(f, 1)]
     for offset in (0, 2):
         for dual in (False, True):
-            table = HomTables(f, build_collection(f, offset), 3).table(dual)
+            table = fresh_table(build_collection(f, offset), 3, dual)
             assert len(table.windows) == numerics(f).milnor ** 2
             for (i, j, p), dim in table.entries.items():
                 key = (j - i) * step + (p // 2) * g.total_degree
@@ -172,7 +172,7 @@ def test_restriction_dispatch_under_optimize_flag():
         "from chainfact.chain import ChainPolynomial\n"
         "from chainfact.homrun import build_collection\n"
         "f = ChainPolynomial((2, 2, 3))\n"
-        "t = h.HomTables(f, build_collection(f), 1).table()\n"
+        "t = h.HomEngine().table(build_collection(f), 1)\n"
         "print(json.dumps([sorted(map(list, t.entries.items())), __debug__,\n"
         "                  h._cell_basis.cache_info().misses,\n"
         "                  h._rank_d.cache_info().misses]))\n"
@@ -186,7 +186,7 @@ def test_restriction_dispatch_under_optimize_flag():
     assert cells == 0 and ranks == 0
     f = ChainPolynomial((2, 2, 3))
     bare = [without_koszul_record(e) for e in build_collection(f)]
-    want = HomTables(f, bare, 1).table().entries
+    want = HomEngine().table(bare, 1).entries
     assert {(i, j, p): d for (i, j, p), d in entries} == want
 
 

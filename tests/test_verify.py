@@ -17,7 +17,7 @@ from chainfact.chain import ChainPolynomial, GradingGroup, build_grading_group
 from chainfact.cli import CHECKS_RUN
 from chainfact.cli import main as cli_main
 from chainfact.exactmath import MPoly
-from chainfact.homcalc import EulerForm, HomTables, hom_dim, scan_window
+from chainfact.homcalc import HomEngine, hom_dim, scan_window
 from chainfact.homrun import (
     auxiliary_object,
     auxiliary_splitting,
@@ -27,7 +27,7 @@ from chainfact.homrun import (
     ladder_object,
     ladder_splitting,
 )
-from chainfact.invariants import VerificationFailure
+from chainfact.invariants import VerificationFailure, euler_matrix
 from chainfact.mf import GradingError, shift
 from chainfact.verify import (
     VerificationReport,
@@ -143,8 +143,8 @@ def test_main_theorem_offset_invariance():
     m0 = r0.check("euler_pairing_matches").detail["matrix"]
     m1 = r1.check("euler_pairing_matches").detail["matrix"]
     assert m0 == m1
-    t0 = HomTables(f, build_collection(f, 0)).table()
-    t1 = HomTables(f, build_collection(f, 5)).table()
+    t0 = HomEngine().table(build_collection(f, 0))
+    t1 = HomEngine().table(build_collection(f, 5))
     assert t0.entries == t1.entries
 
 
@@ -220,7 +220,7 @@ def test_euler_form_matches_naive_sum_property(exps, draws, k1, kn):
     g = build_grading_group(f)
     objs = [_triangle_object(f, *d) for d in draws]
     degree = k1 * g.variable_degree(0) + kn * g.variable_degree(f.n - 1)
-    euler = EulerForm()
+    euler = HomEngine().euler
     for _ in range(2):                      # the second pass reads the memo
         for x in objs:
             for y in objs:
@@ -288,38 +288,54 @@ def test_triangles_query_each_key_once(monkeypatch, exps, max_hom, max_stab):
     assert homs and (max_hom is None or len(homs) <= max_hom)
 
 
-def test_verify_asks_each_folded_query_once(monkeypatch):
-    """The primal and Serre-dual tables of a run share one memo on the folded
-    query: on 3,3,3 at offset 1, 236 hom_dim calls instead of the 684 that
-    the two tables ask for.  A second run shares no memo with the first."""
-    f = ChainPolynomial((3, 3, 3))
+def _asks_each_folded_query_once(monkeypatch, command, exps, offset, want):
+    """A run of ``command`` asks hom_dim each distinct folded query once, and
+    a second run shares no memo with the first."""
+    f = ChainPolynomial(exps)
     queries = []
     real = homcalc.hom_dim
     monkeypatch.setattr(homcalc, "hom_dim",
                         lambda *args: queries.append(folded_query(*args)) or real(*args))
     for _ in range(2):
         queries.clear()
-        assert verify_main_theorem(f, 1).passed
-        assert len(queries) == len(set(queries)) == 236
+        assert run_checks(f, CHECKS_RUN[command], offset).passed
+        assert len(queries) == len(set(queries)) == want
+
+
+def test_verify_asks_each_folded_query_once(monkeypatch):
+    """The primal and Serre-dual tables of a run share one memo on the folded
+    query: on 3,3,3 at offset 1, 236 hom_dim calls instead of the 684 that
+    the two tables ask for."""
+    _asks_each_folded_query_once(monkeypatch, "verify", (3, 3, 3), 1, 236)
+
+
+def test_triangles_asks_each_folded_query_once(monkeypatch):
+    """The Euler entries and the cone search's profiles share the run's memo:
+    on 2,2,3 (torsion Z/4) at offset 1, 160 hom_dim calls, one per distinct
+    folded query."""
+    _asks_each_folded_query_once(monkeypatch, "triangles", (2, 2, 3), 1, 160)
 
 
 def test_euler_builds_no_dual_table(monkeypatch):
     f = ChainPolynomial((3, 3, 3))
-    tables, calls = [], []
-    real_table = homcalc.HomTables.table
-
-    def recording(self, dual=False):
-        tables.append(dual)
-        return real_table(self, dual)
-
-    monkeypatch.setattr(homcalc.HomTables, "table", recording)
+    tables, duals, calls = [], [], []
+    _count_calls(monkeypatch, homcalc.HomEngine, "table", tables)
+    _count_calls(monkeypatch, homcalc.HomEngine, "dual", duals)
     _count_calls(monkeypatch, homcalc, "hom_dim", calls)
     assert run_checks(f, CHECKS_RUN["euler"], 1).passed
-    assert tables == [False]
+    assert len(tables) == 1 and duals == []
     asked = len(calls)
-    primal = homcalc.HomTables(f, build_collection(f, 1), homrun.TABLE_MARGIN)
-    primal.table()
-    assert asked == len(primal.dims)
+    coll = build_collection(f, 1)
+    homs = homcalc.HomEngine()
+    homs.table(coll, homrun.TABLE_MARGIN)
+    assert asked == len(homs.dims)
+    # the Euler entries between collection objects read the table's memo
+    homs = homcalc.HomEngine()
+    homs.table(coll, 0)
+    calls.clear()
+    chi = [[homs.euler(x, y) for y in coll] for x in coll]
+    assert calls == []
+    assert chi == [list(row) for row in euler_matrix(f).matrix.entries]
 
 
 def _answer_one_key_wrongly(monkeypatch, wrong):
@@ -384,12 +400,12 @@ def _patch_raising(monkeypatch, owner, name, exc, when=lambda *a, **k: True):
 
 
 def test_failed_hom_table_fails_its_dependants(monkeypatch):
-    _patch_raising(monkeypatch, homcalc, "HomTables", GradingError)
+    _patch_raising(monkeypatch, homcalc.HomEngine, "table", GradingError)
     rep = verify_main_theorem(ChainPolynomial((2, 2)))
     failed = {"hom_table", "exceptionality", "euler_pairing_matches",
               "serre_symmetry", "nakayama_cartan"}
     assert {c.name for c in rep.checks if c.status == "fail"} == failed
-    assert rep.check("exceptionality").detail == {"error": "HomTables called"}
+    assert rep.check("exceptionality").detail == {"error": "table called"}
     assert rep.check("collection").status == "pass"
     assert cli_main(["verify", "--chain", "2,2", "--format", "json"]) == 1
 
@@ -470,8 +486,7 @@ def test_monodromy_computes_only_what_it_reports(monkeypatch, capsys):
 
 
 def test_euler_computes_only_what_it_reports(monkeypatch, capsys):
-    _patch_raising(monkeypatch, homcalc.HomTables, "table", RuntimeError,
-                   when=lambda self, dual=False: dual)
+    _patch_raising(monkeypatch, homcalc.HomEngine, "dual", RuntimeError)
     _patch_raising(monkeypatch, verify_module, "monodromy_data", RuntimeError)
     assert cli_main(["euler", "--no-cache", "--chain", "2,2,3", "--format", "csv"]) == 0
     assert "euler_pairing_matches,pass" in capsys.readouterr().out
