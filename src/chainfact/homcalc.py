@@ -46,12 +46,12 @@ scans each key (A, B, l + s - t) once for its certified window, memoizes
 the Euler number chi(F, G(l)) on that key, and asks ``hom_dim`` each folded
 query (A, B, (l + floor(p/2) f).coords, p mod 2) once; every entry of the
 primal table, of the Serre-dual table, of the Euler checks and of the cone
-search is such a value.  A table is stored per column: the pair (i, j) of a
-collection reads the column of its key (A_i, A_j, s_i - s_j), which holds
-the certified window and the dimensions over the stored powers.  On a twist
-orbit that is 2 mu - 1 columns, one per diagonal j - i, for mu^2 pairs, and
-the checks read the columns; the dual table reuses the primal's pair map
-and powers.  A run makes one engine and drops its memos with the run.
+search is such a value.  A table is built from the collection's base and
+step: the collection is the orbit E_i = base(i step), so the pair (i, j)
+has the key (A, A, (j - i) step) at every offset, A the anchored base, and
+the table stores one column per diagonal d = j - i, |d| < mu, which the
+checks read instead of the mu^2 pairs.  A run makes one engine and drops
+its memos with the run.
 The cell bases and rows of T^p B are read off B itself (T swaps the modules
 and moves one by f), so a query builds no translated object.  The functors
 used here (``shift``, ``t_power``) are trusted constructors in ``mf``;
@@ -286,45 +286,56 @@ def scan_window(source, target, degree: Degree | None = None) -> tuple[int, int]
 # ---------------------------------------------------------------------------
 
 class HomTable:
-    """Hom dimensions over a collection, stored once per column.
+    """Hom dimensions over the twist orbit E_i = A(i step), i < ``objects``.
 
-    ``columns`` maps each key (A, B, d) -- anchored source, anchored target,
-    twist difference -- to (window, {p: dim}): the certified window and the
-    dimensions over the stored powers.  ``keys`` maps each pair (i, j) to the
-    key of its column.  A twist orbit such as the distinguished collection
-    has 2 mu - 1 columns for its mu^2 pairs.  ``entries``, ``windows`` and
-    :meth:`dim` are per-pair views derived from the two maps.
+    ``columns`` maps each diagonal d = j - i, |d| < ``objects``, to
+    (window, {p: dim}) on the key (A, A, d step): the certified window and
+    the dimensions over the stored powers.  The pair (i, j) reads column
+    j - i; ``entries``, ``windows`` and :meth:`dim` are per-pair views.
     """
 
-    def __init__(self, columns: dict, keys: dict[tuple[int, int], tuple]):
+    def __init__(self, anchor: MatrixFactorization, step: Degree, objects: int,
+                 columns: dict[int, tuple]):
+        self.anchor = anchor
+        self.step = step
+        self.objects = objects
         self.columns = columns
-        self.keys = keys
 
-    @property
-    def objects(self) -> int:
-        return max(i for i, _ in self.keys) + 1 if self.keys else 0
+    def key(self, d: int) -> tuple:
+        """The canonical key of the column of the diagonal d."""
+        return self.anchor, self.anchor, d * self.step
+
+    def _pairs(self):
+        mu = self.objects
+        return ((i, j) for i in range(mu) for j in range(mu))
 
     @property
     def entries(self) -> dict[tuple[int, int, int], int]:
         """{(i, j, p): dim}, expanded pair by pair."""
-        return {(i, j, p): dim for (i, j), key in self.keys.items()
-                for p, dim in self.columns[key][1].items()}
+        return {(i, j, p): dim for i, j in self._pairs()
+                for p, dim in self.columns[j - i][1].items()}
 
     @property
     def windows(self) -> dict[tuple[int, int], tuple[int, int]]:
-        return {pair: self.columns[key][0] for pair, key in self.keys.items()}
+        return {(i, j): self.columns[j - i][0] for i, j in self._pairs()}
 
     def dim(self, i, j, p) -> int:
-        key = self.keys.get((i, j))
-        return 0 if key is None else self.columns[key][1].get(p, 0)
+        if not (0 <= i < self.objects and 0 <= j < self.objects):
+            return 0
+        return self.columns[j - i][1].get(p, 0)
 
     def entry_count(self) -> int:
         """len(entries), counted without expanding them."""
-        return sum(len(self.columns[key][1]) for key in self.keys.values())
+        return sum((self.objects - abs(d)) * len(dims)
+                   for d, (_, dims) in self.columns.items())
 
     def hull(self) -> tuple[int, int]:
         ps = [p for _, dims in self.columns.values() for p in dims]
         return (min(ps), max(ps)) if ps else (0, -1)
+
+    def euler(self, d: int) -> int:
+        """chi(E_i, E_{i+d}), the alternating sum of column d over its window."""
+        return _alternating(*self.columns[d])
 
 
 def _alternating(window, dims) -> int:
@@ -402,53 +413,40 @@ class HomEngine:
                 window, {p: self.dim(key, p) for p in range(lo, hi + 1)})
         return chi
 
-    def table(self, collection, margin: int = 0) -> HomTable:
-        """The Hom table of a collection over each certified window plus
-        ``margin`` powers on both sides.  The pair (i, j) reads the column of
-        the key (A_i, A_j, s_i - s_j)."""
-        anchored = [self.anchor(obj) for obj in collection]
-        # (anchor number, twist coordinates): a pair's key is a function of
-        # the two tags, so each distinct tag difference builds its key once
-        ids: dict = {}
-        tags = [(ids.setdefault(A, len(ids)), *s.coords) for A, s in anchored]
-        keys: dict = {}                 # (i, j) -> (A, B, d)
-        columns: dict = {}
-        by_tags: dict = {}
-        for i, (a, sw, sr) in enumerate(tags):
-            for j, (b, tw, tr) in enumerate(tags):
-                raw = (a, b, sw - tw, sr - tr)
-                key = by_tags.get(raw)
-                if key is None:
-                    (A, s), (B, t) = anchored[i], anchored[j]
-                    key = by_tags[raw] = (A, B, s - t)
-                    if key not in columns:
-                        lo, hi = window = self.window(key)
-                        columns[key] = (window, {p: self.dim(key, p) for p in
-                                                 range(lo - margin, hi + margin + 1)})
-                keys[(i, j)] = key
-        return HomTable(columns, keys)
+    def table(self, base, step: Degree, mu: int, margin: int = 0) -> HomTable:
+        """The Hom table of the twist orbit E_i = base(i step), i < mu, over
+        each certified window plus ``margin`` powers on both sides: one
+        column per diagonal d, |d| < mu, on the key (A, A, d step) with A
+        the anchored base."""
+        table = HomTable(self.anchor(base)[0], step, mu, {})
+        for d in range(1 - mu, mu):
+            key = table.key(d)
+            lo, hi = window = self.window(key)
+            table.columns[d] = (window, {p: self.dim(key, p) for p in
+                                         range(lo - margin, hi + margin + 1)})
+        return table
 
     def dual(self, table: HomTable) -> HomTable:
-        """The Serre-dual recomputation of a table: the column of (A, B, d)
-        holds dim Hom(B, T^(n-p) A(-sigma - d)) over the same stored powers,
-        so the two tables must agree entrywise.  The pair map is the
-        table's own."""
+        """The Serre-dual recomputation of a table: column d holds
+        dim Hom(A, T^(n-p) A(-sigma - d step)) over the same stored powers,
+        so the two tables must agree entrywise."""
+        A = table.anchor
+        n = A.group.chain.n
+        sigma = A.group.monomial_degree((1,) * n)      # sum of the variable degrees
         columns = {}
-        for (A, B, d), (window, dims) in table.columns.items():
-            group = A.group
-            n = group.chain.n
-            back = (B, A, -sum((group.variable_degree(v) for v in range(n)), d))
-            columns[A, B, d] = (window, {p: self.dim(back, n - p) for p in dims})
-        return HomTable(columns, table.keys)
+        for d, (window, dims) in table.columns.items():
+            back = (A, A, -sigma - d * table.step)
+            columns[d] = (window, {p: self.dim(back, n - p) for p in dims})
+        return HomTable(A, table.step, table.objects, columns)
+
 
 def euler_pairing(table: HomTable):
     """Alternating sums over the certified windows, as a nested list.
 
-    Each column is summed once and read by every pair of that column."""
-    chi = {key: _alternating(window, dims)
-           for key, (window, dims) in table.columns.items()}
+    Each diagonal is summed once and read by every pair on it."""
+    chi = {d: table.euler(d) for d in table.columns}
     mu = table.objects
-    return [[chi[table.keys[(i, j)]] for j in range(mu)] for i in range(mu)]
+    return [[chi[j - i] for j in range(mu)] for i in range(mu)]
 
 
 def check_exceptionality(table: HomTable) -> dict:
@@ -456,37 +454,38 @@ def check_exceptionality(table: HomTable) -> dict:
 
     Checks scalar endomorphisms concentrated at power 0 and lower-triangular
     vanishing across the full stored power range (window plus margin); also
-    reports whether the collection is strongly exceptional.  Each column is
-    read once per relation (i = j, i > j or i < j) that a pair of it has;
-    failures are expanded to (i, j, p), in pair order, only when one fails.
+    reports whether the collection is strongly exceptional.  Diagonal d = 0
+    holds the pairs i = j, d < 0 those with i > j and d > 0 those with
+    i < j, so each column is read once; failures are expanded to (i, j, p),
+    in pair order, only when a column fails.
     """
     wrong, strong = {}, True
-    for key, rel in {(key, (i > j) - (i < j)) for (i, j), key in table.keys.items()}:
-        dims = table.columns[key][1]
-        if rel == 0:
-            bad = [(p, d) for p, d in dims.items() if d != (1 if p == 0 else 0)]
-        elif rel > 0:
-            bad = [(p, d) for p, d in dims.items() if d != 0]
+    for d, (_, dims) in table.columns.items():
+        if d == 0:
+            bad = [(p, x) for p, x in dims.items() if x != (1 if p == 0 else 0)]
+        elif d < 0:
+            bad = [(p, x) for p, x in dims.items() if x != 0]
         else:
             bad = []
-            strong = strong and all(d == 0 for p, d in dims.items() if p != 0)
+            strong = strong and all(x == 0 for p, x in dims.items() if p != 0)
         if bad:
-            wrong[key, rel] = bad
-    failures = []
-    if wrong:
-        for (i, j), key in table.keys.items():
-            reason = "endomorphisms not scalar" if i == j else "backwards morphism"
-            for p, d in wrong.get((key, (i > j) - (i < j)), ()):
-                failures.append({"i": i, "j": j, "p": p, "dim": d, "reason": reason})
+            wrong[d] = bad
+    failures, mu = [], table.objects
+    for i in range(mu if wrong else 0):
+        for d in sorted(d for d in wrong if 0 <= i + d < mu):
+            reason = "endomorphisms not scalar" if d == 0 else "backwards morphism"
+            for p, x in wrong[d]:
+                failures.append({"i": i, "j": i + d, "p": p, "dim": x, "reason": reason})
     return {"objects": table.objects, "exceptional": not failures,
             "strong": strong and not failures, "failures": failures}
 
 
 def serre_symmetry_check(table: HomTable, dual_table: HomTable) -> bool:
     """Agreement of a table with its Serre-dual recomputation, column by
-    column; tables with different pair maps do not agree."""
-    return table.keys == dual_table.keys and all(
-        dims == dual_table.columns[key][1] for key, (_, dims) in table.columns.items())
+    column; tables of different orbits do not agree."""
+    orbit = (table.anchor, table.step, table.objects)
+    return orbit == (dual_table.anchor, dual_table.step, dual_table.objects) and all(
+        dims == dual_table.columns[d][1] for d, (_, dims) in table.columns.items())
 
 
 # ---------------------------------------------------------------------------

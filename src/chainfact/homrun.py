@@ -184,8 +184,8 @@ class HomRun(_Run):
 
     @cached_property
     def table(self) -> homcalc.HomTable:
-        """The collection's Hom table, TABLE_MARGIN powers past each window."""
-        return self.homs.table(self.coll, TABLE_MARGIN)
+        """The Hom table of ``coll``'s orbit, TABLE_MARGIN powers past each window."""
+        return self.homs.table(*self.base, self.nm.milnor, TABLE_MARGIN)
 
     @cached_property
     def dual(self) -> homcalc.HomTable:
@@ -215,12 +215,14 @@ class HomRun(_Run):
         return {"strong": self.exc["strong"]}
 
     def euler_pairing_matches(self):
-        engine = homcalc.euler_pairing(self.table)
-        want = [list(row) for row in euler_matrix(self.f).matrix.entries]
-        if engine != want:
-            raise VerificationFailure("Euler pairing differs from the Toeplitz matrix",
-                                      {"engine": engine, "matrix": want})
-        return {"matrix": engine}
+        table, want = self.table, euler_matrix(self.f)
+        if any(table.euler(d) != want.entry(0, d) for d in table.columns):
+            mu = table.objects
+            raise VerificationFailure(
+                "Euler pairing differs from the Toeplitz matrix",
+                {"engine": homcalc.euler_pairing(table),
+                 "matrix": [[want.entry(i, j) for j in range(mu)] for i in range(mu)]})
+        return {"matrix": homcalc.euler_pairing(table)}
 
     def serre_symmetry(self):
         if not homcalc.serre_symmetry_check(self.table, self.dual):

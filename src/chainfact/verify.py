@@ -31,7 +31,7 @@ from .chain import (
     numerics,
     transpose,
 )
-from .exactmath import IntMatrix, MPoly, Poly
+from .exactmath import MPoly, Poly
 from .invariants import (
     check_lattice_correspondence,
     check_zeta_factorization,
@@ -55,8 +55,6 @@ def _jsonify(value):
         return {str(k): _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonify(v) for v in value]
-    if isinstance(value, IntMatrix):
-        return [list(r) for r in value.entries]
     if isinstance(value, Poly):
         return list(value.coeffs)
     if isinstance(value, Degree):

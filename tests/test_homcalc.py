@@ -25,7 +25,13 @@ from chainfact.homcalc import (
     _cell_basis,
     _differential_rows,
 )
-from chainfact.homrun import TABLE_MARGIN, HomRun, build_collection, collection_splitting
+from chainfact.homrun import (
+    TABLE_MARGIN,
+    HomRun,
+    build_collection,
+    collection_base,
+    collection_splitting,
+)
 from chainfact.invariants import euler_matrix
 from chainfact.mf import (
     cone,
@@ -41,6 +47,7 @@ from oracles import (
     identity_morphism,
     kernel_basis,
     rank_rational,
+    without_koszul_record,
 )
 
 
@@ -215,7 +222,7 @@ def test_canonical_tables_match_naive_route(exps):
     sigma = sum((g.variable_degree(i) for i in range(f.n)), g.zero)
     coll = build_collection(f, offset=1)
     for dual in (False, True):
-        table = fresh_table(coll, 1, dual)
+        table = fresh_table(f, 1, dual)
         for (i, j), window in table.windows.items():
             assert window == naive_window(coll[i], coll[j], g.zero)
         naive = {}
@@ -274,7 +281,7 @@ def test_tables_match_naive_route_property(exps, offset, margin):
     f = ChainPolynomial(exps)
     coll = build_collection(f, offset)
     for dual in (False, True):
-        table = fresh_table(coll, margin, dual)
+        table = fresh_table(f, margin, dual)
         assert (table.entries, table.windows) == naive_table(f, coll, margin, dual)
 
 
@@ -289,7 +296,7 @@ def test_table_asks_one_query_per_diagonal(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(homcalc, "hom_dim", counted)
-    primal = HomEngine().table(build_collection(f), margin)
+    primal = fresh_table(f, margin)
     asked = [list(calls)]
     calls.clear()
     dual = HomEngine().dual(primal)             # a fresh memo: the dual's own queries
@@ -315,10 +322,14 @@ def folded_query(source, target, degree=None, power=0):
     return A, B, (l + s - t + k * source.group.total_degree).coords, r
 
 
-def fresh_table(collection, margin=0, dual=False):
-    """The Hom table of a collection, or its Serre dual, from a fresh engine."""
+def fresh_table(f, margin=0, dual=False, bare=False):
+    """The Hom table of f's collection, or its Serre dual, from a fresh engine,
+    built from ``collection_base``; with ``bare``, from the base without its
+    Koszul record, so that every query takes the general engine."""
+    base, step = collection_base(f)
     homs = HomEngine()
-    table = homs.table(collection, margin)
+    table = homs.table(without_koszul_record(base) if bare else base, step,
+                       numerics(f).milnor, margin)
     return homs.dual(table) if dual else table
 
 
@@ -329,7 +340,8 @@ def test_shared_memo_tables_match_fresh_memos_and_naive_route(exps, offset):
     f = ChainPolynomial(exps)
     coll = build_collection(f, offset)
     naive = {dual: naive_table(f, coll, TABLE_MARGIN, dual) for dual in (False, True)}
-    primal = HomEngine().table(coll, TABLE_MARGIN)
+    orbit = (*collection_base(f), len(coll), TABLE_MARGIN)
+    primal = HomEngine().table(*orbit)
     fresh = {False: primal, True: HomEngine().dual(primal)}
     for dual, table in fresh.items():
         assert (table.entries, table.windows) == naive[dual], (exps, offset, dual)
@@ -337,9 +349,9 @@ def test_shared_memo_tables_match_fresh_memos_and_naive_route(exps, offset):
         homs = HomEngine()
         if dual_first:                      # the primal reads the dual's memo
             shared = {True: homs.dual(primal)}
-            shared[False] = homs.table(coll, TABLE_MARGIN)
+            shared[False] = homs.table(*orbit)
         else:
-            shared = {False: homs.table(coll, TABLE_MARGIN)}
+            shared = {False: homs.table(*orbit)}
             shared[True] = homs.dual(shared[False])
         for dual, table in shared.items():
             assert (table.entries, table.windows) == naive[dual], (exps, offset, dual)
@@ -352,31 +364,28 @@ def test_shared_memo_tables_match_fresh_memos_and_naive_route(exps, offset):
 @example(exps=(3, 2, 2), offset=3)                 # torsion Z/3
 def test_columns_match_closed_form_lookup_property(exps, offset):
     """Every column of both tables is the closed-form lookup
-    Hom(E_i, T^p E_j) = closed_form_hom(f, p mod 2)[d + floor(p/2) f] with
-    d = (j - i) step, and every pair reads the column of its diagonal."""
+    Hom(E_i, T^p E_j) = closed_form_hom(f, p mod 2)[(j - i) step + floor(p/2) f],
+    and every pair (i, j) of the run's collection at any offset has the key
+    of the table's column j - i."""
     f = ChainPolynomial(exps)
     g = build_grading_group(f)
     step = collection_splitting(f)[2]
     forms = [closed_form_hom(f, 0), closed_form_hom(f, 1)]
-    coll = build_collection(f, offset)
-    homs = HomEngine()
-    primal = homs.table(coll, TABLE_MARGIN)
-    for table in (primal, homs.dual(primal)):
-        assert len(table.columns) == 2 * len(coll) - 1
-        for (i, j), (_, _, d) in table.keys.items():
-            assert d == (j - i) * step, (exps, offset, i, j)
-        for (_, _, d), (_, dims) in table.columns.items():
+    run = HomRun(f, offset)
+    coll, homs, primal = run.coll, run.homs, run.table
+    for table in (primal, run.dual):
+        assert table.objects == len(coll)
+        assert sorted(table.columns) == list(range(1 - len(coll), len(coll)))
+        for d, (_, dims) in table.columns.items():
             for p, dim in dims.items():
-                want = forms[p % 2].get(d + (p // 2) * g.total_degree, 0)
+                want = forms[p % 2].get(d * step + (p // 2) * g.total_degree, 0)
                 assert dim == want, (exps, offset, d, p)
+    for i, x in enumerate(coll):
+        for j, y in enumerate(coll):
+            assert homs.key(x, y) == primal.key(j - i), (exps, offset, i, j)
 
 
 # ------------------------------------------------ negative controls on columns
-
-def _diagonal_key(table, d):
-    """The key of the column that the pairs (i, i + d) read."""
-    return table.keys[(0, d) if d >= 0 else (-d, 0)]
-
 
 @pytest.mark.parametrize("exps", [(3, 3), (2, 2, 3)])
 def test_serre_check_fails_on_any_wrong_dual_value(exps):
@@ -397,11 +406,11 @@ def test_serre_check_fails_on_any_wrong_dual_value(exps):
 @pytest.mark.parametrize("exps", [(3, 3), (2, 2, 3), (3, 2, 2)])
 def test_exceptionality_failures_expand_in_pair_order(exps):
     f = ChainPolynomial(exps)
-    table = HomEngine().table(build_collection(f, 1), TABLE_MARGIN)
+    table = fresh_table(f, TABLE_MARGIN)
     mu = table.objects
     assert check_exceptionality(table)["failures"] == []
     for d in (-1, -(mu - 1), 0):
-        dims = table.columns[_diagonal_key(table, d)][1]
+        dims = table.columns[d][1]
         for p in [p for p in (min(dims), 0, max(dims)) if p in dims]:
             dims[p] += 1
             report = check_exceptionality(table)
@@ -421,7 +430,7 @@ def test_nakayama_witness_from_a_corrupted_column(exps):
     a1, table = exps[0], HomRun(f, 0).table
     mu = table.objects
     for d in range(1, mu):
-        dims = table.columns[_diagonal_key(table, d)][1]
+        dims = table.columns[d][1]
         dims[0] += 1
         run = HomRun(f, 0)
         run.table = table
@@ -506,33 +515,33 @@ def test_sparse_rank_on_differential_rows(exps):
 @pytest.mark.parametrize("exps", [(2,), (3,), (2, 2), (3, 2), (2, 3)])
 def test_euler_pairing_matches_toeplitz(exps):
     f = ChainPolynomial(exps)
-    table = HomEngine().table(build_collection(f))
+    table = fresh_table(f)
     assert euler_pairing(table) == [list(r) for r in euler_matrix(f).matrix.entries]
 
 
 def test_euler_diagonal_ones():
     f = ChainPolynomial((3, 3))
-    table = HomEngine().table(build_collection(f))
+    table = fresh_table(f)
     pairing = euler_pairing(table)
     assert all(pairing[i][i] == 1 for i in range(len(pairing)))
 
 
 def test_exceptionality_report_strong_n2():
     f = ChainPolynomial((2, 2))
-    rep = check_exceptionality(HomEngine().table(build_collection(f), 3))
+    rep = check_exceptionality(fresh_table(f, 3))
     assert rep["exceptional"] and rep["strong"]
 
 
 def test_exceptionality_single_object():
     f = ChainPolynomial((3,))
-    rep = check_exceptionality(HomEngine().table(build_collection(f), 3))
+    rep = check_exceptionality(fresh_table(f, 3))
     assert rep["exceptional"]
 
 
 def test_window_extension_stable_pairing():
     f = ChainPolynomial((2, 2))
-    t0 = HomEngine().table(build_collection(f))
-    t3 = HomEngine().table(build_collection(f), 3)
+    t0 = fresh_table(f)
+    t3 = fresh_table(f, 3)
     wide = {}
     for (i, j), (lo, hi) in t3.windows.items():
         wide[(i, j)] = sum((1 if p % 2 == 0 else -1) * t3.dim(i, j, p)
@@ -624,7 +633,7 @@ def test_translation_shifts_hom_parity():
 def test_serre_symmetry_tables():
     for exps in [(2,), (2, 2), (3, 2)]:
         f = ChainPolynomial(exps)
-        main = HomEngine().table(build_collection(f))
+        main = fresh_table(f)
         dual = HomEngine().dual(main)
         assert serre_symmetry_check(main, dual)
 

@@ -26,7 +26,7 @@ from chainfact.homcalc import (
     scan_window,
     serre_symmetry_check,
 )
-from chainfact.homrun import build_collection
+from chainfact.homrun import build_collection, collection_base
 from chainfact.invariants import euler_matrix, zeta_polynomial
 from chainfact.mf import cone, direct_sum, reduce, shift, translate
 from oracles import det_bareiss, identity_morphism, smith_normal_form
@@ -147,7 +147,7 @@ def test_reduce_idempotent_on_cones():
 @pytest.mark.parametrize("exps", [(2,), (3,), (2, 2), (2, 3), (2, 2, 2)])
 def test_serre_symmetry_every_table(exps):
     f = ChainPolynomial(exps)
-    main = HomEngine().table(build_collection(f))
+    main = HomEngine().table(*collection_base(f), numerics(f).milnor)
     dual = HomEngine().dual(main)
     assert serre_symmetry_check(main, dual)
 
@@ -196,5 +196,6 @@ def test_simultaneous_shift_invariance_random():
 def test_euler_pairing_equals_matrix_grid():
     for exps in [(2,), (3,), (2, 2), (3, 2)]:
         f = ChainPolynomial(exps)
-        assert euler_pairing(HomEngine().table(build_collection(f))) == \
+        table = HomEngine().table(*collection_base(f), numerics(f).milnor)
+        assert euler_pairing(table) == \
             [list(r) for r in euler_matrix(f).matrix.entries]

@@ -20,7 +20,6 @@ import chainfact
 from chainfact.chain import ChainPolynomial, build_grading_group, numerics
 from chainfact.exactmath import MPoly
 from chainfact.homcalc import (
-    HomEngine,
     closed_form_hom,
     hom_dim,
     morphism_space_basis,
@@ -69,14 +68,12 @@ def assert_routes_agree(source, target, degree=None, margin=1):
 def test_tables_match_general_engine(exps):
     f = ChainPolynomial(exps)
     for offset in (0, 2):
-        coll = build_collection(f, offset)
-        assert all(e.koszul_vars is not None for e in coll)
-        bare = [without_koszul_record(e) for e in coll]
-        for dual in (False, True):
-            got = fresh_table(coll, 3, dual)
-            want = fresh_table(bare, 3, dual)       # its own engine: no shared memo
-            assert got.entries == want.entries, (exps, offset, dual)
-            assert got.windows == want.windows
+        assert all(e.koszul_vars is not None for e in build_collection(f, offset))
+    for dual in (False, True):
+        got = fresh_table(f, 3, dual)
+        want = fresh_table(f, 3, dual, bare=True)   # its own engine: no shared memo
+        assert got.entries == want.entries, (exps, dual)
+        assert got.windows == want.windows
 
 
 @pytest.mark.parametrize("exps", TABLE_CHAINS)
@@ -105,13 +102,12 @@ def test_tables_match_closed_form_lookup(exps):
     g = build_grading_group(f)
     step = collection_splitting(f)[2]
     forms = [closed_form_hom(f, 0), closed_form_hom(f, 1)]
-    for offset in (0, 2):
-        for dual in (False, True):
-            table = fresh_table(build_collection(f, offset), 3, dual)
-            assert len(table.windows) == numerics(f).milnor ** 2
-            for (i, j, p), dim in table.entries.items():
-                key = (j - i) * step + (p // 2) * g.total_degree
-                assert dim == forms[p % 2].get(key, 0), (exps, offset, dual, i, j, p)
+    for dual in (False, True):
+        table = fresh_table(f, 3, dual)
+        assert len(table.windows) == numerics(f).milnor ** 2
+        for (i, j, p), dim in table.entries.items():
+            key = (j - i) * step + (p // 2) * g.total_degree
+            assert dim == forms[p % 2].get(key, 0), (exps, dual, i, j, p)
 
 
 # ---------------------------------------------------------------- the record
@@ -169,10 +165,10 @@ def test_restriction_dispatch_under_optimize_flag():
     script = (
         "import json\n"
         "import chainfact.homcalc as h\n"
-        "from chainfact.chain import ChainPolynomial\n"
-        "from chainfact.homrun import build_collection\n"
+        "from chainfact.chain import ChainPolynomial, numerics\n"
+        "from chainfact.homrun import collection_base\n"
         "f = ChainPolynomial((2, 2, 3))\n"
-        "t = h.HomEngine().table(build_collection(f), 1)\n"
+        "t = h.HomEngine().table(*collection_base(f), numerics(f).milnor, 1)\n"
         "print(json.dumps([sorted(map(list, t.entries.items())), __debug__,\n"
         "                  h._cell_basis.cache_info().misses,\n"
         "                  h._rank_d.cache_info().misses]))\n"
@@ -184,9 +180,7 @@ def test_restriction_dispatch_under_optimize_flag():
     entries, debug, cells, ranks = json.loads(done.stdout)
     assert debug is False
     assert cells == 0 and ranks == 0
-    f = ChainPolynomial((2, 2, 3))
-    bare = [without_koszul_record(e) for e in build_collection(f)]
-    want = HomEngine().table(bare, 1).entries
+    want = fresh_table(ChainPolynomial((2, 2, 3)), 1, bare=True).entries
     assert {(i, j, p): d for (i, j, p), d in entries} == want
 
 

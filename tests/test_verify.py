@@ -143,9 +143,8 @@ def test_main_theorem_offset_invariance():
     m0 = r0.check("euler_pairing_matches").detail["matrix"]
     m1 = r1.check("euler_pairing_matches").detail["matrix"]
     assert m0 == m1
-    t0 = HomEngine().table(build_collection(f, 0))
-    t1 = HomEngine().table(build_collection(f, 5))
-    assert t0.entries == t1.entries
+    t0, t1 = homrun.HomRun(f, 0).table, homrun.HomRun(f, 5).table
+    assert t0.columns == t1.columns
 
 
 def test_fullness_reported_not_claimed():
@@ -326,12 +325,13 @@ def test_euler_builds_no_dual_table(monkeypatch):
     assert len(tables) == 1 and duals == []
     asked = len(calls)
     coll = build_collection(f, 1)
+    orbit = (*collection_base(f), len(coll))
     homs = homcalc.HomEngine()
-    homs.table(coll, homrun.TABLE_MARGIN)
+    homs.table(*orbit, homrun.TABLE_MARGIN)
     assert asked == len(homs.dims)
     # the Euler entries between collection objects read the table's memo
     homs = homcalc.HomEngine()
-    homs.table(coll, 0)
+    homs.table(*orbit, 0)
     calls.clear()
     chi = [[homs.euler(x, y) for y in coll] for x in coll]
     assert calls == []
@@ -364,6 +364,23 @@ def test_euler_memo_cannot_hide_a_wrong_answer_even(monkeypatch):
     # of probe E_i, for every triangle i
     cases = check.detail["witness"]["cases"]
     assert sorted(c["total"] for c in cases) == [-1] * (mu - 1) + [1] * (mu - 1)
+
+
+@pytest.mark.parametrize("exps", [(2, 2), (3, 3)])
+def test_euler_pairing_failure_witness(monkeypatch, exps):
+    """One wrong Hom answer on the diagonal fails euler_pairing_matches, and
+    the witness holds both grids: the engine's, with its diagonal one too
+    high, and the Toeplitz grid of the Euler series."""
+    f = ChainPolynomial(exps)
+    wrong = []
+    _answer_one_key_wrongly(monkeypatch, wrong)
+    check = run_checks(f, CHECKS_RUN["euler"], 1).check("euler_pairing_matches")
+    assert check.status == "fail" and len(wrong) == 1
+    series = euler_matrix(f).series_coeffs
+    mu = len(series)
+    toeplitz = [[series[j - i] if j >= i else 0 for j in range(mu)] for i in range(mu)]
+    raised = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(toeplitz)]
+    assert check.detail["witness"] == {"engine": raised, "matrix": toeplitz}
 
 
 def test_euler_memo_cannot_hide_a_wrong_answer_odd(monkeypatch):
