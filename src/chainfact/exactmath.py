@@ -1,4 +1,4 @@
-"""Exact arithmetic substrate: integers, rationals, polynomials, matrices.
+"""Exact arithmetic substrate: integers, rationals, polynomials, sparse matrices.
 
 Everything here is exact.  Rational numbers are `fractions.Fraction`,
 integers are Python ints, and no routine ever touches floating point.
@@ -12,8 +12,6 @@ The module provides:
                      sparse factor such as 1 - t^a costs time linear in the
                      degree;
   * ``MPoly``     -- sparse multivariate polynomials (exponent tuple -> coeff);
-  * ``IntMatrix`` -- immutable integer matrices with a division-free
-                     (Berkowitz) characteristic polynomial;
   * ``det_lower_hessenberg`` -- the determinant of a sparse lower-Hessenberg
                      matrix of polynomials, by the principal-minor recurrence
                      on sparse {exponent: coeff} dicts;
@@ -21,7 +19,8 @@ The module provides:
                      echelon form giving rank, kernel and the normal form of a
                      vector modulo the row span.
 
-Integer matrix products go through :func:`int_mat_mul`, in Python big ints.
+Matrices are sparse rows or determinant recurrences; no dense matrix is
+built.  The dense reference routines live with the tests.
 """
 
 from __future__ import annotations
@@ -351,116 +350,8 @@ class MPoly:
 
 
 # ---------------------------------------------------------------------------
-# integer matrices
+# sparse determinants
 # ---------------------------------------------------------------------------
-
-def int_mat_mul(a, b):
-    """Exact product of integer matrices given as row sequences."""
-    n = len(a)
-    inner = len(a[0]) if n else 0
-    if inner != len(b):
-        raise ValueError("shape mismatch in matrix product")
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-class IntMatrix:
-    """Immutable rectangular matrix of arbitrary-precision integers."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries):
-        rows = tuple(tuple(r) for r in entries)
-        if not rows or not rows[0]:
-            raise ValueError("IntMatrix must have positive dimensions")
-        ncols = len(rows[0])
-        types = set()
-        for r in rows:
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-            types.update(map(type, r))
-        if not all(issubclass(t, int) for t in types):
-            raise TypeError("integer entries required")
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", ncols)
-        object.__setattr__(self, "entries", rows)
-
-    def __setattr__(self, *a):
-        raise AttributeError("IntMatrix is immutable")
-
-    @classmethod
-    def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def __eq__(self, other):
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __add__(self, other):
-        return IntMatrix([[x + y for x, y in zip(r, s)]
-                          for r, s in zip(self.entries, other.entries)])
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntMatrix([[x * other for x in r] for r in self.entries])
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        return IntMatrix(int_mat_mul(self.entries, other.entries))
-
-    __rmul__ = __mul__
-
-    def transpose(self):
-        return IntMatrix(list(zip(*self.entries)))
-
-    def is_square(self):
-        return self.rows == self.cols
-
-    def __repr__(self):
-        return f"IntMatrix({[list(r) for r in self.entries]!r})"
-
-
-def charpoly_division_free(a: IntMatrix) -> Poly:
-    """det(t*1 - A) by the Berkowitz algorithm (no divisions).
-
-    Coefficient list is returned lowest-degree-first as a :class:`Poly`; the
-    result is monic of degree n with exact integer coefficients.
-    """
-    if not a.is_square():
-        raise ValueError("characteristic polynomial of a non-square matrix")
-    n = a.rows
-    e = a.entries
-    # work with coefficient vectors ordered highest power first:
-    # after step i, c = [1, c1, ..., c_{i+1}] with
-    # det(t*1 - A[:i+1,:i+1]) = t^{i+1} + c1 t^i + ...
-    c = [1, -e[0][0]]
-    for i in range(1, n):
-        row = e[i][:i]
-        col = [e[r][i] for r in range(i)]
-        # s[k] = row . M^k . col for the leading i x i block M
-        s = []
-        v = col
-        for _ in range(i):
-            s.append(sum(x * y for x, y in zip(row, v)))
-            v = [sum(e[r][j] * v[j] for j in range(i)) for r in range(i)]
-        # first column of the (i+2) x (i+1) Toeplitz update matrix
-        t0 = [1, -e[i][i]] + [-x for x in s]
-        new = [0] * (i + 2)
-        for r in range(i + 2):
-            acc = 0
-            for k in range(min(r, i) + 1):
-                acc += t0[r - k] * c[k]
-            new[r] = acc
-        c = new
-    return Poly(list(reversed(c)))
-
 
 _SPARSE_ONE = {0: 1}
 

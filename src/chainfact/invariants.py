@@ -13,7 +13,7 @@ root by a commutation certificate, sparse convolutions of z and c, without
 building either operator.  The module also derives the characteristic
 polynomial, its cyclotomic-style factorization, and an independent
 weighted-homogeneous oracle for the transposed polynomial's monodromy.
-Dense mu x mu matrices are built only when a caller reads them.
+No mu x mu matrix is built; the dense operators are test oracles only.
 
 All computations are exact; any failed identity raises
 :class:`VerificationFailure` carrying the witnesses.
@@ -22,7 +22,7 @@ All computations are exact; any failed identity raises
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd
 
 from .chain import (
@@ -33,18 +33,12 @@ from .chain import (
     numerics,
 )
 from .exactmath import (
-    IntMatrix,
     Poly,
     alternating_product,
-    charpoly_division_free,
     det_lower_hessenberg,
     poly_div_exact,
     series_inverse,
 )
-
-# below this size the trace-based characteristic polynomial is additionally
-# cross-checked against the division-free (Berkowitz) one on the raw matrix
-DIRECT_CHARPOLY_LIMIT = 16
 
 
 class ZetaPolynomial:
@@ -92,7 +86,7 @@ def zeta_polynomial(f: ChainPolynomial) -> ZetaPolynomial:
 
 
 class EulerMatrix:
-    """Toeplitz Euler matrix, stored as its series; ``matrix`` is built lazily."""
+    """Upper-triangular Toeplitz Euler matrix, stored as its series."""
 
     def __init__(self, chain: ChainPolynomial, series_coeffs: tuple[int, ...]):
         self.chain = chain
@@ -100,19 +94,6 @@ class EulerMatrix:
 
     def entry(self, i: int, j: int) -> int:
         return self.series_coeffs[j - i] if 0 <= j - i < len(self.series_coeffs) else 0
-
-    @cached_property
-    def matrix(self) -> IntMatrix:
-        return _toeplitz_upper(self.series_coeffs, len(self.series_coeffs))
-
-
-def _toeplitz_upper(coeffs, size) -> IntMatrix:
-    rows = []
-    for i in range(size):
-        row = [0] * i + list(coeffs[: size - i])
-        row += [0] * (size - len(row))
-        rows.append(row)
-    return IntMatrix(rows)
 
 
 @lru_cache(maxsize=16)
@@ -178,60 +159,17 @@ def companion_certificate(zp: ZetaPolynomial) -> int:
     return mu
 
 
-def companion_matrix(zp: ZetaPolynomial) -> IntMatrix:
-    """Companion-shaped integer root of the zeta polynomial, certified by
-    :func:`companion_certificate`."""
-    mu = companion_certificate(zp)
-    cp = zp.poly.coeffs
-    rows = []
-    for i in range(mu):
-        row = [0] * mu
-        row[0] = -cp[i + 1]
-        if i + 1 < mu:
-            row[i + 1] = 1
-        rows.append(row)
-    return IntMatrix(rows)
-
-
 class MonodromyData:
-    """The K-theory monodromy operator and its characteristic data.
-
-    ``matrix`` (sign * W chi^T, verified equal to the ``milnor``-th power of
-    the companion root) is built on first use; ``det_one_minus_t`` is
-    det(1 - t * matrix); ``gcd_exponents`` are gcd(d_i, milnor).
-    """
+    """Characteristic data of the K-theory monodromy operator M = sign * W
+    chi^T, certified equal to the ``milnor``-th companion power without being
+    built: ``det_one_minus_t`` is det(1 - t * M); ``gcd_exponents`` are
+    gcd(d_i, milnor)."""
 
     def __init__(self, chain: ChainPolynomial, det_one_minus_t: Poly,
                  gcd_exponents: tuple[int, ...]):
         self.chain = chain
         self.det_one_minus_t = det_one_minus_t
         self.gcd_exponents = gcd_exponents
-
-    @cached_property
-    def matrix(self) -> IntMatrix:
-        columns = list(_toeplitz_product_columns(
-            zeta_polynomial(self.chain).poly.coeffs,
-            euler_matrix(self.chain).series_coeffs, (-1) ** self.chain.n))
-        return IntMatrix(zip(*reversed(columns)))
-
-
-def _toeplitz_product_columns(w, c, sign):
-    """Columns mu-1, ..., 1, 0 of sign * W C^T, W and C upper Toeplitz of w, c.
-
-    mu = len(c) <= len(w).  (W C^T)[i][j] sums w[k-i] c[k-j] over
-    max(i, j) <= k < mu, so M[i][j] = M[i+1][j+1] + w[mu-1-i] c[mu-1-j] with
-    M zero at row and column mu: each column is the one to its right moved up
-    by one entry plus c[mu-1-j] times the reversed w.  O(mu) memory.
-    """
-    mu = len(c)
-    w_rev = [sign * x for x in w[mu - 1::-1]]
-    col = [0] * mu
-    for j in range(mu - 1, -1, -1):
-        a = c[mu - 1 - j]
-        col = col[1:] + [0]
-        if a:
-            col = [x + a * y for x, y in zip(col, w_rev)]
-        yield col
 
 
 def check_monodromy_routes(em: EulerMatrix, zp: ZetaPolynomial) -> bool:
@@ -373,9 +311,9 @@ def _det_one_minus_t_via_traces(cp_coeffs, mu, period) -> Poly:
 def monodromy_data(f: ChainPolynomial) -> MonodromyData:
     """Monodromy operator certified and its characteristic data.
 
-    :func:`check_monodromy_routes` certifies sign * W chi^T == C^mu; for small
-    mu the trace-based det(1 - t*M) is also checked against Berkowitz on the
-    dense matrix, which is built for no larger mu.
+    :func:`check_monodromy_routes` certifies sign * W chi^T == C^mu, and
+    det(1 - t*M) follows from its traces by Newton's identities; a run checks
+    it against :func:`check_zeta_factorization` and the transpose oracle.
     """
     zp = zeta_polynomial(f)
     nm = numerics(f)
@@ -386,13 +324,7 @@ def monodromy_data(f: ChainPolynomial) -> MonodromyData:
     period = nm.cum_products[-1]
     det1mt = _det_one_minus_t_via_traces(zp.poly.coeffs, mu, period)
     exps = tuple(gcd(nm.cum_products[i], mu) for i in range(n + 1))
-    md = MonodromyData(f, det1mt, exps)
-    if mu <= DIRECT_CHARPOLY_LIMIT:
-        direct = charpoly_division_free(md.matrix).reversal(mu)
-        if direct != det1mt:
-            raise VerificationFailure("trace-based charpoly disagrees with Berkowitz",
-                                      {"traces": det1mt.coeffs, "direct": direct.coeffs})
-    return md
+    return MonodromyData(f, det1mt, exps)
 
 
 def check_zeta_factorization(md: MonodromyData, f: ChainPolynomial) -> bool:

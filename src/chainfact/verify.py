@@ -331,22 +331,3 @@ def run_checks(f: ChainPolynomial, names, offset: int = 0) -> VerificationReport
         r.run(name, getattr(run, name))
     return VerificationReport(f.exponents, offset, __version__, r.checks)
 
-
-def verify_invariants(f: ChainPolynomial) -> VerificationReport:
-    """The matrix-level identity battery (no Hom engine involved)."""
-    return run_checks(f, INVARIANT_CHECKS)
-
-
-def verify_main_theorem(f: ChainPolynomial, offset: int = 0) -> VerificationReport:
-    """Full pipeline: collection, exceptionality, Euler pairing, identities."""
-    return run_checks(f, MAIN_THEOREM_CHECKS, offset)
-
-
-def verify_section_inequalities(f: ChainPolynomial) -> VerificationReport:
-    """The strict reduction inequalities behind the generation argument."""
-    return run_checks(f, SECTION_CHECKS)
-
-
-def verify_triangles(f: ChainPolynomial, offset: int = 0) -> VerificationReport:
-    """Triangle consequences: Euler additivity plus structural cone checks."""
-    return run_checks(f, TRIANGLE_CHECKS, offset)

@@ -1,6 +1,12 @@
 """Dense exact reference routines that the tests compare the library against,
 and the small constructors that only the tests use.
 
+The library builds no dense matrix, so the dense layer lives here: the
+integer matrices ``IntMatrix`` with their product ``int_mat_mul`` and the
+division-free (Berkowitz) characteristic polynomial, and the dense Euler
+matrix, monodromy operator and companion matrix, each built from the series
+or coefficients that the library keeps.
+
 They compute values only and contain no ``assert``: pytest rewrites asserts
 in test modules, not here, and the suite also runs under ``python -O``.
 """
@@ -9,10 +15,195 @@ import json
 from fractions import Fraction
 from typing import NamedTuple
 
-from chainfact.exactmath import ExactDivisionError, IntMatrix, MPoly, Poly
-from chainfact.invariants import _toeplitz_product_columns, companion_matrix, zeta_polynomial
+from chainfact.exactmath import ExactDivisionError, MPoly, Poly
+from chainfact.invariants import companion_certificate, euler_matrix, zeta_polynomial
 from chainfact.mf import GradedMatrix, MatrixFactorization, MFMorphism
 from chainfact.verify import VerificationReport
+
+
+# ---------------------------------------------------------------------------
+# dense integer matrices
+# ---------------------------------------------------------------------------
+
+def int_mat_mul(a, b):
+    """Exact product of integer matrices given as row sequences."""
+    n = len(a)
+    inner = len(a[0]) if n else 0
+    if inner != len(b):
+        raise ValueError("shape mismatch in matrix product")
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+class IntMatrix:
+    """Immutable rectangular matrix of arbitrary-precision integers."""
+
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, entries):
+        rows = tuple(tuple(r) for r in entries)
+        if not rows or not rows[0]:
+            raise ValueError("IntMatrix must have positive dimensions")
+        ncols = len(rows[0])
+        types = set()
+        for r in rows:
+            if len(r) != ncols:
+                raise ValueError("ragged rows")
+            types.update(map(type, r))
+        if not all(issubclass(t, int) for t in types):
+            raise TypeError("integer entries required")
+        object.__setattr__(self, "rows", len(rows))
+        object.__setattr__(self, "cols", ncols)
+        object.__setattr__(self, "entries", rows)
+
+    def __setattr__(self, *a):
+        raise AttributeError("IntMatrix is immutable")
+
+    @classmethod
+    def identity(cls, n):
+        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+    def __getitem__(self, ij):
+        i, j = ij
+        return self.entries[i][j]
+
+    def __eq__(self, other):
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self):
+        return hash(self.entries)
+
+    def __add__(self, other):
+        return IntMatrix([[x + y for x, y in zip(r, s)]
+                          for r, s in zip(self.entries, other.entries)])
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return IntMatrix([[x * other for x in r] for r in self.entries])
+        if self.cols != other.rows:
+            raise ValueError("dimension mismatch")
+        return IntMatrix(int_mat_mul(self.entries, other.entries))
+
+    __rmul__ = __mul__
+
+    def transpose(self):
+        return IntMatrix(list(zip(*self.entries)))
+
+    def is_square(self):
+        return self.rows == self.cols
+
+    def __repr__(self):
+        return f"IntMatrix({[list(r) for r in self.entries]!r})"
+
+
+def charpoly_division_free(a: IntMatrix) -> Poly:
+    """det(t*1 - A) by the Berkowitz algorithm (no divisions).
+
+    Coefficient list is returned lowest-degree-first as a :class:`Poly`; the
+    result is monic of degree n with exact integer coefficients.
+    """
+    if not a.is_square():
+        raise ValueError("characteristic polynomial of a non-square matrix")
+    n = a.rows
+    e = a.entries
+    # work with coefficient vectors ordered highest power first:
+    # after step i, c = [1, c1, ..., c_{i+1}] with
+    # det(t*1 - A[:i+1,:i+1]) = t^{i+1} + c1 t^i + ...
+    c = [1, -e[0][0]]
+    for i in range(1, n):
+        row = e[i][:i]
+        col = [e[r][i] for r in range(i)]
+        # s[k] = row . M^k . col for the leading i x i block M
+        s = []
+        v = col
+        for _ in range(i):
+            s.append(sum(x * y for x, y in zip(row, v)))
+            v = [sum(e[r][j] * v[j] for j in range(i)) for r in range(i)]
+        # first column of the (i+2) x (i+1) Toeplitz update matrix
+        t0 = [1, -e[i][i]] + [-x for x in s]
+        new = [0] * (i + 2)
+        for r in range(i + 2):
+            acc = 0
+            for k in range(min(r, i) + 1):
+                acc += t0[r - k] * c[k]
+            new[r] = acc
+        c = new
+    return Poly(list(reversed(c)))
+
+
+# ---------------------------------------------------------------------------
+# the dense operators of the invariants battery
+# ---------------------------------------------------------------------------
+
+def toeplitz_upper(coeffs, size) -> IntMatrix:
+    """The size x size upper-triangular Toeplitz matrix of a coefficient list."""
+    rows = []
+    for i in range(size):
+        row = [0] * i + list(coeffs[: size - i])
+        row += [0] * (size - len(row))
+        rows.append(row)
+    return IntMatrix(rows)
+
+
+def dense_euler_matrix(em) -> IntMatrix:
+    """The Euler matrix chi, the upper Toeplitz matrix of ``em``'s series."""
+    return toeplitz_upper(em.series_coeffs, len(em.series_coeffs))
+
+
+def toeplitz_product_columns(w, c, sign):
+    """Columns mu-1, ..., 1, 0 of sign * W C^T, W and C upper Toeplitz of w, c.
+
+    mu = len(c) <= len(w).  (W C^T)[i][j] sums w[k-i] c[k-j] over
+    max(i, j) <= k < mu, so M[i][j] = M[i+1][j+1] + w[mu-1-i] c[mu-1-j] with
+    M zero at row and column mu: each column is the one to its right moved up
+    by one entry plus c[mu-1-j] times the reversed w.  O(mu) memory.
+    """
+    mu = len(c)
+    w_rev = [sign * x for x in w[mu - 1::-1]]
+    col = [0] * mu
+    for j in range(mu - 1, -1, -1):
+        a = c[mu - 1 - j]
+        col = col[1:] + [0]
+        if a:
+            col = [x + a * y for x, y in zip(col, w_rev)]
+        yield col
+
+
+def matrix_from_columns(columns) -> IntMatrix:
+    """The matrix whose columns, from the last to the first, are given."""
+    return IntMatrix(zip(*reversed(list(columns))))
+
+
+def monodromy_matrix(md) -> IntMatrix:
+    """The monodromy operator sign * W chi^T of ``md``'s chain, from the
+    zeta coefficients and the Euler series."""
+    f = md.chain
+    return matrix_from_columns(toeplitz_product_columns(
+        zeta_polynomial(f).poly.coeffs, euler_matrix(f).series_coeffs, (-1) ** f.n))
+
+
+def companion_matrix(zp) -> IntMatrix:
+    """The companion-shaped integer root of the zeta polynomial: first column
+    the negated coefficients z_1..z_mu, identity superdiagonal.  Built after
+    ``companion_certificate`` accepts ``zp``, so a corrupted polynomial
+    raises as it does in the library."""
+    mu = companion_certificate(zp)
+    cp = zp.poly.coeffs
+    rows = []
+    for i in range(mu):
+        row = [0] * mu
+        row[0] = -cp[i + 1]
+        if i + 1 < mu:
+            row[i + 1] = 1
+        rows.append(row)
+    return IntMatrix(rows)
+
+
+# ---------------------------------------------------------------------------
+# dense reference routines
+# ---------------------------------------------------------------------------
 
 
 def _frac_rows(a):
@@ -362,7 +553,7 @@ def monodromy_column_difference(em, zp):
     compared exactly: O(mu^2) work and O(mu) memory.
     """
     mu = zp.milnor
-    route_a = _toeplitz_product_columns(zp.poly.coeffs, em.series_coeffs, (-1) ** em.chain.n)
+    route_a = toeplitz_product_columns(zp.poly.coeffs, em.series_coeffs, (-1) ** em.chain.n)
     route_b = companion_power_columns(zp.poly.coeffs, mu)
     for k, (col_a, col_b) in enumerate(zip(route_a, route_b)):
         if col_a != col_b:
@@ -384,7 +575,7 @@ def certificate_witness(em, zp):
     t = z[1:mu + 1]
     a_t = [0] * mu
     row0 = [0] * mu
-    columns = _toeplitz_product_columns(z, c, (-1) ** em.chain.n)
+    columns = toeplitz_product_columns(z, c, (-1) ** em.chain.n)
     for j, col in zip(range(mu - 1, -1, -1), columns):
         if j == mu - 1:
             last = col
@@ -407,6 +598,34 @@ def certificate_witness(em, zp):
         if c[mu - j] != row0[j]:
             return {"condition": "r = q", "index": j, "got": c[mu - j], "want": row0[j]}
     return None
+
+
+def nakayama_witness(table, a1):
+    """The witness of ``nakayama_cartan`` from the pair-by-pair walk: the
+    first (i, j) in row-major order whose degree-0 dimension is not the path
+    algebra's, or None when every pair agrees."""
+    mu = table.objects
+    for i in range(mu):
+        for j in range(mu):
+            want = 1 if 0 <= j - i < a1 else 0
+            if table.dim(i, j, 0) != want:
+                return {"i": i, "j": j, "got": table.dim(i, j, 0), "want": want}
+    return None
+
+
+def triangle_cases(run):
+    """The failing cases of ``triangle_euler_additivity`` from the loop over
+    every triangle k and every probe of ``run``'s collection, in that order,
+    each total read through the run's engine."""
+    mu, coll, euler, bad = run.nm.milnor, run.coll, run.homs.euler, []
+    for k in range(1, mu):
+        i = run.offset + k
+        aux = run.auxiliary(i)
+        for x in coll:
+            total = euler(x, coll[k - 1]) - euler(x, coll[k]) + euler(x, aux)
+            if total != 0:
+                bad.append({"i": i, "total": total})
+    return bad
 
 
 def exceptionality_failures(entries):

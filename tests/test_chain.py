@@ -17,8 +17,7 @@ from chainfact.chain import (
     numerics,
     transpose,
 )
-from chainfact.exactmath import IntMatrix, int_mat_mul
-from oracles import canonicalize, smith_normal_form
+from oracles import IntMatrix, canonicalize, int_mat_mul, smith_normal_form
 
 
 def chains(max_n, max_a):

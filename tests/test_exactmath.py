@@ -9,22 +9,22 @@ from hypothesis import strategies as st
 from chainfact.exactmath import (
     Echelon,
     ExactDivisionError,
-    IntMatrix,
     Poly,
     alternating_product,
-    charpoly_division_free,
     det_lower_hessenberg,
-    int_mat_mul,
     poly_div_exact,
     poly_divmod,
     series_inverse,
     sparse_rank,
 )
 from oracles import (
+    IntMatrix,
     alternating_product_dense,
+    charpoly_division_free,
     convolve,
     det_bareiss,
     det_lower_hessenberg_poly,
+    int_mat_mul,
     kernel_basis,
     matrix_power,
     rank_rational,

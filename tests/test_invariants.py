@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product
 from math import prod
 
@@ -7,20 +8,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainfact.chain import ChainPolynomial, build_grading_group, numerics, transpose
-from chainfact.exactmath import IntMatrix, Poly, charpoly_division_free
+from chainfact.exactmath import Poly
 from chainfact.invariants import (
-    DIRECT_CHARPOLY_LIMIT,
     EulerMatrix,
     VerificationFailure,
     ZetaPolynomial,
     _det_one_minus_t_via_traces,
-    _toeplitz_product_columns,
-    _toeplitz_upper,
     check_lattice_correspondence,
     check_monodromy_routes,
     check_zeta_factorization,
     companion_certificate,
-    companion_matrix,
     cyclotomic_polynomial,
     euler_matrix,
     monodromy_data,
@@ -28,13 +25,23 @@ from chainfact.invariants import (
     transpose_monodromy_charpoly,
     zeta_polynomial,
 )
+from chainfact.verify import INVARIANT_CHECKS, run_checks
 from oracles import (
+    IntMatrix,
     certificate_witness,
+    charpoly_division_free,
     companion,
+    companion_matrix,
     companion_power_columns,
+    dense_euler_matrix,
     det_bareiss,
+    int_mat_mul,
+    matrix_from_columns,
     matrix_power,
     monodromy_column_difference,
+    monodromy_matrix,
+    toeplitz_product_columns,
+    toeplitz_upper,
 )
 
 
@@ -81,7 +88,7 @@ def test_zeta_invariants_grid():
 def test_euler_matrix_2_2():
     em = euler_matrix(ChainPolynomial((2, 2)))
     n = IntMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-    assert em.matrix == IntMatrix.identity(3) + n
+    assert dense_euler_matrix(em) == IntMatrix.identity(3) + n
     assert em.series_coeffs == (1, 1, 0)
 
 
@@ -90,7 +97,7 @@ def test_euler_matrix_3_2():
     assert em.series_coeffs == (1, 1, 1, 0)
     # matches (1 - N^3)/(1 - N) with N the 4x4 regular nilpotent
     nil = IntMatrix([[1 if j == i + 1 else 0 for j in range(4)] for i in range(4)])
-    assert em.matrix == IntMatrix.identity(4) + nil + nil * nil
+    assert dense_euler_matrix(em) == IntMatrix.identity(4) + nil + nil * nil
 
 
 def test_euler_matrix_2_2_2():
@@ -139,16 +146,8 @@ def test_companion_certificate_is_the_matrix_size():
         assert companion_certificate(zp) == companion_matrix(zp).rows == zp.milnor
 
 
-def test_companion_root_builds_no_dense_matrix(monkeypatch):
-    import chainfact.invariants as inv
-    from chainfact.verify import verify_invariants
-
-    def refuse(*args):
-        raise AssertionError("dense companion built")
-
-    monkeypatch.setattr(inv, "companion_matrix", refuse)
-    monkeypatch.setattr(inv, "IntMatrix", refuse)
-    rep = verify_invariants(ChainPolynomial((3, 3, 3)))
+def test_companion_root_builds_no_dense_matrix():
+    rep = run_checks(ChainPolynomial((3, 3, 3)), INVARIANT_CHECKS)
     assert rep.check("companion_root").status == "pass"
     assert rep.check("companion_root").detail == {"size": 20}
 
@@ -165,7 +164,7 @@ def test_companion_root_rejects_corrupted_zeta(monkeypatch):
     with pytest.raises(VerificationFailure):
         companion_matrix(bad)
     monkeypatch.setattr(verify_module, "zeta_polynomial", lambda _: bad)
-    check = verify_module.verify_invariants(f).check("companion_root")
+    check = verify_module.run_checks(f, INVARIANT_CHECKS).check("companion_root")
     assert check.status == "fail"
     assert check.detail["witness"]["zeta"] == coeffs
 
@@ -186,7 +185,7 @@ def test_companion_root_rejects_zeta_corrupted_inside(monkeypatch):
     with pytest.raises(VerificationFailure):
         companion_matrix(bad)
     monkeypatch.setattr(verify_module, "zeta_polynomial", lambda _: bad)
-    check = verify_module.verify_invariants(f).check("companion_root")
+    check = verify_module.run_checks(f, INVARIANT_CHECKS).check("companion_root")
     assert check.status == "fail"
     assert check.detail["witness"]["zeta"] == coeffs
     assert check.detail["witness"]["chain_zeta"] == list(zp.poly.coeffs)
@@ -196,15 +195,15 @@ def test_companion_root_rejects_zeta_corrupted_inside(monkeypatch):
 
 def test_monodromy_2_2():
     md = monodromy_data(ChainPolynomial((2, 2)))
-    assert md.matrix == IntMatrix([[0, 0, 1], [1, 0, -1], [0, 1, 1]])
-    assert md.matrix == matrix_power(companion(md), 3)
+    assert monodromy_matrix(md) == IntMatrix([[0, 0, 1], [1, 0, -1], [0, 1, 1]])
+    assert monodromy_matrix(md) == matrix_power(companion(md), 3)
     assert md.det_one_minus_t == Poly((1, -1, 1, -1))
     assert md.gcd_exponents == (1, 1, 1)
 
 
 def test_monodromy_sign_one_variable():
     md = monodromy_data(ChainPolynomial((2,)))
-    assert md.matrix == IntMatrix([[-1]])
+    assert monodromy_matrix(md) == IntMatrix([[-1]])
     assert md.det_one_minus_t == Poly((1, 1))
 
 
@@ -212,24 +211,22 @@ def test_monodromy_power_vs_binary_exponentiation():
     for exps in [(2, 2), (3, 2), (2, 3), (2, 2, 2), (3, 3), (2, 2, 3)]:
         f = ChainPolynomial(exps)
         md = monodromy_data(f)
-        assert md.matrix == matrix_power(companion(md), numerics(f).milnor)
+        assert monodromy_matrix(md) == matrix_power(companion(md), numerics(f).milnor)
 
 
 def test_monodromy_unimodular():
     for exps in [(2, 2), (3, 2), (2, 2, 2), (3, 3)]:
         md = monodromy_data(ChainPolynomial(exps))
-        assert det_bareiss(md.matrix) in (1, -1)
+        assert det_bareiss(monodromy_matrix(md)) in (1, -1)
 
 
 @pytest.mark.parametrize("exps", [(3, 3, 3), (2, 2, 2, 2, 2), (2, 2, 2, 2, 2, 2), (4, 4, 4)])
 def test_newton_route_matches_berkowitz_beyond_the_pipeline_limit(exps):
-    # monodromy_data cross-checks the sparse Newton route against Berkowitz
-    # only up to DIRECT_CHARPOLY_LIMIT; these chains lie above it
+    # beyond BERKOWITZ_CHAINS: mu = 20, 21, 42 and 52
     f = ChainPolynomial(exps)
     mu = numerics(f).milnor
-    assert mu > DIRECT_CHARPOLY_LIMIT
     md = monodromy_data(f)
-    assert md.det_one_minus_t == charpoly_division_free(md.matrix).reversal(mu)
+    assert md.det_one_minus_t == charpoly_division_free(monodromy_matrix(md)).reversal(mu)
 
 
 def test_newton_route_rejects_a_wrong_period():
@@ -313,15 +310,13 @@ def test_lattice_2_2():
 def test_lattice_det_via_bareiss():
     for exps in [(2, 2), (3, 2), (2, 2, 2), (3, 3)]:
         em = euler_matrix(ChainPolynomial(exps))
-        assert det_bareiss(em.matrix) == 1
+        assert det_bareiss(dense_euler_matrix(em)) == 1
 
 
 def test_lattice_congruence_generic_unitriangular():
     # the congruence is an algebraic identity for any unitriangular matrix;
     # regression-check it directly on a non-Toeplitz example
     import random
-
-    from chainfact.exactmath import int_mat_mul
 
     rng = random.Random(23)
     for _ in range(10):
@@ -365,11 +360,6 @@ def _small_chains(max_mu):
 SMALL_CHAINS = _small_chains(30)
 
 
-def _matrix_from_columns(columns):
-    """The matrix whose columns, from the last to the first, are given."""
-    return IntMatrix(zip(*reversed(list(columns))))
-
-
 def test_small_chain_family_covers_torsion_and_parities():
     exps = {f.exponents for f in SMALL_CHAINS}
     assert {(2, 3), (2, 2, 3), (3, 2, 2), (2, 3, 2, 3)} <= exps
@@ -384,14 +374,14 @@ def test_series_routes_match_dense_products(f):
     md = monodromy_data(f)
     mu = numerics(f).milnor
     sign = (-1) ** f.n
-    w = _toeplitz_upper(zp.poly.coeffs[:mu], mu)
-    chi = em.matrix
+    w = toeplitz_upper(zp.poly.coeffs[:mu], mu)
+    chi = dense_euler_matrix(em)
     dense_a = w * chi.transpose() * sign
-    assert _matrix_from_columns(_toeplitz_product_columns(
+    assert matrix_from_columns(toeplitz_product_columns(
         zp.poly.coeffs, em.series_coeffs, sign)) == dense_a
-    assert md.matrix == dense_a
-    assert md.matrix == matrix_power(companion(md), mu)
-    assert _matrix_from_columns(companion_power_columns(zp.poly.coeffs, mu)) == md.matrix
+    assert monodromy_matrix(md) == dense_a
+    assert monodromy_matrix(md) == matrix_power(companion(md), mu)
+    assert matrix_from_columns(companion_power_columns(zp.poly.coeffs, mu)) == dense_a
     # the identities the series checks stand for
     assert w * chi == IntMatrix.identity(mu)
     assert w * (chi + chi.transpose()) * w.transpose() == w + w.transpose()
@@ -404,8 +394,21 @@ def test_toeplitz_recurrence_on_random_pairs():
         w = [rng.randint(-4, 4) for _ in range(mu + rng.randint(0, 2))]
         c = [rng.randint(-4, 4) for _ in range(mu)]
         sign = rng.choice((1, -1))
-        dense = _toeplitz_upper(w[:mu], mu) * _toeplitz_upper(c, mu).transpose() * sign
-        assert _matrix_from_columns(_toeplitz_product_columns(w, c, sign)) == dense
+        dense = toeplitz_upper(w[:mu], mu) * toeplitz_upper(c, mu).transpose() * sign
+        assert matrix_from_columns(toeplitz_product_columns(w, c, sign)) == dense
+
+
+# every chain with mu <= 16; monodromy_data itself runs no dense cross-check
+BERKOWITZ_CHAINS = _small_chains(16)
+
+
+@pytest.mark.parametrize("f", BERKOWITZ_CHAINS, ids=lambda f: ",".join(map(str, f.exponents)))
+def test_newton_route_matches_berkowitz_on_small_chains(f):
+    """det(1 - t*M) from the traces of C^mu equals the reversed Berkowitz
+    characteristic polynomial of the dense operator sign * W chi^T."""
+    mu = numerics(f).milnor
+    md = monodromy_data(f)
+    assert md.det_one_minus_t == charpoly_division_free(monodromy_matrix(md)).reversal(mu)
 
 
 def _corrupted(f, k, delta=1):
@@ -525,31 +528,20 @@ def test_certificate_passes_exactly_when_the_columns_agree(f, in_z, pick, delta)
         assert err.value.witness == expected
 
 
-def test_large_mu_builds_no_dense_monodromy(monkeypatch):
-    import chainfact.invariants as inv
-    from chainfact.verify import verify_invariants
-
-    def refuse(*args):
-        raise AssertionError("monodromy operator built column by column")
-
-    monkeypatch.setattr(inv, "_toeplitz_product_columns", refuse)
-    with pytest.raises(AssertionError):
-        monodromy_data(ChainPolynomial((2, 2, 2, 2)))   # mu = 11: Berkowitz builds it
+def test_large_mu_builds_no_dense_monodromy():
+    # a dense mu x mu operator holds 8 mu^2 bytes of references alone; the
+    # battery on 4,4,4,4,4 (mu = 819) peaks below mu^2 bytes
     for exps in [(3, 3, 3), (2, 3, 2, 3), (4, 4, 4, 4, 4)]:
         f = ChainPolynomial(exps)
-        assert numerics(f).milnor > DIRECT_CHARPOLY_LIMIT
         monodromy_data(f)
-        rep = verify_invariants(f)
+        tracemalloc.start()
+        try:
+            rep = run_checks(f, INVARIANT_CHECKS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert all(c.status == "pass" for c in rep.checks)
-
-
-def test_dense_matrices_are_built_on_demand():
-    f = ChainPolynomial((4, 4, 4))
-    em = euler_matrix(f)
-    md = monodromy_data(f)
-    assert "matrix" not in vars(em)
-    assert "matrix" not in vars(md)
-    assert md.matrix is md.matrix and "matrix" in vars(md)
+    assert peak < 4 * numerics(f).milnor ** 2
 
 
 def test_polarization_2_2():

@@ -11,13 +11,7 @@ from itertools import product
 import pytest
 
 from chainfact.chain import ChainPolynomial, build_grading_group, numerics
-from chainfact.exactmath import (
-    IntMatrix,
-    Poly,
-    charpoly_division_free,
-    poly_div_exact,
-    series_inverse,
-)
+from chainfact.exactmath import Poly, poly_div_exact, series_inverse
 from chainfact.homcalc import (
     HomEngine,
     euler_pairing,
@@ -29,7 +23,14 @@ from chainfact.homcalc import (
 from chainfact.homrun import build_collection, collection_base
 from chainfact.invariants import euler_matrix, zeta_polynomial
 from chainfact.mf import cone, direct_sum, reduce, shift, translate
-from oracles import det_bareiss, identity_morphism, smith_normal_form
+from oracles import (
+    IntMatrix,
+    charpoly_division_free,
+    dense_euler_matrix,
+    det_bareiss,
+    identity_morphism,
+    smith_normal_form,
+)
 
 
 def chains(max_n, max_a):
@@ -198,4 +199,4 @@ def test_euler_pairing_equals_matrix_grid():
         f = ChainPolynomial(exps)
         table = HomEngine().table(*collection_base(f), numerics(f).milnor)
         assert euler_pairing(table) == \
-            [list(r) for r in euler_matrix(f).matrix.entries]
+            [list(r) for r in dense_euler_matrix(euler_matrix(f)).entries]

@@ -30,16 +30,16 @@ from chainfact.homrun import (
 from chainfact.invariants import VerificationFailure, euler_matrix
 from chainfact.mf import GradingError, shift
 from chainfact.verify import (
+    INVARIANT_CHECKS,
+    MAIN_THEOREM_CHECKS,
+    SECTION_CHECKS,
+    TRIANGLE_CHECKS,
     VerificationReport,
     emit_report,
     run_checks,
-    verify_invariants,
-    verify_main_theorem,
-    verify_section_inequalities,
-    verify_triangles,
 )
-from oracles import parse_report
-from test_homcalc import folded_query
+from oracles import dense_euler_matrix, nakayama_witness, parse_report, triangle_cases
+from test_homcalc import SMALL_CHAINS, folded_query
 
 
 # ------------------------------------------------------------- collection
@@ -131,14 +131,14 @@ def test_ladder_object_boundaries_are_zero():
 
 @pytest.mark.parametrize("exps", [(2,), (4,), (2, 2), (3, 3)])
 def test_main_theorem_passes(exps):
-    rep = verify_main_theorem(ChainPolynomial(exps))
+    rep = run_checks(ChainPolynomial(exps), MAIN_THEOREM_CHECKS)
     assert rep.passed, [(c.name, c.detail) for c in rep.checks if c.status == "fail"]
 
 
 def test_main_theorem_offset_invariance():
     f = ChainPolynomial((2, 2))
-    r0 = verify_main_theorem(f, offset=0)
-    r1 = verify_main_theorem(f, offset=1)
+    r0 = run_checks(f, MAIN_THEOREM_CHECKS, 0)
+    r1 = run_checks(f, MAIN_THEOREM_CHECKS, 1)
     assert r0.passed and r1.passed
     m0 = r0.check("euler_pairing_matches").detail["matrix"]
     m1 = r1.check("euler_pairing_matches").detail["matrix"]
@@ -148,28 +148,28 @@ def test_main_theorem_offset_invariance():
 
 
 def test_fullness_reported_not_claimed():
-    rep = verify_main_theorem(ChainPolynomial((2,)))
+    rep = run_checks(ChainPolynomial((2,)), MAIN_THEOREM_CHECKS)
     assert rep.check("fullness").status == "note"
 
 
 def test_nakayama_check_present_only_for_two_variables():
-    r2 = verify_main_theorem(ChainPolynomial((2, 2)))
+    r2 = run_checks(ChainPolynomial((2, 2)), MAIN_THEOREM_CHECKS)
     assert r2.check("nakayama_cartan").status == "pass"
-    r1 = verify_main_theorem(ChainPolynomial((3,)))
+    r1 = run_checks(ChainPolynomial((3,)), MAIN_THEOREM_CHECKS)
     with pytest.raises(KeyError):
         r1.check("nakayama_cartan")
 
 
 def test_triangles_even_chains():
     for exps in [(2, 2), (3, 2)]:
-        rep = verify_triangles(ChainPolynomial(exps))
+        rep = run_checks(ChainPolynomial(exps), TRIANGLE_CHECKS)
         assert rep.passed
         assert rep.check("triangle_euler_additivity").status == "pass"
         assert rep.check("triangle_structural").status == "pass"
 
 
 def test_triangles_odd_chain_with_boundary_note():
-    rep = verify_triangles(ChainPolynomial((2, 2, 2)))
+    rep = run_checks(ChainPolynomial((2, 2, 2)), TRIANGLE_CHECKS)
     assert rep.passed
     assert rep.check("ladder_euler_additivity").status == "pass"
     boundary = rep.check("ladder_boundary_width_a1")
@@ -178,7 +178,7 @@ def test_triangles_odd_chain_with_boundary_note():
 
 
 def test_triangles_vacuous_for_one_variable():
-    rep = verify_triangles(ChainPolynomial((5,)))
+    rep = run_checks(ChainPolynomial((5,)), TRIANGLE_CHECKS)
     assert rep.passed
 
 
@@ -248,7 +248,7 @@ def _recorded_objects(monkeypatch):
 def test_triangle_families_equal_validating_objects(monkeypatch, exps, offset):
     f = ChainPolynomial(exps)
     made = _recorded_objects(monkeypatch)
-    assert verify_triangles(f, offset).passed
+    assert run_checks(f, TRIANGLE_CHECKS, offset).passed
     coll = build_collection(f, offset)
     indices = {i for (i,), _ in made["collection_object"]}
     assert indices >= set(range(offset, offset + len(coll)))
@@ -282,7 +282,7 @@ def test_triangles_query_each_key_once(monkeypatch, exps, max_hom, max_stab):
     homs, stabs = [], []
     _count_calls(monkeypatch, homcalc, "hom_dim", homs)
     _count_calls(monkeypatch, mf, "stabilize", stabs)
-    assert verify_triangles(f, 0).passed
+    assert run_checks(f, TRIANGLE_CHECKS, 0).passed
     assert 0 < len(stabs) <= max_stab
     assert homs and (max_hom is None or len(homs) <= max_hom)
 
@@ -335,7 +335,68 @@ def test_euler_builds_no_dual_table(monkeypatch):
     calls.clear()
     chi = [[homs.euler(x, y) for y in coll] for x in coll]
     assert calls == []
-    assert chi == [list(row) for row in euler_matrix(f).matrix.entries]
+    assert chi == [list(row) for row in dense_euler_matrix(euler_matrix(f)).entries]
+
+
+def _outcome(check):
+    """("pass", None) when the check returns, ("fail", witness) when it raises."""
+    try:
+        check()
+    except VerificationFailure as exc:
+        return "fail", exc.witness
+    return "pass", None
+
+
+@pytest.mark.parametrize("offset", [0, 2])
+def test_orbit_triangle_totals_match_the_pair_loop(offset):
+    """triangle_euler_additivity, one total per diagonal, against the loop
+    over every (triangle, probe) pair, on every even-n chain with mu <= 30:
+    unmodified, and with the engine's Euler memo one too high on some keys.
+    Every pair on such a key's diagonal reads the wrong value, so the two
+    must name the same cases in the same order; two keys far apart make the
+    order of the cases matter."""
+    failing = 0
+    for exps in (e for e in SMALL_CHAINS if len(e) % 2 == 0):
+        run = homrun.HomRun(ChainPolynomial(exps), offset)
+        homs, coll = run.homs, run.coll
+        for raised in [(), ((coll[0], coll[-1]),), ((coll[-1], coll[0]),),
+                       ((coll[0], run.auxiliary(offset + 1)),),
+                       ((coll[0], coll[1]), (coll[0], coll[-1]))]:
+            saved = dict(homs.eulers)
+            for pair in raised:
+                homs.eulers[homs.key(*pair)] = homs.euler(*pair) + 1
+            cases = triangle_cases(run)
+            want = ("fail", {"cases": cases}) if cases else ("pass", None)
+            assert _outcome(run.triangle_euler_additivity) == want, (exps, raised)
+            assert (want[0] == "fail") == bool(raised), (exps, raised)
+            failing += bool(cases)
+            homs.eulers = saved
+    assert failing > 100
+
+
+@pytest.mark.parametrize("offset", [0, 2])
+def test_diagonal_nakayama_matches_the_pair_loop(offset):
+    """nakayama_cartan, one test per diagonal, against the walk over every
+    pair, on every two-variable chain with mu <= 30: unmodified, and with
+    table columns raised by one at power 0 (inside and at both ends of the
+    band 0 <= d < a1, and both corners at once, whose first pairs differ in
+    row-major and column-major order) or at power 1, which the check does
+    not read."""
+    for exps in (e for e in SMALL_CHAINS if len(e) == 2):
+        run = homrun.HomRun(ChainPolynomial(exps), offset)
+        a1, mu, columns = exps[0], run.nm.milnor, run.table.columns
+        assert run.exc["strong"]
+        for raised in [(), ((0, 0),), ((a1 - 1, 0),), ((a1, 0),),
+                       ((1 - mu, 0), (mu - 1, 0)), ((1, 1),)]:
+            saved = dict(columns)
+            for d, p in raised:
+                window, dims = columns[d]
+                columns[d] = (window, {**dims, p: dims.get(p, 0) + 1})
+            witness = nakayama_witness(run.table, a1)
+            want = ("fail", witness) if witness else ("pass", None)
+            assert _outcome(run.nakayama_cartan) == want, (exps, raised)
+            assert (want[0] == "fail") == any(p == 0 for _, p in raised), (exps, raised)
+            columns.update(saved)
 
 
 def _answer_one_key_wrongly(monkeypatch, wrong):
@@ -358,7 +419,7 @@ def test_euler_memo_cannot_hide_a_wrong_answer_even(monkeypatch):
     mu = 3
     wrong = []
     _answer_one_key_wrongly(monkeypatch, wrong)
-    check = verify_triangles(f).check("triangle_euler_additivity")
+    check = run_checks(f, TRIANGLE_CHECKS).check("triangle_euler_additivity")
     assert check.status == "fail" and len(wrong) == 1
     # the entry (E_k, E_k) is +1 in the total of probe E_{i-1} and -1 in that
     # of probe E_i, for every triangle i
@@ -387,7 +448,7 @@ def test_euler_memo_cannot_hide_a_wrong_answer_odd(monkeypatch):
     f = ChainPolynomial((2, 2, 2))
     wrong = []
     _answer_one_key_wrongly(monkeypatch, wrong)
-    check = verify_triangles(f).check("ladder_euler_additivity")
+    check = run_checks(f, TRIANGLE_CHECKS).check("ladder_euler_additivity")
     assert check.status == "fail" and len(wrong) == 1
     # at width one, L(i, 1) = E_i and L(i + 1, 1) = E_{i+1} enter with sign +1
     cases = check.detail["witness"]["cases"]
@@ -399,7 +460,7 @@ def test_section_inequalities():
     from itertools import product
     for n in range(1, 6):
         for exps in product((2, 3, 4), repeat=n):
-            rep = verify_section_inequalities(ChainPolynomial(exps))
+            rep = run_checks(ChainPolynomial(exps), SECTION_CHECKS)
             assert rep.passed, exps
 
 
@@ -418,7 +479,7 @@ def _patch_raising(monkeypatch, owner, name, exc, when=lambda *a, **k: True):
 
 def test_failed_hom_table_fails_its_dependants(monkeypatch):
     _patch_raising(monkeypatch, homcalc.HomEngine, "table", GradingError)
-    rep = verify_main_theorem(ChainPolynomial((2, 2)))
+    rep = run_checks(ChainPolynomial((2, 2)), MAIN_THEOREM_CHECKS)
     failed = {"hom_table", "exceptionality", "euler_pairing_matches",
               "serre_symmetry", "nakayama_cartan"}
     assert {c.name for c in rep.checks if c.status == "fail"} == failed
@@ -429,7 +490,7 @@ def test_failed_hom_table_fails_its_dependants(monkeypatch):
 
 def test_failed_monodromy_data_fails_its_dependants(monkeypatch):
     _patch_raising(monkeypatch, verify_module, "monodromy_data", VerificationFailure)
-    rep = verify_main_theorem(ChainPolynomial((2, 2)))
+    rep = run_checks(ChainPolynomial((2, 2)), MAIN_THEOREM_CHECKS)
     failed = {"monodromy_two_routes", "zeta_factorization", "monodromy_oracle"}
     assert {c.name for c in rep.checks if c.status == "fail"} == failed
     assert [c.name for c in rep.checks] == list(verify_module.MAIN_THEOREM_CHECKS)
@@ -465,7 +526,7 @@ def _refuse_triangle_bases(monkeypatch):
      {"reduced_collection_integrality"})])
 def test_failed_triangle_base_fails_its_dependants(monkeypatch, exps, failed, passed):
     made = _refuse_triangle_bases(monkeypatch)
-    rep = verify_triangles(ChainPolynomial(exps), 1)
+    rep = run_checks(ChainPolynomial(exps), TRIANGLE_CHECKS, 1)
     assert made
     assert {c.name for c in rep.checks} == failed | passed
     assert {c.name for c in rep.checks if c.status == "fail"} == failed
@@ -516,15 +577,17 @@ def _without_elapsed(data):
 
 
 @pytest.mark.parametrize("chain", ["2,2", "3,2", "2,3", "2,2,3", "3,2,2"])
+# the ids are the ones these cases have always been collected under
 @pytest.mark.parametrize("argv,full", [
-    (["euler", "--no-cache"], lambda f: verify_main_theorem(f)),
-    (["monodromy"], verify_invariants)])
+    pytest.param(["euler", "--no-cache"], MAIN_THEOREM_CHECKS, id="argv0-<lambda>"),
+    pytest.param(["monodromy"], INVARIANT_CHECKS, id="argv1-verify_invariants")])
 def test_subset_reports_equal_the_filtered_full_report(capsys, chain, argv, full):
     """Each subset subcommand against the full pipeline cut to its names."""
     command = argv[0]
     assert cli_main(argv + ["--chain", chain, "--format", "json"]) == 0
     got = _without_elapsed(json.loads(capsys.readouterr().out))
-    want = _without_elapsed(full(ChainPolynomial.parse(chain)).to_json_dict())
+    report = run_checks(ChainPolynomial.parse(chain), full)
+    want = _without_elapsed(report.to_json_dict())
     want["checks"] = [c for c in want["checks"] if c["name"] in CHECKS_RUN[command]]
     assert [c["name"] for c in got["checks"]] == list(CHECKS_RUN[command])
     assert got == want
@@ -533,7 +596,7 @@ def test_subset_reports_equal_the_filtered_full_report(capsys, chain, argv, full
 # ------------------------------------------------------------------ report
 
 def test_report_json_roundtrip():
-    rep = verify_main_theorem(ChainPolynomial((2, 2)))
+    rep = run_checks(ChainPolynomial((2, 2)), MAIN_THEOREM_CHECKS)
     back = parse_report(emit_report(rep, "json"))
     assert back == rep
     back.checks[-1].status = "fail"
@@ -553,14 +616,14 @@ def test_report_provenance_names_the_engine(capsys, command):
 
 
 def test_report_without_provenance_still_parses():
-    data = verify_invariants(ChainPolynomial((2,))).to_json_dict()
+    data = run_checks(ChainPolynomial((2,)), INVARIANT_CHECKS).to_json_dict()
     del data["provenance"]
     rep = VerificationReport.from_json_dict(data)
     assert rep.engine is None and rep.passed
 
 
 def test_report_csv_shape():
-    rep = verify_invariants(ChainPolynomial((2, 2)))
+    rep = run_checks(ChainPolynomial((2, 2)), INVARIANT_CHECKS)
     lines = emit_report(rep, "csv").strip().splitlines()
     assert lines[0] == "name,status,elapsed_ns"
     assert all(line.split(",")[1] in ("pass", "fail", "note", "inconclusive")
@@ -568,13 +631,13 @@ def test_report_csv_shape():
 
 
 def test_report_markdown_euler_rows():
-    rep = verify_main_theorem(ChainPolynomial((2, 2)))
+    rep = run_checks(ChainPolynomial((2, 2)), MAIN_THEOREM_CHECKS)
     md = emit_report(rep, "md")
     assert "1 1 0" in md and "0 1 1" in md and "0 0 1" in md
 
 
 def test_report_unknown_format():
-    rep = verify_invariants(ChainPolynomial((2,)))
+    rep = run_checks(ChainPolynomial((2,)), INVARIANT_CHECKS)
     with pytest.raises(ValueError):
         emit_report(rep, "xml")
 
@@ -625,10 +688,10 @@ def test_pipelines_do_not_import_numpy():
     script = (
         "import sys\n"
         "from chainfact.chain import ChainPolynomial\n"
-        "from chainfact.verify import verify_invariants, verify_main_theorem\n"
+        "from chainfact.verify import INVARIANT_CHECKS, MAIN_THEOREM_CHECKS, run_checks\n"
         "f = ChainPolynomial.parse('3,3')\n"
-        "assert verify_invariants(f).passed\n"
-        "assert verify_main_theorem(f).passed\n"
+        "assert run_checks(f, INVARIANT_CHECKS).passed\n"
+        "assert run_checks(f, MAIN_THEOREM_CHECKS).passed\n"
         "assert 'numpy' not in sys.modules\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(chainfact.__file__).parents[1]))
