@@ -42,6 +42,20 @@ class GradingError(ValueError):
     splitting that is not a regular sequence of monomials)."""
 
 
+def _norm_num(c):
+    """Collapse Fractions with denominator 1 to ints; reject floats.
+
+    The one coefficient rule of ``series`` and ``exactmath``, which import
+    nothing from each other."""
+    if type(c) is int:          # the common case, without the ABC isinstance
+        return c
+    if isinstance(c, Fraction):
+        return int(c) if c.denominator == 1 else c
+    if isinstance(c, int):
+        return c
+    raise TypeError(f"exact coefficient expected, got {type(c).__name__}")
+
+
 class ChainPolynomial:
     """Exponent data (a_1, ..., a_n) of a chain polynomial.
 

@@ -5,12 +5,19 @@ in report order.  Every subcommand exits 0 exactly when no check failed.
 Hom tables are computed in memory on every run, and no run writes a file.
 
 Each process loads only the layers its subcommand runs.  Every subcommand
-loads ``chain``, ``exactmath``, ``invariants`` and ``verify``.  ``invariants``
-and ``monodromy`` load nothing more.  ``verify``, ``euler`` and ``triangles``
-also load ``homrun`` and, through it, the Hom engine (``mf`` and
-``homcalc``): ``run_checks`` imports it before the run, when some check it
-applies to the chain reads Hom spaces.  ``triangles`` on one variable runs
-only a note and loads no engine.
+loads ``chain`` and ``verify``; the rest is imported on first use.
+
+* ``invariants`` and ``monodromy`` load the battery, ``invariants``, and its
+  series arithmetic, ``series``, and nothing more.
+* ``verify`` and ``euler`` load the battery too, and ``homrun`` with the Hom
+  engine behind it (``mf``, ``homcalc`` and its elimination ``exactmath``).
+* ``triangles`` loads ``homrun`` and the engine but not the battery, which
+  none of its checks reads; on one variable it runs only a note and loads
+  neither.
+
+``run_checks`` imports ``homrun`` before the run, when some check it applies
+to the chain reads Hom spaces, and a run imports the battery on the first
+check that reads it.
 """
 
 from __future__ import annotations

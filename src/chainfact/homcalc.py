@@ -405,7 +405,12 @@ class HomEngine:
     def euler(self, source, target, degree: Degree | None = None) -> int:
         """chi(source, target(degree)), the alternating sum of the Hom
         dimensions over the certified window."""
-        key = self.key(source, target, degree)
+        return self.euler_at(self.key(source, target, degree))
+
+    def euler_at(self, key) -> int:
+        """chi on a canonical key (A, B, l) of anchored, interned objects,
+        memoized on the key: the entry for callers that form keys on an
+        orbit without building its objects."""
         chi = self.eulers.get(key)
         if chi is None:
             lo, hi = window = self.window(key)

@@ -13,7 +13,7 @@ or ``scan_window`` directly.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import homcalc, mf
 from .chain import (
@@ -24,7 +24,6 @@ from .chain import (
     numerics,
 )
 from .exactmath import MPoly
-from .invariants import euler_matrix
 from .verify import _Run
 
 TABLE_MARGIN = 3        # powers stored beyond each certified Hom window
@@ -136,13 +135,20 @@ class HomRun(_Run):
     base(i * step); for even n, auxiliary object i is Aux(i * deg x1); for
     odd n, ladder object (i, j) is L_j(-i * deg x1), zero for j = 0 and
     j = a1 + 1.  Each base (the collection base, Aux, and L_j for each width
-    j = 1..a1) goes through the validating ``stabilize`` once per run; every
-    object is then reached with the trusted ``shift``, since
+    j = 1..a1) goes through the validating ``stabilize`` once per run; an
+    object that a check builds (the collection, the cone search's triangles)
+    is reached with the trusted ``shift``, since
     stabilize(f, gens, cofs, twist) = shift(stabilize(f, gens, cofs), twist).
     Every Hom that a check reads -- both tables, every Euler entry and the
     cone search's profiles -- goes through the run's one ``HomEngine``, so
     each canonical key is scanned once and each distinct folded query is
     asked of ``hom_dim`` once per run.
+
+    The collection step is deg x1 at even n and -deg x1 at odd n, so object
+    i of every family is Y(i * step) for its base Y.  The Euler checks use
+    this: chi(E_{i-e}, Y(i * step)) has the key (A, B, s - t + e * step) for
+    every i (see :meth:`orbit_key`), so they read each e once, on its key,
+    and build no object.
     """
 
     @cached_property
@@ -215,7 +221,7 @@ class HomRun(_Run):
         return {"strong": self.exc["strong"]}
 
     def euler_pairing_matches(self):
-        table, want = self.table, euler_matrix(self.f)
+        table, want = self.table, self.battery.euler_matrix(self.f)
         if any(table.euler(d) != want.entry(0, d) for d in table.columns):
             mu = table.objects
             raise VerificationFailure(
@@ -244,44 +250,62 @@ class HomRun(_Run):
                 {"i": i, "j": j, "got": table.dim(i, j, 0), "want": want[j - i]})
         return {"quiver_length": mu, "nilpotency": a1}
 
+    def orbit_key(self, target: mf.MatrixFactorization, e: int) -> tuple:
+        """The canonical key of Hom(E_{i-e}, target(i * step)), the same for
+        every i: (A, B, s - t + e * step) for the anchored collection base
+        A = base(s) and the anchored B = target(t)."""
+        base, step = self.base
+        (A, s), (B, t) = self.homs.anchor(base), self.homs.anchor(target)
+        return A, B, s - t + e * step
+
+    def _orbit_euler(self, target: mf.MatrixFactorization):
+        """e -> chi(E_{i-e}, target(i * step)), each e read once, on its
+        orbit key."""
+        return cache(lambda e: self.homs.euler_at(self.orbit_key(target, e)))
+
     def triangle_euler_additivity(self):
         # chi(E_m, E_{k-1}) - chi(E_m, E_k) + chi(E_m, Aux(offset + k)) for
-        # k = 1..mu-1, m = 0..mu-1.  The step and the auxiliary twist are both
-        # deg x1, so it depends on d = k - m only: one total per d, expanded
-        # over (k, m) on failure.
-        mu, coll, euler = self.nm.milnor, self.coll, self.homs.euler
-        aux = {k: self.auxiliary(self.offset + k) for k in range(1, mu)}
-        totals = {}
-        for d in range(2 - mu, mu):
-            m = max(0, 1 - d)
-            k, x = m + d, coll[m]
-            totals[d] = euler(x, coll[k - 1]) - euler(x, coll[k]) + euler(x, aux[k])
+        # k = 1..mu-1, m = 0..mu-1, with E_m the collection's object m.  The
+        # step and the auxiliary twist are both deg x1, so it depends on
+        # d = k - m only: one total per d, expanded over (k, m) on failure.
+        mu = self.nm.milnor
+        coll, aux = self._orbit_euler(self.base[0]), self._orbit_euler(self.aux_base)
+        totals = {d: coll(d - 1) - coll(d) + aux(d) for d in range(2 - mu, mu)}
         if any(totals.values()):
             bad = [{"i": self.offset + k, "total": totals[k - m]}
                    for k in range(1, mu) for m in range(mu) if totals[k - m]]
             raise VerificationFailure("Euler additivity failed", {"cases": bad})
-        return {"triangles": mu - 1, "probes": len(coll)}
+        return {"triangles": mu - 1, "probes": mu}
 
     def _ladder_terms(self, i, j):
         """The triangle's source, two middle objects and cone, signed."""
         return [(1, self.ladder(i + 1, j)), (-1, self.ladder(i, j + 1)),
                 (-1, self.ladder(i + 1, j - 1)), (1, self.ladder(i, j))]
 
-    def _ladder_total(self, terms, x):
-        return sum(sgn * self.homs.euler(x, obj) for sgn, obj in terms if obj.size)
+    def _ladder_totals(self):
+        """(j, e) -> the Euler total of the width-j ladder triangle of any
+        row i against E_{i-e}: its _ladder_terms(i, j), signed, where
+        chi(E_{i-e}, L(i', j')) is zero at the widths 0 and a1 + 1 and is
+        otherwise read once per (j', e + i' - i), on the orbit key of L_j'."""
+        by_width = {j: self._orbit_euler(L) for j, L in self.ladder_bases.items()}
+
+        def chi(j, e):
+            return by_width[j](e) if j in by_width else 0
+
+        return lambda j, e: chi(j, e + 1) - chi(j + 1, e) - chi(j - 1, e + 1) + chi(j, e)
 
     def _ladder_rows(self):
         return range(self.offset, self.offset + min(self.nm.milnor - 1, 3))
 
     def ladder_euler_additivity(self):
-        a1, bad = self.f.exponents[0], []
+        a1, mu, bad = self.f.exponents[0], self.nm.milnor, []
+        total = self._ladder_totals()
         for i in self._ladder_rows():
             for j in range(1, a1):
-                terms = self._ladder_terms(i, j)
-                for x in self.coll:
-                    total = self._ladder_total(terms, x)
-                    if total != 0:
-                        bad.append({"i": i, "j": j, "total": total})
+                for m in range(mu):
+                    got = total(j, i - self.offset - m)
+                    if got != 0:
+                        bad.append({"i": i, "j": j, "total": got})
         if bad:
             raise VerificationFailure("ladder Euler identity failed", {"cases": bad})
         return {"ladder_width": a1, "widths_checked": list(range(1, a1))}
@@ -290,14 +314,15 @@ class HomRun(_Run):
         # The printed width-a1 instance reads the out-of-category object as
         # zero; its Euler defect is then forced to be the class sum of a1+1
         # consecutive collection objects, which is nonzero.  Pin the defect
-        # exactly so any drift is caught.
-        a1, mismatches, boundary_holds = self.f.exponents[0], [], True
+        # exactly so any drift is caught.  Probe m, E_{offset+m}, reads the
+        # class E_{i+k} on the orbit key of e + k, e = i - offset - m.
+        a1, mu, mismatches, boundary_holds = self.f.exponents[0], self.nm.milnor, [], True
+        ladder, coll = self._ladder_totals(), self._orbit_euler(self.base[0])
         for i in self._ladder_rows():
-            terms = self._ladder_terms(i, a1)
-            classes = [self.collection_object(i + k) for k in range(a1 + 1)]
-            for x in self.coll:
-                total = self._ladder_total(terms, x)
-                predicted = sum(self.homs.euler(x, e) for e in classes)
+            for m in range(mu):
+                e = i - self.offset - m
+                total = ladder(a1, e)
+                predicted = sum(coll(e + k) for k in range(a1 + 1))
                 if total != 0:
                     boundary_holds = False
                 if total != predicted:

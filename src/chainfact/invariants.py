@@ -32,7 +32,7 @@ from .chain import (
     build_grading_group,
     numerics,
 )
-from .exactmath import (
+from .series import (
     Poly,
     alternating_product,
     det_lower_hessenberg,

@@ -5,13 +5,15 @@ Each paper check is the method of its report name on a run, and
 checks read.  Nothing here does new mathematics; failures bubble up from the
 lower layers and land in report entries with witnesses attached.
 
-This module imports only the light layers (``chain``, ``exactmath``,
-``invariants``) and holds the matrix-level battery (zeta function, Euler
-series, monodromy) and the section checks.  The checks that read Hom spaces,
-and the builders of their objects, live in ``homrun``, the one importer of
-the Hom engine; ``run_checks`` imports it only when an applicable check needs
-it.  Every run computes its Hom tables in memory; nothing is read from or
-written to disk.
+This module imports only ``chain`` and holds the checks of the matrix-level
+battery (zeta function, Euler series, monodromy) and the section checks.
+The battery itself, ``invariants``, is imported by a run on its first use
+(``_Run.battery``), so a run whose checks read none of it, such as
+``triangles``, loads neither it nor its series arithmetic.  The checks that
+read Hom spaces, and the builders of their objects, live in ``homrun``, the
+one importer of the Hom engine; ``run_checks`` imports it only when an
+applicable check needs it.  Every run computes its Hom tables in memory;
+nothing is read from or written to disk.
 """
 
 from __future__ import annotations
@@ -31,17 +33,6 @@ from .chain import (
     numerics,
     transpose,
 )
-from .exactmath import MPoly, Poly
-from .invariants import (
-    check_lattice_correspondence,
-    check_zeta_factorization,
-    companion_certificate,
-    euler_matrix,
-    monodromy_data,
-    polarization_integer,
-    transpose_monodromy_charpoly,
-    zeta_polynomial,
-)
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -55,14 +46,10 @@ def _jsonify(value):
         return {str(k): _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonify(v) for v in value]
-    if isinstance(value, Poly):
-        return list(value.coeffs)
     if isinstance(value, Degree):
         return list(value.coords)
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, MPoly):
-        return {",".join(map(str, e)): str(c) for e, c in sorted(value.terms.items())}
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
     return str(value)
@@ -194,7 +181,8 @@ class _Run:
     computed on first use and kept for the run; one whose computation raises
     is not stored, so every check that reads it fails as a report entry.
     The checks that read Hom spaces are methods of ``homrun.HomRun``, a
-    subclass; those here read no Hom-side value.
+    subclass; those here read no Hom-side value.  A polynomial goes into a
+    detail as its coefficient tuple.
     """
 
     def __init__(self, f: ChainPolynomial, offset: int):
@@ -202,8 +190,15 @@ class _Run:
         self.nm = numerics(f)
 
     @cached_property
+    def battery(self):
+        """The ``invariants`` module, imported on the first check that reads
+        it: the triangle checks read none of it."""
+        from . import invariants
+        return invariants
+
+    @cached_property
     def md(self):
-        return monodromy_data(self.f)
+        return self.battery.monodromy_data(self.f)
 
     def grading_group(self):
         g = build_grading_group(self.f)
@@ -215,23 +210,25 @@ class _Run:
                 "torsion_free": g.is_torsion_free(), "quotient_order": order}
 
     def zeta_polynomial(self):
-        return {"coefficients": zeta_polynomial(self.f).poly, "degree": self.nm.milnor}
+        return {"coefficients": self.battery.zeta_polynomial(self.f).coefficients,
+                "degree": self.nm.milnor}
 
     def euler_matrix(self):
-        return {"series": list(euler_matrix(self.f).series_coeffs)}
+        return {"series": list(self.battery.euler_matrix(self.f).series_coeffs)}
 
     def companion_root(self):
-        return {"size": companion_certificate(zeta_polynomial(self.f))}
+        inv = self.battery
+        return {"size": inv.companion_certificate(inv.zeta_polynomial(self.f))}
 
     def monodromy_two_routes(self):
-        return {"det_one_minus_t": self.md.det_one_minus_t,
+        return {"det_one_minus_t": self.md.det_one_minus_t.coeffs,
                 "gcd_exponents": list(self.md.gcd_exponents)}
 
     def zeta_factorization(self):
         f, md, d = self.f, self.md, self.nm.cum_products
-        if not check_zeta_factorization(md, f):
+        if not self.battery.check_zeta_factorization(md, f):
             raise VerificationFailure("factorization product mismatch",
-                                      {"charpoly": md.det_one_minus_t})
+                                      {"charpoly": md.det_one_minus_t.coeffs})
         factors = " * ".join(
             f"(1-t^{d[i] // md.gcd_exponents[i]})^"
             f"{'+' if (-1) ** (f.n - i) > 0 else '-'}{md.gcd_exponents[i]}"
@@ -240,17 +237,19 @@ class _Run:
 
     def monodromy_oracle(self):
         reversed_poly = self.md.det_one_minus_t.reversal(self.nm.milnor)
-        got = transpose_monodromy_charpoly(transpose(self.f))
+        got = self.battery.transpose_monodromy_charpoly(transpose(self.f))
         if got != reversed_poly:
             raise VerificationFailure("weighted-homogeneous oracle disagrees",
-                                      {"oracle": got, "reversed": reversed_poly})
-        return {"charpoly": got}
+                                      {"oracle": got.coeffs,
+                                       "reversed": reversed_poly.coeffs})
+        return {"charpoly": got.coeffs}
 
     def lattice_correspondence(self):
-        return {"ok": check_lattice_correspondence(euler_matrix(self.f), self.f)}
+        inv = self.battery
+        return {"ok": inv.check_lattice_correspondence(inv.euler_matrix(self.f), self.f)}
 
     def polarization_integer(self):
-        return {"k": polarization_integer(self.f)}
+        return {"k": self.battery.polarization_integer(self.f)}
 
     def fullness(self):
         return ("note", {"note": "generation of the whole category is not "

@@ -15,9 +15,10 @@ import json
 from fractions import Fraction
 from typing import NamedTuple
 
-from chainfact.exactmath import ExactDivisionError, MPoly, Poly
+from chainfact.exactmath import MPoly
 from chainfact.invariants import companion_certificate, euler_matrix, zeta_polynomial
 from chainfact.mf import GradedMatrix, MatrixFactorization, MFMorphism
+from chainfact.series import ExactDivisionError, Poly
 from chainfact.verify import VerificationReport
 
 
@@ -626,6 +627,53 @@ def triangle_cases(run):
             if total != 0:
                 bad.append({"i": i, "total": total})
     return bad
+
+
+def _ladder_rows(run):
+    return range(run.offset, run.offset + min(run.nm.milnor - 1, 3))
+
+
+def _ladder_object_total(run, terms, x):
+    """The Euler total of a ladder triangle, given as its signed objects,
+    against the probe x, zero objects left out."""
+    return sum(sgn * run.homs.euler(x, obj) for sgn, obj in terms if obj.size)
+
+
+def ladder_cases(run):
+    """The failing cases of ``ladder_euler_additivity`` from the loop over
+    the checked rows i, the widths j < a1 and every probe of ``run``'s
+    collection, in that order, on the ladder objects themselves, each total
+    read through the run's engine."""
+    bad = []
+    for i in _ladder_rows(run):
+        for j in range(1, run.f.exponents[0]):
+            terms = run._ladder_terms(i, j)
+            for x in run.coll:
+                total = _ladder_object_total(run, terms, x)
+                if total != 0:
+                    bad.append({"i": i, "j": j, "total": total})
+    return bad
+
+
+def ladder_boundary_outcome(run):
+    """(status, witness) of ``ladder_boundary_width_a1`` from the same loop
+    at width a1, with the class sum of the collection objects E_i..E_{i+a1}:
+    ("fail", {"cases": mismatches}) when a total differs from its class sum,
+    otherwise ("pass", None) when every total is zero and ("note", None)
+    when one is not."""
+    a1, mismatches, holds = run.f.exponents[0], [], True
+    for i in _ladder_rows(run):
+        terms = run._ladder_terms(i, a1)
+        classes = [run.collection_object(i + k) for k in range(a1 + 1)]
+        for x in run.coll:
+            total = _ladder_object_total(run, terms, x)
+            predicted = sum(run.homs.euler(x, e) for e in classes)
+            holds = holds and total == 0
+            if total != predicted:
+                mismatches.append({"i": i, "total": total, "predicted": predicted})
+    if mismatches:
+        return "fail", {"cases": mismatches}
+    return ("pass" if holds else "note"), None
 
 
 def exceptionality_failures(entries):

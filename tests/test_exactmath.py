@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainfact.exactmath import (
-    Echelon,
+from chainfact.exactmath import Echelon, sparse_rank
+from chainfact.series import (
     ExactDivisionError,
     Poly,
     alternating_product,
@@ -15,7 +15,6 @@ from chainfact.exactmath import (
     poly_div_exact,
     poly_divmod,
     series_inverse,
-    sparse_rank,
 )
 from oracles import (
     IntMatrix,

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainfact.chain import ChainPolynomial, build_grading_group, numerics, transpose
-from chainfact.exactmath import Poly
 from chainfact.invariants import (
     EulerMatrix,
     VerificationFailure,
@@ -25,6 +24,7 @@ from chainfact.invariants import (
     transpose_monodromy_charpoly,
     zeta_polynomial,
 )
+from chainfact.series import Poly
 from chainfact.verify import INVARIANT_CHECKS, run_checks
 from oracles import (
     IntMatrix,
@@ -152,8 +152,17 @@ def test_companion_root_builds_no_dense_matrix():
     assert rep.check("companion_root").detail == {"size": 20}
 
 
+def _feed_the_check(monkeypatch, bad):
+    """The first read of the chain's zeta polynomial gets ``bad``: in a run of
+    companion_root alone, the check's own read.  Every later read, such as
+    the certificate's recomputation from the chain, gets the real one."""
+    import chainfact.invariants as inv
+    reads = [bad]
+    monkeypatch.setattr(inv, "zeta_polynomial",
+                        lambda f: reads.pop() if reads else zeta_polynomial(f))
+
+
 def test_companion_root_rejects_corrupted_zeta(monkeypatch):
-    import chainfact.verify as verify_module
     f = ChainPolynomial((2, 2, 3))
     zp = zeta_polynomial(f)
     coeffs = list(zp.poly.coeffs)
@@ -163,8 +172,8 @@ def test_companion_root_rejects_corrupted_zeta(monkeypatch):
         companion_certificate(bad)
     with pytest.raises(VerificationFailure):
         companion_matrix(bad)
-    monkeypatch.setattr(verify_module, "zeta_polynomial", lambda _: bad)
-    check = verify_module.run_checks(f, INVARIANT_CHECKS).check("companion_root")
+    _feed_the_check(monkeypatch, bad)
+    check = run_checks(f, ("companion_root",)).check("companion_root")
     assert check.status == "fail"
     assert check.detail["witness"]["zeta"] == coeffs
 
@@ -172,7 +181,6 @@ def test_companion_root_rejects_corrupted_zeta(monkeypatch):
 def test_companion_root_rejects_zeta_corrupted_inside(monkeypatch):
     # The companion of a corrupted polynomial roots that polynomial exactly;
     # only the chain's own zeta polynomial exposes the t^3 coefficient.
-    import chainfact.verify as verify_module
     f = ChainPolynomial((2, 2, 3))
     zp = zeta_polynomial(f)
     coeffs = list(zp.poly.coeffs)
@@ -184,8 +192,8 @@ def test_companion_root_rejects_zeta_corrupted_inside(monkeypatch):
     assert exc.value.witness["chain_zeta"] == zp.poly.coeffs
     with pytest.raises(VerificationFailure):
         companion_matrix(bad)
-    monkeypatch.setattr(verify_module, "zeta_polynomial", lambda _: bad)
-    check = verify_module.run_checks(f, INVARIANT_CHECKS).check("companion_root")
+    _feed_the_check(monkeypatch, bad)
+    check = run_checks(f, ("companion_root",)).check("companion_root")
     assert check.status == "fail"
     assert check.detail["witness"]["zeta"] == coeffs
     assert check.detail["witness"]["chain_zeta"] == list(zp.poly.coeffs)

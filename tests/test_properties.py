@@ -11,7 +11,6 @@ from itertools import product
 import pytest
 
 from chainfact.chain import ChainPolynomial, build_grading_group, numerics
-from chainfact.exactmath import Poly, poly_div_exact, series_inverse
 from chainfact.homcalc import (
     HomEngine,
     euler_pairing,
@@ -23,6 +22,7 @@ from chainfact.homcalc import (
 from chainfact.homrun import build_collection, collection_base
 from chainfact.invariants import euler_matrix, zeta_polynomial
 from chainfact.mf import cone, direct_sum, reduce, shift, translate
+from chainfact.series import Poly, poly_div_exact, series_inverse
 from oracles import (
     IntMatrix,
     charpoly_division_free,

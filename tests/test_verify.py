@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import chainfact
 import chainfact.homcalc as homcalc
 import chainfact.homrun as homrun
+import chainfact.invariants as invariants
 import chainfact.mf as mf
 import chainfact.verify as verify_module
 from chainfact.chain import ChainPolynomial, GradingGroup, build_grading_group
@@ -38,7 +40,14 @@ from chainfact.verify import (
     emit_report,
     run_checks,
 )
-from oracles import dense_euler_matrix, nakayama_witness, parse_report, triangle_cases
+from oracles import (
+    dense_euler_matrix,
+    ladder_boundary_outcome,
+    ladder_cases,
+    nakayama_witness,
+    parse_report,
+    triangle_cases,
+)
 from test_homcalc import SMALL_CHAINS, folded_query
 
 
@@ -261,8 +270,37 @@ def test_triangle_families_equal_validating_objects(monkeypatch, exps, offset):
         assert obj == auxiliary_object(f, i)
     for (i, j), obj in made["ladder"]:
         assert obj == ladder_object(f, i, j)
-    used, unused = ("auxiliary", "ladder") if f.n % 2 == 0 else ("ladder", "auxiliary")
-    assert made[used] and not made[unused]
+    # the Euler checks build no family object: they read orbit keys, each
+    # the key of the validating objects it stands for
+    assert not made["ladder" if f.n % 2 == 0 else "auxiliary"]
+    _assert_orbit_keys_are_object_keys(f, offset)
+
+
+def _assert_orbit_keys_are_object_keys(f, offset):
+    """Every orbit key that the run's Euler checks read equals HomEngine.key
+    of the validating objects it stands for: each probe of build_collection
+    against the collection objects and auxiliary_object(offset + k) for
+    k = 1, 2 and mu - 1, which between them reach every diagonal (even n),
+    or against ladder_object of the checked rows and the next row, and the
+    collection objects E_{i+k}, k <= a1, of the boundary's class sum (odd n)."""
+    run = homrun.HomRun(f, offset)
+    key, want = run.homs.key, cache(run.orbit_key)
+    mu, coll = run.nm.milnor, build_collection(f, offset)
+    if f.n % 2 == 0:
+        families = {run.base[0]: dict(enumerate(coll, offset)),
+                    run.aux_base: {offset + k: auxiliary_object(f, offset + k)
+                                   for k in (1, 2, mu - 1)}}
+    else:
+        a1, rows = f.exponents[0], range(offset, offset + min(mu - 1, 3) + 1)
+        base, step = collection_base(f)
+        families = {run.ladder_bases[j]: {i: ladder_object(f, i, j) for i in rows}
+                    for j in range(1, a1 + 1)}
+        families[run.base[0]] = {i: shift(base, i * step)
+                                 for i in range(offset, rows[-1] + a1)}
+    for target, objects in families.items():
+        for i, obj in objects.items():
+            for m, x in enumerate(coll):
+                assert key(x, obj) == want(target, i - offset - m), (f, i, m)
 
 
 def _count_calls(monkeypatch, module, name, calls):
@@ -339,12 +377,13 @@ def test_euler_builds_no_dual_table(monkeypatch):
 
 
 def _outcome(check):
-    """("pass", None) when the check returns, ("fail", witness) when it raises."""
+    """(status, None) when the check returns, the status "pass" unless it
+    names one, and ("fail", witness) when it raises."""
     try:
-        check()
+        got = check()
     except VerificationFailure as exc:
         return "fail", exc.witness
-    return "pass", None
+    return (got[0] if isinstance(got, tuple) else "pass"), None
 
 
 @pytest.mark.parametrize("offset", [0, 2])
@@ -354,9 +393,11 @@ def test_orbit_triangle_totals_match_the_pair_loop(offset):
     unmodified, and with the engine's Euler memo one too high on some keys.
     Every pair on such a key's diagonal reads the wrong value, so the two
     must name the same cases in the same order; two keys far apart make the
-    order of the cases matter."""
+    order of the cases matter.  The orbit keys the check reads are the keys
+    of the validating objects."""
     failing = 0
     for exps in (e for e in SMALL_CHAINS if len(e) % 2 == 0):
+        _assert_orbit_keys_are_object_keys(ChainPolynomial(exps), offset)
         run = homrun.HomRun(ChainPolynomial(exps), offset)
         homs, coll = run.homs, run.coll
         for raised in [(), ((coll[0], coll[-1]),), ((coll[-1], coll[0]),),
@@ -370,6 +411,45 @@ def test_orbit_triangle_totals_match_the_pair_loop(offset):
             assert _outcome(run.triangle_euler_additivity) == want, (exps, raised)
             assert (want[0] == "fail") == bool(raised), (exps, raised)
             failing += bool(cases)
+            homs.eulers = saved
+    assert failing > 100
+
+
+@pytest.mark.parametrize("offset", [0, 2])
+def test_orbit_ladder_totals_match_the_object_loop(offset):
+    """ladder_euler_additivity and ladder_boundary_width_a1, which read one
+    Euler value per (width, orbit key), against the loops over the ladder
+    and collection objects, on every chain of SMALL_CHAINS with odd n >= 3:
+    unmodified, and with the engine's Euler memo one too high on one key
+    (a width-1 or width-a1 ladder, a collection class of the boundary's
+    sum) or on two keys far apart (widths 1 and a1 - 1).  Status and
+    witness must agree, and every raised key fails one of the two.  The
+    orbit keys the checks read are the keys of the validating objects."""
+    failing = 0
+    for exps in (e for e in SMALL_CHAINS if len(e) >= 3 and len(e) % 2):
+        f = ChainPolynomial(exps)
+        _assert_orbit_keys_are_object_keys(f, offset)
+        run = homrun.HomRun(f, offset)
+        # the oracles build each object once per chain, so the engine
+        # anchors it once
+        run.ladder, run.collection_object = cache(run.ladder), cache(run.collection_object)
+        homs, coll, ladder, a1 = run.homs, run.coll, run.ladder, exps[0]
+        for raised in [(), ((coll[0], ladder(offset, 1)),),
+                       ((coll[-1], ladder(offset + 1, a1)),),
+                       ((coll[0], run.collection_object(offset + a1)),),
+                       ((coll[0], ladder(offset + 1, 1)),
+                        (coll[-1], ladder(offset, a1 - 1)))]:
+            saved = dict(homs.eulers)
+            for pair in raised:
+                homs.eulers[homs.key(*pair)] = homs.euler(*pair) + 1
+            cases = ladder_cases(run)
+            want = ("fail", {"cases": cases}) if cases else ("pass", None)
+            assert _outcome(run.ladder_euler_additivity) == want, (exps, raised)
+            boundary = ladder_boundary_outcome(run)
+            assert _outcome(run.ladder_boundary_width_a1) == boundary, (exps, raised)
+            assert (want[0] == "fail" or boundary[0] == "fail") == bool(raised), \
+                (exps, raised)
+            failing += bool(cases) + (boundary[0] == "fail")
             homs.eulers = saved
     assert failing > 100
 
@@ -489,7 +569,7 @@ def test_failed_hom_table_fails_its_dependants(monkeypatch):
 
 
 def test_failed_monodromy_data_fails_its_dependants(monkeypatch):
-    _patch_raising(monkeypatch, verify_module, "monodromy_data", VerificationFailure)
+    _patch_raising(monkeypatch, invariants, "monodromy_data", VerificationFailure)
     rep = run_checks(ChainPolynomial((2, 2)), MAIN_THEOREM_CHECKS)
     failed = {"monodromy_two_routes", "zeta_factorization", "monodromy_oracle"}
     assert {c.name for c in rep.checks if c.status == "fail"} == failed
@@ -556,7 +636,7 @@ def test_main_theorem_stabilizes_no_triangle_base(monkeypatch, exps):
 
 def test_monodromy_computes_only_what_it_reports(monkeypatch, capsys):
     for name in ("check_lattice_correspondence", "polarization_integer"):
-        _patch_raising(monkeypatch, verify_module, name, RuntimeError)
+        _patch_raising(monkeypatch, invariants, name, RuntimeError)
     _patch_raising(monkeypatch, GradingGroup, "quotient_by_total_degree_order",
                    RuntimeError)
     assert cli_main(["monodromy", "--chain", "2,2,3", "--format", "csv"]) == 0
@@ -565,7 +645,7 @@ def test_monodromy_computes_only_what_it_reports(monkeypatch, capsys):
 
 def test_euler_computes_only_what_it_reports(monkeypatch, capsys):
     _patch_raising(monkeypatch, homcalc.HomEngine, "dual", RuntimeError)
-    _patch_raising(monkeypatch, verify_module, "monodromy_data", RuntimeError)
+    _patch_raising(monkeypatch, invariants, "monodromy_data", RuntimeError)
     assert cli_main(["euler", "--no-cache", "--chain", "2,2,3", "--format", "csv"]) == 0
     assert "euler_pairing_matches,pass" in capsys.readouterr().out
 
@@ -702,21 +782,27 @@ def test_pipelines_do_not_import_numpy():
 
 HOM_LAYER = {"chainfact.homrun", "chainfact.homcalc", "chainfact.mf"}
 UNUSED = {"dataclasses", "hashlib", "pathlib"}
+# the invariants battery and its series arithmetic, and the Hom engine's
+# exact elimination
+BATTERY = {"chainfact.invariants", "chainfact.series"}
+ELIMINATION = {"chainfact.exactmath"}
 
 
-@pytest.mark.parametrize("argv,chain,hom", [
-    (["invariants"], "2,2,3", False),
-    (["monodromy"], "2,2,3", False),
-    (["triangles"], "2,2,3", True),
-    (["triangles"], "5", False),
-    (["verify", "--no-cache"], "2,2,3", True),
-    (["euler"], "2,2,3", True),
+@pytest.mark.parametrize("argv,chain,hom,absent", [
+    (["invariants"], "2,2,3", False, ELIMINATION),
+    (["monodromy"], "2,2,3", False, ELIMINATION),
+    (["triangles"], "2,2,3", True, BATTERY),
+    (["triangles"], "5", False, BATTERY | ELIMINATION),
+    (["verify", "--no-cache"], "2,2,3", True, set()),
+    (["euler"], "2,2,3", True, set()),
 ], ids=["invariants", "monodromy", "triangles", "triangles-one-variable", "verify",
         "euler"])
-def test_subcommand_loads_only_its_layers(argv, chain, hom):
+def test_subcommand_loads_only_its_layers(argv, chain, hom, absent):
     """Each subcommand, run in a fresh interpreter (without site hooks),
     leaves the modules it does not need unloaded; the Hom side (``homrun``
-    and the engine) loads exactly when a check reads Hom spaces."""
+    and the engine) loads exactly when a check reads Hom spaces.  The
+    battery loads only when a check reads it, so ``triangles`` loads neither
+    it nor its series, and the battery's subcommands load no elimination."""
     script = (
         "import sys\n"
         "from chainfact.cli import main\n"
@@ -732,6 +818,7 @@ def test_subcommand_loads_only_its_layers(argv, chain, hom):
     assert "chainfact.verify" in loaded
     assert not UNUSED & loaded
     assert HOM_LAYER & loaded == (HOM_LAYER if hom else set())
+    assert not absent & loaded
 
 
 @pytest.mark.parametrize("command", ["verify", "euler"])
