@@ -283,7 +283,6 @@ class GradingGroup:
                 raise VerificationFailure("weight character does not kill a relation",
                                           {"monomial": exps, "weights": self.weights})
         self.zero = Degree(self, 0, 0)
-        self._mono_cache: dict[tuple, tuple[tuple[int, ...], ...]] = {}
 
     # one canonical instance per chain (see build_grading_group), so identity
     # comparison inside Degree is sound
@@ -304,40 +303,37 @@ class GradingGroup:
 
     def monomial_basis(self, l: Degree, skip: tuple[int, ...] = ()
                        ) -> tuple[tuple[int, ...], ...]:
-        """All monomials of degree l, as exponent vectors.
+        """All monomials of degree l, as sorted exponent vectors.
 
         Finiteness comes from positivity of the weight character: candidates
         are enumerated by weight and then filtered by exact degree equality
         (torsion included).  The variables in ``skip`` (0-based) get exponent
         zero, which enumerates the graded piece of the quotient by them.
+        Each call enumerates afresh: the group is interned for the process,
+        so it keeps no memo, and a run's ``homcalc.HomEngine`` memoizes the
+        enumerations it reads.
         """
         if l.group is not self:
             raise ValueError("degree from another group")
-        key = (l, skip)
-        cached = self._mono_cache.get(key)
-        if cached is not None:
-            return cached
         w = l.weight
+        if w < 0:
+            return ()
+        n = self.chain.n
+        var_w = self.weights[:n]
         out = []
-        if w >= 0:
-            n = self.chain.n
-            var_w = self.weights[:n]
 
-            def rec(i, remaining, stack):
-                step = var_w[i]
-                top = 0 if i in skip else remaining // step
-                if i == n - 1:
-                    if remaining == top * step:
-                        out.append(tuple(stack + [top]))
-                    return
-                for m in range(top + 1):
-                    rec(i + 1, remaining - m * step, stack + [m])
+        def rec(i, remaining, stack):
+            step = var_w[i]
+            top = 0 if i in skip else remaining // step
+            if i == n - 1:
+                if remaining == top * step:
+                    out.append(tuple(stack + [top]))
+                return
+            for m in range(top + 1):
+                rec(i + 1, remaining - m * step, stack + [m])
 
-            rec(0, w, [])
-            out = [e for e in out if self.monomial_degree(e) == l]
-        result = tuple(sorted(out))
-        self._mono_cache[key] = result
-        return result
+        rec(0, w, [])
+        return tuple(sorted(e for e in out if self.monomial_degree(e) == l))
 
     # -- torsion diagnostics -------------------------------------------------
 

@@ -2,20 +2,15 @@
 
 For factorizations F, G and a degree l, the degree-l maps F -> T^p G form a
 2-periodic complex whose cohomology at parity p is the stable Hom space.
-Each graded piece is finite because the weight character is positive, so the
-general engine is: enumerate monomial bases slot by slot, assemble the two
-neighboring differentials as sparse integer matrices, and take exact ranks.
-A row of a differential is assembled by adding the cell monomial's exponents
-to the terms of the structure maps; the ranks come from the sparse,
-fraction-free ``exactmath.Echelon`` (through ``sparse_rank``), which also
-gives the kernels and image reductions behind ``morphism_space_basis``.
+Each graded piece is finite because the weight character is positive.
 
-Homs out of a Koszul stabilization E = stab(R/I), I generated by s
-variables, take a shorter route: Hom(E, G) is the cohomology of the
-2-periodic complex G|V(I) over the polynomial ring in the other variables
-(Dyckerhoff, arXiv:0904.4713; Polishchuk-Vaintrob, arXiv:1002.2116).  With
-E the unshifted stabilization (first even twist zero, as anchoring leaves
-it), D = sum of deg(x_v) over the generators - s f and k, r = divmod(p + s, 2),
+Every Hom that ``verify``, ``euler`` and ``triangles`` read is out of a
+Koszul stabilization E = stab(R/I), I generated by s variables, and
+Hom(E, G) is the cohomology of the 2-periodic complex G|V(I) over the
+polynomial ring in the other variables (Dyckerhoff, arXiv:0904.4713;
+Polishchuk-Vaintrob, arXiv:1002.2116).  With E the unshifted stabilization
+(first even twist zero, as anchoring leaves it), D = sum of deg(x_v) over
+the generators - s f and k, r = divmod(p + s, 2),
 
     Hom(E, T^p G(l)) = H^r(G|V(I)) in degree D + k f + l,
 
@@ -24,13 +19,18 @@ and H^1 is ker(d1: F1_d -> F0_{d+f}) mod im(d0: F0_d -> F1_d).  Restriction
 drops every term and every monomial that contains a variable of I, so the
 complex has rank(G) slots in about half the variables instead of
 2 rank(E) rank(G) slots in all of them.  (D carries s f, not ceil(s/2) f:
-the latter disagrees with the general engine whenever s is even.)  The
-route applies when the source carries ``stabilize``'s ``koszul_vars``
-record.  Every query that ``verify``, ``euler`` and ``triangles`` make has
-a collection object as its source, so it takes this route; the pipeline
-reaches the general engine only through ``morphism_space_basis`` (the cone
-search of ``triangle_structural``).  The general branch of ``hom_dim`` and
-its caches stay as the route's differential-test oracle.
+the latter disagrees with the full Hom complex whenever s is even.)  This
+restriction route is the package's one route to a Hom dimension: it reads
+the source's ``koszul_vars`` record, which ``stabilize`` leaves, and a
+source without the record is refused with ``ValueError``.
+
+The full Hom complex -- monomial bases slot by slot (``_cell_basis``) and
+the differentials as sparse integer rows (``_differential_rows``), built by
+adding the cell monomial's exponents to the terms of the structure maps --
+serves ``morphism_space_basis``, which needs explicit representatives (the
+cone search of ``triangle_structural``); ``exactmath.Echelon`` gives its
+kernels and image reductions.  The tests build their oracle for the
+restriction route, a general Hom dimension, from the same rows.
 
 Every query is made canonical before it reaches the engine.  Let s and t be
 the first even twists of F and G, and A = F(s), B = G(t) the anchored
@@ -43,15 +43,17 @@ equal, so one answer serves every object of a twist orbit.
 
 ``HomEngine`` owns this key for one run.  It anchors each object once,
 scans each key (A, B, l + s - t) once for its certified window, memoizes
-the Euler number chi(F, G(l)) on that key, and asks ``hom_dim`` each folded
-query (A, B, (l + floor(p/2) f).coords, p mod 2) once; every entry of the
+the Euler number chi(F, G(l)) on that key, and answers each folded query
+(A, B, (l + floor(p/2) f).coords, p mod 2) once by the restriction route,
+which reads the engine's memo of monomial enumerations; every entry of the
 primal table, of the Serre-dual table, of the Euler checks and of the cone
 search is such a value.  A table is built from the collection's base and
 step: the collection is the orbit E_i = base(i step), so the pair (i, j)
 has the key (A, A, (j - i) step) at every offset, A the anchored base, and
 the table stores one column per diagonal d = j - i, |d| < mu, which the
 checks read instead of the mu^2 pairs.  A run makes one engine and drops
-its memos with the run.
+its memos with the run, and ``hom_dim`` is a one-off query on a fresh
+engine, so no Hom memo outlives the engine that filled it.
 The cell bases and rows of T^p B are read off B itself (T swaps the modules
 and moves one by f), so a query builds no translated object.  The functors
 used here (``shift``, ``t_power``) are trusted constructors in ``mf``;
@@ -67,7 +69,6 @@ provenance; a change here that can change a table must change it.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import add
 
 from .chain import ChainPolynomial, Degree, build_grading_group
@@ -75,7 +76,6 @@ from .exactmath import Echelon, MPoly, sparse_rank
 from .mf import GradedMatrix, MatrixFactorization, MFMorphism, shift, t_power
 
 
-@lru_cache(maxsize=None)
 def _cell_basis(F: MatrixFactorization, G: MatrixFactorization, l: Degree, p: int):
     """Monomial basis of the degree-l component-map space F -> T^p G.
 
@@ -103,8 +103,10 @@ def _cell_basis(F: MatrixFactorization, G: MatrixFactorization, l: Degree, p: in
     return tuple(items), {it: i for i, it in enumerate(items)}
 
 
-def _differential_rows(F, G, l, p):
-    """Rows (one per source cell) of d_p: C^p -> C^{p+1} in the cell bases.
+def _differential_rows(F, G, p, basis, tindex):
+    """Rows of d_p: C^p -> C^{p+1}, one per cell of ``basis`` (the cell basis
+    of C^p), as {position in ``tindex``: coefficient}, where ``tindex``
+    indexes the cell basis of C^{p+1}; the caller enumerates both bases.
 
     The translation functor already negates structure maps, so the rolled
     presentation uses a constant minus sign on the phi-after-d side; the
@@ -117,8 +119,6 @@ def _differential_rows(F, G, l, p):
     The structure maps of T^p G are read off G (swapped and negated for odd
     p), since T^2 only shifts twists.
     """
-    basis, _ = _cell_basis(F, G, l, p)
-    _, tindex = _cell_basis(F, G, l, p + 1)
     if p % 2:
         h0, h1, hsign = G.d1.entries, G.d0.entries, -1
     else:
@@ -141,93 +141,17 @@ def _differential_rows(F, G, l, p):
     return rows
 
 
-@lru_cache(maxsize=None)
-def _rank_d(F, G, l, p) -> int:
-    return sparse_rank(_differential_rows(F, G, l, p))
-
-
-def _anchor(mf: MatrixFactorization):
-    """(A, s) with mf = A(-s), where s is the first even twist (zero for an
-    empty object)."""
-    s = mf.F0.twists[0] if mf.size else mf.group.zero
-    return shift(mf, s), s
-
-
-def _restricted_rank(G, skip, d, odd) -> int:
-    """Rank of d0: F0_d -> F1_d (odd = 0) or d1: F1_d -> F0_{d+f} (odd = 1)
-    of G restricted to V(x_v : v in skip).
-
-    One row per source cell (basis vector c, monomial m in the free
-    variables); each term of column c that avoids the skipped variables
-    lands at (target row, m + exponents).
-    """
-    src, entries = (G.F1, G.d1.entries) if odd else (G.F0, G.d0.entries)
-    group = G.group
-    index: dict = {}
-    rows = []
-    for c, t in enumerate(src.twists):
-        terms = [(r, e, coeff) for r, row in enumerate(entries)
-                 for e, coeff in row[c].terms.items()
-                 if not any(e[v] for v in skip)]
-        if not terms:
-            continue
-        for m in group.monomial_basis(d - t, skip):
-            rows.append({index.setdefault((r, tuple(map(add, e, m))), len(index)): coeff
-                         for r, e, coeff in terms})
-    return sparse_rank(rows)
-
-
-def _restricted_dim(skip, G, l, r) -> int:
-    """dim Hom(E, T^r G(l)) for the anchored stabilization E of
-    R/(x_v : v in skip), as H^r of G|V(I) (see the module docstring)."""
-    group = G.group
-    fdeg = group.total_degree
-    s = len(skip)
-    k, odd = divmod(r + s, 2)
-    d = l + (k - s) * fdeg
-    for v in skip:
-        d = d + group.variable_degree(v)
-    module = G.F1 if odd else G.F0
-    cells = sum(len(group.monomial_basis(d - t, skip)) for t in module.twists)
-    if cells == 0:
-        return 0
-    if odd:
-        return cells - _restricted_rank(G, skip, d, 1) - _restricted_rank(G, skip, d, 0)
-    return (cells - _restricted_rank(G, skip, d, 0)
-            - _restricted_rank(G, skip, d - fdeg, 1))
-
-
 def hom_dim(source: MatrixFactorization, target: MatrixFactorization,
             degree: Degree | None = None, power: int = 0) -> int:
-    """dim of stable Hom(source, T^power target(degree)).
-
-    Kernel of the outgoing differential modulo the image of the incoming one,
-    ranks over the rationals computed in integers, asked as the canonical
-    query on the anchored objects (see the module docstring).  When the
-    anchored source records ``koszul_vars`` (a stabilization by variables),
-    the complex is the target restricted to V(I), in degree D + k f + l with
-    D = sum deg(x_v) - s f and k, r = divmod(power + s, 2) (Dyckerhoff,
-    arXiv:0904.4713; Polishchuk-Vaintrob, arXiv:1002.2116); every other
-    source goes through the general cell-basis engine.
-    """
+    """dim of stable Hom(source, T^power target(degree)), as a one-off query
+    on a fresh :class:`HomEngine`: anchored, folded and answered by the
+    restriction route, so ``source`` must carry ``stabilize``'s
+    ``koszul_vars`` record (``ValueError`` otherwise).  A run asks its own
+    engine instead, which answers each folded query once."""
     if source.group is not target.group:
         raise ValueError("factorizations live over different gradings")
-    if not source.size or not target.size:
-        return 0
-    group = source.group
-    F, s = _anchor(source)
-    G, t = _anchor(target)
-    k, r = divmod(power, 2)
-    l = degree if degree is not None else group.zero
-    l = l + s - t + k * group.total_degree
-    if F.koszul_vars is not None:
-        return _restricted_dim(F.koszul_vars, G, l, r)
-    cells = len(_cell_basis(F, G, l, r)[0])
-    if cells == 0:
-        return 0
-    out_rank = _rank_d(F, G, l, r)
-    in_rank = _rank_d(F, G, l, 0) if r else _rank_d(F, G, l - group.total_degree, 1)
-    return cells - out_rank - in_rank
+    engine = HomEngine()
+    return engine.dim(engine.key(source, target, degree), power)
 
 
 def _twist_weights(mf, parity):
@@ -347,14 +271,17 @@ def _alternating(window, dims) -> int:
 class HomEngine:
     """The Hom queries of one run, each asked once, on the canonical key.
 
-    Every object is anchored once, F = A(-s), and equal anchors are interned
-    to one object, so memo lookups on them match on identity.  A query
-    Hom(F, T^p G(l)) becomes the key (A, B, l + s - t) and the power p, and
-    the engine keeps three memos on it: the certified window per key, the
-    Euler number per key, and the dimension per folded query
-    (A, B, (l + floor(p/2) f).coords, p mod 2), the value that
-    :func:`hom_dim` is asked for.  The memos live on the instance: a run
-    makes one engine and drops it with the run.
+    The engine is the package's one route to a Hom dimension and the one
+    owner of the memos behind it.  Every object is anchored once,
+    F = A(-s), and equal anchors are interned to one object, so memo
+    lookups on them match on identity.  A query Hom(F, T^p G(l)) becomes
+    the key (A, B, l + s - t) and the power p, and the engine keeps its
+    memos on it: the certified window per key, the Euler number per key,
+    and the dimension per folded query (A, B, (l + floor(p/2) f).coords,
+    p mod 2).  A folded query the memo lacks goes to :meth:`restricted_dim`,
+    which reads a fourth memo, the monomials per (degree, skipped
+    variables).  The memos live on the instance: a run makes one engine and
+    drops it with the run.
     """
 
     def __init__(self):
@@ -363,12 +290,15 @@ class HomEngine:
         self.windows: dict = {}         # (A, B, l) -> certified window
         self.eulers: dict = {}          # (A, B, l) -> Euler number
         self.dims: dict = {}            # folded query -> dim
+        self.monomials: dict = {}       # (degree, skip) -> monomial basis
 
     def anchor(self, mf: MatrixFactorization):
-        """(A, s) with mf = A(-s) as in :func:`_anchor`, A interned."""
+        """(A, s) with mf = A(-s), where s is the first even twist (zero for
+        an empty object), A interned."""
         got = self._anchors.get(mf)
         if got is None:
-            A, s = _anchor(mf)
+            s = mf.F0.twists[0] if mf.size else mf.group.zero
+            A = shift(mf, s)
             got = self._anchors[mf] = (self._interned.setdefault(A, A), s)
         return got
 
@@ -399,8 +329,65 @@ class HomEngine:
         query = (A, B, coords, r)
         dim = self.dims.get(query)
         if dim is None:
-            dim = self.dims[query] = hom_dim(A, B, Degree(group, *coords), r)
+            dim = self.dims[query] = self.restricted_dim(A, B, Degree(group, *coords), r)
         return dim
+
+    def restricted_dim(self, A, B, l: Degree, r: int) -> int:
+        """dim Hom(A, T^r B(l)), r = 0 or 1, for the anchored stabilization A
+        of R/(x_v : v in skip), as H^r of B|V(I) (see the module docstring).
+        A source without the ``koszul_vars`` record raises ``ValueError``."""
+        if not A.size or not B.size:
+            return 0
+        skip = A.koszul_vars
+        if skip is None:
+            raise ValueError("Hom source is not a stabilization by variables "
+                             "(no koszul_vars record)")
+        group = B.group
+        fdeg = group.total_degree
+        s = len(skip)
+        k, odd = divmod(r + s, 2)
+        d = l + (k - s) * fdeg
+        for v in skip:
+            d = d + group.variable_degree(v)
+        module = B.F1 if odd else B.F0
+        cells = sum(len(self._monomials(d - t, skip)) for t in module.twists)
+        if cells == 0:
+            return 0
+        if odd:
+            return (cells - self._restricted_rank(B, skip, d, 1)
+                    - self._restricted_rank(B, skip, d, 0))
+        return (cells - self._restricted_rank(B, skip, d, 0)
+                - self._restricted_rank(B, skip, d - fdeg, 1))
+
+    def _restricted_rank(self, G, skip, d, odd) -> int:
+        """Rank of d0: F0_d -> F1_d (odd = 0) or d1: F1_d -> F0_{d+f}
+        (odd = 1) of G restricted to V(x_v : v in skip).
+
+        One row per source cell (basis vector c, monomial m in the free
+        variables); each term of column c that avoids the skipped variables
+        lands at (target row, m + exponents).
+        """
+        src, entries = (G.F1, G.d1.entries) if odd else (G.F0, G.d0.entries)
+        index: dict = {}
+        rows = []
+        for c, t in enumerate(src.twists):
+            terms = [(r, e, coeff) for r, row in enumerate(entries)
+                     for e, coeff in row[c].terms.items()
+                     if not any(e[v] for v in skip)]
+            if not terms:
+                continue
+            for m in self._monomials(d - t, skip):
+                rows.append({index.setdefault((r, tuple(map(add, e, m))), len(index)): coeff
+                             for r, e, coeff in terms})
+        return sparse_rank(rows)
+
+    def _monomials(self, d: Degree, skip) -> tuple:
+        """The monomials of degree d in the variables outside ``skip``,
+        enumerated once per engine."""
+        got = self.monomials.get((d, skip))
+        if got is None:
+            got = self.monomials[(d, skip)] = d.group.monomial_basis(d, skip)
+        return got
 
     def euler(self, source, target, degree: Degree | None = None) -> int:
         """chi(source, target(degree)), the alternating sum of the Hom
@@ -550,15 +537,17 @@ def morphism_space_basis(source, target, degree: Degree | None = None,
     """
     group = source.group
     l = degree if degree is not None else group.zero
-    basis, _ = _cell_basis(source, target, l, power)
+    basis, index = _cell_basis(source, target, l, power)
     if not basis:
         return []
     H = t_power(target, power)
     d_out: dict[int, dict[int, int]] = {}
-    for col, row in enumerate(_differential_rows(source, target, l, power)):
+    above = _cell_basis(source, target, l, power + 1)[1]
+    for col, row in enumerate(_differential_rows(source, target, power, basis, above)):
         for idx, coeff in row.items():
             d_out.setdefault(idx, {})[col] = coeff
-    image = Echelon(_differential_rows(source, target, l, power - 1))
+    below = _cell_basis(source, target, l, power - 1)[0]
+    image = Echelon(_differential_rows(source, target, power - 1, below, index))
     reps = []
     for vec in Echelon(d_out.values()).kernel(len(basis)):
         red = image.reduce(vec)

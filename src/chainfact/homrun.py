@@ -6,8 +6,8 @@ Hom-table, exceptionality, Euler, Serre and triangle checks, with the cone
 search behind ``triangle_structural``.  It is the orchestration layer's one
 importer of the Hom engine, and it calls ``mf`` and ``homcalc`` through
 their modules, so a patch on either reaches every check.  A run asks every
-Hom through its one ``homcalc.HomEngine``; nothing here calls ``hom_dim``
-or ``scan_window`` directly.
+Hom through its one ``homcalc.HomEngine``, the package's one route to a Hom
+dimension; nothing here calls ``hom_dim`` or ``scan_window`` directly.
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ class HomRun(_Run):
     Every Hom that a check reads -- both tables, every Euler entry and the
     cone search's profiles -- goes through the run's one ``HomEngine``, so
     each canonical key is scanned once and each distinct folded query is
-    asked of ``hom_dim`` once per run.
+    answered by the engine's restriction route once per run.
 
     The collection step is deg x1 at even n and -deg x1 at odd n, so object
     i of every family is Y(i * step) for its base Y.  The Euler checks use

@@ -5,7 +5,10 @@ The library builds no dense matrix, so the dense layer lives here: the
 integer matrices ``IntMatrix`` with their product ``int_mat_mul`` and the
 division-free (Berkowitz) characteristic polynomial, and the dense Euler
 matrix, monodromy operator and companion matrix, each built from the series
-or coefficients that the library keeps.
+or coefficients that the library keeps.  So does the general Hom route: the
+library answers Homs only out of Koszul stabilizations, by restriction, and
+``general_hom_dim`` answers them out of any source from the full Hom
+complex, as that route's differential-test oracle.
 
 They compute values only and contain no ``assert``: pytest rewrites asserts
 in test modules, not here, and the suite also runs under ``python -O``.
@@ -15,9 +18,10 @@ import json
 from fractions import Fraction
 from typing import NamedTuple
 
-from chainfact.exactmath import MPoly
+from chainfact.exactmath import MPoly, sparse_rank
+from chainfact.homcalc import HomEngine, _differential_rows
 from chainfact.invariants import companion_certificate, euler_matrix, zeta_polynomial
-from chainfact.mf import GradedMatrix, MatrixFactorization, MFMorphism
+from chainfact.mf import GradedMatrix, MatrixFactorization, MFMorphism, shift, t_power
 from chainfact.series import ExactDivisionError, Poly
 from chainfact.verify import VerificationReport
 
@@ -481,6 +485,103 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
 
 
 # ---------------------------------------------------------------------------
+# the general Hom route
+# ---------------------------------------------------------------------------
+
+# Memos owned by the test session: the monomial basis per degree (read by
+# the naive and general routes), the dimension per folded query (A, B, degree coordinates,
+# parity) and the rank of d_p per (A, B, degree coordinates, p), p = 0 or 1.
+MONOMIALS: dict = {}
+GENERAL_DIMS: dict = {}
+GENERAL_RANKS: dict = {}
+
+
+def monomials(group, degree):
+    """``group.monomial_basis(degree)``, enumerated once per test session."""
+    if degree not in MONOMIALS:
+        MONOMIALS[degree] = group.monomial_basis(degree)
+    return MONOMIALS[degree]
+
+
+def cell_basis_by_t_power(F, G, l, p):
+    """The cell basis of degree-l maps F -> T^p G, enumerated on the twists
+    of the object t_power(G, p) itself."""
+    H = t_power(G, p)
+    items = []
+    for comp, (src, tgt) in enumerate(((F.F0, H.F0), (F.F1, H.F1))):
+        for r in range(tgt.rank):
+            for c in range(src.rank):
+                for exps in monomials(F.group, src.twists[c] - tgt.twists[r] + l):
+                    items.append((comp, r, c, exps))
+    return tuple(items), {it: i for i, it in enumerate(items)}
+
+
+def differential_rows(F, G, l, p):
+    """The library's rows of d_p on the degree-l cell bases of C^p and
+    C^(p+1), enumerated by ``cell_basis_by_t_power``."""
+    return _differential_rows(F, G, p, cell_basis_by_t_power(F, G, l, p)[0],
+                              cell_basis_by_t_power(F, G, l, p + 1)[1])
+
+
+def naive_hom_dim(F, G, l, p):
+    """Hom dimension on the raw objects: no anchoring, no memo of ranks."""
+    cells = len(cell_basis_by_t_power(F, G, l, p)[0])
+    return (cells - sparse_rank(differential_rows(F, G, l, p))
+            - sparse_rank(differential_rows(F, G, l, p - 1)))
+
+
+def naive_dims(F, G, l, powers):
+    """{p: naive_hom_dim(F, G, l, p)}, each cell basis and rank computed
+    once."""
+    bases = {p: cell_basis_by_t_power(F, G, l, p)
+             for p in range(powers.start - 1, powers.stop + 1)}
+    ranks = {p: sparse_rank(_differential_rows(F, G, p, bases[p][0], bases[p + 1][1]))
+             for p in range(powers.start - 1, powers.stop)}
+    return {p: len(bases[p][0]) - ranks[p] - ranks[p - 1] for p in powers}
+
+
+def _general_rank(A, B, l, p):
+    key = (A, B, l.coords, p)
+    if key not in GENERAL_RANKS:
+        GENERAL_RANKS[key] = sparse_rank(differential_rows(A, B, l, p))
+    return GENERAL_RANKS[key]
+
+
+def general_hom_dim(source, target, degree=None, power=0):
+    """dim Hom(source, T^power target(degree)) from the full Hom complex, for
+    any source, ignoring the ``koszul_vars`` record.
+
+    The query is anchored and folded independently of the library's engine:
+    each object is shifted by its first even twist, and floor(power / 2) f
+    goes into the degree.  The answer is the cell count at the parity minus
+    the ranks of the outgoing and incoming differentials, and both are
+    memoized for the test session."""
+    if not source.size or not target.size:
+        return 0
+    group = source.group
+    s, t = source.F0.twists[0], target.F0.twists[0]
+    A, B = shift(source, s), shift(target, t)
+    k, r = divmod(power, 2)
+    l = (degree if degree is not None else group.zero) + s - t + k * group.total_degree
+    query = (A, B, l.coords, r)
+    if query not in GENERAL_DIMS:
+        cells = len(cell_basis_by_t_power(A, B, l, r)[0])
+        below = (l, 0) if r else (l - group.total_degree, 1)
+        GENERAL_DIMS[query] = cells and (cells - _general_rank(A, B, l, r)
+                                         - _general_rank(A, B, *below))
+    return GENERAL_DIMS[query]
+
+
+class GeneralEngine(HomEngine):
+    """A ``HomEngine`` whose folded queries the general route answers: the
+    engine's keys, windows, memos and table layout, with the oracle in place
+    of the restriction route."""
+
+    def restricted_dim(self, A, B, l, r):
+        return general_hom_dim(A, B, l, r)
+
+
+# ---------------------------------------------------------------------------
 # constructors only the tests use
 # ---------------------------------------------------------------------------
 
@@ -507,8 +608,8 @@ def identity_morphism(mf):
 
 
 def without_koszul_record(mf):
-    """An object equal to ``mf`` without ``stabilize``'s record, so that
-    ``hom_dim`` takes the general cell-basis engine for it as a source."""
+    """An object equal to ``mf`` without ``stabilize``'s record, which the
+    library refuses as a Hom source."""
     return MatrixFactorization._trusted(mf, mf.F0, mf.F1, mf.d0.entries,
                                         mf.d1.entries)
 

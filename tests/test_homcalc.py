@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import chainfact.homcalc as homcalc
 from chainfact.chain import (
     ChainPolynomial,
     VerificationFailure,
@@ -43,12 +42,17 @@ from chainfact.mf import (
     t_power,
 )
 from oracles import (
+    GeneralEngine,
+    cell_basis_by_t_power,
     dense_euler_matrix,
+    differential_rows,
     exceptionality_failures,
+    general_hom_dim,
     identity_morphism,
     kernel_basis,
+    naive_dims,
+    naive_hom_dim,
     rank_rational,
-    without_koszul_record,
 )
 
 
@@ -125,8 +129,8 @@ def test_hom_complex_squares_to_zero():
     coll = build_collection(f)
     g = build_grading_group(f)
     for p in (-1, 0, 1):
-        rows_a = _differential_rows(coll[0], coll[1], g.zero, p)
-        rows_b = _differential_rows(coll[0], coll[1], g.zero, p + 1)
+        rows_a = differential_rows(coll[0], coll[1], g.zero, p)
+        rows_b = differential_rows(coll[0], coll[1], g.zero, p + 1)
         dim_c2 = len(_cell_basis(coll[0], coll[1], g.zero, p + 2)[0])
         for src_idx, row in enumerate(rows_a):
             acc = {}
@@ -138,19 +142,6 @@ def test_hom_complex_squares_to_zero():
 
 
 # ------------------------------------- canonical queries vs the naive route
-
-def cell_basis_by_t_power(F, G, l, p):
-    """The cell basis of degree-l maps F -> T^p G, enumerated on the twists
-    of the object t_power(G, p) itself."""
-    H = t_power(G, p)
-    items = []
-    for comp, (src, tgt) in enumerate(((F.F0, H.F0), (F.F1, H.F1))):
-        for r in range(tgt.rank):
-            for c in range(src.rank):
-                for exps in F.group.monomial_basis(src.twists[c] - tgt.twists[r] + l):
-                    items.append((comp, r, c, exps))
-    return tuple(items), {it: i for i, it in enumerate(items)}
-
 
 @pytest.mark.parametrize("exps", [(2, 2), (2, 3), (3, 2, 2), (2, 2, 2, 2)])
 def test_cell_basis_matches_t_power_route(exps):
@@ -169,13 +160,6 @@ def test_cell_basis_matches_t_power_route(exps):
                     assert basis == cell_basis_by_t_power(x, y, l, p)
                     cells += len(basis[0])
     assert cells > 0
-
-
-def naive_hom_dim(F, G, l, p):
-    """Hom dimension on the raw objects: no anchoring, no cached ranks."""
-    cells = len(cell_basis_by_t_power(F, G, l, p)[0])
-    return (cells - sparse_rank(_differential_rows(F, G, l, p))
-            - sparse_rank(_differential_rows(F, G, l, p - 1)))
 
 
 def naive_window(F, G, l):
@@ -235,15 +219,6 @@ def test_canonical_tables_match_naive_route(exps):
         assert naive == table.entries, (exps, dual)
 
 
-def naive_dims(F, G, l, powers):
-    """{p: naive_hom_dim(F, G, l, p)}, each rank computed once."""
-    ranks = {}
-    for p in range(powers.start - 1, powers.stop):
-        ranks[p] = sparse_rank(_differential_rows(F, G, l, p))
-    return {p: len(cell_basis_by_t_power(F, G, l, p)[0]) - ranks[p] - ranks[p - 1]
-            for p in powers}
-
-
 def naive_table(f, coll, margin, dual):
     """A table's entries and windows by the naive route on all mu^2 raw
     pairs."""
@@ -290,13 +265,13 @@ def test_table_asks_one_query_per_diagonal(monkeypatch):
     f = ChainPolynomial((3, 3, 3))
     mu, margin = numerics(f).milnor, 1
     calls = []
-    real = homcalc.hom_dim
+    real = HomEngine.restricted_dim
 
-    def counted(*args):
+    def counted(self, *args):
         calls.append(args)
-        return real(*args)
+        return real(self, *args)
 
-    monkeypatch.setattr(homcalc, "hom_dim", counted)
+    monkeypatch.setattr(HomEngine, "restricted_dim", counted)
     primal = fresh_table(f, margin)
     asked = [list(calls)]
     calls.clear()
@@ -310,27 +285,28 @@ def test_table_asks_one_query_per_diagonal(monkeypatch):
         assert len(queries) <= sum(len(dims) for _, dims in table.columns.values())
         assert len(queries) < len(table.entries) // 5
         assert len({folded_query(*args) for args in queries}) == len(queries)
+        # the route is asked the folded query itself: anchored, parity only
+        assert all(folded_query(*args)[:3] == (*args[:2], args[2].coords)
+                   and args[3] in (0, 1) for args in queries)
 
 
 def folded_query(source, target, degree=None, power=0):
-    """The canonical query of hom_dim(source, target, degree, power):
-    anchored objects, the degree with floor(power / 2) f folded in, and the
-    parity."""
-    A, s = homcalc._anchor(source)
-    B, t = homcalc._anchor(target)
+    """The canonical query of Hom(source, T^power target(degree)), formed
+    without the engine: each object shifted by its first even twist, the
+    degree with floor(power / 2) f folded in, and the parity."""
+    s, t = source.F0.twists[0], target.F0.twists[0]
     k, r = divmod(power, 2)
     l = degree if degree is not None else source.group.zero
-    return A, B, (l + s - t + k * source.group.total_degree).coords, r
+    return (shift(source, s), shift(target, t),
+            (l + s - t + k * source.group.total_degree).coords, r)
 
 
-def fresh_table(f, margin=0, dual=False, bare=False):
+def fresh_table(f, margin=0, dual=False, general=False):
     """The Hom table of f's collection, or its Serre dual, from a fresh engine,
-    built from ``collection_base``; with ``bare``, from the base without its
-    Koszul record, so that every query takes the general engine."""
-    base, step = collection_base(f)
-    homs = HomEngine()
-    table = homs.table(without_koszul_record(base) if bare else base, step,
-                       numerics(f).milnor, margin)
+    built from ``collection_base``; with ``general``, from a fresh
+    ``GeneralEngine``, whose queries the general route answers."""
+    homs = GeneralEngine() if general else HomEngine()
+    table = homs.table(*collection_base(f), numerics(f).milnor, margin)
     return homs.dual(table) if dual else table
 
 
@@ -446,7 +422,7 @@ def test_nakayama_witness_from_a_corrupted_column(exps):
 
 
 def rows_by_products(F, G, l, p):
-    """_differential_rows assembled from MPoly products on T^p G."""
+    """differential_rows assembled from MPoly products on T^p G."""
     H = t_power(G, p)
     basis, _ = cell_basis_by_t_power(F, G, l, p)
     _, tindex = cell_basis_by_t_power(F, G, l, p + 1)
@@ -489,7 +465,7 @@ def test_differential_rows_match_polynomial_products(exps):
         for y in objs:
             for l in degrees:
                 for p in range(-2, 3):
-                    assert (_nonzero(_differential_rows(x, y, l, p))
+                    assert (_nonzero(differential_rows(x, y, l, p))
                             == _nonzero(rows_by_products(x, y, l, p)))
 
 
@@ -502,7 +478,7 @@ def test_sparse_rank_on_differential_rows(exps):
     for j in (0, 1, 3):
         for l in (g.zero, g.variable_degree(0), g.total_degree):
             for p in (0, 1):
-                rows = _differential_rows(coll[0], coll[j], l, p)
+                rows = differential_rows(coll[0], coll[j], l, p)
                 width = len(_cell_basis(coll[0], coll[j], l, p + 1)[0])
                 dense = [[row.get(k, 0) for k in range(width)] for row in rows]
                 rank = sparse_rank(rows)
@@ -620,7 +596,7 @@ def test_hom_invariant_under_reduce_of_cones():
         for p in range(-2, 4):
             assert (hom_dim(probe, padded, None, p)
                     == hom_dim(probe, coll[1], None, p))
-            assert (hom_dim(padded, probe, None, p)
+            assert (general_hom_dim(padded, probe, None, p)
                     == hom_dim(coll[1], probe, None, p))
 
 
@@ -714,16 +690,17 @@ def dense_morphism_vectors(source, target, l, power):
     kernel of the outgoing differential, and kernel vectors reduced modulo
     the image by a dense echelon."""
     from fractions import Fraction
-    dim = len(_cell_basis(source, target, l, power)[0])
-    out_rows = _differential_rows(source, target, l, power)
-    out_dim = len(_cell_basis(source, target, l, power + 1)[0])
+    below, (basis, index), above = (_cell_basis(source, target, l, q)
+                                    for q in (power - 1, power, power + 1))
+    dim, out_dim = len(basis), len(above[0])
+    out_rows = _differential_rows(source, target, power, basis, above[1])
     dense_out = [[Fraction(0)] * dim for _ in range(out_dim)]
     for col, row in enumerate(out_rows):
         for tgt_idx, coeff in row.items():
             dense_out[tgt_idx][col] = Fraction(coeff)
     kernel = kernel_basis(dense_out, dim)
     image = []
-    for row in _differential_rows(source, target, l, power - 1):
+    for row in _differential_rows(source, target, power - 1, below[0], index):
         vec = [Fraction(0)] * dim
         for tgt_idx, coeff in row.items():
             vec[tgt_idx] = Fraction(coeff)

@@ -1,9 +1,10 @@
-"""The restriction route of ``hom_dim`` against the general cell-basis engine.
+"""The restriction route of ``HomEngine`` against the general Hom route.
 
 A source that ``stabilize`` built from variable generators carries the
-``koszul_vars`` record, and ``hom_dim`` computes Homs out of it on the target
-restricted to V(I).  ``without_koszul_record`` gives an equal object without
-the record, which sends the same query through the general engine.
+``koszul_vars`` record, and the engine computes Homs out of it on the target
+restricted to V(I); it refuses any other source.  ``general_hom_dim`` (in
+``oracles``) computes the same Homs from the full Hom complex for any
+source, and ``GeneralEngine`` builds tables through it.
 """
 
 import json
@@ -43,7 +44,7 @@ from chainfact.mf import (
     t_power,
     translate,
 )
-from oracles import identity_morphism, without_koszul_record
+from oracles import general_hom_dim, identity_morphism, without_koszul_record
 from test_homcalc import SMALL_CHAINS, TORSION_CHAINS, fresh_table
 
 # s = 1, 2 and 3 generators; torsion moduli 2 (2,3), 3 (3,2,2) and 4 (2,2,3)
@@ -51,15 +52,17 @@ TABLE_CHAINS = [(2, 3), (3, 3), (4, 4), (2, 2, 2), (2, 2, 3), (3, 2, 2), (2, 3, 
                 (2, 2, 2, 2), (3, 3, 3), (2, 2, 2, 2, 2)]
 
 
-def general_dim(source, target, degree=None, power=0):
-    return hom_dim(without_koszul_record(source), target, degree, power)
-
-
 def assert_routes_agree(source, target, degree=None, margin=1):
+    """hom_dim equals the general route over the window plus ``margin``; a
+    source without the record is refused instead."""
     lo, hi = scan_window(source, target, degree)
     for p in range(lo - margin, hi + margin + 1):
+        if source.koszul_vars is None:
+            with pytest.raises(ValueError):
+                hom_dim(source, target, degree, p)
+            continue
         assert (hom_dim(source, target, degree, p)
-                == general_dim(source, target, degree, p)), (source, target, degree, p)
+                == general_hom_dim(source, target, degree, p)), (source, target, degree, p)
 
 
 # ------------------------------------------------------ tables, both routes
@@ -71,7 +74,7 @@ def test_tables_match_general_engine(exps):
         assert all(e.koszul_vars is not None for e in build_collection(f, offset))
     for dual in (False, True):
         got = fresh_table(f, 3, dual)
-        want = fresh_table(f, 3, dual, bare=True)   # its own engine: no shared memo
+        want = fresh_table(f, 3, dual, general=True)
         assert got.entries == want.entries, (exps, dual)
         assert got.windows == want.windows
 
@@ -160,27 +163,37 @@ def test_power_generator_sets_no_record():
 
 def test_restriction_dispatch_under_optimize_flag():
     """Under ``python -O`` the collection's Homs still take the restriction
-    route (the general engine builds no cell basis and no rank) and give the
-    same numbers."""
+    route and give the general route's numbers: the table reaches no cell
+    basis of the full Hom complex (patched to raise), and a source without
+    the Koszul record is refused with ``ValueError``, not an assert."""
     script = (
         "import json\n"
         "import chainfact.homcalc as h\n"
         "from chainfact.chain import ChainPolynomial, numerics\n"
         "from chainfact.homrun import collection_base\n"
+        "from oracles import without_koszul_record\n"
+        "def refuse(*args):\n"
+        "    raise RuntimeError('the full Hom complex was built')\n"
+        "h._cell_basis = refuse\n"
         "f = ChainPolynomial((2, 2, 3))\n"
-        "t = h.HomEngine().table(*collection_base(f), numerics(f).milnor, 1)\n"
-        "print(json.dumps([sorted(map(list, t.entries.items())), __debug__,\n"
-        "                  h._cell_basis.cache_info().misses,\n"
-        "                  h._rank_d.cache_info().misses]))\n"
+        "base, step = collection_base(f)\n"
+        "t = h.HomEngine().table(base, step, numerics(f).milnor, 1)\n"
+        "try:\n"
+        "    h.hom_dim(without_koszul_record(base), base)\n"
+        "    refused = False\n"
+        "except ValueError:\n"
+        "    refused = True\n"
+        "print(json.dumps([sorted(map(list, t.entries.items())), __debug__, refused]))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(chainfact.__file__).parents[1]))
+    paths = [Path(chainfact.__file__).parents[1], Path(__file__).parent]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
     done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    entries, debug, cells, ranks = json.loads(done.stdout)
+    entries, debug, refused = json.loads(done.stdout)
     assert debug is False
-    assert cells == 0 and ranks == 0
-    want = fresh_table(ChainPolynomial((2, 2, 3)), 1, bare=True).entries
+    assert refused is True
+    want = fresh_table(ChainPolynomial((2, 2, 3)), 1, general=True).entries
     assert {(i, j, p): d for (i, j, p), d in entries} == want
 
 
@@ -227,4 +240,4 @@ def test_restriction_equals_general_engine_property(exps, i, j, p, kind, on_supp
     else:
         l = weight_steps * g.variable_degree(0)
     l = l + torsion_steps * torsion
-    assert hom_dim(coll[i], target, l, p) == general_dim(coll[i], target, l, p)
+    assert hom_dim(coll[i], target, l, p) == general_hom_dim(coll[i], target, l, p)

@@ -19,7 +19,7 @@ from chainfact.chain import ChainPolynomial, GradingGroup, build_grading_group
 from chainfact.cli import CHECKS_RUN
 from chainfact.cli import main as cli_main
 from chainfact.exactmath import MPoly
-from chainfact.homcalc import HomEngine, hom_dim, scan_window
+from chainfact.homcalc import HomEngine, scan_window
 from chainfact.homrun import (
     auxiliary_object,
     auxiliary_splitting,
@@ -42,6 +42,7 @@ from chainfact.verify import (
 )
 from oracles import (
     dense_euler_matrix,
+    general_hom_dim,
     ladder_boundary_outcome,
     ladder_cases,
     nakayama_witness,
@@ -194,9 +195,10 @@ def test_triangles_vacuous_for_one_variable():
 # ------------------------------------- triangle checks on the twist orbits
 
 def naive_euler(x, y, l):
-    """Alternating hom_dim sum over scan_window on the raw objects."""
+    """Alternating sum of the general route over scan_window on the raw
+    objects."""
     lo, hi = scan_window(x, y, l)
-    return sum((-1) ** (p % 2) * hom_dim(x, y, l, p) for p in range(lo, hi + 1))
+    return sum((-1) ** (p % 2) * general_hom_dim(x, y, l, p) for p in range(lo, hi + 1))
 
 
 def _triangle_object(f, kind, i, j):
@@ -229,8 +231,9 @@ def test_euler_form_matches_naive_sum_property(exps, draws, k1, kn):
     objs = [_triangle_object(f, *d) for d in draws]
     degree = k1 * g.variable_degree(0) + kn * g.variable_degree(f.n - 1)
     euler = HomEngine().euler
+    sources = [x for x in objs if x.koszul_vars is not None]   # the engine's sources
     for _ in range(2):                      # the second pass reads the memo
-        for x in objs:
+        for x in sources:
             for y in objs:
                 for l in (None, degree):
                     assert euler(x, y, l) == naive_euler(x, y, l), (exps, draws)
@@ -318,21 +321,28 @@ def _count_calls(monkeypatch, module, name, calls):
 def test_triangles_query_each_key_once(monkeypatch, exps, max_hom, max_stab):
     f = ChainPolynomial(exps)
     homs, stabs = [], []
-    _count_calls(monkeypatch, homcalc, "hom_dim", homs)
+    _count_calls(monkeypatch, homcalc.HomEngine, "restricted_dim", homs)
     _count_calls(monkeypatch, mf, "stabilize", stabs)
     assert run_checks(f, TRIANGLE_CHECKS, 0).passed
     assert 0 < len(stabs) <= max_stab
     assert homs and (max_hom is None or len(homs) <= max_hom)
 
 
-def _asks_each_folded_query_once(monkeypatch, command, exps, offset, want):
-    """A run of ``command`` asks hom_dim each distinct folded query once, and
-    a second run shares no memo with the first."""
-    f = ChainPolynomial(exps)
+def _record_route_queries(monkeypatch):
+    """The folded queries that the engine's route is asked, in order."""
     queries = []
-    real = homcalc.hom_dim
-    monkeypatch.setattr(homcalc, "hom_dim",
-                        lambda *args: queries.append(folded_query(*args)) or real(*args))
+    real = homcalc.HomEngine.restricted_dim
+    monkeypatch.setattr(homcalc.HomEngine, "restricted_dim",
+                        lambda self, *args: queries.append(folded_query(*args))
+                        or real(self, *args))
+    return queries
+
+
+def _asks_each_folded_query_once(monkeypatch, command, exps, offset, want):
+    """A run of ``command`` asks the engine's route each distinct folded query
+    once, and a second run shares no memo with the first."""
+    f = ChainPolynomial(exps)
+    queries = _record_route_queries(monkeypatch)
     for _ in range(2):
         queries.clear()
         assert run_checks(f, CHECKS_RUN[command], offset).passed
@@ -341,16 +351,38 @@ def _asks_each_folded_query_once(monkeypatch, command, exps, offset, want):
 
 def test_verify_asks_each_folded_query_once(monkeypatch):
     """The primal and Serre-dual tables of a run share one memo on the folded
-    query: on 3,3,3 at offset 1, 236 hom_dim calls instead of the 684 that
+    query: on 3,3,3 at offset 1, 236 route calls instead of the 684 that
     the two tables ask for."""
     _asks_each_folded_query_once(monkeypatch, "verify", (3, 3, 3), 1, 236)
 
 
 def test_triangles_asks_each_folded_query_once(monkeypatch):
     """The Euler entries and the cone search's profiles share the run's memo:
-    on 2,2,3 (torsion Z/4) at offset 1, 160 hom_dim calls, one per distinct
+    on 2,2,3 (torsion Z/4) at offset 1, 160 route calls, one per distinct
     folded query."""
     _asks_each_folded_query_once(monkeypatch, "triangles", (2, 2, 3), 1, 160)
+
+
+def test_no_hom_memo_outlives_its_run(monkeypatch):
+    """After a verify run the interned grading group holds no memo and no
+    attribute of homcalc is an lru_cache, and a second run in the same
+    process makes the same route calls and monomial enumerations as the
+    first."""
+    f = ChainPolynomial((2, 2, 3))
+    group = build_grading_group(f)
+    queries, enumerations = _record_route_queries(monkeypatch), []
+    _count_calls(monkeypatch, GradingGroup, "monomial_basis", enumerations)
+    runs = []
+    for _ in range(2):
+        queries.clear()
+        enumerations.clear()
+        assert run_checks(f, CHECKS_RUN["verify"], 1).passed
+        assert [k for k, v in vars(group).items()
+                if isinstance(v, (dict, list, set))] == []
+        assert [k for k, v in vars(homcalc).items() if hasattr(v, "cache_info")] == []
+        runs.append((list(queries), len(enumerations)))
+    assert runs[0][0] and runs[0][1] > 0
+    assert runs[0] == runs[1]
 
 
 def test_euler_builds_no_dual_table(monkeypatch):
@@ -358,7 +390,7 @@ def test_euler_builds_no_dual_table(monkeypatch):
     tables, duals, calls = [], [], []
     _count_calls(monkeypatch, homcalc.HomEngine, "table", tables)
     _count_calls(monkeypatch, homcalc.HomEngine, "dual", duals)
-    _count_calls(monkeypatch, homcalc, "hom_dim", calls)
+    _count_calls(monkeypatch, homcalc.HomEngine, "restricted_dim", calls)
     assert run_checks(f, CHECKS_RUN["euler"], 1).passed
     assert len(tables) == 1 and duals == []
     asked = len(calls)
@@ -480,18 +512,18 @@ def test_diagonal_nakayama_matches_the_pair_loop(offset):
 
 
 def _answer_one_key_wrongly(monkeypatch, wrong):
-    """hom_dim answers the query (A, A, 0, 0) on one anchored object one too
-    high; every other query is answered correctly."""
-    real = homcalc.hom_dim
+    """The engine's route answers the query (A, A, 0, 0) on one anchored
+    object one too high; every other query is answered correctly."""
+    real = homcalc.HomEngine.restricted_dim
 
-    def skewed(source, target, degree=None, power=0):
-        dim = real(source, target, degree, power)
-        if source is target and degree is not None and degree.is_zero() and power == 0:
+    def skewed(self, source, target, degree, power):
+        dim = real(self, source, target, degree, power)
+        if source is target and degree.is_zero() and power == 0:
             wrong.append(source)
             return dim + 1
         return dim
 
-    monkeypatch.setattr(homcalc, "hom_dim", skewed)
+    monkeypatch.setattr(homcalc.HomEngine, "restricted_dim", skewed)
 
 
 def test_euler_memo_cannot_hide_a_wrong_answer_even(monkeypatch):
