@@ -9,8 +9,8 @@ Koszul stabilization E = stab(R/I), I generated by s variables, and
 Hom(E, G) is the cohomology of the 2-periodic complex G|V(I) over the
 polynomial ring in the other variables (Dyckerhoff, arXiv:0904.4713;
 Polishchuk-Vaintrob, arXiv:1002.2116).  With E the unshifted stabilization
-(first even twist zero, as anchoring leaves it), D = sum of deg(x_v) over
-the generators - s f and k, r = divmod(p + s, 2),
+(first even twist zero, as ``stabilize`` without a twist leaves it),
+D = sum of deg(x_v) over the generators - s f and k, r = divmod(p + s, 2),
 
     Hom(E, T^p G(l)) = H^r(G|V(I)) in degree D + k f + l,
 
@@ -20,9 +20,10 @@ drops every term and every monomial that contains a variable of I, so the
 complex has rank(G) slots in about half the variables instead of
 2 rank(E) rank(G) slots in all of them.  (D carries s f, not ceil(s/2) f:
 the latter disagrees with the full Hom complex whenever s is even.)  This
-restriction route is the package's one route to a Hom dimension: it reads
-the source's ``koszul_vars`` record, which ``stabilize`` leaves, and a
-source without the record is refused with ``ValueError``.
+restriction route is the package's one route to a Hom dimension.  It reads
+the twists of G itself, so any target will do, but the source must be an
+unshifted stabilization with the ``koszul_vars`` record that ``stabilize``
+leaves; any other source is refused with ``ValueError``.
 
 The full Hom complex -- monomial bases slot by slot (``_cell_basis``) and
 the differentials as sparse integer rows (``_differential_rows``), built by
@@ -32,29 +33,29 @@ cone search of ``triangle_structural``); ``exactmath.Echelon`` gives its
 kernels and image reductions.  The tests build their oracle for the
 restriction route, a general Hom dimension, from the same rows.
 
-Every query is made canonical before it reaches the engine.  Let s and t be
-the first even twists of F and G, and A = F(s), B = G(t) the anchored
-objects.  Since T^2 is the shift by the total degree f,
+Keys are built on bases.  Since T^2 is the shift by the total degree f,
 
-    Hom(F, T^p G(l)) = Hom(A, T^r B(l + s - t + floor(p/2) f)),  r = p mod 2,
+    Hom(A(a), T^p X(b)(l)) = Hom(A, T^r X(l + b - a + floor(p/2) f)),
 
-and the cell bases and differential matrices of the two sides are literally
-equal, so one answer serves every object of a twist orbit.
+r = p mod 2, and the cell bases and differential matrices of the two sides
+are literally equal, so one answer serves every pair of a twist orbit.  A
+caller that holds an orbit as (base, twist) asks the key (A, X, l) on the
+unshifted source base A and the target X as it holds them, with every
+twist in the degree l, and builds no object of the orbit.
 
-``HomEngine`` owns this key for one run.  It anchors each object once,
-scans each key (A, B, l + s - t) once for its certified window, memoizes
-the Euler number chi(F, G(l)) on that key, and answers each folded query
-(A, B, (l + floor(p/2) f).coords, p mod 2) once by the restriction route,
-which reads the engine's memo of monomial enumerations; every entry of the
-primal table, of the Serre-dual table, of the Euler checks and of the cone
-search is such a value.  A table is built from the collection's base and
-step: the collection is the orbit E_i = base(i step), so the pair (i, j)
-has the key (A, A, (j - i) step) at every offset, A the anchored base, and
-the table stores one column per diagonal d = j - i, |d| < mu, which the
-checks read instead of the mu^2 pairs.  A run makes one engine and drops
-its memos with the run, and ``hom_dim`` is a one-off query on a fresh
-engine, so no Hom memo outlives the engine that filled it.
-The cell bases and rows of T^p B are read off B itself (T swaps the modules
+``HomEngine`` answers these keys for one run.  It scans each key once for
+its certified window, memoizes the Euler number on the key, and answers
+each folded query (A, X, (l + floor(p/2) f).coords, p mod 2) once by the
+restriction route, which reads the engine's memo of monomial enumerations;
+every entry of the primal table, of the Serre-dual table, of the Euler
+checks and of the cone search is such a value.  A table is built from the
+collection's base and step: the collection is the orbit E_i = base(i step),
+so the pair (i, j) has the key (A, A, (j - i) step) at every offset, and the
+table stores one column per diagonal d = j - i, |d| < mu, which the checks
+read instead of the mu^2 pairs.  A run makes one engine and drops its memos
+with the run, and ``hom_dim`` is a one-off query on a fresh engine, so no
+Hom memo outlives the engine that filled it.
+The cell bases and rows of T^p X are read off X itself (T swaps the modules
 and moves one by f), so a query builds no translated object.  The functors
 used here (``shift``, ``t_power``) are trusted constructors in ``mf``;
 factorizations are validated where they enter.
@@ -144,14 +145,15 @@ def _differential_rows(F, G, p, basis, tindex):
 def hom_dim(source: MatrixFactorization, target: MatrixFactorization,
             degree: Degree | None = None, power: int = 0) -> int:
     """dim of stable Hom(source, T^power target(degree)), as a one-off query
-    on a fresh :class:`HomEngine`: anchored, folded and answered by the
-    restriction route, so ``source`` must carry ``stabilize``'s
-    ``koszul_vars`` record (``ValueError`` otherwise).  A run asks its own
-    engine instead, which answers each folded query once."""
+    on a fresh :class:`HomEngine`, on the key (source(s), target, degree + s)
+    for s the first even twist of ``source``: a shift of a stabilization with
+    ``stabilize``'s ``koszul_vars`` record (``ValueError`` otherwise).  A run
+    asks its own engine instead, on keys it builds on its bases."""
     if source.group is not target.group:
         raise ValueError("factorizations live over different gradings")
-    engine = HomEngine()
-    return engine.dim(engine.key(source, target, degree), power)
+    s = source.F0.twists[0] if source.size else source.group.zero
+    l = degree if degree is not None else source.group.zero
+    return HomEngine().dim((shift(source, s), target, l + s), power)
 
 
 def _twist_weights(mf, parity):
@@ -210,24 +212,24 @@ def scan_window(source, target, degree: Degree | None = None) -> tuple[int, int]
 # ---------------------------------------------------------------------------
 
 class HomTable:
-    """Hom dimensions over the twist orbit E_i = A(i step), i < ``objects``.
+    """Hom dimensions over the twist orbit E_i = base(i step), i < ``objects``.
 
     ``columns`` maps each diagonal d = j - i, |d| < ``objects``, to
-    (window, {p: dim}) on the key (A, A, d step): the certified window and
-    the dimensions over the stored powers.  The pair (i, j) reads column
+    (window, {p: dim}) on the key (base, base, d step): the certified window
+    and the dimensions over the stored powers.  The pair (i, j) reads column
     j - i; ``entries``, ``windows`` and :meth:`dim` are per-pair views.
     """
 
-    def __init__(self, anchor: MatrixFactorization, step: Degree, objects: int,
+    def __init__(self, base: MatrixFactorization, step: Degree, objects: int,
                  columns: dict[int, tuple]):
-        self.anchor = anchor
+        self.base = base
         self.step = step
         self.objects = objects
         self.columns = columns
 
     def key(self, d: int) -> tuple:
-        """The canonical key of the column of the diagonal d."""
-        return self.anchor, self.anchor, d * self.step
+        """The key of the column of the diagonal d."""
+        return self.base, self.base, d * self.step
 
     def _pairs(self):
         mu = self.objects
@@ -268,46 +270,40 @@ def _alternating(window, dims) -> int:
                for p in range(window[0], window[1] + 1))
 
 
+def _check_source(key) -> None:
+    """Refuse a key whose source the restriction route cannot answer: one
+    without ``stabilize``'s ``koszul_vars`` record, or with a nonzero first
+    even twist.  A key with an empty side passes: its Homs are zero."""
+    A, X, _ = key
+    if ((A.koszul_vars is None or not A.F0.twists[0].is_zero())
+            and A.size and X.size):
+        raise ValueError("Hom source is not an unshifted stabilization by "
+                         "variables (koszul_vars record, first even twist zero)")
+
+
 class HomEngine:
-    """The Hom queries of one run, each asked once, on the canonical key.
+    """The Hom queries of one run, each asked once.
 
     The engine is the package's one route to a Hom dimension and the one
-    owner of the memos behind it.  Every object is anchored once,
-    F = A(-s), and equal anchors are interned to one object, so memo
-    lookups on them match on identity.  A query Hom(F, T^p G(l)) becomes
-    the key (A, B, l + s - t) and the power p, and the engine keeps its
-    memos on it: the certified window per key, the Euler number per key,
-    and the dimension per folded query (A, B, (l + floor(p/2) f).coords,
-    p mod 2).  A folded query the memo lacks goes to :meth:`restricted_dim`,
+    owner of the memos behind it.  A key (A, X, l) stands for
+    Hom(A, T^p X(l)): A is an unshifted stabilization with its
+    ``koszul_vars`` record, X any object, l a degree, and callers build keys
+    on the bases they hold (see the module docstring).  The engine keeps its
+    memos on the key as given: the certified window per key, the Euler
+    number per key, and the dimension per folded query
+    (A, X, (l + floor(p/2) f).coords, p mod 2).  A run holds one object per
+    base, so lookups match on identity; equal objects share an entry by
+    equality.  A folded query the memo lacks goes to :meth:`restricted_dim`,
     which reads a fourth memo, the monomials per (degree, skipped
     variables).  The memos live on the instance: a run makes one engine and
     drops it with the run.
     """
 
     def __init__(self):
-        self._anchors: dict = {}        # object -> (interned A, s)
-        self._interned: dict = {}
-        self.windows: dict = {}         # (A, B, l) -> certified window
-        self.eulers: dict = {}          # (A, B, l) -> Euler number
+        self.windows: dict = {}         # (A, X, l) -> certified window
+        self.eulers: dict = {}          # (A, X, l) -> Euler number
         self.dims: dict = {}            # folded query -> dim
         self.monomials: dict = {}       # (degree, skip) -> monomial basis
-
-    def anchor(self, mf: MatrixFactorization):
-        """(A, s) with mf = A(-s), where s is the first even twist (zero for
-        an empty object), A interned."""
-        got = self._anchors.get(mf)
-        if got is None:
-            s = mf.F0.twists[0] if mf.size else mf.group.zero
-            A = shift(mf, s)
-            got = self._anchors[mf] = (self._interned.setdefault(A, A), s)
-        return got
-
-    def key(self, source, target, degree: Degree | None = None) -> tuple:
-        """The canonical key (A, B, l + s - t) of Hom(source, T^p target(l))."""
-        A, s = self.anchor(source)
-        B, t = self.anchor(target)
-        l = degree if degree is not None else source.group.zero
-        return A, B, l + s - t
 
     def window(self, key) -> tuple[int, int]:
         """The certified window of a key, scanned once."""
@@ -317,31 +313,35 @@ class HomEngine:
         return window
 
     def dim(self, key, p: int) -> int:
-        """dim Hom(A, T^p B(l)) for the key (A, B, l), through the memo on
-        the folded query.  The folded degree is formed on the (weight,
-        residue) coordinates, and a Degree is built only for a query the
-        memo lacks."""
-        A, B, l = key
+        """dim Hom(A, T^p X(l)) for the key (A, X, l).  The source is checked
+        before the memo is read, so an answer never depends on which queries
+        came first."""
+        _check_source(key)
+        return self._dim(key, p)
+
+    def _dim(self, key, p: int) -> int:
+        """:meth:`dim` through the memo on the folded query, for a caller
+        that has checked the key's source.  The folded degree is formed on
+        the (weight, residue) coordinates, and a Degree is built only for a
+        query the memo lacks."""
+        A, X, l = key
         group = l.group
         k, r = divmod(p, 2)
         (w, r0), (fw, fr) = l.coords, group.total_degree.coords
         coords = (w + k * fw, (r0 + k * fr) % group.modulus)
-        query = (A, B, coords, r)
+        query = (A, X, coords, r)
         dim = self.dims.get(query)
         if dim is None:
-            dim = self.dims[query] = self.restricted_dim(A, B, Degree(group, *coords), r)
+            dim = self.dims[query] = self.restricted_dim(A, X, Degree(group, *coords), r)
         return dim
 
     def restricted_dim(self, A, B, l: Degree, r: int) -> int:
-        """dim Hom(A, T^r B(l)), r = 0 or 1, for the anchored stabilization A
-        of R/(x_v : v in skip), as H^r of B|V(I) (see the module docstring).
-        A source without the ``koszul_vars`` record raises ``ValueError``."""
+        """dim Hom(A, T^r B(l)), r = 0 or 1, for the unshifted stabilization
+        A of R/(x_v : v in skip), as H^r of B|V(I) (see the module
+        docstring).  The caller has checked the source."""
         if not A.size or not B.size:
             return 0
         skip = A.koszul_vars
-        if skip is None:
-            raise ValueError("Hom source is not a stabilization by variables "
-                             "(no koszul_vars record)")
         group = B.group
         fdeg = group.total_degree
         s = len(skip)
@@ -389,32 +389,27 @@ class HomEngine:
             got = self.monomials[(d, skip)] = d.group.monomial_basis(d, skip)
         return got
 
-    def euler(self, source, target, degree: Degree | None = None) -> int:
-        """chi(source, target(degree)), the alternating sum of the Hom
-        dimensions over the certified window."""
-        return self.euler_at(self.key(source, target, degree))
-
     def euler_at(self, key) -> int:
-        """chi on a canonical key (A, B, l) of anchored, interned objects,
-        memoized on the key: the entry for callers that form keys on an
-        orbit without building its objects."""
+        """chi on a key (A, X, l), the alternating sum of the Hom dimensions
+        over the certified window, memoized on the key."""
+        _check_source(key)
         chi = self.eulers.get(key)
         if chi is None:
             lo, hi = window = self.window(key)
             chi = self.eulers[key] = _alternating(
-                window, {p: self.dim(key, p) for p in range(lo, hi + 1)})
+                window, {p: self._dim(key, p) for p in range(lo, hi + 1)})
         return chi
 
     def table(self, base, step: Degree, mu: int, margin: int = 0) -> HomTable:
         """The Hom table of the twist orbit E_i = base(i step), i < mu, over
         each certified window plus ``margin`` powers on both sides: one
-        column per diagonal d, |d| < mu, on the key (A, A, d step) with A
-        the anchored base."""
-        table = HomTable(self.anchor(base)[0], step, mu, {})
+        column per diagonal d, |d| < mu, on the key (base, base, d step)."""
+        table = HomTable(base, step, mu, {})
+        _check_source(table.key(0))
         for d in range(1 - mu, mu):
             key = table.key(d)
             lo, hi = window = self.window(key)
-            table.columns[d] = (window, {p: self.dim(key, p) for p in
+            table.columns[d] = (window, {p: self._dim(key, p) for p in
                                          range(lo - margin, hi + margin + 1)})
         return table
 
@@ -422,13 +417,14 @@ class HomEngine:
         """The Serre-dual recomputation of a table: column d holds
         dim Hom(A, T^(n-p) A(-sigma - d step)) over the same stored powers,
         so the two tables must agree entrywise."""
-        A = table.anchor
+        A = table.base
         n = A.group.chain.n
         sigma = A.group.monomial_degree((1,) * n)      # sum of the variable degrees
         columns = {}
+        _check_source(table.key(0))
         for d, (window, dims) in table.columns.items():
             back = (A, A, -sigma - d * table.step)
-            columns[d] = (window, {p: self.dim(back, n - p) for p in dims})
+            columns[d] = (window, {p: self._dim(back, n - p) for p in dims})
         return HomTable(A, table.step, table.objects, columns)
 
 
@@ -475,8 +471,8 @@ def check_exceptionality(table: HomTable) -> dict:
 def serre_symmetry_check(table: HomTable, dual_table: HomTable) -> bool:
     """Agreement of a table with its Serre-dual recomputation, column by
     column; tables of different orbits do not agree."""
-    orbit = (table.anchor, table.step, table.objects)
-    return orbit == (dual_table.anchor, dual_table.step, dual_table.objects) and all(
+    orbit = (table.base, table.step, table.objects)
+    return orbit == (dual_table.base, dual_table.step, dual_table.objects) and all(
         dims == dual_table.columns[d][1] for d, (_, dims) in table.columns.items())
 
 

@@ -135,19 +135,20 @@ class HomRun(_Run):
     base(i * step); for even n, auxiliary object i is Aux(i * deg x1); for
     odd n, ladder object (i, j) is L_j(-i * deg x1), zero for j = 0 and
     j = a1 + 1.  Each base (the collection base, Aux, and L_j for each width
-    j = 1..a1) goes through the validating ``stabilize`` once per run; an
-    object that a check builds (the collection, the cone search's triangles)
-    is reached with the trusted ``shift``, since
+    j = 1..a1) goes through the validating ``stabilize`` once per run, with
+    no twist; the few objects a check builds (the cone search's triangles,
+    E_offset for the ladder base check) are reached with the trusted
+    ``shift``, since
     stabilize(f, gens, cofs, twist) = shift(stabilize(f, gens, cofs), twist).
     Every Hom that a check reads -- both tables, every Euler entry and the
-    cone search's profiles -- goes through the run's one ``HomEngine``, so
-    each canonical key is scanned once and each distinct folded query is
-    answered by the engine's restriction route once per run.
+    cone search's profiles -- goes through the run's one ``HomEngine``, on
+    a key built on the bases, so each key is scanned once and each distinct
+    folded query is answered by the engine's restriction route once per run.
 
     The collection step is deg x1 at even n and -deg x1 at odd n, so object
-    i of every family is Y(i * step) for its base Y.  The Euler checks use
-    this: chi(E_{i-e}, Y(i * step)) has the key (A, B, s - t + e * step) for
-    every i (see :meth:`orbit_key`), so they read each e once, on its key,
+    i of every family is Y(i * step) for its base Y, and
+    chi(E_{i-e}, Y(i * step)) has the key (base, Y, e * step) for every i
+    (see :meth:`orbit_key`): the Euler checks read each e once, on its key,
     and build no object.
     """
 
@@ -180,17 +181,13 @@ class HomRun(_Run):
                         -i * build_grading_group(self.f).variable_degree(0))
 
     @cached_property
-    def coll(self) -> list[mf.MatrixFactorization]:
-        return [self.collection_object(self.offset + i) for i in range(self.nm.milnor)]
-
-    @cached_property
     def homs(self) -> homcalc.HomEngine:
         """The run's Hom engine: every check's queries share its memos."""
         return homcalc.HomEngine()
 
     @cached_property
     def table(self) -> homcalc.HomTable:
-        """The Hom table of ``coll``'s orbit, TABLE_MARGIN powers past each window."""
+        """The Hom table of the collection, TABLE_MARGIN powers past each window."""
         return self.homs.table(*self.base, self.nm.milnor, TABLE_MARGIN)
 
     @cached_property
@@ -203,12 +200,13 @@ class HomRun(_Run):
         return homcalc.check_exceptionality(self.table)
 
     def collection(self):
+        # every object is a shift of the base, and a shift keeps the size
         gens, _, _ = collection_splitting(self.f)
-        want = 2 ** (len(gens) - 1)
-        if any(e.size != want for e in self.coll):
+        want, size, mu = 2 ** (len(gens) - 1), self.base[0].size, self.nm.milnor
+        if size != want:
             raise VerificationFailure("collection object of unexpected size",
-                                      {"sizes": [e.size for e in self.coll]})
-        return {"objects": len(self.coll), "size": want}
+                                      {"sizes": [size] * mu})
+        return {"objects": mu, "size": want}
 
     def hom_table(self):
         return {"entries": self.table.entry_count(),
@@ -251,12 +249,11 @@ class HomRun(_Run):
         return {"quiver_length": mu, "nilpotency": a1}
 
     def orbit_key(self, target: mf.MatrixFactorization, e: int) -> tuple:
-        """The canonical key of Hom(E_{i-e}, target(i * step)), the same for
-        every i: (A, B, s - t + e * step) for the anchored collection base
-        A = base(s) and the anchored B = target(t)."""
+        """The key of Hom(E_{i-e}, target(i * step)), the same for every i:
+        (base, target, e * step), on the collection base and the target as
+        given."""
         base, step = self.base
-        (A, s), (B, t) = self.homs.anchor(base), self.homs.anchor(target)
-        return A, B, s - t + e * step
+        return base, target, e * step
 
     def _orbit_euler(self, target: mf.MatrixFactorization):
         """e -> chi(E_{i-e}, target(i * step)), each e read once, on its
@@ -277,16 +274,11 @@ class HomRun(_Run):
             raise VerificationFailure("Euler additivity failed", {"cases": bad})
         return {"triangles": mu - 1, "probes": mu}
 
-    def _ladder_terms(self, i, j):
-        """The triangle's source, two middle objects and cone, signed."""
-        return [(1, self.ladder(i + 1, j)), (-1, self.ladder(i, j + 1)),
-                (-1, self.ladder(i + 1, j - 1)), (1, self.ladder(i, j))]
-
     def _ladder_totals(self):
         """(j, e) -> the Euler total of the width-j ladder triangle of any
-        row i against E_{i-e}: its _ladder_terms(i, j), signed, where
-        chi(E_{i-e}, L(i', j')) is zero at the widths 0 and a1 + 1 and is
-        otherwise read once per (j', e + i' - i), on the orbit key of L_j'."""
+        row i against E_{i-e}, L(i+1, j) - L(i, j+1) - L(i+1, j-1) + L(i, j),
+        where chi(E_{i-e}, L(i', j')) is zero at the widths 0 and a1 + 1 and
+        is otherwise read once per (j', e + i' - i), on the orbit key of L_j'."""
         by_width = {j: self._orbit_euler(L) for j, L in self.ladder_bases.items()}
 
         def chi(j, e):
@@ -337,25 +329,29 @@ class HomRun(_Run):
 
     def ladder_base_object(self):
         # an independently stabilized width-one ladder object against E_offset
-        if ladder_object(self.f, self.offset, 1) != self.coll[0]:
+        if ladder_object(self.f, self.offset, 1) != self.collection_object(self.offset):
             raise VerificationFailure("width-one ladder object differs from E_i")
         return {}
 
     def triangle_structural(self):
-        coll = self.coll
+        # on the bases: the reference as (its base, its twist), and the
+        # probes E_{offset+k} as the degrees -(offset + k) step on ``base``
+        base, step = self.base
+        orbit = (base, [-(self.offset + k) * step for k in range(self.nm.milnor)])
+        x1 = build_grading_group(self.f).variable_degree(0)
         if self.f.n % 2 == 0:
             i = self.offset + 1
-            return (_search_cone_match(self.homs, coll[0], coll[1], self.auxiliary(i),
-                                       coll), {"i": i})
+            source, target = self.collection_object(self.offset), self.collection_object(i)
+            return (_search_cone_match(self.homs, source, target,
+                                       (self.aux_base, i * x1), orbit), {"i": i})
         results = []
         for j in range(1, self.f.exponents[0]):
-            (_, src), (_, mid1), (_, mid2), (_, cone_obj) = \
-                self._ladder_terms(self.offset, j)
-            middle = [obj for obj in (mid1, mid2) if obj.size]
-            if not middle:
-                continue
+            src = self.ladder(self.offset + 1, j)
+            middle = [obj for obj in (self.ladder(self.offset, j + 1),
+                                      self.ladder(self.offset + 1, j - 1)) if obj.size]
             target = mf.direct_sum(*middle) if len(middle) == 2 else middle[0]
-            status = _search_cone_match(self.homs, src, target, cone_obj, coll)
+            reference = (self.ladder_bases[j], -self.offset * x1)
+            status = _search_cone_match(self.homs, src, target, reference, orbit)
             results.append({"j": j, "status": status})
         overall = "pass" if all(x["status"] == "pass" for x in results) else "inconclusive"
         return (overall, {"cases": results})
@@ -365,23 +361,33 @@ class HomRun(_Run):
 # cone search
 # ---------------------------------------------------------------------------
 
-def _profiles_agree(homs, probes, left, right, pad: int = 2) -> bool:
-    for x in probes:
-        k1, k2 = homs.key(x, left), homs.key(x, right)
+PROFILE_PAD = 2         # powers compared past the two certified windows
+
+
+def _profiles_agree(homs, orbit, left, right) -> bool:
+    """Whether two objects, each given as (object, twist), have the same Hom
+    dimensions out of every probe of ``orbit`` = (base, degrees), over both
+    windows plus PROFILE_PAD powers.  The probe base(-l) against Y(t) reads
+    the key (base, Y, t + l)."""
+    base, degrees = orbit
+    (X, s), (Y, t) = left, right
+    for l in degrees:
+        k1, k2 = (base, X, s + l), (base, Y, t + l)
         (lo1, hi1), (lo2, hi2) = homs.window(k1), homs.window(k2)
-        for p in range(min(lo1, lo2) - pad, max(hi1, hi2) + pad + 1):
+        for p in range(min(lo1, lo2) - PROFILE_PAD, max(hi1, hi2) + PROFILE_PAD + 1):
             if homs.dim(k1, p) != homs.dim(k2, p):
                 return False
     return True
 
 
-def _search_cone_match(homs, source, target, reference, probes) -> str:
+def _search_cone_match(homs, source, target, reference, orbit) -> str:
     """Search a morphism whose reduced cone matches the reference profile.
 
     Tries every basis element of the degree-zero stable Hom space and, for
     small spaces, signed sums of two basis elements; exhaustion is reported
     as inconclusive, never as a refutation.  The profiles are read through
-    the run's engine ``homs``, so the reference's are asked once.
+    the run's engine ``homs``, the reference's on the keys of the Euler
+    checks, as (its base, its twist).
     """
     basis = homcalc.morphism_space_basis(source, target)
     if not basis:
@@ -397,6 +403,6 @@ def _search_cone_match(homs, source, target, reference, probes) -> str:
                                                     basis[i].shift, phi0, phi1))
     for phi in candidates:
         c = mf.reduce(mf.cone(phi))
-        if _profiles_agree(homs, probes, c, reference):
+        if _profiles_agree(homs, orbit, (c, source.group.zero), reference):
             return "pass"
     return "inconclusive"

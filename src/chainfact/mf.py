@@ -330,9 +330,11 @@ def stabilize(f: ChainPolynomial, gens, cofs, twist: Degree | None = None):
 
     When every generator is a single variable (times a nonzero constant),
     the result records them as ``koszul_vars``, the sorted 0-based variable
-    indices, and ``homcalc.HomEngine`` computes Homs out of it by restriction
-    to V(I); it refuses a source without the record.  A power or a product
-    among the generators leaves the record None.  ``shift`` keeps the record; every other functor drops it.
+    indices.  ``homcalc.HomEngine`` computes Homs out of the result without
+    a twist, whose first even twist is zero, by restriction to V(I); it
+    refuses a source without the record or with a twist.  A power or a
+    product among the generators leaves the record None.  ``shift`` keeps
+    the record; every other functor drops it.
     """
     group = build_grading_group(f)
     n = f.n

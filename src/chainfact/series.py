@@ -124,12 +124,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def truncate(self, order):
         """Drop all terms of exponent > order."""
         return Poly(self.coeffs[: order + 1])

@@ -547,22 +547,37 @@ def _general_rank(A, B, l, p):
     return GENERAL_RANKS[key]
 
 
+def anchor(mf):
+    """(mf(s), s) for s the first even twist of ``mf`` (zero for an empty
+    object): the object of its twist orbit whose first even twist is zero."""
+    s = mf.F0.twists[0] if mf.size else mf.group.zero
+    return shift(mf, s), s
+
+
+def canonical_key(source, target, degree=None):
+    """The key of Hom(source, T^p target(degree)) on the anchored objects,
+    formed independently of the library: (A, B, degree + s - t) for
+    (A, s) = anchor(source) and (B, t) = anchor(target).  Every pair of one
+    twist orbit at the same relative twist has the same key."""
+    (A, s), (B, t) = anchor(source), anchor(target)
+    l = degree if degree is not None else source.group.zero
+    return A, B, l + s - t
+
+
 def general_hom_dim(source, target, degree=None, power=0):
     """dim Hom(source, T^power target(degree)) from the full Hom complex, for
     any source, ignoring the ``koszul_vars`` record.
 
-    The query is anchored and folded independently of the library's engine:
-    each object is shifted by its first even twist, and floor(power / 2) f
+    The query is anchored by ``canonical_key`` and folded: floor(power / 2) f
     goes into the degree.  The answer is the cell count at the parity minus
     the ranks of the outgoing and incoming differentials, and both are
     memoized for the test session."""
     if not source.size or not target.size:
         return 0
     group = source.group
-    s, t = source.F0.twists[0], target.F0.twists[0]
-    A, B = shift(source, s), shift(target, t)
+    A, B, l = canonical_key(source, target, degree)
     k, r = divmod(power, 2)
-    l = (degree if degree is not None else group.zero) + s - t + k * group.total_degree
+    l = l + k * group.total_degree
     query = (A, B, l.coords, r)
     if query not in GENERAL_DIMS:
         cells = len(cell_basis_by_t_power(A, B, l, r)[0])
@@ -715,11 +730,45 @@ def nakayama_witness(table, a1):
     return None
 
 
+def collection(run):
+    """The objects of ``run``'s collection, built through the run."""
+    return [run.collection_object(run.offset + k) for k in range(run.nm.milnor)]
+
+
+def euler_reader(run):
+    """(x, y) -> chi(x, y) through ``run``'s engine, on the key of
+    ``canonical_key``.  Each object is anchored once, and an anchor equal to
+    one of the run's bases is read as that base: the key is equal either
+    way, but the engine's memo lookups then match on identity, as the run's
+    own do."""
+    bases = [run.base[0]]
+    bases += [run.aux_base] if run.f.n % 2 == 0 else run.ladder_bases.values()
+    shared, anchors = {b: b for b in bases}, {}
+
+    def anchored(x):
+        if x not in anchors:
+            A, s = anchor(x)
+            anchors[x] = shared.get(A, A), s
+        return anchors[x]
+
+    def euler(x, y):
+        (A, s), (B, t) = anchored(x), anchored(y)
+        return run.homs.euler_at((A, B, s - t))
+    return euler
+
+
+def ladder_terms(run, i, j):
+    """The width-j ladder triangle of row i: its source, two middle objects
+    and cone, signed."""
+    return [(1, run.ladder(i + 1, j)), (-1, run.ladder(i, j + 1)),
+            (-1, run.ladder(i + 1, j - 1)), (1, run.ladder(i, j))]
+
+
 def triangle_cases(run):
     """The failing cases of ``triangle_euler_additivity`` from the loop over
     every triangle k and every probe of ``run``'s collection, in that order,
     each total read through the run's engine."""
-    mu, coll, euler, bad = run.nm.milnor, run.coll, run.homs.euler, []
+    mu, coll, euler, bad = run.nm.milnor, collection(run), euler_reader(run), []
     for k in range(1, mu):
         i = run.offset + k
         aux = run.auxiliary(i)
@@ -734,10 +783,10 @@ def _ladder_rows(run):
     return range(run.offset, run.offset + min(run.nm.milnor - 1, 3))
 
 
-def _ladder_object_total(run, terms, x):
+def _ladder_object_total(euler, terms, x):
     """The Euler total of a ladder triangle, given as its signed objects,
     against the probe x, zero objects left out."""
-    return sum(sgn * run.homs.euler(x, obj) for sgn, obj in terms if obj.size)
+    return sum(sgn * euler(x, obj) for sgn, obj in terms if obj.size)
 
 
 def ladder_cases(run):
@@ -745,12 +794,12 @@ def ladder_cases(run):
     the checked rows i, the widths j < a1 and every probe of ``run``'s
     collection, in that order, on the ladder objects themselves, each total
     read through the run's engine."""
-    bad = []
+    coll, euler, bad = collection(run), euler_reader(run), []
     for i in _ladder_rows(run):
         for j in range(1, run.f.exponents[0]):
-            terms = run._ladder_terms(i, j)
-            for x in run.coll:
-                total = _ladder_object_total(run, terms, x)
+            terms = ladder_terms(run, i, j)
+            for x in coll:
+                total = _ladder_object_total(euler, terms, x)
                 if total != 0:
                     bad.append({"i": i, "j": j, "total": total})
     return bad
@@ -763,12 +812,13 @@ def ladder_boundary_outcome(run):
     otherwise ("pass", None) when every total is zero and ("note", None)
     when one is not."""
     a1, mismatches, holds = run.f.exponents[0], [], True
+    coll, euler = collection(run), euler_reader(run)
     for i in _ladder_rows(run):
-        terms = run._ladder_terms(i, a1)
+        terms = ladder_terms(run, i, a1)
         classes = [run.collection_object(i + k) for k in range(a1 + 1)]
-        for x in run.coll:
-            total = _ladder_object_total(run, terms, x)
-            predicted = sum(run.homs.euler(x, e) for e in classes)
+        for x in coll:
+            total = _ladder_object_total(euler, terms, x)
+            predicted = sum(euler(x, e) for e in classes)
             holds = holds and total == 0
             if total != predicted:
                 mismatches.append({"i": i, "total": total, "predicted": predicted})

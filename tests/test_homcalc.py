@@ -43,6 +43,7 @@ from chainfact.mf import (
 )
 from oracles import (
     GeneralEngine,
+    canonical_key,
     cell_basis_by_t_power,
     dense_euler_matrix,
     differential_rows,
@@ -285,7 +286,8 @@ def test_table_asks_one_query_per_diagonal(monkeypatch):
         assert len(queries) <= sum(len(dims) for _, dims in table.columns.values())
         assert len(queries) < len(table.entries) // 5
         assert len({folded_query(*args) for args in queries}) == len(queries)
-        # the route is asked the folded query itself: anchored, parity only
+        # the route is asked the folded query itself: on the unshifted
+        # base, parity only
         assert all(folded_query(*args)[:3] == (*args[:2], args[2].coords)
                    and args[3] in (0, 1) for args in queries)
 
@@ -349,7 +351,7 @@ def test_columns_match_closed_form_lookup_property(exps, offset):
     step = collection_splitting(f)[2]
     forms = [closed_form_hom(f, 0), closed_form_hom(f, 1)]
     run = HomRun(f, offset)
-    coll, homs, primal = run.coll, run.homs, run.table
+    coll, primal = build_collection(f, offset), run.table
     for table in (primal, run.dual):
         assert table.objects == len(coll)
         assert sorted(table.columns) == list(range(1 - len(coll), len(coll)))
@@ -359,7 +361,7 @@ def test_columns_match_closed_form_lookup_property(exps, offset):
                 assert dim == want, (exps, offset, d, p)
     for i, x in enumerate(coll):
         for j, y in enumerate(coll):
-            assert homs.key(x, y) == primal.key(j - i), (exps, offset, i, j)
+            assert canonical_key(x, y) == primal.key(j - i), (exps, offset, i, j)
 
 
 # ------------------------------------------------ negative controls on columns

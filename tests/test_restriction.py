@@ -21,6 +21,7 @@ import chainfact
 from chainfact.chain import ChainPolynomial, build_grading_group, numerics
 from chainfact.exactmath import MPoly
 from chainfact.homcalc import (
+    HomEngine,
     closed_form_hom,
     hom_dim,
     morphism_space_basis,
@@ -30,6 +31,7 @@ from chainfact.homrun import (
     _cofactors,
     auxiliary_object,
     build_collection,
+    collection_base,
     collection_splitting,
     ladder_object,
     ladder_splitting,
@@ -143,6 +145,38 @@ def test_record_survives_shift_only(exps):
     for source in kept + dropped:
         for target in targets:
             assert_routes_agree(source, target)
+
+
+def test_refusal_does_not_depend_on_memo_order():
+    """A record-less twin of the base, equal to it and so on the same memo
+    entries, is refused and the base is answered, whichever of the two an
+    engine is asked first, through dim and through euler_at."""
+    f = ChainPolynomial((2, 2, 3))
+    base = collection_base(f)[0]
+    twin = without_koszul_record(base)
+    zero = base.group.zero
+    for ask in (lambda homs, key: homs.dim(key, 0), HomEngine.euler_at):
+        for order in ((base, twin), (twin, base)):
+            homs = HomEngine()
+            for source in order:
+                if source is twin:
+                    with pytest.raises(ValueError):
+                        ask(homs, (twin, base, zero))
+                else:
+                    assert ask(homs, (base, base, zero)) == 1
+
+
+def test_engine_refuses_a_shifted_source():
+    """The engine's keys are on the unshifted base: a shifted source is
+    refused, while hom_dim shifts its own source back."""
+    f = ChainPolynomial((2, 2, 3))
+    base, step = collection_base(f)
+    moved = shift(base, step)
+    assert moved.koszul_vars == base.koszul_vars
+    for ask in (lambda homs, key: homs.dim(key, 0), HomEngine.euler_at):
+        with pytest.raises(ValueError):
+            ask(HomEngine(), (moved, moved, base.group.zero))
+    assert hom_dim(moved, moved) == hom_dim(base, base) == 1
 
 
 def test_power_generator_sets_no_record():

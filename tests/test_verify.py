@@ -41,6 +41,9 @@ from chainfact.verify import (
     run_checks,
 )
 from oracles import (
+    anchor,
+    canonical_key,
+    collection,
     dense_euler_matrix,
     general_hom_dim,
     ladder_boundary_outcome,
@@ -230,13 +233,14 @@ def test_euler_form_matches_naive_sum_property(exps, draws, k1, kn):
     g = build_grading_group(f)
     objs = [_triangle_object(f, *d) for d in draws]
     degree = k1 * g.variable_degree(0) + kn * g.variable_degree(f.n - 1)
-    euler = HomEngine().euler
+    homs = HomEngine()
     sources = [x for x in objs if x.koszul_vars is not None]   # the engine's sources
     for _ in range(2):                      # the second pass reads the memo
         for x in sources:
             for y in objs:
                 for l in (None, degree):
-                    assert euler(x, y, l) == naive_euler(x, y, l), (exps, draws)
+                    assert (homs.euler_at(canonical_key(x, y, l))
+                            == naive_euler(x, y, l)), (exps, draws)
 
 
 def _recorded_objects(monkeypatch):
@@ -262,8 +266,6 @@ def test_triangle_families_equal_validating_objects(monkeypatch, exps, offset):
     made = _recorded_objects(monkeypatch)
     assert run_checks(f, TRIANGLE_CHECKS, offset).passed
     coll = build_collection(f, offset)
-    indices = {i for (i,), _ in made["collection_object"]}
-    assert indices >= set(range(offset, offset + len(coll)))
     for (i,), obj in made["collection_object"]:
         if 0 <= i - offset < len(coll):
             assert obj == coll[i - offset]
@@ -280,14 +282,14 @@ def test_triangle_families_equal_validating_objects(monkeypatch, exps, offset):
 
 
 def _assert_orbit_keys_are_object_keys(f, offset):
-    """Every orbit key that the run's Euler checks read equals HomEngine.key
+    """Every orbit key that the run's Euler checks read has the canonical key
     of the validating objects it stands for: each probe of build_collection
     against the collection objects and auxiliary_object(offset + k) for
     k = 1, 2 and mu - 1, which between them reach every diagonal (even n),
     or against ladder_object of the checked rows and the next row, and the
     collection objects E_{i+k}, k <= a1, of the boundary's class sum (odd n)."""
     run = homrun.HomRun(f, offset)
-    key, want = run.homs.key, cache(run.orbit_key)
+    want = cache(run.orbit_key)
     mu, coll = run.nm.milnor, build_collection(f, offset)
     if f.n % 2 == 0:
         families = {run.base[0]: dict(enumerate(coll, offset)),
@@ -300,10 +302,14 @@ def _assert_orbit_keys_are_object_keys(f, offset):
                     for j in range(1, a1 + 1)}
         families[run.base[0]] = {i: shift(base, i * step)
                                  for i in range(offset, rows[-1] + a1)}
+    # canonical_key(x, obj) = (A, B, s - t), each object anchored once
+    probes = [anchor(x) for x in coll]
     for target, objects in families.items():
         for i, obj in objects.items():
-            for m, x in enumerate(coll):
-                assert key(x, obj) == want(target, i - offset - m), (f, i, m)
+            B, t = anchor(obj)
+            for m, (A, s) in enumerate(probes):
+                assert ((A, B, s - t)
+                        == canonical_key(*want(target, i - offset - m))), (f, i, m)
 
 
 def _count_calls(monkeypatch, module, name, calls):
@@ -403,9 +409,81 @@ def test_euler_builds_no_dual_table(monkeypatch):
     homs = homcalc.HomEngine()
     homs.table(*orbit, 0)
     calls.clear()
-    chi = [[homs.euler(x, y) for y in coll] for x in coll]
+    chi = [[homs.euler_at(canonical_key(x, y)) for y in coll] for x in coll]
     assert calls == []
     assert chi == [list(row) for row in dense_euler_matrix(euler_matrix(f)).entries]
+
+
+def test_collection_builds_no_object(monkeypatch):
+    """collection reads the base alone, whose size every shift keeps: on
+    13,13,13,13 (mu 26 521) it makes no shift."""
+    shifts = []
+    _count_calls(monkeypatch, mf, "shift", shifts)
+    rep = run_checks(ChainPolynomial((13, 13, 13, 13)), ("collection",))
+    assert rep.check("collection").detail == {"objects": 26521, "size": 2}
+    assert shifts == []
+
+
+def _validating_search(f, offset, j):
+    """(source, target, reference) of the cone search from the validating
+    builders: E_offset -> E_(offset+1) against Aux(offset + 1) at even n, the
+    width-j ladder triangle of row offset at odd n."""
+    if f.n % 2 == 0:
+        coll = build_collection(f, offset)
+        return coll[0], coll[1], auxiliary_object(f, offset + 1)
+    middle = [x for x in (ladder_object(f, offset, j + 1),
+                          ladder_object(f, offset + 1, j - 1)) if x.size]
+    target = mf.direct_sum(*middle) if len(middle) == 2 else middle[0]
+    return ladder_object(f, offset + 1, j), target, ladder_object(f, offset, j)
+
+
+@pytest.mark.parametrize("offset", [0, 2])
+@pytest.mark.parametrize("exps", [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 3), (3, 2, 2)])
+def test_cone_search_reads_the_probe_keys(monkeypatch, exps, offset):
+    """Every key that _profiles_agree reads for the reference, and for the
+    first candidate cone of each search, has the canonical key of
+    Hom(E_(offset+k), X) on the validating objects, probe k in order; the
+    candidate that passes reads all mu probes."""
+    f = ChainPolynomial(exps)
+    searches, active = [], []
+    real_search, real_agree = homrun._search_cone_match, homrun._profiles_agree
+    real_window = homcalc.HomEngine.window
+
+    def search(homs, source, target, reference, orbit):
+        searches.append((source, target, []))
+        return real_search(homs, source, target, reference, orbit)
+
+    def agree(homs, orbit, left, right):
+        active.append([])
+        try:
+            return real_agree(homs, orbit, left, right)
+        finally:
+            searches[-1][2].append((left, active.pop()))
+
+    def window(self, key):
+        if active:
+            active[-1].append(key)
+        return real_window(self, key)
+
+    monkeypatch.setattr(homrun, "_search_cone_match", search)
+    monkeypatch.setattr(homrun, "_profiles_agree", agree)
+    monkeypatch.setattr(homcalc.HomEngine, "window", window)
+    rep = run_checks(f, ("triangle_structural",), offset)
+    assert rep.check("triangle_structural").status == "pass"
+    coll = build_collection(f, offset)
+    assert len(searches) == (1 if f.n % 2 == 0 else f.exponents[0] - 1)
+    for j, (source, target, profiles) in enumerate(searches, 1):
+        want_source, want_target, reference = _validating_search(f, offset, j)
+        assert (source, target) == (want_source, want_target), (exps, offset, j)
+        cone = mf.reduce(mf.cone(homcalc.morphism_space_basis(source, target)[0]))
+        assert profiles[0][0][0] == cone
+        assert len(profiles[-1][1]) == 2 * len(coll)
+        for number, (_, keys) in enumerate(profiles):
+            for k, (left, right) in enumerate(zip(keys[::2], keys[1::2])):
+                where = (exps, offset, j, number, k)
+                assert canonical_key(*right) == canonical_key(coll[k], reference), where
+                if number == 0:
+                    assert canonical_key(*left) == canonical_key(coll[k], cone), where
 
 
 def _outcome(check):
@@ -431,13 +509,14 @@ def test_orbit_triangle_totals_match_the_pair_loop(offset):
     for exps in (e for e in SMALL_CHAINS if len(e) % 2 == 0):
         _assert_orbit_keys_are_object_keys(ChainPolynomial(exps), offset)
         run = homrun.HomRun(ChainPolynomial(exps), offset)
-        homs, coll = run.homs, run.coll
+        homs, coll = run.homs, collection(run)
         for raised in [(), ((coll[0], coll[-1]),), ((coll[-1], coll[0]),),
                        ((coll[0], run.auxiliary(offset + 1)),),
                        ((coll[0], coll[1]), (coll[0], coll[-1]))]:
             saved = dict(homs.eulers)
             for pair in raised:
-                homs.eulers[homs.key(*pair)] = homs.euler(*pair) + 1
+                key = canonical_key(*pair)
+                homs.eulers[key] = homs.euler_at(key) + 1
             cases = triangle_cases(run)
             want = ("fail", {"cases": cases}) if cases else ("pass", None)
             assert _outcome(run.triangle_euler_additivity) == want, (exps, raised)
@@ -462,10 +541,9 @@ def test_orbit_ladder_totals_match_the_object_loop(offset):
         f = ChainPolynomial(exps)
         _assert_orbit_keys_are_object_keys(f, offset)
         run = homrun.HomRun(f, offset)
-        # the oracles build each object once per chain, so the engine
-        # anchors it once
+        # the oracles build each object once per chain
         run.ladder, run.collection_object = cache(run.ladder), cache(run.collection_object)
-        homs, coll, ladder, a1 = run.homs, run.coll, run.ladder, exps[0]
+        homs, coll, ladder, a1 = run.homs, collection(run), run.ladder, exps[0]
         for raised in [(), ((coll[0], ladder(offset, 1)),),
                        ((coll[-1], ladder(offset + 1, a1)),),
                        ((coll[0], run.collection_object(offset + a1)),),
@@ -473,7 +551,8 @@ def test_orbit_ladder_totals_match_the_object_loop(offset):
                         (coll[-1], ladder(offset, a1 - 1)))]:
             saved = dict(homs.eulers)
             for pair in raised:
-                homs.eulers[homs.key(*pair)] = homs.euler(*pair) + 1
+                key = canonical_key(*pair)
+                homs.eulers[key] = homs.euler_at(key) + 1
             cases = ladder_cases(run)
             want = ("fail", {"cases": cases}) if cases else ("pass", None)
             assert _outcome(run.ladder_euler_additivity) == want, (exps, raised)
@@ -512,13 +591,14 @@ def test_diagonal_nakayama_matches_the_pair_loop(offset):
 
 
 def _answer_one_key_wrongly(monkeypatch, wrong):
-    """The engine's route answers the query (A, A, 0, 0) on one anchored
-    object one too high; every other query is answered correctly."""
+    """The engine's route answers the query (A, A, 0, 0) one too high, for A
+    the source and an equal target (the memo shares equal objects' queries);
+    every other query is answered correctly."""
     real = homcalc.HomEngine.restricted_dim
 
     def skewed(self, source, target, degree, power):
         dim = real(self, source, target, degree, power)
-        if source is target and degree.is_zero() and power == 0:
+        if source == target and degree.is_zero() and power == 0:
             wrong.append(source)
             return dim + 1
         return dim
