@@ -28,10 +28,10 @@ leaves; any other source is refused with ``ValueError``.
 The full Hom complex -- monomial bases slot by slot (``_cell_basis``) and
 the differentials as sparse integer rows (``_differential_rows``), built by
 adding the cell monomial's exponents to the terms of the structure maps --
-serves ``morphism_space_basis``, which needs explicit representatives (the
-cone search of ``triangle_structural``); ``exactmath.Echelon`` gives its
-kernels and image reductions.  The tests build their oracle for the
-restriction route, a general Hom dimension, from the same rows.
+serves ``morphism_space_basis``, which needs explicit representatives (for
+the cone search of ``triangle_structural``, which reads no dimension);
+``exactmath.Echelon`` gives its kernels and image reductions.  The tests'
+general Hom dimension, the restriction route's oracle, uses the same rows.
 
 Keys are built on bases.  Since T^2 is the shift by the total degree f,
 
@@ -46,15 +46,15 @@ twist in the degree l, and builds no object of the orbit.
 ``HomEngine`` answers these keys for one run.  It scans each key once for
 its certified window, memoizes the Euler number on the key, and answers
 each folded query (A, X, (l + floor(p/2) f).coords, p mod 2) once by the
-restriction route, which reads the engine's memo of monomial enumerations;
-every entry of the primal table, of the Serre-dual table, of the Euler
-checks and of the cone search is such a value.  A table is built from the
-collection's base and step: the collection is the orbit E_i = base(i step),
-so the pair (i, j) has the key (A, A, (j - i) step) at every offset, and the
-table stores one column per diagonal d = j - i, |d| < mu, which the checks
-read instead of the mu^2 pairs.  A run makes one engine and drops its memos
-with the run, and ``hom_dim`` is a one-off query on a fresh engine, so no
-Hom memo outlives the engine that filled it.
+restriction route, which reads the engine's memo of monomial enumerations.
+The tables and the Euler checks are its readers: every entry of the primal
+table, of the Serre-dual table and of the Euler checks is such a value.  A
+table is built from the collection's base and step: the collection is the
+orbit E_i = base(i step), so the pair (i, j) has the key (A, A, (j - i) step)
+at every offset, and the table stores one column per diagonal d = j - i,
+|d| < mu, which the checks read instead of the mu^2 pairs.  A run makes one
+engine and drops its memos with the run, and ``hom_dim`` is a one-off query
+on a fresh engine, so no Hom memo outlives the engine that filled it.
 The cell bases and rows of T^p X are read off X itself (T swaps the modules
 and moves one by f), so a query builds no translated object.  The functors
 used here (``shift``, ``t_power``) are trusted constructors in ``mf``;
@@ -72,7 +72,7 @@ from __future__ import annotations
 
 from operator import add
 
-from .chain import ChainPolynomial, Degree, build_grading_group
+from .chain import Degree
 from .exactmath import Echelon, MPoly, sparse_rank
 from .mf import GradedMatrix, MatrixFactorization, MFMorphism, shift, t_power
 
@@ -474,46 +474,6 @@ def serre_symmetry_check(table: HomTable, dual_table: HomTable) -> bool:
     orbit = (table.base, table.step, table.objects)
     return orbit == (dual_table.base, dual_table.step, dual_table.objects) and all(
         dims == dual_table.columns[d][1] for d, (_, dims) in table.columns.items())
-
-
-# ---------------------------------------------------------------------------
-# closed-form oracle for the diagonal
-# ---------------------------------------------------------------------------
-
-def closed_form_hom(f: ChainPolynomial, parity: int) -> dict[Degree, int]:
-    """Graded dimensions of the diagonal Hom algebra in closed form.
-
-    Even variable counts: the quotient by the even-indexed variables and the
-    powers of the odd-indexed ones, with nothing at odd parity.  Odd variable
-    counts: the mirror quotient at even parity and, at odd parity, one free
-    rank over it generated in the negated-first-variable degree.
-    """
-    group = build_grading_group(f)
-    n, a = f.n, f.exponents
-    if n % 2 == 0:
-        if parity % 2:
-            return {}
-        free_vars = list(range(0, n, 2))         # 0-based odd-labelled x1, x3, ...
-        gen_shift = group.zero
-    else:
-        free_vars = list(range(1, n, 2))         # 0-based even-labelled x2, x4, ...
-        gen_shift = group.zero if parity % 2 == 0 else group.variable_degree(0)
-
-    dims: dict[Degree, int] = {}
-
-    def rec(idx, exps):
-        if idx == len(free_vars):
-            full = [0] * n
-            for v, e in zip(free_vars, exps):
-                full[v] = e
-            deg = group.monomial_degree(tuple(full)) - gen_shift
-            dims[deg] = dims.get(deg, 0) + 1
-            return
-        for e in range(a[free_vars[idx]]):
-            rec(idx + 1, exps + [e])
-
-    rec(0, [])
-    return dims
 
 
 # ---------------------------------------------------------------------------

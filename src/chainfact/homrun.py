@@ -6,14 +6,16 @@ Hom-table, exceptionality, Euler, Serre and triangle checks, with the cone
 search behind ``triangle_structural``.  It is the orchestration layer's one
 importer of the Hom engine, and it calls ``mf`` and ``homcalc`` through
 their modules, so a patch on either reaches every check.  A run asks every
-Hom through its one ``homcalc.HomEngine``, the package's one route to a Hom
-dimension; nothing here calls ``hom_dim`` or ``scan_window`` directly.
+Hom dimension through its one ``homcalc.HomEngine``, the package's one
+Hom-dimension route; nothing here calls ``hom_dim`` or ``scan_window``
+directly, and the cone search asks none (it certifies an isomorphism).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import combinations
 
 from . import homcalc, mf
 from .chain import (
@@ -23,7 +25,7 @@ from .chain import (
     build_grading_group,
     numerics,
 )
-from .exactmath import MPoly
+from .exactmath import Echelon, MPoly
 from .verify import _Run
 
 TABLE_MARGIN = 3        # powers stored beyond each certified Hom window
@@ -136,14 +138,14 @@ class HomRun(_Run):
     odd n, ladder object (i, j) is L_j(-i * deg x1), zero for j = 0 and
     j = a1 + 1.  Each base (the collection base, Aux, and L_j for each width
     j = 1..a1) goes through the validating ``stabilize`` once per run, with
-    no twist; the few objects a check builds (the cone search's triangles,
-    E_offset for the ladder base check) are reached with the trusted
-    ``shift``, since
+    no twist; the few objects a check builds (the cone search's triangles
+    and references, E_offset for the ladder base check) are reached with
+    the trusted ``shift``, since
     stabilize(f, gens, cofs, twist) = shift(stabilize(f, gens, cofs), twist).
-    Every Hom that a check reads -- both tables, every Euler entry and the
-    cone search's profiles -- goes through the run's one ``HomEngine``, on
-    a key built on the bases, so each key is scanned once and each distinct
-    folded query is answered by the engine's restriction route once per run.
+    Every Hom dimension that a check reads (the tables and the Euler
+    entries; the cone search reads none) goes through the run's one
+    ``HomEngine``, on a key built on the bases, so each key is scanned once
+    and each distinct folded query is answered by the route once per run.
 
     The collection step is deg x1 at even n and -deg x1 at odd n, so object
     i of every family is Y(i * step) for its base Y, and
@@ -334,24 +336,17 @@ class HomRun(_Run):
         return {}
 
     def triangle_structural(self):
-        # on the bases: the reference as (its base, its twist), and the
-        # probes E_{offset+k} as the degrees -(offset + k) step on ``base``
-        base, step = self.base
-        orbit = (base, [-(self.offset + k) * step for k in range(self.nm.milnor)])
-        x1 = build_grading_group(self.f).variable_degree(0)
         if self.f.n % 2 == 0:
             i = self.offset + 1
             source, target = self.collection_object(self.offset), self.collection_object(i)
-            return (_search_cone_match(self.homs, source, target,
-                                       (self.aux_base, i * x1), orbit), {"i": i})
+            return _search_cone_match(source, target, self.auxiliary(i)), {"i": i}
         results = []
         for j in range(1, self.f.exponents[0]):
             src = self.ladder(self.offset + 1, j)
             middle = [obj for obj in (self.ladder(self.offset, j + 1),
                                       self.ladder(self.offset + 1, j - 1)) if obj.size]
             target = mf.direct_sum(*middle) if len(middle) == 2 else middle[0]
-            reference = (self.ladder_bases[j], -self.offset * x1)
-            status = _search_cone_match(self.homs, src, target, reference, orbit)
+            status = _search_cone_match(src, target, self.ladder(self.offset, j))
             results.append({"j": j, "status": status})
         overall = "pass" if all(x["status"] == "pass" for x in results) else "inconclusive"
         return (overall, {"cases": results})
@@ -361,48 +356,53 @@ class HomRun(_Run):
 # cone search
 # ---------------------------------------------------------------------------
 
-PROFILE_PAD = 2         # powers compared past the two certified windows
+def _constant_rank(phi: mf.GradedMatrix) -> int:
+    """Rank of the constant terms of a graded map's entries."""
+    one = (0,) * phi.group.chain.n
+    return Echelon([{c: p.terms.get(one, 0) for c, p in enumerate(row)}
+                    for row in phi.entries]).rank
 
 
-def _profiles_agree(homs, orbit, left, right) -> bool:
-    """Whether two objects, each given as (object, twist), have the same Hom
-    dimensions out of every probe of ``orbit`` = (base, degrees), over both
-    windows plus PROFILE_PAD powers.  The probe base(-l) against Y(t) reads
-    the key (base, Y, t + l)."""
-    base, degrees = orbit
-    (X, s), (Y, t) = left, right
-    for l in degrees:
-        k1, k2 = (base, X, s + l), (base, Y, t + l)
-        (lo1, hi1), (lo2, hi2) = homs.window(k1), homs.window(k2)
-        for p in range(min(lo1, lo2) - PROFILE_PAD, max(hi1, hi2) + PROFILE_PAD + 1):
-            if homs.dim(k1, p) != homs.dim(k2, p):
-                return False
-    return True
+def _isomorphic(C: mf.MatrixFactorization, R: mf.MatrixFactorization) -> bool:
+    """Whether a basis morphism of Hom^0(C, R) is an isomorphism.
+
+    Sound: entry (r, c) of a degree-0 map of graded free modules has weight
+    w_c - w_r, for the twist weights of its source and target.  Every
+    variable has positive weight, so a nonzero entry has w_c >= w_r and is a
+    constant exactly when w_c = w_r.  With both bases ordered by weight the
+    map is block upper-triangular, its diagonal blocks are its constant
+    part, and a full-rank constant part makes them square and invertible:
+    the map is invertible over the polynomial ring.  A morphism with both
+    components invertible is an isomorphism of factorizations.
+
+    Complete for reduced C and R when Hom^0(C, R) is one-dimensional: a
+    null-homotopic map then has no constant term, and a homotopy equivalence
+    of minimal factorizations is an isomorphism (Dyckerhoff,
+    arXiv:0904.4713).  Otherwise False is never a refutation.
+    """
+    return C.size == R.size and any(
+        _constant_rank(a.phi0) == _constant_rank(a.phi1) == C.size
+        for a in homcalc.morphism_space_basis(C, R))
 
 
-def _search_cone_match(homs, source, target, reference, orbit) -> str:
-    """Search a morphism whose reduced cone matches the reference profile.
+def _search_cone_match(source, target, reference) -> str:
+    """Search a morphism source -> target whose reduced cone is isomorphic
+    to ``reference`` (see :func:`_isomorphic`).
 
     Tries every basis element of the degree-zero stable Hom space and, for
     small spaces, signed sums of two basis elements; exhaustion is reported
-    as inconclusive, never as a refutation.  The profiles are read through
-    the run's engine ``homs``, the reference's on the keys of the Euler
-    checks, as (its base, its twist).
+    as inconclusive, never as a refutation.
     """
     basis = homcalc.morphism_space_basis(source, target)
     if not basis:
         return "inconclusive"
     candidates = list(basis)
     if 2 <= len(basis) <= 3:
-        for i in range(len(basis)):
-            for j in range(i + 1, len(basis)):
-                for s in (1, -1):
-                    phi0 = basis[i].phi0 + (-basis[j].phi0 if s < 0 else basis[j].phi0)
-                    phi1 = basis[i].phi1 + (-basis[j].phi1 if s < 0 else basis[j].phi1)
-                    candidates.append(mf.MFMorphism(basis[i].source, basis[i].target,
-                                                    basis[i].shift, phi0, phi1))
+        for a, b in combinations(basis, 2):
+            for b0, b1 in ((b.phi0, b.phi1), (-b.phi0, -b.phi1)):
+                candidates.append(mf.MFMorphism(a.source, a.target, a.shift,
+                                                a.phi0 + b0, a.phi1 + b1))
     for phi in candidates:
-        c = mf.reduce(mf.cone(phi))
-        if _profiles_agree(homs, orbit, (c, source.group.zero), reference):
+        if _isomorphic(mf.reduce(mf.cone(phi)), reference):
             return "pass"
     return "inconclusive"

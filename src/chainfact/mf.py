@@ -8,12 +8,12 @@ and entrywise homogeneity (each monomial of each entry must have exactly the
 degree prescribed by the source and target twists), so malformed data cannot
 enter.
 
-``shift``, ``translate`` and everything built from them (``t_power``,
-``translate_inverse``, ``serre``) are trusted constructors.  A grading shift
-moves every twist by the same degree and keeps the entries; translation swaps
-and negates the two maps and moves one module by the total degree.  Both keep
-d1 o d0 = d0 o d1 = f and homogeneity by construction, so they skip the
-polynomial products and the monomial scan.
+``shift``, ``translate`` and everything built from them (``t_power``, whose
+power -1 inverts ``translate``, and ``serre``) are trusted constructors.  A
+grading shift moves every twist by the same degree and keeps the entries;
+translation swaps and negates the two maps and moves one module by the total
+degree.  Both keep d1 o d0 = d0 o d1 = f and homogeneity by construction, so
+they skip the polynomial products and the monomial scan.
 
 All values are immutable and hashable; functors return fresh objects.
 """
@@ -433,10 +433,6 @@ def translate(mf: MatrixFactorization) -> MatrixFactorization:
     F1n = mf.F0.shifted(mf.group.total_degree)
     return MatrixFactorization._trusted(mf, mf.F1, F1n, _negated(mf.d1.entries),
                                         _negated(mf.d0.entries))
-
-
-def translate_inverse(mf: MatrixFactorization) -> MatrixFactorization:
-    return shift(translate(mf), -mf.group.total_degree)
 
 
 def t_power(mf: MatrixFactorization, p: int) -> MatrixFactorization:

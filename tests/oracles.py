@@ -8,7 +8,10 @@ matrix, monodromy operator and companion matrix, each built from the series
 or coefficients that the library keeps.  So does the general Hom route: the
 library answers Homs only out of Koszul stabilizations, by restriction, and
 ``general_hom_dim`` answers them out of any source from the full Hom
-complex, as that route's differential-test oracle.
+complex, as that route's differential-test oracle.  ``closed_form_hom``
+gives the diagonal Hom algebra in closed form, and ``profiles_agree``
+compares Hom profiles, a necessary condition for the isomorphisms that
+``triangle_structural`` certifies.
 
 They compute values only and contain no ``assert``: pytest rewrites asserts
 in test modules, not here, and the suite also runs under ``python -O``.
@@ -16,8 +19,10 @@ in test modules, not here, and the suite also runs under ``python -O``.
 
 import json
 from fractions import Fraction
+from itertools import combinations, permutations
 from typing import NamedTuple
 
+from chainfact.chain import ChainPolynomial, Degree, build_grading_group
 from chainfact.exactmath import MPoly, sparse_rank
 from chainfact.homcalc import HomEngine, _differential_rows
 from chainfact.invariants import companion_certificate, euler_matrix, zeta_polynomial
@@ -594,6 +599,79 @@ class GeneralEngine(HomEngine):
 
     def restricted_dim(self, A, B, l, r):
         return general_hom_dim(A, B, l, r)
+
+
+PROFILE_PAD = 2         # powers compared past the two certified windows
+
+
+def profiles_agree(homs, orbit, left, right) -> bool:
+    """Whether two objects, each given as (object, twist), have the same Hom
+    dimensions out of every probe of ``orbit`` = (base, degrees), over both
+    windows plus PROFILE_PAD powers.  The probe base(-l) against Y(t) reads
+    the key (base, Y, t + l).  Isomorphic objects agree, so this is a
+    necessary condition for the cone search's certificate."""
+    base, degrees = orbit
+    (X, s), (Y, t) = left, right
+    for l in degrees:
+        k1, k2 = (base, X, s + l), (base, Y, t + l)
+        (lo1, hi1), (lo2, hi2) = homs.window(k1), homs.window(k2)
+        for p in range(min(lo1, lo2) - PROFILE_PAD, max(hi1, hi2) + PROFILE_PAD + 1):
+            if homs.dim(k1, p) != homs.dim(k2, p):
+                return False
+    return True
+
+
+def poly_det(entries):
+    """Determinant of a nonempty square matrix of MPoly entries, by the
+    Leibniz formula."""
+    nvars = entries[0][0].nvars
+    total = MPoly.zero(nvars)
+    for perm in permutations(range(len(entries))):
+        term = MPoly.const(nvars, (-1) ** sum(a > b for a, b in combinations(perm, 2)))
+        for r, c in enumerate(perm):
+            term = term * entries[r][c]
+        total = total + term
+    return total
+
+
+# ---------------------------------------------------------------------------
+# closed-form oracle for the diagonal
+# ---------------------------------------------------------------------------
+
+def closed_form_hom(f: ChainPolynomial, parity: int) -> dict[Degree, int]:
+    """Graded dimensions of the diagonal Hom algebra in closed form.
+
+    Even variable counts: the quotient by the even-indexed variables and the
+    powers of the odd-indexed ones, with nothing at odd parity.  Odd variable
+    counts: the mirror quotient at even parity and, at odd parity, one free
+    rank over it generated in the negated-first-variable degree.
+    """
+    group = build_grading_group(f)
+    n, a = f.n, f.exponents
+    if n % 2 == 0:
+        if parity % 2:
+            return {}
+        free_vars = list(range(0, n, 2))         # 0-based odd-labelled x1, x3, ...
+        gen_shift = group.zero
+    else:
+        free_vars = list(range(1, n, 2))         # 0-based even-labelled x2, x4, ...
+        gen_shift = group.zero if parity % 2 == 0 else group.variable_degree(0)
+
+    dims: dict[Degree, int] = {}
+
+    def rec(idx, exps):
+        if idx == len(free_vars):
+            full = [0] * n
+            for v, e in zip(free_vars, exps):
+                full[v] = e
+            deg = group.monomial_degree(tuple(full)) - gen_shift
+            dims[deg] = dims.get(deg, 0) + 1
+            return
+        for e in range(a[free_vars[idx]]):
+            rec(idx + 1, exps + [e])
+
+    rec(0, [])
+    return dims
 
 
 # ---------------------------------------------------------------------------

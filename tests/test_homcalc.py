@@ -15,7 +15,6 @@ from chainfact.exactmath import MPoly, sparse_rank
 from chainfact.homcalc import (
     HomEngine,
     check_exceptionality,
-    closed_form_hom,
     euler_pairing,
     hom_dim,
     morphism_space_basis,
@@ -45,6 +44,7 @@ from oracles import (
     GeneralEngine,
     canonical_key,
     cell_basis_by_t_power,
+    closed_form_hom,
     dense_euler_matrix,
     differential_rows,
     exceptionality_failures,

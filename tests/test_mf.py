@@ -21,7 +21,6 @@ from chainfact.mf import (
     stabilize,
     t_power,
     translate,
-    translate_inverse,
     zero_object,
 )
 from oracles import identity_morphism, zero_morphism
@@ -52,7 +51,7 @@ def test_trusted_functors_pass_validation(exps):
     base = stabilize(f, gens, cofs)
     padded = cone(identity_morphism(base))
     outs = [shift(base, 3 * step), shift(base, g.variable_degree(1) - g.total_degree),
-            translate(base), translate_inverse(base), serre(base),
+            translate(base), serre(base),
             translate(padded), shift(padded, -step)]
     outs += [t_power(base, p) for p in range(-3, 4)]
     outs += [t_power(shift(base, step), p) for p in (-2, -1, 5)]
@@ -199,8 +198,8 @@ def test_translate_preserves_size():
 
 def test_translate_inverse():
     f, mf = build_e0((2, 2))
-    assert translate(translate_inverse(mf)) == mf
-    assert translate_inverse(translate(mf)) == mf
+    assert translate(t_power(mf, -1)) == mf
+    assert t_power(translate(mf), -1) == mf
 
 
 def test_t_power_consistency():
@@ -208,7 +207,7 @@ def test_t_power_consistency():
     assert t_power(mf, 0) == mf
     assert t_power(mf, 1) == translate(mf)
     assert t_power(mf, 2) == translate(translate(mf))
-    assert t_power(mf, -1) == translate_inverse(mf)
+    assert t_power(mf, -1) == shift(translate(mf), -mf.group.total_degree)
     assert t_power(mf, 3) == translate(t_power(mf, 2))
 
 

@@ -22,7 +22,6 @@ from chainfact.chain import ChainPolynomial, build_grading_group, numerics
 from chainfact.exactmath import MPoly
 from chainfact.homcalc import (
     HomEngine,
-    closed_form_hom,
     hom_dim,
     morphism_space_basis,
     scan_window,
@@ -46,7 +45,12 @@ from chainfact.mf import (
     t_power,
     translate,
 )
-from oracles import general_hom_dim, identity_morphism, without_koszul_record
+from oracles import (
+    closed_form_hom,
+    general_hom_dim,
+    identity_morphism,
+    without_koszul_record,
+)
 from test_homcalc import SMALL_CHAINS, TORSION_CHAINS, fresh_table
 
 # s = 1, 2 and 3 generators; torsion moduli 2 (2,3), 3 (3,2,2) and 4 (2,2,3)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from functools import cache
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ import chainfact.homrun as homrun
 import chainfact.invariants as invariants
 import chainfact.mf as mf
 import chainfact.verify as verify_module
-from chainfact.chain import ChainPolynomial, GradingGroup, build_grading_group
+from chainfact.chain import ChainPolynomial, GradingGroup, build_grading_group, numerics
 from chainfact.cli import CHECKS_RUN
 from chainfact.cli import main as cli_main
 from chainfact.exactmath import MPoly
@@ -50,9 +51,16 @@ from oracles import (
     ladder_cases,
     nakayama_witness,
     parse_report,
+    poly_det,
+    profiles_agree,
+    rank_rational,
     triangle_cases,
 )
 from test_homcalc import SMALL_CHAINS, folded_query
+
+# the chains where triangle_structural applies (2 <= n <= 3, mu <= 10)
+STRUCTURAL_CHAINS = [exps for n in (2, 3) for exps in product(range(2, 10), repeat=n)
+                     if verify_module._APPLIES["triangle_structural"](ChainPolynomial(exps))]
 
 
 # ------------------------------------------------------------- collection
@@ -363,10 +371,10 @@ def test_verify_asks_each_folded_query_once(monkeypatch):
 
 
 def test_triangles_asks_each_folded_query_once(monkeypatch):
-    """The Euler entries and the cone search's profiles share the run's memo:
-    on 2,2,3 (torsion Z/4) at offset 1, 160 route calls, one per distinct
-    folded query."""
-    _asks_each_folded_query_once(monkeypatch, "triangles", (2, 2, 3), 1, 160)
+    """The Euler entries share the run's memo, and the cone search asks the
+    engine nothing: on 2,2,3 (torsion Z/4) at offset 1, 64 route calls, one
+    per distinct folded query."""
+    _asks_each_folded_query_once(monkeypatch, "triangles", (2, 2, 3), 1, 64)
 
 
 def test_no_hom_memo_outlives_its_run(monkeypatch):
@@ -437,53 +445,140 @@ def _validating_search(f, offset, j):
     return ladder_object(f, offset + 1, j), target, ladder_object(f, offset, j)
 
 
-@pytest.mark.parametrize("offset", [0, 2])
-@pytest.mark.parametrize("exps", [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 3), (3, 2, 2)])
-def test_cone_search_reads_the_probe_keys(monkeypatch, exps, offset):
-    """Every key that _profiles_agree reads for the reference, and for the
-    first candidate cone of each search, has the canonical key of
-    Hom(E_(offset+k), X) on the validating objects, probe k in order; the
-    candidate that passes reads all mu probes."""
-    f = ChainPolynomial(exps)
-    searches, active = [], []
-    real_search, real_agree = homrun._search_cone_match, homrun._profiles_agree
-    real_window = homcalc.HomEngine.window
+def _searches(monkeypatch):
+    """The (source, target, reference) of every cone search, in order, each
+    with the (cone, reference, verdict) of every isomorphism test it makes."""
+    searches = []
+    real_search, real_isomorphic = homrun._search_cone_match, homrun._isomorphic
 
-    def search(homs, source, target, reference, orbit):
-        searches.append((source, target, []))
-        return real_search(homs, source, target, reference, orbit)
+    def search(source, target, reference):
+        searches.append((source, target, reference, []))
+        return real_search(source, target, reference)
 
-    def agree(homs, orbit, left, right):
-        active.append([])
-        try:
-            return real_agree(homs, orbit, left, right)
-        finally:
-            searches[-1][2].append((left, active.pop()))
-
-    def window(self, key):
-        if active:
-            active[-1].append(key)
-        return real_window(self, key)
+    def isomorphic(C, R):
+        got = real_isomorphic(C, R)
+        searches[-1][3].append((C, R, got))
+        return got
 
     monkeypatch.setattr(homrun, "_search_cone_match", search)
-    monkeypatch.setattr(homrun, "_profiles_agree", agree)
-    monkeypatch.setattr(homcalc.HomEngine, "window", window)
+    monkeypatch.setattr(homrun, "_isomorphic", isomorphic)
+    return searches
+
+
+def _constant_part(phi):
+    """The constant terms of a graded map's entries, as a dense matrix."""
+    one = (0,) * phi.group.chain.n
+    return [[p.terms.get(one, 0) for p in row] for row in phi.entries]
+
+
+@pytest.mark.parametrize("offset", [0, 2])
+@pytest.mark.parametrize("exps", [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 3), (3, 2, 2)])
+def test_cone_search_certifies_an_isomorphism(monkeypatch, exps, offset):
+    """The cone search receives the validating objects' (source, target,
+    reference), tests the candidates' reduced cones against that reference,
+    starting with the first basis morphism's, and stops at the first one
+    certified, C: the one basis morphism of Hom^0(C, reference) has constant
+    parts of full rank on both components, and each component's determinant
+    is a nonzero constant, so it is an isomorphism."""
+    f = ChainPolynomial(exps)
+    searches = _searches(monkeypatch)
     rep = run_checks(f, ("triangle_structural",), offset)
     assert rep.check("triangle_structural").status == "pass"
-    coll = build_collection(f, offset)
     assert len(searches) == (1 if f.n % 2 == 0 else f.exponents[0] - 1)
-    for j, (source, target, profiles) in enumerate(searches, 1):
-        want_source, want_target, reference = _validating_search(f, offset, j)
-        assert (source, target) == (want_source, want_target), (exps, offset, j)
-        cone = mf.reduce(mf.cone(homcalc.morphism_space_basis(source, target)[0]))
-        assert profiles[0][0][0] == cone
-        assert len(profiles[-1][1]) == 2 * len(coll)
-        for number, (_, keys) in enumerate(profiles):
-            for k, (left, right) in enumerate(zip(keys[::2], keys[1::2])):
-                where = (exps, offset, j, number, k)
-                assert canonical_key(*right) == canonical_key(coll[k], reference), where
-                if number == 0:
-                    assert canonical_key(*left) == canonical_key(coll[k], cone), where
+    for j, (source, target, reference, tests) in enumerate(searches, 1):
+        where = (exps, offset, j)
+        assert (source, target, reference) == _validating_search(f, offset, j), where
+        first = mf.reduce(mf.cone(homcalc.morphism_space_basis(source, target)[0]))
+        assert tests[0][0] == first, where
+        assert [(R, ok) for _, R, ok in tests] == (
+            [(reference, False)] * (len(tests) - 1) + [(reference, True)]), where
+        cone = tests[-1][0]
+        (alpha,) = homcalc.morphism_space_basis(cone, reference)
+        for phi in (alpha.phi0, alpha.phi1):
+            assert rank_rational(_constant_part(phi)) == cone.size == reference.size
+            det = poly_det(phi.entries)
+            assert det.is_constant() and not det.is_zero(), where
+
+
+@pytest.mark.parametrize("exps", [(2, 2), (2, 3), (3, 3), (2, 2, 2), (3, 2, 2)])
+@pytest.mark.parametrize("wrong", ["next_collection", "next_reference"])
+def test_cone_search_with_a_wrong_reference_is_inconclusive(monkeypatch, exps, wrong):
+    """Negative control: with the reference replaced by E_(offset+2) or by
+    the next reference (Aux(offset + 2) at even n, L(offset + 1, j) at odd
+    n), the check reports inconclusive, never fail, and certifies no cone."""
+    f = ChainPolynomial(exps)
+    offset, x1 = 1, build_grading_group(f).variable_degree(0)
+    base, step = collection_base(f)
+    real_search, certified = homrun._search_cone_match, []
+
+    def search(source, target, reference):
+        if wrong == "next_collection":
+            reference = shift(base, (offset + 2) * step)
+        else:
+            reference = shift(reference, (1 if f.n % 2 == 0 else -1) * x1)
+        return real_search(source, target, reference)
+
+    def isomorphic(C, R, real=homrun._isomorphic):
+        certified.append(real(C, R))
+        return certified[-1]
+
+    monkeypatch.setattr(homrun, "_search_cone_match", search)
+    monkeypatch.setattr(homrun, "_isomorphic", isomorphic)
+    rep = run_checks(f, ("triangle_structural",), offset)
+    assert rep.check("triangle_structural").status == "inconclusive"
+    assert certified and not any(certified)
+
+
+def test_certified_cones_have_the_reference_profile(monkeypatch):
+    """Differential test: on every chain where triangle_structural applies
+    (2 <= n <= 3, mu <= 10; 19 chains) at offsets 0-3, every certified cone
+    has the reference's Hom dimensions out of every collection object, a
+    necessary condition for an isomorphism."""
+    assert len(STRUCTURAL_CHAINS) == 19
+    for exps in STRUCTURAL_CHAINS:
+        f = ChainPolynomial(exps)
+        base, step = collection_base(f)
+        mu = numerics(f).milnor
+        for offset in range(4):
+            searches = _searches(monkeypatch)
+            assert run_checks(f, ("triangle_structural",), offset).passed
+            orbit = (base, [-(offset + k) * step for k in range(mu)])
+            zero, homs = base.group.zero, HomEngine()
+            certified = [(C, R) for *_, tests in searches for C, R, ok in tests if ok]
+            assert certified, (exps, offset)
+            for C, R in certified:
+                assert profiles_agree(homs, orbit, (C, zero), (R, zero)), (exps, offset)
+
+
+def test_triangles_read_only_base_keys(monkeypatch):
+    """Every HomEngine key that a triangles run reads has the collection base
+    as its source and the collection base, the auxiliary base or a ladder
+    base as its target: the cone search asks the engine nothing."""
+    keys = []
+    for name in ("window", "_dim", "euler_at"):
+        real = getattr(HomEngine, name)
+        monkeypatch.setattr(HomEngine, name,
+                            lambda self, key, *a, real=real: keys.append(key)
+                            or real(self, key, *a))
+    real_route = HomEngine.restricted_dim
+    monkeypatch.setattr(HomEngine, "restricted_dim",
+                        lambda self, A, B, *a: keys.append((A, B, None))
+                        or real_route(self, A, B, *a))
+    for exps in [(2, 2), (3, 3), (2, 5), (9, 2), (2, 2, 2), (3, 2, 2), (2, 4, 2),
+                 (2, 2, 2, 2), (3, 3, 3)]:
+        f = ChainPolynomial(exps)
+        base = collection_base(f)[0]
+        if f.n % 2 == 0:
+            bases = [base, mf.stabilize(f, *auxiliary_splitting(f))]
+        else:
+            bases = [base] + [mf.stabilize(f, *ladder_splitting(f, j))
+                              for j in range(1, f.exponents[0] + 1)]
+        for offset in (0, 2):
+            keys.clear()
+            assert run_checks(f, CHECKS_RUN["triangles"], offset).passed
+            assert keys, (exps, offset)
+            for A, X, _ in keys:
+                assert A == base and X in bases, (exps, offset)
 
 
 def _outcome(check):
@@ -649,7 +744,6 @@ def test_euler_memo_cannot_hide_a_wrong_answer_odd(monkeypatch):
 
 
 def test_section_inequalities():
-    from itertools import product
     for n in range(1, 6):
         for exps in product((2, 3, 4), repeat=n):
             rep = run_checks(ChainPolynomial(exps), SECTION_CHECKS)
