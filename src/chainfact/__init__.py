@@ -6,4 +6,4 @@ __version__ = "0.1.0"
 # carries it as provenance, and it changes whenever a table can change.  It
 # lives here, not in ``homcalc``, so that a report needs no import of the
 # engine.
-ENGINE_ID = "koszul-restriction-5"
+ENGINE_ID = "koszul-kunneth-6"

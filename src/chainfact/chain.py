@@ -301,17 +301,13 @@ class GradingGroup:
         return Degree(self, sum(map(mul, exps, self.weights)),
                       sum(map(mul, exps, self._residues)))
 
-    def monomial_basis(self, l: Degree, skip: tuple[int, ...] = ()
-                       ) -> tuple[tuple[int, ...], ...]:
+    def monomial_basis(self, l: Degree) -> tuple[tuple[int, ...], ...]:
         """All monomials of degree l, as sorted exponent vectors.
 
         Finiteness comes from positivity of the weight character: candidates
         are enumerated by weight and then filtered by exact degree equality
-        (torsion included).  The variables in ``skip`` (0-based) get exponent
-        zero, which enumerates the graded piece of the quotient by them.
-        Each call enumerates afresh: the group is interned for the process,
-        so it keeps no memo, and a run's ``homcalc.HomEngine`` memoizes the
-        enumerations it reads.
+        (torsion included).  Each call enumerates afresh: the group is
+        interned for the process, so it keeps no memo.
         """
         if l.group is not self:
             raise ValueError("degree from another group")
@@ -324,7 +320,7 @@ class GradingGroup:
 
         def rec(i, remaining, stack):
             step = var_w[i]
-            top = 0 if i in skip else remaining // step
+            top = remaining // step
             if i == n - 1:
                 if remaining == top * step:
                     out.append(tuple(stack + [top]))

@@ -10,7 +10,7 @@ loads ``chain`` and ``verify``; the rest is imported on first use.
 * ``invariants`` and ``monodromy`` load the battery, ``invariants``, and its
   series arithmetic, ``series``, and nothing more.
 * ``verify`` and ``euler`` load the battery too, and ``homrun`` with the Hom
-  engine behind it (``mf``, ``homcalc`` and its elimination ``exactmath``).
+  engine behind it (``homcalc``, graded Künneth, on ``mf`` and ``exactmath``).
 * ``triangles`` loads ``homrun`` and the engine but not the battery, which
   none of its checks reads; on one variable it runs only a note and loads
   neither.

@@ -8,8 +8,7 @@ The module provides:
                      the entries of matrix factorizations;
   * ``Echelon``   -- the one exact elimination: a sparse, fraction-free row
                      echelon form giving rank, kernel and the normal form of a
-                     vector modulo the row span;
-  * ``sparse_rank`` -- the rank of sparse rows, through ``Echelon``.
+                     vector modulo the row span.
 
 Matrices are sparse rows; no dense matrix is built.  The dense reference
 routines live with the tests.  Univariate polynomials and power series,
@@ -271,9 +270,4 @@ class Echelon:
                     else:
                         out.pop(c, None)
         return {c: _norm_num(v) for c, v in out.items()}
-
-
-def sparse_rank(rows) -> int:
-    """Rank of a sparse rational matrix given as dicts {col: coeff}."""
-    return Echelon(rows).rank
 

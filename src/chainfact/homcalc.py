@@ -1,68 +1,63 @@
-"""Stable morphism-space dimensions by exact linear algebra on graded pieces.
+"""Stable morphism-space dimensions: graded Künneth on Koszul pieces.
 
 For factorizations F, G and a degree l, the degree-l maps F -> T^p G form a
 2-periodic complex whose cohomology at parity p is the stable Hom space.
-Each graded piece is finite because the weight character is positive.
 
-Every Hom that ``verify``, ``euler`` and ``triangles`` read is out of a
-Koszul stabilization E = stab(R/I), I generated by s variables, and
-Hom(E, G) is the cohomology of the 2-periodic complex G|V(I) over the
-polynomial ring in the other variables (Dyckerhoff, arXiv:0904.4713;
-Polishchuk-Vaintrob, arXiv:1002.2116).  With E the unshifted stabilization
-(first even twist zero, as ``stabilize`` without a twist leaves it),
-D = sum of deg(x_v) over the generators - s f and k, r = divmod(p + s, 2),
+Every Hom that ``verify``, ``euler`` and ``triangles`` read goes from one
+Koszul stabilization into another: from A = stab(R/I), I = (x_v : v in S),
+s = |S|, unshifted (first even twist zero), into a shift X of a
+stabilization with generators g_i and cofactors h_i, both read off the
+``splitting`` record of ``stabilize``.  With D = sum over S of deg(x_v) - s f
+and k, r = divmod(p + s, 2) (Dyckerhoff, arXiv:0904.4713),
 
-    Hom(E, T^p G(l)) = H^r(G|V(I)) in degree D + k f + l,
+    Hom(A, T^p X(l)) = H^r(X|V(I)) in degree D + k f + l,
 
-where H^0 in degree d is ker(d0: F0_d -> F1_d) mod im(d1: F1_{d-f} -> F0_d)
-and H^1 is ker(d1: F1_d -> F0_{d+f}) mod im(d0: F0_d -> F1_d).  Restriction
-drops every term and every monomial that contains a variable of I, so the
-complex has rank(G) slots in about half the variables instead of
-2 rank(E) rank(G) slots in all of them.  (D carries s f, not ceil(s/2) f:
-the latter disagrees with the full Hom complex whenever s is even.)  This
-restriction route is the package's one route to a Hom dimension.  It reads
-the twists of G itself, so any target will do, but the source must be an
-unshifted stabilization with the ``koszul_vars`` record that ``stabilize``
-leaves; any other source is refused with ``ValueError``.
+H^0 in degree d being ker(d0: F0_d -> F1_d) mod im(d1: F1_{d-f} -> F0_d) and
+H^1 being ker(d1: F1_d -> F0_{d+f}) mod im(d0: F0_d -> F1_d).  (D carries
+s f, not ceil(s/2) f: the latter disagrees with the full Hom complex
+whenever s is even.)  As T^2 is the shift by f, (degree, parity) pairs fold
+by (delta, q) == (delta + floor(q/2) f, q mod 2): the Koszul basis vector
+e_J of X sits at the sum over J of (deg g_i - f, 1), moved by X's twist.
 
-The full Hom complex -- monomial bases slot by slot (``_cell_basis``) and
-the differentials as sparse integer rows (``_differential_rows``), built by
-adding the cell monomial's exponents to the terms of the structure maps --
-serves ``morphism_space_basis``, which needs explicit representatives (for
-the cone search of ``triangle_structural``, which reads no dimension);
-``exactmath.Echelon`` gives its kernels and image reductions.  The tests'
-general Hom dimension, the restriction route's oracle, uses the same rows.
+X|V(I) drops every term with a variable of S.  It is the tensor product,
+over the free variables, of the pieces K_i = K(g_i|V, h_i|V), with
+e_0 -> h_i|V e_i and e_i -> g_i|V e_0.  A unit in a piece makes it, and so
+the product, contractible: every Hom is zero.  The shape check asks that
+each g_i|V and h_i|V be zero or a constant times a power of one free
+variable, not both nonzero, and that each free variable lie in exactly one
+piece.  Künneth over the field then gives H(X|V(I)) = (x) H(K_i):
+K(y^k, 0) gives k[y]/(y^k) e_0 at (m deg y, 0), K(0, y^k) gives
+k[y]/(y^k) e_i at (deg g_i - f + m deg y, 1), m < k, and K(0, 0) gives
+k e_0 + k e_i at (0, 0) and (deg g_i - f, 1).  The shared-variable rule
+comes first: for K(0, y^a) and K(0, y^b), a <= b, the homogeneous change of
+basis e' = e_1 + y^(b-a) e_2 turns the product into K(0, y^a) (x) K(0, 0),
+so among the pieces with g_i|V = 0 and h_i|V a power of one shared
+variable, the least power is kept and the others are set to zero.  The
+width-a1 ladder base at odd n needs it: against the collection base, x1^a1
+leaves h|V = x2 and x3 leaves h|V = x2^a2.  A key that fails the check
+raises ``ValueError``; no run asks one.
 
-Keys are built on bases.  Since T^2 is the shift by the total degree f,
+Keys are built on bases.  Since Hom(A(a), T^p X(b)(l)) =
+Hom(A, T^r X(l + b - a + floor(p/2) f)), r = p mod 2, one answer serves a
+twist orbit: a caller holding an orbit as (base, twist) asks the key
+(A, X, l) on the unshifted source base and the target as it holds them,
+with every twist in l.  ``HomEngine`` answers the keys of one run: it
+builds the (degree, parity) basis of (x) H(K_i) once per (A, X), so each
+folded query (A, X, (l + floor(p/2) f).coords, p mod 2) is a lookup at
+degree D + k f + l, and it memoizes each key's certified window and Euler
+number.  A table reads one column per diagonal d = j - i of the orbit
+E_i = base(i step), on the key (A, A, d step).  A run makes one engine and
+drops its memos with it.
 
-    Hom(A(a), T^p X(b)(l)) = Hom(A, T^r X(l + b - a + floor(p/2) f)),
-
-r = p mod 2, and the cell bases and differential matrices of the two sides
-are literally equal, so one answer serves every pair of a twist orbit.  A
-caller that holds an orbit as (base, twist) asks the key (A, X, l) on the
-unshifted source base A and the target X as it holds them, with every
-twist in the degree l, and builds no object of the orbit.
-
-``HomEngine`` answers these keys for one run.  It scans each key once for
-its certified window, memoizes the Euler number on the key, and answers
-each folded query (A, X, (l + floor(p/2) f).coords, p mod 2) once by the
-restriction route, which reads the engine's memo of monomial enumerations.
-The tables and the Euler checks are its readers: every entry of the primal
-table, of the Serre-dual table and of the Euler checks is such a value.  A
-table is built from the collection's base and step: the collection is the
-orbit E_i = base(i step), so the pair (i, j) has the key (A, A, (j - i) step)
-at every offset, and the table stores one column per diagonal d = j - i,
-|d| < mu, which the checks read instead of the mu^2 pairs.  A run makes one
-engine and drops its memos with the run, and ``hom_dim`` is a one-off query
-on a fresh engine, so no Hom memo outlives the engine that filled it.
-The cell bases and rows of T^p X are read off X itself (T swaps the modules
-and moves one by f), so a query builds no translated object.  The functors
-used here (``shift``, ``t_power``) are trusted constructors in ``mf``;
-factorizations are validated where they enter.
+The full Hom complex -- monomial cells slot by slot (``_cell_basis``) and
+the differentials as sparse integer rows (``_differential_rows``) -- serves
+``morphism_space_basis``, which needs explicit representatives for the cone
+search of ``triangle_structural``, and is the tests' reference for the
+closed form; ``exactmath.Echelon`` gives its kernels and image reductions.
+Its cells and rows of T^p X are read off X itself.
 
 Scan windows are certified on both sides: below by direct weight negativity
 of the cell spaces, above by applying the same bound to the Serre-dual query.
-They need only the weights of the twists.
 
 The engine's name is ``chainfact.ENGINE_ID``, which every report carries as
 provenance; a change here that can change a table must change it.
@@ -70,11 +65,12 @@ provenance; a change here that can change a table must change it.
 
 from __future__ import annotations
 
+from collections import Counter
 from operator import add
 
 from .chain import Degree
-from .exactmath import Echelon, MPoly, sparse_rank
-from .mf import GradedMatrix, MatrixFactorization, MFMorphism, shift, t_power
+from .exactmath import Echelon, MPoly
+from .mf import GradedMatrix, MatrixFactorization, MFMorphism, t_power
 
 
 def _cell_basis(F: MatrixFactorization, G: MatrixFactorization, l: Degree, p: int):
@@ -142,20 +138,6 @@ def _differential_rows(F, G, p, basis, tindex):
     return rows
 
 
-def hom_dim(source: MatrixFactorization, target: MatrixFactorization,
-            degree: Degree | None = None, power: int = 0) -> int:
-    """dim of stable Hom(source, T^power target(degree)), as a one-off query
-    on a fresh :class:`HomEngine`, on the key (source(s), target, degree + s)
-    for s the first even twist of ``source``: a shift of a stabilization with
-    ``stabilize``'s ``koszul_vars`` record (``ValueError`` otherwise).  A run
-    asks its own engine instead, on keys it builds on its bases."""
-    if source.group is not target.group:
-        raise ValueError("factorizations live over different gradings")
-    s = source.F0.twists[0] if source.size else source.group.zero
-    l = degree if degree is not None else source.group.zero
-    return HomEngine().dim((shift(source, s), target, l + s), power)
-
-
 def _twist_weights(mf, parity):
     """Weights of the (even, odd) twists of T^parity mf.
 
@@ -217,7 +199,7 @@ class HomTable:
     ``columns`` maps each diagonal d = j - i, |d| < ``objects``, to
     (window, {p: dim}) on the key (base, base, d step): the certified window
     and the dimensions over the stored powers.  The pair (i, j) reads column
-    j - i; ``entries``, ``windows`` and :meth:`dim` are per-pair views.
+    j - i; :meth:`dim` is the per-pair view.
     """
 
     def __init__(self, base: MatrixFactorization, step: Degree, objects: int,
@@ -231,27 +213,13 @@ class HomTable:
         """The key of the column of the diagonal d."""
         return self.base, self.base, d * self.step
 
-    def _pairs(self):
-        mu = self.objects
-        return ((i, j) for i in range(mu) for j in range(mu))
-
-    @property
-    def entries(self) -> dict[tuple[int, int, int], int]:
-        """{(i, j, p): dim}, expanded pair by pair."""
-        return {(i, j, p): dim for i, j in self._pairs()
-                for p, dim in self.columns[j - i][1].items()}
-
-    @property
-    def windows(self) -> dict[tuple[int, int], tuple[int, int]]:
-        return {(i, j): self.columns[j - i][0] for i, j in self._pairs()}
-
     def dim(self, i, j, p) -> int:
         if not (0 <= i < self.objects and 0 <= j < self.objects):
             return 0
         return self.columns[j - i][1].get(p, 0)
 
     def entry_count(self) -> int:
-        """len(entries), counted without expanding them."""
+        """The number of (i, j, p) entries, counted without expanding them."""
         return sum((self.objects - abs(d)) * len(dims)
                    for d, (_, dims) in self.columns.items())
 
@@ -270,40 +238,55 @@ def _alternating(window, dims) -> int:
                for p in range(window[0], window[1] + 1))
 
 
-def _check_source(key) -> None:
-    """Refuse a key whose source the restriction route cannot answer: one
-    without ``stabilize``'s ``koszul_vars`` record, or with a nonzero first
-    even twist.  A key with an empty side passes: its Homs are zero."""
+def _koszul_vars(A: MatrixFactorization) -> tuple[int, ...] | None:
+    """The sorted variables of A's generators, None unless each generator
+    (a monomial, as ``stabilize`` checks) is one variable times a constant."""
+    if A.splitting is None:
+        return None
+    exps = [next(iter(g.terms)) for g in A.splitting[0]]
+    return tuple(sorted(e.index(1) for e in exps)) if all(sum(e) == 1 for e in exps) else None
+
+
+def _check_key(key) -> None:
+    """Refuse a key outside the closed form's reach, before any memo lookup:
+    a source that is not an unshifted stabilization by variables, or a
+    target without the ``splitting`` record, unless a side is empty."""
     A, X, _ = key
-    if ((A.koszul_vars is None or not A.F0.twists[0].is_zero())
-            and A.size and X.size):
-        raise ValueError("Hom source is not an unshifted stabilization by "
-                         "variables (koszul_vars record, first even twist zero)")
+    if A.size and X.size and (_koszul_vars(A) is None or not A.F0.twists[0].is_zero()
+                              or X.splitting is None):
+        raise ValueError("Hom key is not from an unshifted stabilization by "
+                         "variables into a recorded stabilization")
+
+
+def _restrict(poly: MPoly, skip) -> tuple | None:
+    """poly|V(x_v : v in skip) as (variable, power): None for zero, (None, 0)
+    for a nonzero constant, and ``ValueError`` unless it is a constant times
+    a power of one variable."""
+    terms = [e for e in poly.terms if not any(e[v] for v in skip)]
+    if not terms:
+        return None
+    support = [(v, k) for v, k in enumerate(terms[0]) if k]
+    if len(terms) > 1 or len(support) > 1:
+        raise ValueError("a Koszul piece restricts to more than a power of one variable")
+    return support[0] if support else (None, 0)
 
 
 class HomEngine:
-    """The Hom queries of one run, each asked once.
+    """The Hom queries of one run, each answered in closed form.
 
-    The engine is the package's one route to a Hom dimension and the one
-    owner of the memos behind it.  A key (A, X, l) stands for
-    Hom(A, T^p X(l)): A is an unshifted stabilization with its
-    ``koszul_vars`` record, X any object, l a degree, and callers build keys
-    on the bases they hold (see the module docstring).  The engine keeps its
-    memos on the key as given: the certified window per key, the Euler
-    number per key, and the dimension per folded query
-    (A, X, (l + floor(p/2) f).coords, p mod 2).  A run holds one object per
-    base, so lookups match on identity; equal objects share an entry by
-    equality.  A folded query the memo lacks goes to :meth:`restricted_dim`,
-    which reads a fourth memo, the monomials per (degree, skipped
-    variables).  The memos live on the instance: a run makes one engine and
-    drops it with the run.
+    The package's one route to a Hom dimension and the one owner of the
+    memos behind it.  A key (A, X, l) stands for Hom(A, T^p X(l)), from an
+    unshifted stabilization by variables into a shift of a stabilization
+    (see the module docstring).  The memos live on the instance, keyed as
+    given: the Künneth basis per (A, X), built by :meth:`kunneth`, and the
+    certified window and the Euler number per key.  A run holds one object
+    per base, so lookups match on identity; equal objects share an entry.
     """
 
     def __init__(self):
+        self.bases: dict = {}           # (A, X) -> Counter of (degree coords, parity)
         self.windows: dict = {}         # (A, X, l) -> certified window
         self.eulers: dict = {}          # (A, X, l) -> Euler number
-        self.dims: dict = {}            # folded query -> dim
-        self.monomials: dict = {}       # (degree, skip) -> monomial basis
 
     def window(self, key) -> tuple[int, int]:
         """The certified window of a key, scanned once."""
@@ -312,87 +295,68 @@ class HomEngine:
             window = self.windows[key] = scan_window(*key)
         return window
 
-    def dim(self, key, p: int) -> int:
-        """dim Hom(A, T^p X(l)) for the key (A, X, l).  The source is checked
-        before the memo is read, so an answer never depends on which queries
-        came first."""
-        _check_source(key)
-        return self._dim(key, p)
-
     def _dim(self, key, p: int) -> int:
-        """:meth:`dim` through the memo on the folded query, for a caller
-        that has checked the key's source.  The folded degree is formed on
-        the (weight, residue) coordinates, and a Degree is built only for a
-        query the memo lacks."""
+        """dim Hom(A, T^p X(l)) for a checked key (A, X, l): the folded query
+        ((l + floor(p/2) f).coords, p mod 2), formed on the (weight, residue)
+        coordinates, looked up in the basis of (A, X)."""
         A, X, l = key
+        basis = self.bases.get((A, X))
+        if basis is None:
+            basis = self.bases[(A, X)] = self.kunneth(A, X)
         group = l.group
         k, r = divmod(p, 2)
         (w, r0), (fw, fr) = l.coords, group.total_degree.coords
-        coords = (w + k * fw, (r0 + k * fr) % group.modulus)
-        query = (A, X, coords, r)
-        dim = self.dims.get(query)
-        if dim is None:
-            dim = self.dims[query] = self.restricted_dim(A, X, Degree(group, *coords), r)
-        return dim
+        return basis.get(((w + k * fw, (r0 + k * fr) % group.modulus), r), 0)
 
-    def restricted_dim(self, A, B, l: Degree, r: int) -> int:
-        """dim Hom(A, T^r B(l)), r = 0 or 1, for the unshifted stabilization
-        A of R/(x_v : v in skip), as H^r of B|V(I) (see the module
-        docstring).  The caller has checked the source."""
-        if not A.size or not B.size:
-            return 0
-        skip = A.koszul_vars
-        group = B.group
-        fdeg = group.total_degree
-        s = len(skip)
-        k, odd = divmod(r + s, 2)
-        d = l + (k - s) * fdeg
-        for v in skip:
-            d = d + group.variable_degree(v)
-        module = B.F1 if odd else B.F0
-        cells = sum(len(self._monomials(d - t, skip)) for t in module.twists)
-        if cells == 0:
-            return 0
-        if odd:
-            return (cells - self._restricted_rank(B, skip, d, 1)
-                    - self._restricted_rank(B, skip, d, 0))
-        return (cells - self._restricted_rank(B, skip, d, 0)
-                - self._restricted_rank(B, skip, d - fdeg, 1))
-
-    def _restricted_rank(self, G, skip, d, odd) -> int:
-        """Rank of d0: F0_d -> F1_d (odd = 0) or d1: F1_d -> F0_{d+f}
-        (odd = 1) of G restricted to V(x_v : v in skip).
-
-        One row per source cell (basis vector c, monomial m in the free
-        variables); each term of column c that avoids the skipped variables
-        lands at (target row, m + exponents).
-        """
-        src, entries = (G.F1, G.d1.entries) if odd else (G.F0, G.d0.entries)
-        index: dict = {}
-        rows = []
-        for c, t in enumerate(src.twists):
-            terms = [(r, e, coeff) for r, row in enumerate(entries)
-                     for e, coeff in row[c].terms.items()
-                     if not any(e[v] for v in skip)]
-            if not terms:
-                continue
-            for m in self._monomials(d - t, skip):
-                rows.append({index.setdefault((r, tuple(map(add, e, m))), len(index)): coeff
-                             for r, e, coeff in terms})
-        return sparse_rank(rows)
-
-    def _monomials(self, d: Degree, skip) -> tuple:
-        """The monomials of degree d in the variables outside ``skip``,
-        enumerated once per engine."""
-        got = self.monomials.get((d, skip))
-        if got is None:
-            got = self.monomials[(d, skip)] = d.group.monomial_basis(d, skip)
-        return got
+    def kunneth(self, A, X) -> Counter:
+        """{(degree coords, parity): dim} over the folded queries of the keys
+        (A, X, .) with a nonzero Hom, by graded Künneth (see the module
+        docstring): a basis element of (x) H(K_i) of degree d and parity q
+        answers the fold of (d - D, q - s).  ``ValueError`` when the pieces
+        of X|V(I) fail the shape check.  The caller has checked the key."""
+        if not A.size or not X.size:
+            return Counter()
+        group, skip, fdeg = X.group, _koszul_vars(A), X.group.total_degree
+        pieces = []             # [variable or None, power, parity, deg g_i - f]
+        for g, h in zip(*X.splitting):
+            gbar, hbar = _restrict(g, skip), _restrict(h, skip)
+            if (None, 0) in (gbar, hbar):
+                return Counter()    # a unit: the piece, and so the product, is contractible
+            if gbar and hbar:
+                raise ValueError("both maps of a Koszul piece survive on V(I)")
+            (e,) = g.terms
+            pieces.append([*(gbar or hbar or (None, 0)), 1 if hbar else 0,
+                           group.monomial_degree(e) - fdeg])
+        for var in {pc[0] for pc in pieces if pc[2]}:       # the shared-variable rule
+            shared = sorted((pc for pc in pieces if pc[2] and pc[0] == var),
+                            key=lambda pc: pc[1])
+            for pc in shared[1:]:
+                pc[:3] = None, 0, 0
+        if sorted(pc[0] for pc in pieces if pc[0] is not None) != [
+                v for v in range(group.chain.n) if v not in skip]:
+            raise ValueError("the Koszul pieces do not split the free variables")
+        top = sum((group.variable_degree(v) - fdeg for v in skip), group.zero)    # D
+        basis = Counter({(X.F0.twists[0] - top, -len(skip)): 1})    # unfolded parity
+        for var, power, odd, eg in pieces:
+            if var is None:
+                elements = [(group.zero, 0), (eg, 1)]
+            else:
+                y = group.variable_degree(var)
+                elements = [((eg if odd else group.zero) + m * y, odd) for m in range(power)]
+            grown = Counter()
+            for (d, q), c in basis.items():
+                for e, o in elements:
+                    grown[d + e, q + o] += c
+            basis = grown
+        folded = Counter()
+        for (d, q), c in basis.items():
+            folded[(d + (q // 2) * fdeg).coords, q % 2] += c
+        return folded
 
     def euler_at(self, key) -> int:
         """chi on a key (A, X, l), the alternating sum of the Hom dimensions
         over the certified window, memoized on the key."""
-        _check_source(key)
+        _check_key(key)
         chi = self.eulers.get(key)
         if chi is None:
             lo, hi = window = self.window(key)
@@ -405,7 +369,7 @@ class HomEngine:
         each certified window plus ``margin`` powers on both sides: one
         column per diagonal d, |d| < mu, on the key (base, base, d step)."""
         table = HomTable(base, step, mu, {})
-        _check_source(table.key(0))
+        _check_key(table.key(0))
         for d in range(1 - mu, mu):
             key = table.key(d)
             lo, hi = window = self.window(key)
@@ -421,7 +385,7 @@ class HomEngine:
         n = A.group.chain.n
         sigma = A.group.monomial_degree((1,) * n)      # sum of the variable degrees
         columns = {}
-        _check_source(table.key(0))
+        _check_key(table.key(0))
         for d, (window, dims) in table.columns.items():
             back = (A, A, -sigma - d * table.step)
             columns[d] = (window, {p: self._dim(back, n - p) for p in dims})

@@ -6,8 +6,8 @@ Hom-table, exceptionality, Euler, Serre and triangle checks, with the cone
 search behind ``triangle_structural``.  It is the orchestration layer's one
 importer of the Hom engine, and it calls ``mf`` and ``homcalc`` through
 their modules, so a patch on either reaches every check.  A run asks every
-Hom dimension through its one ``homcalc.HomEngine``, the package's one
-Hom-dimension route; nothing here calls ``hom_dim`` or ``scan_window``
+Hom dimension through its one ``homcalc.HomEngine``, by graded Künneth
+between the bases stabilized here; nothing here calls ``scan_window``
 directly, and the cone search asks none (it certifies an isomorphism).
 """
 
@@ -23,7 +23,6 @@ from .chain import (
     Degree,
     VerificationFailure,
     build_grading_group,
-    numerics,
 )
 from .exactmath import Echelon, MPoly
 from .verify import _Run
@@ -80,14 +79,6 @@ def collection_base(f: ChainPolynomial):
     return mf.stabilize(f, gens, cofs), step
 
 
-def build_collection(f: ChainPolynomial,
-                     offset: int = 0) -> list[mf.MatrixFactorization]:
-    """The length-mu twist orbit of the base stabilization."""
-    base, step = collection_base(f)
-    mu = numerics(f).milnor
-    return [mf.shift(base, (offset + i) * step) for i in range(mu)]
-
-
 def auxiliary_splitting(f: ChainPolynomial):
     """Splitting for the triangle third objects (even variable count).
 
@@ -110,12 +101,6 @@ def ladder_splitting(f: ChainPolynomial, j: int):
         raise ValueError("ladder index out of range")
     gens = [MPoly.variable(n, 0, j)] + [MPoly.variable(n, i) for i in range(2, n, 2)]
     return gens, _cofactors(f, gens)
-
-
-def auxiliary_object(f: ChainPolynomial, i: int) -> mf.MatrixFactorization:
-    gens, cofs = auxiliary_splitting(f)
-    g = build_grading_group(f)
-    return mf.stabilize(f, gens, cofs, i * g.variable_degree(0))
 
 
 def ladder_object(f: ChainPolynomial, i: int, j: int) -> mf.MatrixFactorization:
@@ -144,8 +129,8 @@ class HomRun(_Run):
     stabilize(f, gens, cofs, twist) = shift(stabilize(f, gens, cofs), twist).
     Every Hom dimension that a check reads (the tables and the Euler
     entries; the cone search reads none) goes through the run's one
-    ``HomEngine``, on a key built on the bases, so each key is scanned once
-    and each distinct folded query is answered by the route once per run.
+    ``HomEngine``, on a key from the collection base into a base, so each
+    key is scanned once and each pair's Künneth basis is built once per run.
 
     The collection step is deg x1 at even n and -deg x1 at odd n, so object
     i of every family is Y(i * step) for its base Y, and

@@ -257,22 +257,19 @@ def check_monodromy_routes(em: EulerMatrix, zp: ZetaPolynomial) -> bool:
     return True
 
 
-def _power_sums(cp_coeffs, mu, upto):
-    """Power sums of the inverse roots of the zeta polynomial, s_1..s_upto."""
-    support = [(i, c) for i, c in enumerate(cp_coeffs) if i >= 1 and c]
-    s = [mu]
-    for m in range(1, upto + 1):
-        acc = 0
-        for i, c in support:
-            if i >= m:
-                break
-            acc += c * s[m - i]
-        cm = cp_coeffs[m] if m < len(cp_coeffs) else 0
-        s.append(-m * cm - acc)
-    return s
+def _power_sums(cum_products, upto):
+    """Power sums s_0..s_upto of the inverse roots of the zeta polynomial.
+
+    z = prod_i (1 - t^{d_i})^{e_i}, d_i = ``cum_products[i]``, e_i = (-1)^{n-i},
+    and -t z'/z = sum_m s_m t^m give s_m = sum_i e_i d_i [d_i | m], s_0 = mu.
+    :func:`zeta_polynomial` builds z's coefficients as exactly this product,
+    so the certificate, which reads them, keeps its strength."""
+    n = len(cum_products) - 1
+    terms = [((-1) ** (n - i) * d, d) for i, d in enumerate(cum_products)]
+    return [sum(c for c, d in terms if m % d == 0) for m in range(upto + 1)]
 
 
-def _det_one_minus_t_via_traces(cp_coeffs, mu, period) -> Poly:
+def _det_one_minus_t_via_traces(cum_products, mu, period) -> Poly:
     """det(1 - t*M) for M the mu-th companion power, by Newton's identities.
 
     Eigenvalues are roots of unity of order dividing ``period`` (the top
@@ -282,7 +279,7 @@ def _det_one_minus_t_via_traces(cp_coeffs, mu, period) -> Poly:
     which are few: det(1 - t*M) is an alternating product of circle factors,
     with 98 nonzero coefficients out of 2102 on 7,7,7,7.
     """
-    s = _power_sums(cp_coeffs, mu, period + 3)
+    s = _power_sums(cum_products, period + 3)
     if s[period] != mu or s[period + 1] != s[1] or s[period + 2] != s[2]:
         raise VerificationFailure("trace sequence is not period-locked",
                                   {"period": period, "head": s[:3],
@@ -322,7 +319,7 @@ def monodromy_data(f: ChainPolynomial) -> MonodromyData:
     check_monodromy_routes(euler_matrix(f), zp)
 
     period = nm.cum_products[-1]
-    det1mt = _det_one_minus_t_via_traces(zp.poly.coeffs, mu, period)
+    det1mt = _det_one_minus_t_via_traces(nm.cum_products, mu, period)
     exps = tuple(gcd(nm.cum_products[i], mu) for i in range(n + 1))
     return MonodromyData(f, det1mt, exps)
 

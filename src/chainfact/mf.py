@@ -8,11 +8,10 @@ and entrywise homogeneity (each monomial of each entry must have exactly the
 degree prescribed by the source and target twists), so malformed data cannot
 enter.
 
-``shift``, ``translate`` and everything built from them (``t_power``, whose
-power -1 inverts ``translate``, and ``serre``) are trusted constructors.  A
-grading shift moves every twist by the same degree and keeps the entries;
-translation swaps and negates the two maps and moves one module by the total
-degree.  Both keep d1 o d0 = d0 o d1 = f and homogeneity by construction, so
+``shift``, ``translate`` and ``t_power``, built from them (its power -1
+inverts ``translate``), are trusted constructors.  A grading shift moves
+every twist by the same degree and keeps the entries; translation swaps and
+negates the two maps and moves one module by the total degree.  Both keep d1 o d0 = d0 o d1 = f and homogeneity by construction, so
 they skip the polynomial products and the monomial scan.
 
 All values are immutable and hashable; functors return fresh objects.
@@ -203,12 +202,12 @@ class MatrixFactorization:
     the total degree; both compositions are verified to equal f times the
     identity at construction.
 
-    ``koszul_vars`` is the record that ``stabilize`` leaves: the 0-based
-    variables generating I when the object is a shift of the stabilization
-    of R/I, else None.  It takes no part in equality or hashing.
+    ``splitting`` is the record that ``stabilize`` leaves: its (generators,
+    cofactors) when the object is a shift of a stabilization, else None.  It
+    takes no part in equality or hashing.
     """
 
-    __slots__ = ("group", "f", "F0", "F1", "d0", "d1", "koszul_vars", "_hash")
+    __slots__ = ("group", "f", "F0", "F1", "d0", "d1", "splitting", "_hash")
 
     def __init__(self, group, fpoly, F0, F1, d0, d1):
         if F0.rank != F1.rank:
@@ -226,19 +225,19 @@ class MatrixFactorization:
             raise GradingError("d0 o d1 is not f times the identity")
         self._set(group, fpoly, F0, F1, d0, d1)
 
-    def _set(self, group, fpoly, F0, F1, d0, d1, koszul_vars=None):
+    def _set(self, group, fpoly, F0, F1, d0, d1, splitting=None):
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "f", fpoly)
         object.__setattr__(self, "F0", F0)
         object.__setattr__(self, "F1", F1)
         object.__setattr__(self, "d0", d0)
         object.__setattr__(self, "d1", d1)
-        object.__setattr__(self, "koszul_vars", koszul_vars)
+        object.__setattr__(self, "splitting", splitting)
         object.__setattr__(self, "_hash", hash((id(group), F0, F1, d0, d1)))
 
     @classmethod
     def _trusted(cls, like: "MatrixFactorization", F0, F1, e0, e1,
-                 koszul_vars=None):
+                 splitting=None):
         """Unchecked factorization over ``like``'s polynomial on modules F0, F1
         with entry grids e0, e1 (tuples of tuples).  Only for functors whose
         output satisfies the identity and homogeneity by construction."""
@@ -246,7 +245,7 @@ class MatrixFactorization:
         d0 = GradedMatrix._trusted(F0, F1, group.zero, e0)
         d1 = GradedMatrix._trusted(F1, F0, group.total_degree, e1)
         self = object.__new__(cls)
-        self._set(group, like.f, F0, F1, d0, d1, koszul_vars)
+        self._set(group, like.f, F0, F1, d0, d1, splitting)
         return self
 
     def __setattr__(self, *a):
@@ -328,13 +327,12 @@ def stabilize(f: ChainPolynomial, gens, cofs, twist: Degree | None = None):
     GradingError.  The result has size 2^(s-1), even exterior powers on the
     source side, and is shifted by ``twist`` at the end.
 
-    When every generator is a single variable (times a nonzero constant),
-    the result records them as ``koszul_vars``, the sorted 0-based variable
-    indices.  ``homcalc.HomEngine`` computes Homs out of the result without
-    a twist, whose first even twist is zero, by restriction to V(I); it
-    refuses a source without the record or with a twist.  A power or a
-    product among the generators leaves the record None.  ``shift`` keeps
-    the record; every other functor drops it.
+    The result records its splitting, (gens, cofs) as tuples, as
+    ``splitting``.  ``homcalc.HomEngine`` reads the record on both sides of
+    a Hom: out of a result without a twist whose generators are single
+    variables, into any result, by graded Künneth on the Koszul pieces.  It
+    refuses a key without the records, or with a shifted source.  ``shift``
+    keeps the record; every other functor drops it.
     """
     group = build_grading_group(f)
     n = f.n
@@ -395,8 +393,7 @@ def stabilize(f: ChainPolynomial, gens, cofs, twist: Degree | None = None):
     d0 = GradedMatrix(F0, F1, group.zero, differential(even, even_index, odd_index))
     d1 = GradedMatrix(F1, F0, fvec, differential(odd, odd_index, even_index))
     mf = MatrixFactorization(group, fpoly, F0, F1, d0, d1)
-    if all(sum(next(iter(g.terms))) == 1 for g in gens):     # single variables
-        object.__setattr__(mf, "koszul_vars", tuple(sorted(set().union(*supports))))
+    object.__setattr__(mf, "splitting", (tuple(gens), tuple(cofs)))
     if twist is not None and not twist.is_zero():
         mf = shift(mf, twist)
     return mf
@@ -416,11 +413,11 @@ def zero_object(f: ChainPolynomial) -> MatrixFactorization:
 
 def shift(mf: MatrixFactorization, l: Degree) -> MatrixFactorization:
     """Grading-shift functor (l): twists move, entries stay (trusted).  The
-    ``koszul_vars`` record is kept, since it is invariant under shifts."""
+    ``splitting`` record is kept, since a shift leaves the splitting as it is."""
     if l.is_zero():
         return mf
     return MatrixFactorization._trusted(mf, mf.F0.shifted(l), mf.F1.shifted(l),
-                                        mf.d0.entries, mf.d1.entries, mf.koszul_vars)
+                                        mf.d0.entries, mf.d1.entries, mf.splitting)
 
 
 def _negated(entries):
@@ -442,14 +439,6 @@ def t_power(mf: MatrixFactorization, p: int) -> MatrixFactorization:
     if k:
         out = shift(out, k * mf.group.total_degree)
     return out
-
-
-def serre(mf: MatrixFactorization) -> MatrixFactorization:
-    """Serre functor: n translations then the negative sum-of-variables shift."""
-    group = mf.group
-    n = group.chain.n
-    total = sum((group.variable_degree(i) for i in range(n)), group.zero)
-    return shift(t_power(mf, n), -total)
 
 
 def direct_sum(a: MatrixFactorization, b: MatrixFactorization) -> MatrixFactorization:

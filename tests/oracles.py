@@ -5,13 +5,14 @@ The library builds no dense matrix, so the dense layer lives here: the
 integer matrices ``IntMatrix`` with their product ``int_mat_mul`` and the
 division-free (Berkowitz) characteristic polynomial, and the dense Euler
 matrix, monodromy operator and companion matrix, each built from the series
-or coefficients that the library keeps.  So does the general Hom route: the
-library answers Homs only out of Koszul stabilizations, by restriction, and
-``general_hom_dim`` answers them out of any source from the full Hom
-complex, as that route's differential-test oracle.  ``closed_form_hom``
-gives the diagonal Hom algebra in closed form, and ``profiles_agree``
-compares Hom profiles, a necessary condition for the isomorphisms that
-``triangle_structural`` certifies.
+or coefficients that the library keeps, and the recursion of the zeta
+polynomial's power sums from its coefficients.  So does the general Hom
+route: the library answers Homs only between Koszul stabilizations, by
+graded Künneth, and ``general_hom_dim`` answers them between any objects
+from the full Hom complex, as the closed form's differential-test oracle.
+``closed_form_hom`` gives the diagonal Hom algebra in closed form, and
+``profiles_agree`` compares Hom profiles, a necessary condition for the
+isomorphisms that ``triangle_structural`` certifies.
 
 They compute values only and contain no ``assert``: pytest rewrites asserts
 in test modules, not here, and the suite also runs under ``python -O``.
@@ -23,10 +24,18 @@ from itertools import combinations, permutations
 from typing import NamedTuple
 
 from chainfact.chain import ChainPolynomial, Degree, build_grading_group
-from chainfact.exactmath import MPoly, sparse_rank
-from chainfact.homcalc import HomEngine, _differential_rows
+from chainfact.exactmath import Echelon, MPoly
+from chainfact.homcalc import HomEngine, _check_key, _differential_rows
+from chainfact.homrun import auxiliary_splitting
 from chainfact.invariants import companion_certificate, euler_matrix, zeta_polynomial
-from chainfact.mf import GradedMatrix, MatrixFactorization, MFMorphism, shift, t_power
+from chainfact.mf import (
+    GradedMatrix,
+    MatrixFactorization,
+    MFMorphism,
+    shift,
+    stabilize,
+    t_power,
+)
 from chainfact.series import ExactDivisionError, Poly
 from chainfact.verify import VerificationReport
 
@@ -346,6 +355,28 @@ def det_lower_hessenberg_poly(diag_rows, superdiag, n) -> Poly:
     return minors[n]
 
 
+def power_sums_by_recursion(cp_coeffs, mu, upto):
+    """Power sums s_0..s_upto of the inverse roots of the polynomial with the
+    coefficients ``cp_coeffs`` and degree ``mu``, by Newton's recursion on
+    the coefficients."""
+    support = [(i, c) for i, c in enumerate(cp_coeffs) if i >= 1 and c]
+    s = [mu]
+    for m in range(1, upto + 1):
+        acc = 0
+        for i, c in support:
+            if i >= m:
+                break
+            acc += c * s[m - i]
+        cm = cp_coeffs[m] if m < len(cp_coeffs) else 0
+        s.append(-m * cm - acc)
+    return s
+
+
+def sparse_rank(rows) -> int:
+    """Rank of a sparse rational matrix given as dicts {col: coeff}."""
+    return Echelon(rows).rank
+
+
 def convolve(a, b):
     """Coefficient list of the product of two coefficient lists, by the
     schoolbook double loop over every pair of positions."""
@@ -571,7 +602,7 @@ def canonical_key(source, target, degree=None):
 
 def general_hom_dim(source, target, degree=None, power=0):
     """dim Hom(source, T^power target(degree)) from the full Hom complex, for
-    any source, ignoring the ``koszul_vars`` record.
+    any objects, ignoring the ``splitting`` records.
 
     The query is anchored by ``canonical_key`` and folded: floor(power / 2) f
     goes into the degree.  The answer is the cell count at the parity minus
@@ -593,12 +624,26 @@ def general_hom_dim(source, target, degree=None, power=0):
 
 
 class GeneralEngine(HomEngine):
-    """A ``HomEngine`` whose folded queries the general route answers: the
-    engine's keys, windows, memos and table layout, with the oracle in place
-    of the restriction route."""
+    """A ``HomEngine`` whose queries the general route answers: the engine's
+    keys, windows, Euler memo and table layout, with the oracle in place of
+    the closed form, for any target."""
 
-    def restricted_dim(self, A, B, l, r):
-        return general_hom_dim(A, B, l, r)
+    def _dim(self, key, p):
+        return general_hom_dim(*key, p)
+
+
+def hom_dim(source, target, degree=None, power=0):
+    """dim Hom(source, T^power target(degree)) as a one-off query on a fresh
+    ``HomEngine``, on the key (source(s), target, degree + s) for s the first
+    even twist of ``source``: the library's closed form, for a source that
+    is a shift of a stabilization by variables and a target with the
+    ``splitting`` record (``ValueError`` otherwise)."""
+    if source.group is not target.group:
+        raise ValueError("factorizations live over different gradings")
+    A, s = anchor(source)
+    key = (A, target, (degree if degree is not None else source.group.zero) + s)
+    _check_key(key)
+    return HomEngine()._dim(key, power)
 
 
 PROFILE_PAD = 2         # powers compared past the two certified windows
@@ -616,7 +661,7 @@ def profiles_agree(homs, orbit, left, right) -> bool:
         k1, k2 = (base, X, s + l), (base, Y, t + l)
         (lo1, hi1), (lo2, hi2) = homs.window(k1), homs.window(k2)
         for p in range(min(lo1, lo2) - PROFILE_PAD, max(hi1, hi2) + PROFILE_PAD + 1):
-            if homs.dim(k1, p) != homs.dim(k2, p):
+            if homs._dim(k1, p) != homs._dim(k2, p):
                 return False
     return True
 
@@ -687,6 +732,37 @@ def canonicalize(group, expr):
     return group.monomial_degree(expr)
 
 
+def serre(mf):
+    """Serre functor: n translations then the negative sum-of-variables shift."""
+    group = mf.group
+    n = group.chain.n
+    total = sum((group.variable_degree(i) for i in range(n)), group.zero)
+    return shift(t_power(mf, n), -total)
+
+
+def auxiliary_object(f, i):
+    """Auxiliary object i, Aux(i deg x1), through the validating
+    ``stabilize``."""
+    gens, cofs = auxiliary_splitting(f)
+    return stabilize(f, gens, cofs, i * build_grading_group(f).variable_degree(0))
+
+
+def table_pairs(table):
+    mu = table.objects
+    return ((i, j) for i in range(mu) for j in range(mu))
+
+
+def table_entries(table):
+    """{(i, j, p): dim} of a ``HomTable``, expanded pair by pair."""
+    return {(i, j, p): dim for i, j in table_pairs(table)
+            for p, dim in table.columns[j - i][1].items()}
+
+
+def table_windows(table):
+    """{(i, j): window} of a ``HomTable``, expanded pair by pair."""
+    return {(i, j): table.columns[j - i][0] for i, j in table_pairs(table)}
+
+
 def identity_morphism(mf):
     group = mf.group
     n = group.chain.n
@@ -700,9 +776,9 @@ def identity_morphism(mf):
     return MFMorphism(mf, mf, group.zero, phi0, phi1)
 
 
-def without_koszul_record(mf):
+def without_splitting_record(mf):
     """An object equal to ``mf`` without ``stabilize``'s record, which the
-    library refuses as a Hom source."""
+    library refuses on either side of a Hom."""
     return MatrixFactorization._trusted(mf, mf.F0, mf.F1, mf.d0.entries,
                                         mf.d1.entries)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainfact.exactmath import Echelon, sparse_rank
+from chainfact.exactmath import Echelon
 from chainfact.series import (
     ExactDivisionError,
     Poly,
@@ -29,6 +29,7 @@ from oracles import (
     rank_rational,
     series_inverse_rational,
     smith_normal_form,
+    sparse_rank,
 )
 
 

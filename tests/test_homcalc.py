@@ -11,12 +11,11 @@ from chainfact.chain import (
     build_grading_group,
     numerics,
 )
-from chainfact.exactmath import MPoly, sparse_rank
+from chainfact.exactmath import MPoly
 from chainfact.homcalc import (
     HomEngine,
     check_exceptionality,
     euler_pairing,
-    hom_dim,
     morphism_space_basis,
     scan_window,
     serre_symmetry_check,
@@ -26,7 +25,6 @@ from chainfact.homcalc import (
 from chainfact.homrun import (
     TABLE_MARGIN,
     HomRun,
-    build_collection,
     collection_base,
     collection_splitting,
 )
@@ -35,7 +33,6 @@ from chainfact.mf import (
     cone,
     direct_sum,
     reduce,
-    serre,
     shift,
     stabilize,
     t_power,
@@ -45,15 +42,21 @@ from oracles import (
     canonical_key,
     cell_basis_by_t_power,
     closed_form_hom,
+    collection,
     dense_euler_matrix,
     differential_rows,
     exceptionality_failures,
     general_hom_dim,
+    hom_dim,
     identity_morphism,
     kernel_basis,
     naive_dims,
     naive_hom_dim,
     rank_rational,
+    serre,
+    sparse_rank,
+    table_entries,
+    table_windows,
 )
 
 
@@ -80,7 +83,7 @@ def test_simple_module_odd_generator():
 
 def test_first_collection_twist_n2():
     f = ChainPolynomial((2, 2))
-    coll = build_collection(f)
+    coll = collection(HomRun(f, 0))
     g = build_grading_group(f)
     # Hom(E0, E0(x1)) at parity 0 is one-dimensional
     assert hom_dim(coll[0], coll[0], g.variable_degree(0), 0) == 1
@@ -97,7 +100,7 @@ def test_hom_requires_same_group():
 
 def test_scan_window_contains_support():
     f = ChainPolynomial((2, 2))
-    coll = build_collection(f)
+    coll = collection(HomRun(f, 0))
     for i in range(3):
         for j in range(3):
             lo, hi = scan_window(coll[i], coll[j])
@@ -110,7 +113,7 @@ def test_scan_window_contains_support():
 def test_scan_window_margin_random_queries():
     rng = random.Random(41)
     f = ChainPolynomial((2, 2, 2))
-    coll = build_collection(f)
+    coll = collection(HomRun(f, 0))
     g = build_grading_group(f)
     degrees = [g.zero, g.variable_degree(0), -g.variable_degree(0),
                g.variable_degree(2) - g.total_degree, 2 * g.variable_degree(1)]
@@ -127,7 +130,7 @@ def test_hom_complex_squares_to_zero():
     # d_{p+1} o d_p = 0 on the cell spaces, checked numerically
     from fractions import Fraction
     f = ChainPolynomial((2, 2))
-    coll = build_collection(f)
+    coll = collection(HomRun(f, 0))
     g = build_grading_group(f)
     for p in (-1, 0, 1):
         rows_a = differential_rows(coll[0], coll[1], g.zero, p)
@@ -148,7 +151,7 @@ def test_hom_complex_squares_to_zero():
 def test_cell_basis_matches_t_power_route(exps):
     f = ChainPolynomial(exps)
     g = build_grading_group(f)
-    coll = build_collection(f, offset=1)
+    coll = collection(HomRun(f, 1))
     objs = [coll[0], coll[2], cone(identity_morphism(coll[0])), t_power(coll[1], -3)]
     degrees = [g.zero, g.variable_degree(0), -g.total_degree,
                g.total_degree - g.variable_degree(f.n - 1)]
@@ -189,7 +192,7 @@ def naive_window(F, G, l):
 def test_scan_window_matches_naive_route(exps):
     f = ChainPolynomial(exps)
     g = build_grading_group(f)
-    coll = build_collection(f, offset=2)
+    coll = collection(HomRun(f, 2))
     objs = [coll[0], coll[1], t_power(coll[1], 1), t_power(coll[0], -3),
             cone(identity_morphism(coll[0])), serre(coll[1])]
     degrees = [k * g.variable_degree(0) for k in range(-4, 5)]
@@ -206,18 +209,18 @@ def test_canonical_tables_match_naive_route(exps):
     f = ChainPolynomial(exps)
     g = build_grading_group(f)
     sigma = sum((g.variable_degree(i) for i in range(f.n)), g.zero)
-    coll = build_collection(f, offset=1)
+    coll = collection(HomRun(f, 1))
     for dual in (False, True):
         table = fresh_table(f, 1, dual)
-        for (i, j), window in table.windows.items():
+        for (i, j), window in table_windows(table).items():
             assert window == naive_window(coll[i], coll[j], g.zero)
         naive = {}
-        for (i, j, p) in table.entries:
+        for (i, j, p) in table_entries(table):
             if dual:
                 naive[(i, j, p)] = naive_hom_dim(coll[j], coll[i], -sigma, f.n - p)
             else:
                 naive[(i, j, p)] = naive_hom_dim(coll[i], coll[j], g.zero, p)
-        assert naive == table.entries, (exps, dual)
+        assert naive == table_entries(table), (exps, dual)
 
 
 def naive_table(f, coll, margin, dual):
@@ -256,51 +259,36 @@ SMALL_CHAINS = [exps for n, top in ((1, 32), (2, 30), (3, 15), (4, 7))
 @example(exps=(3, 2, 2), offset=2, margin=0)       # torsion Z/3
 def test_tables_match_naive_route_property(exps, offset, margin):
     f = ChainPolynomial(exps)
-    coll = build_collection(f, offset)
+    coll = collection(HomRun(f, offset))
     for dual in (False, True):
         table = fresh_table(f, margin, dual)
-        assert (table.entries, table.windows) == naive_table(f, coll, margin, dual)
+        assert (table_entries(table), table_windows(table)) == naive_table(f, coll, margin, dual)
 
 
 def test_table_asks_one_query_per_diagonal(monkeypatch):
+    """A table reads one column per diagonal, and every entry of it, primal
+    or Serre dual, is a lookup in the one Künneth basis of (base, base)."""
     f = ChainPolynomial((3, 3, 3))
     mu, margin = numerics(f).milnor, 1
     calls = []
-    real = HomEngine.restricted_dim
+    real = HomEngine.kunneth
 
     def counted(self, *args):
         calls.append(args)
         return real(self, *args)
 
-    monkeypatch.setattr(HomEngine, "restricted_dim", counted)
+    monkeypatch.setattr(HomEngine, "kunneth", counted)
     primal = fresh_table(f, margin)
     asked = [list(calls)]
     calls.clear()
-    dual = HomEngine().dual(primal)             # a fresh memo: the dual's own queries
+    dual = HomEngine().dual(primal)             # a fresh memo: the dual's own basis
     asked.append(list(calls))
+    base = collection_base(f)[0]
     for table, queries in zip((primal, dual), asked):
-        width = max(hi - lo + 1 for lo, hi in table.windows.values())
-        assert len(table.windows) == mu * mu
+        assert len(table_windows(table)) == mu * mu
         assert len(table.columns) == 2 * mu - 1
-        assert 0 < len(queries) <= (2 * mu - 1) * (width + 2 * margin)
-        assert len(queries) <= sum(len(dims) for _, dims in table.columns.values())
-        assert len(queries) < len(table.entries) // 5
-        assert len({folded_query(*args) for args in queries}) == len(queries)
-        # the route is asked the folded query itself: on the unshifted
-        # base, parity only
-        assert all(folded_query(*args)[:3] == (*args[:2], args[2].coords)
-                   and args[3] in (0, 1) for args in queries)
-
-
-def folded_query(source, target, degree=None, power=0):
-    """The canonical query of Hom(source, T^power target(degree)), formed
-    without the engine: each object shifted by its first even twist, the
-    degree with floor(power / 2) f folded in, and the parity."""
-    s, t = source.F0.twists[0], target.F0.twists[0]
-    k, r = divmod(power, 2)
-    l = degree if degree is not None else source.group.zero
-    return (shift(source, s), shift(target, t),
-            (l + s - t + k * source.group.total_degree).coords, r)
+        assert queries == [(base, base)]
+        assert queries[0][0] is table.base and queries[0][1] is table.base
 
 
 def fresh_table(f, margin=0, dual=False, general=False):
@@ -317,13 +305,13 @@ def fresh_table(f, margin=0, dual=False, general=False):
 @pytest.mark.parametrize("exps", [(2, 3), (2, 2, 3), (3, 2, 2)])
 def test_shared_memo_tables_match_fresh_memos_and_naive_route(exps, offset):
     f = ChainPolynomial(exps)
-    coll = build_collection(f, offset)
+    coll = collection(HomRun(f, offset))
     naive = {dual: naive_table(f, coll, TABLE_MARGIN, dual) for dual in (False, True)}
     orbit = (*collection_base(f), len(coll), TABLE_MARGIN)
     primal = HomEngine().table(*orbit)
     fresh = {False: primal, True: HomEngine().dual(primal)}
     for dual, table in fresh.items():
-        assert (table.entries, table.windows) == naive[dual], (exps, offset, dual)
+        assert (table_entries(table), table_windows(table)) == naive[dual], (exps, offset, dual)
     for dual_first in (False, True):
         homs = HomEngine()
         if dual_first:                      # the primal reads the dual's memo
@@ -333,7 +321,7 @@ def test_shared_memo_tables_match_fresh_memos_and_naive_route(exps, offset):
             shared = {False: homs.table(*orbit)}
             shared[True] = homs.dual(shared[False])
         for dual, table in shared.items():
-            assert (table.entries, table.windows) == naive[dual], (exps, offset, dual)
+            assert (table_entries(table), table_windows(table)) == naive[dual], (exps, offset, dual)
 
 
 @settings(max_examples=30, deadline=None, database=None, derandomize=True)
@@ -351,7 +339,7 @@ def test_columns_match_closed_form_lookup_property(exps, offset):
     step = collection_splitting(f)[2]
     forms = [closed_form_hom(f, 0), closed_form_hom(f, 1)]
     run = HomRun(f, offset)
-    coll, primal = build_collection(f, offset), run.table
+    coll, primal = collection(HomRun(f, offset)), run.table
     for table in (primal, run.dual):
         assert table.objects == len(coll)
         assert sorted(table.columns) == list(range(1 - len(coll), len(coll)))
@@ -393,7 +381,7 @@ def test_exceptionality_failures_expand_in_pair_order(exps):
         for p in [p for p in (min(dims), 0, max(dims)) if p in dims]:
             dims[p] += 1
             report = check_exceptionality(table)
-            want = exceptionality_failures(table.entries)
+            want = exceptionality_failures(table_entries(table))
             assert report["failures"] == want and not report["exceptional"]
             reason = "endomorphisms not scalar" if d == 0 else "backwards morphism"
             assert want == [{"i": i, "j": i + d, "p": p, "dim": dims[p],
@@ -460,7 +448,7 @@ def _nonzero(rows):
 def test_differential_rows_match_polynomial_products(exps):
     f = ChainPolynomial(exps)
     g = build_grading_group(f)
-    coll = build_collection(f, offset=1)
+    coll = collection(HomRun(f, 1))
     objs = [coll[0], coll[2], t_power(coll[1], -3), cone(identity_morphism(coll[0]))]
     degrees = [g.zero, g.variable_degree(0), g.total_degree - g.variable_degree(1)]
     for x in objs:
@@ -475,7 +463,7 @@ def test_differential_rows_match_polynomial_products(exps):
 def test_sparse_rank_on_differential_rows(exps):
     f = ChainPolynomial(exps)
     g = build_grading_group(f)
-    coll = build_collection(f)
+    coll = collection(HomRun(f, 0))
     ranks = 0
     for j in (0, 1, 3):
         for l in (g.zero, g.variable_degree(0), g.total_degree):
@@ -523,7 +511,7 @@ def test_window_extension_stable_pairing():
     t0 = fresh_table(f)
     t3 = fresh_table(f, 3)
     wide = {}
-    for (i, j), (lo, hi) in t3.windows.items():
+    for (i, j), (lo, hi) in table_windows(t3).items():
         wide[(i, j)] = sum((1 if p % 2 == 0 else -1) * t3.dim(i, j, p)
                            for p in range(lo - 3, hi + 4))
     pairing = euler_pairing(t0)
@@ -536,7 +524,7 @@ def test_window_extension_stable_pairing():
 def diag_oracle_queries(exps):
     f = ChainPolynomial(exps)
     g = build_grading_group(f)
-    coll = build_collection(f)
+    coll = collection(HomRun(f, 0))
     e = coll[min(1, len(coll) - 1)]
     for parity in (0, 1):
         oracle = closed_form_hom(f, parity)
@@ -582,7 +570,7 @@ def test_odd_parity_is_shifted_module():
 def test_hom_invariant_under_simultaneous_shift():
     f = ChainPolynomial((2, 2))
     g = build_grading_group(f)
-    coll = build_collection(f)
+    coll = collection(HomRun(f, 0))
     l = g.variable_degree(1) - g.total_degree
     for p in (-1, 0, 1, 2):
         a = hom_dim(coll[0], coll[1], None, p)
@@ -592,11 +580,11 @@ def test_hom_invariant_under_simultaneous_shift():
 
 def test_hom_invariant_under_reduce_of_cones():
     f = ChainPolynomial((2, 2))
-    coll = build_collection(f)
+    coll = collection(HomRun(f, 0))
     padded = direct_sum(coll[1], reduce(cone(identity_morphism(coll[0]))))
     for probe in coll:
         for p in range(-2, 4):
-            assert (hom_dim(probe, padded, None, p)
+            assert (general_hom_dim(probe, padded, None, p)
                     == hom_dim(probe, coll[1], None, p))
             assert (general_hom_dim(padded, probe, None, p)
                     == hom_dim(coll[1], probe, None, p))
@@ -604,9 +592,9 @@ def test_hom_invariant_under_reduce_of_cones():
 
 def test_translation_shifts_hom_parity():
     f = ChainPolynomial((2, 2))
-    coll = build_collection(f)
+    coll = collection(HomRun(f, 0))
     for p in range(-2, 3):
-        assert (hom_dim(coll[0], t_power(coll[1], 1), None, p)
+        assert (general_hom_dim(coll[0], t_power(coll[1], 1), None, p)
                 == hom_dim(coll[0], coll[1], None, p + 1))
 
 
@@ -621,7 +609,7 @@ def test_serre_symmetry_tables():
 def test_serre_duality_single_queries():
     f = ChainPolynomial((3,))
     g = build_grading_group(f)
-    coll = build_collection(f)
+    coll = collection(HomRun(f, 0))
     sigma = g.variable_degree(0)
     for p in range(-2, 4):
         lhs = hom_dim(coll[0], coll[1], None, p)
@@ -653,7 +641,7 @@ def test_serre_symmetry_random_twists(exps, i, j, p, on_support, pick, weight_st
                                       torsion_steps):
     f = ChainPolynomial(exps)
     g = build_grading_group(f)
-    coll = build_collection(f)
+    coll = collection(HomRun(f, 0))
     i, j, n = i % len(coll), j % len(coll), f.n
     sigma = sum((g.variable_degree(v) for v in range(n)), g.zero)
     torsion = g.weights[-1] * g.variable_degree(0) - g.weights[0] * g.total_degree
@@ -672,7 +660,7 @@ def test_serre_symmetry_random_twists(exps, i, j, p, on_support, pick, weight_st
 
 def test_morphism_basis_dimensions_match():
     f = ChainPolynomial((2, 2))
-    coll = build_collection(f)
+    coll = collection(HomRun(f, 0))
     for i in range(3):
         for j in range(3):
             want = hom_dim(coll[i], coll[j], None, 0)
@@ -681,7 +669,7 @@ def test_morphism_basis_dimensions_match():
 
 def test_morphism_basis_members_commute():
     f = ChainPolynomial((3, 2))
-    coll = build_collection(f)
+    coll = collection(HomRun(f, 0))
     basis = morphism_space_basis(coll[0], coll[1])
     assert basis                               # constructor validated each one
 
@@ -745,7 +733,7 @@ def morphism_vector(phi, basis):
 @pytest.mark.parametrize("exps", [(2, 2), (2, 3), (2, 2, 2), (2, 2, 3), (3, 2, 2)])
 def test_morphism_basis_spans_dense_kernel(exps):
     f = ChainPolynomial(exps)
-    coll = build_collection(f)
+    coll = collection(HomRun(f, 0))
     l = build_grading_group(f).zero
     found = 0
     for x, y in product(coll[:4], repeat=2):

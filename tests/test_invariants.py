@@ -13,6 +13,7 @@ from chainfact.invariants import (
     VerificationFailure,
     ZetaPolynomial,
     _det_one_minus_t_via_traces,
+    _power_sums,
     check_lattice_correspondence,
     check_monodromy_routes,
     check_zeta_factorization,
@@ -38,6 +39,7 @@ from oracles import (
     int_mat_mul,
     matrix_from_columns,
     matrix_power,
+    power_sums_by_recursion,
     monodromy_column_difference,
     monodromy_matrix,
     toeplitz_product_columns,
@@ -239,21 +241,36 @@ def test_newton_route_matches_berkowitz_beyond_the_pipeline_limit(exps):
 
 def test_newton_route_rejects_a_wrong_period():
     f = ChainPolynomial((2, 2, 3))
-    zp = zeta_polynomial(f)
-    period = numerics(f).cum_products[-1]
-    _det_one_minus_t_via_traces(zp.poly.coeffs, zp.milnor, period)
+    nm = numerics(f)
+    period = nm.cum_products[-1]
+    _det_one_minus_t_via_traces(nm.cum_products, nm.milnor, period)
     with pytest.raises(VerificationFailure, match="period-locked"):
-        _det_one_minus_t_via_traces(zp.poly.coeffs, zp.milnor, period + 1)
+        _det_one_minus_t_via_traces(nm.cum_products, nm.milnor, period + 1)
 
 
 def test_newton_route_rejects_non_integral_coefficients(monkeypatch):
     # period-locked power sums s = (2, 1, 0, 2, 1, 0) with mu = 2, period 3
     # give the traces (0, 1) of the square, and 2 b_2 = -1
     import chainfact.invariants as inv
-    monkeypatch.setattr(inv, "_power_sums", lambda cp, mu, upto: [2, 1, 0, 2, 1, 0])
+    monkeypatch.setattr(inv, "_power_sums", lambda cum, upto: [2, 1, 0, 2, 1, 0])
     with pytest.raises(VerificationFailure, match="non-integral") as exc:
-        _det_one_minus_t_via_traces((1, 0, 0), 2, 3)
+        _det_one_minus_t_via_traces((1, 3), 2, 3)
     assert exc.value.witness == {"index": 2, "value": -1}
+
+
+def test_power_sums_match_the_coefficient_recursion():
+    """The divisor formula gives the power sums that Newton's recursion
+    reads off the zeta coefficients, through three periods of the trace
+    sequence, on every chain of SMALL_CHAINS and on 13,13,13,13 (mu 26 521)
+    through one period and three terms."""
+    from test_homcalc import SMALL_CHAINS
+    for exps in SMALL_CHAINS + [(13, 13, 13, 13)]:
+        nm = numerics(ChainPolynomial(exps))
+        zp = zeta_polynomial(ChainPolynomial(exps))
+        period = nm.cum_products[-1]
+        upto = period + 3 if exps == (13, 13, 13, 13) else 3 * period
+        assert (_power_sums(nm.cum_products, upto)
+                == power_sums_by_recursion(zp.poly.coeffs, zp.milnor, upto)), exps
 
 
 def test_zeta_factorization_2_2():

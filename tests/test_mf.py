@@ -16,14 +16,13 @@ from chainfact.mf import (
     cone,
     direct_sum,
     reduce,
-    serre,
     shift,
     stabilize,
     t_power,
     translate,
     zero_object,
 )
-from oracles import identity_morphism, zero_morphism
+from oracles import identity_morphism, serre, zero_morphism
 
 
 def var(f, i, power=1):

@@ -22,9 +22,8 @@ from chainfact.cli import main as cli_main
 from chainfact.exactmath import MPoly
 from chainfact.homcalc import HomEngine, scan_window
 from chainfact.homrun import (
-    auxiliary_object,
+    HomRun,
     auxiliary_splitting,
-    build_collection,
     collection_base,
     collection_splitting,
     ladder_object,
@@ -42,7 +41,9 @@ from chainfact.verify import (
     run_checks,
 )
 from oracles import (
+    GeneralEngine,
     anchor,
+    auxiliary_object,
     canonical_key,
     collection,
     dense_euler_matrix,
@@ -56,7 +57,8 @@ from oracles import (
     rank_rational,
     triangle_cases,
 )
-from test_homcalc import SMALL_CHAINS, folded_query
+from test_homcalc import SMALL_CHAINS
+from test_restriction import refused
 
 # the chains where triangle_structural applies (2 <= n <= 3, mu <= 10)
 STRUCTURAL_CHAINS = [exps for n in (2, 3) for exps in product(range(2, 10), repeat=n)
@@ -67,7 +69,7 @@ STRUCTURAL_CHAINS = [exps for n in (2, 3) for exps in product(range(2, 10), repe
 
 def test_collection_2_2():
     f = ChainPolynomial((2, 2))
-    coll = build_collection(f)
+    coll = collection(HomRun(f, 0))
     assert len(coll) == 3
     assert all(e.size == 1 for e in coll)
     base = coll[0]
@@ -80,7 +82,7 @@ def test_collection_2_2():
 
 def test_collection_single_variable():
     f = ChainPolynomial((2,))
-    coll = build_collection(f)
+    coll = collection(HomRun(f, 0))
     assert len(coll) == 1 and coll[0].size == 1
     x1 = MPoly.variable(1, 0)
     assert coll[0].d0.entries[0][0] == x1
@@ -89,7 +91,7 @@ def test_collection_single_variable():
 
 def test_collection_2_2_2():
     f = ChainPolynomial((2, 2, 2))
-    coll = build_collection(f)
+    coll = collection(HomRun(f, 0))
     assert len(coll) == 5
     assert all(e.size == 2 for e in coll)
     g = build_grading_group(f)
@@ -242,7 +244,7 @@ def test_euler_form_matches_naive_sum_property(exps, draws, k1, kn):
     objs = [_triangle_object(f, *d) for d in draws]
     degree = k1 * g.variable_degree(0) + kn * g.variable_degree(f.n - 1)
     homs = HomEngine()
-    sources = [x for x in objs if x.koszul_vars is not None]   # the engine's sources
+    sources = [x for x in objs if not refused(x, x)]       # the engine's sources
     for _ in range(2):                      # the second pass reads the memo
         for x in sources:
             for y in objs:
@@ -273,12 +275,12 @@ def test_triangle_families_equal_validating_objects(monkeypatch, exps, offset):
     f = ChainPolynomial(exps)
     made = _recorded_objects(monkeypatch)
     assert run_checks(f, TRIANGLE_CHECKS, offset).passed
-    coll = build_collection(f, offset)
+    coll = collection(HomRun(f, offset))
     for (i,), obj in made["collection_object"]:
         if 0 <= i - offset < len(coll):
             assert obj == coll[i - offset]
         else:
-            assert obj == build_collection(f, i)[0]
+            assert obj == collection(HomRun(f, i))[0]
     for (i,), obj in made["auxiliary"]:
         assert obj == auxiliary_object(f, i)
     for (i, j), obj in made["ladder"]:
@@ -291,14 +293,14 @@ def test_triangle_families_equal_validating_objects(monkeypatch, exps, offset):
 
 def _assert_orbit_keys_are_object_keys(f, offset):
     """Every orbit key that the run's Euler checks read has the canonical key
-    of the validating objects it stands for: each probe of build_collection
+    of the validating objects it stands for: each probe of the collection
     against the collection objects and auxiliary_object(offset + k) for
     k = 1, 2 and mu - 1, which between them reach every diagonal (even n),
     or against ladder_object of the checked rows and the next row, and the
     collection objects E_{i+k}, k <= a1, of the boundary's class sum (odd n)."""
     run = homrun.HomRun(f, offset)
     want = cache(run.orbit_key)
-    mu, coll = run.nm.milnor, build_collection(f, offset)
+    mu, coll = run.nm.milnor, collection(HomRun(f, offset))
     if f.n % 2 == 0:
         families = {run.base[0]: dict(enumerate(coll, offset)),
                     run.aux_base: {offset + k: auxiliary_object(f, offset + k)
@@ -330,12 +332,15 @@ def _count_calls(monkeypatch, module, name, calls):
     monkeypatch.setattr(module, name, counted)
 
 
-@pytest.mark.parametrize("exps,max_hom,max_stab", [((3, 3, 3), 250, 3 + 2),
+@pytest.mark.parametrize("exps,max_hom,max_stab", [((3, 3, 3), 3, 3 + 2),
                                                    ((3, 3), None, 2)])
 def test_triangles_query_each_key_once(monkeypatch, exps, max_hom, max_stab):
+    """Each (source, target) pair's Künneth basis is built once: on 3,3,3
+    the collection base against itself and the ladder bases of widths 2
+    and 3 (width 1 is equal to the collection base and shares its entry)."""
     f = ChainPolynomial(exps)
     homs, stabs = [], []
-    _count_calls(monkeypatch, homcalc.HomEngine, "restricted_dim", homs)
+    _count_calls(monkeypatch, homcalc.HomEngine, "kunneth", homs)
     _count_calls(monkeypatch, mf, "stabilize", stabs)
     assert run_checks(f, TRIANGLE_CHECKS, 0).passed
     assert 0 < len(stabs) <= max_stab
@@ -343,18 +348,19 @@ def test_triangles_query_each_key_once(monkeypatch, exps, max_hom, max_stab):
 
 
 def _record_route_queries(monkeypatch):
-    """The folded queries that the engine's route is asked, in order."""
+    """The (source, target) pairs whose Künneth basis the engine builds, in
+    order."""
     queries = []
-    real = homcalc.HomEngine.restricted_dim
-    monkeypatch.setattr(homcalc.HomEngine, "restricted_dim",
-                        lambda self, *args: queries.append(folded_query(*args))
-                        or real(self, *args))
+    real = homcalc.HomEngine.kunneth
+    monkeypatch.setattr(homcalc.HomEngine, "kunneth",
+                        lambda self, A, X: queries.append((A, X)) or real(self, A, X))
     return queries
 
 
 def _asks_each_folded_query_once(monkeypatch, command, exps, offset, want):
-    """A run of ``command`` asks the engine's route each distinct folded query
-    once, and a second run shares no memo with the first."""
+    """A run of ``command`` builds the Künneth basis of each (source,
+    target) pair once and answers every folded query from it, and a second
+    run shares no memo with the first."""
     f = ChainPolynomial(exps)
     queries = _record_route_queries(monkeypatch)
     for _ in range(2):
@@ -364,24 +370,24 @@ def _asks_each_folded_query_once(monkeypatch, command, exps, offset, want):
 
 
 def test_verify_asks_each_folded_query_once(monkeypatch):
-    """The primal and Serre-dual tables of a run share one memo on the folded
-    query: on 3,3,3 at offset 1, 236 route calls instead of the 684 that
+    """The primal and Serre-dual tables of a run share one memo: on 3,3,3 at
+    offset 1, one Künneth basis, (base, base), answers all 684 entries that
     the two tables ask for."""
-    _asks_each_folded_query_once(monkeypatch, "verify", (3, 3, 3), 1, 236)
+    _asks_each_folded_query_once(monkeypatch, "verify", (3, 3, 3), 1, 1)
 
 
 def test_triangles_asks_each_folded_query_once(monkeypatch):
     """The Euler entries share the run's memo, and the cone search asks the
-    engine nothing: on 2,2,3 (torsion Z/4) at offset 1, 64 route calls, one
-    per distinct folded query."""
-    _asks_each_folded_query_once(monkeypatch, "triangles", (2, 2, 3), 1, 64)
+    engine nothing: on 2,2,3 (torsion Z/4) at offset 1, two Künneth bases,
+    the collection base against itself and against the auxiliary base."""
+    _asks_each_folded_query_once(monkeypatch, "triangles", (2, 2, 3), 1, 2)
 
 
 def test_no_hom_memo_outlives_its_run(monkeypatch):
     """After a verify run the interned grading group holds no memo and no
     attribute of homcalc is an lru_cache, and a second run in the same
-    process makes the same route calls and monomial enumerations as the
-    first."""
+    process builds the same Künneth bases as the first.  Neither run
+    enumerates a monomial basis: the closed form reads none."""
     f = ChainPolynomial((2, 2, 3))
     group = build_grading_group(f)
     queries, enumerations = _record_route_queries(monkeypatch), []
@@ -395,7 +401,7 @@ def test_no_hom_memo_outlives_its_run(monkeypatch):
                 if isinstance(v, (dict, list, set))] == []
         assert [k for k, v in vars(homcalc).items() if hasattr(v, "cache_info")] == []
         runs.append((list(queries), len(enumerations)))
-    assert runs[0][0] and runs[0][1] > 0
+    assert runs[0][0] and runs[0][1] == 0
     assert runs[0] == runs[1]
 
 
@@ -404,15 +410,15 @@ def test_euler_builds_no_dual_table(monkeypatch):
     tables, duals, calls = [], [], []
     _count_calls(monkeypatch, homcalc.HomEngine, "table", tables)
     _count_calls(monkeypatch, homcalc.HomEngine, "dual", duals)
-    _count_calls(monkeypatch, homcalc.HomEngine, "restricted_dim", calls)
+    _count_calls(monkeypatch, homcalc.HomEngine, "kunneth", calls)
     assert run_checks(f, CHECKS_RUN["euler"], 1).passed
     assert len(tables) == 1 and duals == []
     asked = len(calls)
-    coll = build_collection(f, 1)
+    coll = collection(HomRun(f, 1))
     orbit = (*collection_base(f), len(coll))
     homs = homcalc.HomEngine()
     homs.table(*orbit, homrun.TABLE_MARGIN)
-    assert asked == len(homs.dims)
+    assert asked == len(homs.bases) == 1
     # the Euler entries between collection objects read the table's memo
     homs = homcalc.HomEngine()
     homs.table(*orbit, 0)
@@ -437,7 +443,7 @@ def _validating_search(f, offset, j):
     builders: E_offset -> E_(offset+1) against Aux(offset + 1) at even n, the
     width-j ladder triangle of row offset at odd n."""
     if f.n % 2 == 0:
-        coll = build_collection(f, offset)
+        coll = collection(HomRun(f, offset))
         return coll[0], coll[1], auxiliary_object(f, offset + 1)
     middle = [x for x in (ladder_object(f, offset, j + 1),
                           ladder_object(f, offset + 1, j - 1)) if x.size]
@@ -543,7 +549,7 @@ def test_certified_cones_have_the_reference_profile(monkeypatch):
             searches = _searches(monkeypatch)
             assert run_checks(f, ("triangle_structural",), offset).passed
             orbit = (base, [-(offset + k) * step for k in range(mu)])
-            zero, homs = base.group.zero, HomEngine()
+            zero, homs = base.group.zero, GeneralEngine()
             certified = [(C, R) for *_, tests in searches for C, R, ok in tests if ok]
             assert certified, (exps, offset)
             for C, R in certified:
@@ -560,10 +566,10 @@ def test_triangles_read_only_base_keys(monkeypatch):
         monkeypatch.setattr(HomEngine, name,
                             lambda self, key, *a, real=real: keys.append(key)
                             or real(self, key, *a))
-    real_route = HomEngine.restricted_dim
-    monkeypatch.setattr(HomEngine, "restricted_dim",
-                        lambda self, A, B, *a: keys.append((A, B, None))
-                        or real_route(self, A, B, *a))
+    real_basis = HomEngine.kunneth
+    monkeypatch.setattr(HomEngine, "kunneth",
+                        lambda self, A, X: keys.append((A, X, None))
+                        or real_basis(self, A, X))
     for exps in [(2, 2), (3, 3), (2, 5), (9, 2), (2, 2, 2), (3, 2, 2), (2, 4, 2),
                  (2, 2, 2, 2), (3, 3, 3)]:
         f = ChainPolynomial(exps)
@@ -686,19 +692,20 @@ def test_diagonal_nakayama_matches_the_pair_loop(offset):
 
 
 def _answer_one_key_wrongly(monkeypatch, wrong):
-    """The engine's route answers the query (A, A, 0, 0) one too high, for A
-    the source and an equal target (the memo shares equal objects' queries);
-    every other query is answered correctly."""
-    real = homcalc.HomEngine.restricted_dim
+    """The engine answers the folded query (A, A, 0, 0) one too high, for A
+    the source and an equal target (the memo shares equal objects' Künneth
+    bases); every other query is answered correctly."""
+    real = homcalc.HomEngine.kunneth
 
-    def skewed(self, source, target, degree, power):
-        dim = real(self, source, target, degree, power)
-        if source == target and degree.is_zero() and power == 0:
+    def skewed(self, source, target):
+        basis = real(self, source, target)
+        if source == target:
             wrong.append(source)
-            return dim + 1
-        return dim
+            at = (source.group.zero.coords, 0)
+            return {**basis, at: basis.get(at, 0) + 1}
+        return basis
 
-    monkeypatch.setattr(homcalc.HomEngine, "restricted_dim", skewed)
+    monkeypatch.setattr(homcalc.HomEngine, "kunneth", skewed)
 
 
 def test_euler_memo_cannot_hide_a_wrong_answer_even(monkeypatch):
