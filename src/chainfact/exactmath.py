@@ -61,10 +61,6 @@ class MPoly:
         return cls(nvars)
 
     @classmethod
-    def const(cls, nvars, c):
-        return cls(nvars, {(0,) * nvars: c})
-
-    @classmethod
     def variable(cls, nvars, i, power=1):
         exps = [0] * nvars
         exps[i] = power

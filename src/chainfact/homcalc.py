@@ -44,10 +44,10 @@ twist orbit: a caller holding an orbit as (base, twist) asks the key
 with every twist in l.  ``HomEngine`` answers the keys of one run: it
 builds the (degree, parity) basis of (x) H(K_i) once per (A, X), so each
 folded query (A, X, (l + floor(p/2) f).coords, p mod 2) is a lookup at
-degree D + k f + l, and it memoizes each key's certified window and Euler
-number.  A table reads one column per diagonal d = j - i of the orbit
-E_i = base(i step), on the key (A, A, d step).  A run makes one engine and
-drops its memos with it.
+degree D + k f + l, and it memoizes each key's Euler number.  A key's
+certified window is scanned on each read: no run reads one twice.  A table
+reads one column per diagonal d = j - i of the orbit E_i = base(i step), on
+the key (A, A, d step).  A run makes one engine and drops its memos with it.
 
 The full Hom complex -- monomial cells slot by slot (``_cell_basis``) and
 the differentials as sparse integer rows (``_differential_rows``) -- serves
@@ -277,23 +277,21 @@ class HomEngine:
     The package's one route to a Hom dimension and the one owner of the
     memos behind it.  A key (A, X, l) stands for Hom(A, T^p X(l)), from an
     unshifted stabilization by variables into a shift of a stabilization
-    (see the module docstring).  The memos live on the instance, keyed as
-    given: the Künneth basis per (A, X), built by :meth:`kunneth`, and the
-    certified window and the Euler number per key.  A run holds one object
-    per base, so lookups match on identity; equal objects share an entry.
+    (see the module docstring).  The engine owns the run's two Hom memos,
+    on the instance and keyed as given: the Künneth basis per (A, X), built
+    by :meth:`kunneth`, and the Euler number per key.  A window is not
+    memoized: a run reads each key's window once, in a table column or in
+    its Euler number.  A run holds one object per base, so lookups match on
+    identity; equal objects share an entry.
     """
 
     def __init__(self):
         self.bases: dict = {}           # (A, X) -> Counter of (degree coords, parity)
-        self.windows: dict = {}         # (A, X, l) -> certified window
         self.eulers: dict = {}          # (A, X, l) -> Euler number
 
     def window(self, key) -> tuple[int, int]:
-        """The certified window of a key, scanned once."""
-        window = self.windows.get(key)
-        if window is None:
-            window = self.windows[key] = scan_window(*key)
-        return window
+        """The certified window of a key."""
+        return scan_window(*key)
 
     def _dim(self, key, p: int) -> int:
         """dim Hom(A, T^p X(l)) for a checked key (A, X, l): the folded query

@@ -14,7 +14,7 @@ directly, and the cone search asks none (it certifies an isomorphism).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import combinations
 
 from . import homcalc, mf
@@ -129,8 +129,10 @@ class HomRun(_Run):
     stabilize(f, gens, cofs, twist) = shift(stabilize(f, gens, cofs), twist).
     Every Hom dimension that a check reads (the tables and the Euler
     entries; the cone search reads none) goes through the run's one
-    ``HomEngine``, on a key from the collection base into a base, so each
-    key is scanned once and each pair's Künneth basis is built once per run.
+    ``HomEngine``, on a key from the collection base into a base.  The
+    engine owns the Hom memos, the Künneth basis per pair and the Euler
+    number per key, and the run owns the engine, the bases and the tables
+    as cached properties; no check keeps a memo of its own.
 
     The collection step is deg x1 at even n and -deg x1 at odd n, so object
     i of every family is Y(i * step) for its base Y, and
@@ -206,13 +208,14 @@ class HomRun(_Run):
         return {"strong": self.exc["strong"]}
 
     def euler_pairing_matches(self):
-        table, want = self.table, self.battery.euler_matrix(self.f)
-        if any(table.euler(d) != want.entry(0, d) for d in table.columns):
+        table, series = self.table, self.euler_series
+        want = {d: series[d] if 0 <= d < len(series) else 0 for d in table.columns}
+        if any(table.euler(d) != w for d, w in want.items()):
             mu = table.objects
             raise VerificationFailure(
                 "Euler pairing differs from the Toeplitz matrix",
                 {"engine": homcalc.euler_pairing(table),
-                 "matrix": [[want.entry(i, j) for j in range(mu)] for i in range(mu)]})
+                 "matrix": [[want[j - i] for j in range(mu)] for i in range(mu)]})
         return {"matrix": homcalc.euler_pairing(table)}
 
     def serre_symmetry(self):
@@ -243,9 +246,9 @@ class HomRun(_Run):
         return base, target, e * step
 
     def _orbit_euler(self, target: mf.MatrixFactorization):
-        """e -> chi(E_{i-e}, target(i * step)), each e read once, on its
-        orbit key."""
-        return cache(lambda e: self.homs.euler_at(self.orbit_key(target, e)))
+        """e -> chi(E_{i-e}, target(i * step)), read on its orbit key; the
+        engine's Euler memo answers a repeated e."""
+        return lambda e: self.homs.euler_at(self.orbit_key(target, e))
 
     def triangle_euler_additivity(self):
         # chi(E_m, E_{k-1}) - chi(E_m, E_k) + chi(E_m, Aux(offset + k)) for

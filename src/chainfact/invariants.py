@@ -15,6 +15,12 @@ polynomial, its cyclotomic-style factorization, and an independent
 weighted-homogeneous oracle for the transposed polynomial's monodromy.
 No mu x mu matrix is built; the dense operators are test oracles only.
 
+Each function is a plain function of the values it reads, and nothing here
+is memoized: a run (``verify._Run``) owns the zeta polynomial, the Euler
+series and the monodromy data, computes each once and passes them in.  The
+one recomputation is deliberate: ``companion_certificate`` rebuilds the
+zeta polynomial from the chain to compare it with the one it is given.
+
 All computations are exact; any failed identity raises
 :class:`VerificationFailure` carrying the witnesses.
 """
@@ -22,8 +28,8 @@ All computations are exact; any failed identity raises
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd
+from itertools import combinations
+from math import gcd, prod
 
 from .chain import (
     ChainPolynomial,
@@ -36,30 +42,13 @@ from .series import (
     Poly,
     alternating_product,
     det_lower_hessenberg,
-    poly_div_exact,
     series_inverse,
 )
 
 
-class ZetaPolynomial:
-    """The alternating product polynomial with its palindrome data."""
-
-    def __init__(self, chain: ChainPolynomial, poly: Poly):
-        self.chain = chain
-        self.poly = poly
-
-    @property
-    def coefficients(self) -> tuple:
-        return self.poly.coeffs
-
-    @property
-    def milnor(self) -> int:
-        return self.poly.degree
-
-
-@lru_cache(maxsize=64)
-def zeta_polynomial(f: ChainPolynomial) -> ZetaPolynomial:
-    """Exact alternating product over the cumulative-degree circle factors.
+def zeta_polynomial(f: ChainPolynomial) -> Poly:
+    """z(t), the exact alternating product over the cumulative-degree circle
+    factors.
 
     Every division step must be exact; the result is validated against the
     degree formula and the sign-twisted palindrome symmetry.
@@ -82,38 +71,27 @@ def zeta_polynomial(f: ChainPolynomial) -> ZetaPolynomial:
                                       {"poly": poly.coeffs, "index": i})
     if any(isinstance(c, Fraction) for c in poly.coeffs):
         raise VerificationFailure("non-integer coefficient in alternating product")
-    return ZetaPolynomial(f, poly)
+    return poly
 
 
-class EulerMatrix:
-    """Upper-triangular Toeplitz Euler matrix, stored as its series."""
-
-    def __init__(self, chain: ChainPolynomial, series_coeffs: tuple[int, ...]):
-        self.chain = chain
-        self.series_coeffs = series_coeffs
-
-    def entry(self, i: int, j: int) -> int:
-        return self.series_coeffs[j - i] if 0 <= j - i < len(self.series_coeffs) else 0
-
-
-@lru_cache(maxsize=16)
-def euler_matrix(f: ChainPolynomial) -> EulerMatrix:
-    """Toeplitz matrix of the series inverse, cross-checked two ways.
+def euler_matrix(f: ChainPolynomial, zeta: Poly) -> tuple[int, ...]:
+    """The Euler series c = 1/z mod t^mu of the zeta polynomial ``zeta``,
+    the first row of the upper-triangular Toeplitz Euler matrix chi,
+    cross-checked two ways.
 
     The inverse series is verified (a) against the alternating product in the
     truncated series ring, mirroring the nilpotent-matrix product formula,
     and (b) by convolving back against the zeta polynomial.
     """
-    zp = zeta_polynomial(f)
     nm = numerics(f)
     mu = nm.milnor
-    inv = series_inverse(zp.poly, mu - 1)
+    inv = series_inverse(zeta, mu - 1)
     coeffs = tuple(inv.coeff(k) for k in range(mu))
     if any(isinstance(c, Fraction) for c in coeffs):
         raise VerificationFailure("inverse series not integral", {"coeffs": coeffs})
 
     # route check 1: convolution with the zeta polynomial is 1 mod t^mu
-    if (zp.poly * inv).truncate(mu - 1) != Poly.one():
+    if (zeta * inv).truncate(mu - 1) != Poly.one():
         raise VerificationFailure("series inverse failed convolution check")
     # route check 2: the product formula with inverted exponents, truncated
     n = f.n
@@ -127,21 +105,21 @@ def euler_matrix(f: ChainPolynomial) -> EulerMatrix:
     if (neg * inv).truncate(mu - 1) != pos:
         raise VerificationFailure("product formula mismatch for the Euler matrix",
                                   {"series": coeffs})
-    return EulerMatrix(f, coeffs)
+    return coeffs
 
 
-def companion_certificate(zp: ZetaPolynomial) -> int:
+def companion_certificate(zeta: Poly, f: ChainPolynomial) -> int:
     """Certify that the companion-shaped matrix roots the zeta polynomial.
 
-    det(1 - t*M) of the companion shape (first column the negated
+    det(1 - t*M) of the companion shape of ``zeta`` (first column the negated
     coefficients, identity superdiagonal) is recomputed by a sparse
-    Hessenberg cofactor expansion.  It must reproduce both the given
-    polynomial and the zeta polynomial recomputed from the chain, so a
-    corrupted coefficient fails even though M was built from it.  Needs only
-    the coefficients, not the dense matrix; returns its size mu.
+    Hessenberg cofactor expansion.  It must reproduce both ``zeta`` and the
+    zeta polynomial of ``f`` rebuilt here from the chain, so a corrupted
+    coefficient fails even though M was built from it.  Needs only the
+    coefficients, not the dense matrix; returns its size mu.
     """
-    cp = zp.poly.coeffs
-    mu = zp.milnor
+    cp = zeta.coeffs
+    mu = zeta.degree
     one = Poly.one()
     diag_rows = [{0: Poly((1, cp[1]))}]
     for i in range(1, mu):
@@ -151,34 +129,22 @@ def companion_certificate(zp: ZetaPolynomial) -> int:
         diag_rows.append(row)
     superdiag = [Poly((0, -1))] * (mu - 1)
     det = det_lower_hessenberg(diag_rows, superdiag, mu)
-    chain_zeta = zeta_polynomial(zp.chain).poly
-    if det != zp.poly or det != chain_zeta:
+    chain_zeta = zeta_polynomial(f)
+    if det != zeta or det != chain_zeta:
         raise VerificationFailure("companion matrix does not root the zeta polynomial",
                                   {"det": det.coeffs, "zeta": cp,
                                    "chain_zeta": chain_zeta.coeffs})
     return mu
 
 
-class MonodromyData:
-    """Characteristic data of the K-theory monodromy operator M = sign * W
-    chi^T, certified equal to the ``milnor``-th companion power without being
-    built: ``det_one_minus_t`` is det(1 - t * M); ``gcd_exponents`` are
-    gcd(d_i, milnor)."""
-
-    def __init__(self, chain: ChainPolynomial, det_one_minus_t: Poly,
-                 gcd_exponents: tuple[int, ...]):
-        self.chain = chain
-        self.det_one_minus_t = det_one_minus_t
-        self.gcd_exponents = gcd_exponents
-
-
-def check_monodromy_routes(em: EulerMatrix, zp: ZetaPolynomial) -> bool:
+def check_monodromy_routes(series: tuple[int, ...], zeta: Poly,
+                           f: ChainPolynomial) -> bool:
     """Certify sign * W chi^T == C^mu, C the companion root, without either matrix.
 
     Notation: S is the shift with S e_{j+1} = e_j, z = (z_0, ..., z_mu) the
-    zeta coefficients, c = (c_0, ..., c_{mu-1}) the Euler series, and
-    t = (z_1, ..., z_mu).  Then C = S - t e_0^T, W = z(S), chi^T = c(S^T)
-    and A = sign * W chi^T with sign = (-1)^n.
+    coefficients of ``zeta``, c = (c_0, ..., c_{mu-1}) the Euler ``series``,
+    and t = (z_1, ..., z_mu).  Then C = S - t e_0^T, W = z(S),
+    chi^T = c(S^T) and A = sign * W chi^T with sign = (-1)^n, n = ``f.n``.
 
     The check is a certificate resting on the commutant theorem, not a
     second computation of the matrix: C e_{j+1} = e_j, so e_{mu-1} is a
@@ -213,13 +179,13 @@ def check_monodromy_routes(em: EulerMatrix, zp: ZetaPolynomial) -> bool:
     names the failed condition, its first failing index, and the two sides
     there.
     """
-    mu = zp.milnor
-    c = em.series_coeffs
+    mu = zeta.degree
+    c = series
     if len(c) != mu:
         raise VerificationFailure("Euler series length differs from mu",
                                   {"length": len(c), "milnor": mu})
-    z = zp.poly.coeffs
-    sign = (-1) ** em.chain.n
+    z = zeta.coeffs
+    sign = (-1) ** f.n
 
     def fail(condition, index, got, want):
         raise VerificationFailure(
@@ -305,50 +271,63 @@ def _det_one_minus_t_via_traces(cum_products, mu, period) -> Poly:
     return Poly(b)
 
 
-def monodromy_data(f: ChainPolynomial) -> MonodromyData:
-    """Monodromy operator certified and its characteristic data.
+def monodromy_data(f: ChainPolynomial, zeta: Poly,
+                   series: tuple[int, ...]) -> tuple[Poly, tuple[int, ...]]:
+    """The K-theory monodromy operator M = sign * W chi^T, certified, and its
+    characteristic data (det(1 - t*M), the gcd exponents gcd(d_i, mu)).
 
-    :func:`check_monodromy_routes` certifies sign * W chi^T == C^mu, and
-    det(1 - t*M) follows from its traces by Newton's identities; a run checks
-    it against :func:`check_zeta_factorization` and the transpose oracle.
+    :func:`check_monodromy_routes` certifies M == C^mu on the given zeta
+    polynomial and Euler series, and det(1 - t*M) follows from its traces by
+    Newton's identities; a run checks it against
+    :func:`check_zeta_factorization` and the transpose oracle.
     """
-    zp = zeta_polynomial(f)
     nm = numerics(f)
     mu = nm.milnor
-    n = f.n
-    check_monodromy_routes(euler_matrix(f), zp)
-
+    check_monodromy_routes(series, zeta, f)
     period = nm.cum_products[-1]
     det1mt = _det_one_minus_t_via_traces(nm.cum_products, mu, period)
-    exps = tuple(gcd(nm.cum_products[i], mu) for i in range(n + 1))
-    return MonodromyData(f, det1mt, exps)
+    return det1mt, tuple(gcd(d, mu) for d in nm.cum_products)
 
 
-def check_zeta_factorization(md: MonodromyData, f: ChainPolynomial) -> bool:
+def check_zeta_factorization(det_one_minus_t: Poly, gcd_exponents: tuple[int, ...],
+                             f: ChainPolynomial) -> bool:
     """Whether det(1 - t*M) equals the gcd-exponent circle-factor product."""
     nm = numerics(f)
     n = f.n
     plus, minus = [], []
     for i in range(n + 1):
-        e = md.gcd_exponents[i]
+        e = gcd_exponents[i]
         factor = Poly.one_minus_power(nm.cum_products[i] // e)
         target = plus if (-1) ** (n - i) == 1 else minus
         target.extend([factor] * e)
     product = alternating_product(plus, minus)
-    return product == md.det_one_minus_t
+    return product == det_one_minus_t
 
 
-@lru_cache(maxsize=None)
 def cyclotomic_polynomial(q: int) -> Poly:
-    """The q-th cyclotomic polynomial, by exact divisor recursion."""
+    """The q-th cyclotomic polynomial by the Möbius product
+
+        Phi_q = prod over squarefree d | q of (t^(q/d) - 1)^((-1)^k),
+
+    k the number of primes of d, read over the subsets of q's prime
+    divisors: sparse factors, exact divisions and no recursion."""
     if q < 1:
         raise ValueError("order must be positive")
-    num = Poly((-1,) + (0,) * (q - 1) + (1,))     # t^q - 1
-    den = Poly.one()
-    for r in range(1, q):
-        if q % r == 0:
-            den = den * cyclotomic_polynomial(r)
-    return poly_div_exact(num, den)
+    primes, rest, p = [], q, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        primes.append(rest)
+    plus, minus = [], []
+    for k in range(len(primes) + 1):
+        for subset in combinations(primes, k):
+            e = q // prod(subset)
+            (minus if k % 2 else plus).append(Poly((-1,) + (0,) * (e - 1) + (1,)))
+    return alternating_product(plus, minus)
 
 
 def transpose_monodromy_charpoly(td: TransposeData) -> Poly:
@@ -391,10 +370,11 @@ def transpose_monodromy_charpoly(td: TransposeData) -> Poly:
     return result
 
 
-def check_lattice_correspondence(em: EulerMatrix, f: ChainPolynomial) -> bool:
+def check_lattice_correspondence(series: tuple[int, ...], zeta: Poly) -> bool:
     """Unimodularity plus the intersection-form change-of-basis congruence.
 
-    With W the upper Toeplitz matrix of the zeta coefficients, the congruence
+    With W and chi the upper Toeplitz matrices of the coefficients of
+    ``zeta`` and of the Euler ``series``, the congruence
     W (chi + chi^T) W^T == W + W^T follows from W chi = I, since
 
         W (chi + chi^T) W^T - (W + W^T) = (W chi - I) W^T + W (W chi - I)^T.
@@ -403,13 +383,11 @@ def check_lattice_correspondence(em: EulerMatrix, f: ChainPolynomial) -> bool:
     so W chi = I is z * c == 1 mod t^mu, checked by one convolution.  As
     z_0 = 1, its constant term is c_0 = 1: chi is unitriangular, so unimodular.
     """
-    c = em.series_coeffs
-    zp = zeta_polynomial(f)
-    mu = zp.milnor
-    if len(c) != mu:
+    mu = zeta.degree
+    if len(series) != mu:
         raise VerificationFailure("Euler series length differs from mu",
-                                  {"length": len(c), "milnor": mu})
-    product = (zp.poly * Poly(c)).truncate(mu - 1)
+                                  {"length": len(series), "milnor": mu})
+    product = (zeta * Poly(series)).truncate(mu - 1)
     if product != Poly.one():
         k = next(k for k in range(mu) if product.coeff(k) != (k == 0))
         raise VerificationFailure("zeta Toeplitz matrix is not the Euler inverse",

@@ -11,8 +11,9 @@ enter.
 ``shift``, ``translate`` and ``t_power``, built from them (its power -1
 inverts ``translate``), are trusted constructors.  A grading shift moves
 every twist by the same degree and keeps the entries; translation swaps and
-negates the two maps and moves one module by the total degree.  Both keep d1 o d0 = d0 o d1 = f and homogeneity by construction, so
-they skip the polynomial products and the monomial scan.
+negates the two maps and moves one module by the total degree.  Both keep
+d1 o d0 = d0 o d1 = f and homogeneity by construction, so they skip the
+polynomial products and the monomial scan.
 
 All values are immutable and hashable; functors return fresh objects.
 """

@@ -180,9 +180,12 @@ class _Run:
     (status, detail).  The values several checks share are cached properties,
     computed on first use and kept for the run; one whose computation raises
     is not stored, so every check that reads it fails as a report entry.
-    The checks that read Hom spaces are methods of ``homrun.HomRun``, a
-    subclass; those here read no Hom-side value.  A polynomial goes into a
-    detail as its coefficient tuple.
+    The run is the one owner of the battery's values: the zeta polynomial
+    (``zeta``), the Euler series (``euler_series``) and the monodromy data
+    (``monodromy``); ``invariants`` memoizes nothing, so two runs share
+    none of them.  The checks that read Hom spaces are methods of
+    ``homrun.HomRun``, a subclass; those here read no Hom-side value.  A
+    polynomial goes into a detail as its coefficient tuple.
     """
 
     def __init__(self, f: ChainPolynomial, offset: int):
@@ -197,8 +200,19 @@ class _Run:
         return invariants
 
     @cached_property
-    def md(self):
-        return self.battery.monodromy_data(self.f)
+    def zeta(self):
+        """z(t), the zeta polynomial, as a ``Poly``."""
+        return self.battery.zeta_polynomial(self.f)
+
+    @cached_property
+    def euler_series(self) -> tuple[int, ...]:
+        """c = 1/z mod t^mu, the first row of the Toeplitz Euler matrix."""
+        return self.battery.euler_matrix(self.f, self.zeta)
+
+    @cached_property
+    def monodromy(self):
+        """(det(1 - tM), the gcd exponents) of the certified monodromy M."""
+        return self.battery.monodromy_data(self.f, self.zeta, self.euler_series)
 
     def grading_group(self):
         g = build_grading_group(self.f)
@@ -210,33 +224,30 @@ class _Run:
                 "torsion_free": g.is_torsion_free(), "quotient_order": order}
 
     def zeta_polynomial(self):
-        return {"coefficients": self.battery.zeta_polynomial(self.f).coefficients,
-                "degree": self.nm.milnor}
+        return {"coefficients": self.zeta.coeffs, "degree": self.nm.milnor}
 
     def euler_matrix(self):
-        return {"series": list(self.battery.euler_matrix(self.f).series_coeffs)}
+        return {"series": list(self.euler_series)}
 
     def companion_root(self):
-        inv = self.battery
-        return {"size": inv.companion_certificate(inv.zeta_polynomial(self.f))}
+        return {"size": self.battery.companion_certificate(self.zeta, self.f)}
 
     def monodromy_two_routes(self):
-        return {"det_one_minus_t": self.md.det_one_minus_t.coeffs,
-                "gcd_exponents": list(self.md.gcd_exponents)}
+        det, exps = self.monodromy
+        return {"det_one_minus_t": det.coeffs, "gcd_exponents": list(exps)}
 
     def zeta_factorization(self):
-        f, md, d = self.f, self.md, self.nm.cum_products
-        if not self.battery.check_zeta_factorization(md, f):
+        f, (det, exps), d = self.f, self.monodromy, self.nm.cum_products
+        if not self.battery.check_zeta_factorization(det, exps, f):
             raise VerificationFailure("factorization product mismatch",
-                                      {"charpoly": md.det_one_minus_t.coeffs})
+                                      {"charpoly": det.coeffs})
         factors = " * ".join(
-            f"(1-t^{d[i] // md.gcd_exponents[i]})^"
-            f"{'+' if (-1) ** (f.n - i) > 0 else '-'}{md.gcd_exponents[i]}"
+            f"(1-t^{d[i] // exps[i]})^{'+' if (-1) ** (f.n - i) > 0 else '-'}{exps[i]}"
             for i in range(f.n + 1))
         return {"factors": factors}
 
     def monodromy_oracle(self):
-        reversed_poly = self.md.det_one_minus_t.reversal(self.nm.milnor)
+        reversed_poly = self.monodromy[0].reversal(self.nm.milnor)
         got = self.battery.transpose_monodromy_charpoly(transpose(self.f))
         if got != reversed_poly:
             raise VerificationFailure("weighted-homogeneous oracle disagrees",
@@ -245,8 +256,8 @@ class _Run:
         return {"charpoly": got.coeffs}
 
     def lattice_correspondence(self):
-        inv = self.battery
-        return {"ok": inv.check_lattice_correspondence(inv.euler_matrix(self.f), self.f)}
+        return {"ok": self.battery.check_lattice_correspondence(self.euler_series,
+                                                                self.zeta)}
 
     def polarization_integer(self):
         return {"k": self.battery.polarization_integer(self.f)}

@@ -166,9 +166,14 @@ def toeplitz_upper(coeffs, size) -> IntMatrix:
     return IntMatrix(rows)
 
 
-def dense_euler_matrix(em) -> IntMatrix:
-    """The Euler matrix chi, the upper Toeplitz matrix of ``em``'s series."""
-    return toeplitz_upper(em.series_coeffs, len(em.series_coeffs))
+def euler_series(f) -> tuple:
+    """The Euler series of ``f``, from a zeta polynomial built for the call."""
+    return euler_matrix(f, zeta_polynomial(f))
+
+
+def dense_euler_matrix(series) -> IntMatrix:
+    """The Euler matrix chi, the upper Toeplitz matrix of the Euler series."""
+    return toeplitz_upper(series, len(series))
 
 
 def toeplitz_product_columns(w, c, sign):
@@ -195,21 +200,20 @@ def matrix_from_columns(columns) -> IntMatrix:
     return IntMatrix(zip(*reversed(list(columns))))
 
 
-def monodromy_matrix(md) -> IntMatrix:
-    """The monodromy operator sign * W chi^T of ``md``'s chain, from the
+def monodromy_matrix(f) -> IntMatrix:
+    """The monodromy operator sign * W chi^T of the chain ``f``, from the
     zeta coefficients and the Euler series."""
-    f = md.chain
     return matrix_from_columns(toeplitz_product_columns(
-        zeta_polynomial(f).poly.coeffs, euler_matrix(f).series_coeffs, (-1) ** f.n))
+        zeta_polynomial(f).coeffs, euler_series(f), (-1) ** f.n))
 
 
-def companion_matrix(zp) -> IntMatrix:
-    """The companion-shaped integer root of the zeta polynomial: first column
-    the negated coefficients z_1..z_mu, identity superdiagonal.  Built after
-    ``companion_certificate`` accepts ``zp``, so a corrupted polynomial
-    raises as it does in the library."""
-    mu = companion_certificate(zp)
-    cp = zp.poly.coeffs
+def companion_matrix(zeta, f) -> IntMatrix:
+    """The companion-shaped integer root of the zeta polynomial ``zeta`` of
+    ``f``: first column the negated coefficients z_1..z_mu, identity
+    superdiagonal.  Built after ``companion_certificate`` accepts ``zeta``,
+    so a corrupted polynomial raises as it does in the library."""
+    mu = companion_certificate(zeta, f)
+    cp = zeta.coeffs
     rows = []
     for i in range(mu):
         row = [0] * mu
@@ -672,7 +676,8 @@ def poly_det(entries):
     nvars = entries[0][0].nvars
     total = MPoly.zero(nvars)
     for perm in permutations(range(len(entries))):
-        term = MPoly.const(nvars, (-1) ** sum(a > b for a, b in combinations(perm, 2)))
+        sign = (-1) ** sum(a > b for a, b in combinations(perm, 2))
+        term = MPoly(nvars, {(0,) * nvars: sign})
         for r, c in enumerate(perm):
             term = term * entries[r][c]
         total = total + term
@@ -768,7 +773,7 @@ def identity_morphism(mf):
     n = group.chain.n
 
     def eye(rank):
-        return [[MPoly.const(n, 1) if i == j else MPoly.zero(n)
+        return [[MPoly(n, {(0,) * n: 1}) if i == j else MPoly.zero(n)
                  for j in range(rank)] for i in range(rank)]
 
     phi0 = GradedMatrix(mf.F0, mf.F0, group.zero, eye(mf.F0.rank))
@@ -796,9 +801,9 @@ def parse_report(text):
     return VerificationReport.from_json_dict(json.loads(text))
 
 
-def companion(md):
-    """The companion-shaped root of the zeta polynomial of ``md``'s chain."""
-    return companion_matrix(zeta_polynomial(md.chain))
+def companion(f):
+    """The companion-shaped root of the zeta polynomial of the chain ``f``."""
+    return companion_matrix(zeta_polynomial(f), f)
 
 
 def companion_power_columns(cp_coeffs, mu):
@@ -817,15 +822,15 @@ def companion_power_columns(cp_coeffs, mu):
         yield v
 
 
-def monodromy_column_difference(em, zp):
+def monodromy_column_difference(series, zeta, f):
     """The first entry where sign * W chi^T and C^mu differ, or None.
 
     Both operators are generated a column at a time, right to left, and
     compared exactly: O(mu^2) work and O(mu) memory.
     """
-    mu = zp.milnor
-    route_a = toeplitz_product_columns(zp.poly.coeffs, em.series_coeffs, (-1) ** em.chain.n)
-    route_b = companion_power_columns(zp.poly.coeffs, mu)
+    mu = zeta.degree
+    route_a = toeplitz_product_columns(zeta.coeffs, series, (-1) ** f.n)
+    route_b = companion_power_columns(zeta.coeffs, mu)
     for k, (col_a, col_b) in enumerate(zip(route_a, route_b)):
         if col_a != col_b:
             i = next(i for i in range(mu) if col_a[i] != col_b[i])
@@ -833,7 +838,7 @@ def monodromy_column_difference(em, zp):
     return None
 
 
-def certificate_witness(em, zp):
+def certificate_witness(series, zeta, f):
     """The first failure of the monodromy commutation certificate, recomputed
     from the columns of A = sign * W chi^T, or None when all conditions hold.
 
@@ -841,12 +846,12 @@ def certificate_witness(em, zp):
     column 0 of A C - C A is u + q_0 t with u = -S A e_0 - A t and
     q_0 = A[0][0]; and q_j = A[0][j] is compared with r_j = c_{mu-j}.
     """
-    mu = zp.milnor
-    z, c = zp.poly.coeffs, em.series_coeffs
+    mu = zeta.degree
+    z, c = zeta.coeffs, series
     t = z[1:mu + 1]
     a_t = [0] * mu
     row0 = [0] * mu
-    columns = toeplitz_product_columns(z, c, (-1) ** em.chain.n)
+    columns = toeplitz_product_columns(z, c, (-1) ** f.n)
     for j, col in zip(range(mu - 1, -1, -1), columns):
         if j == mu - 1:
             last = col

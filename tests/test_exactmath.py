@@ -342,7 +342,7 @@ def test_hessenberg_companion_shapes_of_zeta_polynomials():
     from chainfact.chain import ChainPolynomial
     from chainfact.invariants import zeta_polynomial
     for exps in [(2,), (2, 2), (2, 2, 3), (3, 2, 2), (4, 4, 4), (2, 3, 2, 3), (5, 5, 5)]:
-        cp = zeta_polynomial(ChainPolynomial(exps)).poly.coeffs
+        cp = zeta_polynomial(ChainPolynomial(exps)).coeffs
         mu = len(cp) - 1
         # det(1 - tM) of the companion: first column -cp[1:], unit superdiagonal
         diag_rows = [{0: Poly((1, cp[1]))}]

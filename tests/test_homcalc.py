@@ -28,7 +28,6 @@ from chainfact.homrun import (
     collection_base,
     collection_splitting,
 )
-from chainfact.invariants import euler_matrix
 from chainfact.mf import (
     cone,
     direct_sum,
@@ -44,6 +43,7 @@ from oracles import (
     closed_form_hom,
     collection,
     dense_euler_matrix,
+    euler_series,
     differential_rows,
     exceptionality_failures,
     general_hom_dim,
@@ -483,7 +483,7 @@ def test_sparse_rank_on_differential_rows(exps):
 def test_euler_pairing_matches_toeplitz(exps):
     f = ChainPolynomial(exps)
     table = fresh_table(f)
-    dense = dense_euler_matrix(euler_matrix(f))
+    dense = dense_euler_matrix(euler_series(f))
     assert euler_pairing(table) == [list(r) for r in dense.entries]
 
 

@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 
 from chainfact.chain import ChainPolynomial, build_grading_group, numerics, transpose
 from chainfact.invariants import (
-    EulerMatrix,
     VerificationFailure,
-    ZetaPolynomial,
     _det_one_minus_t_via_traces,
     _power_sums,
     check_lattice_correspondence,
@@ -35,6 +33,7 @@ from oracles import (
     companion_matrix,
     companion_power_columns,
     dense_euler_matrix,
+    euler_series,
     det_bareiss,
     int_mat_mul,
     matrix_from_columns,
@@ -56,65 +55,65 @@ def chains(max_n, max_a):
 # ------------------------------------------------------------- zeta poly
 
 def test_zeta_2_2():
-    zp = zeta_polynomial(ChainPolynomial((2, 2)))
+    zeta = zeta_polynomial(ChainPolynomial((2, 2)))
     # oracle: (1-t)(1-t^4)/(1-t^2) multiplied back out
-    assert zp.poly == Poly((1, -1, 1, -1))
-    assert zp.poly * Poly((1, 0, -1)) == Poly((1, -1)) * Poly((1, 0, 0, 0, -1))
+    assert zeta == Poly((1, -1, 1, -1))
+    assert zeta * Poly((1, 0, -1)) == Poly((1, -1)) * Poly((1, 0, 0, 0, -1))
 
 
 def test_zeta_2_2_2():
-    zp = zeta_polynomial(ChainPolynomial((2, 2, 2)))
-    assert zp.poly == Poly((1, 1, 0, 0, 1, 1))
-    assert zp.poly == Poly((1, 1)) * Poly((1, 0, 0, 0, 1))
+    zeta = zeta_polynomial(ChainPolynomial((2, 2, 2)))
+    assert zeta == Poly((1, 1, 0, 0, 1, 1))
+    assert zeta == Poly((1, 1)) * Poly((1, 0, 0, 0, 1))
 
 
 def test_zeta_one_variable():
     for a in range(2, 7):
-        zp = zeta_polynomial(ChainPolynomial((a,)))
-        assert zp.poly == Poly((1,) * a)
+        zeta = zeta_polynomial(ChainPolynomial((a,)))
+        assert zeta == Poly((1,) * a)
 
 
 def test_zeta_invariants_grid():
     for f in chains(4, 5):
-        zp = zeta_polynomial(f)
+        zeta = zeta_polynomial(f)
         mu = numerics(f).milnor
-        assert zp.poly.degree == mu
-        assert zp.poly.coeff(0) == 1
+        assert zeta.degree == mu
+        assert zeta.coeff(0) == 1
         sign = (-1) ** (f.n + 1)
         for i in range(mu + 1):
-            assert zp.poly.coeff(mu - i) == sign * zp.poly.coeff(i)
+            assert zeta.coeff(mu - i) == sign * zeta.coeff(i)
 
 
 # ---------------------------------------------------------- euler matrix
 
 def test_euler_matrix_2_2():
-    em = euler_matrix(ChainPolynomial((2, 2)))
+    series = euler_series(ChainPolynomial((2, 2)))
     n = IntMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-    assert dense_euler_matrix(em) == IntMatrix.identity(3) + n
-    assert em.series_coeffs == (1, 1, 0)
+    assert dense_euler_matrix(series) == IntMatrix.identity(3) + n
+    assert series == (1, 1, 0)
 
 
 def test_euler_matrix_3_2():
-    em = euler_matrix(ChainPolynomial((3, 2)))
-    assert em.series_coeffs == (1, 1, 1, 0)
+    series = euler_series(ChainPolynomial((3, 2)))
+    assert series == (1, 1, 1, 0)
     # matches (1 - N^3)/(1 - N) with N the 4x4 regular nilpotent
     nil = IntMatrix([[1 if j == i + 1 else 0 for j in range(4)] for i in range(4)])
-    assert dense_euler_matrix(em) == IntMatrix.identity(4) + nil + nil * nil
+    assert dense_euler_matrix(series) == IntMatrix.identity(4) + nil + nil * nil
 
 
 def test_euler_matrix_2_2_2():
-    em = euler_matrix(ChainPolynomial((2, 2, 2)))
-    assert em.series_coeffs == (1, -1, 1, -1, 0)
+    series = euler_series(ChainPolynomial((2, 2, 2)))
+    assert series == (1, -1, 1, -1, 0)
 
 
 def test_euler_inverse_convolution_grid():
     # paper-facing identity: sum_i c_i c'_{j-i} = 0 for every j >= 1
     for f in chains(3, 4):
-        zp = zeta_polynomial(f)
-        em = euler_matrix(f)
+        zeta = zeta_polynomial(f)
+        series = euler_series(f)
         mu = numerics(f).milnor
         for j in range(1, mu):
-            conv = sum(em.series_coeffs[i] * zp.poly.coeff(j - i)
+            conv = sum(series[i] * zeta.coeff(j - i)
                        for i in range(j + 1))
             assert conv == 0
 
@@ -122,36 +121,55 @@ def test_euler_inverse_convolution_grid():
 # ------------------------------------------------------------- companion
 
 def test_companion_2_2():
-    zp = zeta_polynomial(ChainPolynomial((2, 2)))
-    m1 = companion_matrix(zp)
+    f = ChainPolynomial((2, 2))
+    zeta = zeta_polynomial(f)
+    m1 = companion_matrix(zeta, f)
     assert m1 == IntMatrix([[1, 1, 0], [-1, 0, 1], [1, 0, 0]])
     # determinant oracle: Berkowitz det(t-M1) reversed equals the zeta poly
-    assert charpoly_division_free(m1).reversal(3) == zp.poly
+    assert charpoly_division_free(m1).reversal(3) == zeta
 
 
 def test_companion_one_variable():
-    zp = zeta_polynomial(ChainPolynomial((2,)))
-    assert companion_matrix(zp) == IntMatrix([[-1]])
+    f = ChainPolynomial((2,))
+    assert companion_matrix(zeta_polynomial(f), f) == IntMatrix([[-1]])
 
 
 def test_companion_grid_roots_zeta():
     for f in chains(2, 4):
-        zp = zeta_polynomial(f)
-        m1 = companion_matrix(zp)
+        zeta = zeta_polynomial(f)
+        m1 = companion_matrix(zeta, f)
         mu = numerics(f).milnor
-        assert charpoly_division_free(m1).reversal(mu) == zp.poly
+        assert charpoly_division_free(m1).reversal(mu) == zeta
 
 
 def test_companion_certificate_is_the_matrix_size():
     for f in chains(3, 4):
-        zp = zeta_polynomial(f)
-        assert companion_certificate(zp) == companion_matrix(zp).rows == zp.milnor
+        zeta = zeta_polynomial(f)
+        assert companion_certificate(zeta, f) == companion_matrix(zeta, f).rows == zeta.degree
 
 
 def test_companion_root_builds_no_dense_matrix():
     rep = run_checks(ChainPolynomial((3, 3, 3)), INVARIANT_CHECKS)
     assert rep.check("companion_root").status == "pass"
     assert rep.check("companion_root").detail == {"size": 20}
+
+
+@pytest.mark.parametrize("exps", [(2, 2, 3), (3, 3, 3, 3, 3, 3)])
+def test_companion_root_rebuilds_the_zeta_polynomial(monkeypatch, exps):
+    """The certificate's zeta polynomial is rebuilt from the chain, not read
+    back: a run of companion_root alone makes two alternating products, the
+    run's and the certificate's, in every run of the process, and the two
+    polynomials are equal but distinct objects."""
+    import chainfact.invariants as inv
+    f, products, real = ChainPolynomial(exps), [], inv.alternating_product
+    monkeypatch.setattr(inv, "alternating_product",
+                        lambda plus, minus: products.append(real(plus, minus))
+                        or products[-1])
+    for _ in range(2):
+        products.clear()
+        assert run_checks(f, ("companion_root",)).passed
+        assert len(products) == 2
+        assert products[0] == products[1] and products[0] is not products[1]
 
 
 def _feed_the_check(monkeypatch, bad):
@@ -166,14 +184,14 @@ def _feed_the_check(monkeypatch, bad):
 
 def test_companion_root_rejects_corrupted_zeta(monkeypatch):
     f = ChainPolynomial((2, 2, 3))
-    zp = zeta_polynomial(f)
-    coeffs = list(zp.poly.coeffs)
+    zeta = zeta_polynomial(f)
+    coeffs = list(zeta.coeffs)
     coeffs[0] += 1                       # the unit the certificate must reproduce
-    bad = type(zp)(f, Poly(coeffs))
+    bad = Poly(coeffs)
     with pytest.raises(VerificationFailure):
-        companion_certificate(bad)
+        companion_certificate(bad, f)
     with pytest.raises(VerificationFailure):
-        companion_matrix(bad)
+        companion_matrix(bad, f)
     _feed_the_check(monkeypatch, bad)
     check = run_checks(f, ("companion_root",)).check("companion_root")
     assert check.status == "fail"
@@ -184,50 +202,57 @@ def test_companion_root_rejects_zeta_corrupted_inside(monkeypatch):
     # The companion of a corrupted polynomial roots that polynomial exactly;
     # only the chain's own zeta polynomial exposes the t^3 coefficient.
     f = ChainPolynomial((2, 2, 3))
-    zp = zeta_polynomial(f)
-    coeffs = list(zp.poly.coeffs)
+    zeta = zeta_polynomial(f)
+    coeffs = list(zeta.coeffs)
     coeffs[3] += 5
-    bad = type(zp)(f, Poly(coeffs))
+    bad = Poly(coeffs)
     with pytest.raises(VerificationFailure) as exc:
-        companion_certificate(bad)
+        companion_certificate(bad, f)
     assert exc.value.witness["det"] == tuple(coeffs)
-    assert exc.value.witness["chain_zeta"] == zp.poly.coeffs
+    assert exc.value.witness["chain_zeta"] == zeta.coeffs
     with pytest.raises(VerificationFailure):
-        companion_matrix(bad)
+        companion_matrix(bad, f)
     _feed_the_check(monkeypatch, bad)
     check = run_checks(f, ("companion_root",)).check("companion_root")
     assert check.status == "fail"
     assert check.detail["witness"]["zeta"] == coeffs
-    assert check.detail["witness"]["chain_zeta"] == list(zp.poly.coeffs)
+    assert check.detail["witness"]["chain_zeta"] == list(zeta.coeffs)
 
 
 # ------------------------------------------------------------- monodromy
 
+def monodromy(f):
+    """(det(1 - tM), the gcd exponents) of ``f``, from a zeta polynomial and
+    an Euler series built for the call."""
+    zeta = zeta_polynomial(f)
+    return monodromy_data(f, zeta, euler_matrix(f, zeta))
+
+
 def test_monodromy_2_2():
-    md = monodromy_data(ChainPolynomial((2, 2)))
-    assert monodromy_matrix(md) == IntMatrix([[0, 0, 1], [1, 0, -1], [0, 1, 1]])
-    assert monodromy_matrix(md) == matrix_power(companion(md), 3)
-    assert md.det_one_minus_t == Poly((1, -1, 1, -1))
-    assert md.gcd_exponents == (1, 1, 1)
+    f = ChainPolynomial((2, 2))
+    det, exps = monodromy(f)
+    assert monodromy_matrix(f) == IntMatrix([[0, 0, 1], [1, 0, -1], [0, 1, 1]])
+    assert monodromy_matrix(f) == matrix_power(companion(f), 3)
+    assert det == Poly((1, -1, 1, -1))
+    assert exps == (1, 1, 1)
 
 
 def test_monodromy_sign_one_variable():
-    md = monodromy_data(ChainPolynomial((2,)))
-    assert monodromy_matrix(md) == IntMatrix([[-1]])
-    assert md.det_one_minus_t == Poly((1, 1))
+    f = ChainPolynomial((2,))
+    det, _ = monodromy(f)
+    assert monodromy_matrix(f) == IntMatrix([[-1]])
+    assert det == Poly((1, 1))
 
 
 def test_monodromy_power_vs_binary_exponentiation():
     for exps in [(2, 2), (3, 2), (2, 3), (2, 2, 2), (3, 3), (2, 2, 3)]:
         f = ChainPolynomial(exps)
-        md = monodromy_data(f)
-        assert monodromy_matrix(md) == matrix_power(companion(md), numerics(f).milnor)
+        assert monodromy_matrix(f) == matrix_power(companion(f), numerics(f).milnor)
 
 
 def test_monodromy_unimodular():
     for exps in [(2, 2), (3, 2), (2, 2, 2), (3, 3)]:
-        md = monodromy_data(ChainPolynomial(exps))
-        assert det_bareiss(monodromy_matrix(md)) in (1, -1)
+        assert det_bareiss(monodromy_matrix(ChainPolynomial(exps))) in (1, -1)
 
 
 @pytest.mark.parametrize("exps", [(3, 3, 3), (2, 2, 2, 2, 2), (2, 2, 2, 2, 2, 2), (4, 4, 4)])
@@ -235,8 +260,8 @@ def test_newton_route_matches_berkowitz_beyond_the_pipeline_limit(exps):
     # beyond BERKOWITZ_CHAINS: mu = 20, 21, 42 and 52
     f = ChainPolynomial(exps)
     mu = numerics(f).milnor
-    md = monodromy_data(f)
-    assert md.det_one_minus_t == charpoly_division_free(monodromy_matrix(md)).reversal(mu)
+    det, _ = monodromy(f)
+    assert det == charpoly_division_free(monodromy_matrix(f)).reversal(mu)
 
 
 def test_newton_route_rejects_a_wrong_period():
@@ -266,33 +291,33 @@ def test_power_sums_match_the_coefficient_recursion():
     from test_homcalc import SMALL_CHAINS
     for exps in SMALL_CHAINS + [(13, 13, 13, 13)]:
         nm = numerics(ChainPolynomial(exps))
-        zp = zeta_polynomial(ChainPolynomial(exps))
+        zeta = zeta_polynomial(ChainPolynomial(exps))
         period = nm.cum_products[-1]
         upto = period + 3 if exps == (13, 13, 13, 13) else 3 * period
         assert (_power_sums(nm.cum_products, upto)
-                == power_sums_by_recursion(zp.poly.coeffs, zp.milnor, upto)), exps
+                == power_sums_by_recursion(zeta.coeffs, zeta.degree, upto)), exps
 
 
 def test_zeta_factorization_2_2():
     f = ChainPolynomial((2, 2))
-    md = monodromy_data(f)
-    assert check_zeta_factorization(md, f)
+    det, exps = monodromy(f)
+    assert check_zeta_factorization(det, exps, f)
 
 
 def test_zeta_factorization_3_2():
     f = ChainPolynomial((3, 2))
-    md = monodromy_data(f)
-    assert md.gcd_exponents == (1, 1, 2)
+    det, exps = monodromy(f)
+    assert exps == (1, 1, 2)
     # independent expansion: (1-t)(1-t^3) per the gcd-adjusted product
-    assert md.det_one_minus_t == Poly((1, -1)) * Poly((1, 0, 0, -1))
-    assert check_zeta_factorization(md, f)
+    assert det == Poly((1, -1)) * Poly((1, 0, 0, -1))
+    assert check_zeta_factorization(det, exps, f)
 
 
 def test_zeta_factorization_2_2_2():
     f = ChainPolynomial((2, 2, 2))
-    md = monodromy_data(f)
-    assert md.gcd_exponents == (1, 1, 1, 1)
-    assert check_zeta_factorization(md, f)
+    det, exps = monodromy(f)
+    assert exps == (1, 1, 1, 1)
+    assert check_zeta_factorization(det, exps, f)
 
 
 # ------------------------------------------------------- monodromy oracle
@@ -319,9 +344,9 @@ def test_oracle_single_variable():
 def test_oracle_matches_reversed_charpoly():
     for exps in [(2,), (3,), (4,), (2, 2), (3, 2), (2, 3), (3, 3), (2, 2, 2)]:
         f = ChainPolynomial(exps)
-        md = monodromy_data(f)
+        det, _ = monodromy(f)
         mu = numerics(f).milnor
-        reversed_poly = md.det_one_minus_t.reversal(mu)
+        reversed_poly = det.reversal(mu)
         assert transpose_monodromy_charpoly(transpose(f)) == reversed_poly
 
 
@@ -329,13 +354,13 @@ def test_oracle_matches_reversed_charpoly():
 
 def test_lattice_2_2():
     f = ChainPolynomial((2, 2))
-    assert check_lattice_correspondence(euler_matrix(f), f)
+    assert check_lattice_correspondence(euler_series(f), zeta_polynomial(f))
 
 
 def test_lattice_det_via_bareiss():
     for exps in [(2, 2), (3, 2), (2, 2, 2), (3, 3)]:
-        em = euler_matrix(ChainPolynomial(exps))
-        assert det_bareiss(dense_euler_matrix(em)) == 1
+        series = euler_series(ChainPolynomial(exps))
+        assert det_bareiss(dense_euler_matrix(series)) == 1
 
 
 def test_lattice_congruence_generic_unitriangular():
@@ -394,19 +419,18 @@ def test_small_chain_family_covers_torsion_and_parities():
 
 @pytest.mark.parametrize("f", SMALL_CHAINS, ids=lambda f: ",".join(map(str, f.exponents)))
 def test_series_routes_match_dense_products(f):
-    zp = zeta_polynomial(f)
-    em = euler_matrix(f)
-    md = monodromy_data(f)
+    zeta = zeta_polynomial(f)
+    series = euler_series(f)
     mu = numerics(f).milnor
     sign = (-1) ** f.n
-    w = toeplitz_upper(zp.poly.coeffs[:mu], mu)
-    chi = dense_euler_matrix(em)
+    w = toeplitz_upper(zeta.coeffs[:mu], mu)
+    chi = dense_euler_matrix(series)
     dense_a = w * chi.transpose() * sign
     assert matrix_from_columns(toeplitz_product_columns(
-        zp.poly.coeffs, em.series_coeffs, sign)) == dense_a
-    assert monodromy_matrix(md) == dense_a
-    assert monodromy_matrix(md) == matrix_power(companion(md), mu)
-    assert matrix_from_columns(companion_power_columns(zp.poly.coeffs, mu)) == dense_a
+        zeta.coeffs, series, sign)) == dense_a
+    assert monodromy_matrix(f) == dense_a
+    assert monodromy_matrix(f) == matrix_power(companion(f), mu)
+    assert matrix_from_columns(companion_power_columns(zeta.coeffs, mu)) == dense_a
     # the identities the series checks stand for
     assert w * chi == IntMatrix.identity(mu)
     assert w * (chi + chi.transpose()) * w.transpose() == w + w.transpose()
@@ -432,69 +456,69 @@ def test_newton_route_matches_berkowitz_on_small_chains(f):
     """det(1 - t*M) from the traces of C^mu equals the reversed Berkowitz
     characteristic polynomial of the dense operator sign * W chi^T."""
     mu = numerics(f).milnor
-    md = monodromy_data(f)
-    assert md.det_one_minus_t == charpoly_division_free(monodromy_matrix(md)).reversal(mu)
+    det, _ = monodromy(f)
+    assert det == charpoly_division_free(monodromy_matrix(f)).reversal(mu)
 
 
 def _corrupted(f, k, delta=1):
-    coeffs = list(euler_matrix(f).series_coeffs)
+    coeffs = list(euler_series(f))
     coeffs[k] += delta
-    return EulerMatrix(f, tuple(coeffs))
+    return tuple(coeffs)
 
 
 @pytest.mark.parametrize("exps", [(2, 2), (3, 3), (2, 2, 3), (3, 2, 2), (4, 4, 4, 4, 4)])
 def test_corrupted_series_is_rejected(exps):
     f = ChainPolynomial(exps)
-    zp = zeta_polynomial(f)
-    mu = zp.milnor
+    zeta = zeta_polynomial(f)
+    mu = zeta.degree
     for k in {1, mu // 2, mu - 1} - {0}:
         bad = _corrupted(f, k)
         with pytest.raises(VerificationFailure) as err:
-            check_lattice_correspondence(bad, f)
+            check_lattice_correspondence(bad, zeta)
         assert err.value.witness == {"index": k, "coefficient": 1}
         with pytest.raises(VerificationFailure) as err:
-            check_monodromy_routes(bad, zp)
-        assert err.value.witness == certificate_witness(bad, zp)
-        assert monodromy_column_difference(bad, zp) is not None
+            check_monodromy_routes(bad, zeta, f)
+        assert err.value.witness == certificate_witness(bad, zeta, f)
+        assert monodromy_column_difference(bad, zeta, f) is not None
 
 
 def test_certificate_witness_on_2_2():
     # z = (1, -1, 1, -1), t = (-1, 1, -1), c = (1, 1, 0) corrupted to (1, 2, 0):
     # y = c+ + chi^T t = (1, -1, 1), u_0 = -(W y)_0 = -3, q_0 = (chi z)_0 = -1
     f = ChainPolynomial((2, 2))
-    zp = zeta_polynomial(f)
+    zeta = zeta_polynomial(f)
     with pytest.raises(VerificationFailure) as err:
-        check_monodromy_routes(_corrupted(f, 1), zp)
+        check_monodromy_routes(_corrupted(f, 1), zeta, f)
     assert err.value.witness == {"condition": "u + q_0 t = 0", "index": 0,
                                  "got": -3, "want": -1}
 
 
 def test_non_unitriangular_or_short_series_is_rejected():
     f = ChainPolynomial((3, 3))
-    zp = zeta_polynomial(f)
+    zeta = zeta_polynomial(f)
     with pytest.raises(VerificationFailure) as err:
-        check_lattice_correspondence(_corrupted(f, 0, 1), f)
+        check_lattice_correspondence(_corrupted(f, 0, 1), zeta)
     assert err.value.witness == {"index": 0, "coefficient": 2}
     with pytest.raises(VerificationFailure) as err:
-        check_monodromy_routes(_corrupted(f, 0, 1), zp)
+        check_monodromy_routes(_corrupted(f, 0, 1), zeta, f)
     assert err.value.witness == {"condition": "c_0 = 1", "index": 0, "got": 2, "want": 1}
-    short = EulerMatrix(f, euler_matrix(f).series_coeffs[:-1])
-    for check in (lambda: check_lattice_correspondence(short, f),
-                  lambda: check_monodromy_routes(short, zp)):
+    short = euler_series(f)[:-1]
+    for check in (lambda: check_lattice_correspondence(short, zeta),
+                  lambda: check_monodromy_routes(short, zeta, f)):
         with pytest.raises(VerificationFailure) as err:
             check()
-        assert err.value.witness == {"length": zp.milnor - 1, "milnor": zp.milnor}
+        assert err.value.witness == {"length": zeta.degree - 1, "milnor": zeta.degree}
 
 
 def _mutants(f):
     """+1 on c at 1, mu // 3 and mu - 1, and +1 on z at mu // 2."""
-    zp = zeta_polynomial(f)
-    mu = zp.milnor
+    zeta = zeta_polynomial(f)
+    mu = zeta.degree
     for k in sorted({1, mu // 3, mu - 1}):
-        yield f"c{k}", _corrupted(f, k), zp
-    z = list(zp.poly.coeffs)
+        yield f"c{k}", _corrupted(f, k), zeta
+    z = list(zeta.coeffs)
     z[mu // 2] += 1
-    yield f"z{mu // 2}", euler_matrix(f), ZetaPolynomial(f, Poly(z))
+    yield f"z{mu // 2}", euler_series(f), Poly(z)
 
 
 # the prototype's chains; (2, 3), (2, 2, 3), (3, 2, 2), (2, 3, 2, 3) are torsion
@@ -504,16 +528,16 @@ def _mutants(f):
     (7, 7, 7, 7), (9, 9, 9, 9)], ids=lambda e: ",".join(map(str, e)))
 def test_certificate_matches_the_column_comparison(exps):
     f = ChainPolynomial(exps)
-    zp, em = zeta_polynomial(f), euler_matrix(f)
-    assert check_monodromy_routes(em, zp)
-    assert monodromy_column_difference(em, zp) is None
-    for name, em_bad, zp_bad in _mutants(f):
-        assert monodromy_column_difference(em_bad, zp_bad) is not None, name
-        expected = certificate_witness(em_bad, zp_bad)
+    zeta, series = zeta_polynomial(f), euler_series(f)
+    assert check_monodromy_routes(series, zeta, f)
+    assert monodromy_column_difference(series, zeta, f) is None
+    for name, series_bad, zeta_bad in _mutants(f):
+        assert monodromy_column_difference(series_bad, zeta_bad, f) is not None, name
+        expected = certificate_witness(series_bad, zeta_bad, f)
         # conditions 1 and 2 imply r = q, so the oracle never reaches it
         assert expected["condition"] != "r = q", name
         with pytest.raises(VerificationFailure) as err:
-            check_monodromy_routes(em_bad, zp_bad)
+            check_monodromy_routes(series_bad, zeta_bad, f)
         assert set(err.value.witness) == {"condition", "index", "got", "want"}
         assert err.value.witness == expected, name
 
@@ -532,24 +556,24 @@ CERTIFICATE_TORSION = [f for f in CERTIFICATE_CHAINS
 @example(f=ChainPolynomial((2, 2, 3)), in_z=True, pick=4, delta=2)         # torsion Z/4
 @example(f=ChainPolynomial((3, 2, 2)), in_z=False, pick=0, delta=1)        # c_0
 def test_certificate_passes_exactly_when_the_columns_agree(f, in_z, pick, delta):
-    zp, em = zeta_polynomial(f), euler_matrix(f)
-    mu = zp.milnor
+    zeta, series = zeta_polynomial(f), euler_series(f)
+    mu = zeta.degree
     k = pick % mu
     if in_z:
-        z = list(zp.poly.coeffs)
+        z = list(zeta.coeffs)
         z[k] += delta
-        zp = ZetaPolynomial(f, Poly(z))
+        zeta = Poly(z)
     else:
-        em = _corrupted(f, k, delta)
-    expected = certificate_witness(em, zp)
-    assert (expected is None) == (monodromy_column_difference(em, zp) is None)
+        series = _corrupted(f, k, delta)
+    expected = certificate_witness(series, zeta, f)
+    assert (expected is None) == (monodromy_column_difference(series, zeta, f) is None)
     # conditions 1 and 2 imply r = q, so the oracle never reaches it
     assert expected is None or expected["condition"] != "r = q"
     if expected is None:
-        assert check_monodromy_routes(em, zp)
+        assert check_monodromy_routes(series, zeta, f)
     else:
         with pytest.raises(VerificationFailure) as err:
-            check_monodromy_routes(em, zp)
+            check_monodromy_routes(series, zeta, f)
         assert err.value.witness == expected
 
 
@@ -558,7 +582,6 @@ def test_large_mu_builds_no_dense_monodromy():
     # battery on 4,4,4,4,4 (mu = 819) peaks below mu^2 bytes
     for exps in [(3, 3, 3), (2, 3, 2, 3), (4, 4, 4, 4, 4)]:
         f = ChainPolynomial(exps)
-        monodromy_data(f)
         tracemalloc.start()
         try:
             rep = run_checks(f, INVARIANT_CHECKS)
@@ -586,9 +609,9 @@ def test_polarization_exists_grid():
 
 def test_identities_small_grid():
     for f in chains(3, 3):
-        md = monodromy_data(f)
-        assert check_zeta_factorization(md, f)
-        assert check_lattice_correspondence(euler_matrix(f), f)
+        det, exps = monodromy(f)
+        assert check_zeta_factorization(det, exps, f)
+        assert check_lattice_correspondence(euler_series(f), zeta_polynomial(f))
 
 
 def test_failure_carries_witness():

@@ -268,7 +268,7 @@ def test_zero_object():
 def trivial_block(f):
     g = build_grading_group(f)
     m = GradedFreeModule(g, (g.zero,))
-    one = MPoly.const(f.n, 1)
+    one = MPoly(f.n, {(0,) * f.n: 1})
     d0 = GradedMatrix(m, m, g.zero, [[one]])
     d1 = GradedMatrix(m, m, g.total_degree, [[chain_mpoly(f)]])
     return MatrixFactorization(g, chain_mpoly(f), m, m, d0, d1)

@@ -19,7 +19,7 @@ from chainfact.homcalc import (
     serre_symmetry_check,
 )
 from chainfact.homrun import HomRun, collection_base
-from chainfact.invariants import euler_matrix, zeta_polynomial
+from chainfact.invariants import zeta_polynomial
 from chainfact.mf import cone, direct_sum, reduce, shift, translate
 from chainfact.series import Poly, poly_div_exact, series_inverse
 from oracles import (
@@ -27,6 +27,7 @@ from oracles import (
     charpoly_division_free,
     collection,
     dense_euler_matrix,
+    euler_series,
     det_bareiss,
     general_hom_dim,
     hom_dim,
@@ -91,11 +92,11 @@ def test_charpoly_randomized_vs_bareiss_det():
 def test_inverse_series_convolution_identity_grid():
     # sum_i c_i c'_{j-i} = 0 for every j >= 1 up to the truncation order
     for f in chains(3, 5):
-        zp = zeta_polynomial(f)
+        zeta = zeta_polynomial(f)
         mu = numerics(f).milnor
-        inv = series_inverse(zp.poly, mu + 5)
+        inv = series_inverse(zeta, mu + 5)
         for j in range(1, mu + 6):
-            conv = sum(inv.coeff(i) * zp.poly.coeff(j - i) for i in range(j + 1))
+            conv = sum(inv.coeff(i) * zeta.coeff(j - i) for i in range(j + 1))
             assert conv == 0
 
 
@@ -203,4 +204,4 @@ def test_euler_pairing_equals_matrix_grid():
         f = ChainPolynomial(exps)
         table = HomEngine().table(*collection_base(f), numerics(f).milnor)
         assert euler_pairing(table) == \
-            [list(r) for r in dense_euler_matrix(euler_matrix(f)).entries]
+            [list(r) for r in dense_euler_matrix(euler_series(f)).entries]

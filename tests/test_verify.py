@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from functools import cache
@@ -29,7 +31,7 @@ from chainfact.homrun import (
     ladder_object,
     ladder_splitting,
 )
-from chainfact.invariants import VerificationFailure, euler_matrix
+from chainfact.invariants import VerificationFailure
 from chainfact.mf import GradingError, shift
 from chainfact.verify import (
     INVARIANT_CHECKS,
@@ -47,6 +49,7 @@ from oracles import (
     canonical_key,
     collection,
     dense_euler_matrix,
+    euler_series,
     general_hom_dim,
     ladder_boundary_outcome,
     ladder_cases,
@@ -383,11 +386,29 @@ def test_triangles_asks_each_folded_query_once(monkeypatch):
     _asks_each_folded_query_once(monkeypatch, "triangles", (2, 2, 3), 1, 2)
 
 
+def _memos_of_the_package() -> list[str]:
+    """The attributes with ``cache_info`` of every ``chainfact`` module and of
+    every class defined in one, as dotted names."""
+    found = []
+    for info in pkgutil.iter_modules(chainfact.__path__, "chainfact."):
+        module = importlib.import_module(info.name)
+        owners = [(info.name, module)] + [
+            (f"{info.name}.{k}", v) for k, v in vars(module).items()
+            if isinstance(v, type) and v.__module__ == info.name]
+        found += [f"{prefix}.{k}" for prefix, owner in owners
+                  for k, v in vars(owner).items() if hasattr(v, "cache_info")]
+    return sorted(found)
+
+
 def test_no_hom_memo_outlives_its_run(monkeypatch):
-    """After a verify run the interned grading group holds no memo and no
-    attribute of homcalc is an lru_cache, and a second run in the same
-    process builds the same Künneth bases as the first.  Neither run
-    enumerates a monomial basis: the closed form reads none."""
+    """No memo outlives its run.  After verify runs the interned grading
+    group holds no memo, and no attribute of a ``chainfact`` module, or of a
+    class defined in one, has ``cache_info`` except ``chain._group_for``,
+    the interned grading group that ``Degree`` identity relies on.  A second
+    run in the same process repeats the first one's work: a verify run
+    builds the same Künneth bases, and an invariants run makes the same
+    battery calls.  Neither verify run enumerates a monomial basis: the
+    closed form reads none."""
     f = ChainPolynomial((2, 2, 3))
     group = build_grading_group(f)
     queries, enumerations = _record_route_queries(monkeypatch), []
@@ -399,10 +420,24 @@ def test_no_hom_memo_outlives_its_run(monkeypatch):
         assert run_checks(f, CHECKS_RUN["verify"], 1).passed
         assert [k for k, v in vars(group).items()
                 if isinstance(v, (dict, list, set))] == []
-        assert [k for k, v in vars(homcalc).items() if hasattr(v, "cache_info")] == []
         runs.append((list(queries), len(enumerations)))
     assert runs[0][0] and runs[0][1] == 0
     assert runs[0] == runs[1]
+    assert _memos_of_the_package() == ["chainfact.chain._group_for"]
+    battery = []
+    for name in ("zeta_polynomial", "euler_matrix", "monodromy_data",
+                 "cyclotomic_polynomial", "alternating_product", "series_inverse"):
+        _count_calls(monkeypatch, invariants, name, battery)
+    work = []
+    for _ in range(2):
+        battery.clear()
+        assert run_checks(f, CHECKS_RUN["invariants"]).passed
+        work.append(sorted(battery))
+    # each run builds its own values: z twice (the run's and the certificate's
+    # rebuild) and the Euler series once
+    assert work[0].count("zeta_polynomial") == 2
+    assert work[0].count("series_inverse") == 1
+    assert work[0] == work[1]
 
 
 def test_euler_builds_no_dual_table(monkeypatch):
@@ -425,7 +460,7 @@ def test_euler_builds_no_dual_table(monkeypatch):
     calls.clear()
     chi = [[homs.euler_at(canonical_key(x, y)) for y in coll] for x in coll]
     assert calls == []
-    assert chi == [list(row) for row in dense_euler_matrix(euler_matrix(f)).entries]
+    assert chi == [list(row) for row in dense_euler_matrix(euler_series(f)).entries]
 
 
 def test_collection_builds_no_object(monkeypatch):
@@ -587,6 +622,26 @@ def test_triangles_read_only_base_keys(monkeypatch):
                 assert A == base and X in bases, (exps, offset)
 
 
+@pytest.mark.parametrize("command", ["verify", "euler", "triangles"])
+def test_runs_scan_each_window_once(monkeypatch, command):
+    """Every certified window that a run scans is on a key it has not
+    scanned before, on chains of both parities at offsets 0-3: a table
+    reads one key per diagonal and the Euler memo answers a repeated key,
+    so a memo of the windows would never be read."""
+    keys = []
+    real = HomEngine.window
+    monkeypatch.setattr(HomEngine, "window",
+                        lambda self, key: keys.append(key) or real(self, key))
+    for exps in [(2, 2), (3, 3), (2, 3), (9, 2), (2, 2, 2), (3, 2, 2), (2, 2, 3),
+                 (2, 2, 2, 2), (3, 3, 3), (2, 3, 2, 3)]:
+        f = ChainPolynomial(exps)
+        for offset in range(4):
+            keys.clear()
+            assert run_checks(f, CHECKS_RUN[command], offset).passed
+            assert keys, (exps, offset)
+            assert len(keys) == len(set(keys)), (exps, offset)
+
+
 def _outcome(check):
     """(status, None) when the check returns, the status "pass" unless it
     names one, and ("fail", witness) when it raises."""
@@ -731,7 +786,7 @@ def test_euler_pairing_failure_witness(monkeypatch, exps):
     _answer_one_key_wrongly(monkeypatch, wrong)
     check = run_checks(f, CHECKS_RUN["euler"], 1).check("euler_pairing_matches")
     assert check.status == "fail" and len(wrong) == 1
-    series = euler_matrix(f).series_coeffs
+    series = euler_series(f)
     mu = len(series)
     toeplitz = [[series[j - i] if j >= i else 0 for j in range(mu)] for i in range(mu)]
     raised = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(toeplitz)]
