@@ -48,13 +48,19 @@ degree D + k f + l, and it memoizes each key's Euler number.  A key's
 certified window is scanned on each read: no run reads one twice.  A table
 reads one column per diagonal d = j - i of the orbit E_i = base(i step), on
 the key (A, A, d step).  A run makes one engine and drops its memos with it.
+Serre duality needs no second table: Hom(A, T^p A(l)) and
+Hom(A, T^(n-p) A(-sigma - l)), sigma the sum of the variable degrees, are
+dual (graded Gorenstein symmetry), so ``HomRun.serre_symmetry`` compares
+each stored entry with the lookup of its Serre-dual key in the same basis.
 
 The full Hom complex -- monomial cells slot by slot (``_cell_basis``) and
 the differentials as sparse integer rows (``_differential_rows``) -- serves
-``morphism_space_basis``, which needs explicit representatives for the cone
-search of ``triangle_structural``, and is the tests' reference for the
-closed form; ``exactmath.Echelon`` gives its kernels and image reductions.
-Its cells and rows of T^p X are read off X itself.
+``morphism_space_basis``, which needs explicit representatives of the
+degree-zero morphisms for the cone search of ``triangle_structural``, and
+is the tests' reference for the closed form; ``exactmath.Echelon`` gives
+its kernels and image reductions.  A degree-l map F -> T^p G is a
+degree-zero map F -> T^p G(l), so degree zero loses nothing.  Its cells and
+rows of T^p X are read off X itself.
 
 Scan windows are certified on both sides: below by direct weight negativity
 of the cell spaces, above by applying the same bound to the Serre-dual query.
@@ -70,11 +76,11 @@ from operator import add
 
 from .chain import Degree
 from .exactmath import Echelon, MPoly
-from .mf import GradedMatrix, MatrixFactorization, MFMorphism, t_power
+from .mf import GradedMatrix, MatrixFactorization, MFMorphism
 
 
-def _cell_basis(F: MatrixFactorization, G: MatrixFactorization, l: Degree, p: int):
-    """Monomial basis of the degree-l component-map space F -> T^p G.
+def _cell_basis(F: MatrixFactorization, G: MatrixFactorization, p: int):
+    """Monomial basis of the degree-zero component-map space F -> T^p G.
 
     Returns (items, index) with items = [(component, row, col, exponents)].
     The twists of T^p G are read off G: T G has modules (G.F1, G.F0 shifted
@@ -84,7 +90,7 @@ def _cell_basis(F: MatrixFactorization, G: MatrixFactorization, l: Degree, p: in
     group = F.group
     fdeg = group.total_degree
     k, odd = divmod(p, 2)
-    lk = l + k * fdeg
+    lk = k * fdeg
     if odd:
         slots = ((F.F0, G.F1, lk), (F.F1, G.F0, lk + fdeg))
     else:
@@ -105,8 +111,7 @@ def _differential_rows(F, G, p, basis, tindex):
     of C^p), as {position in ``tindex``: coefficient}, where ``tindex``
     indexes the cell basis of C^{p+1}; the caller enumerates both bases.
 
-    The translation functor already negates structure maps, so the rolled
-    presentation uses a constant minus sign on the phi-after-d side; the
+    Translation negates the structure maps, so the rolled presentation uses a constant minus sign on the phi-after-d side; the
     resulting differential is (-1)^p times the classical Hom-complex one,
     hence has the same kernels and images and squares to zero.
 
@@ -199,7 +204,7 @@ class HomTable:
     ``columns`` maps each diagonal d = j - i, |d| < ``objects``, to
     (window, {p: dim}) on the key (base, base, d step): the certified window
     and the dimensions over the stored powers.  The pair (i, j) reads column
-    j - i; :meth:`dim` is the per-pair view.
+    j - i.
     """
 
     def __init__(self, base: MatrixFactorization, step: Degree, objects: int,
@@ -212,11 +217,6 @@ class HomTable:
     def key(self, d: int) -> tuple:
         """The key of the column of the diagonal d."""
         return self.base, self.base, d * self.step
-
-    def dim(self, i, j, p) -> int:
-        if not (0 <= i < self.objects and 0 <= j < self.objects):
-            return 0
-        return self.columns[j - i][1].get(p, 0)
 
     def entry_count(self) -> int:
         """The number of (i, j, p) entries, counted without expanding them."""
@@ -277,10 +277,11 @@ class HomEngine:
     The package's one route to a Hom dimension and the one owner of the
     memos behind it.  A key (A, X, l) stands for Hom(A, T^p X(l)), from an
     unshifted stabilization by variables into a shift of a stabilization
-    (see the module docstring).  The engine owns the run's two Hom memos,
-    on the instance and keyed as given: the Künneth basis per (A, X), built
-    by :meth:`kunneth`, and the Euler number per key.  A window is not
-    memoized: a run reads each key's window once, in a table column or in
+    (see the module docstring).  Its lookups serve the table, the Euler
+    numbers and the run's Serre check.  The engine owns the run's two Hom
+    memos, on the instance and keyed as given: the Künneth basis per (A, X),
+    built by :meth:`kunneth`, and the Euler number per key.  A window is not
+    memoized: a run scans each key's window once, for a table column or for
     its Euler number.  A run holds one object per base, so lookups match on
     identity; equal objects share an entry.
     """
@@ -288,10 +289,6 @@ class HomEngine:
     def __init__(self):
         self.bases: dict = {}           # (A, X) -> Counter of (degree coords, parity)
         self.eulers: dict = {}          # (A, X, l) -> Euler number
-
-    def window(self, key) -> tuple[int, int]:
-        """The certified window of a key."""
-        return scan_window(*key)
 
     def _dim(self, key, p: int) -> int:
         """dim Hom(A, T^p X(l)) for a checked key (A, X, l): the folded query
@@ -357,7 +354,7 @@ class HomEngine:
         _check_key(key)
         chi = self.eulers.get(key)
         if chi is None:
-            lo, hi = window = self.window(key)
+            lo, hi = window = scan_window(*key)
             chi = self.eulers[key] = _alternating(
                 window, {p: self._dim(key, p) for p in range(lo, hi + 1)})
         return chi
@@ -370,24 +367,10 @@ class HomEngine:
         _check_key(table.key(0))
         for d in range(1 - mu, mu):
             key = table.key(d)
-            lo, hi = window = self.window(key)
+            lo, hi = window = scan_window(*key)
             table.columns[d] = (window, {p: self._dim(key, p) for p in
                                          range(lo - margin, hi + margin + 1)})
         return table
-
-    def dual(self, table: HomTable) -> HomTable:
-        """The Serre-dual recomputation of a table: column d holds
-        dim Hom(A, T^(n-p) A(-sigma - d step)) over the same stored powers,
-        so the two tables must agree entrywise."""
-        A = table.base
-        n = A.group.chain.n
-        sigma = A.group.monomial_degree((1,) * n)      # sum of the variable degrees
-        columns = {}
-        _check_key(table.key(0))
-        for d, (window, dims) in table.columns.items():
-            back = (A, A, -sigma - d * table.step)
-            columns[d] = (window, {p: self._dim(back, n - p) for p in dims})
-        return HomTable(A, table.step, table.objects, columns)
 
 
 def euler_pairing(table: HomTable):
@@ -430,42 +413,31 @@ def check_exceptionality(table: HomTable) -> dict:
             "strong": strong and not failures, "failures": failures}
 
 
-def serre_symmetry_check(table: HomTable, dual_table: HomTable) -> bool:
-    """Agreement of a table with its Serre-dual recomputation, column by
-    column; tables of different orbits do not agree."""
-    orbit = (table.base, table.step, table.objects)
-    return orbit == (dual_table.base, dual_table.step, dual_table.objects) and all(
-        dims == dual_table.columns[d][1] for d, (_, dims) in table.columns.items())
-
-
 # ---------------------------------------------------------------------------
 # explicit morphism representatives
 # ---------------------------------------------------------------------------
 
-def morphism_space_basis(source, target, degree: Degree | None = None,
-                         power: int = 0) -> list[MFMorphism]:
-    """Explicit representatives of a basis of the stable Hom space.
+def morphism_space_basis(source, target) -> list[MFMorphism]:
+    """Explicit representatives of a basis of Hom^0(source, target), the
+    degree-zero stable morphisms.
 
     The kernel of the outgoing differential comes from an ``Echelon`` of its
-    matrix (one row per cell of C^{power+1}).  Each kernel vector is reduced
-    modulo an ``Echelon`` of the incoming rows, which span the image; a
-    nonzero normal form is kept and added to that echelon, so the survivors
-    are independent modulo the image.  Each survivor is reassembled into a
-    validated morphism onto T^power(target)(degree).
+    matrix (one row per cell of C^1).  Each kernel vector is reduced modulo
+    an ``Echelon`` of the incoming rows, which span the image; a nonzero
+    normal form is kept and added to that echelon, so the survivors are
+    independent modulo the image.  Each survivor is reassembled into a
+    validated morphism source -> target.
     """
-    group = source.group
-    l = degree if degree is not None else group.zero
-    basis, index = _cell_basis(source, target, l, power)
+    basis, index = _cell_basis(source, target, 0)
     if not basis:
         return []
-    H = t_power(target, power)
     d_out: dict[int, dict[int, int]] = {}
-    above = _cell_basis(source, target, l, power + 1)[1]
-    for col, row in enumerate(_differential_rows(source, target, power, basis, above)):
+    above = _cell_basis(source, target, 1)[1]
+    for col, row in enumerate(_differential_rows(source, target, 0, basis, above)):
         for idx, coeff in row.items():
             d_out.setdefault(idx, {})[col] = coeff
-    below = _cell_basis(source, target, l, power - 1)[0]
-    image = Echelon(_differential_rows(source, target, power - 1, below, index))
+    below = _cell_basis(source, target, -1)[0]
+    image = Echelon(_differential_rows(source, target, -1, below, index))
     reps = []
     for vec in Echelon(d_out.values()).kernel(len(basis)):
         red = image.reduce(vec)
@@ -473,7 +445,7 @@ def morphism_space_basis(source, target, degree: Degree | None = None,
             image.add(red)
             reps.append(red)
 
-    nvars = group.chain.n
+    nvars, zero = source.group.chain.n, source.group.zero
     morphisms = []
     for vec in reps:
         comps = {0: {}, 1: {}}
@@ -484,9 +456,9 @@ def morphism_space_basis(source, target, degree: Degree | None = None,
         def to_matrix(comp, src_mod, tgt_mod):
             rows = [[MPoly(nvars, comps[comp].get((r, c), {}))
                      for c in range(src_mod.rank)] for r in range(tgt_mod.rank)]
-            return GradedMatrix(src_mod, tgt_mod, l, rows)
+            return GradedMatrix(src_mod, tgt_mod, zero, rows)
 
-        phi0 = to_matrix(0, source.F0, H.F0)
-        phi1 = to_matrix(1, source.F1, H.F1)
-        morphisms.append(MFMorphism(source, H, l, phi0, phi1))
+        phi0 = to_matrix(0, source.F0, target.F0)
+        phi1 = to_matrix(1, source.F1, target.F1)
+        morphisms.append(MFMorphism(source, target, zero, phi0, phi1))
     return morphisms

@@ -108,7 +108,7 @@ def ladder_object(f: ChainPolynomial, i: int, j: int) -> mf.MatrixFactorization:
         return mf.zero_object(f)
     gens, cofs = ladder_splitting(f, j)
     g = build_grading_group(f)
-    return mf.stabilize(f, gens, cofs, -i * g.variable_degree(0))
+    return mf.shift(mf.stabilize(f, gens, cofs), -i * g.variable_degree(0))
 
 
 # ---------------------------------------------------------------------------
@@ -122,17 +122,17 @@ class HomRun(_Run):
     base(i * step); for even n, auxiliary object i is Aux(i * deg x1); for
     odd n, ladder object (i, j) is L_j(-i * deg x1), zero for j = 0 and
     j = a1 + 1.  Each base (the collection base, Aux, and L_j for each width
-    j = 1..a1) goes through the validating ``stabilize`` once per run, with
-    no twist; the few objects a check builds (the cone search's triangles
-    and references, E_offset for the ladder base check) are reached with
-    the trusted ``shift``, since
-    stabilize(f, gens, cofs, twist) = shift(stabilize(f, gens, cofs), twist).
-    Every Hom dimension that a check reads (the tables and the Euler
-    entries; the cone search reads none) goes through the run's one
-    ``HomEngine``, on a key from the collection base into a base.  The
-    engine owns the Hom memos, the Künneth basis per pair and the Euler
-    number per key, and the run owns the engine, the bases and the tables
-    as cached properties; no check keeps a memo of its own.
+    j = 1..a1) goes through the validating ``stabilize`` once per run; the
+    few objects a check builds (the cone search's triangles and references,
+    E_offset for the ladder base check) are reached with the trusted
+    ``shift`` of a base, as a twisted stabilization is the shift of the
+    untwisted one.  Every Hom dimension that a check reads (the table, its
+    Serre-dual lookups and the Euler entries; the cone search reads none)
+    goes through the run's one ``HomEngine``, on a key from the collection
+    base into a base.  The engine owns the Hom memos, the Künneth basis per
+    pair and the Euler number per key, and the run owns the engine, the
+    bases and the table as cached properties; no check keeps a memo of its
+    own.
 
     The collection step is deg x1 at even n and -deg x1 at odd n, so object
     i of every family is Y(i * step) for its base Y, and
@@ -180,18 +180,13 @@ class HomRun(_Run):
         return self.homs.table(*self.base, self.nm.milnor, TABLE_MARGIN)
 
     @cached_property
-    def dual(self) -> homcalc.HomTable:
-        """The Serre-dual table: the same cells, each by its Serre-dual query."""
-        return self.homs.dual(self.table)
-
-    @cached_property
     def exc(self) -> dict:
         return homcalc.check_exceptionality(self.table)
 
     def collection(self):
         # every object is a shift of the base, and a shift keeps the size
-        gens, _, _ = collection_splitting(self.f)
-        want, size, mu = 2 ** (len(gens) - 1), self.base[0].size, self.nm.milnor
+        base, mu = self.base[0], self.nm.milnor
+        want, size = 2 ** (len(base.splitting[0]) - 1), base.size
         if size != want:
             raise VerificationFailure("collection object of unexpected size",
                                       {"sizes": [size] * mu})
@@ -219,8 +214,15 @@ class HomRun(_Run):
         return {"matrix": homcalc.euler_pairing(table)}
 
     def serre_symmetry(self):
-        if not homcalc.serre_symmetry_check(self.table, self.dual):
-            raise VerificationFailure("Serre symmetry violated on the table")
+        # Hom(A, T^p A(l)) is dual to Hom(A, T^(n-p) A(-sigma - l)), sigma the
+        # sum of the variable degrees: each stored entry of column d against
+        # the engine's lookup on the Serre-dual key (A, A, -sigma - d step)
+        (A, step), n = self.base, self.f.n
+        sigma = A.group.monomial_degree((1,) * n)
+        for d, (_, dims) in self.table.columns.items():
+            back = (A, A, -sigma - d * step)
+            if any(self.homs._dim(back, n - p) != x for p, x in dims.items()):
+                raise VerificationFailure("Serre symmetry violated on the table")
         return {}
 
     def nakayama_cartan(self):
@@ -235,7 +237,8 @@ class HomRun(_Run):
             i, j = next((i, j) for i in range(mu) for j in range(mu) if j - i in bad)
             raise VerificationFailure(
                 "path-algebra dimension table mismatch",
-                {"i": i, "j": j, "got": table.dim(i, j, 0), "want": want[j - i]})
+                {"i": i, "j": j, "got": table.columns[j - i][1].get(0, 0),
+                 "want": want[j - i]})
         return {"quiver_length": mu, "nilpotency": a1}
 
     def orbit_key(self, target: mf.MatrixFactorization, e: int) -> tuple:

@@ -8,11 +8,9 @@ and entrywise homogeneity (each monomial of each entry must have exactly the
 degree prescribed by the source and target twists), so malformed data cannot
 enter.
 
-``shift``, ``translate`` and ``t_power``, built from them (its power -1
-inverts ``translate``), are trusted constructors.  A grading shift moves
-every twist by the same degree and keeps the entries; translation swaps and
-negates the two maps and moves one module by the total degree.  Both keep
-d1 o d0 = d0 o d1 = f and homogeneity by construction, so they skip the
+``shift``, built from them, is a trusted constructor.  A grading shift
+moves every twist by the same degree and keeps the entries, so it keeps
+d1 o d0 = d0 o d1 = f and homogeneity by construction and skips the
 polynomial products and the monomial scan.
 
 All values are immutable and hashable; functors return fresh objects.
@@ -318,22 +316,23 @@ def _homogeneous_degree(group, p: MPoly) -> Degree:
     return degs.pop()
 
 
-def stabilize(f: ChainPolynomial, gens, cofs, twist: Degree | None = None):
+def stabilize(f: ChainPolynomial, gens, cofs):
     """Folded Koszul factorization of the quotient by a generator sequence.
 
     ``gens`` and ``cofs`` are homogeneous polynomials with
     sum(gens[i]*cofs[i]) equal to the chain polynomial and complementary
     degrees.  The generators must be monomials in pairwise disjoint sets of
     variables, which makes them a regular sequence; anything else raises
-    GradingError.  The result has size 2^(s-1), even exterior powers on the
-    source side, and is shifted by ``twist`` at the end.
+    GradingError.  The result has size 2^(s-1), with even exterior powers
+    on the source side, and its first even twist is zero; a twisted
+    stabilization is its ``shift``.
 
     The result records its splitting, (gens, cofs) as tuples, as
     ``splitting``.  ``homcalc.HomEngine`` reads the record on both sides of
-    a Hom: out of a result without a twist whose generators are single
-    variables, into any result, by graded Künneth on the Koszul pieces.  It
-    refuses a key without the records, or with a shifted source.  ``shift``
-    keeps the record; every other functor drops it.
+    a Hom: out of an unshifted result whose generators are single
+    variables, into any shift of a result, by graded Künneth on the Koszul
+    pieces.  It refuses a key without the records, or with a shifted
+    source.  ``shift`` keeps the record; every other functor drops it.
     """
     group = build_grading_group(f)
     n = f.n
@@ -395,8 +394,6 @@ def stabilize(f: ChainPolynomial, gens, cofs, twist: Degree | None = None):
     d1 = GradedMatrix(F1, F0, fvec, differential(odd, odd_index, even_index))
     mf = MatrixFactorization(group, fpoly, F0, F1, d0, d1)
     object.__setattr__(mf, "splitting", (tuple(gens), tuple(cofs)))
-    if twist is not None and not twist.is_zero():
-        mf = shift(mf, twist)
     return mf
 
 
@@ -419,27 +416,6 @@ def shift(mf: MatrixFactorization, l: Degree) -> MatrixFactorization:
         return mf
     return MatrixFactorization._trusted(mf, mf.F0.shifted(l), mf.F1.shifted(l),
                                         mf.d0.entries, mf.d1.entries, mf.splitting)
-
-
-def _negated(entries):
-    return tuple(tuple(-p for p in row) for row in entries)
-
-
-def translate(mf: MatrixFactorization) -> MatrixFactorization:
-    """Translation functor: swap the modules, negate, twist by total degree
-    (trusted)."""
-    F1n = mf.F0.shifted(mf.group.total_degree)
-    return MatrixFactorization._trusted(mf, mf.F1, F1n, _negated(mf.d1.entries),
-                                        _negated(mf.d0.entries))
-
-
-def t_power(mf: MatrixFactorization, p: int) -> MatrixFactorization:
-    """T^p, using that T squared is the total-degree shift."""
-    k, r = divmod(p, 2)
-    out = translate(mf) if r else mf
-    if k:
-        out = shift(out, k * mf.group.total_degree)
-    return out
 
 
 def direct_sum(a: MatrixFactorization, b: MatrixFactorization) -> MatrixFactorization:

@@ -12,7 +12,11 @@ graded Künneth, and ``general_hom_dim`` answers them between any objects
 from the full Hom complex, as the closed form's differential-test oracle.
 ``closed_form_hom`` gives the diagonal Hom algebra in closed form, and
 ``profiles_agree`` compares Hom profiles, a necessary condition for the
-isomorphisms that ``triangle_structural`` certifies.
+isomorphisms that ``triangle_structural`` certifies, and ``serre_dual``
+recomputes a table from the Serre-dual lookups that ``serre_symmetry``
+reads.  The library keeps only degree-zero morphisms and the grading shift,
+so the translation functor ``translate`` and its powers ``t_power`` live
+here too.
 
 They compute values only and contain no ``assert``: pytest rewrites asserts
 in test modules, not here, and the suite also runs under ``python -O``.
@@ -25,7 +29,7 @@ from typing import NamedTuple
 
 from chainfact.chain import ChainPolynomial, Degree, build_grading_group
 from chainfact.exactmath import Echelon, MPoly
-from chainfact.homcalc import HomEngine, _check_key, _differential_rows
+from chainfact.homcalc import HomEngine, HomTable, _check_key, _differential_rows, scan_window
 from chainfact.homrun import auxiliary_splitting
 from chainfact.invariants import companion_certificate, euler_matrix, zeta_polynomial
 from chainfact.mf import (
@@ -34,7 +38,6 @@ from chainfact.mf import (
     MFMorphism,
     shift,
     stabilize,
-    t_power,
 )
 from chainfact.series import ExactDivisionError, Poly
 from chainfact.verify import VerificationReport
@@ -663,7 +666,7 @@ def profiles_agree(homs, orbit, left, right) -> bool:
     (X, s), (Y, t) = left, right
     for l in degrees:
         k1, k2 = (base, X, s + l), (base, Y, t + l)
-        (lo1, hi1), (lo2, hi2) = homs.window(k1), homs.window(k2)
+        (lo1, hi1), (lo2, hi2) = scan_window(*k1), scan_window(*k2)
         for p in range(min(lo1, lo2) - PROFILE_PAD, max(hi1, hi2) + PROFILE_PAD + 1):
             if homs._dim(k1, p) != homs._dim(k2, p):
                 return False
@@ -737,6 +740,29 @@ def canonicalize(group, expr):
     return group.monomial_degree(expr)
 
 
+def _negated(entries):
+    return tuple(tuple(-p for p in row) for row in entries)
+
+
+def translate(mf):
+    """Translation functor: swap the modules, negate, twist by total degree
+    (trusted: it keeps the factorization identity and homogeneity by
+    construction).  It drops the ``splitting`` record."""
+    F1n = mf.F0.shifted(mf.group.total_degree)
+    return MatrixFactorization._trusted(mf, mf.F1, F1n, _negated(mf.d1.entries),
+                                        _negated(mf.d0.entries))
+
+
+def t_power(mf, p):
+    """T^p, using that T squared is the total-degree shift (its power -1
+    inverts ``translate``)."""
+    k, r = divmod(p, 2)
+    out = translate(mf) if r else mf
+    if k:
+        out = shift(out, k * mf.group.total_degree)
+    return out
+
+
 def serre(mf):
     """Serre functor: n translations then the negative sum-of-variables shift."""
     group = mf.group
@@ -749,7 +775,21 @@ def auxiliary_object(f, i):
     """Auxiliary object i, Aux(i deg x1), through the validating
     ``stabilize``."""
     gens, cofs = auxiliary_splitting(f)
-    return stabilize(f, gens, cofs, i * build_grading_group(f).variable_degree(0))
+    return shift(stabilize(f, gens, cofs), i * build_grading_group(f).variable_degree(0))
+
+
+def serre_dual(homs, table):
+    """The Serre-dual recomputation of a table from the lookups that
+    ``HomRun.serre_symmetry`` compares it with: column d holds
+    dim Hom(A, T^(n-p) A(-sigma - d step)) from ``homs``, sigma the sum of
+    the variable degrees, over the same stored powers.  Serre duality says
+    it equals the table."""
+    A, step, group = table.base, table.step, table.base.group
+    n = group.chain.n
+    sigma = sum((group.variable_degree(i) for i in range(n)), group.zero)
+    return HomTable(A, step, table.objects, {
+        d: (window, {p: homs._dim((A, A, -sigma - d * step), n - p) for p in dims})
+        for d, (window, dims) in table.columns.items()})
 
 
 def table_pairs(table):
@@ -884,8 +924,9 @@ def nakayama_witness(table, a1):
     for i in range(mu):
         for j in range(mu):
             want = 1 if 0 <= j - i < a1 else 0
-            if table.dim(i, j, 0) != want:
-                return {"i": i, "j": j, "got": table.dim(i, j, 0), "want": want}
+            got = table.columns[j - i][1].get(0, 0)
+            if got != want:
+                return {"i": i, "j": j, "got": got, "want": want}
     return None
 
 

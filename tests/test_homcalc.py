@@ -18,7 +18,6 @@ from chainfact.homcalc import (
     euler_pairing,
     morphism_space_basis,
     scan_window,
-    serre_symmetry_check,
     _cell_basis,
     _differential_rows,
 )
@@ -34,7 +33,6 @@ from chainfact.mf import (
     reduce,
     shift,
     stabilize,
-    t_power,
 )
 from oracles import (
     GeneralEngine,
@@ -54,7 +52,9 @@ from oracles import (
     naive_hom_dim,
     rank_rational,
     serre,
+    serre_dual,
     sparse_rank,
+    t_power,
     table_entries,
     table_windows,
 )
@@ -135,7 +135,7 @@ def test_hom_complex_squares_to_zero():
     for p in (-1, 0, 1):
         rows_a = differential_rows(coll[0], coll[1], g.zero, p)
         rows_b = differential_rows(coll[0], coll[1], g.zero, p + 1)
-        dim_c2 = len(_cell_basis(coll[0], coll[1], g.zero, p + 2)[0])
+        dim_c2 = len(_cell_basis(coll[0], coll[1], p + 2)[0])
         for src_idx, row in enumerate(rows_a):
             acc = {}
             for mid, coeff in row.items():
@@ -160,7 +160,7 @@ def test_cell_basis_matches_t_power_route(exps):
         for y in objs:
             for l in degrees:
                 for p in range(-3, 4):
-                    basis = _cell_basis(x, y, l, p)
+                    basis = _cell_basis(x, shift(y, l), p)     # degree l as a shift
                     assert basis == cell_basis_by_t_power(x, y, l, p)
                     cells += len(basis[0])
     assert cells > 0
@@ -267,7 +267,8 @@ def test_tables_match_naive_route_property(exps, offset, margin):
 
 def test_table_asks_one_query_per_diagonal(monkeypatch):
     """A table reads one column per diagonal, and every entry of it, primal
-    or Serre dual, is a lookup in the one Künneth basis of (base, base)."""
+    or Serre dual, is a lookup in the one Künneth basis of (base, base); the
+    run's Serre check builds no basis of its own."""
     f = ChainPolynomial((3, 3, 3))
     mu, margin = numerics(f).milnor, 1
     calls = []
@@ -281,7 +282,7 @@ def test_table_asks_one_query_per_diagonal(monkeypatch):
     primal = fresh_table(f, margin)
     asked = [list(calls)]
     calls.clear()
-    dual = HomEngine().dual(primal)             # a fresh memo: the dual's own basis
+    dual = serre_dual(HomEngine(), primal)      # a fresh memo: the dual's own basis
     asked.append(list(calls))
     base = collection_base(f)[0]
     for table, queries in zip((primal, dual), asked):
@@ -289,15 +290,19 @@ def test_table_asks_one_query_per_diagonal(monkeypatch):
         assert len(table.columns) == 2 * mu - 1
         assert queries == [(base, base)]
         assert queries[0][0] is table.base and queries[0][1] is table.base
+    run = HomRun(f, 0)
+    assert len(run.table.columns) == 2 * mu - 1
+    calls.clear()
+    assert run.serre_symmetry() == {} and calls == []
 
 
 def fresh_table(f, margin=0, dual=False, general=False):
-    """The Hom table of f's collection, or its Serre dual, from a fresh engine,
-    built from ``collection_base``; with ``general``, from a fresh
-    ``GeneralEngine``, whose queries the general route answers."""
+    """The Hom table of f's collection, or its Serre-dual recomputation, from
+    a fresh engine, built from ``collection_base``; with ``general``, from a
+    fresh ``GeneralEngine``, whose queries the general route answers."""
     homs = GeneralEngine() if general else HomEngine()
     table = homs.table(*collection_base(f), numerics(f).milnor, margin)
-    return homs.dual(table) if dual else table
+    return serre_dual(homs, table) if dual else table
 
 
 # torsion gradings: (2, 3) Z/2, (2, 2, 3) Z/4, (3, 2, 2) Z/3
@@ -309,17 +314,17 @@ def test_shared_memo_tables_match_fresh_memos_and_naive_route(exps, offset):
     naive = {dual: naive_table(f, coll, TABLE_MARGIN, dual) for dual in (False, True)}
     orbit = (*collection_base(f), len(coll), TABLE_MARGIN)
     primal = HomEngine().table(*orbit)
-    fresh = {False: primal, True: HomEngine().dual(primal)}
+    fresh = {False: primal, True: serre_dual(HomEngine(), primal)}
     for dual, table in fresh.items():
         assert (table_entries(table), table_windows(table)) == naive[dual], (exps, offset, dual)
     for dual_first in (False, True):
         homs = HomEngine()
         if dual_first:                      # the primal reads the dual's memo
-            shared = {True: homs.dual(primal)}
+            shared = {True: serre_dual(homs, primal)}
             shared[False] = homs.table(*orbit)
         else:
             shared = {False: homs.table(*orbit)}
-            shared[True] = homs.dual(shared[False])
+            shared[True] = serre_dual(homs, shared[False])
         for dual, table in shared.items():
             assert (table_entries(table), table_windows(table)) == naive[dual], (exps, offset, dual)
 
@@ -330,7 +335,8 @@ def test_shared_memo_tables_match_fresh_memos_and_naive_route(exps, offset):
 @example(exps=(2, 2, 3), offset=0)                 # torsion Z/4
 @example(exps=(3, 2, 2), offset=3)                 # torsion Z/3
 def test_columns_match_closed_form_lookup_property(exps, offset):
-    """Every column of both tables is the closed-form lookup
+    """Every column of the table and of its Serre-dual recomputation is the
+    closed-form lookup
     Hom(E_i, T^p E_j) = closed_form_hom(f, p mod 2)[(j - i) step + floor(p/2) f],
     and every pair (i, j) of the run's collection at any offset has the key
     of the table's column j - i."""
@@ -340,7 +346,7 @@ def test_columns_match_closed_form_lookup_property(exps, offset):
     forms = [closed_form_hom(f, 0), closed_form_hom(f, 1)]
     run = HomRun(f, offset)
     coll, primal = collection(HomRun(f, offset)), run.table
-    for table in (primal, run.dual):
+    for table in (primal, serre_dual(run.homs, primal)):
         assert table.objects == len(coll)
         assert sorted(table.columns) == list(range(1 - len(coll), len(coll)))
         for d, (_, dims) in table.columns.items():
@@ -354,20 +360,38 @@ def test_columns_match_closed_form_lookup_property(exps, offset):
 
 # ------------------------------------------------ negative controls on columns
 
-@pytest.mark.parametrize("exps", [(3, 3), (2, 2, 3)])
-def test_serre_check_fails_on_any_wrong_dual_value(exps):
+@pytest.mark.parametrize("exps", [(3, 3), (2, 2, 3), (3, 2, 2)])
+def test_serre_check_fails_on_any_wrong_dual_value(monkeypatch, exps):
+    """serre_symmetry reads each stored (d, p) against one lookup, at the
+    Serre-dual key (A, A, -sigma - d step) and power n - p, and these
+    lookups are the entries of ``serre_dual``, which the naive route checks.
+    With the engine one too high on any single one of them, the check
+    raises."""
     f = ChainPolynomial(exps)
+    g = build_grading_group(f)
     run = HomRun(f, 0)
-    table, dual = run.table, run.dual
-    assert serre_symmetry_check(table, dual)
-    for _, dims in dual.columns.values():
-        for p in dims:
-            dims[p] += 1
-            assert not serre_symmetry_check(table, dual), (exps, p)
-            with pytest.raises(VerificationFailure):
-                run.serre_symmetry()
-            dims[p] -= 1
-    assert serre_symmetry_check(table, dual)
+    table, n, real = run.table, f.n, HomEngine._dim
+    sigma = sum((g.variable_degree(v) for v in range(f.n)), g.zero)
+    dual = serre_dual(HomEngine(), table)
+    want = {((-sigma - d * table.step).coords, n - p): x
+            for d, (_, dims) in dual.columns.items() for p, x in dims.items()}
+    asked = []
+
+    def recorded(self, key, p):
+        asked.append(((key[2].coords, p), real(self, key, p)))
+        return asked[-1][1]
+
+    monkeypatch.setattr(HomEngine, "_dim", recorded)
+    assert run.serre_symmetry() == {}
+    assert len(asked) == len(want) == sum(len(dims) for _, dims in table.columns.values())
+    assert dict(asked) == want
+    for wrong in want:
+        monkeypatch.setattr(HomEngine, "_dim", lambda self, key, p, wrong=wrong:
+                            real(self, key, p) + ((key[2].coords, p) == wrong))
+        with pytest.raises(VerificationFailure, match="Serre symmetry violated"):
+            run.serre_symmetry()
+    monkeypatch.setattr(HomEngine, "_dim", real)
+    assert run.serre_symmetry() == {}
 
 
 @pytest.mark.parametrize("exps", [(3, 3), (2, 2, 3), (3, 2, 2)])
@@ -469,7 +493,7 @@ def test_sparse_rank_on_differential_rows(exps):
         for l in (g.zero, g.variable_degree(0), g.total_degree):
             for p in (0, 1):
                 rows = differential_rows(coll[0], coll[j], l, p)
-                width = len(_cell_basis(coll[0], coll[j], l, p + 1)[0])
+                width = len(_cell_basis(coll[0], shift(coll[j], l), p + 1)[0])
                 dense = [[row.get(k, 0) for k in range(width)] for row in rows]
                 rank = sparse_rank(rows)
                 assert rank == rank_rational(dense)
@@ -512,7 +536,7 @@ def test_window_extension_stable_pairing():
     t3 = fresh_table(f, 3)
     wide = {}
     for (i, j), (lo, hi) in table_windows(t3).items():
-        wide[(i, j)] = sum((1 if p % 2 == 0 else -1) * t3.dim(i, j, p)
+        wide[(i, j)] = sum((1 if p % 2 == 0 else -1) * t3.columns[j - i][1].get(p, 0)
                            for p in range(lo - 3, hi + 4))
     pairing = euler_pairing(t0)
     for (i, j), val in wide.items():
@@ -602,8 +626,8 @@ def test_serre_symmetry_tables():
     for exps in [(2,), (2, 2), (3, 2)]:
         f = ChainPolynomial(exps)
         main = fresh_table(f)
-        dual = HomEngine().dual(main)
-        assert serre_symmetry_check(main, dual)
+        assert serre_dual(HomEngine(), main).columns == main.columns
+        assert HomRun(f, 0).serre_symmetry() == {}
 
 
 def test_serre_duality_single_queries():
@@ -680,7 +704,7 @@ def dense_morphism_vectors(source, target, l, power):
     kernel of the outgoing differential, and kernel vectors reduced modulo
     the image by a dense echelon."""
     from fractions import Fraction
-    below, (basis, index), above = (_cell_basis(source, target, l, q)
+    below, (basis, index), above = (cell_basis_by_t_power(source, target, l, q)
                                     for q in (power - 1, power, power + 1))
     dim, out_dim = len(basis), len(above[0])
     out_rows = _differential_rows(source, target, power, basis, above[1])
@@ -738,8 +762,9 @@ def test_morphism_basis_spans_dense_kernel(exps):
     found = 0
     for x, y in product(coll[:4], repeat=2):
         for p in range(-2, 4):
-            basis = _cell_basis(x, y, l, p)[0]
-            reps = [morphism_vector(phi, basis) for phi in morphism_space_basis(x, y, l, p)]
+            H = shift(t_power(y, p), l)            # degree-l maps into T^p y
+            basis = _cell_basis(x, H, 0)[0]
+            reps = [morphism_vector(phi, basis) for phi in morphism_space_basis(x, H)]
             want = hom_dim(x, y, l, p)
             assert len(reps) == want
             kernel, image, dense_reps = dense_morphism_vectors(x, y, l, p)

@@ -18,11 +18,9 @@ from chainfact.mf import (
     reduce,
     shift,
     stabilize,
-    t_power,
-    translate,
     zero_object,
 )
-from oracles import identity_morphism, serre, zero_morphism
+from oracles import identity_morphism, serre, t_power, translate, zero_morphism
 
 
 def var(f, i, power=1):

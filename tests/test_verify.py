@@ -441,14 +441,28 @@ def test_no_hom_memo_outlives_its_run(monkeypatch):
 
 
 def test_euler_builds_no_dual_table(monkeypatch):
+    """An euler run reads one table and makes no lookup at a Serre-dual key
+    (A, A, -sigma - d step), |d| < mu, while a verify run's Serre check
+    reads every one of them."""
     f = ChainPolynomial((3, 3, 3))
-    tables, duals, calls = [], [], []
+    g = build_grading_group(f)
+    tables, calls, degrees = [], [], []
     _count_calls(monkeypatch, homcalc.HomEngine, "table", tables)
-    _count_calls(monkeypatch, homcalc.HomEngine, "dual", duals)
     _count_calls(monkeypatch, homcalc.HomEngine, "kunneth", calls)
+    real = HomEngine._dim
+    monkeypatch.setattr(HomEngine, "_dim", lambda self, key, p:
+                        degrees.append(key[2].coords) or real(self, key, p))
     assert run_checks(f, CHECKS_RUN["euler"], 1).passed
-    assert len(tables) == 1 and duals == []
+    assert len(tables) == 1
     asked = len(calls)
+    mu, step = numerics(f).milnor, collection_splitting(f)[2]
+    sigma = sum((g.variable_degree(v) for v in range(f.n)), g.zero)
+    serre_keys = {(-sigma - d * step).coords for d in range(1 - mu, mu)}
+    assert degrees and serre_keys.isdisjoint(degrees)
+    degrees.clear()
+    assert run_checks(f, CHECKS_RUN["verify"], 1).passed
+    assert serre_keys <= set(degrees)
+    monkeypatch.setattr(HomEngine, "_dim", real)
     coll = collection(HomRun(f, 1))
     orbit = (*collection_base(f), len(coll))
     homs = homcalc.HomEngine()
@@ -596,11 +610,14 @@ def test_triangles_read_only_base_keys(monkeypatch):
     as its source and the collection base, the auxiliary base or a ladder
     base as its target: the cone search asks the engine nothing."""
     keys = []
-    for name in ("window", "_dim", "euler_at"):
+    for name in ("_dim", "euler_at"):
         real = getattr(HomEngine, name)
         monkeypatch.setattr(HomEngine, name,
                             lambda self, key, *a, real=real: keys.append(key)
                             or real(self, key, *a))
+    real_scan = homcalc.scan_window
+    monkeypatch.setattr(homcalc, "scan_window",
+                        lambda *key: keys.append(key) or real_scan(*key))
     real_basis = HomEngine.kunneth
     monkeypatch.setattr(HomEngine, "kunneth",
                         lambda self, A, X: keys.append((A, X, None))
@@ -629,9 +646,9 @@ def test_runs_scan_each_window_once(monkeypatch, command):
     reads one key per diagonal and the Euler memo answers a repeated key,
     so a memo of the windows would never be read."""
     keys = []
-    real = HomEngine.window
-    monkeypatch.setattr(HomEngine, "window",
-                        lambda self, key: keys.append(key) or real(self, key))
+    real = homcalc.scan_window
+    monkeypatch.setattr(homcalc, "scan_window",
+                        lambda *key: keys.append(key) or real(*key))
     for exps in [(2, 2), (3, 3), (2, 3), (9, 2), (2, 2, 2), (3, 2, 2), (2, 2, 3),
                  (2, 2, 2, 2), (3, 3, 3), (2, 3, 2, 3)]:
         f = ChainPolynomial(exps)
@@ -912,7 +929,7 @@ def test_monodromy_computes_only_what_it_reports(monkeypatch, capsys):
 
 
 def test_euler_computes_only_what_it_reports(monkeypatch, capsys):
-    _patch_raising(monkeypatch, homcalc.HomEngine, "dual", RuntimeError)
+    _patch_raising(monkeypatch, homrun.HomRun, "serre_symmetry", RuntimeError)
     _patch_raising(monkeypatch, invariants, "monodromy_data", RuntimeError)
     assert cli_main(["euler", "--no-cache", "--chain", "2,2,3", "--format", "csv"]) == 0
     assert "euler_pairing_matches,pass" in capsys.readouterr().out
