@@ -111,9 +111,10 @@ def _differential_rows(F, G, p, basis, tindex):
     of C^p), as {position in ``tindex``: coefficient}, where ``tindex``
     indexes the cell basis of C^{p+1}; the caller enumerates both bases.
 
-    Translation negates the structure maps, so the rolled presentation uses a constant minus sign on the phi-after-d side; the
-    resulting differential is (-1)^p times the classical Hom-complex one,
-    hence has the same kernels and images and squares to zero.
+    Translation negates the structure maps, so the rolled presentation
+    uses a constant minus sign on the phi-after-d side; the resulting
+    differential is (-1)^p times the classical Hom-complex one, hence has
+    the same kernels and images and squares to zero.
 
     A cell is a monomial x^m in one component slot, so each term c x^e of a
     structure-map entry contributes c (or -c) at the cell x^(m+e): the rows
