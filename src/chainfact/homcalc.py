@@ -42,16 +42,20 @@ Hom(A, T^r X(l + b - a + floor(p/2) f)), r = p mod 2, one answer serves a
 twist orbit: a caller holding an orbit as (base, twist) asks the key
 (A, X, l) on the unshifted source base and the target as it holds them,
 with every twist in l.  ``HomEngine`` answers the keys of one run: it
-builds the (degree, parity) basis of (x) H(K_i) once per (A, X), so each
-folded query (A, X, (l + floor(p/2) f).coords, p mod 2) is a lookup at
-degree D + k f + l, and it memoizes each key's Euler number.  A key's
-certified window is scanned on each read: no run reads one twice.  A table
-reads one column per diagonal d = j - i of the orbit E_i = base(i step), on
-the key (A, A, d step).  A run makes one engine and drops its memos with it.
-Serre duality needs no second table: Hom(A, T^p A(l)) and
+builds the (degree, parity) basis of (x) H(K_i) once per (A, X), folded as
+above, and one read lands the whole basis on a key: an element at folded
+degree l + k f and parity q is Hom(A, T^(2k+q) X(l)).  So a key's nonzero
+powers come at once, with no window; since every Hom vanishes outside its
+certified window, the alternating sum of the landed dimensions is the
+key's Euler number, which the engine memoizes.  A table reads one column
+per diagonal d = j - i of the orbit E_i = base(i step), on the key
+(A, A, d step), and keeps its nonzero dimensions inside the column's
+certified window plus a margin.  A run makes one engine and drops its memos
+with it.  Serre duality needs no second table: Hom(A, T^p A(l)) and
 Hom(A, T^(n-p) A(-sigma - l)), sigma the sum of the variable degrees, are
-dual (graded Gorenstein symmetry), so ``HomRun.serre_symmetry`` compares
-each stored entry with the lookup of its Serre-dual key in the same basis.
+dual (graded Gorenstein symmetry of the one Künneth basis of (A, A)), so
+``HomRun.serre_symmetry`` compares each column with the landing of its
+Serre-dual key at n - p.
 
 The full Hom complex -- monomial cells slot by slot (``_cell_basis``) and
 the differentials as sparse integer rows (``_differential_rows``) -- serves
@@ -62,8 +66,10 @@ its kernels and image reductions.  A degree-l map F -> T^p G is a
 degree-zero map F -> T^p G(l), so degree zero loses nothing.  Its cells and
 rows of T^p X are read off X itself.
 
-Scan windows are certified on both sides: below by direct weight negativity
-of the cell spaces, above by applying the same bound to the Serre-dual query.
+A table's windows are certified on both sides and computed in closed form
+from the base's twist weights (``HomEngine.table``): below by direct weight
+negativity of the cell spaces, above by the same bound on the Serre-dual
+key.
 
 The engine's name is ``chainfact.ENGINE_ID``, which every report carries as
 provenance; a change here that can change a table must change it.
@@ -144,57 +150,6 @@ def _differential_rows(F, G, p, basis, tindex):
     return rows
 
 
-def _twist_weights(mf, parity):
-    """Weights of the (even, odd) twists of T^parity mf.
-
-    T G has modules (G.F1, G.F0 shifted by the total degree).
-    """
-    w0 = [t.weight for t in mf.F0.twists]
-    w1 = [t.weight for t in mf.F1.twists]
-    if not parity:
-        return w0, w1
-    fw = mf.group.total_degree.weight
-    return w1, [w - fw for w in w0]
-
-
-def _lowest_nonvanishing_power(F, G, lw: int) -> int | None:
-    """Least p for which the cell space C^p at degree weight lw can be
-    nonzero (weight bound); None if F or G is zero."""
-    if not F.size or not G.size:
-        return None
-    d = F.group.total_degree.weight
-    src = _twist_weights(F, 0)
-    best = None
-    for parity in (0, 1):
-        tgt = _twist_weights(G, parity)
-        base = max(max(a) - min(b) for a, b in zip(src, tgt)) + lw
-        k = -(base // d)                       # ceil(-base/d)
-        p = 2 * k + parity
-        if best is None or p < best:
-            best = p
-    return best
-
-
-def scan_window(source, target, degree: Degree | None = None) -> tuple[int, int]:
-    """Certified power window outside which all stable Homs vanish.
-
-    The lower end is direct weight negativity of the cells; the upper end is
-    the same bound applied to the Serre-dual query.  Returns (pmin, pmax),
-    possibly empty as (0, -1).
-    """
-    group = source.group
-    lw = degree.weight if degree is not None else 0
-    pmin = _lowest_nonvanishing_power(source, target, lw)
-    if pmin is None:
-        return (0, -1)
-    dual_lw = -sum(group.weights[:group.chain.n]) - lw
-    qmin = _lowest_nonvanishing_power(target, source, dual_lw)
-    if qmin is None:
-        return (0, -1)
-    pmax = group.chain.n - qmin
-    return (pmin, pmax)
-
-
 # ---------------------------------------------------------------------------
 # tables and pairings
 # ---------------------------------------------------------------------------
@@ -204,39 +159,40 @@ class HomTable:
 
     ``columns`` maps each diagonal d = j - i, |d| < ``objects``, to
     (window, {p: dim}) on the key (base, base, d step): the certified window
-    and the dimensions over the stored powers.  The pair (i, j) reads column
-    j - i.
+    and the nonzero dimensions, in power order, over the stored powers, the
+    window plus ``margin`` on both sides (:meth:`stored`).  The pair (i, j)
+    reads column j - i.
     """
 
     def __init__(self, base: MatrixFactorization, step: Degree, objects: int,
-                 columns: dict[int, tuple]):
+                 margin: int, columns: dict[int, tuple]):
         self.base = base
         self.step = step
         self.objects = objects
+        self.margin = margin
         self.columns = columns
 
     def key(self, d: int) -> tuple:
         """The key of the column of the diagonal d."""
         return self.base, self.base, d * self.step
 
+    def stored(self, d: int) -> range:
+        """The stored powers of column d: its window plus ``margin``."""
+        lo, hi = self.columns[d][0]
+        return range(lo - self.margin, hi + self.margin + 1)
+
     def entry_count(self) -> int:
-        """The number of (i, j, p) entries, counted without expanding them."""
-        return sum((self.objects - abs(d)) * len(dims)
-                   for d, (_, dims) in self.columns.items())
+        """The number of stored (i, j, p) entries, counted without expanding
+        them."""
+        return sum((self.objects - abs(d)) * len(self.stored(d)) for d in self.columns)
 
     def hull(self) -> tuple[int, int]:
-        ps = [p for _, dims in self.columns.values() for p in dims]
-        return (min(ps), max(ps)) if ps else (0, -1)
+        ends = [(r[0], r[-1]) for r in map(self.stored, self.columns) if r]
+        return (min(lo for lo, _ in ends), max(hi for _, hi in ends)) if ends else (0, -1)
 
     def euler(self, d: int) -> int:
-        """chi(E_i, E_{i+d}), the alternating sum of column d over its window."""
-        return _alternating(*self.columns[d])
-
-
-def _alternating(window, dims) -> int:
-    """sum_p (-1)^p dims[p] over the window, absent powers read as zero."""
-    return sum((1 if p % 2 == 0 else -1) * dims.get(p, 0)
-               for p in range(window[0], window[1] + 1))
+        """chi(E_i, E_{i+d}), the alternating sum of column d."""
+        return sum(-x if p % 2 else x for p, x in self.columns[d][1].items())
 
 
 def _koszul_vars(A: MatrixFactorization) -> tuple[int, ...] | None:
@@ -278,31 +234,42 @@ class HomEngine:
     The package's one route to a Hom dimension and the one owner of the
     memos behind it.  A key (A, X, l) stands for Hom(A, T^p X(l)), from an
     unshifted stabilization by variables into a shift of a stabilization
-    (see the module docstring).  Its lookups serve the table, the Euler
-    numbers and the run's Serre check.  The engine owns the run's two Hom
-    memos, on the instance and keyed as given: the Künneth basis per (A, X),
-    built by :meth:`kunneth`, and the Euler number per key.  A window is not
-    memoized: a run scans each key's window once, for a table column or for
-    its Euler number.  A run holds one object per base, so lookups match on
-    identity; equal objects share an entry.
+    (see the module docstring).  Its one read, :meth:`homs`, gives every
+    nonzero power of a key at once and serves the table, the Euler numbers
+    and the run's Serre check.  The engine owns the run's two Hom memos, on
+    the instance and keyed as given: the Künneth basis per (A, X), built by
+    :meth:`kunneth` and grouped for :meth:`homs`, and the Euler number per
+    key.  A run holds one object per base, so lookups match on identity;
+    equal objects share an entry.
     """
 
     def __init__(self):
-        self.bases: dict = {}           # (A, X) -> Counter of (degree coords, parity)
+        self.bases: dict = {}           # (A, X) -> {w mod f.w: [(w, r, parity, dim)]}
         self.eulers: dict = {}          # (A, X, l) -> Euler number
 
-    def _dim(self, key, p: int) -> int:
-        """dim Hom(A, T^p X(l)) for a checked key (A, X, l): the folded query
-        ((l + floor(p/2) f).coords, p mod 2), formed on the (weight, residue)
-        coordinates, looked up in the basis of (A, X)."""
+    def homs(self, key) -> dict[int, int]:
+        """{p: dim Hom(A, T^p X(l))} over the nonzero powers of a checked key
+        (A, X, l).  A basis element ((w, r), q) of (A, X) with count c
+        answers the folded query of power p = 2k + q on the key when
+        w = l.w + k f.w and r = l.r + k f.r modulo the torsion, so it lands
+        there when k = (w - l.w) / f.w is an integer and the residues agree.
+        The basis is grouped by w mod f.w once per pair, so a key reads only
+        the elements of its class."""
         A, X, l = key
-        basis = self.bases.get((A, X))
-        if basis is None:
-            basis = self.bases[(A, X)] = self.kunneth(A, X)
         group = l.group
-        k, r = divmod(p, 2)
-        (w, r0), (fw, fr) = l.coords, group.total_degree.coords
-        return basis.get(((w + k * fw, (r0 + k * fr) % group.modulus), r), 0)
+        (lw, lr), (fw, fr) = l.coords, group.total_degree.coords
+        classes = self.bases.get((A, X))
+        if classes is None:
+            classes = {}
+            for ((w, r), q), c in self.kunneth(A, X).items():
+                classes.setdefault(w % fw, []).append((w, r, q, c))
+            self.bases[(A, X)] = classes
+        landed = {}
+        for w, r, q, c in classes.get(lw % fw, ()):
+            k = (w - lw) // fw
+            if (lr + k * fr - r) % group.modulus == 0:
+                landed[2 * k + q] = c
+        return landed
 
     def kunneth(self, A, X) -> Counter:
         """{(degree coords, parity): dim} over the folded queries of the keys
@@ -350,27 +317,43 @@ class HomEngine:
         return folded
 
     def euler_at(self, key) -> int:
-        """chi on a key (A, X, l), the alternating sum of the Hom dimensions
-        over the certified window, memoized on the key."""
+        """chi on a key (A, X, l), the alternating sum of its Hom dimensions,
+        memoized on the key."""
         _check_key(key)
         chi = self.eulers.get(key)
         if chi is None:
-            lo, hi = window = scan_window(*key)
-            chi = self.eulers[key] = _alternating(
-                window, {p: self._dim(key, p) for p in range(lo, hi + 1)})
+            chi = self.eulers[key] = sum(-x if p % 2 else x for p, x in self.homs(key).items())
         return chi
 
     def table(self, base, step: Degree, mu: int, margin: int = 0) -> HomTable:
         """The Hom table of the twist orbit E_i = base(i step), i < mu, over
         each certified window plus ``margin`` powers on both sides: one
-        column per diagonal d, |d| < mu, on the key (base, base, d step)."""
-        table = HomTable(base, step, mu, {})
+        column per diagonal d, |d| < mu, on the key (base, base, d step).
+
+        The windows are certified in closed form.  A cell of
+        Hom(base, T^p base(l)) pairs a source and a target twist of one slot
+        of T^q base, q = p mod 2, so its weight is at most
+        C_q + l.w + floor(p/2) f.w, C_q the largest difference of the two
+        over the slots: below the least p where that bound is nonnegative
+        every cell, and so every Hom, vanishes.  The upper end is n less the
+        same bound on the Serre-dual key, of weight -sigma.w - l.w."""
+        table = HomTable(base, step, mu, margin, {})
         _check_key(table.key(0))
+        group, n = base.group, base.group.chain.n
+        fw, sigma_w = group.total_degree.weight, sum(group.weights[:n])
+        w0, w1 = [t.weight for t in base.F0.twists], [t.weight for t in base.F1.twists]
+        bounds = (max(max(w0) - min(w0), max(w1) - min(w1)),
+                  max(max(w0) - min(w1), max(w1) - min(w0) + fw))
+
+        def lowest(lw):
+            return min(2 * -((c + lw) // fw) + q for q, c in enumerate(bounds))
+
         for d in range(1 - mu, mu):
-            key = table.key(d)
-            lo, hi = window = scan_window(*key)
-            table.columns[d] = (window, {p: self._dim(key, p) for p in
-                                         range(lo - margin, hi + margin + 1)})
+            lw = d * step.weight
+            lo, hi = window = lowest(lw), n - lowest(-sigma_w - lw)
+            dims = sorted(self.homs(table.key(d)).items())
+            table.columns[d] = (window, {p: x for p, x in dims
+                                         if lo - margin <= p <= hi + margin})
         return table
 
 
@@ -388,20 +371,22 @@ def check_exceptionality(table: HomTable) -> dict:
 
     Checks scalar endomorphisms concentrated at power 0 and lower-triangular
     vanishing across the full stored power range (window plus margin); also
-    reports whether the collection is strongly exceptional.  Diagonal d = 0
-    holds the pairs i = j, d < 0 those with i > j and d > 0 those with
-    i < j, so each column is read once; failures are expanded to (i, j, p),
-    in pair order, only when a column fails.
+    reports whether the collection is strongly exceptional.  A column holds
+    its nonzero entries only, so power 0 of diagonal 0 is read as 0 when it
+    is absent.  Diagonal d = 0 holds the pairs i = j, d < 0 those with
+    i > j and d > 0 those with i < j, so each column is read once; failures
+    are expanded to (i, j, p), in pair order, only when a column fails.
     """
     wrong, strong = {}, True
     for d, (_, dims) in table.columns.items():
         if d == 0:
-            bad = [(p, x) for p, x in dims.items() if x != (1 if p == 0 else 0)]
+            bad = [(p, x) for p, x in sorted({0: 0, **dims}.items())
+                   if x != (1 if p == 0 else 0)]
         elif d < 0:
-            bad = [(p, x) for p, x in dims.items() if x != 0]
+            bad = list(dims.items())
         else:
             bad = []
-            strong = strong and all(x == 0 for p, x in dims.items() if p != 0)
+            strong = strong and all(p == 0 for p in dims)
         if bad:
             wrong[d] = bad
     failures, mu = [], table.objects

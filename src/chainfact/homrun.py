@@ -7,8 +7,9 @@ search behind ``triangle_structural``.  It is the orchestration layer's one
 importer of the Hom engine, and it calls ``mf`` and ``homcalc`` through
 their modules, so a patch on either reaches every check.  A run asks every
 Hom dimension through its one ``homcalc.HomEngine``, by graded Künneth
-between the bases stabilized here; nothing here calls ``scan_window``
-directly, and the cone search asks none (it certifies an isomorphism).
+between the bases stabilized here: each key's nonzero powers in one read,
+with no window scan, and the cone search asks none (it certifies an
+isomorphism).
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ class HomRun(_Run):
     E_offset for the ladder base check) are reached with the trusted
     ``shift`` of a base, as a twisted stabilization is the shift of the
     untwisted one.  Every Hom dimension that a check reads (the table, its
-    Serre-dual lookups and the Euler entries; the cone search reads none)
+    Serre-dual keys and the Euler entries; the cone search reads none)
     goes through the run's one ``HomEngine``, on a key from the collection
     base into a base.  The engine owns the Hom memos, the Künneth basis per
     pair and the Euler number per key, and the run owns the engine, the
@@ -215,13 +216,16 @@ class HomRun(_Run):
 
     def serre_symmetry(self):
         # Hom(A, T^p A(l)) is dual to Hom(A, T^(n-p) A(-sigma - l)), sigma the
-        # sum of the variable degrees: each stored entry of column d against
-        # the engine's lookup on the Serre-dual key (A, A, -sigma - d step)
-        (A, step), n = self.base, self.f.n
+        # sum of the variable degrees: this certifies the graded Gorenstein
+        # symmetry of the one Künneth basis of (A, A), not an agreement of
+        # two routes.  Each column d, over its stored powers, against the
+        # landing of the Serre-dual key (A, A, -sigma - d step) at n - p.
+        (A, step), n, table = self.base, self.f.n, self.table
         sigma = A.group.monomial_degree((1,) * n)
-        for d, (_, dims) in self.table.columns.items():
-            back = (A, A, -sigma - d * step)
-            if any(self.homs._dim(back, n - p) != x for p, x in dims.items()):
+        for d, (_, dims) in table.columns.items():
+            stored = table.stored(d)
+            dual = self.homs.homs((A, A, -sigma - d * step)).items()
+            if {n - q: x for q, x in dual if n - q in stored} != dims:
                 raise VerificationFailure("Serre symmetry violated on the table")
         return {}
 

@@ -42,6 +42,8 @@ REPORT_SCHEMA_VERSION = 1
 # ---------------------------------------------------------------------------
 
 def _jsonify(value):
+    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
+        return value
     if isinstance(value, dict):
         return {str(k): _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -50,8 +52,6 @@ def _jsonify(value):
         return list(value.coords)
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
     return str(value)
 
 

@@ -10,11 +10,13 @@ polynomial's power sums from its coefficients.  So does the general Hom
 route: the library answers Homs only between Koszul stabilizations, by
 graded Künneth, and ``general_hom_dim`` answers them between any objects
 from the full Hom complex, as the closed form's differential-test oracle.
-``closed_form_hom`` gives the diagonal Hom algebra in closed form, and
-``profiles_agree`` compares Hom profiles, a necessary condition for the
-isomorphisms that ``triangle_structural`` certifies, and ``serre_dual``
-recomputes a table from the Serre-dual lookups that ``serre_symmetry``
-reads.  The library keeps only degree-zero morphisms and the grading shift,
+``scan_window`` certifies a power window for any key from the twist
+weights, the reference for the table's closed-form windows and for the
+window-free Euler sums.  ``closed_form_hom`` gives the diagonal Hom algebra
+in closed form, ``profiles_agree`` compares Hom profiles, a necessary
+condition for the isomorphisms that ``triangle_structural`` certifies, and
+``serre_dual`` recomputes a table from the Serre-dual landings that
+``serre_symmetry`` reads.  The library keeps only degree-zero morphisms and the grading shift,
 so the translation functor ``translate`` and its powers ``t_power`` live
 here too.
 
@@ -29,7 +31,7 @@ from typing import NamedTuple
 
 from chainfact.chain import ChainPolynomial, Degree, build_grading_group
 from chainfact.exactmath import Echelon, MPoly
-from chainfact.homcalc import HomEngine, HomTable, _check_key, _differential_rows, scan_window
+from chainfact.homcalc import HomEngine, HomTable, _check_key, _differential_rows
 from chainfact.homrun import auxiliary_splitting
 from chainfact.invariants import companion_certificate, euler_matrix, zeta_polynomial
 from chainfact.mf import (
@@ -630,13 +632,68 @@ def general_hom_dim(source, target, degree=None, power=0):
     return GENERAL_DIMS[query]
 
 
-class GeneralEngine(HomEngine):
-    """A ``HomEngine`` whose queries the general route answers: the engine's
-    keys, windows, Euler memo and table layout, with the oracle in place of
-    the closed form, for any target."""
+def _twist_weights(mf, parity):
+    """Weights of the (even, odd) twists of T^parity mf.
 
-    def _dim(self, key, p):
-        return general_hom_dim(*key, p)
+    T G has modules (G.F1, G.F0 shifted by the total degree).
+    """
+    w0 = [t.weight for t in mf.F0.twists]
+    w1 = [t.weight for t in mf.F1.twists]
+    if not parity:
+        return w0, w1
+    fw = mf.group.total_degree.weight
+    return w1, [w - fw for w in w0]
+
+
+def _lowest_nonvanishing_power(F, G, lw: int) -> int | None:
+    """Least p for which the cell space C^p at degree weight lw can be
+    nonzero (weight bound); None if F or G is zero."""
+    if not F.size or not G.size:
+        return None
+    d = F.group.total_degree.weight
+    src = _twist_weights(F, 0)
+    best = None
+    for parity in (0, 1):
+        tgt = _twist_weights(G, parity)
+        base = max(max(a) - min(b) for a, b in zip(src, tgt)) + lw
+        k = -(base // d)                       # ceil(-base/d)
+        p = 2 * k + parity
+        if best is None or p < best:
+            best = p
+    return best
+
+
+def scan_window(source, target, degree: Degree | None = None) -> tuple[int, int]:
+    """Certified power window outside which all stable Homs vanish, for any
+    objects: the reference for the table's closed-form windows and for the
+    window-free Euler sums.
+
+    The lower end is direct weight negativity of the cells; the upper end is
+    the same bound applied to the Serre-dual query.  Returns (pmin, pmax),
+    possibly empty as (0, -1).
+    """
+    group = source.group
+    lw = degree.weight if degree is not None else 0
+    pmin = _lowest_nonvanishing_power(source, target, lw)
+    if pmin is None:
+        return (0, -1)
+    dual_lw = -sum(group.weights[:group.chain.n]) - lw
+    qmin = _lowest_nonvanishing_power(target, source, dual_lw)
+    if qmin is None:
+        return (0, -1)
+    pmax = group.chain.n - qmin
+    return (pmin, pmax)
+
+
+class GeneralEngine(HomEngine):
+    """A ``HomEngine`` whose reads the general route answers over each key's
+    ``scan_window``: the engine's keys, Euler memo and table layout, with
+    the oracle in place of the closed form, for any target."""
+
+    def homs(self, key):
+        lo, hi = scan_window(*key)
+        dims = {p: general_hom_dim(*key, p) for p in range(lo, hi + 1)}
+        return {p: x for p, x in dims.items() if x}
 
 
 def hom_dim(source, target, degree=None, power=0):
@@ -650,27 +707,18 @@ def hom_dim(source, target, degree=None, power=0):
     A, s = anchor(source)
     key = (A, target, (degree if degree is not None else source.group.zero) + s)
     _check_key(key)
-    return HomEngine()._dim(key, power)
-
-
-PROFILE_PAD = 2         # powers compared past the two certified windows
+    return HomEngine().homs(key).get(power, 0)
 
 
 def profiles_agree(homs, orbit, left, right) -> bool:
     """Whether two objects, each given as (object, twist), have the same Hom
-    dimensions out of every probe of ``orbit`` = (base, degrees), over both
-    windows plus PROFILE_PAD powers.  The probe base(-l) against Y(t) reads
-    the key (base, Y, t + l).  Isomorphic objects agree, so this is a
-    necessary condition for the cone search's certificate."""
+    dimensions out of every probe of ``orbit`` = (base, degrees), read by
+    ``homs``.  The probe base(-l) against Y(t) reads the key
+    (base, Y, t + l).  Isomorphic objects agree, so this is a necessary
+    condition for the cone search's certificate."""
     base, degrees = orbit
     (X, s), (Y, t) = left, right
-    for l in degrees:
-        k1, k2 = (base, X, s + l), (base, Y, t + l)
-        (lo1, hi1), (lo2, hi2) = scan_window(*k1), scan_window(*k2)
-        for p in range(min(lo1, lo2) - PROFILE_PAD, max(hi1, hi2) + PROFILE_PAD + 1):
-            if homs._dim(k1, p) != homs._dim(k2, p):
-                return False
-    return True
+    return all(homs.homs((base, X, s + l)) == homs.homs((base, Y, t + l)) for l in degrees)
 
 
 def poly_det(entries):
@@ -779,7 +827,7 @@ def auxiliary_object(f, i):
 
 
 def serre_dual(homs, table):
-    """The Serre-dual recomputation of a table from the lookups that
+    """The Serre-dual recomputation of a table from the landings that
     ``HomRun.serre_symmetry`` compares it with: column d holds
     dim Hom(A, T^(n-p) A(-sigma - d step)) from ``homs``, sigma the sum of
     the variable degrees, over the same stored powers.  Serre duality says
@@ -787,9 +835,11 @@ def serre_dual(homs, table):
     A, step, group = table.base, table.step, table.base.group
     n = group.chain.n
     sigma = sum((group.variable_degree(i) for i in range(n)), group.zero)
-    return HomTable(A, step, table.objects, {
-        d: (window, {p: homs._dim((A, A, -sigma - d * step), n - p) for p in dims})
-        for d, (window, dims) in table.columns.items()})
+    columns = {}
+    for d, (window, _) in table.columns.items():
+        dual = homs.homs((A, A, -sigma - d * step))
+        columns[d] = (window, {p: dual[n - p] for p in table.stored(d) if n - p in dual})
+    return HomTable(A, step, table.objects, table.margin, columns)
 
 
 def table_pairs(table):
@@ -798,9 +848,10 @@ def table_pairs(table):
 
 
 def table_entries(table):
-    """{(i, j, p): dim} of a ``HomTable``, expanded pair by pair."""
-    return {(i, j, p): dim for i, j in table_pairs(table)
-            for p, dim in table.columns[j - i][1].items()}
+    """{(i, j, p): dim} of a ``HomTable``, expanded pair by pair over the
+    stored powers, zeros included."""
+    return {(i, j, p): table.columns[j - i][1].get(p, 0) for i, j in table_pairs(table)
+            for p in table.stored(j - i)}
 
 
 def table_windows(table):

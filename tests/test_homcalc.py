@@ -17,7 +17,6 @@ from chainfact.homcalc import (
     check_exceptionality,
     euler_pairing,
     morphism_space_basis,
-    scan_window,
     _cell_basis,
     _differential_rows,
 )
@@ -53,11 +52,13 @@ from oracles import (
     rank_rational,
     serre,
     serre_dual,
+    scan_window,
     sparse_rank,
     t_power,
     table_entries,
     table_windows,
 )
+from test_sweep import CHAINS as SWEEP_CHAINS
 
 
 def simple_stab(exps):
@@ -201,6 +202,39 @@ def test_scan_window_matches_naive_route(exps):
         for y in objs:
             for l in degrees:
                 assert scan_window(x, y, l) == naive_window(x, y, l)
+
+
+# torsion gradings: 2,3 and 2,3,2,3 Z/2, 2,2,3 Z/4, 3,2,2 Z/3
+@pytest.mark.parametrize("chain", SWEEP_CHAINS)
+def test_closed_form_windows_and_landings_match_scan_window(chain):
+    """On each chain of the report sweep at offsets 0-3: the table's
+    closed-form window of every diagonal is ``scan_window`` of its key, and
+    every element of kunneth(base, X) that lands on an orbit key e step
+    lands inside that key's window, for X the collection base, the
+    auxiliary base (even n) and every ladder base (odd n >= 3), and for
+    every e that a run reads (1 - mu <= e <= max(mu - 1, a1 + 2)).  So the
+    Euler sums, which read no window, are the sums over the windows."""
+    f = ChainPolynomial.parse(chain)
+    mu, a1 = numerics(f).milnor, f.exponents[0]
+    for offset in range(4):
+        run = HomRun(f, offset)
+        (base, step), table = run.base, run.table
+        assert {d: window for d, (window, _) in table.columns.items()} == {
+            d: scan_window(*table.key(d)) for d in range(1 - mu, mu)}
+        targets = [base]
+        if f.n % 2 == 0:
+            targets.append(run.aux_base)
+        elif f.n >= 3:
+            targets += run.ladder_bases.values()
+        landed = 0
+        for X in targets:
+            for e in range(1 - mu, max(mu, a1 + 3)):
+                key = (base, X, e * step)
+                lo, hi = scan_window(*key)
+                dims = run.homs.homs(key)
+                assert all(lo <= p <= hi for p in dims), (chain, e)
+                landed += len(dims)
+        assert landed, (chain, offset)
 
 
 # torsion gradings: (2, 3) Z/2, (2, 2, 3) Z/4, (3, 2, 2) Z/3
@@ -362,56 +396,67 @@ def test_columns_match_closed_form_lookup_property(exps, offset):
 
 @pytest.mark.parametrize("exps", [(3, 3), (2, 2, 3), (3, 2, 2)])
 def test_serre_check_fails_on_any_wrong_dual_value(monkeypatch, exps):
-    """serre_symmetry reads each stored (d, p) against one lookup, at the
-    Serre-dual key (A, A, -sigma - d step) and power n - p, and these
-    lookups are the entries of ``serre_dual``, which the naive route checks.
-    With the engine one too high on any single one of them, the check
+    """serre_symmetry reads one landing per column, at the Serre-dual key
+    (A, A, -sigma - d step), and compares it at power n - p with every
+    stored (d, p); these landings are the entries of ``serre_dual``, which
+    the naive route checks.  With the landing one too high at any single
+    stored (d, p), whether its entry is present or absent, the check
     raises."""
     f = ChainPolynomial(exps)
     g = build_grading_group(f)
     run = HomRun(f, 0)
-    table, n, real = run.table, f.n, HomEngine._dim
+    table, n, real = run.table, f.n, HomEngine.homs
     sigma = sum((g.variable_degree(v) for v in range(f.n)), g.zero)
-    dual = serre_dual(HomEngine(), table)
-    want = {((-sigma - d * table.step).coords, n - p): x
-            for d, (_, dims) in dual.columns.items() for p, x in dims.items()}
+    duals = {(-sigma - d * table.step).coords: d for d in table.columns}
     asked = []
-
-    def recorded(self, key, p):
-        asked.append(((key[2].coords, p), real(self, key, p)))
-        return asked[-1][1]
-
-    monkeypatch.setattr(HomEngine, "_dim", recorded)
+    monkeypatch.setattr(HomEngine, "homs", lambda self, key:
+                        asked.append(key[2].coords) or real(self, key))
     assert run.serre_symmetry() == {}
-    assert len(asked) == len(want) == sum(len(dims) for _, dims in table.columns.values())
-    assert dict(asked) == want
-    for wrong in want:
-        monkeypatch.setattr(HomEngine, "_dim", lambda self, key, p, wrong=wrong:
-                            real(self, key, p) + ((key[2].coords, p) == wrong))
+    assert sorted(asked) == sorted(duals)
+    assert serre_dual(HomEngine(), table).columns == table.columns
+    wrongs = [(at, n - p) for at, d in duals.items() for p in table.stored(d)]
+    assert len(wrongs) == sum(len(table.stored(d)) for d in table.columns)
+    for at, q in wrongs:
+        def skewed(self, key, at=at, q=q):
+            dims = real(self, key)
+            return {**dims, q: dims.get(q, 0) + 1} if key[2].coords == at else dims
+
+        monkeypatch.setattr(HomEngine, "homs", skewed)
         with pytest.raises(VerificationFailure, match="Serre symmetry violated"):
             run.serre_symmetry()
-    monkeypatch.setattr(HomEngine, "_dim", real)
+    monkeypatch.setattr(HomEngine, "homs", real)
     assert run.serre_symmetry() == {}
 
 
 @pytest.mark.parametrize("exps", [(3, 3), (2, 2, 3), (3, 2, 2)])
 def test_exceptionality_failures_expand_in_pair_order(exps):
+    """One stored entry of a column one too high, at its lowest and highest
+    stored power and at power 0, whether the entry is present or absent,
+    fails the check with the failures of the entry-by-entry walk; so does
+    the identity missing from column 0."""
     f = ChainPolynomial(exps)
     table = fresh_table(f, TABLE_MARGIN)
     mu = table.objects
     assert check_exceptionality(table)["failures"] == []
     for d in (-1, -(mu - 1), 0):
-        dims = table.columns[d][1]
-        for p in [p for p in (min(dims), 0, max(dims)) if p in dims]:
-            dims[p] += 1
+        window, dims = table.columns[d]
+        stored = table.stored(d)
+        for p in [q for q in (stored[0], 0, stored[-1]) if q in stored]:
+            table.columns[d] = (window, {**dims, p: dims.get(p, 0) + 1})
             report = check_exceptionality(table)
             want = exceptionality_failures(table_entries(table))
             assert report["failures"] == want and not report["exceptional"]
             reason = "endomorphisms not scalar" if d == 0 else "backwards morphism"
-            assert want == [{"i": i, "j": i + d, "p": p, "dim": dims[p],
+            assert want == [{"i": i, "j": i + d, "p": p, "dim": dims.get(p, 0) + 1,
                              "reason": reason}
                             for i in range(max(0, -d), mu - max(0, d))]
-            dims[p] -= 1
+        table.columns[d] = (window, dims)
+    window, dims = table.columns[0]
+    table.columns[0] = (window, {p: x for p, x in dims.items() if p != 0})
+    assert check_exceptionality(table)["failures"] == [
+        {"i": i, "j": i, "p": 0, "dim": 0, "reason": "endomorphisms not scalar"}
+        for i in range(mu)]
+    table.columns[0] = (window, dims)
     assert check_exceptionality(table)["exceptional"]
 
 
@@ -421,15 +466,15 @@ def test_nakayama_witness_from_a_corrupted_column(exps):
     a1, table = exps[0], HomRun(f, 0).table
     mu = table.objects
     for d in range(1, mu):
-        dims = table.columns[d][1]
-        dims[0] += 1
+        window, dims = table.columns[d]
+        table.columns[d] = (window, {**dims, 0: dims.get(0, 0) + 1})
         run = HomRun(f, 0)
         run.table = table
         with pytest.raises(VerificationFailure) as failure:
             run.nakayama_cartan()
-        assert failure.value.witness == {"i": 0, "j": d, "got": dims[0],
+        assert failure.value.witness == {"i": 0, "j": d, "got": dims.get(0, 0) + 1,
                                          "want": 1 if d < a1 else 0}
-        dims[0] -= 1
+        table.columns[d] = (window, dims)
     run = HomRun(f, 0)
     run.table = table
     assert run.nakayama_cartan() == {"quiver_length": mu, "nilpotency": a1}

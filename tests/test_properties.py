@@ -15,7 +15,6 @@ from chainfact.homcalc import (
     HomEngine,
     euler_pairing,
     morphism_space_basis,
-    scan_window,
 )
 from chainfact.homrun import HomRun, collection_base
 from chainfact.invariants import zeta_polynomial
@@ -31,6 +30,7 @@ from oracles import (
     general_hom_dim,
     hom_dim,
     identity_morphism,
+    scan_window,
     serre_dual,
     smith_normal_form,
     translate,

@@ -28,7 +28,6 @@ from chainfact.homcalc import (
     HomEngine,
     _restrict,
     morphism_space_basis,
-    scan_window,
 )
 from chainfact.homrun import (
     HomRun,
@@ -47,12 +46,14 @@ from chainfact.mf import (
 )
 from chainfact.verify import run_checks
 from oracles import (
+    GeneralEngine,
     auxiliary_object,
     closed_form_hom,
     collection,
     general_hom_dim,
     hom_dim,
     identity_morphism,
+    scan_window,
     serre,
     t_power,
     table_entries,
@@ -283,9 +284,10 @@ def misfit_target(f):
 
 def test_shape_check_refuses_under_optimize_flag():
     """Negative control: a recorded target whose pieces fail the shape check
-    raises ``ValueError`` under ``python -O``, on both parities and before
-    and after a table has filled the engine; the general route answers it,
-    with a nonzero Hom at the degree asked."""
+    raises ``ValueError`` under ``python -O``, before and after a table has
+    filled the engine, and again when asked a second time, so a refusal
+    leaves no memo entry; the general route answers it, with a nonzero Hom
+    at the degree asked."""
     script = (
         "import json\n"
         "import chainfact.homcalc as h\n"
@@ -295,19 +297,18 @@ def test_shape_check_refuses_under_optimize_flag():
         "f = ChainPolynomial((2, 2, 2))\n"
         "base, step = collection_base(f)\n"
         "X, homs, refusals = misfit_target(f), h.HomEngine(), []\n"
-        "for fill in (False, True):\n"
+        "for fill in (False, True, False):\n"
         "    if fill:\n"
         "        homs.table(base, step, 7)\n"
-        "    for p in (0, 1):\n"
-        "        try:\n"
-        "            homs._dim((base, X, step), p)\n"
-        "            refusals.append(False)\n"
-        "        except ValueError:\n"
-        "            refusals.append(True)\n"
+        "    try:\n"
+        "        homs.homs((base, X, step))\n"
+        "        refusals.append(False)\n"
+        "    except ValueError:\n"
+        "        refusals.append(True)\n"
         "print(json.dumps([refusals, __debug__]))\n"
     )
     refusals, debug = _optimized_child(script)
-    assert debug is False and refusals == [True] * 4
+    assert debug is False and refusals == [True] * 3
     f = ChainPolynomial((2, 2, 2))
     base = collection_base(f)[0]
     X = misfit_target(f)
@@ -322,8 +323,8 @@ def test_shared_variable_rule_at_width_a1(exps):
     """At odd n the width-a1 ladder base restricts, against the collection
     base, to the pieces K(0, x2) and K(0, x2^a2), so x2 lies in two pieces,
     which the shape check alone would refuse.  With the rule the closed form
-    is the general route's on the orbit keys of seven degrees, over each
-    window and one power past it, on both parities."""
+    is the general route's on the orbit keys of seven degrees: the same
+    nonzero powers, all inside the certified window, on both parities."""
     f = ChainPolynomial(exps)
     a1, a2 = exps[:2]
     base, step = collection_base(f)
@@ -332,12 +333,10 @@ def test_shared_variable_rule_at_width_a1(exps):
     assert [_restrict(h, skip) for h in cofs[:2]] == [(1, 1), (1, a2)]
     assert all(_restrict(g, skip) is None for g in gens)
     L = stabilize(f, gens, cofs)
-    homs = HomEngine()
+    homs, general = HomEngine(), GeneralEngine()
     for e in range(-3, 4):
         key = (base, L, e * step)
-        lo, hi = scan_window(*key)
-        for p in range(lo - 1, hi + 2):
-            assert homs._dim(key, p) == general_hom_dim(*key, p), (exps, e, p)
+        assert homs.homs(key) == general.homs(key), (exps, e)
     # before the rule, x2 lies in two pieces
     pieces = {}
     for g, h in zip(gens, cofs):
@@ -347,11 +346,11 @@ def test_shared_variable_rule_at_width_a1(exps):
 
 
 def _record_keys(monkeypatch):
-    """Every (key, power) that the engine's lookup answers, in order."""
+    """Every key that the engine's read answers, in order."""
     asked = []
-    real = HomEngine._dim
-    monkeypatch.setattr(HomEngine, "_dim",
-                        lambda self, key, p: asked.append((key, p)) or real(self, key, p))
+    real = HomEngine.homs
+    monkeypatch.setattr(HomEngine, "homs",
+                        lambda self, key: asked.append(key) or real(self, key))
     return asked
 
 
@@ -362,8 +361,8 @@ RUN_CHAINS = [(2, 2), (3, 3), (2, 3), (2, 5), (9, 2), (2, 2, 2), (3, 2, 2), (2, 
 @pytest.mark.parametrize("command", ["verify", "euler", "triangles"])
 def test_run_keys_match_general_engine(monkeypatch, command):
     """Differential test: every key that a run reads, at offsets 0 and 2, is
-    answered by the closed form as by the general route, at the power the
-    run asks and at the next one (the other parity)."""
+    answered by the closed form as by the general route over the key's
+    certified window: the same nonzero powers with the same dimensions."""
     asked = _record_keys(monkeypatch)
     for exps in RUN_CHAINS:
         f = ChainPolynomial(exps)
@@ -371,10 +370,9 @@ def test_run_keys_match_general_engine(monkeypatch, command):
             asked.clear()
             assert run_checks(f, CHECKS_RUN[command], offset).passed, (exps, offset)
             assert asked, (exps, offset)
-            homs = HomEngine()
-            for key, p in dict.fromkeys(asked):
-                for q in (p, p + 1):
-                    assert homs._dim(key, q) == general_hom_dim(*key, q), (exps, key, q)
+            homs, general = HomEngine(), GeneralEngine()
+            for key in dict.fromkeys(asked):
+                assert homs.homs(key) == general.homs(key), (exps, key)
 
 
 def test_runs_ask_no_refused_key(monkeypatch):

@@ -22,7 +22,7 @@ from chainfact.chain import ChainPolynomial, GradingGroup, build_grading_group, 
 from chainfact.cli import CHECKS_RUN
 from chainfact.cli import main as cli_main
 from chainfact.exactmath import MPoly
-from chainfact.homcalc import HomEngine, scan_window
+from chainfact.homcalc import HomEngine
 from chainfact.homrun import (
     HomRun,
     auxiliary_splitting,
@@ -58,6 +58,7 @@ from oracles import (
     poly_det,
     profiles_agree,
     rank_rational,
+    scan_window,
     triangle_cases,
 )
 from test_homcalc import SMALL_CHAINS
@@ -441,7 +442,7 @@ def test_no_hom_memo_outlives_its_run(monkeypatch):
 
 
 def test_euler_builds_no_dual_table(monkeypatch):
-    """An euler run reads one table and makes no lookup at a Serre-dual key
+    """An euler run reads one table and no Serre-dual key
     (A, A, -sigma - d step), |d| < mu, while a verify run's Serre check
     reads every one of them."""
     f = ChainPolynomial((3, 3, 3))
@@ -449,9 +450,9 @@ def test_euler_builds_no_dual_table(monkeypatch):
     tables, calls, degrees = [], [], []
     _count_calls(monkeypatch, homcalc.HomEngine, "table", tables)
     _count_calls(monkeypatch, homcalc.HomEngine, "kunneth", calls)
-    real = HomEngine._dim
-    monkeypatch.setattr(HomEngine, "_dim", lambda self, key, p:
-                        degrees.append(key[2].coords) or real(self, key, p))
+    real = HomEngine.homs
+    monkeypatch.setattr(HomEngine, "homs", lambda self, key:
+                        degrees.append(key[2].coords) or real(self, key))
     assert run_checks(f, CHECKS_RUN["euler"], 1).passed
     assert len(tables) == 1
     asked = len(calls)
@@ -462,7 +463,7 @@ def test_euler_builds_no_dual_table(monkeypatch):
     degrees.clear()
     assert run_checks(f, CHECKS_RUN["verify"], 1).passed
     assert serre_keys <= set(degrees)
-    monkeypatch.setattr(HomEngine, "_dim", real)
+    monkeypatch.setattr(HomEngine, "homs", real)
     coll = collection(HomRun(f, 1))
     orbit = (*collection_base(f), len(coll))
     homs = homcalc.HomEngine()
@@ -610,14 +611,10 @@ def test_triangles_read_only_base_keys(monkeypatch):
     as its source and the collection base, the auxiliary base or a ladder
     base as its target: the cone search asks the engine nothing."""
     keys = []
-    for name in ("_dim", "euler_at"):
+    for name in ("homs", "euler_at"):
         real = getattr(HomEngine, name)
         monkeypatch.setattr(HomEngine, name,
-                            lambda self, key, *a, real=real: keys.append(key)
-                            or real(self, key, *a))
-    real_scan = homcalc.scan_window
-    monkeypatch.setattr(homcalc, "scan_window",
-                        lambda *key: keys.append(key) or real_scan(*key))
+                            lambda self, key, real=real: keys.append(key) or real(self, key))
     real_basis = HomEngine.kunneth
     monkeypatch.setattr(HomEngine, "kunneth",
                         lambda self, A, X: keys.append((A, X, None))
@@ -640,23 +637,25 @@ def test_triangles_read_only_base_keys(monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["verify", "euler", "triangles"])
-def test_runs_scan_each_window_once(monkeypatch, command):
-    """Every certified window that a run scans is on a key it has not
-    scanned before, on chains of both parities at offsets 0-3: a table
-    reads one key per diagonal and the Euler memo answers a repeated key,
-    so a memo of the windows would never be read."""
-    keys = []
-    real = homcalc.scan_window
-    monkeypatch.setattr(homcalc, "scan_window",
-                        lambda *key: keys.append(key) or real(*key))
+def test_run_reads_land_inside_their_windows(monkeypatch, command):
+    """Every power that a run's reads land on lies inside the key's
+    certified window (``oracles.scan_window``), on chains of both parities,
+    torsion ones included, at offsets 0-3: so the Euler sums, which read no
+    window, are the alternating sums over the windows."""
+    reads = []
+    real = HomEngine.homs
+    monkeypatch.setattr(HomEngine, "homs", lambda self, key:
+                        reads.append((key, real(self, key))) or reads[-1][1])
     for exps in [(2, 2), (3, 3), (2, 3), (9, 2), (2, 2, 2), (3, 2, 2), (2, 2, 3),
                  (2, 2, 2, 2), (3, 3, 3), (2, 3, 2, 3)]:
         f = ChainPolynomial(exps)
         for offset in range(4):
-            keys.clear()
+            reads.clear()
             assert run_checks(f, CHECKS_RUN[command], offset).passed
-            assert keys, (exps, offset)
-            assert len(keys) == len(set(keys)), (exps, offset)
+            assert any(dims for _, dims in reads), (exps, offset)
+            for key, dims in reads:
+                lo, hi = scan_window(*key)
+                assert all(lo <= p <= hi for p in dims), (exps, offset, key[2])
 
 
 def _outcome(check):
