@@ -192,7 +192,12 @@ class HomTable:
 
     def euler(self, d: int) -> int:
         """chi(E_i, E_{i+d}), the alternating sum of column d."""
-        return sum(-x if p % 2 else x for p, x in self.columns[d][1].items())
+        return _chi(self.columns[d][1])
+
+
+def _chi(dims: dict[int, int]) -> int:
+    """The alternating sum of {p: dim} over the powers p."""
+    return sum(-x if p % 2 else x for p, x in dims.items())
 
 
 def _koszul_vars(A: MatrixFactorization) -> tuple[int, ...] | None:
@@ -322,7 +327,7 @@ class HomEngine:
         _check_key(key)
         chi = self.eulers.get(key)
         if chi is None:
-            chi = self.eulers[key] = sum(-x if p % 2 else x for p, x in self.homs(key).items())
+            chi = self.eulers[key] = _chi(self.homs(key))
         return chi
 
     def table(self, base, step: Degree, mu: int, margin: int = 0) -> HomTable:

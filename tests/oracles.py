@@ -687,12 +687,14 @@ def scan_window(source, target, degree: Degree | None = None) -> tuple[int, int]
 
 class GeneralEngine(HomEngine):
     """A ``HomEngine`` whose reads the general route answers over each key's
-    ``scan_window``: the engine's keys, Euler memo and table layout, with
-    the oracle in place of the closed form, for any target."""
+    ``scan_window`` and one power past each end, so that a differential test
+    against it also catches a Hom just outside the window: the engine's
+    keys, Euler memo and table layout, with the oracle in place of the
+    closed form, for any target."""
 
     def homs(self, key):
         lo, hi = scan_window(*key)
-        dims = {p: general_hom_dim(*key, p) for p in range(lo, hi + 1)}
+        dims = {p: general_hom_dim(*key, p) for p in range(lo - 1, hi + 2)}
         return {p: x for p, x in dims.items() if x}
 
 

@@ -362,7 +362,8 @@ RUN_CHAINS = [(2, 2), (3, 3), (2, 3), (2, 5), (9, 2), (2, 2, 2), (3, 2, 2), (2, 
 def test_run_keys_match_general_engine(monkeypatch, command):
     """Differential test: every key that a run reads, at offsets 0 and 2, is
     answered by the closed form as by the general route over the key's
-    certified window: the same nonzero powers with the same dimensions."""
+    certified window and one power past each end: the same nonzero powers
+    with the same dimensions."""
     asked = _record_keys(monkeypatch)
     for exps in RUN_CHAINS:
         f = ChainPolynomial(exps)
