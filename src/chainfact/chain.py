@@ -59,8 +59,8 @@ def _norm_num(c):
 class ChainPolynomial:
     """Exponent data (a_1, ..., a_n) of a chain polynomial.
 
-    Immutable and hashable by its exponents: it keys the grading-group and
-    invariant caches.
+    Immutable and hashable by its exponents, which key the interned grading
+    group.
     """
 
     __slots__ = ("exponents",)

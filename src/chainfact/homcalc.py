@@ -34,28 +34,29 @@ basis e' = e_1 + y^(b-a) e_2 turns the product into K(0, y^a) (x) K(0, 0),
 so among the pieces with g_i|V = 0 and h_i|V a power of one shared
 variable, the least power is kept and the others are set to zero.  The
 width-a1 ladder base at odd n needs it: against the collection base, x1^a1
-leaves h|V = x2 and x3 leaves h|V = x2^a2.  A key that fails the check
+leaves h|V = x2 and x3 leaves h|V = x2^a2.  A pair that fails the check
 raises ``ValueError``; no run asks one.
 
-Keys are built on bases.  Since Hom(A(a), T^p X(b)(l)) =
+Reads are built on bases.  Since Hom(A(a), T^p X(b)(l)) =
 Hom(A, T^r X(l + b - a + floor(p/2) f)), r = p mod 2, one answer serves a
-twist orbit: a caller holding an orbit as (base, twist) asks the key
-(A, X, l) on the unshifted source base and the target as it holds them,
-with every twist in l.  ``HomEngine`` answers the keys of one run: it
-builds the (degree, parity) basis of (x) H(K_i) once per (A, X), folded as
-above, and one read lands the whole basis on a key: an element at folded
-degree l + k f and parity q is Hom(A, T^(2k+q) X(l)).  So a key's nonzero
-powers come at once, with no window; since every Hom vanishes outside its
-certified window, the alternating sum of the landed dimensions is the
-key's Euler number, which the engine memoizes.  A table reads one column
-per diagonal d = j - i of the orbit E_i = base(i step), on the key
-(A, A, d step), and keeps its nonzero dimensions inside the column's
-certified window plus a margin.  A run makes one engine and drops its memos
+twist orbit: a caller holding an orbit as (base, twist) asks the pair
+(A, X) on the unshifted source base and the target as it holds them, with
+every twist in l.  ``HomEngine`` answers the reads of one run: it builds
+the (degree, parity) basis of (x) H(K_i) once per (A, X), folded as above,
+and an element at folded degree l + k f and parity q is
+Hom(A, T^(2k+q) X(l)).  Its one read, ``HomEngine.orbit``, lands the basis
+on a whole twist orbit l = start + e step at once, stepping the weight and
+the torsion residue of l as integers, and gives every nonzero power of
+each twist with no window; since every Hom vanishes outside its certified
+window, the alternating sum of the landed dimensions is the twist's Euler
+number.  A table reads one column per diagonal d = j - i of the orbit
+E_i = base(i step), on the twist d step, and keeps the column's certified
+window with every landed power.  A run makes one engine and drops its memo
 with it.  Serre duality needs no second table: Hom(A, T^p A(l)) and
 Hom(A, T^(n-p) A(-sigma - l)), sigma the sum of the variable degrees, are
 dual (graded Gorenstein symmetry of the one Künneth basis of (A, A)), so
-``HomRun.serre_symmetry`` compares each column with the landing of its
-Serre-dual key at n - p.
+``HomRun.serre_symmetry`` reads (A, A) on the orbit -sigma - d step and
+compares each column with its landing at n - p.
 
 The full Hom complex -- monomial cells slot by slot (``_cell_basis``) and
 the differentials as sparse integer rows (``_differential_rows``) -- serves
@@ -69,7 +70,8 @@ rows of T^p X are read off X itself.
 A table's windows are certified on both sides and computed in closed form
 from the base's twist weights (``HomEngine.table``): below by direct weight
 negativity of the cell spaces, above by the same bound on the Serre-dual
-key.
+twist.  A report counts each column's stored powers, its window plus
+``TABLE_MARGIN`` on both sides.
 
 The engine's name is ``chainfact.ENGINE_ID``, which every report carries as
 provenance; a change here that can change a table must change it.
@@ -83,6 +85,8 @@ from operator import add
 from .chain import Degree
 from .exactmath import Echelon, MPoly
 from .mf import GradedMatrix, MatrixFactorization, MFMorphism
+
+TABLE_MARGIN = 3        # powers stored beyond each certified Hom window
 
 
 def _cell_basis(F: MatrixFactorization, G: MatrixFactorization, p: int):
@@ -158,28 +162,18 @@ class HomTable:
     """Hom dimensions over the twist orbit E_i = base(i step), i < ``objects``.
 
     ``columns`` maps each diagonal d = j - i, |d| < ``objects``, to
-    (window, {p: dim}) on the key (base, base, d step): the certified window
-    and the nonzero dimensions, in power order, over the stored powers, the
-    window plus ``margin`` on both sides (:meth:`stored`).  The pair (i, j)
-    reads column j - i.
+    (window, {p: dim}) on the twist d step: the certified window and every
+    nonzero dimension, in power order.  The pair (i, j) reads column j - i.
     """
 
-    def __init__(self, base: MatrixFactorization, step: Degree, objects: int,
-                 margin: int, columns: dict[int, tuple]):
-        self.base = base
-        self.step = step
+    def __init__(self, objects: int, columns: dict[int, tuple]):
         self.objects = objects
-        self.margin = margin
         self.columns = columns
 
-    def key(self, d: int) -> tuple:
-        """The key of the column of the diagonal d."""
-        return self.base, self.base, d * self.step
-
     def stored(self, d: int) -> range:
-        """The stored powers of column d: its window plus ``margin``."""
+        """The stored powers of column d: its window plus ``TABLE_MARGIN``."""
         lo, hi = self.columns[d][0]
-        return range(lo - self.margin, hi + self.margin + 1)
+        return range(lo - TABLE_MARGIN, hi + TABLE_MARGIN + 1)
 
     def entry_count(self) -> int:
         """The number of stored (i, j, p) entries, counted without expanding
@@ -192,10 +186,10 @@ class HomTable:
 
     def euler(self, d: int) -> int:
         """chi(E_i, E_{i+d}), the alternating sum of column d."""
-        return _chi(self.columns[d][1])
+        return chi(self.columns[d][1])
 
 
-def _chi(dims: dict[int, int]) -> int:
+def chi(dims: dict[int, int]) -> int:
     """The alternating sum of {p: dim} over the powers p."""
     return sum(-x if p % 2 else x for p, x in dims.items())
 
@@ -209,14 +203,13 @@ def _koszul_vars(A: MatrixFactorization) -> tuple[int, ...] | None:
     return tuple(sorted(e.index(1) for e in exps)) if all(sum(e) == 1 for e in exps) else None
 
 
-def _check_key(key) -> None:
-    """Refuse a key outside the closed form's reach, before any memo lookup:
+def _check_pair(A, X) -> None:
+    """Refuse a pair outside the closed form's reach, before any memo lookup:
     a source that is not an unshifted stabilization by variables, or a
     target without the ``splitting`` record, unless a side is empty."""
-    A, X, _ = key
     if A.size and X.size and (_koszul_vars(A) is None or not A.F0.twists[0].is_zero()
                               or X.splitting is None):
-        raise ValueError("Hom key is not from an unshifted stabilization by "
+        raise ValueError("Hom pair is not from an unshifted stabilization by "
                          "variables into a recorded stabilization")
 
 
@@ -234,35 +227,34 @@ def _restrict(poly: MPoly, skip) -> tuple | None:
 
 
 class HomEngine:
-    """The Hom queries of one run, each answered in closed form.
+    """The Hom reads of one run, each answered in closed form.
 
     The package's one route to a Hom dimension and the one owner of the
-    memos behind it.  A key (A, X, l) stands for Hom(A, T^p X(l)), from an
-    unshifted stabilization by variables into a shift of a stabilization
-    (see the module docstring).  Its one read, :meth:`homs`, gives every
-    nonzero power of a key at once and serves the table, the Euler numbers
-    and the run's Serre check.  The engine owns the run's two Hom memos, on
-    the instance and keyed as given: the Künneth basis per (A, X), built by
-    :meth:`kunneth` and grouped for :meth:`homs`, and the Euler number per
-    key.  A run holds one object per base, so lookups match on identity;
-    equal objects share an entry.
+    memo behind it.  A read (A, X, start, step) stands for the spaces
+    Hom(A, T^p X(start + e step)) along a twist orbit, from an unshifted
+    stabilization by variables into a shift of a stabilization (see the
+    module docstring).  The one read, :meth:`orbit`, serves the table, the
+    Euler numbers and the run's Serre check.  The memo, on the instance and
+    keyed as given, is the Künneth basis per (A, X), built by
+    :meth:`kunneth` and grouped for :meth:`orbit`.  A run holds one object
+    per base, so lookups match on identity; equal objects share an entry.
     """
 
     def __init__(self):
         self.bases: dict = {}           # (A, X) -> {w mod f.w: [(w, r, parity, dim)]}
-        self.eulers: dict = {}          # (A, X, l) -> Euler number
 
-    def homs(self, key) -> dict[int, int]:
-        """{p: dim Hom(A, T^p X(l))} over the nonzero powers of a checked key
-        (A, X, l).  A basis element ((w, r), q) of (A, X) with count c
-        answers the folded query of power p = 2k + q on the key when
-        w = l.w + k f.w and r = l.r + k f.r modulo the torsion, so it lands
-        there when k = (w - l.w) / f.w is an integer and the residues agree.
-        The basis is grouped by w mod f.w once per pair, so a key reads only
-        the elements of its class."""
-        A, X, l = key
-        group = l.group
-        (lw, lr), (fw, fr) = l.coords, group.total_degree.coords
+    def orbit(self, A, X, start: Degree, step: Degree, es) -> dict[int, dict[int, int]]:
+        """{e: {p: dim Hom(A, T^p X(start + e step))}} for each e of ``es``,
+        over the nonzero powers, on a checked pair (A, X).  A basis element
+        ((w, r), q) of (A, X) with count c answers the folded query of power
+        p = 2k + q at the twist l when w = l.w + k f.w and r = l.r + k f.r
+        modulo the torsion, so it lands there when k = (w - l.w) / f.w is an
+        integer and the residues agree.  The basis is grouped by w mod f.w
+        once per pair, so a twist reads only the elements of its class, and
+        the twists are stepped as integer coordinates."""
+        _check_pair(A, X)
+        group = start.group
+        (sw, sr), (tw, tr), (fw, fr) = start.coords, step.coords, group.total_degree.coords
         classes = self.bases.get((A, X))
         if classes is None:
             classes = {}
@@ -270,10 +262,13 @@ class HomEngine:
                 classes.setdefault(w % fw, []).append((w, r, q, c))
             self.bases[(A, X)] = classes
         landed = {}
-        for w, r, q, c in classes.get(lw % fw, ()):
-            k = (w - lw) // fw
-            if (lr + k * fr - r) % group.modulus == 0:
-                landed[2 * k + q] = c
+        for e in es:
+            lw, lr = sw + e * tw, sr + e * tr
+            dims = landed[e] = {}
+            for w, r, q, c in classes.get(lw % fw, ()):
+                k = (w - lw) // fw
+                if (lr + k * fr - r) % group.modulus == 0:
+                    dims[2 * k + q] = c
         return landed
 
     def kunneth(self, A, X) -> Counter:
@@ -281,7 +276,7 @@ class HomEngine:
         (A, X, .) with a nonzero Hom, by graded Künneth (see the module
         docstring): a basis element of (x) H(K_i) of degree d and parity q
         answers the fold of (d - D, q - s).  ``ValueError`` when the pieces
-        of X|V(I) fail the shape check.  The caller has checked the key."""
+        of X|V(I) fail the shape check.  The caller has checked the pair."""
         if not A.size or not X.size:
             return Counter()
         group, skip, fdeg = X.group, _koszul_vars(A), X.group.total_degree
@@ -321,19 +316,10 @@ class HomEngine:
             folded[(d + (q // 2) * fdeg).coords, q % 2] += c
         return folded
 
-    def euler_at(self, key) -> int:
-        """chi on a key (A, X, l), the alternating sum of its Hom dimensions,
-        memoized on the key."""
-        _check_key(key)
-        chi = self.eulers.get(key)
-        if chi is None:
-            chi = self.eulers[key] = _chi(self.homs(key))
-        return chi
-
-    def table(self, base, step: Degree, mu: int, margin: int = 0) -> HomTable:
-        """The Hom table of the twist orbit E_i = base(i step), i < mu, over
-        each certified window plus ``margin`` powers on both sides: one
-        column per diagonal d, |d| < mu, on the key (base, base, d step).
+    def table(self, base, step: Degree, mu: int) -> HomTable:
+        """The Hom table of the twist orbit E_i = base(i step), i < mu: one
+        column per diagonal d, |d| < mu, read on the orbit of (base, base)
+        at the twists d step, with its certified window.
 
         The windows are certified in closed form.  A cell of
         Hom(base, T^p base(l)) pairs a source and a target twist of one slot
@@ -341,10 +327,9 @@ class HomEngine:
         C_q + l.w + floor(p/2) f.w, C_q the largest difference of the two
         over the slots: below the least p where that bound is nonnegative
         every cell, and so every Hom, vanishes.  The upper end is n less the
-        same bound on the Serre-dual key, of weight -sigma.w - l.w."""
-        table = HomTable(base, step, mu, margin, {})
-        _check_key(table.key(0))
+        same bound on the Serre-dual twist, of weight -sigma.w - l.w."""
         group, n = base.group, base.group.chain.n
+        landed = self.orbit(base, base, group.zero, step, range(1 - mu, mu))
         fw, sigma_w = group.total_degree.weight, sum(group.weights[:n])
         w0, w1 = [t.weight for t in base.F0.twists], [t.weight for t in base.F1.twists]
         bounds = (max(max(w0) - min(w0), max(w1) - min(w1)),
@@ -353,13 +338,11 @@ class HomEngine:
         def lowest(lw):
             return min(2 * -((c + lw) // fw) + q for q, c in enumerate(bounds))
 
-        for d in range(1 - mu, mu):
+        columns = {}
+        for d, dims in landed.items():
             lw = d * step.weight
-            lo, hi = window = lowest(lw), n - lowest(-sigma_w - lw)
-            dims = sorted(self.homs(table.key(d)).items())
-            table.columns[d] = (window, {p: x for p, x in dims
-                                         if lo - margin <= p <= hi + margin})
-        return table
+            columns[d] = ((lowest(lw), n - lowest(-sigma_w - lw)), dict(sorted(dims.items())))
+        return HomTable(mu, columns)
 
 
 def euler_pairing(table: HomTable):
@@ -375,12 +358,12 @@ def check_exceptionality(table: HomTable) -> dict:
     """Exceptional-collection conditions read off a computed table.
 
     Checks scalar endomorphisms concentrated at power 0 and lower-triangular
-    vanishing across the full stored power range (window plus margin); also
-    reports whether the collection is strongly exceptional.  A column holds
-    its nonzero entries only, so power 0 of diagonal 0 is read as 0 when it
-    is absent.  Diagonal d = 0 holds the pairs i = j, d < 0 those with
-    i > j and d > 0 those with i < j, so each column is read once; failures
-    are expanded to (i, j, p), in pair order, only when a column fails.
+    vanishing at every landed power; also reports whether the collection is
+    strongly exceptional.  A column holds its nonzero entries only, so
+    power 0 of diagonal 0 is read as 0 when it is absent.  Diagonal d = 0
+    holds the pairs i = j, d < 0 those with i > j and d > 0 those with
+    i < j, so each column is read once; failures are expanded to (i, j, p),
+    in pair order, only when a column fails.
     """
     wrong, strong = {}, True
     for d, (_, dims) in table.columns.items():

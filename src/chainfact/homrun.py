@@ -7,8 +7,9 @@ search behind ``triangle_structural``.  It is the orchestration layer's one
 importer of the Hom engine, and it calls ``mf`` and ``homcalc`` through
 their modules, so a patch on either reaches every check.  A run asks every
 Hom dimension through its one ``homcalc.HomEngine``, by graded Künneth
-between the bases stabilized here: each key's nonzero powers in one read,
-with no window scan, and the cone search asks none (it certifies an
+between the bases stabilized here: each check reads one twist orbit of a
+pair of bases at a time, every nonzero power of every twist at once, with
+no window scan, and the cone search asks none (it certifies an
 isomorphism).
 """
 
@@ -27,8 +28,6 @@ from .chain import (
 )
 from .exactmath import Echelon, MPoly
 from .verify import _Run
-
-TABLE_MARGIN = 3        # powers stored beyond each certified Hom window
 
 
 # ---------------------------------------------------------------------------
@@ -128,18 +127,17 @@ class HomRun(_Run):
     E_offset for the ladder base check) are reached with the trusted
     ``shift`` of a base, as a twisted stabilization is the shift of the
     untwisted one.  Every Hom dimension that a check reads (the table, its
-    Serre-dual keys and the Euler entries; the cone search reads none)
-    goes through the run's one ``HomEngine``, on a key from the collection
-    base into a base.  The engine owns the Hom memos, the Künneth basis per
-    pair and the Euler number per key, and the run owns the engine, the
-    bases and the table as cached properties; no check keeps a memo of its
-    own.
+    Serre duals and the Euler entries; the cone search reads none) goes
+    through the run's one ``HomEngine``, in one orbit read from the
+    collection base into a base.  The engine owns the Hom memo, the Künneth
+    basis per pair, and the run owns the engine, the bases and the table as
+    cached properties; no check keeps a memo of its own.
 
     The collection step is deg x1 at even n and -deg x1 at odd n, so object
     i of every family is Y(i * step) for its base Y, and
-    chi(E_{i-e}, Y(i * step)) has the key (base, Y, e * step) for every i
-    (see :meth:`orbit_key`): the Euler checks read each e once, on its key,
-    and build no object.
+    chi(E_{i-e}, Y(i * step)) is the Euler number of the twist e * step of
+    (base, Y) for every i (see :meth:`_orbit_euler`): the Euler checks read
+    each target's orbit once and build no object.
     """
 
     @cached_property
@@ -171,14 +169,14 @@ class HomRun(_Run):
                         -i * build_grading_group(self.f).variable_degree(0))
 
     @cached_property
-    def homs(self) -> homcalc.HomEngine:
-        """The run's Hom engine: every check's queries share its memos."""
+    def engine(self) -> homcalc.HomEngine:
+        """The run's Hom engine: every check's reads share its memo."""
         return homcalc.HomEngine()
 
     @cached_property
     def table(self) -> homcalc.HomTable:
-        """The Hom table of the collection, TABLE_MARGIN powers past each window."""
-        return self.homs.table(*self.base, self.nm.milnor, TABLE_MARGIN)
+        """The Hom table of the collection."""
+        return self.engine.table(*self.base, self.nm.milnor)
 
     @cached_property
     def exc(self) -> dict:
@@ -218,14 +216,13 @@ class HomRun(_Run):
         # Hom(A, T^p A(l)) is dual to Hom(A, T^(n-p) A(-sigma - l)), sigma the
         # sum of the variable degrees: this certifies the graded Gorenstein
         # symmetry of the one Künneth basis of (A, A), not an agreement of
-        # two routes.  Each column d, over its stored powers, against the
-        # landing of the Serre-dual key (A, A, -sigma - d step) at n - p.
+        # two routes.  Each column d, over every landed power, against the
+        # landing of (A, A) at the Serre-dual twist -sigma - d step at n - p.
         (A, step), n, table = self.base, self.f.n, self.table
         sigma = A.group.monomial_degree((1,) * n)
+        duals = self.engine.orbit(A, A, -sigma, -step, table.columns)
         for d, (_, dims) in table.columns.items():
-            stored = table.stored(d)
-            dual = self.homs.homs((A, A, -sigma - d * step)).items()
-            if {n - q: x for q, x in dual if n - q in stored} != dims:
+            if {n - q: x for q, x in duals[d].items()} != dims:
                 raise VerificationFailure("Serre symmetry violated on the table")
         return {}
 
@@ -245,17 +242,15 @@ class HomRun(_Run):
                  "want": want[j - i]})
         return {"quiver_length": mu, "nilpotency": a1}
 
-    def orbit_key(self, target: mf.MatrixFactorization, e: int) -> tuple:
-        """The key of Hom(E_{i-e}, target(i * step)), the same for every i:
-        (base, target, e * step), on the collection base and the target as
-        given."""
-        base, step = self.base
-        return base, target, e * step
-
-    def _orbit_euler(self, target: mf.MatrixFactorization):
-        """e -> chi(E_{i-e}, target(i * step)), read on its orbit key; the
-        engine's Euler memo answers a repeated e."""
-        return lambda e: self.homs.euler_at(self.orbit_key(target, e))
+    def _orbit_euler(self, target: mf.MatrixFactorization) -> dict[int, int]:
+        """{e: chi(E_{i-e}, target(i * step))}, the same for every i, over the
+        e that the triangle checks read, 1 - mu <= e <= max(mu - 1, a1 + 2):
+        one orbit read of (base, target), the collection base and the target
+        as given, at the twists e * step."""
+        (base, step), mu = self.base, self.nm.milnor
+        es = range(1 - mu, max(mu, self.f.exponents[0] + 3))
+        return {e: homcalc.chi(dims)
+                for e, dims in self.engine.orbit(base, target, base.group.zero, step, es).items()}
 
     def triangle_euler_additivity(self):
         # chi(E_m, E_{k-1}) - chi(E_m, E_k) + chi(E_m, Aux(offset + k)) for
@@ -264,7 +259,7 @@ class HomRun(_Run):
         # d = k - m only: one total per d, expanded over (k, m) on failure.
         mu = self.nm.milnor
         coll, aux = self._orbit_euler(self.base[0]), self._orbit_euler(self.aux_base)
-        totals = {d: coll(d - 1) - coll(d) + aux(d) for d in range(2 - mu, mu)}
+        totals = {d: coll[d - 1] - coll[d] + aux[d] for d in range(2 - mu, mu)}
         if any(totals.values()):
             bad = [{"i": self.offset + k, "total": totals[k - m]}
                    for k in range(1, mu) for m in range(mu) if totals[k - m]]
@@ -275,11 +270,11 @@ class HomRun(_Run):
         """(j, e) -> the Euler total of the width-j ladder triangle of any
         row i against E_{i-e}, L(i+1, j) - L(i, j+1) - L(i+1, j-1) + L(i, j),
         where chi(E_{i-e}, L(i', j')) is zero at the widths 0 and a1 + 1 and
-        is otherwise read once per (j', e + i' - i), on the orbit key of L_j'."""
+        is otherwise read at e + i' - i on the orbit of L_j'."""
         by_width = {j: self._orbit_euler(L) for j, L in self.ladder_bases.items()}
 
         def chi(j, e):
-            return by_width[j](e) if j in by_width else 0
+            return by_width[j][e] if j in by_width else 0
 
         return lambda j, e: chi(j, e + 1) - chi(j + 1, e) - chi(j - 1, e + 1) + chi(j, e)
 
@@ -304,14 +299,14 @@ class HomRun(_Run):
         # zero; its Euler defect is then forced to be the class sum of a1+1
         # consecutive collection objects, which is nonzero.  Pin the defect
         # exactly so any drift is caught.  Probe m, E_{offset+m}, reads the
-        # class E_{i+k} on the orbit key of e + k, e = i - offset - m.
+        # class E_{i+k} at e + k on the collection's orbit, e = i - offset - m.
         a1, mu, mismatches, boundary_holds = self.f.exponents[0], self.nm.milnor, [], True
         ladder, coll = self._ladder_totals(), self._orbit_euler(self.base[0])
         for i in self._ladder_rows():
             for m in range(mu):
                 e = i - self.offset - m
                 total = ladder(a1, e)
-                predicted = sum(coll(e + k) for k in range(a1 + 1))
+                predicted = sum(coll[e + k] for k in range(a1 + 1))
                 if total != 0:
                     boundary_holds = False
                 if total != predicted:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import time
-from fractions import Fraction
 from functools import cached_property
 
 from . import ENGINE_ID, __version__
@@ -50,8 +49,6 @@ def _jsonify(value):
         return [_jsonify(v) for v in value]
     if isinstance(value, Degree):
         return list(value.coords)
-    if isinstance(value, Fraction):
-        return str(value)
     return str(value)
 
 

@@ -16,9 +16,12 @@ window-free Euler sums.  ``closed_form_hom`` gives the diagonal Hom algebra
 in closed form, ``profiles_agree`` compares Hom profiles, a necessary
 condition for the isomorphisms that ``triangle_structural`` certifies, and
 ``serre_dual`` recomputes a table from the Serre-dual landings that
-``serre_symmetry`` reads.  The library keeps only degree-zero morphisms and the grading shift,
-so the translation functor ``translate`` and its powers ``t_power`` live
-here too.
+``serre_symmetry`` reads.  Every single-key read goes through ``landing``,
+the engine's orbit read of one twist, and ``degree_landing`` lands a
+Künneth basis on a twist through ``Degree`` arithmetic, the reference for
+the engine's integer stepping.  The library keeps only degree-zero
+morphisms and the grading shift, so the translation functor ``translate``
+and its powers ``t_power`` live here too.
 
 They compute values only and contain no ``assert``: pytest rewrites asserts
 in test modules, not here, and the suite also runs under ``python -O``.
@@ -26,12 +29,13 @@ in test modules, not here, and the suite also runs under ``python -O``.
 
 import json
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
 from typing import NamedTuple
 
 from chainfact.chain import ChainPolynomial, Degree, build_grading_group
 from chainfact.exactmath import Echelon, MPoly
-from chainfact.homcalc import HomEngine, HomTable, _check_key, _differential_rows
+from chainfact.homcalc import HomEngine, HomTable, _differential_rows
 from chainfact.homrun import auxiliary_splitting
 from chainfact.invariants import companion_certificate, euler_matrix, zeta_polynomial
 from chainfact.mf import (
@@ -686,16 +690,45 @@ def scan_window(source, target, degree: Degree | None = None) -> tuple[int, int]
 
 
 class GeneralEngine(HomEngine):
-    """A ``HomEngine`` whose reads the general route answers over each key's
-    ``scan_window`` and one power past each end, so that a differential test
-    against it also catches a Hom just outside the window: the engine's
-    keys, Euler memo and table layout, with the oracle in place of the
-    closed form, for any target."""
+    """A ``HomEngine`` whose orbit reads the general route answers, twist by
+    twist, over the ``scan_window`` of each and one power past each end, so
+    that a differential test against it also catches a Hom just outside the
+    window: the engine's reads and table layout, with the oracle in place
+    of the closed form, for any target."""
 
-    def homs(self, key):
-        lo, hi = scan_window(*key)
-        dims = {p: general_hom_dim(*key, p) for p in range(lo - 1, hi + 2)}
-        return {p: x for p, x in dims.items() if x}
+    def orbit(self, A, X, start, step, es):
+        landed = {}
+        for e in es:
+            key = (A, X, start + e * step)
+            lo, hi = scan_window(*key)
+            dims = {p: general_hom_dim(*key, p) for p in range(lo - 1, hi + 2)}
+            landed[e] = {p: x for p, x in dims.items() if x}
+        return landed
+
+
+def landing(homs, key):
+    """{p: dim Hom(A, T^p X(l))} over the nonzero powers of one key
+    (A, X, l), read by ``homs`` as the orbit of the one twist l."""
+    A, X, l = key
+    return homs.orbit(A, X, l, l.group.zero, (0,))[0]
+
+
+def key_euler(homs, key):
+    """chi on one key (A, X, l), the alternating sum of its landing."""
+    return sum((-1) ** p * x for p, x in landing(homs, key).items())
+
+
+def degree_landing(basis, l, fdeg):
+    """{p: dim} of the Künneth ``basis`` {((w, r), q): dim} of a pair landed
+    on the twist l through ``Degree`` arithmetic, independently of the
+    engine's integer stepping: an element lands at p = 2k + q when
+    l + k f has the coordinates (w, r)."""
+    landed = {}
+    for ((w, r), q), c in basis.items():
+        k, rest = divmod(w - l.weight, fdeg.weight)
+        if not rest and (l + k * fdeg).coords == (w, r):
+            landed[2 * k + q] = c
+    return landed
 
 
 def hom_dim(source, target, degree=None, power=0):
@@ -708,8 +741,7 @@ def hom_dim(source, target, degree=None, power=0):
         raise ValueError("factorizations live over different gradings")
     A, s = anchor(source)
     key = (A, target, (degree if degree is not None else source.group.zero) + s)
-    _check_key(key)
-    return HomEngine().homs(key).get(power, 0)
+    return landing(HomEngine(), key).get(power, 0)
 
 
 def profiles_agree(homs, orbit, left, right) -> bool:
@@ -720,7 +752,8 @@ def profiles_agree(homs, orbit, left, right) -> bool:
     condition for the cone search's certificate."""
     base, degrees = orbit
     (X, s), (Y, t) = left, right
-    return all(homs.homs((base, X, s + l)) == homs.homs((base, Y, t + l)) for l in degrees)
+    return all(landing(homs, (base, X, s + l)) == landing(homs, (base, Y, t + l))
+               for l in degrees)
 
 
 def poly_det(entries):
@@ -828,20 +861,21 @@ def auxiliary_object(f, i):
     return shift(stabilize(f, gens, cofs), i * build_grading_group(f).variable_degree(0))
 
 
-def serre_dual(homs, table):
-    """The Serre-dual recomputation of a table from the landings that
-    ``HomRun.serre_symmetry`` compares it with: column d holds
+def serre_dual(homs, base, step, table):
+    """The Serre-dual recomputation of the table of the orbit
+    E_i = base(i step) from the landings that ``HomRun.serre_symmetry``
+    compares it with, each read on its own key: column d holds
     dim Hom(A, T^(n-p) A(-sigma - d step)) from ``homs``, sigma the sum of
-    the variable degrees, over the same stored powers.  Serre duality says
-    it equals the table."""
-    A, step, group = table.base, table.step, table.base.group
+    the variable degrees, at every landed power, in power order, with the
+    table's window.  Serre duality says it equals the table."""
+    group = base.group
     n = group.chain.n
     sigma = sum((group.variable_degree(i) for i in range(n)), group.zero)
     columns = {}
     for d, (window, _) in table.columns.items():
-        dual = homs.homs((A, A, -sigma - d * step))
-        columns[d] = (window, {p: dual[n - p] for p in table.stored(d) if n - p in dual})
-    return HomTable(A, step, table.objects, table.margin, columns)
+        dual = landing(homs, (base, base, -sigma - d * step))
+        columns[d] = (window, {n - q: dual[q] for q in sorted(dual, reverse=True)})
+    return HomTable(table.objects, columns)
 
 
 def table_pairs(table):
@@ -990,10 +1024,10 @@ def collection(run):
 
 def euler_reader(run):
     """(x, y) -> chi(x, y) through ``run``'s engine, on the key of
-    ``canonical_key``.  Each object is anchored once, and an anchor equal to
-    one of the run's bases is read as that base: the key is equal either
-    way, but the engine's memo lookups then match on identity, as the run's
-    own do."""
+    ``canonical_key``, each key read once.  Each object is anchored once,
+    and an anchor equal to one of the run's bases is read as that base: the
+    key is equal either way, but the engine's memo lookups then match on
+    identity, as the run's own do."""
     bases = [run.base[0]]
     bases += [run.aux_base] if run.f.n % 2 == 0 else run.ladder_bases.values()
     shared, anchors = {b: b for b in bases}, {}
@@ -1004,9 +1038,13 @@ def euler_reader(run):
             anchors[x] = shared.get(A, A), s
         return anchors[x]
 
+    @cache
+    def read(A, B, l):
+        return key_euler(run.engine, (A, B, l))
+
     def euler(x, y):
         (A, s), (B, t) = anchored(x), anchored(y)
-        return run.homs.euler_at((A, B, s - t))
+        return read(A, B, s - t)
     return euler
 
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -13,6 +14,7 @@ from chainfact.chain import (
 )
 from chainfact.exactmath import MPoly
 from chainfact.homcalc import (
+    TABLE_MARGIN,
     HomEngine,
     check_exceptionality,
     euler_pairing,
@@ -21,7 +23,6 @@ from chainfact.homcalc import (
     _differential_rows,
 )
 from chainfact.homrun import (
-    TABLE_MARGIN,
     HomRun,
     collection_base,
     collection_splitting,
@@ -39,6 +40,7 @@ from oracles import (
     cell_basis_by_t_power,
     closed_form_hom,
     collection,
+    degree_landing,
     dense_euler_matrix,
     euler_series,
     differential_rows,
@@ -51,6 +53,7 @@ from oracles import (
     naive_hom_dim,
     rank_rational,
     serre,
+    landing,
     serre_dual,
     scan_window,
     sparse_rank,
@@ -220,7 +223,7 @@ def test_closed_form_windows_and_landings_match_scan_window(chain):
         run = HomRun(f, offset)
         (base, step), table = run.base, run.table
         assert {d: window for d, (window, _) in table.columns.items()} == {
-            d: scan_window(*table.key(d)) for d in range(1 - mu, mu)}
+            d: scan_window(base, base, d * step) for d in range(1 - mu, mu)}
         targets = [base]
         if f.n % 2 == 0:
             targets.append(run.aux_base)
@@ -228,10 +231,9 @@ def test_closed_form_windows_and_landings_match_scan_window(chain):
             targets += run.ladder_bases.values()
         landed = 0
         for X in targets:
-            for e in range(1 - mu, max(mu, a1 + 3)):
-                key = (base, X, e * step)
-                lo, hi = scan_window(*key)
-                dims = run.homs.homs(key)
+            es = range(1 - mu, max(mu, a1 + 3))
+            for e, dims in run.engine.orbit(base, X, base.group.zero, step, es).items():
+                lo, hi = scan_window(base, X, e * step)
                 assert all(lo <= p <= hi for p in dims), (chain, e)
                 landed += len(dims)
         assert landed, (chain, offset)
@@ -245,7 +247,7 @@ def test_canonical_tables_match_naive_route(exps):
     sigma = sum((g.variable_degree(i) for i in range(f.n)), g.zero)
     coll = collection(HomRun(f, 1))
     for dual in (False, True):
-        table = fresh_table(f, 1, dual)
+        table = fresh_table(f, dual)
         for (i, j), window in table_windows(table).items():
             assert window == naive_window(coll[i], coll[j], g.zero)
         naive = {}
@@ -257,9 +259,10 @@ def test_canonical_tables_match_naive_route(exps):
         assert naive == table_entries(table), (exps, dual)
 
 
-def naive_table(f, coll, margin, dual):
+def naive_table(f, coll, dual):
     """A table's entries and windows by the naive route on all mu^2 raw
-    pairs."""
+    pairs, over each window plus ``TABLE_MARGIN``."""
+    margin = TABLE_MARGIN
     g = build_grading_group(f)
     sigma = sum((g.variable_degree(i) for i in range(f.n)), g.zero)
     entries, windows = {}, {}
@@ -286,17 +289,16 @@ SMALL_CHAINS = [exps for n, top in ((1, 32), (2, 30), (3, 15), (4, 7))
 
 # the naive route takes seconds per draw near mu = 30, hence few examples
 @settings(max_examples=5, deadline=None, database=None, derandomize=True)
-@given(exps=st.sampled_from(SMALL_CHAINS), offset=st.integers(0, 3),
-       margin=st.integers(0, 2))
-@example(exps=(2, 3), offset=3, margin=2)          # torsion Z/2
-@example(exps=(2, 2, 3), offset=0, margin=1)       # torsion Z/4
-@example(exps=(3, 2, 2), offset=2, margin=0)       # torsion Z/3
-def test_tables_match_naive_route_property(exps, offset, margin):
+@given(exps=st.sampled_from(SMALL_CHAINS), offset=st.integers(0, 3))
+@example(exps=(2, 3), offset=3)                    # torsion Z/2
+@example(exps=(2, 2, 3), offset=0)                 # torsion Z/4
+@example(exps=(3, 2, 2), offset=2)                 # torsion Z/3
+def test_tables_match_naive_route_property(exps, offset):
     f = ChainPolynomial(exps)
     coll = collection(HomRun(f, offset))
     for dual in (False, True):
-        table = fresh_table(f, margin, dual)
-        assert (table_entries(table), table_windows(table)) == naive_table(f, coll, margin, dual)
+        table = fresh_table(f, dual)
+        assert (table_entries(table), table_windows(table)) == naive_table(f, coll, dual)
 
 
 def test_table_asks_one_query_per_diagonal(monkeypatch):
@@ -304,7 +306,7 @@ def test_table_asks_one_query_per_diagonal(monkeypatch):
     or Serre dual, is a lookup in the one Künneth basis of (base, base); the
     run's Serre check builds no basis of its own."""
     f = ChainPolynomial((3, 3, 3))
-    mu, margin = numerics(f).milnor, 1
+    mu, (base, step) = numerics(f).milnor, collection_base(f)
     calls = []
     real = HomEngine.kunneth
 
@@ -313,30 +315,30 @@ def test_table_asks_one_query_per_diagonal(monkeypatch):
         return real(self, *args)
 
     monkeypatch.setattr(HomEngine, "kunneth", counted)
-    primal = fresh_table(f, margin)
+    primal = HomEngine().table(base, step, mu)
     asked = [list(calls)]
     calls.clear()
-    dual = serre_dual(HomEngine(), primal)      # a fresh memo: the dual's own basis
+    dual = serre_dual(HomEngine(), base, step, primal)      # a fresh memo: the dual's own basis
     asked.append(list(calls))
-    base = collection_base(f)[0]
     for table, queries in zip((primal, dual), asked):
         assert len(table_windows(table)) == mu * mu
         assert len(table.columns) == 2 * mu - 1
         assert queries == [(base, base)]
-        assert queries[0][0] is table.base and queries[0][1] is table.base
+        assert queries[0][0] is base and queries[0][1] is base
     run = HomRun(f, 0)
     assert len(run.table.columns) == 2 * mu - 1
     calls.clear()
     assert run.serre_symmetry() == {} and calls == []
 
 
-def fresh_table(f, margin=0, dual=False, general=False):
+def fresh_table(f, dual=False, general=False):
     """The Hom table of f's collection, or its Serre-dual recomputation, from
     a fresh engine, built from ``collection_base``; with ``general``, from a
-    fresh ``GeneralEngine``, whose queries the general route answers."""
+    fresh ``GeneralEngine``, whose reads the general route answers."""
     homs = GeneralEngine() if general else HomEngine()
-    table = homs.table(*collection_base(f), numerics(f).milnor, margin)
-    return serre_dual(homs, table) if dual else table
+    base, step = collection_base(f)
+    table = homs.table(base, step, numerics(f).milnor)
+    return serre_dual(homs, base, step, table) if dual else table
 
 
 # torsion gradings: (2, 3) Z/2, (2, 2, 3) Z/4, (3, 2, 2) Z/3
@@ -345,20 +347,20 @@ def fresh_table(f, margin=0, dual=False, general=False):
 def test_shared_memo_tables_match_fresh_memos_and_naive_route(exps, offset):
     f = ChainPolynomial(exps)
     coll = collection(HomRun(f, offset))
-    naive = {dual: naive_table(f, coll, TABLE_MARGIN, dual) for dual in (False, True)}
-    orbit = (*collection_base(f), len(coll), TABLE_MARGIN)
+    naive = {dual: naive_table(f, coll, dual) for dual in (False, True)}
+    orbit = (*collection_base(f), len(coll))
     primal = HomEngine().table(*orbit)
-    fresh = {False: primal, True: serre_dual(HomEngine(), primal)}
+    fresh = {False: primal, True: serre_dual(HomEngine(), *orbit[:2], primal)}
     for dual, table in fresh.items():
         assert (table_entries(table), table_windows(table)) == naive[dual], (exps, offset, dual)
     for dual_first in (False, True):
         homs = HomEngine()
         if dual_first:                      # the primal reads the dual's memo
-            shared = {True: serre_dual(homs, primal)}
+            shared = {True: serre_dual(homs, *orbit[:2], primal)}
             shared[False] = homs.table(*orbit)
         else:
             shared = {False: homs.table(*orbit)}
-            shared[True] = serre_dual(homs, shared[False])
+            shared[True] = serre_dual(homs, *orbit[:2], shared[False])
         for dual, table in shared.items():
             assert (table_entries(table), table_windows(table)) == naive[dual], (exps, offset, dual)
 
@@ -379,8 +381,8 @@ def test_columns_match_closed_form_lookup_property(exps, offset):
     step = collection_splitting(f)[2]
     forms = [closed_form_hom(f, 0), closed_form_hom(f, 1)]
     run = HomRun(f, offset)
-    coll, primal = collection(HomRun(f, offset)), run.table
-    for table in (primal, serre_dual(run.homs, primal)):
+    (base, _), coll, primal = run.base, collection(HomRun(f, offset)), run.table
+    for table in (primal, serre_dual(run.engine, base, step, primal)):
         assert table.objects == len(coll)
         assert sorted(table.columns) == list(range(1 - len(coll), len(coll)))
         for d, (_, dims) in table.columns.items():
@@ -390,43 +392,103 @@ def test_columns_match_closed_form_lookup_property(exps, offset):
                 assert dims.get(p, 0) == want, (exps, offset, d, p)
     for i, x in enumerate(coll):
         for j, y in enumerate(coll):
-            assert canonical_key(x, y) == primal.key(j - i), (exps, offset, i, j)
+            assert canonical_key(x, y) == (base, base, (j - i) * step), (exps, offset, i, j)
 
 
 # ------------------------------------------------ negative controls on columns
 
 @pytest.mark.parametrize("exps", [(3, 3), (2, 2, 3), (3, 2, 2)])
 def test_serre_check_fails_on_any_wrong_dual_value(monkeypatch, exps):
-    """serre_symmetry reads one landing per column, at the Serre-dual key
-    (A, A, -sigma - d step), and compares it at power n - p with every
-    stored (d, p); these landings are the entries of ``serre_dual``, which
-    the naive route checks.  With the landing one too high at any single
-    stored (d, p), whether its entry is present or absent, the check
-    raises."""
+    """serre_symmetry makes one orbit read, of (A, A) at the Serre-dual
+    twists -sigma - d step, and compares its landing at power n - p with
+    every (d, p) of the table; these landings are the entries of
+    ``serre_dual``, which the naive route checks.  With the landing one too
+    high at any single stored (d, p), whether its entry is present or
+    absent, the check raises."""
     f = ChainPolynomial(exps)
     g = build_grading_group(f)
     run = HomRun(f, 0)
-    table, n, real = run.table, f.n, HomEngine.homs
+    (base, step), table, n, real = run.base, run.table, f.n, HomEngine.orbit
     sigma = sum((g.variable_degree(v) for v in range(f.n)), g.zero)
-    duals = {(-sigma - d * table.step).coords: d for d in table.columns}
+    duals = {(-sigma - d * step).coords: d for d in table.columns}
     asked = []
-    monkeypatch.setattr(HomEngine, "homs", lambda self, key:
-                        asked.append(key[2].coords) or real(self, key))
+    monkeypatch.setattr(HomEngine, "orbit", lambda self, A, X, start, by, es: asked.append(
+        [(start + e * by).coords for e in es]) or real(self, A, X, start, by, es))
     assert run.serre_symmetry() == {}
-    assert sorted(asked) == sorted(duals)
-    assert serre_dual(HomEngine(), table).columns == table.columns
+    assert len(asked) == 1 and sorted(asked[0]) == sorted(duals)
+    assert serre_dual(HomEngine(), base, step, table).columns == table.columns
     wrongs = [(at, n - p) for at, d in duals.items() for p in table.stored(d)]
     assert len(wrongs) == sum(len(table.stored(d)) for d in table.columns)
     for at, q in wrongs:
-        def skewed(self, key, at=at, q=q):
-            dims = real(self, key)
-            return {**dims, q: dims.get(q, 0) + 1} if key[2].coords == at else dims
+        def skewed(self, A, X, start, by, es, at=at, q=q):
+            landed = real(self, A, X, start, by, es)
+            for e, dims in landed.items():
+                if (start + e * by).coords == at:
+                    landed[e] = {**dims, q: dims.get(q, 0) + 1}
+            return landed
 
-        monkeypatch.setattr(HomEngine, "homs", skewed)
+        monkeypatch.setattr(HomEngine, "orbit", skewed)
         with pytest.raises(VerificationFailure, match="Serre symmetry violated"):
             run.serre_symmetry()
-    monkeypatch.setattr(HomEngine, "homs", real)
+    monkeypatch.setattr(HomEngine, "orbit", real)
     assert run.serre_symmetry() == {}
+
+
+@pytest.mark.parametrize("exps", [(3, 3), (2, 2, 3), (3, 2, 2)])
+def test_landing_past_the_stored_powers_fails_exceptionality_and_serre(monkeypatch, exps):
+    """Negative control: one element added to the Künneth basis of
+    (base, base), landing on the diagonal d = -1 one power past its stored
+    powers, fails exceptionality as a backwards morphism on every pair of
+    that diagonal, and fails serre_symmetry: a column keeps every landed
+    power, with no filter to the stored range that would hide it."""
+    f = ChainPolynomial(exps)
+    g = build_grading_group(f)
+    run = HomRun(f, 0)
+    (base, step), mu = run.base, run.nm.milnor
+    p = run.table.stored(-1)[-1] + 1
+    k, q = divmod(p, 2)
+    extra = Counter({((-step + k * g.total_degree).coords, q): 1})
+    real = HomEngine.kunneth
+    monkeypatch.setattr(HomEngine, "kunneth", lambda self, A, X: real(self, A, X) + extra)
+    run = HomRun(f, 0)
+    with pytest.raises(VerificationFailure, match="not exceptional") as failed:
+        run.exceptionality()
+    assert failed.value.witness["failures"] == [
+        {"i": i, "j": i - 1, "p": p, "dim": 1, "reason": "backwards morphism"}
+        for i in range(1, mu)]
+    with pytest.raises(VerificationFailure, match="Serre symmetry violated"):
+        run.serre_symmetry()
+
+
+# torsion gradings: 2,3 and 2,3,2,3 Z/2, 2,2,3 Z/4, 3,2,2 Z/3
+@pytest.mark.parametrize("exps", [(2, 3), (2, 2, 3), (3, 2, 2), (2, 3, 2, 3)])
+def test_orbit_steps_match_single_reads(exps):
+    """One orbit read, which steps the twist's weight and residue as
+    integers, lands on each twist start + e step, negative e included, what
+    a single read of that twist lands and what ``degree_landing`` lands
+    through ``Degree`` arithmetic: for X the collection base, the auxiliary
+    base (even n) and every ladder base (odd n), from starts and by steps
+    with a nonzero torsion residue."""
+    f = ChainPolynomial(exps)
+    g = build_grading_group(f)
+    run = HomRun(f, 0)
+    (base, step), k = run.base, run.nm.milnor + 3
+    targets = [base] + ([run.aux_base] if f.n % 2 == 0 else list(run.ladder_bases.values()))
+    torsion = g.weights[-1] * g.variable_degree(0) - g.weights[0] * g.total_degree
+    assert not torsion.is_zero() and torsion.weight == 0
+    single, landed = HomEngine(), 0
+    for X in targets:
+        basis = run.engine.kunneth(base, X)
+        for start in (g.zero, torsion, g.variable_degree(1) - torsion):
+            for by in (step, torsion - step):
+                reads = run.engine.orbit(base, X, start, by, range(-k, k))
+                assert list(reads) == list(range(-k, k))
+                for e, dims in reads.items():
+                    l = start + e * by
+                    assert dims == landing(single, (base, X, l)), (exps, e)
+                    assert dims == degree_landing(basis, l, g.total_degree), (exps, e)
+                    landed += len(dims)
+    assert landed
 
 
 @pytest.mark.parametrize("exps", [(3, 3), (2, 2, 3), (3, 2, 2)])
@@ -436,7 +498,7 @@ def test_exceptionality_failures_expand_in_pair_order(exps):
     fails the check with the failures of the entry-by-entry walk; so does
     the identity missing from column 0."""
     f = ChainPolynomial(exps)
-    table = fresh_table(f, TABLE_MARGIN)
+    table = fresh_table(f)
     mu = table.objects
     assert check_exceptionality(table)["failures"] == []
     for d in (-1, -(mu - 1), 0):
@@ -566,25 +628,24 @@ def test_euler_diagonal_ones():
 
 def test_exceptionality_report_strong_n2():
     f = ChainPolynomial((2, 2))
-    rep = check_exceptionality(fresh_table(f, 3))
+    rep = check_exceptionality(fresh_table(f))
     assert rep["exceptional"] and rep["strong"]
 
 
 def test_exceptionality_single_object():
     f = ChainPolynomial((3,))
-    rep = check_exceptionality(fresh_table(f, 3))
+    rep = check_exceptionality(fresh_table(f))
     assert rep["exceptional"]
 
 
 def test_window_extension_stable_pairing():
     f = ChainPolynomial((2, 2))
-    t0 = fresh_table(f)
-    t3 = fresh_table(f, 3)
+    table = fresh_table(f)
     wide = {}
-    for (i, j), (lo, hi) in table_windows(t3).items():
-        wide[(i, j)] = sum((1 if p % 2 == 0 else -1) * t3.columns[j - i][1].get(p, 0)
+    for (i, j), (lo, hi) in table_windows(table).items():
+        wide[(i, j)] = sum((1 if p % 2 == 0 else -1) * table.columns[j - i][1].get(p, 0)
                            for p in range(lo - 3, hi + 4))
-    pairing = euler_pairing(t0)
+    pairing = euler_pairing(table)
     for (i, j), val in wide.items():
         assert pairing[i][j] == val
 
@@ -671,8 +732,7 @@ def test_translation_shifts_hom_parity():
 def test_serre_symmetry_tables():
     for exps in [(2,), (2, 2), (3, 2)]:
         f = ChainPolynomial(exps)
-        main = fresh_table(f)
-        assert serre_dual(HomEngine(), main).columns == main.columns
+        assert fresh_table(f, dual=True).columns == fresh_table(f).columns
         assert HomRun(f, 0).serre_symmetry() == {}
 
 

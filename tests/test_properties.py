@@ -154,8 +154,9 @@ def test_reduce_idempotent_on_cones():
 @pytest.mark.parametrize("exps", [(2,), (3,), (2, 2), (2, 3), (2, 2, 2)])
 def test_serre_symmetry_every_table(exps):
     f = ChainPolynomial(exps)
-    main = HomEngine().table(*collection_base(f), numerics(f).milnor)
-    assert serre_dual(HomEngine(), main).columns == main.columns
+    base, step = collection_base(f)
+    main = HomEngine().table(base, step, numerics(f).milnor)
+    assert serre_dual(HomEngine(), base, step, main).columns == main.columns
     assert HomRun(f, 0).serre_symmetry() == {}
 
 

@@ -53,6 +53,8 @@ from oracles import (
     general_hom_dim,
     hom_dim,
     identity_morphism,
+    key_euler,
+    landing,
     scan_window,
     serre,
     t_power,
@@ -97,8 +99,8 @@ def test_tables_match_general_engine(exps):
     for offset in (0, 2):
         assert all(e.splitting is not None for e in collection(HomRun(f, offset)))
     for dual in (False, True):
-        got = fresh_table(f, 3, dual)
-        want = fresh_table(f, 3, dual, general=True)
+        got = fresh_table(f, dual)
+        want = fresh_table(f, dual, general=True)
         assert table_entries(got) == table_entries(want), (exps, dual)
         assert table_windows(got) == table_windows(want)
 
@@ -130,7 +132,7 @@ def test_tables_match_closed_form_lookup(exps):
     step = collection_splitting(f)[2]
     forms = [closed_form_hom(f, 0), closed_form_hom(f, 1)]
     for dual in (False, True):
-        table = fresh_table(f, 3, dual)
+        table = fresh_table(f, dual)
         assert len(table_windows(table)) == numerics(f).milnor ** 2
         for (i, j, p), dim in table_entries(table).items():
             key = (j - i) * step + (p // 2) * g.total_degree
@@ -172,13 +174,13 @@ def test_record_survives_shift_only(exps):
 def test_refusal_does_not_depend_on_memo_order():
     """A record-less twin of the base, equal to it and so on the same memo
     entries, is refused and the base is answered, whichever of the two an
-    engine is asked first: through euler_at as a source and as a target, and
-    through table as the orbit's base."""
+    engine is asked first: through an orbit read as a source and as a
+    target, and through table as the orbit's base."""
     f = ChainPolynomial((2, 2, 3))
     base, step = collection_base(f)
     twin = without_splitting_record(base)
     zero = base.group.zero
-    asks = [(lambda homs, A, X: homs.euler_at((A, X, zero)), [(twin, base), (base, twin)]),
+    asks = [(lambda homs, A, X: key_euler(homs, (A, X, zero)), [(twin, base), (base, twin)]),
             (lambda homs, A, X: homs.table(A, step, 1).columns[0][1].get(0, 0),
              [(twin, twin)])]
     for ask, twins in asks:
@@ -201,7 +203,7 @@ def test_engine_refuses_a_shifted_source():
     moved = shift(base, step)
     assert moved.splitting == base.splitting
     with pytest.raises(ValueError):
-        HomEngine().euler_at((moved, moved, base.group.zero))
+        key_euler(HomEngine(), (moved, moved, base.group.zero))
     with pytest.raises(ValueError):
         HomEngine().table(moved, step, 2)
     assert hom_dim(moved, moved) == hom_dim(base, base) == 1
@@ -250,15 +252,15 @@ def test_restriction_dispatch_under_optimize_flag():
         "import chainfact.homcalc as h\n"
         "from chainfact.chain import ChainPolynomial, numerics\n"
         "from chainfact.homrun import collection_base\n"
-        "from oracles import table_entries, without_splitting_record\n"
+        "from oracles import key_euler, table_entries, without_splitting_record\n"
         "def refuse(*args):\n"
         "    raise RuntimeError('the full Hom complex was built')\n"
         "h._cell_basis = refuse\n"
         "f = ChainPolynomial((2, 2, 3))\n"
         "base, step = collection_base(f)\n"
-        "t = h.HomEngine().table(base, step, numerics(f).milnor, 1)\n"
+        "t = h.HomEngine().table(base, step, numerics(f).milnor)\n"
         "try:\n"
-        "    h.HomEngine().euler_at((without_splitting_record(base), base, base.group.zero))\n"
+        "    key_euler(h.HomEngine(), (without_splitting_record(base), base, base.group.zero))\n"
         "    refused = False\n"
         "except ValueError:\n"
         "    refused = True\n"
@@ -267,7 +269,7 @@ def test_restriction_dispatch_under_optimize_flag():
     entries, debug, refused = _optimized_child(script)
     assert debug is False
     assert refused is True
-    want = table_entries(fresh_table(ChainPolynomial((2, 2, 3)), 1, general=True))
+    want = table_entries(fresh_table(ChainPolynomial((2, 2, 3)), general=True))
     assert {(i, j, p): d for (i, j, p), d in entries} == want
 
 
@@ -301,7 +303,7 @@ def test_shape_check_refuses_under_optimize_flag():
         "    if fill:\n"
         "        homs.table(base, step, 7)\n"
         "    try:\n"
-        "        homs.homs((base, X, step))\n"
+        "        homs.orbit(base, X, step, step, (0,))\n"
         "        refusals.append(False)\n"
         "    except ValueError:\n"
         "        refusals.append(True)\n"
@@ -333,10 +335,9 @@ def test_shared_variable_rule_at_width_a1(exps):
     assert [_restrict(h, skip) for h in cofs[:2]] == [(1, 1), (1, a2)]
     assert all(_restrict(g, skip) is None for g in gens)
     L = stabilize(f, gens, cofs)
-    homs, general = HomEngine(), GeneralEngine()
-    for e in range(-3, 4):
-        key = (base, L, e * step)
-        assert homs.homs(key) == general.homs(key), (exps, e)
+    es, zero = range(-3, 4), base.group.zero
+    assert (HomEngine().orbit(base, L, zero, step, es)
+            == GeneralEngine().orbit(base, L, zero, step, es)), exps
     # before the rule, x2 lies in two pieces
     pieces = {}
     for g, h in zip(gens, cofs):
@@ -346,11 +347,15 @@ def test_shared_variable_rule_at_width_a1(exps):
 
 
 def _record_keys(monkeypatch):
-    """Every key that the engine's read answers, in order."""
+    """Every key (A, X, l) that the engine's orbit reads answer, in order."""
     asked = []
-    real = HomEngine.homs
-    monkeypatch.setattr(HomEngine, "homs",
-                        lambda self, key: asked.append(key) or real(self, key))
+    real = HomEngine.orbit
+
+    def recorded(self, A, X, start, step, es):
+        asked.extend((A, X, start + e * step) for e in es)
+        return real(self, A, X, start, step, es)
+
+    monkeypatch.setattr(HomEngine, "orbit", recorded)
     return asked
 
 
@@ -373,22 +378,22 @@ def test_run_keys_match_general_engine(monkeypatch, command):
             assert asked, (exps, offset)
             homs, general = HomEngine(), GeneralEngine()
             for key in dict.fromkeys(asked):
-                assert homs.homs(key) == general.homs(key), (exps, key)
+                assert landing(homs, key) == landing(general, key), (exps, key)
 
 
 def test_runs_ask_no_refused_key(monkeypatch):
-    """Every key that verify, euler and triangles runs read, on chains of
+    """Every pair that verify, euler and triangles runs read, on chains of
     both parities up to n = 5 and at offsets 0-3, passes the record check
-    and the shape check: no run asks a key the closed form refuses."""
+    and the shape check: no run asks a pair the closed form refuses."""
     checked, refusals = [], []
-    real_check, real_basis = homcalc._check_key, HomEngine.kunneth
+    real_check, real_basis = homcalc._check_pair, HomEngine.kunneth
 
-    def check(key):
-        checked.append(key)
+    def check(A, X):
+        checked.append((A, X))
         try:
-            real_check(key)
+            real_check(A, X)
         except ValueError:
-            refusals.append(key)
+            refusals.append((A, X))
             raise
 
     def basis(self, A, X):
@@ -398,7 +403,7 @@ def test_runs_ask_no_refused_key(monkeypatch):
             refusals.append((A, X))
             raise
 
-    monkeypatch.setattr(homcalc, "_check_key", check)
+    monkeypatch.setattr(homcalc, "_check_pair", check)
     monkeypatch.setattr(HomEngine, "kunneth", basis)
     for exps in RUN_CHAINS + [(4, 4, 4), (2, 2, 2, 2, 2), (3, 3, 3, 3, 3), (4, 4, 4, 4)]:
         f = ChainPolynomial(exps)

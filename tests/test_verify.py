@@ -51,6 +51,7 @@ from oracles import (
     dense_euler_matrix,
     euler_series,
     general_hom_dim,
+    key_euler,
     ladder_boundary_outcome,
     ladder_cases,
     nakayama_witness,
@@ -253,7 +254,7 @@ def test_euler_form_matches_naive_sum_property(exps, draws, k1, kn):
         for x in sources:
             for y in objs:
                 for l in (None, degree):
-                    assert (homs.euler_at(canonical_key(x, y, l))
+                    assert (key_euler(homs, canonical_key(x, y, l))
                             == naive_euler(x, y, l)), (exps, draws)
 
 
@@ -289,21 +290,39 @@ def test_triangle_families_equal_validating_objects(monkeypatch, exps, offset):
         assert obj == auxiliary_object(f, i)
     for (i, j), obj in made["ladder"]:
         assert obj == ladder_object(f, i, j)
-    # the Euler checks build no family object: they read orbit keys, each
-    # the key of the validating objects it stands for
+    # the Euler checks build no family object: they read orbits, each key
+    # on them the key of the validating objects it stands for
     assert not made["ladder" if f.n % 2 == 0 else "auxiliary"]
     _assert_orbit_keys_are_object_keys(f, offset)
 
 
 def _assert_orbit_keys_are_object_keys(f, offset):
-    """Every orbit key that the run's Euler checks read has the canonical key
-    of the validating objects it stands for: each probe of the collection
-    against the collection objects and auxiliary_object(offset + k) for
-    k = 1, 2 and mu - 1, which between them reach every diagonal (even n),
-    or against ladder_object of the checked rows and the next row, and the
-    collection objects E_{i+k}, k <= a1, of the boundary's class sum (odd n)."""
+    """The run's Euler checks read each target on one orbit, and the key
+    (A, target, start + e step) that they read for the probe m against
+    object i, e = i - offset - m, has the canonical key of the validating
+    objects it stands for: each probe of the collection against the
+    collection objects and auxiliary_object(offset + k) for k = 1, 2 and
+    mu - 1, which between them reach every diagonal (even n), or against
+    ladder_object of the checked rows and the next row, and the collection
+    objects E_{i+k}, k <= a1, of the boundary's class sum (odd n)."""
     run = homrun.HomRun(f, offset)
-    want = cache(run.orbit_key)
+    reads, real = {}, run.engine.orbit
+
+    def recorded(A, X, start, step, es):
+        reads.setdefault(X, set()).add((A, start, step, es))
+        return real(A, X, start, step, es)
+
+    run.engine.orbit = recorded
+    checks = (["triangle_euler_additivity"] if f.n % 2 == 0
+              else ["ladder_euler_additivity", "ladder_boundary_width_a1"])
+    for name in checks:
+        getattr(run, name)()
+
+    def want(target, e):
+        (A, start, step, es), = reads[target]
+        assert e in es, (f, e)
+        return A, target, start + e * step
+
     mu, coll = run.nm.milnor, collection(HomRun(f, offset))
     if f.n % 2 == 0:
         families = {run.base[0]: dict(enumerate(coll, offset)),
@@ -349,6 +368,22 @@ def test_triangles_query_each_key_once(monkeypatch, exps, max_hom, max_stab):
     assert run_checks(f, TRIANGLE_CHECKS, 0).passed
     assert 0 < len(stabs) <= max_stab
     assert homs and (max_hom is None or len(homs) <= max_hom)
+
+
+@pytest.mark.parametrize("exps", [(3, 3, 3, 3, 3), (2, 2, 2, 2, 2, 2, 2)])
+def test_boundary_check_compares_objects_once_per_read(monkeypatch, exps):
+    """ladder_boundary_width_a1, run after ladder_euler_additivity as in a
+    triangles run, makes at most one structural comparison of
+    factorizations per orbit read: the width-one ladder base equals the
+    collection base but is another object, and only the memo lookup of the
+    pair compares them, never a lookup per twist."""
+    run = homrun.HomRun(ChainPolynomial(exps), 0)
+    assert run.ladder_euler_additivity()        # fills the memo with every width
+    compares, reads = [], []
+    _count_calls(monkeypatch, mf.MatrixFactorization, "__eq__", compares)
+    _count_calls(monkeypatch, HomEngine, "orbit", reads)
+    assert run.ladder_boundary_width_a1()[0] == "note"
+    assert reads and len(compares) <= len(reads), (len(compares), len(reads))
 
 
 def _record_route_queries(monkeypatch):
@@ -450,9 +485,9 @@ def test_euler_builds_no_dual_table(monkeypatch):
     tables, calls, degrees = [], [], []
     _count_calls(monkeypatch, homcalc.HomEngine, "table", tables)
     _count_calls(monkeypatch, homcalc.HomEngine, "kunneth", calls)
-    real = HomEngine.homs
-    monkeypatch.setattr(HomEngine, "homs", lambda self, key:
-                        degrees.append(key[2].coords) or real(self, key))
+    real = HomEngine.orbit
+    monkeypatch.setattr(HomEngine, "orbit", lambda self, A, X, start, step, es: degrees.extend(
+        (start + e * step).coords for e in es) or real(self, A, X, start, step, es))
     assert run_checks(f, CHECKS_RUN["euler"], 1).passed
     assert len(tables) == 1
     asked = len(calls)
@@ -463,17 +498,15 @@ def test_euler_builds_no_dual_table(monkeypatch):
     degrees.clear()
     assert run_checks(f, CHECKS_RUN["verify"], 1).passed
     assert serre_keys <= set(degrees)
-    monkeypatch.setattr(HomEngine, "homs", real)
+    monkeypatch.setattr(HomEngine, "orbit", real)
     coll = collection(HomRun(f, 1))
     orbit = (*collection_base(f), len(coll))
     homs = homcalc.HomEngine()
-    homs.table(*orbit, homrun.TABLE_MARGIN)
+    homs.table(*orbit)
     assert asked == len(homs.bases) == 1
     # the Euler entries between collection objects read the table's memo
-    homs = homcalc.HomEngine()
-    homs.table(*orbit, 0)
     calls.clear()
-    chi = [[homs.euler_at(canonical_key(x, y)) for y in coll] for x in coll]
+    chi = [[key_euler(homs, canonical_key(x, y)) for y in coll] for x in coll]
     assert calls == []
     assert chi == [list(row) for row in dense_euler_matrix(euler_series(f)).entries]
 
@@ -611,10 +644,9 @@ def test_triangles_read_only_base_keys(monkeypatch):
     as its source and the collection base, the auxiliary base or a ladder
     base as its target: the cone search asks the engine nothing."""
     keys = []
-    for name in ("homs", "euler_at"):
-        real = getattr(HomEngine, name)
-        monkeypatch.setattr(HomEngine, name,
-                            lambda self, key, real=real: keys.append(key) or real(self, key))
+    real = HomEngine.orbit
+    monkeypatch.setattr(HomEngine, "orbit", lambda self, A, X, *read: keys.append(
+        (A, X, read)) or real(self, A, X, *read))
     real_basis = HomEngine.kunneth
     monkeypatch.setattr(HomEngine, "kunneth",
                         lambda self, A, X: keys.append((A, X, None))
@@ -643,9 +675,14 @@ def test_run_reads_land_inside_their_windows(monkeypatch, command):
     torsion ones included, at offsets 0-3: so the Euler sums, which read no
     window, are the alternating sums over the windows."""
     reads = []
-    real = HomEngine.homs
-    monkeypatch.setattr(HomEngine, "homs", lambda self, key:
-                        reads.append((key, real(self, key))) or reads[-1][1])
+    real = HomEngine.orbit
+
+    def recorded(self, A, X, start, step, es):
+        landed = real(self, A, X, start, step, es)
+        reads.extend(((A, X, start + e * step), dims) for e, dims in landed.items())
+        return landed
+
+    monkeypatch.setattr(HomEngine, "orbit", recorded)
     for exps in [(2, 2), (3, 3), (2, 3), (9, 2), (2, 2, 2), (3, 2, 2), (2, 2, 3),
                  (2, 2, 2, 2), (3, 3, 3), (2, 3, 2, 3)]:
         f = ChainPolynomial(exps)
@@ -668,63 +705,77 @@ def _outcome(check):
     return (got[0] if isinstance(got, tuple) else "pass"), None
 
 
+def _raise_orbit_reads(monkeypatch):
+    """The set of keys (A, X, l) on which every orbit read lands one more
+    dimension at power 0, so their Euler numbers read one too high, in the
+    run's checks and in the oracles' single-key reads alike."""
+    keys, real = set(), HomEngine.orbit
+
+    def raised(self, A, X, start, step, es):
+        landed = real(self, A, X, start, step, es)
+        for e, dims in landed.items():
+            if (A, X, start + e * step) in keys:
+                landed[e] = {**dims, 0: dims.get(0, 0) + 1}
+        return landed
+
+    monkeypatch.setattr(HomEngine, "orbit", raised)
+    return keys
+
+
 @pytest.mark.parametrize("offset", [0, 2])
-def test_orbit_triangle_totals_match_the_pair_loop(offset):
+def test_orbit_triangle_totals_match_the_pair_loop(monkeypatch, offset):
     """triangle_euler_additivity, one total per diagonal, against the loop
     over every (triangle, probe) pair, on every even-n chain with mu <= 30:
-    unmodified, and with the engine's Euler memo one too high on some keys.
-    Every pair on such a key's diagonal reads the wrong value, so the two
-    must name the same cases in the same order; two keys far apart make the
-    order of the cases matter.  The orbit keys the check reads are the keys
-    of the validating objects."""
+    unmodified, and with the orbit read one too high in Euler number on some
+    keys.  Every pair on such a key's diagonal reads the wrong value, so the
+    two must name the same cases in the same order; two keys far apart make
+    the order of the cases matter.  The orbit keys the check reads are the
+    keys of the validating objects."""
     failing = 0
     for exps in (e for e in SMALL_CHAINS if len(e) % 2 == 0):
         _assert_orbit_keys_are_object_keys(ChainPolynomial(exps), offset)
+    keys = _raise_orbit_reads(monkeypatch)
+    for exps in (e for e in SMALL_CHAINS if len(e) % 2 == 0):
         run = homrun.HomRun(ChainPolynomial(exps), offset)
-        homs, coll = run.homs, collection(run)
+        coll = collection(run)
         for raised in [(), ((coll[0], coll[-1]),), ((coll[-1], coll[0]),),
                        ((coll[0], run.auxiliary(offset + 1)),),
                        ((coll[0], coll[1]), (coll[0], coll[-1]))]:
-            saved = dict(homs.eulers)
-            for pair in raised:
-                key = canonical_key(*pair)
-                homs.eulers[key] = homs.euler_at(key) + 1
+            keys.update(canonical_key(*pair) for pair in raised)
             cases = triangle_cases(run)
             want = ("fail", {"cases": cases}) if cases else ("pass", None)
             assert _outcome(run.triangle_euler_additivity) == want, (exps, raised)
             assert (want[0] == "fail") == bool(raised), (exps, raised)
             failing += bool(cases)
-            homs.eulers = saved
+            keys.clear()
     assert failing > 100
 
 
 @pytest.mark.parametrize("offset", [0, 2])
-def test_orbit_ladder_totals_match_the_object_loop(offset):
+def test_orbit_ladder_totals_match_the_object_loop(monkeypatch, offset):
     """ladder_euler_additivity and ladder_boundary_width_a1, which read one
-    Euler value per (width, orbit key), against the loops over the ladder
+    Euler value per (width, orbit index), against the loops over the ladder
     and collection objects, on every chain of SMALL_CHAINS with odd n >= 3:
-    unmodified, and with the engine's Euler memo one too high on one key
-    (a width-1 or width-a1 ladder, a collection class of the boundary's
+    unmodified, and with the orbit read one too high in Euler number on one
+    key (a width-1 or width-a1 ladder, a collection class of the boundary's
     sum) or on two keys far apart (widths 1 and a1 - 1).  Status and
     witness must agree, and every raised key fails one of the two.  The
     orbit keys the checks read are the keys of the validating objects."""
-    failing = 0
-    for exps in (e for e in SMALL_CHAINS if len(e) >= 3 and len(e) % 2):
-        f = ChainPolynomial(exps)
-        _assert_orbit_keys_are_object_keys(f, offset)
-        run = homrun.HomRun(f, offset)
+    failing, chains = 0, [e for e in SMALL_CHAINS if len(e) >= 3 and len(e) % 2]
+    for exps in chains:
+        _assert_orbit_keys_are_object_keys(ChainPolynomial(exps), offset)
+    keys = _raise_orbit_reads(monkeypatch)
+    for exps in chains:
+        run = homrun.HomRun(ChainPolynomial(exps), offset)
         # the oracles build each object once per chain
         run.ladder, run.collection_object = cache(run.ladder), cache(run.collection_object)
-        homs, coll, ladder, a1 = run.homs, collection(run), run.ladder, exps[0]
+        coll, ladder, a1 = collection(run), run.ladder, exps[0]
         for raised in [(), ((coll[0], ladder(offset, 1)),),
                        ((coll[-1], ladder(offset + 1, a1)),),
                        ((coll[0], run.collection_object(offset + a1)),),
                        ((coll[0], ladder(offset + 1, 1)),
                         (coll[-1], ladder(offset, a1 - 1)))]:
-            saved = dict(homs.eulers)
-            for pair in raised:
-                key = canonical_key(*pair)
-                homs.eulers[key] = homs.euler_at(key) + 1
+            keys.update(canonical_key(*pair) for pair in raised)
             cases = ladder_cases(run)
             want = ("fail", {"cases": cases}) if cases else ("pass", None)
             assert _outcome(run.ladder_euler_additivity) == want, (exps, raised)
@@ -733,7 +784,7 @@ def test_orbit_ladder_totals_match_the_object_loop(offset):
             assert (want[0] == "fail" or boundary[0] == "fail") == bool(raised), \
                 (exps, raised)
             failing += bool(cases) + (boundary[0] == "fail")
-            homs.eulers = saved
+            keys.clear()
     assert failing > 100
 
 
