@@ -49,14 +49,14 @@ on a whole twist orbit l = start + e step at once, stepping the weight and
 the torsion residue of l as integers, and gives every nonzero power of
 each twist with no window; since every Hom vanishes outside its certified
 window, the alternating sum of the landed dimensions is the twist's Euler
-number.  A table reads one column per diagonal d = j - i of the orbit
-E_i = base(i step), on the twist d step, and keeps the column's certified
-window with every landed power.  A run makes one engine and drops its memo
-with it.  Serre duality needs no second table: Hom(A, T^p A(l)) and
+number.  The Hom table of the orbit E_i = base(i step) is one such read of
+(base, base) on the twists d step, |d| < mu: the pair (i, j) reads diagonal
+d = j - i, every landed power of it.  A run makes one engine and drops its
+memo with it.  Serre duality needs no second table: Hom(A, T^p A(l)) and
 Hom(A, T^(n-p) A(-sigma - l)), sigma the sum of the variable degrees, are
 dual (graded Gorenstein symmetry of the one Künneth basis of (A, A)), so
 ``HomRun.serre_symmetry`` reads (A, A) on the orbit -sigma - d step and
-compares each column with its landing at n - p.
+compares each diagonal with its landing at n - p.
 
 The full Hom complex -- monomial cells slot by slot (``_cell_basis``) and
 the differentials as sparse integer rows (``_differential_rows``) -- serves
@@ -67,11 +67,9 @@ its kernels and image reductions.  A degree-l map F -> T^p G is a
 degree-zero map F -> T^p G(l), so degree zero loses nothing.  Its cells and
 rows of T^p X are read off X itself.
 
-A table's windows are certified on both sides and computed in closed form
-from the base's twist weights (``HomEngine.table``): below by direct weight
-negativity of the cell spaces, above by the same bound on the Serre-dual
-twist.  A report counts each column's stored powers, its window plus
-``TABLE_MARGIN`` on both sides.
+No check reads a window.  The ``hom_table`` report counts, for each
+diagonal, its certified window (``windows``, in closed form from the base's
+twist weights) plus ``TABLE_MARGIN`` powers on both sides.
 
 The engine's name is ``chainfact.ENGINE_ID``, which every report carries as
 provenance; a change here that can change a table must change it.
@@ -86,7 +84,7 @@ from .chain import Degree
 from .exactmath import Echelon, MPoly
 from .mf import GradedMatrix, MatrixFactorization, MFMorphism
 
-TABLE_MARGIN = 3        # powers stored beyond each certified Hom window
+TABLE_MARGIN = 3        # powers a report counts beyond each certified Hom window
 
 
 def _cell_basis(F: MatrixFactorization, G: MatrixFactorization, p: int):
@@ -157,37 +155,6 @@ def _differential_rows(F, G, p, basis, tindex):
 # ---------------------------------------------------------------------------
 # tables and pairings
 # ---------------------------------------------------------------------------
-
-class HomTable:
-    """Hom dimensions over the twist orbit E_i = base(i step), i < ``objects``.
-
-    ``columns`` maps each diagonal d = j - i, |d| < ``objects``, to
-    (window, {p: dim}) on the twist d step: the certified window and every
-    nonzero dimension, in power order.  The pair (i, j) reads column j - i.
-    """
-
-    def __init__(self, objects: int, columns: dict[int, tuple]):
-        self.objects = objects
-        self.columns = columns
-
-    def stored(self, d: int) -> range:
-        """The stored powers of column d: its window plus ``TABLE_MARGIN``."""
-        lo, hi = self.columns[d][0]
-        return range(lo - TABLE_MARGIN, hi + TABLE_MARGIN + 1)
-
-    def entry_count(self) -> int:
-        """The number of stored (i, j, p) entries, counted without expanding
-        them."""
-        return sum((self.objects - abs(d)) * len(self.stored(d)) for d in self.columns)
-
-    def hull(self) -> tuple[int, int]:
-        ends = [(r[0], r[-1]) for r in map(self.stored, self.columns) if r]
-        return (min(lo for lo, _ in ends), max(hi for _, hi in ends)) if ends else (0, -1)
-
-    def euler(self, d: int) -> int:
-        """chi(E_i, E_{i+d}), the alternating sum of column d."""
-        return chi(self.columns[d][1])
-
 
 def chi(dims: dict[int, int]) -> int:
     """The alternating sum of {p: dim} over the powers p."""
@@ -316,57 +283,53 @@ class HomEngine:
             folded[(d + (q // 2) * fdeg).coords, q % 2] += c
         return folded
 
-    def table(self, base, step: Degree, mu: int) -> HomTable:
-        """The Hom table of the twist orbit E_i = base(i step), i < mu: one
-        column per diagonal d, |d| < mu, read on the orbit of (base, base)
-        at the twists d step, with its certified window.
 
-        The windows are certified in closed form.  A cell of
-        Hom(base, T^p base(l)) pairs a source and a target twist of one slot
-        of T^q base, q = p mod 2, so its weight is at most
-        C_q + l.w + floor(p/2) f.w, C_q the largest difference of the two
-        over the slots: below the least p where that bound is nonnegative
-        every cell, and so every Hom, vanishes.  The upper end is n less the
-        same bound on the Serre-dual twist, of weight -sigma.w - l.w."""
-        group, n = base.group, base.group.chain.n
-        landed = self.orbit(base, base, group.zero, step, range(1 - mu, mu))
-        fw, sigma_w = group.total_degree.weight, sum(group.weights[:n])
-        w0, w1 = [t.weight for t in base.F0.twists], [t.weight for t in base.F1.twists]
-        bounds = (max(max(w0) - min(w0), max(w1) - min(w1)),
-                  max(max(w0) - min(w1), max(w1) - min(w0) + fw))
+def windows(base, step: Degree, ds) -> dict[int, tuple[int, int]]:
+    """{d: (lo, hi)}: the certified power window of Hom(base, T^p base(d step))
+    for each d of ``ds``, outside which every Hom vanishes.
 
-        def lowest(lw):
-            return min(2 * -((c + lw) // fw) + q for q, c in enumerate(bounds))
+    The windows are in closed form from the base's twist weights.  A cell of
+    Hom(base, T^p base(l)) pairs a source and a target twist of one slot of
+    T^q base, q = p mod 2, so its weight is at most
+    C_q + l.w + floor(p/2) f.w, C_q the largest difference of the two over
+    the slots: below the least p where that bound is nonnegative every
+    cell, and so every Hom, vanishes.  The upper end is n less the same
+    bound on the Serre-dual twist, of weight -sigma.w - l.w.  No window is
+    empty (tested over the report sweep)."""
+    group, n = base.group, base.group.chain.n
+    fw, sigma_w = group.total_degree.weight, sum(group.weights[:n])
+    w0, w1 = [t.weight for t in base.F0.twists], [t.weight for t in base.F1.twists]
+    bounds = (max(max(w0) - min(w0), max(w1) - min(w1)),
+              max(max(w0) - min(w1), max(w1) - min(w0) + fw))
 
-        columns = {}
-        for d, dims in landed.items():
-            lw = d * step.weight
-            columns[d] = ((lowest(lw), n - lowest(-sigma_w - lw)), dict(sorted(dims.items())))
-        return HomTable(mu, columns)
+    def lowest(lw):
+        return min(2 * -((c + lw) // fw) + q for q, c in enumerate(bounds))
+
+    return {d: (lowest(d * step.weight), n - lowest(-sigma_w - d * step.weight)) for d in ds}
 
 
-def euler_pairing(table: HomTable):
-    """Alternating sums over the certified windows, as a nested list.
+def euler_pairing(table: dict[int, dict[int, int]], mu: int):
+    """chi(E_i, E_j) over the pairs of a Hom table {d: {p: dim}} of mu
+    objects, as a nested list: the alternating sum of the landed dimensions
+    of each diagonal, summed once and read by every pair on it."""
+    chis = {d: chi(dims) for d, dims in table.items()}
+    return [[chis[j - i] for j in range(mu)] for i in range(mu)]
 
-    Each diagonal is summed once and read by every pair on it."""
-    chi = {d: table.euler(d) for d in table.columns}
-    mu = table.objects
-    return [[chi[j - i] for j in range(mu)] for i in range(mu)]
 
-
-def check_exceptionality(table: HomTable) -> dict:
-    """Exceptional-collection conditions read off a computed table.
+def check_exceptionality(table: dict[int, dict[int, int]], mu: int) -> dict:
+    """Exceptional-collection conditions read off a Hom table {d: {p: dim}}
+    of mu objects, each diagonal's powers in ascending order.
 
     Checks scalar endomorphisms concentrated at power 0 and lower-triangular
     vanishing at every landed power; also reports whether the collection is
-    strongly exceptional.  A column holds its nonzero entries only, so
+    strongly exceptional.  A diagonal holds its nonzero entries only, so
     power 0 of diagonal 0 is read as 0 when it is absent.  Diagonal d = 0
     holds the pairs i = j, d < 0 those with i > j and d > 0 those with
-    i < j, so each column is read once; failures are expanded to (i, j, p),
-    in pair order, only when a column fails.
+    i < j, so each diagonal is read once; failures are expanded to
+    (i, j, p), in pair order, only when a diagonal fails.
     """
     wrong, strong = {}, True
-    for d, (_, dims) in table.columns.items():
+    for d, dims in table.items():
         if d == 0:
             bad = [(p, x) for p, x in sorted({0: 0, **dims}.items())
                    if x != (1 if p == 0 else 0)]
@@ -377,13 +340,13 @@ def check_exceptionality(table: HomTable) -> dict:
             strong = strong and all(p == 0 for p in dims)
         if bad:
             wrong[d] = bad
-    failures, mu = [], table.objects
+    failures = []
     for i in range(mu if wrong else 0):
         for d in sorted(d for d in wrong if 0 <= i + d < mu):
             reason = "endomorphisms not scalar" if d == 0 else "backwards morphism"
             for p, x in wrong[d]:
                 failures.append({"i": i, "j": i + d, "p": p, "dim": x, "reason": reason})
-    return {"objects": table.objects, "exceptional": not failures,
+    return {"objects": mu, "exceptional": not failures,
             "strong": strong and not failures, "failures": failures}
 
 

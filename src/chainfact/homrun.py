@@ -130,8 +130,10 @@ class HomRun(_Run):
     Serre duals and the Euler entries; the cone search reads none) goes
     through the run's one ``HomEngine``, in one orbit read from the
     collection base into a base.  The engine owns the Hom memo, the Künneth
-    basis per pair, and the run owns the engine, the bases and the table as
-    cached properties; no check keeps a memo of its own.
+    basis per pair, and the run owns the engine, the bases, the table (the
+    orbit read of (base, base) itself, {d: {p: dim}}) and the ladder totals
+    as cached properties; no check keeps a memo of its own.  Only
+    ``hom_table`` computes the table's certified windows, which it reports.
 
     The collection step is deg x1 at even n and -deg x1 at odd n, so object
     i of every family is Y(i * step) for its base Y, and
@@ -174,13 +176,18 @@ class HomRun(_Run):
         return homcalc.HomEngine()
 
     @cached_property
-    def table(self) -> homcalc.HomTable:
-        """The Hom table of the collection."""
-        return self.engine.table(*self.base, self.nm.milnor)
+    def table(self) -> dict[int, dict[int, int]]:
+        """The Hom table of the collection, {d: {p: dim Hom(E_i, T^p E_{i+d})}}
+        over |d| < mu and the nonzero powers, in ascending order (the order
+        of exceptionality's failures): one orbit read of (base, base) at the
+        twists d * step."""
+        (base, step), mu = self.base, self.nm.milnor
+        landed = self.engine.orbit(base, base, base.group.zero, step, range(1 - mu, mu))
+        return {d: dict(sorted(dims.items())) for d, dims in landed.items()}
 
     @cached_property
     def exc(self) -> dict:
-        return homcalc.check_exceptionality(self.table)
+        return homcalc.check_exceptionality(self.table, self.nm.milnor)
 
     def collection(self):
         # every object is a shift of the base, and a shift keeps the size
@@ -192,8 +199,14 @@ class HomRun(_Run):
         return {"objects": mu, "size": want}
 
     def hom_table(self):
-        return {"entries": self.table.entry_count(),
-                "window_hull": list(self.table.hull())}
+        # each diagonal's certified window plus the margin on both sides,
+        # counted once per pair on the diagonal
+        (base, step), mu, m = self.base, self.nm.milnor, homcalc.TABLE_MARGIN
+        wins = homcalc.windows(base, step, self.table)
+        return {"entries": sum((mu - abs(d)) * (hi - lo + 1 + 2 * m)
+                               for d, (lo, hi) in wins.items()),
+                "window_hull": [min(lo for lo, _ in wins.values()) - m,
+                                max(hi for _, hi in wins.values()) + m]}
 
     def exceptionality(self):
         if not self.exc["exceptional"]:
@@ -202,26 +215,28 @@ class HomRun(_Run):
         return {"strong": self.exc["strong"]}
 
     def euler_pairing_matches(self):
-        table, series = self.table, self.euler_series
-        want = {d: series[d] if 0 <= d < len(series) else 0 for d in table.columns}
-        if any(table.euler(d) != w for d, w in want.items()):
-            mu = table.objects
+        mu, series = self.nm.milnor, self.euler_series
+        matrix = homcalc.euler_pairing(self.table, mu)
+        # the grid is constant on diagonals: row 0 holds d >= 0, column 0 d <= 0
+        want = [series[d] if d < len(series) else 0 for d in range(mu)]
+        if matrix[0] != want or any(row[0] for row in matrix[1:]):
             raise VerificationFailure(
                 "Euler pairing differs from the Toeplitz matrix",
-                {"engine": homcalc.euler_pairing(table),
-                 "matrix": [[want[j - i] for j in range(mu)] for i in range(mu)]})
-        return {"matrix": homcalc.euler_pairing(table)}
+                {"engine": matrix,
+                 "matrix": [[want[j - i] if j >= i else 0 for j in range(mu)]
+                            for i in range(mu)]})
+        return {"matrix": matrix}
 
     def serre_symmetry(self):
         # Hom(A, T^p A(l)) is dual to Hom(A, T^(n-p) A(-sigma - l)), sigma the
         # sum of the variable degrees: this certifies the graded Gorenstein
         # symmetry of the one Künneth basis of (A, A), not an agreement of
-        # two routes.  Each column d, over every landed power, against the
+        # two routes.  Each diagonal d, over every landed power, against the
         # landing of (A, A) at the Serre-dual twist -sigma - d step at n - p.
         (A, step), n, table = self.base, self.f.n, self.table
         sigma = A.group.monomial_degree((1,) * n)
-        duals = self.engine.orbit(A, A, -sigma, -step, table.columns)
-        for d, (_, dims) in table.columns.items():
+        duals = self.engine.orbit(A, A, -sigma, -step, table)
+        for d, dims in table.items():
             if {n - q: x for q, x in duals[d].items()} != dims:
                 raise VerificationFailure("Serre symmetry violated on the table")
         return {}
@@ -230,15 +245,15 @@ class HomRun(_Run):
         a1, mu, table = self.f.exponents[0], self.nm.milnor, self.table
         if not self.exc["strong"]:
             raise VerificationFailure("collection is not strong")
-        # the pair (i, j) reads column j - i at power 0: one test per diagonal,
+        # the pair (i, j) reads diagonal j - i at power 0: one test per diagonal,
         # and the first failing pair in row-major order as the witness
         want = {d: 1 if 0 <= d < a1 else 0 for d in range(1 - mu, mu)}
-        bad = {d for d, w in want.items() if table.columns[d][1].get(0, 0) != w}
+        bad = {d for d, w in want.items() if table[d].get(0, 0) != w}
         if bad:
             i, j = next((i, j) for i in range(mu) for j in range(mu) if j - i in bad)
             raise VerificationFailure(
                 "path-algebra dimension table mismatch",
-                {"i": i, "j": j, "got": table.columns[j - i][1].get(0, 0),
+                {"i": i, "j": j, "got": table[j - i].get(0, 0),
                  "want": want[j - i]})
         return {"quiver_length": mu, "nilpotency": a1}
 
@@ -266,11 +281,13 @@ class HomRun(_Run):
             raise VerificationFailure("Euler additivity failed", {"cases": bad})
         return {"triangles": mu - 1, "probes": mu}
 
+    @cached_property
     def _ladder_totals(self):
         """(j, e) -> the Euler total of the width-j ladder triangle of any
         row i against E_{i-e}, L(i+1, j) - L(i, j+1) - L(i+1, j-1) + L(i, j),
         where chi(E_{i-e}, L(i', j')) is zero at the widths 0 and a1 + 1 and
-        is otherwise read at e + i' - i on the orbit of L_j'."""
+        is otherwise read at e + i' - i on the orbit of L_j'.  Built once
+        per run, from one orbit read per width, for both ladder checks."""
         by_width = {j: self._orbit_euler(L) for j, L in self.ladder_bases.items()}
 
         def chi(j, e):
@@ -283,7 +300,7 @@ class HomRun(_Run):
 
     def ladder_euler_additivity(self):
         a1, mu, bad = self.f.exponents[0], self.nm.milnor, []
-        total = self._ladder_totals()
+        total = self._ladder_totals
         for i in self._ladder_rows():
             for j in range(1, a1):
                 for m in range(mu):
@@ -301,7 +318,7 @@ class HomRun(_Run):
         # exactly so any drift is caught.  Probe m, E_{offset+m}, reads the
         # class E_{i+k} at e + k on the collection's orbit, e = i - offset - m.
         a1, mu, mismatches, boundary_holds = self.f.exponents[0], self.nm.milnor, [], True
-        ladder, coll = self._ladder_totals(), self._orbit_euler(self.base[0])
+        ladder, coll = self._ladder_totals, self._orbit_euler(self.base[0])
         for i in self._ladder_rows():
             for m in range(mu):
                 e = i - self.offset - m

@@ -11,12 +11,12 @@ route: the library answers Homs only between Koszul stabilizations, by
 graded Künneth, and ``general_hom_dim`` answers them between any objects
 from the full Hom complex, as the closed form's differential-test oracle.
 ``scan_window`` certifies a power window for any key from the twist
-weights, the reference for the table's closed-form windows and for the
-window-free Euler sums.  ``closed_form_hom`` gives the diagonal Hom algebra
-in closed form, ``profiles_agree`` compares Hom profiles, a necessary
-condition for the isomorphisms that ``triangle_structural`` certifies, and
-``serre_dual`` recomputes a table from the Serre-dual landings that
-``serre_symmetry`` reads.  Every single-key read goes through ``landing``,
+weights, the reference for the closed-form windows of ``homcalc.windows``
+and for the window-free Euler sums.  ``closed_form_hom`` gives the
+diagonal Hom algebra in closed form, ``profiles_agree`` compares Hom
+profiles, a necessary condition for the isomorphisms that
+``triangle_structural`` certifies, and ``serre_dual`` recomputes a table
+from the Serre-dual landings that ``serre_symmetry`` reads.  Every single-key read goes through ``landing``,
 the engine's orbit read of one twist, and ``degree_landing`` lands a
 Künneth basis on a twist through ``Degree`` arithmetic, the reference for
 the engine's integer stepping.  The library keeps only degree-zero
@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 from chainfact.chain import ChainPolynomial, Degree, build_grading_group
 from chainfact.exactmath import Echelon, MPoly
-from chainfact.homcalc import HomEngine, HomTable, _differential_rows
+from chainfact.homcalc import TABLE_MARGIN, HomEngine, _differential_rows, windows
 from chainfact.homrun import auxiliary_splitting
 from chainfact.invariants import companion_certificate, euler_matrix, zeta_polynomial
 from chainfact.mf import (
@@ -669,7 +669,7 @@ def _lowest_nonvanishing_power(F, G, lw: int) -> int | None:
 
 def scan_window(source, target, degree: Degree | None = None) -> tuple[int, int]:
     """Certified power window outside which all stable Homs vanish, for any
-    objects: the reference for the table's closed-form windows and for the
+    objects: the reference for ``homcalc.windows`` and for the
     window-free Euler sums.
 
     The lower end is direct weight negativity of the cells; the upper end is
@@ -862,37 +862,49 @@ def auxiliary_object(f, i):
 
 
 def serre_dual(homs, base, step, table):
-    """The Serre-dual recomputation of the table of the orbit
-    E_i = base(i step) from the landings that ``HomRun.serre_symmetry``
-    compares it with, each read on its own key: column d holds
-    dim Hom(A, T^(n-p) A(-sigma - d step)) from ``homs``, sigma the sum of
-    the variable degrees, at every landed power, in power order, with the
-    table's window.  Serre duality says it equals the table."""
+    """The Serre-dual recomputation of the Hom table {d: {p: dim}} of the
+    orbit E_i = base(i step) from the landings that
+    ``HomRun.serre_symmetry`` compares it with, each read on its own key:
+    diagonal d holds dim Hom(A, T^(n-p) A(-sigma - d step)) from ``homs``,
+    sigma the sum of the variable degrees, at every landed power, in power
+    order.  Serre duality says it equals the table."""
     group = base.group
     n = group.chain.n
     sigma = sum((group.variable_degree(i) for i in range(n)), group.zero)
-    columns = {}
-    for d, (window, _) in table.columns.items():
-        dual = landing(homs, (base, base, -sigma - d * step))
-        columns[d] = (window, {n - q: dual[q] for q in sorted(dual, reverse=True)})
-    return HomTable(table.objects, columns)
+    dual = {}
+    for d in table:
+        landed = landing(homs, (base, base, -sigma - d * step))
+        dual[d] = {n - q: landed[q] for q in sorted(landed, reverse=True)}
+    return dual
 
 
 def table_pairs(table):
-    mu = table.objects
+    mu = (len(table) + 1) // 2
     return ((i, j) for i in range(mu) for j in range(mu))
 
 
-def table_entries(table):
-    """{(i, j, p): dim} of a ``HomTable``, expanded pair by pair over the
-    stored powers, zeros included."""
-    return {(i, j, p): table.columns[j - i][1].get(p, 0) for i, j in table_pairs(table)
-            for p in table.stored(j - i)}
+def stored_powers(table, base, step):
+    """{d: range} of the powers that the ``hom_table`` report counts on each
+    diagonal of the table of the orbit E_i = base(i step): the closed-form
+    window of ``homcalc.windows`` plus ``TABLE_MARGIN`` on both sides."""
+    return {d: range(lo - TABLE_MARGIN, hi + TABLE_MARGIN + 1)
+            for d, (lo, hi) in windows(base, step, table).items()}
 
 
-def table_windows(table):
-    """{(i, j): window} of a ``HomTable``, expanded pair by pair."""
-    return {(i, j): table.columns[j - i][0] for i, j in table_pairs(table)}
+def table_entries(table, base, step):
+    """{(i, j, p): dim} of the Hom table {d: {p: dim}} of the orbit
+    E_i = base(i step), expanded pair by pair over the stored powers
+    (``stored_powers``), zeros included."""
+    stored = stored_powers(table, base, step)
+    return {(i, j, p): table[j - i].get(p, 0) for i, j in table_pairs(table)
+            for p in stored[j - i]}
+
+
+def table_windows(table, base, step):
+    """{(i, j): window} of the table of the orbit E_i = base(i step),
+    expanded pair by pair from ``homcalc.windows``."""
+    wins = windows(base, step, table)
+    return {(i, j): wins[j - i] for i, j in table_pairs(table)}
 
 
 def identity_morphism(mf):
@@ -1007,13 +1019,11 @@ def nakayama_witness(table, a1):
     """The witness of ``nakayama_cartan`` from the pair-by-pair walk: the
     first (i, j) in row-major order whose degree-0 dimension is not the path
     algebra's, or None when every pair agrees."""
-    mu = table.objects
-    for i in range(mu):
-        for j in range(mu):
-            want = 1 if 0 <= j - i < a1 else 0
-            got = table.columns[j - i][1].get(0, 0)
-            if got != want:
-                return {"i": i, "j": j, "got": got, "want": want}
+    for i, j in table_pairs(table):
+        want = 1 if 0 <= j - i < a1 else 0
+        got = table[j - i].get(0, 0)
+        if got != want:
+            return {"i": i, "j": j, "got": got, "want": want}
     return None
 
 

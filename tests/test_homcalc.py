@@ -19,6 +19,7 @@ from chainfact.homcalc import (
     check_exceptionality,
     euler_pairing,
     morphism_space_basis,
+    windows,
     _cell_basis,
     _differential_rows,
 )
@@ -57,6 +58,7 @@ from oracles import (
     serre_dual,
     scan_window,
     sparse_rank,
+    stored_powers,
     t_power,
     table_entries,
     table_windows,
@@ -216,14 +218,16 @@ def test_closed_form_windows_and_landings_match_scan_window(chain):
     lands inside that key's window, for X the collection base, the
     auxiliary base (even n) and every ladder base (odd n >= 3), and for
     every e that a run reads (1 - mu <= e <= max(mu - 1, a1 + 2)).  So the
-    Euler sums, which read no window, are the sums over the windows."""
+    Euler sums, which read no window, are the sums over the windows.  No
+    window is empty: ``hom_table`` counts every one without a filter."""
     f = ChainPolynomial.parse(chain)
     mu, a1 = numerics(f).milnor, f.exponents[0]
     for offset in range(4):
         run = HomRun(f, offset)
-        (base, step), table = run.base, run.table
-        assert {d: window for d, (window, _) in table.columns.items()} == {
-            d: scan_window(base, base, d * step) for d in range(1 - mu, mu)}
+        base, step = run.base
+        wins = windows(base, step, range(1 - mu, mu))
+        assert wins == {d: scan_window(base, base, d * step) for d in range(1 - mu, mu)}
+        assert all(lo <= hi for lo, hi in wins.values()), (chain, offset)
         targets = [base]
         if f.n % 2 == 0:
             targets.append(run.aux_base)
@@ -245,18 +249,18 @@ def test_canonical_tables_match_naive_route(exps):
     f = ChainPolynomial(exps)
     g = build_grading_group(f)
     sigma = sum((g.variable_degree(i) for i in range(f.n)), g.zero)
-    coll = collection(HomRun(f, 1))
+    coll, orbit = collection(HomRun(f, 1)), collection_base(f)
     for dual in (False, True):
         table = fresh_table(f, dual)
-        for (i, j), window in table_windows(table).items():
+        for (i, j), window in table_windows(table, *orbit).items():
             assert window == naive_window(coll[i], coll[j], g.zero)
         naive = {}
-        for (i, j, p) in table_entries(table):
+        for (i, j, p) in table_entries(table, *orbit):
             if dual:
                 naive[(i, j, p)] = naive_hom_dim(coll[j], coll[i], -sigma, f.n - p)
             else:
                 naive[(i, j, p)] = naive_hom_dim(coll[i], coll[j], g.zero, p)
-        assert naive == table_entries(table), (exps, dual)
+        assert naive == table_entries(table, *orbit), (exps, dual)
 
 
 def naive_table(f, coll, dual):
@@ -295,10 +299,11 @@ SMALL_CHAINS = [exps for n, top in ((1, 32), (2, 30), (3, 15), (4, 7))
 @example(exps=(3, 2, 2), offset=2)                 # torsion Z/3
 def test_tables_match_naive_route_property(exps, offset):
     f = ChainPolynomial(exps)
-    coll = collection(HomRun(f, offset))
+    coll, orbit = collection(HomRun(f, offset)), collection_base(f)
     for dual in (False, True):
         table = fresh_table(f, dual)
-        assert (table_entries(table), table_windows(table)) == naive_table(f, coll, dual)
+        assert ((table_entries(table, *orbit), table_windows(table, *orbit))
+                == naive_table(f, coll, dual))
 
 
 def test_table_asks_one_query_per_diagonal(monkeypatch):
@@ -315,30 +320,36 @@ def test_table_asks_one_query_per_diagonal(monkeypatch):
         return real(self, *args)
 
     monkeypatch.setattr(HomEngine, "kunneth", counted)
-    primal = HomEngine().table(base, step, mu)
+    run = HomRun(f, 0)
+    run.base = base, step
+    primal = run.table
     asked = [list(calls)]
     calls.clear()
     dual = serre_dual(HomEngine(), base, step, primal)      # a fresh memo: the dual's own basis
     asked.append(list(calls))
     for table, queries in zip((primal, dual), asked):
-        assert len(table_windows(table)) == mu * mu
-        assert len(table.columns) == 2 * mu - 1
+        assert len(table_windows(table, base, step)) == mu * mu
+        assert sorted(table) == list(range(1 - mu, mu))
         assert queries == [(base, base)]
         assert queries[0][0] is base and queries[0][1] is base
-    run = HomRun(f, 0)
-    assert len(run.table.columns) == 2 * mu - 1
     calls.clear()
     assert run.serre_symmetry() == {} and calls == []
 
 
+def run_table(f, homs):
+    """The Hom table of f's collection as a run reads it, through ``homs``."""
+    run = HomRun(f, 0)
+    run.engine = homs
+    return run.table
+
+
 def fresh_table(f, dual=False, general=False):
     """The Hom table of f's collection, or its Serre-dual recomputation, from
-    a fresh engine, built from ``collection_base``; with ``general``, from a
-    fresh ``GeneralEngine``, whose reads the general route answers."""
+    a fresh engine, on the orbit of ``collection_base``; with ``general``,
+    from a fresh ``GeneralEngine``, whose reads the general route answers."""
     homs = GeneralEngine() if general else HomEngine()
-    base, step = collection_base(f)
-    table = homs.table(base, step, numerics(f).milnor)
-    return serre_dual(homs, base, step, table) if dual else table
+    table = run_table(f, homs)
+    return serre_dual(homs, *collection_base(f), table) if dual else table
 
 
 # torsion gradings: (2, 3) Z/2, (2, 2, 3) Z/4, (3, 2, 2) Z/3
@@ -348,21 +359,25 @@ def test_shared_memo_tables_match_fresh_memos_and_naive_route(exps, offset):
     f = ChainPolynomial(exps)
     coll = collection(HomRun(f, offset))
     naive = {dual: naive_table(f, coll, dual) for dual in (False, True)}
-    orbit = (*collection_base(f), len(coll))
-    primal = HomEngine().table(*orbit)
-    fresh = {False: primal, True: serre_dual(HomEngine(), *orbit[:2], primal)}
+    orbit = collection_base(f)
+    primal = run_table(f, HomEngine())
+    fresh = {False: primal, True: serre_dual(HomEngine(), *orbit, primal)}
+
+    def expanded(table):
+        return table_entries(table, *orbit), table_windows(table, *orbit)
+
     for dual, table in fresh.items():
-        assert (table_entries(table), table_windows(table)) == naive[dual], (exps, offset, dual)
+        assert expanded(table) == naive[dual], (exps, offset, dual)
     for dual_first in (False, True):
         homs = HomEngine()
         if dual_first:                      # the primal reads the dual's memo
-            shared = {True: serre_dual(homs, *orbit[:2], primal)}
-            shared[False] = homs.table(*orbit)
+            shared = {True: serre_dual(homs, *orbit, primal)}
+            shared[False] = run_table(f, homs)
         else:
-            shared = {False: homs.table(*orbit)}
-            shared[True] = serre_dual(homs, *orbit[:2], shared[False])
+            shared = {False: run_table(f, homs)}
+            shared[True] = serre_dual(homs, *orbit, shared[False])
         for dual, table in shared.items():
-            assert (table_entries(table), table_windows(table)) == naive[dual], (exps, offset, dual)
+            assert expanded(table) == naive[dual], (exps, offset, dual)
 
 
 @settings(max_examples=30, deadline=None, database=None, derandomize=True)
@@ -382,12 +397,12 @@ def test_columns_match_closed_form_lookup_property(exps, offset):
     forms = [closed_form_hom(f, 0), closed_form_hom(f, 1)]
     run = HomRun(f, offset)
     (base, _), coll, primal = run.base, collection(HomRun(f, offset)), run.table
+    stored = stored_powers(primal, base, step)
     for table in (primal, serre_dual(run.engine, base, step, primal)):
-        assert table.objects == len(coll)
-        assert sorted(table.columns) == list(range(1 - len(coll), len(coll)))
-        for d, (_, dims) in table.columns.items():
-            assert set(dims) <= set(table.stored(d)), (exps, offset, d)
-            for p in table.stored(d):
+        assert sorted(table) == list(range(1 - len(coll), len(coll)))
+        for d, dims in table.items():
+            assert set(dims) <= set(stored[d]), (exps, offset, d)
+            for p in stored[d]:
                 want = forms[p % 2].get(d * step + (p // 2) * g.total_degree, 0)
                 assert dims.get(p, 0) == want, (exps, offset, d, p)
     for i, x in enumerate(coll):
@@ -410,15 +425,17 @@ def test_serre_check_fails_on_any_wrong_dual_value(monkeypatch, exps):
     run = HomRun(f, 0)
     (base, step), table, n, real = run.base, run.table, f.n, HomEngine.orbit
     sigma = sum((g.variable_degree(v) for v in range(f.n)), g.zero)
-    duals = {(-sigma - d * step).coords: d for d in table.columns}
+    duals = {(-sigma - d * step).coords: d for d in table}
     asked = []
     monkeypatch.setattr(HomEngine, "orbit", lambda self, A, X, start, by, es: asked.append(
         [(start + e * by).coords for e in es]) or real(self, A, X, start, by, es))
     assert run.serre_symmetry() == {}
     assert len(asked) == 1 and sorted(asked[0]) == sorted(duals)
-    assert serre_dual(HomEngine(), base, step, table).columns == table.columns
-    wrongs = [(at, n - p) for at, d in duals.items() for p in table.stored(d)]
-    assert len(wrongs) == sum(len(table.stored(d)) for d in table.columns)
+    assert serre_dual(HomEngine(), base, step, table) == table
+    stored = stored_powers(table, base, step)
+    wrongs = [(at, n - p) for at, d in duals.items() for p in stored[d]]
+    assert len(wrongs) == sum(map(len, stored.values())) == {
+        (3, 3): 97, (2, 2, 3): 148, (3, 2, 2): 128}[exps]
     for at, q in wrongs:
         def skewed(self, A, X, start, by, es, at=at, q=q):
             landed = real(self, A, X, start, by, es)
@@ -445,7 +462,7 @@ def test_landing_past_the_stored_powers_fails_exceptionality_and_serre(monkeypat
     g = build_grading_group(f)
     run = HomRun(f, 0)
     (base, step), mu = run.base, run.nm.milnor
-    p = run.table.stored(-1)[-1] + 1
+    p = stored_powers(run.table, base, step)[-1][-1] + 1
     k, q = divmod(p, 2)
     extra = Counter({((-step + k * g.total_degree).coords, q): 1})
     real = HomEngine.kunneth
@@ -458,6 +475,31 @@ def test_landing_past_the_stored_powers_fails_exceptionality_and_serre(monkeypat
         for i in range(1, mu)]
     with pytest.raises(VerificationFailure, match="Serre symmetry violated"):
         run.serre_symmetry()
+
+
+@pytest.mark.parametrize("exps", [(3, 3), (2, 2, 3)])
+def test_table_lists_each_diagonal_in_power_order(monkeypatch, exps):
+    """Negative control on the table's order: two elements added to the
+    Künneth basis of (base, base), landing on the diagonal d = -1 past both
+    ends of its stored powers, the higher one first in the basis, fail
+    exceptionality with each pair's backwards morphisms in ascending power
+    order, as the entry-by-entry walk lists them."""
+    f = ChainPolynomial(exps)
+    g = build_grading_group(f)
+    run = HomRun(f, 0)
+    (base, step), mu = run.base, run.nm.milnor
+    stored = stored_powers(run.table, base, step)[-1]
+    powers = [stored[-1] + 1, stored[0] - 1]
+    extra = Counter({((-step + (p // 2) * g.total_degree).coords, p % 2): 1 for p in powers})
+    real = HomEngine.kunneth
+    monkeypatch.setattr(HomEngine, "kunneth", lambda self, A, X: real(self, A, X) + extra)
+    run = HomRun(f, 0)
+    assert list(run.table[-1]) == sorted(powers)
+    with pytest.raises(VerificationFailure, match="not exceptional") as failed:
+        run.exceptionality()
+    assert failed.value.witness["failures"] == [
+        {"i": i, "j": i - 1, "p": p, "dim": 1, "reason": "backwards morphism"}
+        for i in range(1, mu) for p in sorted(powers)]
 
 
 # torsion gradings: 2,3 and 2,3,2,3 Z/2, 2,2,3 Z/4, 3,2,2 Z/3
@@ -498,46 +540,43 @@ def test_exceptionality_failures_expand_in_pair_order(exps):
     fails the check with the failures of the entry-by-entry walk; so does
     the identity missing from column 0."""
     f = ChainPolynomial(exps)
-    table = fresh_table(f)
-    mu = table.objects
-    assert check_exceptionality(table)["failures"] == []
+    table, mu, orbit = fresh_table(f), numerics(f).milnor, collection_base(f)
+    assert check_exceptionality(table, mu)["failures"] == []
     for d in (-1, -(mu - 1), 0):
-        window, dims = table.columns[d]
-        stored = table.stored(d)
+        dims, stored = table[d], stored_powers(table, *orbit)[d]
         for p in [q for q in (stored[0], 0, stored[-1]) if q in stored]:
-            table.columns[d] = (window, {**dims, p: dims.get(p, 0) + 1})
-            report = check_exceptionality(table)
-            want = exceptionality_failures(table_entries(table))
+            table[d] = {**dims, p: dims.get(p, 0) + 1}
+            report = check_exceptionality(table, mu)
+            want = exceptionality_failures(table_entries(table, *orbit))
             assert report["failures"] == want and not report["exceptional"]
             reason = "endomorphisms not scalar" if d == 0 else "backwards morphism"
             assert want == [{"i": i, "j": i + d, "p": p, "dim": dims.get(p, 0) + 1,
                              "reason": reason}
                             for i in range(max(0, -d), mu - max(0, d))]
-        table.columns[d] = (window, dims)
-    window, dims = table.columns[0]
-    table.columns[0] = (window, {p: x for p, x in dims.items() if p != 0})
-    assert check_exceptionality(table)["failures"] == [
+        table[d] = dims
+    dims = table[0]
+    table[0] = {p: x for p, x in dims.items() if p != 0}
+    assert check_exceptionality(table, mu)["failures"] == [
         {"i": i, "j": i, "p": 0, "dim": 0, "reason": "endomorphisms not scalar"}
         for i in range(mu)]
-    table.columns[0] = (window, dims)
-    assert check_exceptionality(table)["exceptional"]
+    table[0] = dims
+    assert check_exceptionality(table, mu)["exceptional"]
 
 
 @pytest.mark.parametrize("exps", [(3, 3), (2, 3), (4, 3)])
 def test_nakayama_witness_from_a_corrupted_column(exps):
     f = ChainPolynomial(exps)
-    a1, table = exps[0], HomRun(f, 0).table
-    mu = table.objects
+    a1, table, mu = exps[0], HomRun(f, 0).table, numerics(f).milnor
     for d in range(1, mu):
-        window, dims = table.columns[d]
-        table.columns[d] = (window, {**dims, 0: dims.get(0, 0) + 1})
+        dims = table[d]
+        table[d] = {**dims, 0: dims.get(0, 0) + 1}
         run = HomRun(f, 0)
         run.table = table
         with pytest.raises(VerificationFailure) as failure:
             run.nakayama_cartan()
         assert failure.value.witness == {"i": 0, "j": d, "got": dims.get(0, 0) + 1,
                                          "want": 1 if d < a1 else 0}
-        table.columns[d] = (window, dims)
+        table[d] = dims
     run = HomRun(f, 0)
     run.table = table
     assert run.nakayama_cartan() == {"quiver_length": mu, "nilpotency": a1}
@@ -616,25 +655,25 @@ def test_euler_pairing_matches_toeplitz(exps):
     f = ChainPolynomial(exps)
     table = fresh_table(f)
     dense = dense_euler_matrix(euler_series(f))
-    assert euler_pairing(table) == [list(r) for r in dense.entries]
+    assert euler_pairing(table, numerics(f).milnor) == [list(r) for r in dense.entries]
 
 
 def test_euler_diagonal_ones():
     f = ChainPolynomial((3, 3))
     table = fresh_table(f)
-    pairing = euler_pairing(table)
+    pairing = euler_pairing(table, numerics(f).milnor)
     assert all(pairing[i][i] == 1 for i in range(len(pairing)))
 
 
 def test_exceptionality_report_strong_n2():
     f = ChainPolynomial((2, 2))
-    rep = check_exceptionality(fresh_table(f))
+    rep = check_exceptionality(fresh_table(f), numerics(f).milnor)
     assert rep["exceptional"] and rep["strong"]
 
 
 def test_exceptionality_single_object():
     f = ChainPolynomial((3,))
-    rep = check_exceptionality(fresh_table(f))
+    rep = check_exceptionality(fresh_table(f), numerics(f).milnor)
     assert rep["exceptional"]
 
 
@@ -642,10 +681,10 @@ def test_window_extension_stable_pairing():
     f = ChainPolynomial((2, 2))
     table = fresh_table(f)
     wide = {}
-    for (i, j), (lo, hi) in table_windows(table).items():
-        wide[(i, j)] = sum((1 if p % 2 == 0 else -1) * table.columns[j - i][1].get(p, 0)
+    for (i, j), (lo, hi) in table_windows(table, *collection_base(f)).items():
+        wide[(i, j)] = sum((1 if p % 2 == 0 else -1) * table[j - i].get(p, 0)
                            for p in range(lo - 3, hi + 4))
-    pairing = euler_pairing(table)
+    pairing = euler_pairing(table, numerics(f).milnor)
     for (i, j), val in wide.items():
         assert pairing[i][j] == val
 
@@ -732,7 +771,7 @@ def test_translation_shifts_hom_parity():
 def test_serre_symmetry_tables():
     for exps in [(2,), (2, 2), (3, 2)]:
         f = ChainPolynomial(exps)
-        assert fresh_table(f, dual=True).columns == fresh_table(f).columns
+        assert fresh_table(f, dual=True) == fresh_table(f)
         assert HomRun(f, 0).serre_symmetry() == {}
 
 

@@ -16,7 +16,7 @@ from chainfact.homcalc import (
     euler_pairing,
     morphism_space_basis,
 )
-from chainfact.homrun import HomRun, collection_base
+from chainfact.homrun import HomRun
 from chainfact.invariants import zeta_polynomial
 from chainfact.mf import cone, direct_sum, reduce, shift
 from chainfact.series import Poly, poly_div_exact, series_inverse
@@ -154,10 +154,9 @@ def test_reduce_idempotent_on_cones():
 @pytest.mark.parametrize("exps", [(2,), (3,), (2, 2), (2, 3), (2, 2, 2)])
 def test_serre_symmetry_every_table(exps):
     f = ChainPolynomial(exps)
-    base, step = collection_base(f)
-    main = HomEngine().table(base, step, numerics(f).milnor)
-    assert serre_dual(HomEngine(), base, step, main).columns == main.columns
-    assert HomRun(f, 0).serre_symmetry() == {}
+    run = HomRun(f, 0)
+    assert serre_dual(HomEngine(), *run.base, run.table) == run.table
+    assert run.serre_symmetry() == {}
 
 
 def test_window_stability_under_extension():
@@ -204,6 +203,5 @@ def test_simultaneous_shift_invariance_random():
 def test_euler_pairing_equals_matrix_grid():
     for exps in [(2,), (3,), (2, 2), (3, 2)]:
         f = ChainPolynomial(exps)
-        table = HomEngine().table(*collection_base(f), numerics(f).milnor)
-        assert euler_pairing(table) == \
+        assert euler_pairing(HomRun(f, 0).table, numerics(f).milnor) == \
             [list(r) for r in dense_euler_matrix(euler_series(f)).entries]

@@ -98,11 +98,12 @@ def test_tables_match_general_engine(exps):
     f = ChainPolynomial(exps)
     for offset in (0, 2):
         assert all(e.splitting is not None for e in collection(HomRun(f, offset)))
+    orbit = collection_base(f)
     for dual in (False, True):
         got = fresh_table(f, dual)
         want = fresh_table(f, dual, general=True)
-        assert table_entries(got) == table_entries(want), (exps, dual)
-        assert table_windows(got) == table_windows(want)
+        assert table_entries(got, *orbit) == table_entries(want, *orbit), (exps, dual)
+        assert table_windows(got, *orbit) == table_windows(want, *orbit)
 
 
 @pytest.mark.parametrize("exps", TABLE_CHAINS)
@@ -131,10 +132,11 @@ def test_tables_match_closed_form_lookup(exps):
     g = build_grading_group(f)
     step = collection_splitting(f)[2]
     forms = [closed_form_hom(f, 0), closed_form_hom(f, 1)]
+    orbit = collection_base(f)
     for dual in (False, True):
         table = fresh_table(f, dual)
-        assert len(table_windows(table)) == numerics(f).milnor ** 2
-        for (i, j, p), dim in table_entries(table).items():
+        assert len(table_windows(table, *orbit)) == numerics(f).milnor ** 2
+        for (i, j, p), dim in table_entries(table, *orbit).items():
             key = (j - i) * step + (p // 2) * g.total_degree
             assert dim == forms[p % 2].get(key, 0), (exps, dual, i, j, p)
 
@@ -175,13 +177,13 @@ def test_refusal_does_not_depend_on_memo_order():
     """A record-less twin of the base, equal to it and so on the same memo
     entries, is refused and the base is answered, whichever of the two an
     engine is asked first: through an orbit read as a source and as a
-    target, and through table as the orbit's base."""
+    target, and through the table's orbit read as the orbit's base."""
     f = ChainPolynomial((2, 2, 3))
     base, step = collection_base(f)
     twin = without_splitting_record(base)
     zero = base.group.zero
     asks = [(lambda homs, A, X: key_euler(homs, (A, X, zero)), [(twin, base), (base, twin)]),
-            (lambda homs, A, X: homs.table(A, step, 1).columns[0][1].get(0, 0),
+            (lambda homs, A, X: homs.orbit(A, X, zero, step, (0,))[0].get(0, 0),
              [(twin, twin)])]
     for ask, twins in asks:
         for order in (("base", "twin"), ("twin", "base")):
@@ -204,8 +206,10 @@ def test_engine_refuses_a_shifted_source():
     assert moved.splitting == base.splitting
     with pytest.raises(ValueError):
         key_euler(HomEngine(), (moved, moved, base.group.zero))
+    run = HomRun(f, 0)
+    run.base = moved, step
     with pytest.raises(ValueError):
-        HomEngine().table(moved, step, 2)
+        run.table
     assert hom_dim(moved, moved) == hom_dim(base, base) == 1
 
 
@@ -250,26 +254,28 @@ def test_restriction_dispatch_under_optimize_flag():
     script = (
         "import json\n"
         "import chainfact.homcalc as h\n"
-        "from chainfact.chain import ChainPolynomial, numerics\n"
-        "from chainfact.homrun import collection_base\n"
+        "from chainfact.chain import ChainPolynomial\n"
+        "from chainfact.homrun import HomRun\n"
         "from oracles import key_euler, table_entries, without_splitting_record\n"
         "def refuse(*args):\n"
         "    raise RuntimeError('the full Hom complex was built')\n"
         "h._cell_basis = refuse\n"
-        "f = ChainPolynomial((2, 2, 3))\n"
-        "base, step = collection_base(f)\n"
-        "t = h.HomEngine().table(base, step, numerics(f).milnor)\n"
+        "run = HomRun(ChainPolynomial((2, 2, 3)), 0)\n"
+        "base, step = run.base\n"
+        "t = run.table\n"
         "try:\n"
         "    key_euler(h.HomEngine(), (without_splitting_record(base), base, base.group.zero))\n"
         "    refused = False\n"
         "except ValueError:\n"
         "    refused = True\n"
-        "print(json.dumps([sorted(map(list, table_entries(t).items())), __debug__, refused]))\n"
+        "print(json.dumps([sorted(map(list, table_entries(t, base, step).items())), "
+        "__debug__, refused]))\n"
     )
     entries, debug, refused = _optimized_child(script)
     assert debug is False
     assert refused is True
-    want = table_entries(fresh_table(ChainPolynomial((2, 2, 3)), general=True))
+    f = ChainPolynomial((2, 2, 3))
+    want = table_entries(fresh_table(f, general=True), *collection_base(f))
     assert {(i, j, p): d for (i, j, p), d in entries} == want
 
 
@@ -301,7 +307,7 @@ def test_shape_check_refuses_under_optimize_flag():
         "X, homs, refusals = misfit_target(f), h.HomEngine(), []\n"
         "for fill in (False, True, False):\n"
         "    if fill:\n"
-        "        homs.table(base, step, 7)\n"
+        "        homs.orbit(base, base, base.group.zero, step, range(-6, 7))\n"
         "    try:\n"
         "        homs.orbit(base, X, step, step, (0,))\n"
         "        refusals.append(False)\n"

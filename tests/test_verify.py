@@ -171,8 +171,7 @@ def test_main_theorem_offset_invariance():
     m0 = r0.check("euler_pairing_matches").detail["matrix"]
     m1 = r1.check("euler_pairing_matches").detail["matrix"]
     assert m0 == m1
-    t0, t1 = homrun.HomRun(f, 0).table, homrun.HomRun(f, 5).table
-    assert t0.columns == t1.columns
+    assert homrun.HomRun(f, 0).table == homrun.HomRun(f, 5).table
 
 
 def test_fullness_reported_not_claimed():
@@ -386,6 +385,20 @@ def test_boundary_check_compares_objects_once_per_read(monkeypatch, exps):
     assert reads and len(compares) <= len(reads), (len(compares), len(reads))
 
 
+@pytest.mark.parametrize("exps", [(3, 3, 3), (3, 3, 3, 3, 3), (4, 4, 4), (2, 2, 2, 2),
+                                  (2, 3, 2, 3)])
+def test_triangles_run_reads_each_orbit_once(monkeypatch, exps):
+    """A whole triangles run makes one orbit read per target base: at odd n
+    a1 + 1, one per ladder width and one of the collection base, as both
+    ladder checks share the run's ladder totals; at even n 2, the
+    collection base and the auxiliary base."""
+    f = ChainPolynomial(exps)
+    reads = []
+    _count_calls(monkeypatch, HomEngine, "orbit", reads)
+    assert run_checks(f, TRIANGLE_CHECKS, 0).passed
+    assert len(reads) == (exps[0] + 1 if f.n % 2 else 2), len(reads)
+
+
 def _record_route_queries(monkeypatch):
     """The (source, target) pairs whose Künneth basis the engine builds, in
     order."""
@@ -477,19 +490,23 @@ def test_no_hom_memo_outlives_its_run(monkeypatch):
 
 
 def test_euler_builds_no_dual_table(monkeypatch):
-    """An euler run reads one table and no Serre-dual key
-    (A, A, -sigma - d step), |d| < mu, while a verify run's Serre check
-    reads every one of them."""
+    """An euler run reads one table, the orbit of (base, base) from the zero
+    twist, and no Serre-dual key (A, A, -sigma - d step), |d| < mu, while a
+    verify run's Serre check reads every one of them."""
     f = ChainPolynomial((3, 3, 3))
     g = build_grading_group(f)
-    tables, calls, degrees = [], [], []
-    _count_calls(monkeypatch, homcalc.HomEngine, "table", tables)
+    reads, calls, degrees = [], [], []
     _count_calls(monkeypatch, homcalc.HomEngine, "kunneth", calls)
     real = HomEngine.orbit
-    monkeypatch.setattr(HomEngine, "orbit", lambda self, A, X, start, step, es: degrees.extend(
-        (start + e * step).coords for e in es) or real(self, A, X, start, step, es))
+
+    def recorded(self, A, X, start, step, es):
+        reads.append((A, X, start))
+        degrees.extend((start + e * step).coords for e in es)
+        return real(self, A, X, start, step, es)
+
+    monkeypatch.setattr(HomEngine, "orbit", recorded)
     assert run_checks(f, CHECKS_RUN["euler"], 1).passed
-    assert len(tables) == 1
+    assert len(reads) == 1 and reads[0][0] is reads[0][1] and reads[0][2].is_zero()
     asked = len(calls)
     mu, step = numerics(f).milnor, collection_splitting(f)[2]
     sigma = sum((g.variable_degree(v) for v in range(f.n)), g.zero)
@@ -499,11 +516,9 @@ def test_euler_builds_no_dual_table(monkeypatch):
     assert run_checks(f, CHECKS_RUN["verify"], 1).passed
     assert serre_keys <= set(degrees)
     monkeypatch.setattr(HomEngine, "orbit", real)
-    coll = collection(HomRun(f, 1))
-    orbit = (*collection_base(f), len(coll))
-    homs = homcalc.HomEngine()
-    homs.table(*orbit)
-    assert asked == len(homs.bases) == 1
+    run = HomRun(f, 1)
+    coll, homs = collection(run), run.engine
+    assert run.table and asked == len(homs.bases) == 1
     # the Euler entries between collection objects read the table's memo
     calls.clear()
     chi = [[key_euler(homs, canonical_key(x, y)) for y in coll] for x in coll]
@@ -778,9 +793,11 @@ def test_orbit_ladder_totals_match_the_object_loop(monkeypatch, offset):
             keys.update(canonical_key(*pair) for pair in raised)
             cases = ladder_cases(run)
             want = ("fail", {"cases": cases}) if cases else ("pass", None)
-            assert _outcome(run.ladder_euler_additivity) == want, (exps, raised)
+            # a fresh run each time: its two ladder checks share its ladder totals
+            checked = homrun.HomRun(ChainPolynomial(exps), offset)
+            assert _outcome(checked.ladder_euler_additivity) == want, (exps, raised)
             boundary = ladder_boundary_outcome(run)
-            assert _outcome(run.ladder_boundary_width_a1) == boundary, (exps, raised)
+            assert _outcome(checked.ladder_boundary_width_a1) == boundary, (exps, raised)
             assert (want[0] == "fail" or boundary[0] == "fail") == bool(raised), \
                 (exps, raised)
             failing += bool(cases) + (boundary[0] == "fail")
@@ -798,19 +815,19 @@ def test_diagonal_nakayama_matches_the_pair_loop(offset):
     not read."""
     for exps in (e for e in SMALL_CHAINS if len(e) == 2):
         run = homrun.HomRun(ChainPolynomial(exps), offset)
-        a1, mu, columns = exps[0], run.nm.milnor, run.table.columns
+        a1, mu, table = exps[0], run.nm.milnor, run.table
         assert run.exc["strong"]
         for raised in [(), ((0, 0),), ((a1 - 1, 0),), ((a1, 0),),
                        ((1 - mu, 0), (mu - 1, 0)), ((1, 1),)]:
-            saved = dict(columns)
+            saved = dict(table)
             for d, p in raised:
-                window, dims = columns[d]
-                columns[d] = (window, {**dims, p: dims.get(p, 0) + 1})
-            witness = nakayama_witness(run.table, a1)
+                dims = table[d]
+                table[d] = {**dims, p: dims.get(p, 0) + 1}
+            witness = nakayama_witness(table, a1)
             want = ("fail", witness) if witness else ("pass", None)
             assert _outcome(run.nakayama_cartan) == want, (exps, raised)
             assert (want[0] == "fail") == any(p == 0 for _, p in raised), (exps, raised)
-            columns.update(saved)
+            table.update(saved)
 
 
 def _answer_one_key_wrongly(monkeypatch, wrong):
@@ -893,12 +910,14 @@ def _patch_raising(monkeypatch, owner, name, exc, when=lambda *a, **k: True):
 
 
 def test_failed_hom_table_fails_its_dependants(monkeypatch):
-    _patch_raising(monkeypatch, homcalc.HomEngine, "table", GradingError)
+    # the table is the orbit read from the zero twist; Serre's starts at -sigma
+    _patch_raising(monkeypatch, homcalc.HomEngine, "orbit", GradingError,
+                   lambda self, A, X, start, step, es: start.is_zero())
     rep = run_checks(ChainPolynomial((2, 2)), MAIN_THEOREM_CHECKS)
     failed = {"hom_table", "exceptionality", "euler_pairing_matches",
               "serre_symmetry", "nakayama_cartan"}
     assert {c.name for c in rep.checks if c.status == "fail"} == failed
-    assert rep.check("exceptionality").detail == {"error": "table called"}
+    assert rep.check("exceptionality").detail == {"error": "orbit called"}
     assert rep.check("collection").status == "pass"
     assert cli_main(["verify", "--chain", "2,2", "--format", "json"]) == 1
 
